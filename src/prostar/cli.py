@@ -32,7 +32,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--output", default=None, help="base path for report files")
     run_p.add_argument("--tolerance", type=float, default=None, help="override tolerance (default 1e-10)")
     run_p.add_argument("--seed", type=int, default=None, help="override seed (default 0)")
-    run_p.add_argument("--jobs", type=int, default=None, help="max concurrent tasks (default: all)")
+    run_p.add_argument("--jobs", type=int, default=None, help="threads to run tasks on (default 1: serial)")
     run_p.add_argument("--format", choices=("text", "json", "both"), default="text")
 
     ex_p = sub.add_parser("example", help="emit a ready-made scenario")

@@ -197,17 +197,15 @@ class CompletelyPositiveMap:
         )
 
     def verify_representation(self, tol: float = DEFAULT_TOL) -> VerificationReport:
-        """Unital *-homomorphism check of the map into L_B(E), on all basis pairs."""
-        basis = list(self.source.basis())
-        dim = self.source.linear_dim
+        """Unital *-homomorphism check of the map into L_B(E), on all basis pairs.
+
+        Multiplicativity compares rho(E_a) rho(E_b) with rho(E_a E_b) through
+        the source's product table, a few rows a at a time: memory stays near
+        chunk·dim·fd² entries (chunk set by `linalg.PRODUCT_CHUNK_BYTES`)
+        instead of the dim²·fd² of all pairwise products at once.
+        """
         vals = self._value_tensor
-        products = np.matmul(vals[:, None, :, :], vals[None, :, :, :])
-        prod_coords = np.empty((dim, dim, dim), dtype=np.complex128)
-        for i, a in enumerate(basis):
-            for j, b in enumerate(basis):
-                prod_coords[i, j] = (a * b).coords()
-        expected = np.tensordot(prod_coords, vals, axes=([2], [0]))
-        mult = float(np.sqrt(np.max(np.sum(np.abs(products - expected) ** 2, axis=(2, 3)))))
+        mult = linalg.max_product_residual(vals, vals, vals, self.source.product_table)
         star = self.hermiticity_residual()
         unital = linalg.frobenius(self(self.source.unit()).flat - self.module.projection_flat)
         return VerificationReport(
@@ -271,8 +269,14 @@ def verify_nondegenerate(rho: CompletelyPositiveMap, tol: float = DEFAULT_TOL) -
 
 
 def require_certified_cp(rho: CompletelyPositiveMap, tol: float = DEFAULT_TOL) -> CPCertificate:
-    """Certify on demand; raise PreconditionError when the map is not CP."""
-    cert = rho.certification or rho.verify_completely_positive(tol)
+    """Certify on demand; raise PreconditionError when the map is not CP.
+
+    A cached certificate is reused when it was made at `tol`, or when it
+    passed at a stricter tolerance (which implies passing at `tol`).
+    """
+    cert = rho.certification
+    if cert is None or not (cert.tol == tol or (cert.is_cp and cert.tol < tol)):
+        cert = rho.verify_completely_positive(tol)
     if not cert.is_cp:
         raise PreconditionError(
             f"map is not completely positive (Choi minimum {cert.min_eigenvalue:.3e})"

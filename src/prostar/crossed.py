@@ -200,6 +200,12 @@ class CrossedProductRealization:
         return np.linalg.inv(self._std_from_conv)
 
 
+def _twisted_structure(action: GroupAction, g: int) -> np.ndarray:
+    """T[i, j, k]: the coefficient of a_k in a_i alpha_g(a_j)."""
+    structure = action.algebra.structure_constants()
+    return np.einsum("ick,cj->ijk", structure, action.automorphisms[g].action_matrix)
+
+
 def build_crossed_product(
     system: GroupAction, *, seed: int = 0, tol: float = DEFAULT_TOL
 ) -> CrossedProductRealization:
@@ -207,7 +213,10 @@ def build_crossed_product(
 
     Verifies that the embedding turns convolution into composition and the
     involution into the adjoint on all spanning pairs, and that it is
-    injective (so dim(A⋊G) = |G|·dim(A)).
+    injective (so dim(A⋊G) = |G|·dim(A)). The pairwise check streams over
+    row chunks (`linalg.max_product_residual`): with m = |G|·dim(A) and
+    N = |G|·total_dim(A), memory stays near m³ + chunk·m·N² entries instead
+    of the m²·N² of all pairwise products at once.
     """
     group, alg = system.group, system.algebra
     if group.identity is None:
@@ -226,14 +235,19 @@ def build_crossed_product(
     rank = linalg.matrix_rank(stack)
     injective = Check("embedding injective", float(m - rank), 0.5, f"rank {rank} of {m}")
 
+    # (delta_g a_i) x (delta_h a_j) = delta_s a_i alpha_g(a_j) at the s with
+    # g^-1 s = h, read off the convolution formula with f = delta_g a_i.
+    order, dim = group.order, alg.linear_dim
+    conv_coeffs = np.zeros((order, dim, order, dim, order, dim), dtype=np.complex128)
+    for g in group.elements():
+        twisted = _twisted_structure(system, g)
+        g_inv = group.inverse(g)
+        for s in group.elements():
+            conv_coeffs[g, :, group.multiply(g_inv, s), :, s] = twisted
     emb_tensor = np.stack(embedded, axis=0)
-    products = np.matmul(emb_tensor[:, None, :, :], emb_tensor[None, :, :, :])
-    conv_coords = np.zeros((m, m, m), dtype=np.complex128)
-    for i, f in enumerate(basis):
-        for j, h in enumerate(basis):
-            conv_coords[i, j] = f.convolve(h).coords()
-    expected = np.tensordot(conv_coords, emb_tensor, axes=([2], [0]))
-    mult = float(np.sqrt(np.max(np.sum(np.abs(products - expected) ** 2, axis=(2, 3)))))
+    mult = linalg.max_product_residual(
+        emb_tensor, emb_tensor, emb_tensor, conv_coeffs.reshape(m, m, m)
+    )
 
     star = 0.0
     for i, f in enumerate(basis):
@@ -333,19 +347,14 @@ def integrated_form(
     # Multiplicativity on every spanning pair (delta_g a_i, delta_h a_j):
     # both sides share the right factor v_{gh}, which is unitary, so the
     # residual equals || Phi(a_i) (v_g Phi(a_j) v_g*) - Phi(a_i alpha_g(a_j)) ||.
-    basis = list(action.algebra.basis())
     mult = 0.0
     for g in group.elements():
         ug = u_tensor[g]
         conj = np.matmul(ug[None], np.matmul(phi_tensor, ug.conj().T[None]))
-        lhs = np.matmul(phi_tensor[:, None, :, :], conj[None, :, :, :])
-        twisted = np.empty((dim_a, dim_a, dim_a), dtype=np.complex128)
-        for i, a in enumerate(basis):
-            for j, b in enumerate(basis):
-                twisted[i, j] = (a * action.apply(g, b)).coords()
-        rhs = np.tensordot(twisted, phi_tensor, axes=([2], [0]))
-        mult = max(mult, float(np.sqrt(np.max(np.sum(np.abs(lhs - rhs) ** 2, axis=(2, 3))))))
+        twisted = _twisted_structure(action, g)
+        mult = max(mult, linalg.max_product_residual(phi_tensor, conj, phi_tensor, twisted))
 
+    basis = list(action.algebra.basis())
     star = 0.0
     for g in group.elements():
         for i, a in enumerate(basis):

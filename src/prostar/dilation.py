@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg
-from .algebra import Check, FiniteCStarAlgebra, VerificationReport
+from .algebra import Check, VerificationReport
 from .cpmaps import CompletelyPositiveMap, require_certified_cp
 from .errors import PreconditionError
 from .groups import (
@@ -106,17 +106,6 @@ class CovariantDilation:
 def _basis_stack(module: HilbertModule) -> np.ndarray:
     """Horizontal stack of the flats of the module's complex basis."""
     return np.hstack([b.flat for b in module.complex_basis])
-
-
-def _left_mult_tensor(algebra: FiniteCStarAlgebra) -> np.ndarray:
-    """L[i][:, j] = coordinates of basis_i * basis_j."""
-    basis = list(algebra.basis())
-    dim = algebra.linear_dim
-    out = np.zeros((dim, dim, dim), dtype=np.complex128)
-    for i, a in enumerate(basis):
-        for j, b in enumerate(basis):
-            out[i][:, j] = (a * b).coords()
-    return out
 
 
 def gram_operator(rho: CompletelyPositiveMap, tol: float = DEFAULT_TOL) -> GramData:
@@ -233,7 +222,7 @@ def minimal_dilation(
         return w @ np.kron(abstract @ coord_extract, np.eye(big_d))
 
     # Left representation of A on the quotient.
-    lten = _left_mult_tensor(source)
+    lten = source.structure_constants().transpose(0, 2, 1)  # lten[i][:, j] = coords of E_i E_j
     eye_e = np.eye(d_e)
     phi_values = []
     for i in range(dim_a):
@@ -454,7 +443,7 @@ def _dilation_checks(d: CovariantDilation, tol: float):
     # well-definedness: the null space is respected by left multiplication and
     # by the covariant shuffles a(x)xi -> alpha_g(a)(x)u_g(xi)
     labels = d.quotient.spanning_labels
-    lten = _left_mult_tensor(source)
+    lten = source.structure_constants().transpose(0, 2, 1)  # lten[i][:, j] = coords of E_i E_j
     eye_e = np.eye(rho.module.complex_dim)
     null_res = 0.0
     for i in range(source.linear_dim):

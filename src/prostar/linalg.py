@@ -20,6 +20,10 @@ DEFAULT_TOL = 1e-10
 JACOBI_OFFDIAG_TARGET = 1e-13
 JACOBI_MAX_SWEEPS = 100
 
+# Bytes of pairwise products formed at once by `max_product_residual`; peak
+# memory stays near a small multiple of this whatever the number of pairs.
+PRODUCT_CHUNK_BYTES = 64 * 2**20
+
 
 def as_complex_matrix(data) -> np.ndarray:
     """Coerce to a finite 2-d complex128 array."""
@@ -235,6 +239,43 @@ def matrix_rank(m, *, rel_threshold: float = 1e-9) -> int:
     if top == 0.0:
         return 0
     return int(np.count_nonzero(svals > rel_threshold * top))
+
+
+def max_product_residual(
+    left: np.ndarray, right: np.ndarray, values: np.ndarray, coeffs: np.ndarray
+) -> float:
+    """max over all pairs (a, b) of ||left[a] right[b] - sum_k T[a, b, k] values[k]||_F.
+
+    `left` is (m, d, d), `right` (n, d, d) and `values` (K, d, d), all
+    complex. `coeffs` gives T either densely, shape (m, n, K), or as an
+    integer table of shape (m, n) naming the one k with T[a, b, k] = 1, with
+    -1 where T[a, b] = 0 (the form of matrix-unit structure constants).
+
+    Rows a are taken a few at a time, so memory stays near chunk·n·d²
+    entries instead of m·n·d²: each chunk is one product
+    (chunk·d × d) @ (d × n·d), and the expected side is gathered or
+    contracted from the chunk's rows of T only.
+    """
+    m, d, _ = left.shape
+    n = right.shape[0]
+    wide = right.transpose(1, 0, 2).reshape(d, n * d)
+    chunk = max(1, PRODUCT_CHUNK_BYTES // (n * d * d * 16))
+    gather = np.issubdtype(coeffs.dtype, np.integer)
+    worst = 0.0
+    for start in range(0, m, chunk):
+        rows = slice(start, min(start + chunk, m))
+        c = rows.stop - start
+        prod = (left[rows].reshape(c * d, d) @ wide).reshape(c, d, n, d).transpose(0, 2, 1, 3)
+        if gather:
+            idx = coeffs[rows]
+            expected = values[np.maximum(idx, 0)]
+            expected[idx < 0] = 0.0
+        else:
+            expected = np.tensordot(coeffs[rows], values, axes=([2], [0]))
+        diff = np.subtract(prod, expected, out=expected)
+        parts = diff.view(np.float64).reshape(c * n, 2 * d * d)
+        worst = max(worst, float(np.max(np.einsum("ij,ij->i", parts, parts))))
+    return float(np.sqrt(worst))
 
 
 def block_diag(blocks: list[np.ndarray]) -> np.ndarray:

@@ -101,6 +101,13 @@ class Scenario:
         return table[key]
 
 
+def _object(value, what: str) -> dict:
+    """A JSON object, or a ScenarioError naming what had the wrong shape."""
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
 def _parse_group(spec) -> FiniteGroup:
     if isinstance(spec, str):
         return recipes.named_group(spec)
@@ -143,7 +150,7 @@ def _parse_cp_map(scn: Scenario, name: str, spec: dict) -> CompletelyPositiveMap
             v = decode_matrix(sh["conjugation"])
             return CompletelyPositiveMap.from_kraus(source, module, [v])
         raise ScenarioError(f"cp map {name!r}: unknown shorthand {sh!r}")
-    gen = spec["generator"]
+    gen = _object(spec["generator"], f"cp map {name!r}: generator")
     if gen.get("recipe") != "random-covariant":
         raise ScenarioError(f"cp map {name!r}: unknown generator {gen!r}")
     action = scn._get(scn.actions, gen.get("action"), "action")
@@ -173,7 +180,7 @@ def _parse_tower(scn: Scenario, name: str, spec: dict) -> TowerDeclaration:
     poset = DirectedPoset(tuple(levels), frozenset(rels))
 
     maps = {}
-    for key, mat in spec.get("maps", {}).items():
+    for key, mat in _object(spec.get("maps", {}), f"tower {name!r}: maps").items():
         upper, lower = [s.strip() for s in key.split(">")]
         maps[(upper, lower)] = StarHomomorphism(
             algebras[upper], algebras[lower], decode_matrix(mat)
@@ -217,30 +224,37 @@ def _parse_tower(scn: Scenario, name: str, spec: dict) -> TowerDeclaration:
 
 def parse_scenario(data: dict, *, tolerance: float | None = None, seed: int | None = None) -> Scenario:
     """Build and type-check every declared object; raises ScenarioError on any problem."""
-    if not isinstance(data, dict):
-        raise ScenarioError("scenario must be a JSON object")
+    data = _object(data, "scenario")
     if data.get("schema") != SCHEMA:
         raise ScenarioError(f"scenario schema must be {SCHEMA!r}, got {data.get('schema')!r}")
-    scn = Scenario(
-        tolerance=float(tolerance if tolerance is not None else data.get("tolerance", 1e-10)),
-        seed=int(seed if seed is not None else data.get("seed", 0)),
-    )
+
+    def section(key: str) -> dict:
+        return _object(data.get(key, {}), f"{key!r}")
+
+    def specs(key: str, kind: str):
+        for name, spec in section(key).items():
+            yield name, _object(spec, f"{kind} {name!r}")
+
     try:
-        for name, spec in data.get("algebras", {}).items():
+        scn = Scenario(
+            tolerance=float(tolerance if tolerance is not None else data.get("tolerance", 1e-10)),
+            seed=int(seed if seed is not None else data.get("seed", 0)),
+        )
+        for name, spec in section("algebras").items():
             scn.algebras[name] = (
                 recipes.named_algebra(spec) if isinstance(spec, str)
                 else FiniteCStarAlgebra(tuple(spec))
             )
-        for name, spec in data.get("groups", {}).items():
+        for name, spec in section("groups").items():
             scn.groups[name] = _parse_group(spec)
-        for name, spec in data.get("modules", {}).items():
+        for name, spec in specs("modules", "module"):
             algebra = scn._get(scn.algebras, spec.get("algebra"), "algebra")
             rank = int(spec.get("rank", 1))
             if "projection" in spec and spec["projection"] is not None:
                 scn.modules[name] = HilbertModule(algebra, rank, decode_matrix(spec["projection"]))
             else:
                 scn.modules[name] = HilbertModule.free(algebra, rank)
-        for name, spec in data.get("actions", {}).items():
+        for name, spec in specs("actions", "action"):
             group = scn._get(scn.groups, spec.get("group"), "group")
             algebra = scn._get(scn.algebras, spec.get("algebra"), "algebra")
             if spec.get("kind") == "standard":
@@ -261,7 +275,7 @@ def parse_scenario(data: dict, *, tolerance: float | None = None, seed: int | No
                 scn.actions[name] = GroupAction.trivial(group, algebra)
             else:
                 raise ScenarioError(f"action {name!r}: need kind or automorphisms")
-        for name, spec in data.get("representations", {}).items():
+        for name, spec in specs("representations", "representation"):
             group = scn._get(scn.groups, spec.get("group"), "group")
             module = scn._get(scn.modules, spec.get("module"), "module")
             if spec.get("kind") == "standard":
@@ -285,21 +299,23 @@ def parse_scenario(data: dict, *, tolerance: float | None = None, seed: int | No
                 scn.representations[name] = UnitaryRepresentation(group, module, ops)
             else:
                 raise ScenarioError(f"representation {name!r}: need kind or unitaries")
-        for name, spec in data.get("cp_maps", {}).items():
+        for name, spec in specs("cp_maps", "cp map"):
             scn.cp_maps[name] = _parse_cp_map(scn, name, spec)
-        for name, spec in data.get("towers", {}).items():
+        for name, spec in specs("towers", "tower"):
             scn.towers[name] = _parse_tower(scn, name, spec)
 
         tasks = data.get("tasks", [])
         if not isinstance(tasks, list):
             raise ScenarioError("tasks must be a list")
         for i, task in enumerate(tasks):
-            kind = task.get("kind")
+            kind = _object(task, f"task #{i}").get("kind")
             if kind not in TASK_KINDS:
                 raise ScenarioError(f"task #{i}: unknown kind {kind!r}")
             _validate_task_refs(scn, task)
             scn.tasks.append({"name": task.get("name", f"task-{i}"), **task})
-    except (StructuralError, PreconditionError, KeyError, TypeError, ValueError) as err:
+    except (
+        StructuralError, PreconditionError, KeyError, TypeError, ValueError, OverflowError
+    ) as err:
         raise ScenarioError(f"scenario validation failed: {err}") from err
     return scn
 
@@ -497,19 +513,21 @@ def run_task(scn: Scenario, task: dict) -> TaskResult:
 
 
 def run_scenario(scn: Scenario, *, jobs: int | None = None, scenario_path: str = "") -> Report:
-    """Execute all tasks (concurrently when jobs > 1) and assemble the report."""
+    """Execute all tasks and assemble the report.
+
+    Tasks run one after another in declaration order unless `jobs` > 1, which
+    runs them on a pool of that many threads.
+    """
+    workers = jobs if jobs and jobs > 1 else 1
     config = {
         "tolerance": scn.tolerance,
         "seed": scn.seed,
         "version": VERSION,
-        "jobs": jobs or len(scn.tasks) or 1,
+        "jobs": workers,
     }
     if scenario_path:
         config["scenario"] = scenario_path
     report = Report(config=config)
-    if not scn.tasks:
-        return report
-    workers = jobs if jobs and jobs > 0 else len(scn.tasks)
     if workers == 1:
         results = [run_task(scn, t) for t in scn.tasks]
     else:

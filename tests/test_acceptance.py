@@ -10,7 +10,8 @@ from itertools import product
 import numpy as np
 import pytest
 
-from prostar.algebra import FiniteCStarAlgebra, StarHomomorphism
+import pairwise_reference
+from prostar.algebra import FiniteCStarAlgebra, StarHomomorphism, verify_star_homomorphism
 from prostar.cpmaps import CompletelyPositiveMap
 from prostar.crossed import (
     ConvolutionElement,
@@ -279,6 +280,42 @@ def _tower_three_level():
             StarHomomorphism.block_projection(b3, [0, 1]),
         ],
     )
+
+
+def test_grid_certificates_match_pairwise_reference(grid_extensions):
+    """Criteria 4-5 certificates equal the exhaustive pairwise loops on all 48 combos."""
+    for combo, ext in grid_extensions.items():
+        d = ext.dilation
+        for rho in (d.representation, ext.integrated.standard_map):
+            new = rho.verify_representation(1e-9).check("multiplicative").residual
+            scale = pairwise_reference.product_scale(rho._value_tensor)
+            old = pairwise_reference.representation_residual(rho)
+            pairwise_reference.assert_agrees(new, old, scale, 1e-9)
+
+        check = ext.integrated.report.check("convolution -> composition (spanning pairs)")
+        old = pairwise_reference.twisted_residual(d.representation, d.group_unitaries, d.action)
+        scale = pairwise_reference.product_scale(d.representation._value_tensor)
+        pairwise_reference.assert_agrees(check.residual, old, scale, check.threshold)
+
+
+def test_crossed_certificates_match_pairwise_reference(crossed_products):
+    """Criterion 3 embedding and Wedderburn certificates equal the pairwise loops."""
+    for xp in crossed_products.values():
+        check = xp.embedding_report.check("convolution -> product")
+        emb = np.stack([xp.embed(f) for f in xp.conv_basis()])
+        old = pairwise_reference.convolution_residual(xp)
+        scale = pairwise_reference.product_scale(emb)
+        pairwise_reference.assert_agrees(check.residual, old, scale, check.threshold)
+
+        phi = xp.wedderburn.embedding
+        new = verify_star_homomorphism(phi, 1e-8, check_surjective=False)
+        images = np.stack([phi.target.from_coords(c).dense() for c in phi.action_matrix.T])
+        pairwise_reference.assert_agrees(
+            new.check("multiplicative").residual,
+            pairwise_reference.star_homomorphism_residual(phi),
+            pairwise_reference.product_scale(images),
+            1e-8,
+        )
 
 
 def test_criterion_6_tower_suite(rng):

@@ -172,3 +172,16 @@ def test_source_mismatch(rng):
     rho = random_cp_map(M2, e, rng)
     with pytest.raises(StructuralError):
         rho(FiniteCStarAlgebra((3,)).random_element(rng))
+
+
+def test_certificate_reused_only_at_its_tolerance():
+    """x -> x + 9e-6 x^T has Choi minimum -9e-6: CP at 1e-3, not at 1e-12."""
+    e = HilbertModule.free(C, 2)
+    rho = CompletelyPositiveMap.from_dense_images(
+        M2, e, [b.dense() + 9e-6 * b.dense().T for b in M2.basis()]
+    )
+    assert rho.verify_completely_positive(1e-3).is_cp
+    with pytest.raises(PreconditionError):
+        require_certified_cp(rho, 1e-12)
+    assert rho.certification.tol == 1e-12
+    assert require_certified_cp(rho, 1e-3).is_cp

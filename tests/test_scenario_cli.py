@@ -1,8 +1,15 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from prostar import scenario
 from prostar.cli import main
 from prostar.examples_gen import RECIPES, generate_example
 from prostar.scenario import (
@@ -144,6 +151,13 @@ class TestRunOutcomes:
         r3 = run_scenario(load_scenario(path), jobs=2).to_dict()
         assert strip_timing(r1)["tasks"] == strip_timing(r3)["tasks"]
 
+    def test_default_runs_serially(self, tmp_path, monkeypatch):
+        path = write_scenario(tmp_path, generate_example("random-covariant-cp", 7))
+        monkeypatch.setattr(scenario, "ThreadPoolExecutor", None)
+        report = run_scenario(load_scenario(path))
+        assert report.config["jobs"] == 1
+        assert [t.name for t in report.tasks] == [t["name"] for t in load_scenario(path).tasks]
+
     def test_tolerance_override(self, tmp_path):
         path = write_scenario(tmp_path, generate_example("z2-swap-crossed", 0))
         scn = load_scenario(path, tolerance=1e-3)
@@ -177,6 +191,22 @@ class TestCli:
         bad.write_text("{not json", encoding="utf-8")
         assert main(["run", "--scenario", str(bad)]) == 2
         assert main(["validate", "--scenario", str(bad)]) == 2
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"tasks": ["x"]},
+            {"algebras": [1, 2]},
+            {"algebras": {"A": [2]}, "modules": {"E": "A"}},
+            {"tolerance": "tight"},
+            {"seed": float("inf")},
+        ],
+    )
+    def test_malformed_shapes_exit_two(self, doc, tmp_path, capsys):
+        path = write_scenario(tmp_path, {"schema": "prostar-scenario-v1", **doc})
+        assert main(["validate", "--scenario", path]) == 2
+        assert main(["run", "--scenario", path]) == 2
+        assert "invalid scenario" in capsys.readouterr().err
 
     def test_validate_ok(self, tmp_path, capsys):
         path = write_scenario(tmp_path, generate_example("trivial-group", 0))
@@ -230,3 +260,48 @@ class TestCli:
         assert report.outcome == "pass"
         top = scn.towers["T"].module_tower.modules["p"]
         assert top.complex_dim == 3
+
+
+# Small sizes only: the fuzz test checks shapes, not memory limits.
+_NAMES = st.sampled_from(["A", "B", "G", "E", "m2", "c", "z2", "s3", "trivial", "standard"])
+_KEYS = st.sampled_from(
+    [
+        "A", "algebra", "group", "module", "rank", "kind", "preset_group", "projection",
+        "cayley", "order", "source", "shorthand", "blocks", "generator", "recipe", "action",
+        "representation", "cp_map", "unitaries", "automorphisms", "levels", "algebras",
+        "maps", "relations", "module_rank", "tower", "coherence", "name",
+    ]
+)
+_SCALARS = st.none() | st.booleans() | st.integers(-2, 3) | st.floats(-4, 4) | _NAMES
+_JSON = st.recursive(
+    _SCALARS,
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(_KEYS, kids, max_size=4),
+    max_leaves=12,
+)
+_SECTIONS = (
+    "algebras", "groups", "modules", "actions", "representations", "cp_maps", "towers",
+)
+_SCENARIOS = st.fixed_dictionaries(
+    {"schema": st.just("prostar-scenario-v1")},
+    optional={
+        **{key: _JSON | st.dictionaries(_NAMES, _JSON, max_size=2) for key in _SECTIONS},
+        "tasks": _JSON | st.lists(_JSON, max_size=2),
+        "tolerance": _JSON,
+        "seed": _JSON,
+    },
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_SCENARIOS)
+@example(doc={"schema": "prostar-scenario-v1", "tasks": ["x"]})
+@example(doc={"schema": "prostar-scenario-v1", "algebras": [1, 2]})
+@example(doc={"schema": "prostar-scenario-v1", "algebras": {"A": "m2"}, "modules": {"E": "A"}})
+def test_validate_exits_zero_or_two(doc):
+    """Whatever the JSON shape, `validate` answers 0 or 2, never a traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["validate", "--scenario", str(path)])
+    assert code in (0, 2)
