@@ -19,7 +19,6 @@ from .cpmaps import (
     CompletelyPositiveMap,
     CPCertificate,
     amplify,
-    apply_cp,
     choi_matrices,
     verify_completely_positive,
     verify_nondegenerate,
@@ -63,14 +62,8 @@ from .modules import (
     AdjointableOperator,
     HilbertModule,
     ModuleElement,
-    adjoint_op,
     complex_basis,
-    compose_adjointable,
-    element_norm,
-    inner_product,
     is_unitary,
-    module_action,
-    operator_seminorm,
 )
 from .report import Report, TaskResult
 from .scenario import Scenario, ScenarioError, load_scenario, parse_scenario, run_scenario

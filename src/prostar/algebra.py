@@ -119,6 +119,16 @@ class FiniteCStarAlgebra:
         idx.setflags(write=False)
         return idx
 
+    @cached_property
+    def adjoint_index(self) -> np.ndarray:
+        """adj[a] = basis index of E_a*: E_ij* = E_ji within each block."""
+        adj = np.empty(self.linear_dim, dtype=np.intp)
+        for off, n in zip(self.coord_offsets, self.block_sizes):
+            r = np.arange(n)
+            adj[off + r[:, None] * n + r[None, :]] = off + r[None, :] * n + r[:, None]
+        adj.setflags(write=False)
+        return adj
+
     def structure_constants(self) -> np.ndarray:
         """Dense T[a, b, k]: the coefficient of E_k in E_a·E_b."""
         dim = self.linear_dim

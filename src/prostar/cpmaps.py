@@ -148,11 +148,10 @@ class CompletelyPositiveMap:
     # -- structure tests -----------------------------------------------------
 
     def hermiticity_residual(self) -> float:
-        worst = 0.0
-        for i, b in enumerate(self.source.basis()):
-            lhs = self(b.adjoint())
-            worst = max(worst, linalg.frobenius(lhs.flat - self.basis_values[i].flat.conj().T))
-        return worst
+        """max over basis elements of ||rho(E_a*) - rho(E_a)*||_F."""
+        vals = self._value_tensor
+        adj = self.source.adjoint_index
+        return max(linalg.frobenius(vals[adj[i]] - vals[i].conj().T) for i in range(len(vals)))
 
     def choi_matrices(self) -> list[np.ndarray]:
         """Per source block: C_k = sum_ij E_ij (x) rho(E_ij), flattened over L_B(E)."""
@@ -202,10 +201,16 @@ class CompletelyPositiveMap:
         Multiplicativity compares rho(E_a) rho(E_b) with rho(E_a E_b) through
         the source's product table, a few rows a at a time: memory stays near
         chunk·dim·fd² entries (chunk set by `linalg.PRODUCT_CHUNK_BYTES`)
-        instead of the dim²·fd² of all pairwise products at once.
+        instead of the dim²·fd² of all pairwise products at once. On a
+        non-free module the products are formed on the range of its
+        projection (`HilbertModule.range_basis`), and the residual is an
+        upper bound of the full one that also counts the values' mass off
+        the corner P·X·P.
         """
         vals = self._value_tensor
-        mult = linalg.max_product_residual(vals, vals, vals, self.source.product_table)
+        mult = linalg.max_product_residual(
+            vals, vals, vals, self.source.product_table, self.module.range_basis
+        )
         star = self.hermiticity_residual()
         unital = linalg.frobenius(self(self.source.unit()).flat - self.module.projection_flat)
         return VerificationReport(
@@ -246,10 +251,6 @@ class CompletelyPositiveMap:
 
     def __str__(self) -> str:
         return f"CP map {self.source} -> L_B({self.module})"
-
-
-def apply_cp(rho: CompletelyPositiveMap, a: AlgebraElement) -> AdjointableOperator:
-    return rho(a)
 
 
 def amplify(rho: CompletelyPositiveMap, n: int) -> CompletelyPositiveMap:

@@ -347,12 +347,19 @@ def integrated_form(
     # Multiplicativity on every spanning pair (delta_g a_i, delta_h a_j):
     # both sides share the right factor v_{gh}, which is unitary, so the
     # residual equals || Phi(a_i) (v_g Phi(a_j) v_g*) - Phi(a_i alpha_g(a_j)) ||.
+    # On a non-free module the pairs are multiplied on the range of its
+    # projection, and the residual bounds the full one from above.
     mult = 0.0
     for g in group.elements():
         ug = u_tensor[g]
         conj = np.matmul(ug[None], np.matmul(phi_tensor, ug.conj().T[None]))
         twisted = _twisted_structure(action, g)
-        mult = max(mult, linalg.max_product_residual(phi_tensor, conj, phi_tensor, twisted))
+        mult = max(
+            mult,
+            linalg.max_product_residual(
+                phi_tensor, conj, phi_tensor, twisted, phi.module.range_basis
+            ),
+        )
 
     basis = list(action.algebra.basis())
     star = 0.0

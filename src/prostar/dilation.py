@@ -120,16 +120,13 @@ def gram_operator(rho: CompletelyPositiveMap, tol: float = DEFAULT_TOL) -> GramD
 
     labels = tuple((i, s) for i in range(dim_a) for s in range(d_e))
     n = dim_a * d_e
-    gram = np.zeros((n * big_d, n * big_d), dtype=np.complex128)
-    a_basis = list(source.basis())
-    for i in range(dim_a):
-        ai_star = a_basis[i].adjoint()
-        for j in range(dim_a):
-            block = x.conj().T @ rho(ai_star * a_basis[j]).flat @ x
-            gram[
-                i * d_e * big_d : (i + 1) * d_e * big_d,
-                j * d_e * big_d : (j + 1) * d_e * big_d,
-            ] = block
+    # Block (i, j) is x* rho(a_i* a_j) x, and a_i* a_j is the basis element
+    # product_table[adjoint_index[i], j] (or zero): a gather of the values.
+    sandwiched = x.conj().T @ rho._value_tensor @ x  # (dim_a, d_e*D, d_e*D)
+    idx = source.product_table[source.adjoint_index]
+    blocks = sandwiched[np.maximum(idx, 0)]
+    blocks[idx < 0] = 0.0
+    gram = blocks.transpose(0, 2, 1, 3).reshape(n * big_d, n * big_d)
     gram = (gram + gram.conj().T) / 2.0
     g4 = gram.reshape(n, big_d, n, big_d)
     scalar = np.einsum("kala->kl", g4)

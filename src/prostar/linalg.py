@@ -242,7 +242,11 @@ def matrix_rank(m, *, rel_threshold: float = 1e-9) -> int:
 
 
 def max_product_residual(
-    left: np.ndarray, right: np.ndarray, values: np.ndarray, coeffs: np.ndarray
+    left: np.ndarray,
+    right: np.ndarray,
+    values: np.ndarray,
+    coeffs: np.ndarray,
+    basis: np.ndarray | None = None,
 ) -> float:
     """max over all pairs (a, b) of ||left[a] right[b] - sum_k T[a, b, k] values[k]||_F.
 
@@ -255,11 +259,49 @@ def max_product_residual(
     entries instead of m·n·d²: each chunk is one product
     (chunk·d × d) @ (d × n·d), and the expected side is gathered or
     contracted from the chunk's rows of T only.
+
+    With `basis`, a (d, p) isometry U whose range holds the stacks (the
+    range of a module projection P = UU*), the pairs are multiplied as the
+    p×p corners Y = U*XU, and the off-range part is bounded instead:
+    c_L·f_R + f_L·c_R + t·c_W is added, with c = max ||X - UYU*||_F,
+    f = max ||X||_F and t = max_{a,b} sum_k |T[a, b, k]|. The result is
+    then an upper bound of the full residual (Frobenius norms are
+    submultiplicative), and exceeds it only by terms in the corner defects c.
     """
+    if basis is None:
+        return _streamed_residual(left, right, values, coeffs)
+    y_l, c_l, f_l = _corner(left, basis)
+    y_r, c_r, f_r = (y_l, c_l, f_l) if right is left else _corner(right, basis)
+    y_w, c_w, _ = (y_l, c_l, f_l) if values is left else _corner(values, basis)
+    if np.issubdtype(coeffs.dtype, np.integer):
+        t = float(np.any(coeffs >= 0))
+    else:
+        t = float(np.max(np.sum(np.abs(coeffs), axis=2)))
+    inner = _streamed_residual(y_l, y_r, y_w, coeffs)
+    return inner + c_l * f_r + f_l * c_r + t * c_w
+
+
+def _corner(stack: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """(U*XU for each X, max ||X - U(U*XU)U*||_F, max ||X||_F) over the stack."""
+    m, d, _ = stack.shape
+    p = basis.shape[1]
+    basis_h = basis.conj().T
+    corner = basis_h @ (stack.reshape(m * d, d) @ basis).reshape(m, d, p)
+    # Taken directly: ||X||² - ||Y||² would cancel to about sqrt(eps)·||X||.
+    defect = stack - (basis @ corner) @ basis_h
+    return corner, _max_frobenius(defect), _max_frobenius(stack)
+
+
+def _max_frobenius(stack: np.ndarray) -> float:
+    parts = np.ascontiguousarray(stack).view(np.float64).reshape(stack.shape[0], -1)
+    return float(np.sqrt(np.max(np.einsum("ij,ij->i", parts, parts))))
+
+
+def _streamed_residual(left, right, values, coeffs) -> float:
     m, d, _ = left.shape
     n = right.shape[0]
     wide = right.transpose(1, 0, 2).reshape(d, n * d)
-    chunk = max(1, PRODUCT_CHUNK_BYTES // (n * d * d * 16))
+    chunk = max(1, PRODUCT_CHUNK_BYTES // max(1, n * d * d * 16))
     gather = np.issubdtype(coeffs.dtype, np.integer)
     worst = 0.0
     for start in range(0, m, chunk):

@@ -43,8 +43,13 @@ class HilbertModule:
         if p.shape != (d, d):
             raise StructuralError(f"projection shape {p.shape} != {(d, d)}")
         self.projection_flat = p
-        scale = max(1.0, linalg.frobenius(p))
-        if linalg.frobenius(p @ p - p) > 1e-9 * scale or linalg.hermitian_defect(p) > 1e-9 * scale:
+        # Written as `not (defect <= bound)` so that an overflow to inf or NaN
+        # in the residuals or the scale rejects the projection.
+        with np.errstate(over="ignore", invalid="ignore"):
+            bound = 1e-9 * max(1.0, linalg.frobenius(p))
+            idem = linalg.frobenius(p @ p - p)
+            herm = linalg.hermitian_defect(p)
+        if not (np.isfinite(bound) and idem <= bound and herm <= bound):
             raise StructuralError("range projection is not a self-adjoint idempotent")
         self._check_b_structure(p, self.rank, self.rank)
 
@@ -65,7 +70,24 @@ class HilbertModule:
     def is_free(self) -> bool:
         return bool(np.allclose(self.projection_flat, np.eye(self.flat_dim), atol=1e-12))
 
+    @cached_property
+    def range_basis(self) -> np.ndarray | None:
+        """Orthonormal columns U with UU* = P (read-only), or None when P = 1.
+
+        Every operator of L_B(E) is a corner P·X·P, so products of operators
+        can be formed as the rank(P)-sided corners U*XU.
+        """
+        if self.is_free:
+            return None
+        p = self.projection_flat
+        vals, vecs = linalg.hermitian_eigendecomposition((p + p.conj().T) / 2.0)
+        basis = np.ascontiguousarray(vecs[:, vals > 0.5])
+        basis.setflags(write=False)
+        return basis
+
     def __eq__(self, other) -> bool:
+        if other is self:
+            return True
         return (
             isinstance(other, HilbertModule)
             and self.algebra == other.algebra
@@ -76,7 +98,7 @@ class HilbertModule:
     def _check_b_structure(self, flat: np.ndarray, rows: int, cols: int, tol: float = 1e-10):
         mask = _tile_mask(self.algebra.dense_support_mask(), rows, cols)
         leak = linalg.frobenius(flat * (1.0 - mask))
-        if leak > tol * max(1.0, linalg.frobenius(flat)):
+        if not (leak <= tol * max(1.0, linalg.frobenius(flat))):
             raise StructuralError(f"matrix has {leak:.3e} mass outside the base algebra")
 
     # -- elements ----------------------------------------------------------
@@ -171,10 +193,6 @@ class HilbertModule:
         flat = (self._basis_stack @ z).reshape(self.flat_dim, self.block_dim)
         return ModuleElement(self, flat)
 
-    def flattened_projection_rank(self) -> int:
-        """Rank of the projection acting on the module's full complex coordinate space."""
-        return self.complex_dim
-
     def identity_operator(self) -> "AdjointableOperator":
         return AdjointableOperator(self, self, self.projection_flat.copy())
 
@@ -235,18 +253,6 @@ class ModuleElement:
     def range_defect(self) -> float:
         """Residual of P·xi = xi."""
         return linalg.frobenius(self.module.projection_flat @ self.flat - self.flat)
-
-
-def inner_product(xi: ModuleElement, eta: ModuleElement) -> AlgebraElement:
-    return xi.inner(eta)
-
-
-def module_action(xi: ModuleElement, b: AlgebraElement) -> ModuleElement:
-    return xi * b
-
-
-def element_norm(xi: ModuleElement) -> float:
-    return xi.norm()
 
 
 @dataclass(eq=False)
@@ -371,18 +377,6 @@ class AdjointableOperator:
 
     def __str__(self) -> str:
         return f"operator ({self.codomain.rank}×{self.domain.rank}) over {self.domain.algebra}"
-
-
-def compose_adjointable(s: AdjointableOperator, t: AdjointableOperator) -> AdjointableOperator:
-    return s.compose(t)
-
-
-def adjoint_op(t: AdjointableOperator) -> AdjointableOperator:
-    return t.adjoint()
-
-
-def operator_seminorm(t: AdjointableOperator) -> float:
-    return t.norm()
 
 
 def is_unitary(t: AdjointableOperator, tol: float = DEFAULT_TOL) -> VerificationReport:

@@ -2,9 +2,11 @@
 
 This is how the library computed them before the streamed kernel
 `linalg.max_product_residual`: one `AlgebraElement` product (or convolution)
-per pair of basis elements, then dense products compared entrywise. The only
-change is that the dense products are formed one left factor at a time, so
-the largest grid instance fits in memory; each pair's arithmetic is the same.
+per pair of basis elements, then dense products compared entrywise on the
+full flats of the module. The only change is that the dense products are
+formed one left factor at a time, so the largest grid instance fits in
+memory; each pair's arithmetic is the same. `gram_reference` keeps the
+pairwise loop of `dilation.gram_operator` in the same way.
 """
 
 from __future__ import annotations
@@ -92,3 +94,22 @@ def star_homomorphism_residual(phi) -> float:
             worst = max(worst, (phi.apply(a * b) - images[i] * images[j]).frobenius())
     return worst
 
+
+
+def gram_reference(rho) -> np.ndarray:
+    """B-valued Gram [x* rho(a_i* a_j) x] of the spanning set, one pair at a time."""
+    x = np.hstack([b.flat for b in rho.module.complex_basis])
+    basis = list(rho.source.basis())
+    rows = []
+    for a in basis:
+        rows.append([x.conj().T @ rho(a.adjoint() * b).flat @ x for b in basis])
+    gram = np.block(rows)
+    return (gram + gram.conj().T) / 2.0
+
+
+def hermiticity_reference(rho) -> float:
+    """max ||rho(a_i*) - rho(a_i)*||_F, evaluating rho on each adjoint."""
+    return max(
+        float(np.linalg.norm(rho(a.adjoint()).flat - rho(a).flat.conj().T))
+        for a in rho.source.basis()
+    )

@@ -21,6 +21,7 @@ from prostar.crossed import (
 from prostar.dilation import (
     covariant_dilation,
     covariant_extend,
+    gram_operator,
     minimal_dilation,
     padded_variant,
     scaled_connector_variant,
@@ -316,6 +317,18 @@ def test_crossed_certificates_match_pairwise_reference(crossed_products):
             pairwise_reference.product_scale(images),
             1e-8,
         )
+
+
+def test_gram_and_hermiticity_match_pairwise_reference(grid_dilations):
+    """The gathered Gram blocks and adjoint lookups equal the pairwise loops on all 48 combos."""
+    for d in grid_dilations.values():
+        for rho in (d.cp_map, d.representation):
+            assert rho.hermiticity_residual() == pytest.approx(
+                pairwise_reference.hermiticity_reference(rho), rel=pairwise_reference.REL, abs=0.0
+            )
+        new = gram_operator(d.cp_map).bvalued_flat
+        old = pairwise_reference.gram_reference(d.cp_map)
+        assert np.linalg.norm(new - old) <= pairwise_reference.REL * max(1.0, np.linalg.norm(old))
 
 
 def test_criterion_6_tower_suite(rng):

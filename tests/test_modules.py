@@ -138,3 +138,32 @@ def test_structural_mismatches(rng):
     t = e2.identity_operator()
     with pytest.raises(StructuralError):
         t(e3.random_element(rng))
+
+
+@pytest.mark.parametrize("entry", [1e200, 1e160])
+def test_rejects_projection_whose_residual_overflows(entry):
+    """p² overflows to inf; the test must reject, not compare inf > inf."""
+    with np.errstate(over="raise", invalid="raise"):
+        with pytest.raises(StructuralError, match="self-adjoint idempotent"):
+            HilbertModule(C, 1, np.array([[entry]]))
+
+
+def test_range_basis_spans_the_projection():
+    assert HilbertModule.free(B, 2).range_basis is None
+    flat = np.zeros((4, 4), dtype=np.complex128)
+    flat[:2, :2] = np.eye(2)
+    module = HilbertModule(B, 2, flat)
+    u = module.range_basis
+    assert u.shape == (4, 2) and not u.flags.writeable
+    assert np.allclose(u.conj().T @ u, np.eye(2), atol=1e-14)
+    assert np.allclose(u @ u.conj().T, flat, atol=1e-14)
+
+
+def test_equality_with_itself_skips_the_projection_comparison(monkeypatch):
+    module = HilbertModule(B, 2, np.kron(np.diag([1.0, 0.0]), np.eye(2)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("compared projections of a module with itself")
+
+    monkeypatch.setattr(np, "allclose", refuse)
+    assert module == module

@@ -17,7 +17,7 @@ from prostar.algebra import FiniteCStarAlgebra, StarHomomorphism, verify_star_ho
 from prostar.cpmaps import CompletelyPositiveMap
 from prostar.crossed import build_crossed_product, extend_covariant_cp
 from prostar.dilation import covariant_dilation
-from prostar.modules import HilbertModule
+from prostar.modules import AdjointableOperator, HilbertModule
 from prostar.recipes import dilation_instance
 
 M2 = FiniteCStarAlgebra((2,))
@@ -94,3 +94,102 @@ def test_kernel_matches_dense_formula(m, n, d, k, gather, budget, seed):
         patch.setattr(linalg, "PRODUCT_CHUNK_BYTES", budget)
         got = linalg.max_product_residual(left, right, values, coeffs)
     assert got == pytest.approx(want, rel=1e-12)
+
+
+def _slack(stacks, coeffs, projection):
+    """c_L·f_R + f_L·c_R + t·c_W, from dense arithmetic on the full stacks."""
+    defect = [max(np.linalg.norm(x - projection @ x @ projection) for x in s) for s in stacks]
+    size = [max(np.linalg.norm(x) for x in s) for s in stacks]
+    t = float(np.max(np.sum(np.abs(coeffs), axis=2)))
+    return defect[0] * size[1] + size[0] * defect[1] + t * defect[2]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.integers(1, 5),
+    n=st.integers(1, 5),
+    d=st.integers(1, 6),
+    k=st.integers(1, 5),
+    rank=st.integers(0, 6),
+    leak=st.sampled_from([0.0, 1e-12, 1e-6, 0.3]),
+    gather=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_compressed_kernel_brackets_full_residual(m, n, d, k, rank, leak, gather, seed):
+    """On the range of a rank-p projection: full <= compressed <= full + 2·slack.
+
+    The compressed result is the p×p corner residual plus the slack, and the
+    corner residual itself exceeds the full one by at most c_L·f_R.
+    """
+    rng = np.random.default_rng(seed)
+    p = min(rank, d)
+    basis = np.linalg.qr(linalg.random_complex(rng, d, d))[0][:, :p]
+    projection = basis @ basis.conj().T
+
+    def stack(count):
+        inside = projection @ linalg.random_complex(rng, count * d, d).reshape(count, d, d) @ projection
+        noise = linalg.random_complex(rng, count * d, d).reshape(count, d, d)
+        off = noise - projection @ noise @ projection
+        scale = max(np.linalg.norm(off), 1e-300)
+        return inside + leak * off / scale
+
+    left, right, values = stack(m), stack(n), stack(k)
+    if gather:
+        coeffs = rng.integers(-1, k, size=(m, n))
+        dense = np.zeros((m, n, k), dtype=np.complex128)
+        a, b = np.nonzero(coeffs >= 0)
+        dense[a, b, coeffs[a, b]] = 1.0
+    else:
+        coeffs = dense = linalg.random_complex(rng, m * n, k).reshape(m, n, k)
+
+    full = linalg.max_product_residual(left, right, values, coeffs)
+    assert linalg.max_product_residual(left, right, values, coeffs, None) == full
+    products = np.matmul(left[:, None], right[None, :])
+    expected = np.tensordot(dense, values, axes=([2], [0]))
+    want = np.sqrt(np.max(np.sum(np.abs(products - expected) ** 2, axis=(2, 3))))
+    assert full == pytest.approx(want, rel=1e-12)
+
+    got = linalg.max_product_residual(left, right, values, coeffs, basis)
+    slack = _slack((left, right, values), dense, projection)
+    rounding = 1e-12 * ref.product_scale(np.concatenate([left, right, values]))
+    assert full <= got + rounding
+    assert got <= full + 2.0 * slack + rounding
+
+
+def test_free_module_keeps_full_flat_kernel():
+    """P = 1 has no range basis, so certificates take the full-flat path unchanged."""
+    module = HilbertModule.free(M2, 2)
+    assert module.range_basis is None
+    d = covariant_dilation(*dilation_instance("m2", "m2", 1, "trivial", seed=7000))
+    basis = d.module.range_basis
+    assert basis is not None and not basis.flags.writeable
+    assert np.allclose(basis.conj().T @ basis, np.eye(basis.shape[1]), atol=1e-12)
+    assert np.allclose(basis @ basis.conj().T, d.module.projection_flat, atol=1e-12)
+
+
+def test_leak_off_the_corner_fails_multiplicative():
+    """A representation on range(P) plus a second one off the corner is not into L_B(E).
+
+    The full-flat products of Φ ⊕ Ψ multiply exactly, so the pairwise
+    reference sees nothing; the corner check counts the off-range mass.
+    """
+    c = FiniteCStarAlgebra((1,))
+    projection = np.diag([1.0, 1.0, 0.0, 0.0]).astype(np.complex128)
+    module = HilbertModule(c, 4, projection)
+    images = []
+    for b in M2.basis():
+        inside = np.zeros((4, 4), dtype=np.complex128)
+        inside[:2, :2] = b.dense()
+        images.append(inside)
+    honest = CompletelyPositiveMap.from_dense_images(M2, module, images)
+    assert honest.verify_representation().passed
+
+    leaky = CompletelyPositiveMap(
+        M2,
+        module,
+        tuple(AdjointableOperator(module, module, np.kron(np.eye(2), b.dense())) for b in M2.basis()),
+    )
+    check = leaky.verify_representation().check("multiplicative")
+    assert ref.representation_residual(leaky) == 0.0
+    assert not check.passed
+    assert check.residual >= 1.0

@@ -208,6 +208,16 @@ class TestCli:
         assert main(["run", "--scenario", path]) == 2
         assert "invalid scenario" in capsys.readouterr().err
 
+    def test_overflowing_projection_exit_two(self, tmp_path, capsys):
+        doc = {
+            "schema": "prostar-scenario-v1",
+            "algebras": {"C": [1]},
+            "modules": {"E": {"algebra": "C", "rank": 1, "projection": [[1e200]]}},
+        }
+        path = write_scenario(tmp_path, doc)
+        assert main(["validate", "--scenario", path]) == 2
+        assert "self-adjoint idempotent" in capsys.readouterr().err
+
     def test_validate_ok(self, tmp_path, capsys):
         path = write_scenario(tmp_path, generate_example("trivial-group", 0))
         assert main(["validate", "--scenario", path]) == 0
