@@ -18,10 +18,6 @@ from .algebra import (
 from .cpmaps import (
     CompletelyPositiveMap,
     CPCertificate,
-    amplify,
-    choi_matrices,
-    verify_completely_positive,
-    verify_nondegenerate,
 )
 from .crossed import (
     ConvolutionElement,
@@ -29,11 +25,8 @@ from .crossed import (
     CrossedProductRealization,
     IntegratedForm,
     build_crossed_product,
-    convolve,
     extend_covariant_cp,
     integrated_form,
-    involution,
-    l1_seminorm,
 )
 from .dilation import (
     CovariantDilation,
@@ -52,6 +45,7 @@ from .groups import (
     GroupAction,
     UnitaryRepresentation,
     check_covariance,
+    covariance_terms,
     covariant_average,
     verify_action,
     verify_group,
@@ -62,8 +56,6 @@ from .modules import (
     AdjointableOperator,
     HilbertModule,
     ModuleElement,
-    complex_basis,
-    is_unitary,
 )
 from .report import Report, TaskResult
 from .scenario import Scenario, ScenarioError, load_scenario, parse_scenario, run_scenario

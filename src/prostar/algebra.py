@@ -7,7 +7,7 @@ through `wedderburn_decompose`, which rewrites them in standard form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
 
@@ -338,18 +338,13 @@ class StarHomomorphism:
     """Linear map between standard-form algebras, in matrix-unit coordinates.
 
     `action_matrix` has shape (target.linear_dim, source.linear_dim); the
-    homomorphism identities are checked by `verify`, which fills the
-    tri-state flags (None = unchecked).
+    homomorphism identities are checked by `verify`, which returns its
+    report and leaves the object unchanged.
     """
 
     source: FiniteCStarAlgebra
     target: FiniteCStarAlgebra
     action_matrix: np.ndarray
-    verified_multiplicative: bool | None = None
-    verified_star: bool | None = None
-    verified_unital: bool | None = None
-    verified_surjective: bool | None = None
-    report: VerificationReport | None = field(default=None, repr=False)
 
     def __post_init__(self):
         m = linalg.as_complex_matrix(self.action_matrix)
@@ -433,14 +428,7 @@ class StarHomomorphism:
         return StarHomomorphism(self.target, self.source, np.linalg.inv(self.action_matrix))
 
     def verify(self, tol: float = DEFAULT_TOL, *, check_surjective: bool = True) -> VerificationReport:
-        report = verify_star_homomorphism(self, tol, check_surjective=check_surjective)
-        self.report = report
-        self.verified_multiplicative = report.check("multiplicative").passed
-        self.verified_star = report.check("star").passed
-        self.verified_unital = report.check("unital").passed
-        if check_surjective:
-            self.verified_surjective = report.check("surjective").passed
-        return report
+        return verify_star_homomorphism(self, tol, check_surjective=check_surjective)
 
 
 def verify_star_homomorphism(

@@ -253,22 +253,6 @@ class CompletelyPositiveMap:
         return f"CP map {self.source} -> L_B({self.module})"
 
 
-def amplify(rho: CompletelyPositiveMap, n: int) -> CompletelyPositiveMap:
-    return rho.amplify(n)
-
-
-def choi_matrices(rho: CompletelyPositiveMap) -> list[np.ndarray]:
-    return rho.choi_matrices()
-
-
-def verify_completely_positive(rho: CompletelyPositiveMap, tol: float = DEFAULT_TOL) -> CPCertificate:
-    return rho.verify_completely_positive(tol)
-
-
-def verify_nondegenerate(rho: CompletelyPositiveMap, tol: float = DEFAULT_TOL) -> VerificationReport:
-    return rho.verify_nondegenerate(tol)
-
-
 def require_certified_cp(rho: CompletelyPositiveMap, tol: float = DEFAULT_TOL) -> CPCertificate:
     """Certify on demand; raise PreconditionError when the map is not CP.
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterator
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from .algebra import (
 from .cpmaps import CompletelyPositiveMap
 from .dilation import CovariantDilation
 from .errors import NumericalError, PreconditionError, StructuralError
-from .groups import GroupAction, UnitaryRepresentation, check_covariance
+from .groups import GroupAction, UnitaryRepresentation, covariance_terms
 from .linalg import DEFAULT_TOL
 from .modules import AdjointableOperator, HilbertModule
 
@@ -118,18 +119,6 @@ class ConvolutionElement:
     def coords(self) -> np.ndarray:
         """Coordinates in the g-major spanning order delta_g (x) basis_i."""
         return np.concatenate([v.coords() for v in self.values])
-
-
-def convolve(f: ConvolutionElement, h: ConvolutionElement) -> ConvolutionElement:
-    return f.convolve(h)
-
-
-def involution(f: ConvolutionElement) -> ConvolutionElement:
-    return f.involution()
-
-
-def l1_seminorm(f: ConvolutionElement, level_map=None) -> float:
-    return f.l1_seminorm(level_map)
 
 
 @dataclass(eq=False)
@@ -329,12 +318,7 @@ def integrated_form(
         raise PreconditionError(
             f"Phi is not a unital *-representation (residual {rep_check.max_residual:.3e})"
         )
-    cov = check_covariance(phi, action, v, max(tol, 1e-8))
-    if not cov.passed:
-        raise PreconditionError(
-            f"(Phi, v) is not covariant (residual {cov.max_residual:.3e})"
-        )
-
+    terms = covariance_terms(phi, action, v)
     group = action.group
     dim_a = action.algebra.linear_dim
     fd = phi.module.flat_dim
@@ -344,34 +328,13 @@ def integrated_form(
     # Spanning values K[g, i] = Phi(a_i) v_g.
     k_values = np.einsum("aij,gjk->gaik", phi_tensor, u_tensor, optimize=True)
 
-    # Multiplicativity on every spanning pair (delta_g a_i, delta_h a_j):
-    # both sides share the right factor v_{gh}, which is unitary, so the
-    # residual equals || Phi(a_i) (v_g Phi(a_j) v_g*) - Phi(a_i alpha_g(a_j)) ||.
-    # On a non-free module the pairs are multiplied on the range of its
-    # projection, and the residual bounds the full one from above.
-    mult = 0.0
-    for g in group.elements():
-        ug = u_tensor[g]
-        conj = np.matmul(ug[None], np.matmul(phi_tensor, ug.conj().T[None]))
-        twisted = _twisted_structure(action, g)
-        mult = max(
-            mult,
-            linalg.max_product_residual(
-                phi_tensor, conj, phi_tensor, twisted, phi.module.range_basis
-            ),
-        )
+    cov, mult, star = _spanning_residuals(phi, v, action, terms, k_values)
+    if not cov <= max(tol, 1e-8):
+        raise PreconditionError(f"(Phi, v) is not covariant (residual {cov:.3e})")
 
-    basis = list(action.algebra.basis())
-    star = 0.0
-    for g in group.elements():
-        for i, a in enumerate(basis):
-            f = ConvolutionElement.delta(action, g, a)
-            lhs_op = _sum_form(f.involution(), phi, v)
-            rhs = (phi_tensor[i] @ u_tensor[g]).conj().T
-            star = max(star, linalg.frobenius(lhs_op - rhs))
-
+    unit_value = np.tensordot(action.algebra.unit().coords(), phi_tensor, axes=([0], [0]))
     unital = linalg.frobenius(
-        _sum_form(ConvolutionElement.unit(action), phi, v) - phi.module.projection_flat
+        unit_value @ u_tensor[group.identity] - phi.module.projection_flat
     )
 
     # Factor through the standard form: values on the standard basis by linearity.
@@ -403,13 +366,51 @@ def integrated_form(
     )
 
 
-def _sum_form(
-    f: ConvolutionElement, phi: CompletelyPositiveMap, v: UnitaryRepresentation
-) -> np.ndarray:
-    acc = np.zeros((phi.module.flat_dim, phi.module.flat_dim), dtype=np.complex128)
-    for g in f.system.group.elements():
-        acc += phi(f.values[g]).flat @ v.unitaries[g].flat
-    return acc
+def _spanning_residuals(
+    phi: CompletelyPositiveMap,
+    v: UnitaryRepresentation,
+    action: GroupAction,
+    terms: Iterator[tuple[int, np.ndarray, np.ndarray]],
+    k_values: np.ndarray,
+) -> tuple[float, float, float]:
+    """Covariance, multiplicativity and involution residuals on the spanning set.
+
+    One pass over G certifies every spanning identity from the two sides of
+    covariance at g, Phi(alpha_g(a_i)) and v_g Phi(a_i) v_g* (`terms`), and
+    the spanning values K[g, i] = Phi(a_i) v_g. The per-g stacks live in
+    this scope only, so they are freed before the caller's next check.
+
+    Multiplicativity on every spanning pair (delta_g a_i, delta_h a_j): both
+    sides share the right factor v_{gh}, which is unitary, so the residual
+    equals || Phi(a_i) (v_g Phi(a_j) v_g*) - Phi(a_i alpha_g(a_j)) ||. On a
+    non-free module the pairs are multiplied on the range of its
+    projection, and the residual bounds the full one from above.
+
+    Involution: (delta_h a_i)# = delta_{h^-1} alpha_{h^-1}(a_i*) / Delta(h^-1)
+    and a_i* is the basis element adjoint_index[i], so at g = h^-1 the image
+    of the left side is Phi(alpha_g(a_adjoint_index[i])) v_g / Delta(g), to
+    be compared with K[h, i]*.
+    """
+    group = action.group
+    phi_tensor = phi._value_tensor
+    adjoint = action.algebra.adjoint_index
+    cov = mult = star = 0.0
+    for g, moved, conj in terms:
+        cov = max(cov, linalg.max_frobenius(moved - conj))
+        mult = max(
+            mult,
+            linalg.max_product_residual(
+                phi_tensor,
+                conj,
+                phi_tensor,
+                _twisted_structure(action, g),
+                phi.module.range_basis,
+            ),
+        )
+        lhs = np.matmul(moved[adjoint], v.unitaries[g].flat) / group.modular_function(g)
+        rhs = k_values[group.inverse(g)].conj().transpose(0, 2, 1)
+        star = max(star, linalg.max_frobenius(lhs - rhs))
+    return cov, mult, star
 
 
 @dataclass(eq=False)
@@ -469,19 +470,16 @@ def extend_covariant_cp(
     phi_std = CompletelyPositiveMap(xp.standard_algebra, module, values)
     cert = phi_std.verify_completely_positive(max(tol, 1e-9))
 
-    # Spanning agreement phi(delta_g a) = rho(a) u_g.
-    rho, rep = d.cp_map, d.rep
-    agree = 0.0
-    for g in d.action.group.elements():
-        for i in range(rho.source.linear_dim):
-            lhs = (
-                v_flat.conj().T
-                @ d.representation.basis_values[i].flat
-                @ d.group_unitaries.unitaries[g].flat
-                @ v_flat
-            )
-            rhs = rho.basis_values[i].flat @ rep.unitaries[g].flat
-            agree = max(agree, linalg.frobenius(lhs - rhs))
+    # Spanning agreement phi(delta_g a_i) = V* Phi(a_i) v_g V = rho(a_i) u_g,
+    # batched over (g, i) from the one stack V* Phi(a_i).
+    rho = d.cp_map
+    pulled = np.matmul(v_flat.conj().T[None], d.representation._value_tensor)
+    moved_connector = np.stack([v.flat @ v_flat for v in d.group_unitaries.unitaries])
+    lhs = np.matmul(pulled[None], moved_connector[:, None])
+    u_tensor = np.stack([u.flat for u in d.rep.unitaries])
+    rhs = np.matmul(rho._value_tensor[None], u_tensor[:, None])
+    agree = linalg.max_frobenius(lhs - rhs)
+    restriction = linalg.max_frobenius(lhs[d.action.group.identity] - rho._value_tensor)
 
     unit_std = xp.standardize(ConvolutionElement.unit(xp.system))
     nondeg = linalg.frobenius(phi_std(unit_std).flat - module.projection_flat)
@@ -494,24 +492,7 @@ def extend_covariant_cp(
             float(max(0.0, -cert.min_eigenvalue)),
             max(tol, 1e-9),
         ),
-        Check(
-            "restriction to delta_e (x) A equals rho",
-            float(
-                max(
-                    linalg.frobenius(
-                        (
-                            v_flat.conj().T
-                            @ d.representation.basis_values[i].flat
-                            @ d.group_unitaries.unitaries[d.action.group.identity].flat
-                            @ v_flat
-                        )
-                        - rho.basis_values[i].flat
-                    )
-                    for i in range(rho.source.linear_dim)
-                )
-            ),
-            max(tol, 1e-10),
-        ),
+        Check("restriction to delta_e (x) A equals rho", float(restriction), max(tol, 1e-10)),
     )
     return CovariantExtension(
         dilation=d,

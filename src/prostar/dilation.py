@@ -24,6 +24,7 @@ from .groups import (
     GroupAction,
     UnitaryRepresentation,
     check_covariance,
+    covariance_terms,
 )
 from .linalg import DEFAULT_TOL
 from .modules import AdjointableOperator, HilbertModule
@@ -397,17 +398,10 @@ def _dilation_checks(d: CovariantDilation, tol: float):
     )
 
     # covariance of Phi and (c) the intertwining of V.
-    phi_tensor = d.representation._value_tensor
-    cov_worst = 0.0
-    for g in group.elements():
-        vg = d.group_unitaries.unitaries[g].flat
-        lhs = np.tensordot(
-            d.action.automorphisms[g].action_matrix.T, phi_tensor, axes=(1, 0)
-        )
-        rhs = np.matmul(vg[None], np.matmul(phi_tensor, vg.conj().T[None]))
-        cov_worst = max(
-            cov_worst, float(np.sqrt(np.max(np.sum(np.abs(lhs - rhs) ** 2, axis=(1, 2)))))
-        )
+    cov_worst = max(
+        linalg.max_frobenius(moved - conj)
+        for _, moved, conj in covariance_terms(d.representation, d.action, d.group_unitaries)
+    )
     yield Check("covariance of Phi", float(cov_worst), max(tol, 1e-9))
 
     inter = 0.0

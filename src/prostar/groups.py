@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -302,6 +302,38 @@ def verify_unitary_representation(
     )
 
 
+def covariance_terms(
+    rho: CompletelyPositiveMap,
+    action: GroupAction,
+    rep: UnitaryRepresentation,
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Both sides of rho(alpha_g(a)) = u_g rho(a) u_g*, one group element at a time.
+
+    Yields (g, L, R) with L[i] = rho(alpha_g(a_i)) and R[i] = u_g rho(a_i) u_g*
+    stacked over the basis a_i of the source: L is one contraction of rho's
+    values with the action matrix of g, R two batched products. Only one
+    g's stacks are alive at a time. Mismatched data raise StructuralError
+    here, before any term is formed.
+    """
+    if action.algebra != rho.source:
+        raise StructuralError("action algebra differs from the map's source")
+    if rep.module != rho.module:
+        raise StructuralError("representation module differs from the map's target module")
+    if action.group != rep.group:
+        raise StructuralError("action and representation use different groups")
+    return _covariance_steps(rho._value_tensor, action, rep)
+
+
+def _covariance_steps(
+    vals: np.ndarray, action: GroupAction, rep: UnitaryRepresentation
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    for g in action.group.elements():
+        ug = rep.unitaries[g].flat
+        moved = np.tensordot(action.automorphisms[g].action_matrix, vals, axes=([0], [0]))
+        conj = np.matmul(np.matmul(ug[None], vals), ug.conj().T[None])
+        yield g, moved, conj
+
+
 def check_covariance(
     rho: CompletelyPositiveMap,
     action: GroupAction,
@@ -309,23 +341,14 @@ def check_covariance(
     tol: float = DEFAULT_TOL,
 ) -> VerificationReport:
     """Residuals of rho(alpha_g(a)) = u_g rho(a) u_g* over all g and basis a."""
-    if action.algebra != rho.source:
-        raise StructuralError("action algebra differs from the map's source")
-    if rep.module != rho.module:
-        raise StructuralError("representation module differs from the map's target module")
-    if action.group != rep.group:
-        raise StructuralError("action and representation use different groups")
     worst, witness = 0.0, ""
-    for g in action.group.elements():
-        ug = rep.unitaries[g].flat
-        for i, a in enumerate(rho.source.basis()):
-            lhs = rho(action.apply(g, a)).flat
-            rhs = ug @ rho.basis_values[i].flat @ ug.conj().T
-            r = linalg.frobenius(lhs - rhs)
-            if r > worst:
-                worst, witness = r, f"g={g}, basis #{i}"
+    for g, moved, conj in covariance_terms(rho, action, rep):
+        resid = linalg.frobenius_each(moved - conj)
+        i = int(np.argmax(resid))
+        if resid[i] > worst:
+            worst, witness = float(resid[i]), f"g={g}, basis #{i}"
     return VerificationReport(
-        "covariance", (Check("rho(alpha_g(a)) = u_g rho(a) u_g*", float(worst), tol, witness),)
+        "covariance", (Check("rho(alpha_g(a)) = u_g rho(a) u_g*", worst, tol, witness),)
     )
 
 

@@ -289,12 +289,19 @@ def _corner(stack: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, float, fl
     corner = basis_h @ (stack.reshape(m * d, d) @ basis).reshape(m, d, p)
     # Taken directly: ||X||² - ||Y||² would cancel to about sqrt(eps)·||X||.
     defect = stack - (basis @ corner) @ basis_h
-    return corner, _max_frobenius(defect), _max_frobenius(stack)
+    return corner, max_frobenius(defect), max_frobenius(stack)
 
 
-def _max_frobenius(stack: np.ndarray) -> float:
-    parts = np.ascontiguousarray(stack).view(np.float64).reshape(stack.shape[0], -1)
-    return float(np.sqrt(np.max(np.einsum("ij,ij->i", parts, parts))))
+def frobenius_each(stack: np.ndarray) -> np.ndarray:
+    """||X||_F of each matrix X (the last two axes) of a stack, shape stack.shape[:-2]."""
+    parts = np.ascontiguousarray(stack, dtype=np.complex128).view(np.float64)
+    parts = parts.reshape(*stack.shape[:-2], -1)
+    return np.sqrt(np.einsum("...j,...j->...", parts, parts))
+
+
+def max_frobenius(stack: np.ndarray) -> float:
+    """max ||X||_F over a stack of matrices, of any number of stacking axes."""
+    return float(np.max(frobenius_each(stack)))
 
 
 def _streamed_residual(left, right, values, coeffs) -> float:

@@ -379,14 +379,6 @@ class AdjointableOperator:
         return f"operator ({self.codomain.rank}×{self.domain.rank}) over {self.domain.algebra}"
 
 
-def is_unitary(t: AdjointableOperator, tol: float = DEFAULT_TOL) -> VerificationReport:
-    return t.is_unitary(tol)
-
-
-def complex_basis(module: HilbertModule) -> tuple[ModuleElement, ...]:
-    return module.complex_basis
-
-
 def adjointability_residual(t: AdjointableOperator) -> float:
     """Max over basis pairs of ||<T xi, eta> - <xi, T* eta>||."""
     tstar = t.adjoint()

@@ -7,6 +7,12 @@ full flats of the module. The only change is that the dense products are
 formed one left factor at a time, so the largest grid instance fits in
 memory; each pair's arithmetic is the same. `gram_reference` keeps the
 pairwise loop of `dilation.gram_operator` in the same way.
+
+The element-wise references keep the loops that the one pass over the
+group replaced: `covariance_reference` (one (g, i) pair at a time, with
+its witness), `star_reference` (the integrated form summed over the whole
+group for each spanning element's involution) and `spanning_reference`
+(the extension's agreement and restriction, one product chain per pair).
 """
 
 from __future__ import annotations
@@ -95,7 +101,6 @@ def star_homomorphism_residual(phi) -> float:
     return worst
 
 
-
 def gram_reference(rho) -> np.ndarray:
     """B-valued Gram [x* rho(a_i* a_j) x] of the spanning set, one pair at a time."""
     x = np.hstack([b.flat for b in rho.module.complex_basis])
@@ -113,3 +118,65 @@ def hermiticity_reference(rho) -> float:
         float(np.linalg.norm(rho(a.adjoint()).flat - rho(a).flat.conj().T))
         for a in rho.source.basis()
     )
+
+
+def covariance_reference(rho, action, rep) -> tuple[float, str]:
+    """max ||rho(alpha_g(a_i)) - u_g rho(a_i) u_g*||_F and its (g, i), pair by pair."""
+    worst, witness = 0.0, ""
+    for g in action.group.elements():
+        ug = rep.unitaries[g].flat
+        for i, a in enumerate(rho.source.basis()):
+            lhs = rho(action.apply(g, a)).flat
+            rhs = ug @ rho.basis_values[i].flat @ ug.conj().T
+            r = float(np.linalg.norm(lhs - rhs))
+            if r > worst:
+                worst, witness = r, f"g={g}, basis #{i}"
+    return worst, witness
+
+
+def _sum_form(f, phi, v) -> np.ndarray:
+    """(Phi x v)(f) = sum_t Phi(f(t)) v_t over the whole group."""
+    acc = np.zeros((phi.module.flat_dim, phi.module.flat_dim), dtype=np.complex128)
+    for t in f.system.group.elements():
+        acc += phi(f.values[t]).flat @ v.unitaries[t].flat
+    return acc
+
+
+def star_reference(phi, v, action) -> float:
+    """max ||(Phi x v)(f#) - (Phi x v)(f)*||_F over the spanning set f = delta_g a_i."""
+    from prostar.crossed import ConvolutionElement
+
+    worst = 0.0
+    for g in action.group.elements():
+        for i, a in enumerate(action.algebra.basis()):
+            f = ConvolutionElement.delta(action, g, a)
+            lhs = _sum_form(f.involution(), phi, v)
+            rhs = (phi.basis_values[i].flat @ v.unitaries[g].flat).conj().T
+            worst = max(worst, float(np.linalg.norm(lhs - rhs)))
+    return worst
+
+
+def spanning_reference(d) -> tuple[float, float]:
+    """Extension checks pair by pair: max ||V* Phi(a_i) v_g V - rho(a_i) u_g||_F
+    over (g, i), and max ||V* Phi(a_i) v_e V - rho(a_i)||_F over i."""
+    v_flat = d.connector.flat
+    rho, rep = d.cp_map, d.rep
+    e = d.action.group.identity
+    agree = restriction = 0.0
+    for g in d.action.group.elements():
+        for i in range(rho.source.linear_dim):
+            lhs = (
+                v_flat.conj().T
+                @ d.representation.basis_values[i].flat
+                @ d.group_unitaries.unitaries[g].flat
+                @ v_flat
+            )
+            agree = max(
+                agree,
+                float(np.linalg.norm(lhs - rho.basis_values[i].flat @ rep.unitaries[g].flat)),
+            )
+            if g == e:
+                restriction = max(
+                    restriction, float(np.linalg.norm(lhs - rho.basis_values[i].flat))
+                )
+    return agree, restriction

@@ -29,7 +29,7 @@ from prostar.dilation import (
     verify_dilation,
 )
 from prostar.errors import PreconditionError
-from prostar.groups import GroupAction
+from prostar.groups import GroupAction, check_covariance
 from prostar.linalg import hermitian_eigendecomposition, random_hermitian
 from prostar.modules import HilbertModule
 from prostar.recipes import (
@@ -297,6 +297,38 @@ def test_grid_certificates_match_pairwise_reference(grid_extensions):
         old = pairwise_reference.twisted_residual(d.representation, d.group_unitaries, d.action)
         scale = pairwise_reference.product_scale(d.representation._value_tensor)
         pairwise_reference.assert_agrees(check.residual, old, scale, check.threshold)
+
+
+def test_grid_spanning_checks_match_elementwise_reference(grid_extensions):
+    """Covariance, star, spanning and restriction certificates equal the element-wise loops.
+
+    Covariance is checked for both pairs the extension relies on, (rho, u) and
+    (Phi, v); the library forms each (g, i) pair's two sides with the
+    reference's products, so the witnesses name the same pair.
+    """
+    covariance = "rho(alpha_g(a)) = u_g rho(a) u_g*"
+    for combo, ext in grid_extensions.items():
+        d = ext.dilation
+        for rho, unitaries in ((d.cp_map, d.rep), (d.representation, d.group_unitaries)):
+            check = check_covariance(rho, d.action, unitaries, 1e-8).check(covariance)
+            old, witness = pairwise_reference.covariance_reference(rho, d.action, unitaries)
+            scale = pairwise_reference.product_scale(rho._value_tensor)
+            pairwise_reference.assert_agrees(check.residual, old, scale, check.threshold)
+            assert check.detail == witness, (combo, check.detail, witness)
+
+        check = ext.integrated.report.check("involution -> adjoint (spanning set)")
+        old = pairwise_reference.star_reference(d.representation, d.group_unitaries, d.action)
+        scale = pairwise_reference.product_scale(d.representation._value_tensor)
+        pairwise_reference.assert_agrees(check.residual, old, scale, check.threshold)
+
+        agree, restriction = pairwise_reference.spanning_reference(d)
+        scale = pairwise_reference.product_scale(d.cp_map._value_tensor)
+        for label, old in (
+            ("phi(delta_g a) = rho(a) u_g (spanning set)", agree),
+            ("restriction to delta_e (x) A equals rho", restriction),
+        ):
+            check = ext.report.check(label)
+            pairwise_reference.assert_agrees(check.residual, old, scale, check.threshold)
 
 
 def test_crossed_certificates_match_pairwise_reference(crossed_products):

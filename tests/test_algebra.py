@@ -140,8 +140,8 @@ class TestStarHomomorphisms:
         pi = StarHomomorphism.block_projection(M2M3, [0])
         rep = pi.verify()
         assert rep.passed
-        assert pi.verified_multiplicative and pi.verified_star
-        assert pi.verified_unital and pi.verified_surjective
+        for name in ("multiplicative", "star", "unital", "surjective"):
+            assert rep.check(name).passed
 
     def test_broken_multiplicativity(self):
         # send E12 to E12 + E11, keep the rest; evaluated on (E12, E21)

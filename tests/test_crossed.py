@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import pairwise_reference
 from prostar.algebra import FiniteCStarAlgebra
 from prostar.crossed import (
     ConvolutionElement,
@@ -9,8 +10,9 @@ from prostar.crossed import (
     integrated_form,
 )
 from prostar.dilation import covariant_dilation, scaled_connector_variant
-from prostar.errors import PreconditionError
+from prostar.errors import PreconditionError, StructuralError
 from prostar.groups import FiniteGroup, GroupAction, UnitaryRepresentation
+from prostar.modules import AdjointableOperator, HilbertModule
 from prostar.recipes import dilation_instance, named_group, standard_action
 
 M2 = FiniteCStarAlgebra((2,))
@@ -199,8 +201,65 @@ class TestIntegratedForm:
     def test_noncovariant_rejected(self, z2_data, rng):
         d, xp = z2_data
         wrong_u = UnitaryRepresentation.trivial(xp.system.group, d.module)
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match=r"\(Phi, v\) is not covariant"):
             integrated_form(d.representation, wrong_u, xp)
+
+    def test_mismatched_module_rejected(self, z2_data):
+        d, xp = z2_data
+        other = HilbertModule.free(C, d.module.flat_dim + 1)
+        with pytest.raises(StructuralError, match="representation module"):
+            integrated_form(
+                d.representation, UnitaryRepresentation.trivial(xp.system.group, other), xp
+            )
+
+    def test_mismatched_group_rejected(self, z2_data):
+        d, xp = z2_data
+        z3 = FiniteGroup.cyclic(3)
+        with pytest.raises(StructuralError, match="different groups"):
+            integrated_form(d.representation, UnitaryRepresentation.trivial(z3, d.module), xp)
+
+    def test_phase_twisted_unitaries_fail_star_only(self, z2_data):
+        # g -> i·v_g at g != e keeps every Ad(v_g), so (Phi, v) stays covariant
+        # and products of spanning elements still match, but v_g² = -1 breaks
+        # the group law, which the involution check detects.
+        d, xp = z2_data
+        v = d.group_unitaries
+        phases = [1.0 if g == v.group.identity else 1j for g in v.group.elements()]
+        twisted = UnitaryRepresentation(
+            v.group,
+            v.module,
+            tuple(
+                AdjointableOperator(v.module, v.module, c * u.flat)
+                for c, u in zip(phases, v.unitaries)
+            ),
+        )
+        report = integrated_form(d.representation, twisted, xp).report
+        star = report.check("involution -> adjoint (spanning set)")
+        assert not star.passed
+        old = pairwise_reference.star_reference(d.representation, twisted, xp.system)
+        scale = pairwise_reference.product_scale(d.representation._value_tensor)
+        pairwise_reference.assert_agrees(star.residual, old, scale, star.threshold)
+        assert report.check("convolution -> composition (spanning pairs)").passed
+        assert report.check("unit of C(G,A) -> identity").passed
+
+    def test_small_covariance_defect_fails_composition(self, z2_data):
+        # v_1 -> v_1·diag(exp(i·3e-9·k)) leaves a covariance residual of 6e-9,
+        # inside the 1e-8 precondition, but the spanning products then miss
+        # by as much, above their 1e-9 threshold.
+        d, xp = z2_data
+        v = d.group_unitaries
+        n = v.module.flat_dim
+        drift = v.unitaries[1].flat @ np.diag(np.exp(3e-9j * np.arange(n)))
+        drifted = UnitaryRepresentation(
+            v.group, v.module, (v.unitaries[0], AdjointableOperator(v.module, v.module, drift))
+        )
+        check = integrated_form(d.representation, drifted, xp).report.check(
+            "convolution -> composition (spanning pairs)"
+        )
+        assert not check.passed
+        old = pairwise_reference.twisted_residual(d.representation, drifted, xp.system)
+        scale = pairwise_reference.product_scale(d.representation._value_tensor)
+        pairwise_reference.assert_agrees(check.residual, old, scale, check.threshold)
 
 
 class TestExtension:

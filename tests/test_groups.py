@@ -3,6 +3,7 @@ import pytest
 
 from prostar.algebra import FiniteCStarAlgebra, StarHomomorphism
 from prostar.cpmaps import CompletelyPositiveMap
+from prostar.errors import StructuralError
 from prostar.groups import (
     FiniteGroup,
     GroupAction,
@@ -143,6 +144,35 @@ class TestCovariance:
         rep = check_covariance(rho, act, u)
         assert not rep.passed
         assert rep.max_residual >= 0.5
+
+    @pytest.mark.parametrize("k", range(4))
+    def test_witness_names_perturbed_pair(self, k):
+        # Z2 acts trivially on M2 and by u = diag(1, -1) on C^2; the diagonal
+        # map rho(a) = diag(a11, a22) commutes with u. An off-diagonal
+        # perturbation of rho(E_k) breaks covariance at (g=1, basis #k) only.
+        g = FiniteGroup.cyclic(2)
+        e = HilbertModule.free(C, 2)
+        values = [np.diag(np.diag(b.blocks[0])).astype(complex) for b in M2.basis()]
+        values[k] = values[k] + 0.25 * X
+        rho = CompletelyPositiveMap.from_dense_images(M2, e, values)
+        u = UnitaryRepresentation.from_complex_matrices(g, e, [np.eye(2), np.diag([1.0, -1.0])])
+        rep = check_covariance(rho, GroupAction.trivial(g, M2), u)
+        check = rep.check("rho(alpha_g(a)) = u_g rho(a) u_g*")
+        assert not check.passed
+        assert check.detail == f"g=1, basis #{k}"
+        assert check.residual == pytest.approx(0.5 * np.sqrt(2.0), rel=1e-15)
+
+    def test_structural_mismatch_raises(self, rng):
+        e = HilbertModule.free(C, 2)
+        rho = random_cp_map(M2, e, rng)
+        z2 = FiniteGroup.cyclic(2)
+        act = GroupAction.trivial(z2, M2)
+        with pytest.raises(StructuralError, match="module"):
+            check_covariance(rho, act, UnitaryRepresentation.trivial(z2, HilbertModule.free(C, 3)))
+        with pytest.raises(StructuralError, match="groups"):
+            check_covariance(rho, act, UnitaryRepresentation.trivial(FiniteGroup.cyclic(3), e))
+        with pytest.raises(StructuralError, match="source"):
+            check_covariance(rho, GroupAction.trivial(z2, C), UnitaryRepresentation.trivial(z2, e))
 
 
 class TestCovariantAverage:
