@@ -10,8 +10,6 @@ from .algebra import (
     StarHomomorphism,
     VerificationReport,
     WedderburnDecomposition,
-    is_positive,
-    psd_sqrt,
     verify_star_homomorphism,
     wedderburn_decompose,
 )
@@ -66,13 +64,8 @@ from .tower import (
     DirectedPoset,
     ModuleTower,
     TowerAction,
-    induced_map,
     levelwise_integrated_coherence,
     levelwise_dilation_coherence,
-    push_cp_map,
-    push_representation,
-    seminorm_eval,
-    verify_tower,
 )
 
 __version__ = "0.1.0"

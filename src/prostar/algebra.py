@@ -278,10 +278,35 @@ class AlgebraElement:
         return all(linalg.hermitian_defect(b) <= tol * scale for b in self.blocks)
 
     def is_positive(self, tol: float = DEFAULT_TOL) -> "PositivityWitness":
-        return is_positive(self, tol)
+        """Positivity with a witness: Hermitian within tol and spectrum >= -tol*(1+||a||)."""
+        scale = max(1.0, self.frobenius())
+        defect = max(linalg.hermitian_defect(b) for b in self.blocks)
+        herm = defect <= tol * scale
+        min_eig = np.inf
+        for b in self.blocks:
+            sym = (b + b.conj().T) / 2.0
+            vals, _ = linalg.hermitian_eigendecomposition(sym)
+            min_eig = min(min_eig, float(vals[0]))
+        floor = -tol * (1.0 + self.operator_norm())
+        return PositivityWitness(herm and min_eig >= floor, float(min_eig), float(defect))
 
     def psd_sqrt(self, tol: float = DEFAULT_TOL) -> "AlgebraElement":
-        return psd_sqrt(self, tol)
+        """Positive square root s with ||s*s - a|| <= 1e-9*(1+||a||)."""
+        witness = self.is_positive(tol)
+        if not witness:
+            raise PreconditionError(
+                f"psd_sqrt needs a positive element; witness min eigenvalue {witness.min_eigenvalue:.3e}"
+            )
+        roots = []
+        for b in self.blocks:
+            sym = (b + b.conj().T) / 2.0
+            roots.append(linalg.psd_sqrt_matrix(sym))
+        s = AlgebraElement(self.algebra, tuple(roots))
+        resid = (s * s - self).operator_norm()
+        bound = 1e-9 * (1.0 + self.operator_norm())
+        if resid > bound:
+            raise NumericalError("psd_sqrt residual too large", residual=resid, bound=bound)
+        return s
 
     def distance(self, other: "AlgebraElement") -> float:
         return (self - other).operator_norm()
@@ -298,39 +323,6 @@ class PositivityWitness:
 
     def __bool__(self) -> bool:
         return self.positive
-
-
-def is_positive(a: AlgebraElement, tol: float = DEFAULT_TOL) -> PositivityWitness:
-    """Positivity with a witness: Hermitian within tol and spectrum >= -tol*(1+||a||)."""
-    scale = max(1.0, a.frobenius())
-    defect = max(linalg.hermitian_defect(b) for b in a.blocks)
-    herm = defect <= tol * scale
-    min_eig = np.inf
-    for b in a.blocks:
-        sym = (b + b.conj().T) / 2.0
-        vals, _ = linalg.hermitian_eigendecomposition(sym)
-        min_eig = min(min_eig, float(vals[0]))
-    floor = -tol * (1.0 + a.operator_norm())
-    return PositivityWitness(herm and min_eig >= floor, float(min_eig), float(defect))
-
-
-def psd_sqrt(a: AlgebraElement, tol: float = DEFAULT_TOL) -> AlgebraElement:
-    """Positive square root s with ||s*s - a|| <= 1e-9*(1+||a||)."""
-    witness = is_positive(a, tol)
-    if not witness:
-        raise PreconditionError(
-            f"psd_sqrt needs a positive element; witness min eigenvalue {witness.min_eigenvalue:.3e}"
-        )
-    roots = []
-    for b in a.blocks:
-        sym = (b + b.conj().T) / 2.0
-        roots.append(linalg.psd_sqrt_matrix(sym))
-    s = AlgebraElement(a.algebra, tuple(roots))
-    resid = (s * s - a).operator_norm()
-    bound = 1e-9 * (1.0 + a.operator_norm())
-    if resid > bound:
-        raise NumericalError("psd_sqrt residual too large", residual=resid, bound=bound)
-    return s
 
 
 @dataclass

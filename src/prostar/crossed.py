@@ -323,7 +323,7 @@ def integrated_form(
     dim_a = action.algebra.linear_dim
     fd = phi.module.flat_dim
     phi_tensor = phi._value_tensor
-    u_tensor = np.stack([u.flat for u in v.unitaries], axis=0)
+    u_tensor = v._unitary_tensor
 
     # Spanning values K[g, i] = Phi(a_i) v_g.
     k_values = np.einsum("aij,gjk->gaik", phi_tensor, u_tensor, optimize=True)
@@ -341,9 +341,7 @@ def integrated_form(
     k_matrix = k_values.reshape(group.order * dim_a, fd * fd)
     std_values = (xp._conv_from_std.T @ k_matrix).reshape(-1, fd, fd)
     standard_map = CompletelyPositiveMap(
-        xp.standard_algebra,
-        phi.module,
-        tuple(AdjointableOperator(phi.module, phi.module, m) for m in std_values),
+        xp.standard_algebra, phi.module, phi.module.operators(std_values)
     )
     std_report = standard_map.verify_representation(max(tol, 1e-9))
 
@@ -461,28 +459,22 @@ def extend_covariant_cp(
     integrated = integrated_form(d.representation, d.group_unitaries, xp, tol)
     v_flat = d.connector.flat
     module = d.cp_map.module
-    values = tuple(
-        AdjointableOperator(
-            module, module, v_flat.conj().T @ op.flat @ v_flat
-        )
-        for op in integrated.standard_map.basis_values
-    )
-    phi_std = CompletelyPositiveMap(xp.standard_algebra, module, values)
+    values = v_flat.conj().T @ integrated.standard_map._value_tensor @ v_flat
+    phi_std = CompletelyPositiveMap(xp.standard_algebra, module, module.operators(values))
     cert = phi_std.verify_completely_positive(max(tol, 1e-9))
 
     # Spanning agreement phi(delta_g a_i) = V* Phi(a_i) v_g V = rho(a_i) u_g,
     # batched over (g, i) from the one stack V* Phi(a_i).
     rho = d.cp_map
     pulled = np.matmul(v_flat.conj().T[None], d.representation._value_tensor)
-    moved_connector = np.stack([v.flat @ v_flat for v in d.group_unitaries.unitaries])
+    moved_connector = d.group_unitaries._unitary_tensor @ v_flat
     lhs = np.matmul(pulled[None], moved_connector[:, None])
-    u_tensor = np.stack([u.flat for u in d.rep.unitaries])
+    u_tensor = d.rep._unitary_tensor
     rhs = np.matmul(rho._value_tensor[None], u_tensor[:, None])
     agree = linalg.max_frobenius(lhs - rhs)
     restriction = linalg.max_frobenius(lhs[d.action.group.identity] - rho._value_tensor)
 
-    unit_std = xp.standardize(ConvolutionElement.unit(xp.system))
-    nondeg = linalg.frobenius(phi_std(unit_std).flat - module.projection_flat)
+    nondeg = linalg.frobenius(phi_std(xp.standard_algebra.unit()).flat - module.projection_flat)
 
     checks = (
         Check("phi(delta_g a) = rho(a) u_g (spanning set)", float(agree), max(tol, 1e-10)),

@@ -65,7 +65,6 @@ class DilationCore:
     representation: CompletelyPositiveMap
     connector: AdjointableOperator
     quotient: QuotientData
-    representation_report: VerificationReport
     # Pushforward data reused by the covariant extension:
     _coord_map: np.ndarray  # (r, N): spanning coordinates -> class coordinates
     _class_embed: np.ndarray  # (N, r): normalized retained basis
@@ -104,11 +103,6 @@ class CovariantDilation:
         )
 
 
-def _basis_stack(module: HilbertModule) -> np.ndarray:
-    """Horizontal stack of the flats of the module's complex basis."""
-    return np.hstack([b.flat for b in module.complex_basis])
-
-
 def gram_operator(rho: CompletelyPositiveMap, tol: float = DEFAULT_TOL) -> GramData:
     """B-valued and scalarized Gram of the spanning set {a_i (x) xi_s}."""
     require_certified_cp(rho, tol)
@@ -117,7 +111,7 @@ def gram_operator(rho: CompletelyPositiveMap, tol: float = DEFAULT_TOL) -> GramD
     basis_e = module.complex_basis
     d_e = len(basis_e)
     big_d = module.block_dim
-    x = _basis_stack(module)  # (fd, d_e*D)
+    x = np.hstack(module.basis_tensor)  # (fd, d_e*D)
 
     labels = tuple((i, s) for i in range(dim_a) for s in range(d_e))
     n = dim_a * d_e
@@ -230,7 +224,6 @@ def minimal_dilation(
             AdjointableOperator(dilation_module, dilation_module, concrete(abstract))
         )
     representation = CompletelyPositiveMap(source, dilation_module, tuple(phi_values))
-    rep_report = representation.verify_representation(max(tol, 1e-9))
 
     # Connector V: xi -> class of 1 (x) xi.
     unit_coords = source.unit().coords()
@@ -267,7 +260,6 @@ def minimal_dilation(
         representation=representation,
         connector=connector,
         quotient=quotient,
-        representation_report=rep_report,
         _coord_map=coord_map,
         _class_embed=c_norm,
         _sqrt_flat=w,
@@ -380,7 +372,7 @@ def _dilation_checks(d: CovariantDilation, tol: float):
     yield Check("dilation identity rho = V* Phi V", float(worst), max(tol, 1e-9))
 
     # (b) minimality: span{Phi(a_i) V xi_s} has full complex dimension.
-    x = _basis_stack(rho.module)
+    x = np.hstack(rho.module.basis_tensor)
     span_vecs = []
     for op in d.representation.basis_values:
         span_vecs.append((op.flat @ v_flat @ x).reshape(-1))
@@ -416,7 +408,7 @@ def _dilation_checks(d: CovariantDilation, tol: float):
     for g in group.elements():
         unit_res = max(unit_res, d.group_unitaries.unitaries[g].is_unitary(tol).max_residual)
     yield Check("v_g unitary", float(unit_res), max(tol, 1e-9))
-    u_tensor = np.stack([u.flat for u in d.group_unitaries.unitaries], axis=0)
+    u_tensor = d.group_unitaries._unitary_tensor
     cayley = np.asarray(d.action.group.cayley)
     products = np.matmul(u_tensor[:, None, :, :], u_tensor[None, :, :, :])
     law = float(
@@ -461,7 +453,7 @@ def _spanning_family(
     source_module: HilbertModule,
 ) -> np.ndarray:
     """Stack of the flats of Phi(a_i) W xi_s, as one wide matrix."""
-    x = _basis_stack(source_module)
+    x = np.hstack(source_module.basis_tensor)
     cols = [op.flat @ connector.flat @ x for op in representation.basis_values]
     return np.hstack(cols)
 

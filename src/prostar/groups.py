@@ -183,6 +183,10 @@ class GroupAction:
         autos = tuple(StarHomomorphism.block_permutation(algebra, p) for p in perms)
         return cls(group, algebra, autos)
 
+    @property
+    def _action_tensor(self) -> np.ndarray:
+        return np.stack([phi.action_matrix for phi in self.automorphisms], axis=0)
+
     def apply(self, g: int, a: AlgebraElement) -> AlgebraElement:
         return self.automorphisms[g].apply(a)
 
@@ -252,6 +256,10 @@ class UnitaryRepresentation:
             AdjointableOperator.from_complex_matrix(module, module, m) for m in matrices
         )
         return cls(group, module, ops)
+
+    @property
+    def _unitary_tensor(self) -> np.ndarray:
+        return np.stack([u.flat for u in self.unitaries], axis=0)
 
     def apply(self, g: int) -> AdjointableOperator:
         return self.unitaries[g]

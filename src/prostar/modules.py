@@ -177,6 +177,11 @@ class HilbertModule:
     def _basis_stack(self) -> np.ndarray:
         return np.stack([b.flat.ravel() for b in self.complex_basis], axis=1)
 
+    @property
+    def basis_tensor(self) -> np.ndarray:
+        """The complex basis as one stack of flats, shape (complex_dim, flat_dim, block_dim)."""
+        return self._basis_stack.T.reshape(-1, self.flat_dim, self.block_dim)
+
     @cached_property
     def _basis_pinv(self) -> np.ndarray:
         return np.linalg.pinv(self._basis_stack)
@@ -195,6 +200,10 @@ class HilbertModule:
 
     def identity_operator(self) -> "AdjointableOperator":
         return AdjointableOperator(self, self, self.projection_flat.copy())
+
+    def operators(self, flats) -> tuple["AdjointableOperator", ...]:
+        """Endomorphisms of the module, one for each matrix of a stack of flats."""
+        return tuple(AdjointableOperator(self, self, f) for f in flats)
 
     def __str__(self) -> str:
         kind = "free" if self.is_free else "projective"
@@ -351,8 +360,7 @@ class AdjointableOperator:
 
     def complex_matrix(self) -> np.ndarray:
         """Matrix w.r.t. the complex bases of domain and codomain."""
-        cols = [self.codomain.coords_of(self(b)) for b in self.domain.complex_basis]
-        return np.stack(cols, axis=1)
+        return complex_matrices(self.domain, self.codomain, self.flat)
 
     def is_unitary(self, tol: float = DEFAULT_TOL) -> VerificationReport:
         left = linalg.frobenius(
@@ -377,6 +385,12 @@ class AdjointableOperator:
 
     def __str__(self) -> str:
         return f"operator ({self.codomain.rank}×{self.domain.rank}) over {self.domain.algebra}"
+
+
+def complex_matrices(domain: HilbertModule, codomain: HilbertModule, flats) -> np.ndarray:
+    """Matrices w.r.t. the complex bases of a stack of operator flats (..., m·D, n·D)."""
+    images = flats[..., None, :, :] @ domain.basis_tensor  # (..., d_dom, m·D, D)
+    return codomain._basis_pinv @ images.reshape(*images.shape[:-2], -1).swapaxes(-1, -2)
 
 
 def adjointability_residual(t: AdjointableOperator) -> float:

@@ -5,10 +5,13 @@ Levels form a finite directed poset; connecting maps run downward
 (pi_pq: A_p -> A_q for p >= q) and are surjective *-homomorphisms. Module
 towers share one ambient rank, with connecting maps acting entrywise through
 the algebra maps, so well-definedness of induced operators is structural.
+Every entrywise application, (pi_pq)_*, is `ModuleTower.push`: one product
+with the transfer matrix of pi_pq over a whole stack of flats.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -35,7 +38,7 @@ from .groups import (
     verify_action,
 )
 from .linalg import DEFAULT_TOL
-from .modules import AdjointableOperator, HilbertModule
+from .modules import AdjointableOperator, HilbertModule, complex_matrices
 
 
 @dataclass(frozen=True)
@@ -104,38 +107,35 @@ class DirectedPoset:
         )
 
 
-def _dense_selector(algebra: FiniteCStarAlgebra) -> np.ndarray:
-    """Linear map vec(dense embedding) -> matrix-unit coordinates."""
-    d = algebra.total_dim
-    sel = np.zeros((algebra.linear_dim, d * d), dtype=np.complex128)
-    idx = 0
-    for off, n in zip(algebra.block_offsets, algebra.block_sizes):
-        for i in range(n):
-            for j in range(n):
-                sel[idx, (off + i) * d + (off + j)] = 1.0
-                idx += 1
-    return sel
-
-
 def dense_transfer_matrix(hom: StarHomomorphism) -> np.ndarray:
-    """The map vec(dense block) -> vec(dense block) induced by a *-homomorphism."""
-    images = np.stack(
-        [hom.apply(b).dense().ravel() for b in hom.source.basis()], axis=1
+    """The map vec(dense block) -> vec(dense block) induced by a *-homomorphism.
+
+    Matrix-unit coordinates sit in the dense embedding at the support
+    positions in row-major order, so the transfer is the action matrix
+    scattered onto those positions.
+    """
+    src = np.flatnonzero(hom.source.dense_support_mask())
+    dst = np.flatnonzero(hom.target.dense_support_mask())
+    transfer = np.zeros(
+        (hom.target.total_dim ** 2, hom.source.total_dim ** 2), dtype=np.complex128
     )
-    return images @ _dense_selector(hom.source)
+    transfer[np.ix_(dst, src)] = hom.action_matrix
+    return transfer
 
 
-def apply_hom_entrywise(
-    hom: StarHomomorphism, flat: np.ndarray, rows: int, cols: int, transfer=None
-) -> np.ndarray:
-    """Apply a *-homomorphism to each D×D entry of a flattened block matrix."""
-    dp = hom.source.total_dim
-    dq = hom.target.total_dim
-    if transfer is None:
-        transfer = dense_transfer_matrix(hom)
-    grid = flat.reshape(rows, dp, cols, dp).transpose(0, 2, 1, 3).reshape(rows * cols, dp * dp)
-    out = grid @ transfer.T
-    return out.reshape(rows, cols, dq, dq).transpose(0, 2, 1, 3).reshape(rows * dq, cols * dq)
+def _push_entrywise(transfer: np.ndarray, flats: np.ndarray, cols: int) -> np.ndarray:
+    """Apply a connecting map to every D_p×D_p entry of a stack of flats.
+
+    `flats` has shape (..., rows·D_p, cols·D_p) with any leading batch axes and
+    `transfer` is the map's `dense_transfer_matrix`; all entries of the stack
+    go through one matrix product.
+    """
+    dq, dp = (math.isqrt(n) for n in transfer.shape)
+    *batch, height, _ = flats.shape
+    rows = height // dp
+    grid = flats.reshape(*batch, rows, dp, cols, dp).swapaxes(-3, -2).reshape(-1, dp * dp)
+    out = (grid @ transfer.T).reshape(*batch, rows, cols, dq, dq).swapaxes(-3, -2)
+    return out.reshape(*batch, rows * dq, cols * dq)
 
 
 @dataclass(eq=False)
@@ -261,10 +261,6 @@ class CoherentElement:
         return CoherentElement(self.tower, {k: v.adjoint() for k, v in self.levels.items()})
 
 
-def seminorm_eval(a: CoherentElement, level: str) -> float:
-    return a.seminorm(level)
-
-
 @dataclass(eq=False)
 class TowerAction:
     """A group acting compatibly on every level of an algebra tower."""
@@ -283,12 +279,12 @@ class TowerAction:
         compat, witness = 0.0, ""
         for (p, q) in self.tower.poset.comparable_pairs():
             pi = self.tower.map(p, q).action_matrix
-            for g in self.group.elements():
-                lhs = self.actions[q].automorphisms[g].action_matrix @ pi
-                rhs = pi @ self.actions[p].automorphisms[g].action_matrix
-                res = linalg.frobenius(lhs - rhs)
-                if res > compat:
-                    compat, witness = res, f"g={g}, {p} -> {q}"
+            res = linalg.frobenius_each(
+                self.actions[q]._action_tensor @ pi - pi @ self.actions[p]._action_tensor
+            )
+            g = int(np.argmax(res))
+            if res[g] > compat:
+                compat, witness = float(res[g]), f"g={g}, {p} -> {q}"
         return VerificationReport(
             "tower action",
             (
@@ -344,21 +340,24 @@ class ModuleTower:
                 continue
             if not base.poset.leq(label, top):
                 raise StructuralError(f"level {label} is not below {top}")
-            hom = base.map(top, label)
-            proj = apply_hom_entrywise(
-                hom, top_module.projection_flat, top_module.rank, top_module.rank
+            proj = _push_entrywise(
+                dense_transfer_matrix(base.map(top, label)),
+                top_module.projection_flat,
+                top_module.rank,
             )
             modules[label] = HilbertModule(base.algebras[label], top_module.rank, proj)
         return cls(base, modules)
 
-    def connect_element(self, p: str, q: str, xi) -> "np.ndarray":
-        """sigma_pq applied to a flat element of the level-p module."""
+    def push(self, p: str, q: str, flats: np.ndarray, cols: int) -> np.ndarray:
+        """(pi_pq)_* on a stack of flats (..., rows·D_p, cols·D_p): pi_pq on every entry.
+
+        Elements of the level-p module have cols = 1, operators on it cols = rank.
+        """
         if p == q:
-            return xi
-        hom = self.base.map(p, q)
-        return apply_hom_entrywise(
-            hom, xi, self.modules[p].rank, 1, self._transfers[(p, q)]
-        )
+            return flats
+        if (p, q) not in self._transfers:
+            raise StructuralError(f"no connecting map {p} -> {q}")
+        return _push_entrywise(self._transfers[(p, q)], flats, cols)
 
     def induced_operator(self, p: str, q: str, t: AdjointableOperator) -> AdjointableOperator:
         """(pi_pq)_* applied to an operator at level p."""
@@ -366,44 +365,30 @@ class ModuleTower:
             raise StructuralError(f"operator does not live at level {p}")
         if p == q:
             return t
-        hom = self.base.map(p, q)
-        flat = apply_hom_entrywise(
-            hom, t.flat, self.modules[p].rank, self.modules[p].rank, self._transfers[(p, q)]
-        )
-        return AdjointableOperator(self.modules[q], self.modules[q], flat)
+        eq = self.modules[q]
+        return AdjointableOperator(eq, eq, self.push(p, q, t.flat, eq.rank))
 
     def verify(self, tol: float = DEFAULT_TOL) -> VerificationReport:
         proj_res, inner_res, witness = 0.0, 0.0, ""
         for (p, q) in self.base.poset.comparable_pairs():
-            ep, eq = self.modules[p], self.modules[q]
-            mapped_proj = apply_hom_entrywise(
-                self.base.map(p, q), ep.projection_flat, ep.rank, ep.rank, self._transfers[(p, q)]
-            )
-            res = linalg.frobenius(mapped_proj - eq.projection_flat)
+            ep = self.modules[p]
+            mapped_proj = self.push(p, q, ep.projection_flat, ep.rank)
+            res = linalg.frobenius(mapped_proj - self.modules[q].projection_flat)
             if res > proj_res:
                 proj_res, witness = res, f"{p} -> {q}"
-            basis = ep.complex_basis
-            mapped = [self.connect_element(p, q, b.flat) for b in basis]
-            for i, bi in enumerate(basis):
-                for j, bj in enumerate(basis):
-                    lhs = mapped[i].conj().T @ mapped[j]
-                    rhs = apply_hom_entrywise(
-                        self.base.map(p, q),
-                        bi.flat.conj().T @ bj.flat,
-                        1,
-                        1,
-                        self._transfers[(p, q)],
-                    )
-                    inner_res = max(inner_res, linalg.frobenius(lhs - rhs))
+            # <sigma b_i, sigma b_j> = pi(<b_i, b_j>) for every pair of basis elements.
+            basis = ep.basis_tensor
+            pushed = self.push(p, q, basis, 1)
+            gap = self.push(p, q, _pairwise_inner(basis), 1) - _pairwise_inner(pushed)
+            inner_res = max(inner_res, linalg.max_frobenius(gap))
         comp = 0.0
         for (p, q) in self.base.poset.comparable_pairs():
             for r in self.base.poset.elements:
                 if r == p or r == q or not self.base.poset.leq(r, q):
                     continue
                 probe = self.modules[p].projection_flat[:, : self.modules[p].block_dim]
-                via = self.connect_element(q, r, self.connect_element(p, q, probe))
-                direct = self.connect_element(p, r, probe)
-                comp = max(comp, linalg.frobenius(via - direct))
+                via = self.push(q, r, self.push(p, q, probe, 1), 1)
+                comp = max(comp, linalg.frobenius(via - self.push(p, r, probe, 1)))
         checks = (
             Check("projections connect", float(proj_res), tol, witness),
             Check("inner products connect", float(inner_res), tol),
@@ -412,62 +397,28 @@ class ModuleTower:
         return VerificationReport("module tower", checks)
 
 
-def verify_tower(t, tol: float = DEFAULT_TOL) -> VerificationReport:
-    """Verify an AlgebraTower or a ModuleTower."""
-    return t.verify(tol)
+def _pairwise_inner(flats: np.ndarray) -> np.ndarray:
+    """The stack [x_i* x_j] over all pairs of a stack of flats x_i."""
+    return np.matmul(flats.conj().swapaxes(-1, -2)[:, None], flats[None])
 
 
-def induced_map(
-    connecting: StarHomomorphism,
-    t: AdjointableOperator,
+def _pushed_pair(
     mt: ModuleTower,
-    *,
-    tol: float = DEFAULT_TOL,
-) -> AdjointableOperator:
-    """Push an operator down a module tower along a connecting map.
-
-    Raises StructuralError when the result fails the defining identity
-    (pi)_*(T)(sigma(xi)) = sigma(T(xi)) on the level's complex basis.
-    """
-    p_label = q_label = None
-    for (pp, qq), hom in mt.base.connecting.items():
-        if hom is connecting:
-            p_label, q_label = pp, qq
-            break
-    if p_label is None:
-        for label, alg in mt.base.algebras.items():
-            if alg == connecting.source and mt.modules[label] == t.domain:
-                p_label = label
-            if alg == connecting.target and q_label is None:
-                q_label = label
-    if p_label is None or q_label is None:
-        raise StructuralError("connecting map does not match the module tower")
-    pushed = mt.induced_operator(p_label, q_label, t)
-    worst = 0.0
-    for b in mt.modules[p_label].complex_basis:
-        lhs = pushed.flat @ mt.connect_element(p_label, q_label, b.flat)
-        rhs = mt.connect_element(p_label, q_label, t.flat @ b.flat)
-        worst = max(worst, linalg.frobenius(lhs - rhs))
-    if worst > max(tol, 1e-8):
-        raise StructuralError(
-            f"operator does not descend along {p_label} -> {q_label}: residual {worst:.3e}"
-        )
-    return pushed
-
-
-def push_cp_map(rho: CompletelyPositiveMap, mt: ModuleTower, p: str, q: str) -> CompletelyPositiveMap:
-    """(pi_q)_* of a CP map defined at level p."""
-    values = tuple(
-        mt.induced_operator(p, q, op) for op in rho.basis_values
+    top: str,
+    q: str,
+    rho: CompletelyPositiveMap,
+    u: UnitaryRepresentation,
+) -> tuple[CompletelyPositiveMap, UnitaryRepresentation]:
+    """A CP map and a representation at the top level, each carried to level q by one push."""
+    if q == top:
+        return rho, u
+    eq = mt.modules[q]
+    values = mt.push(top, q, rho._value_tensor, eq.rank)
+    unitaries = mt.push(top, q, u._unitary_tensor, eq.rank)
+    return (
+        CompletelyPositiveMap(rho.source, eq, eq.operators(values)),
+        UnitaryRepresentation(u.group, eq, eq.operators(unitaries)),
     )
-    return CompletelyPositiveMap(rho.source, mt.modules[q], values)
-
-
-def push_representation(
-    u: UnitaryRepresentation, mt: ModuleTower, p: str, q: str
-) -> UnitaryRepresentation:
-    ops = tuple(mt.induced_operator(p, q, op) for op in u.unitaries)
-    return UnitaryRepresentation(u.group, mt.modules[q], ops)
 
 
 @dataclass
@@ -486,26 +437,21 @@ class CoherenceReport:
 
 
 def _connecting_class_matrix(
-    d_upper: "CovariantDilation",
-    d_lower: "CovariantDilation",
-    mt: ModuleTower,
-    p: str,
-    q: str,
-    cores,
-) -> np.ndarray:
-    """Class-coordinate matrix of the map a(x)xi -> a(x)sigma(xi) on the quotients."""
-    ep = mt.modules[p]
-    eq = mt.modules[q]
-    y = np.stack(
-        [
-            eq.coords_of(eq.element_from_flat(mt.connect_element(p, q, b.flat)))
-            for b in ep.complex_basis
-        ],
-        axis=1,
-    )  # (d_q, d_p)
-    dim_a = d_upper.cp_map.source.linear_dim
+    mt: ModuleTower, p: str, q: str, cores, dim_a: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Class-coordinate matrix of the map a(x)xi -> a(x)sigma(xi) on the quotients,
+    and the matrix y of sigma_pq: E_p -> E_q in the complex bases."""
+    ep, eq = mt.modules[p], mt.modules[q]
+    pushed = mt.push(p, q, ep.basis_tensor, 1)
+    y = eq._basis_pinv @ pushed.reshape(ep.complex_dim, -1).T  # (d_q, d_p)
     shuffle = np.kron(np.eye(dim_a), y)
-    return cores[q]._coord_map @ shuffle @ cores[p]._class_embed
+    return cores[q]._coord_map @ shuffle @ cores[p]._class_embed, y
+
+
+def _square(m: np.ndarray, fp: HilbertModule, fq: HilbertModule, ops_p, ops_q) -> float:
+    """max_k ||m A_k - B_k m||_F for stacked operators A_k on F_p and B_k on F_q."""
+    a, b = complex_matrices(fp, fp, ops_p), complex_matrices(fq, fq, ops_q)
+    return linalg.max_frobenius(m @ a - b @ m)
 
 
 def levelwise_dilation_coherence(
@@ -538,20 +484,17 @@ def levelwise_dilation_coherence(
         raise PreconditionError("the underlying towers fail verification")
 
     levels = list(mt.base.poset.elements)
-    rhos, reps, cores, dils = {}, {}, {}, {}
+    cores, dils = {}, {}
     for q in levels:
-        rho_q = rho_top if q == top else push_cp_map(rho_top, mt, top, q)
-        u_q = rep_top if q == top else push_representation(rep_top, mt, top, q)
+        rho_q, u_q = _pushed_pair(mt, top, q, rho_top, rep_top)
         cert = rho_q.verify_completely_positive(max(tol, 1e-9))
         if not cert.is_cp:
             raise PreconditionError(f"pushed map at level {q} is not CP")
         cov = check_covariance(rho_q, action, u_q, max(tol, 1e-8))
         if not cov.passed:
             raise PreconditionError(f"covariance fails at level {q}")
-        core = minimal_dilation(rho_q, tol=tol)
-        dils[q] = covariant_extend(core, action, u_q, tol)
-        cores[q] = core
-        rhos[q], reps[q] = rho_q, u_q
+        cores[q] = minimal_dilation(rho_q, tol=tol)
+        dils[q] = covariant_extend(cores[q], action, u_q, tol)
 
     checks: list[Check] = [
         Check("levelwise dilations verified",
@@ -559,51 +502,27 @@ def levelwise_dilation_coherence(
     ]
     class_maps: dict[tuple[str, str], np.ndarray] = {}
     rep_sq = conn_sq = v_sq = gram_sq = surj = 0.0
+    dim_a = rho_top.source.linear_dim
     for (p, q) in mt.base.poset.comparable_pairs():
-        m_pq = _connecting_class_matrix(dils[p], dils[q], mt, p, q, cores)
+        m_pq, y = _connecting_class_matrix(mt, p, q, cores, dim_a)
         class_maps[(p, q)] = m_pq
-        cm_phi_p = [op.complex_matrix() for op in dils[p].representation.basis_values]
-        cm_phi_q = [op.complex_matrix() for op in dils[q].representation.basis_values]
-        for a, b in zip(cm_phi_p, cm_phi_q):
-            rep_sq = max(rep_sq, linalg.frobenius(m_pq @ a - b @ m_pq))
+        fp, fq = dils[p].module, dils[q].module
+        rep_sq = max(rep_sq, _square(m_pq, fp, fq, dils[p].representation._value_tensor,
+                                     dils[q].representation._value_tensor))
+        v_sq = max(v_sq, _square(m_pq, fp, fq, dils[p].group_unitaries._unitary_tensor,
+                                 dils[q].group_unitaries._unitary_tensor))
         cm_v_p = dils[p].connector.complex_matrix()
         cm_v_q = dils[q].connector.complex_matrix()
-        y = np.stack(
-            [
-                mt.modules[q].coords_of(
-                    mt.modules[q].element_from_flat(
-                        mt.connect_element(p, q, b.flat)
-                    )
-                )
-                for b in mt.modules[p].complex_basis
-            ],
-            axis=1,
-        )
         conn_sq = max(conn_sq, linalg.frobenius(m_pq @ cm_v_p - cm_v_q @ y))
-        for g in action.group.elements():
-            a = dils[p].group_unitaries.unitaries[g].complex_matrix()
-            b = dils[q].group_unitaries.unitaries[g].complex_matrix()
-            v_sq = max(v_sq, linalg.frobenius(m_pq @ a - b @ m_pq))
         # Inner products: <Sigma x, Sigma y> = pi(<x, y>) on the class basis.
-        mapped = np.hstack(
-            [
-                dils[q].module.element_from_coords(m_pq[:, alpha]).flat
-                for alpha in range(m_pq.shape[1])
-            ]
-        )
+        images = (fq._basis_stack @ m_pq).T.reshape(-1, fq.flat_dim, fq.block_dim)
+        mapped = np.hstack(images)
         lhs = mapped.conj().T @ mapped
         h_p = cores[p]._sqrt_flat @ cores[p]._sqrt_flat
-        rhs = apply_hom_entrywise(
-            mt.base.map(p, q), h_p, dils[p].module.rank, dils[p].module.rank,
-            mt._transfers[(p, q)],
-        )
-        gram_sq = max(gram_sq, linalg.frobenius(lhs - rhs))
+        gram_sq = max(gram_sq, linalg.frobenius(lhs - mt.push(p, q, h_p, fp.rank)))
         surj = max(
             surj,
-            float(
-                dils[q].module.complex_dim
-                - linalg.matrix_rank(m_pq, rel_threshold=1e-9)
-            ),
+            float(fq.complex_dim - linalg.matrix_rank(m_pq, rel_threshold=1e-9)),
         )
     func = 0.0
     for (p, q) in mt.base.poset.comparable_pairs():
@@ -651,29 +570,21 @@ def levelwise_integrated_coherence(
     if phi_top.module != mt.modules[top]:
         raise StructuralError(f"Phi is not defined on the level-{top} module")
 
-    action = xp.system
     levels = list(mt.base.poset.elements)
     forms: dict[str, IntegratedForm] = {}
     k_values: dict[str, np.ndarray] = {}
     for q in levels:
-        phi_q = phi_top if q == top else push_cp_map(phi_top, mt, top, q)
-        v_q = v_top if q == top else push_representation(v_top, mt, top, q)
+        phi_q, v_q = _pushed_pair(mt, top, q, phi_top, v_top)
         forms[q] = integrated_form(phi_q, v_q, xp, tol)
-        phi_tensor = phi_q._value_tensor
-        u_tensor = np.stack([u.flat for u in v_q.unitaries], axis=0)
-        k_values[q] = np.einsum("aij,gjk->gaik", phi_tensor, u_tensor, optimize=True)
+        k_values[q] = np.einsum(
+            "aij,gjk->gaik", phi_q._value_tensor, v_q._unitary_tensor, optimize=True
+        )
 
     level_res = max(forms[q].report.max_residual for q in levels)
     conn = 0.0
     for (p, q) in mt.base.poset.comparable_pairs():
-        rank = mt.modules[p].rank
-        for g in action.group.elements():
-            for i in range(action.algebra.linear_dim):
-                pushed = apply_hom_entrywise(
-                    mt.base.map(p, q), k_values[p][g, i], rank, rank,
-                    mt._transfers[(p, q)],
-                )
-                conn = max(conn, linalg.frobenius(pushed - k_values[q][g, i]))
+        pushed = mt.push(p, q, k_values[p], mt.modules[p].rank)
+        conn = max(conn, linalg.max_frobenius(pushed - k_values[q]))
     checks = (
         Check("levelwise integrated forms verified", float(level_res), max(tol, 1e-9)),
         Check("connecting identity on the spanning set", float(conn), max(tol, 1e-9)),

@@ -13,6 +13,14 @@ group replaced: `covariance_reference` (one (g, i) pair at a time, with
 its witness), `star_reference` (the integrated form summed over the whole
 group for each spanning element's involution) and `spanning_reference`
 (the extension's agreement and restriction, one product chain per pair).
+
+The tower references keep the per-entry loops that one batched transfer
+replaced: each connecting map is applied with `hom.apply` to one D×D entry
+at a time, never through the transfer matrix. `module_tower_reference`
+checks every pair of basis elements; `dilation_coherence_reference` and
+`integrated_coherence_reference` push each basis value and unitary on its
+own and compare the squares one operator, one group element and one (g, i)
+pair at a time.
 """
 
 from __future__ import annotations
@@ -180,3 +188,160 @@ def spanning_reference(d) -> tuple[float, float]:
                     restriction, float(np.linalg.norm(lhs - rho.basis_values[i].flat))
                 )
     return agree, restriction
+
+
+def _push_reference(hom, flat: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """hom applied to each D_p×D_p entry of a flat, one `hom.apply` per entry."""
+    dp, dq = hom.source.total_dim, hom.target.total_dim
+    out = np.zeros((rows * dq, cols * dq), dtype=np.complex128)
+    for r in range(rows):
+        for c in range(cols):
+            block = flat[r * dp : (r + 1) * dp, c * dp : (c + 1) * dp]
+            entry = hom.source.from_dense(block, check=False)
+            out[r * dq : (r + 1) * dq, c * dq : (c + 1) * dq] = hom.apply(entry).dense()
+    return out
+
+
+def _lower_pairs(mt):
+    """(p, q, r) with p > q > r, the composable pairs of connecting maps."""
+    poset = mt.base.poset
+    for (p, q) in poset.comparable_pairs():
+        for r in poset.elements:
+            if r not in (p, q) and poset.leq(r, q):
+                yield p, q, r
+
+
+def module_tower_reference(mt) -> dict[str, tuple[float, str]]:
+    """ModuleTower.verify's checks (residual, witness), entry by entry and pair by pair."""
+    proj, witness, inner, comp = 0.0, "", 0.0, 0.0
+    for (p, q) in mt.base.poset.comparable_pairs():
+        hom, ep = mt.base.map(p, q), mt.modules[p]
+        pushed = _push_reference(hom, ep.projection_flat, ep.rank, ep.rank)
+        r = float(np.linalg.norm(pushed - mt.modules[q].projection_flat))
+        if r > proj:
+            proj, witness = r, f"{p} -> {q}"
+        basis = ep.complex_basis
+        mapped = [_push_reference(hom, b.flat, ep.rank, 1) for b in basis]
+        for i, bi in enumerate(basis):
+            for j, bj in enumerate(basis):
+                lhs = mapped[i].conj().T @ mapped[j]
+                rhs = _push_reference(hom, bi.flat.conj().T @ bj.flat, 1, 1)
+                inner = max(inner, float(np.linalg.norm(lhs - rhs)))
+    for p, q, r in _lower_pairs(mt):
+        ep = mt.modules[p]
+        probe = ep.projection_flat[:, : ep.block_dim]
+        mid = _push_reference(mt.base.map(p, q), probe, ep.rank, 1)
+        via = _push_reference(mt.base.map(q, r), mid, ep.rank, 1)
+        direct = _push_reference(mt.base.map(p, r), probe, ep.rank, 1)
+        comp = max(comp, float(np.linalg.norm(via - direct)))
+    return {
+        "projections connect": (proj, witness),
+        "inner products connect": (inner, ""),
+        "sigma composition": (comp, ""),
+    }
+
+
+def _pushed_reference(mt, top, q, rho, u):
+    """rho and u carried from the top level to level q, one value at a time."""
+    from prostar.cpmaps import CompletelyPositiveMap
+    from prostar.groups import UnitaryRepresentation
+    from prostar.modules import AdjointableOperator
+
+    if q == top:
+        return rho, u
+    hom, eq = mt.base.map(top, q), mt.modules[q]
+
+    def push(op):
+        return AdjointableOperator(eq, eq, _push_reference(hom, op.flat, eq.rank, eq.rank))
+
+    return (
+        CompletelyPositiveMap(rho.source, eq, tuple(push(op) for op in rho.basis_values)),
+        UnitaryRepresentation(u.group, eq, tuple(push(op) for op in u.unitaries)),
+    )
+
+
+def _complex_matrix_reference(op) -> np.ndarray:
+    """Matrix of an operator in the complex bases, one basis element at a time."""
+    cols = [op.codomain.coords_of(op(b)) for b in op.domain.complex_basis]
+    return np.stack(cols, axis=1)
+
+
+def dilation_coherence_reference(rho_top, action, rep_top, mt, tol: float) -> dict[str, tuple]:
+    """The residuals of levelwise_dilation_coherence, one operator and one g at a time."""
+    from prostar.dilation import covariant_extend, minimal_dilation
+    from prostar.linalg import matrix_rank
+
+    top = mt.base.poset.greatest()
+    levels = mt.base.poset.elements
+    cores, dils = {}, {}
+    for q in levels:
+        rho_q, u_q = _pushed_reference(mt, top, q, rho_top, rep_top)
+        cores[q] = minimal_dilation(rho_q, tol=tol)
+        dils[q] = covariant_extend(cores[q], action, u_q, tol)
+    dim_a = rho_top.source.linear_dim
+    class_maps = {}
+    rep_sq = conn_sq = v_sq = gram_sq = surj = func = 0.0
+    for (p, q) in mt.base.poset.comparable_pairs():
+        hom, ep, eq = mt.base.map(p, q), mt.modules[p], mt.modules[q]
+        y = np.stack(
+            [
+                eq.coords_of(eq.element_from_flat(_push_reference(hom, b.flat, ep.rank, 1)))
+                for b in ep.complex_basis
+            ],
+            axis=1,
+        )
+        m = cores[q]._coord_map @ np.kron(np.eye(dim_a), y) @ cores[p]._class_embed
+        class_maps[(p, q)] = m
+        for a, b in zip(dils[p].representation.basis_values, dils[q].representation.basis_values):
+            diff = m @ _complex_matrix_reference(a) - _complex_matrix_reference(b) @ m
+            rep_sq = max(rep_sq, float(np.linalg.norm(diff)))
+        diff = m @ _complex_matrix_reference(dils[p].connector) - _complex_matrix_reference(
+            dils[q].connector
+        ) @ y
+        conn_sq = max(conn_sq, float(np.linalg.norm(diff)))
+        for g in action.group.elements():
+            a = _complex_matrix_reference(dils[p].group_unitaries.unitaries[g])
+            b = _complex_matrix_reference(dils[q].group_unitaries.unitaries[g])
+            v_sq = max(v_sq, float(np.linalg.norm(m @ a - b @ m)))
+        fp, fq = dils[p].module, dils[q].module
+        mapped = np.hstack([fq.element_from_coords(m[:, k]).flat for k in range(m.shape[1])])
+        h_p = cores[p]._sqrt_flat @ cores[p]._sqrt_flat
+        rhs = _push_reference(hom, h_p, fp.rank, fp.rank)
+        gram_sq = max(gram_sq, float(np.linalg.norm(mapped.conj().T @ mapped - rhs)))
+        surj = max(surj, float(fq.complex_dim - matrix_rank(m, rel_threshold=1e-9)))
+    for p, q, r in _lower_pairs(mt):
+        diff = class_maps[(q, r)] @ class_maps[(p, q)] - class_maps[(p, r)]
+        func = max(func, float(np.linalg.norm(diff)))
+    residuals = {
+        "levelwise dilations verified": max(dils[q].residuals.max_residual for q in levels),
+        "squares: representations": rep_sq,
+        "squares: connectors": conn_sq,
+        "squares: group unitaries": v_sq,
+        "squares: inner products": gram_sq,
+        "level dilation modules match": surj,
+        "functoriality of connecting maps": func,
+    }
+    return {name: (r, "") for name, r in residuals.items()}
+
+
+def integrated_coherence_reference(phi_top, v_top, xp, mt, tol: float) -> dict[str, tuple]:
+    """The residuals of levelwise_integrated_coherence, one (g, i) pair at a time."""
+    from prostar.crossed import integrated_form
+
+    top = mt.base.poset.greatest()
+    pushed = {q: _pushed_reference(mt, top, q, phi_top, v_top) for q in mt.base.poset.elements}
+    level = max(integrated_form(phi, v, xp, tol).report.max_residual for phi, v in pushed.values())
+    conn = 0.0
+    for (p, q) in mt.base.poset.comparable_pairs():
+        (phi_p, v_p), (phi_q, v_q) = pushed[p], pushed[q]
+        rank = mt.modules[p].rank
+        for g in xp.system.group.elements():
+            for i in range(xp.system.algebra.linear_dim):
+                k_p = phi_p.basis_values[i].flat @ v_p.unitaries[g].flat
+                k_q = phi_q.basis_values[i].flat @ v_q.unitaries[g].flat
+                moved = _push_reference(mt.base.map(p, q), k_p, rank, rank)
+                conn = max(conn, float(np.linalg.norm(moved - k_q)))
+    return {
+        "levelwise integrated forms verified": (level, ""),
+        "connecting identity on the spanning set": (conn, ""),
+    }

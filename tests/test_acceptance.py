@@ -351,6 +351,13 @@ def test_crossed_certificates_match_pairwise_reference(crossed_products):
         )
 
 
+def test_standard_unit_is_standardized_convolution_unit(crossed_products):
+    """The unit of each standard form A⋊G equals the standardized unit of C(G, A)."""
+    for xp in crossed_products.values():
+        old = xp.standardize(ConvolutionElement.unit(xp.system))
+        assert (xp.standard_algebra.unit() - old).frobenius() <= 1e-12
+
+
 def test_gram_and_hermiticity_match_pairwise_reference(grid_dilations):
     """The gathered Gram blocks and adjoint lookups equal the pairwise loops on all 48 combos."""
     for d in grid_dilations.values():
@@ -363,40 +370,41 @@ def test_gram_and_hermiticity_match_pairwise_reference(grid_dilations):
         assert np.linalg.norm(new - old) <= pairwise_reference.REL * max(1.0, np.linalg.norm(old))
 
 
-def test_criterion_6_tower_suite(rng):
-    """Levelwise coherence on 2- and 3-level towers; seminorm laws <= 1e-10."""
-    worst = 0.0
-    # 2-level, Z2-covariant dilation coherence
+def _criterion_6_towers():
+    """The criterion-6 towers: (rho, alpha, u, module tower) for the 2-level Z2 and
+    3-level Z3 dilation towers, and (Phi, v, A⋊G, module tower) for the
+    integrated form over a pushed-down dilation tower, |G| = 2."""
     tower2 = _tower_two_level()
     mt2 = ModuleTower.of_free_modules(tower2, 1)
     a2 = named_algebra("m2")
     act2 = standard_action("z2", a2)
     u2 = standard_representation("z2", mt2.modules["p"])
     rho2 = random_covariant_cp(a2, mt2.modules["p"], act2, u2, BASE_SEED + 1)
-    co2 = levelwise_dilation_coherence(rho2, act2, u2, mt2)
-    worst = max(worst, co2.max_residual)
 
-    # 3-level, Z3-covariant dilation coherence
     tower3 = _tower_three_level()
     mt3 = ModuleTower.of_free_modules(tower3, 1)
     a3 = named_algebra("m3")
     act3 = standard_action("z3", a3)
     u3 = standard_representation("z3", mt3.modules["p"])
     rho3 = random_covariant_cp(a3, mt3.modules["p"], act3, u3, BASE_SEED + 2)
-    co3 = levelwise_dilation_coherence(rho3, act3, u3, mt3)
-    worst = max(worst, co3.max_residual)
 
-    # integrated-form coherence over a pushed-down dilation tower, |G| = 2
     ep = HilbertModule.free(tower2.algebras["p"], 2)
     u_top = standard_representation("z2", ep)
     rho_top = random_covariant_cp(a2, ep, act2, u_top, BASE_SEED + 3)
     d_top = covariant_dilation(rho_top, act2, u_top)
     mt_push = ModuleTower.pushed_down(tower2, "p", d_top.module)
-    xp = build_crossed_product(act2)
-    co4 = levelwise_integrated_coherence(
-        d_top.representation, d_top.group_unitaries, xp, mt_push
-    )
-    worst = max(worst, co4.max_residual)
+    integrated = (d_top.representation, d_top.group_unitaries, build_crossed_product(act2), mt_push)
+    return [(rho2, act2, u2, mt2), (rho3, act3, u3, mt3)], integrated
+
+
+def test_criterion_6_tower_suite(rng):
+    """Levelwise coherence on 2- and 3-level towers; seminorm laws <= 1e-10."""
+    (dil2, dil3), integrated = _criterion_6_towers()
+    co2 = levelwise_dilation_coherence(*dil2)
+    co3 = levelwise_dilation_coherence(*dil3)
+    co4 = levelwise_integrated_coherence(*integrated)
+    worst = max(co2.max_residual, co3.max_residual, co4.max_residual)
+    tower3 = dil3[3].base
 
     # coherent-element seminorm monotonicity and G-invariance
     law_worst = 0.0
@@ -422,6 +430,37 @@ def test_criterion_6_tower_suite(rng):
         f"3-level {co3.level_dimensions}"
     )
     assert ok
+
+
+def _assert_matches_reference(report, old: dict, scale: float) -> None:
+    assert [c.name for c in report.checks] == list(old)
+    for check in report.checks:
+        residual, witness = old[check.name]
+        pairwise_reference.assert_agrees(check.residual, residual, scale, check.threshold)
+        assert check.detail == witness, (check.name, check.detail, witness)
+
+
+def test_tower_checks_match_elementwise_reference():
+    """Every tower check on the criterion-6 towers equals the per-entry loops:
+    same pass/fail, residuals within REL, same witnesses."""
+    tol = 1e-10
+    dilations, (phi, v, xp, mt_push) = _criterion_6_towers()
+    for mt in [d[3] for d in dilations] + [mt_push]:
+        top = mt.modules[mt.base.poset.greatest()]
+        scale = pairwise_reference.product_scale(top.basis_tensor)
+        old = pairwise_reference.module_tower_reference(mt)
+        _assert_matches_reference(mt.verify(tol), old, scale)
+    for rho, act, u, mt in dilations:
+        _assert_matches_reference(
+            levelwise_dilation_coherence(rho, act, u, mt, tol=tol).report,
+            pairwise_reference.dilation_coherence_reference(rho, act, u, mt, tol),
+            pairwise_reference.product_scale(rho._value_tensor),
+        )
+    _assert_matches_reference(
+        levelwise_integrated_coherence(phi, v, xp, mt_push, tol=tol).report,
+        pairwise_reference.integrated_coherence_reference(phi, v, xp, mt_push, tol),
+        pairwise_reference.product_scale(phi._value_tensor),
+    )
 
 
 def test_criterion_7_numerical_kernel_suite(rng):

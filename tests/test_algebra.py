@@ -6,8 +6,6 @@ from hypothesis import strategies as st
 from prostar.algebra import (
     FiniteCStarAlgebra,
     StarHomomorphism,
-    is_positive,
-    psd_sqrt,
     verify_star_homomorphism,
     wedderburn_decompose,
 )
@@ -77,27 +75,27 @@ def test_identity_norm():
 
 def test_is_positive(rng):
     a = M2M3.random_element(rng)
-    assert is_positive(a.adjoint() * a).positive
+    assert (a.adjoint() * a).is_positive().positive
     bad = M2.from_blocks([np.diag([1.0, -1e-3])])
-    w = is_positive(bad, tol=1e-10)
+    w = bad.is_positive(tol=1e-10)
     assert not w.positive
     assert w.min_eigenvalue == pytest.approx(-1e-3, rel=1e-6)
 
 
 def test_psd_sqrt_examples(rng):
     d = M2.from_blocks([np.diag([4.0, 9.0])])
-    assert (psd_sqrt(d) - M2.from_blocks([np.diag([2.0, 3.0])])).frobenius() <= 1e-12
+    assert (d.psd_sqrt() - M2.from_blocks([np.diag([2.0, 3.0])])).frobenius() <= 1e-12
     # projections are fixed points
     p = M2.from_blocks([np.array([[0.5, 0.5], [0.5, 0.5]])])
-    assert (psd_sqrt(p) - p).frobenius() <= 1e-9
+    assert (p.psd_sqrt() - p).frobenius() <= 1e-9
     # random PSD reconstructs
     m8 = FiniteCStarAlgebra((8,))
     a = m8.random_element(rng)
     pos = a.adjoint() * a
-    s = psd_sqrt(pos)
+    s = pos.psd_sqrt()
     assert (s * s - pos).operator_norm() <= 1e-9 * (1.0 + pos.operator_norm())
     with pytest.raises(PreconditionError):
-        psd_sqrt(M2.from_blocks([np.diag([1.0, -1.0])]))
+        M2.from_blocks([np.diag([1.0, -1.0])]).psd_sqrt()
 
 
 def test_trace_functional(rng):

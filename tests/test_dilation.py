@@ -86,7 +86,7 @@ class TestMinimalDilation:
         core = minimal_dilation(rho)
         assert core.module.complex_dim == expected_dim == 2
         assert core.connector.is_unitary().passed
-        assert core.representation_report.passed
+        assert core.representation.verify_representation().passed
 
     def test_trace_state_dim_four(self):
         e = HilbertModule.free(C, 1)

@@ -18,11 +18,8 @@ from prostar.tower import (
     DirectedPoset,
     ModuleTower,
     TowerAction,
-    induced_map,
     levelwise_integrated_coherence,
     levelwise_dilation_coherence,
-    seminorm_eval,
-    verify_tower,
 )
 
 
@@ -64,13 +61,13 @@ class TestAlgebraTower:
     def test_single_level_vacuous(self):
         alg = FiniteCStarAlgebra((2,))
         tower = AlgebraTower(DirectedPoset.chain(["p"]), {"p": alg}, {})
-        assert verify_tower(tower).passed
+        assert tower.verify().passed
 
     def test_two_level_projection(self):
-        assert verify_tower(two_level_tower()).passed
+        assert two_level_tower().verify().passed
 
     def test_three_level_chain(self):
-        assert verify_tower(three_level_tower()).passed
+        assert three_level_tower().verify().passed
 
     def test_broken_square_detected(self):
         b3 = FiniteCStarAlgebra((2, 1, 1))
@@ -82,7 +79,7 @@ class TestAlgebraTower:
             b3, b1, np.zeros((4, 6), dtype=complex)
         )
         bad = AlgebraTower(tower.poset, tower.algebras, bad_connecting)
-        rep = verify_tower(bad)
+        rep = bad.verify()
         assert not rep.passed
         assert "p -> q -> r" in rep.check("composition squares").detail
 
@@ -102,7 +99,7 @@ class TestCoherentElements:
         tower = three_level_tower()
         unit = CoherentElement.from_top(tower, "p", tower.algebras["p"].unit())
         for level in ("p", "q", "r"):
-            assert seminorm_eval(unit, level) == pytest.approx(1.0)
+            assert unit.seminorm(level) == pytest.approx(1.0)
 
     def test_monotonicity(self, rng):
         tower = three_level_tower()
@@ -172,7 +169,11 @@ class TestInducedMaps:
             mt.modules["p"],
             [[bp.random_element(rng) for _ in range(2)] for _ in range(2)],
         )
-        pushed = induced_map(tower.map("p", "q"), t, mt)
+        pushed = mt.induced_operator("p", "q", t)
+        # (pi)_*(T)(sigma(xi)) = sigma(T(xi)) on the complex basis of the level-p module
+        basis = mt.modules["p"].basis_tensor
+        lhs = pushed.flat @ mt.push("p", "q", basis, 1)
+        assert np.abs(lhs - mt.push("p", "q", t.flat @ basis, 1)).max() <= 1e-12
         for i in range(2):
             for j in range(2):
                 assert (
@@ -207,6 +208,29 @@ class TestModuleTower:
         mt = ModuleTower.pushed_down(tower, "p", top)
         assert mt.verify().passed
         assert mt.modules["q"].complex_dim <= top.complex_dim
+
+    def test_tampered_level_fails_projections(self):
+        tower = two_level_tower()
+        top = HilbertModule(tower.algebras["p"], 2, np.diag([1.0, 0.0, 0.0, 1.0]).astype(complex))
+        assert ModuleTower.pushed_down(tower, "p", top).verify().passed
+        free_q = HilbertModule.free(tower.algebras["q"], 2)
+        check = ModuleTower(tower, {"p": top, "q": free_q}).verify().check("projections connect")
+        assert not check.passed
+        assert check.detail == "p -> q"
+
+    def test_scaled_connecting_map_fails_inner_products(self):
+        bp, bq = FiniteCStarAlgebra((1, 1)), FiniteCStarAlgebra((1,))
+        pi = StarHomomorphism.block_projection(bp, [0])
+        doubled = StarHomomorphism(bp, bq, 2.0 * pi.action_matrix)
+        tower = AlgebraTower.from_chain(["q", "p"], [bq, bp], [doubled])
+        mt = ModuleTower.of_free_modules(tower, 1)
+        assert not mt.verify().check("inner products connect").passed
+        a2 = FiniteCStarAlgebra((2,))
+        act = standard_action("z2", a2)
+        u = standard_representation("z2", mt.modules["p"])
+        rho = random_covariant_cp(a2, mt.modules["p"], act, u, 52)
+        with pytest.raises(PreconditionError):
+            levelwise_dilation_coherence(rho, act, u, mt)
 
 
 class TestLevelwiseCoherence:
