@@ -147,14 +147,6 @@ class FiniteCStarAlgebra:
         n = self.block_sizes[block]
         return self.coord_offsets[block] + row * n + col
 
-    def basis_label(self, index: int) -> tuple[int, int, int]:
-        for k, n in enumerate(self.block_sizes):
-            off = self.coord_offsets[k]
-            if index < off + n * n:
-                local = index - off
-                return k, local // n, local % n
-        raise IndexError(index)
-
     def basis_element(self, index: int) -> "AlgebraElement":
         coords = np.zeros(self.linear_dim, dtype=np.complex128)
         coords[index] = 1.0
@@ -273,10 +265,6 @@ class AlgebraElement:
     def frobenius(self) -> float:
         return float(np.sqrt(sum(linalg.frobenius(b) ** 2 for b in self.blocks)))
 
-    def is_hermitian(self, tol: float = DEFAULT_TOL) -> bool:
-        scale = max(1.0, self.frobenius())
-        return all(linalg.hermitian_defect(b) <= tol * scale for b in self.blocks)
-
     def is_positive(self, tol: float = DEFAULT_TOL) -> "PositivityWitness":
         """Positivity with a witness: Hermitian within tol and spectrum >= -tol*(1+||a||)."""
         scale = max(1.0, self.frobenius())
@@ -307,9 +295,6 @@ class AlgebraElement:
         if resid > bound:
             raise NumericalError("psd_sqrt residual too large", residual=resid, bound=bound)
         return s
-
-    def distance(self, other: "AlgebraElement") -> float:
-        return (self - other).operator_norm()
 
     def __str__(self) -> str:
         return f"element of {self.algebra}"

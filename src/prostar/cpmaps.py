@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -55,15 +55,6 @@ class CompletelyPositiveMap:
         self.basis_values = tuple(self.basis_values)
 
     # -- constructors --------------------------------------------------------
-
-    @classmethod
-    def from_callable(
-        cls,
-        source: FiniteCStarAlgebra,
-        module: HilbertModule,
-        fn: Callable[[AlgebraElement], AdjointableOperator],
-    ) -> "CompletelyPositiveMap":
-        return cls(source, module, tuple(fn(b) for b in source.basis()))
 
     @classmethod
     def from_dense_images(
@@ -141,9 +132,6 @@ class CompletelyPositiveMap:
         fd = self.module.flat_dim
         flat = (a.coords() @ self._value_matrix).reshape(fd, fd)
         return AdjointableOperator(self.module, self.module, flat)
-
-    def value(self, index: int) -> AdjointableOperator:
-        return self.basis_values[index]
 
     # -- structure tests -----------------------------------------------------
 

@@ -134,10 +134,6 @@ class CrossedProductRealization:
     def standard_algebra(self) -> FiniteCStarAlgebra:
         return self.wedderburn.standard_form
 
-    @property
-    def conv_dim(self) -> int:
-        return self.system.group.order * self.system.algebra.linear_dim
-
     def conv_basis(self) -> list[ConvolutionElement]:
         out = []
         for g in self.system.group.elements():
@@ -174,9 +170,6 @@ class CrossedProductRealization:
 
     def standardize(self, f: ConvolutionElement) -> AlgebraElement:
         return self.wedderburn.to_standard(self.embed(f))
-
-    def unstandardize(self, a: AlgebraElement) -> ConvolutionElement:
-        return self.extract_convolution(self.wedderburn.from_standard(a))
 
     @cached_property
     def _std_from_conv(self) -> np.ndarray:

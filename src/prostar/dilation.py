@@ -24,10 +24,10 @@ from .groups import (
     GroupAction,
     UnitaryRepresentation,
     check_covariance,
-    covariance_terms,
+    verify_unitary_representation,
 )
 from .linalg import DEFAULT_TOL
-from .modules import AdjointableOperator, HilbertModule
+from .modules import AdjointableOperator, HilbertModule, complex_matrices
 
 NULL_SPACE_REL = 1e-9
 NULL_SPACE_FLOOR = 1e-14
@@ -70,7 +70,6 @@ class DilationCore:
     _class_embed: np.ndarray  # (N, r): normalized retained basis
     _sqrt_flat: np.ndarray  # W = sqrt of pushed-forward B-valued Gram
     _coord_extract: np.ndarray  # (r, r): trace extraction of W blocks
-    _span_perm: np.ndarray  # permutation applied to the spanning order
 
 
 @dataclass
@@ -203,44 +202,25 @@ def minimal_dilation(
 
     class_flats = tuple(w[:, a * big_d : (a + 1) * big_d].copy() for a in range(r))
     dilation_module = HilbertModule(algebra_b, r, proj, basis_flats=class_flats)
-    # Internal consistency: the identity class map must reproduce P.
-    ident_defect = linalg.frobenius(
-        w @ np.kron(coord_extract, np.eye(big_d)) - proj
-    )
+    # Internal consistency: the identity shuffle must descend to P.
+    right = c_norm @ coord_extract
+    ident_defect = linalg.frobenius(_descend(w, coord_map, np.eye(n)[None], right)[0] - proj)
     if ident_defect > 1e-8 * max(1.0, linalg.frobenius(proj)):
         warnings.append(f"quotient embedding defect {ident_defect:.3e}")
 
-    def concrete(abstract: np.ndarray) -> np.ndarray:
-        return w @ np.kron(abstract @ coord_extract, np.eye(big_d))
-
-    # Left representation of A on the quotient.
-    lten = source.structure_constants().transpose(0, 2, 1)  # lten[i][:, j] = coords of E_i E_j
-    eye_e = np.eye(d_e)
-    phi_values = []
-    for i in range(dim_a):
-        shuffle = np.kron(lten[i], eye_e)[np.ix_(perm, perm)]
-        abstract = coord_map @ shuffle @ c_norm
-        phi_values.append(
-            AdjointableOperator(dilation_module, dilation_module, concrete(abstract))
-        )
-    representation = CompletelyPositiveMap(source, dilation_module, tuple(phi_values))
-
-    # Connector V: xi -> class of 1 (x) xi.
-    unit_coords = source.unit().coords()
-    x_map = np.kron(unit_coords[:, None], eye_e)[perm, :]  # (N, d_e)
-    v_abstract = coord_map @ x_map
-    y = np.stack(
-        [
-            module.coords_of(
-                module.element_from_flat(
-                    module.projection_flat[:, j * big_d : (j + 1) * big_d]
-                )
-            )
-            for j in range(module.rank)
-        ],
-        axis=1,
-    )  # (d_e, rank_E)
-    v_flat = w @ np.kron(v_abstract @ y, np.eye(big_d))
+    # Left representation of A on the quotient, and the connector
+    # V: xi -> class of 1 (x) xi, both descended from shuffles of the spanning set.
+    phi_flats = _descend(w, coord_map, _multiplication_shuffles(source, labels, d_e), right)
+    representation = CompletelyPositiveMap(
+        source, dilation_module, dilation_module.operators(phi_flats)
+    )
+    e_labels = tuple((0, s) for s in range(d_e))
+    unit_coords = source.unit().coords()[None, :, None]
+    inclusion = label_shuffles(labels, e_labels, unit_coords, np.eye(d_e)[None])
+    # y: the coordinates of the generators e_j·1 of E = P·B^n in its complex basis.
+    gens = module.projection_flat.reshape(module.flat_dim, module.rank, big_d)
+    y = module._basis_pinv @ gens.transpose(1, 0, 2).reshape(module.rank, -1).T
+    v_flat = _descend(w, coord_map, inclusion, y)[0]
     connector = AdjointableOperator(module, dilation_module, v_flat)
 
     quotient = QuotientData(
@@ -264,31 +244,65 @@ def minimal_dilation(
         _class_embed=c_norm,
         _sqrt_flat=w,
         _coord_extract=coord_extract,
-        _span_perm=perm,
     )
 
 
-def _null_preservation_residual(quotient: QuotientData, shuffle: np.ndarray) -> float:
-    """Semi-norm of shuffled null vectors; zero when the null space is respected."""
+def label_shuffles(
+    rows: Sequence[tuple[int, int]],
+    cols: Sequence[tuple[int, int]],
+    a_stack: np.ndarray,
+    e_stack: np.ndarray,
+) -> np.ndarray:
+    """kron(A_k, E_k) for each k of two stacks, gathered in the spanning orders `rows`, `cols`.
+
+    `rows` and `cols` are (A-index, E-index) label lists, as in
+    `QuotientData.spanning_labels`: entry ((i, s), (j, t)) is A_k[i, j]·E_k[s, t].
+    A stack of length 1 is shared by every k of the other.
+    """
+    ri, rs = np.asarray(rows).T
+    ci, cs = np.asarray(cols).T
+    return a_stack[:, ri[:, None], ci[None, :]] * e_stack[:, rs[:, None], cs[None, :]]
+
+
+def _multiplication_shuffles(source, labels, d_e: int) -> np.ndarray:
+    """a (x) xi -> a_i a (x) xi for every basis element a_i, in label order."""
+    lten = source.structure_constants().transpose(0, 2, 1)  # lten[i][:, j] = coords of E_i E_j
+    return label_shuffles(labels, labels, lten, np.eye(d_e)[None])
+
+
+def _covariant_shuffles(action: GroupAction, rep: UnitaryRepresentation, labels) -> np.ndarray:
+    """a (x) xi -> alpha_g(a) (x) u_g(xi) for every g, in label order."""
+    u_cm = complex_matrices(rep.module, rep.module, rep._unitary_tensor)
+    return label_shuffles(labels, labels, action._action_tensor, u_cm)
+
+
+def _descend(
+    w: np.ndarray, coord_map: np.ndarray, shuffles: np.ndarray, right: np.ndarray
+) -> np.ndarray:
+    """Flats W·kron(coord_map·S_k·right, I_D) on E_rho for a stack of shuffles S_k.
+
+    With right = class_embed·coord_extract a shuffle of the spanning set
+    descends to an endomorphism of the quotient; with the inclusion
+    xi -> 1 (x) xi and right = y it gives the connector.
+    """
+    coords = coord_map @ shuffles @ right  # (K, r, c)
+    k, r, c = coords.shape
+    big_d = w.shape[0] // r
+    # Column (b, y) of W·kron(C, I_D) is sum_a C[a, b] W[:, (a, y)]; no Kronecker
+    # product is formed.
+    flats = np.einsum("pay,kab->kpby", w.reshape(-1, r, big_d), coords, optimize=True)
+    return np.ascontiguousarray(flats.reshape(k, w.shape[0], c * big_d))
+
+
+def _null_preservation_residual(quotient: QuotientData, shuffles: np.ndarray) -> float:
+    """Semi-norm of shuffled null vectors over a stack of shuffles; zero when the
+    null space is respected."""
     nulls = quotient.null_vectors
     if nulls.shape[1] == 0:
         return 0.0
-    moved = shuffle @ nulls
-    quad = np.einsum("ki,kl,li->i", moved.conj(), quotient.scalar_gram, moved)
+    moved = shuffles @ nulls
+    quad = np.einsum("bki,kl,bli->bi", moved.conj(), quotient.scalar_gram, moved)
     return float(np.sqrt(max(np.max(quad.real), 0.0)))
-
-
-def _label_shuffle(
-    labels: Sequence[tuple[int, int]], a_matrix: np.ndarray, e_matrix: np.ndarray
-) -> np.ndarray:
-    """Matrix of (a-index, e-index) -> (A-side map, E-side map) in label order.
-
-    Equals kron(a_matrix, e_matrix) transported through the spanning
-    permutation encoded in `labels`.
-    """
-    i_idx = np.array([i for (i, _) in labels])
-    s_idx = np.array([s for (_, s) in labels])
-    return a_matrix[np.ix_(i_idx, i_idx)] * e_matrix[np.ix_(s_idx, s_idx)]
 
 
 def covariant_extend(
@@ -310,21 +324,11 @@ def covariant_extend(
             f"(rho, alpha, u) is not covariant; residual {cov.max_residual:.3e}"
         )
 
-    module = rho.module
-    d_e = module.complex_dim
-    perm = core._span_perm
-    group = action.group
-
-    unitaries = []
-    for g in group.elements():
-        u_cm = rep.unitaries[g].complex_matrix()
-        shuffle = np.kron(action.automorphisms[g].action_matrix, u_cm)[np.ix_(perm, perm)]
-        abstract = core._coord_map @ shuffle @ core._class_embed
-        flat = core._sqrt_flat @ np.kron(
-            abstract @ core._coord_extract, np.eye(module.block_dim)
-        )
-        unitaries.append(AdjointableOperator(core.module, core.module, flat))
-    group_unitaries = UnitaryRepresentation(group, core.module, tuple(unitaries))
+    shuffles = _covariant_shuffles(action, rep, core.quotient.spanning_labels)
+    flats = _descend(
+        core._sqrt_flat, core._coord_map, shuffles, core._class_embed @ core._coord_extract
+    )
+    group_unitaries = UnitaryRepresentation(action.group, core.module, core.module.operators(flats))
 
     dilation = CovariantDilation(
         cp_map=rho,
@@ -356,32 +360,41 @@ def covariant_dilation(
     return covariant_extend(core, action, rep, tol)
 
 
+def _identity_residual(rho: CompletelyPositiveMap, t: CovariantTriple) -> float:
+    """(a): max_i ||rho(a_i) - W* Phi(a_i) W||_F / (1 + ||rho(a_i)||)."""
+    lhs = rho._value_tensor
+    w = t.connector.flat
+    rhs = w.conj().T @ t.representation._value_tensor @ w
+    return float(np.max(linalg.frobenius_each(lhs - rhs) / (1.0 + linalg.spectral_norm(lhs))))
+
+
+def _spanning_family(t: CovariantTriple, source_module: HilbertModule) -> np.ndarray:
+    """(b): the flats of Phi(a_i) W xi_s, shape (dim A·dim E, fd, D), i major."""
+    phi_w = t.representation._value_tensor @ t.connector.flat  # (dim A, fd, fd_E)
+    family = phi_w[:, None] @ source_module.basis_tensor  # (dim A, dim E, fd, D)
+    return family.reshape(-1, *family.shape[2:])
+
+
+def _minimal_rank(family: np.ndarray) -> int:
+    """Complex rank of a spanning family; minimality is rank = dim of the module."""
+    return linalg.matrix_rank(family.reshape(len(family), -1), rel_threshold=1e-9)
+
+
+def _intertwining_residual(t: CovariantTriple, rep: UnitaryRepresentation) -> float:
+    """(c): max_g ||v_g W - W u_g||_F."""
+    w = t.connector.flat
+    return linalg.max_frobenius(t.unitaries._unitary_tensor @ w - w @ rep._unitary_tensor)
+
+
 def _dilation_checks(d: CovariantDilation, tol: float):
     rho = d.cp_map
-    source = rho.source
-    v_flat = d.connector.flat
-    group = d.action.group
+    t = d.as_triple()
 
     # (a) rho(a) = V* Phi(a) V, relative to 1 + ||rho(a)||.
-    worst = 0.0
-    for i, a in enumerate(source.basis()):
-        lhs = rho.basis_values[i].flat
-        rhs = v_flat.conj().T @ d.representation.basis_values[i].flat @ v_flat
-        scale = 1.0 + linalg.spectral_norm(lhs)
-        worst = max(worst, linalg.frobenius(lhs - rhs) / scale)
-    yield Check("dilation identity rho = V* Phi V", float(worst), max(tol, 1e-9))
+    yield Check("dilation identity rho = V* Phi V", _identity_residual(rho, t), max(tol, 1e-9))
 
     # (b) minimality: span{Phi(a_i) V xi_s} has full complex dimension.
-    x = np.hstack(rho.module.basis_tensor)
-    span_vecs = []
-    for op in d.representation.basis_values:
-        span_vecs.append((op.flat @ v_flat @ x).reshape(-1))
-    d_e, big_d = rho.module.complex_dim, rho.module.block_dim
-    stacked = np.stack(span_vecs, axis=0).reshape(
-        source.linear_dim, d.module.flat_dim, d_e, big_d
-    )
-    flat_cols = stacked.transpose(0, 2, 1, 3).reshape(source.linear_dim * d_e, -1)
-    rank = linalg.matrix_rank(flat_cols, rel_threshold=1e-9)
+    rank = _minimal_rank(_spanning_family(t, rho.module))
     yield Check(
         "minimality rank = dim E_rho",
         float(abs(rank - d.module.complex_dim)),
@@ -390,31 +403,16 @@ def _dilation_checks(d: CovariantDilation, tol: float):
     )
 
     # covariance of Phi and (c) the intertwining of V.
-    cov_worst = max(
-        linalg.max_frobenius(moved - conj)
-        for _, moved, conj in covariance_terms(d.representation, d.action, d.group_unitaries)
-    )
-    yield Check("covariance of Phi", float(cov_worst), max(tol, 1e-9))
-
-    inter = 0.0
-    for g in group.elements():
-        lhs = d.group_unitaries.unitaries[g].flat @ v_flat
-        rhs = v_flat @ d.rep.unitaries[g].flat
-        inter = max(inter, linalg.frobenius(lhs - rhs))
-    yield Check("intertwining v_g V = V u_g", float(inter), max(tol, 1e-9))
+    cov = check_covariance(d.representation, d.action, d.group_unitaries, tol)
+    yield Check("covariance of Phi", cov.max_residual, max(tol, 1e-9))
+    yield Check("intertwining v_g V = V u_g", _intertwining_residual(t, d.rep), max(tol, 1e-9))
 
     # group structure on E_rho
-    unit_res = 0.0
-    for g in group.elements():
-        unit_res = max(unit_res, d.group_unitaries.unitaries[g].is_unitary(tol).max_residual)
-    yield Check("v_g unitary", float(unit_res), max(tol, 1e-9))
-    u_tensor = d.group_unitaries._unitary_tensor
-    cayley = np.asarray(d.action.group.cayley)
-    products = np.matmul(u_tensor[:, None, :, :], u_tensor[None, :, :, :])
-    law = float(
-        np.sqrt(np.max(np.sum(np.abs(products - u_tensor[cayley]) ** 2, axis=(2, 3))))
+    group_report = verify_unitary_representation(d.group_unitaries, tol)
+    yield Check("v_g unitary", group_report.check("unitarity").residual, max(tol, 1e-9))
+    yield Check(
+        "group law on E_rho", group_report.check("multiplicativity").residual, max(tol, 1e-10)
     )
-    yield Check("group law on E_rho", float(law), max(tol, 1e-10))
 
     # representation identities on E_rho
     yield Check(
@@ -426,36 +424,19 @@ def _dilation_checks(d: CovariantDilation, tol: float):
     # well-definedness: the null space is respected by left multiplication and
     # by the covariant shuffles a(x)xi -> alpha_g(a)(x)u_g(xi)
     labels = d.quotient.spanning_labels
-    lten = source.structure_constants().transpose(0, 2, 1)  # lten[i][:, j] = coords of E_i E_j
-    eye_e = np.eye(rho.module.complex_dim)
-    null_res = 0.0
-    for i in range(source.linear_dim):
-        shuffle = _label_shuffle(labels, lten[i], eye_e)
-        null_res = max(null_res, _null_preservation_residual(d.quotient, shuffle))
-    for g in group.elements():
-        shuffle = _label_shuffle(
-            labels,
-            d.action.automorphisms[g].action_matrix,
-            d.rep.unitaries[g].complex_matrix(),
-        )
-        null_res = max(null_res, _null_preservation_residual(d.quotient, shuffle))
+    shuffles = np.concatenate(
+        [
+            _multiplication_shuffles(rho.source, labels, rho.module.complex_dim),
+            _covariant_shuffles(d.action, d.rep, labels),
+        ]
+    )
+    null_res = _null_preservation_residual(d.quotient, shuffles)
     yield Check("null space preserved", float(null_res), max(tol, 1e-9))
 
 
 def verify_dilation(d: CovariantDilation, tol: float = 1e-9) -> VerificationReport:
     """Recompute every defining identity of the dilation and report residuals."""
     return VerificationReport("covariant dilation", tuple(_dilation_checks(d, tol)))
-
-
-def _spanning_family(
-    representation: CompletelyPositiveMap,
-    connector: AdjointableOperator,
-    source_module: HilbertModule,
-) -> np.ndarray:
-    """Stack of the flats of Phi(a_i) W xi_s, as one wide matrix."""
-    x = np.hstack(source_module.basis_tensor)
-    cols = [op.flat @ connector.flat @ x for op in representation.basis_values]
-    return np.hstack(cols)
 
 
 def uniqueness_unitary(
@@ -473,66 +454,45 @@ def uniqueness_unitary(
     rho = d.cp_map
     pre_tol = max(tol, 1e-8)
 
-    w_flat = other.connector.flat
-    worst = 0.0
-    for i in range(rho.source.linear_dim):
-        lhs = rho.basis_values[i].flat
-        rhs = w_flat.conj().T @ other.representation.basis_values[i].flat @ w_flat
-        worst = max(worst, linalg.frobenius(lhs - rhs) / (1.0 + linalg.spectral_norm(lhs)))
+    worst = _identity_residual(rho, other)
     if worst > pre_tol:
         raise PreconditionError(
             f"candidate fails the dilation identity (a): residual {worst:.3e}"
         )
-
-    z_cols = _spanning_family(other.representation, other.connector, rho.module)
-    d_e, big_d = rho.module.complex_dim, rho.module.block_dim
-    k = rho.source.linear_dim * d_e
-    z_vec = z_cols.reshape(other.module.flat_dim, k, big_d).transpose(1, 0, 2).reshape(k, -1)
-    if linalg.matrix_rank(z_vec, rel_threshold=1e-9) != other.module.complex_dim:
+    z_family = _spanning_family(other, rho.module)
+    if _minimal_rank(z_family) != other.module.complex_dim:
         raise PreconditionError("candidate fails minimality (b): spanning family is not dense")
-
-    inter = 0.0
-    for g in d.action.group.elements():
-        lhs = other.unitaries.unitaries[g].flat @ w_flat
-        rhs = w_flat @ d.rep.unitaries[g].flat
-        inter = max(inter, linalg.frobenius(lhs - rhs))
+    inter = _intertwining_residual(other, d.rep)
     if inter > pre_tol:
         raise PreconditionError(
             f"candidate fails the intertwining (c): residual {inter:.3e}"
         )
 
-    y_cols = _spanning_family(d.representation, d.connector, rho.module)
-    u_flat = z_cols @ np.linalg.pinv(y_cols, rcond=1e-10)
+    def wide(family: np.ndarray) -> np.ndarray:
+        return family.transpose(1, 0, 2).reshape(family.shape[1], -1)
+
+    y_family = _spanning_family(d.as_triple(), rho.module)
+    u_flat = wide(z_family) @ np.linalg.pinv(wide(y_family), rcond=1e-10)
     u_flat = other.module.projection_flat @ u_flat @ d.module.projection_flat
     u = AdjointableOperator(d.module, other.module, u_flat)
 
+    phi, phi_other = d.representation._value_tensor, other.representation._value_tensor
+    v, v_other = d.group_unitaries._unitary_tensor, other.unitaries._unitary_tensor
     checks = [
         Check("U unitary", u.is_unitary(tol).max_residual, max(tol, 1e-9)),
         Check(
             "Phi'(a) U = U Phi(a)",
-            max(
-                linalg.frobenius(
-                    other.representation.basis_values[i].flat @ u_flat
-                    - u_flat @ d.representation.basis_values[i].flat
-                )
-                for i in range(rho.source.linear_dim)
-            ),
+            linalg.max_frobenius(phi_other @ u_flat - u_flat @ phi),
             max(tol, 1e-9),
         ),
         Check(
             "v'_g U = U v_g",
-            max(
-                linalg.frobenius(
-                    other.unitaries.unitaries[g].flat @ u_flat
-                    - u_flat @ d.group_unitaries.unitaries[g].flat
-                )
-                for g in d.action.group.elements()
-            ),
+            linalg.max_frobenius(v_other @ u_flat - u_flat @ v),
             max(tol, 1e-9),
         ),
         Check(
             "W = U V",
-            linalg.frobenius(w_flat - u_flat @ d.connector.flat),
+            linalg.frobenius(other.connector.flat - u_flat @ d.connector.flat),
             max(tol, 1e-9),
         ),
     ]

@@ -195,21 +195,10 @@ class GroupAction:
 
 
 def verify_action(action: GroupAction, tol: float = DEFAULT_TOL) -> VerificationReport:
-    group, alg = action.group, action.algebra
+    group, maps = action.group, action._action_tensor
     e = group.identity
-    ident = np.eye(alg.linear_dim)
-    id_resid = (
-        linalg.frobenius(action.automorphisms[e].action_matrix - ident)
-        if e is not None
-        else np.inf
-    )
-    cocycle = 0.0
-    for g in group.elements():
-        mg = action.automorphisms[g].action_matrix
-        for h in group.elements():
-            mh = action.automorphisms[h].action_matrix
-            mgh = action.automorphisms[group.multiply(g, h)].action_matrix
-            cocycle = max(cocycle, linalg.frobenius(mg @ mh - mgh))
+    id_resid = np.inf if e is None else linalg.frobenius(maps[e] - np.eye(len(maps[e])))
+    cocycle = group_law_residual(maps, group)
     star_hom = 0.0
     bijective = True
     for g in group.elements():
@@ -268,37 +257,28 @@ class UnitaryRepresentation:
         return f"unitary representation of {self.group} on {self.module}"
 
 
+def group_law_residual(stack: np.ndarray, group: FiniteGroup) -> float:
+    """max over g, h of ||X_g X_h - X_{gh}||_F for a stack X indexed by the group.
+
+    The Cayley table is the integer product table of `linalg.max_product_residual`:
+    the products are streamed in chunks and compared with X gathered through it.
+    """
+    return linalg.max_product_residual(stack, stack, stack, np.asarray(group.cayley))
+
+
 def verify_unitary_representation(
     rep: UnitaryRepresentation, tol: float = DEFAULT_TOL
 ) -> VerificationReport:
-    group = rep.group
+    group, u, p = rep.group, rep._unitary_tensor, rep.module.projection_flat
     e = group.identity
-    id_resid = (
-        linalg.frobenius(rep.unitaries[e].flat - rep.module.projection_flat)
-        if e is not None
-        else np.inf
-    )
-    unitary = 0.0
-    for u in rep.unitaries:
-        r = u.is_unitary(tol)
-        unitary = max(unitary, r.max_residual)
-    mult = 0.0
-    for g in group.elements():
-        ug = rep.unitaries[g].flat
-        for h in group.elements():
-            uh = rep.unitaries[h].flat
-            ugh = rep.unitaries[group.multiply(g, h)].flat
-            mult = max(mult, linalg.frobenius(ug @ uh - ugh))
-    inverse = 0.0
-    for g in group.elements():
-        inv = group.inverses[g]
-        if inv is None:
-            inverse = np.inf
-            break
-        inverse = max(
-            inverse,
-            linalg.frobenius(rep.unitaries[inv].flat - rep.unitaries[g].flat.conj().T),
-        )
+    id_resid = np.inf if e is None else linalg.frobenius(u[e] - p)
+    u_star = u.conj().swapaxes(-1, -2)
+    unitary = max(linalg.max_frobenius(u_star @ u - p), linalg.max_frobenius(u @ u_star - p))
+    mult = group_law_residual(u, group)
+    if any(inv is None for inv in group.inverses):
+        inverse = np.inf
+    else:
+        inverse = linalg.max_frobenius(u[list(group.inverses)] - u_star)
     return VerificationReport(
         "unitary representation",
         (
@@ -371,12 +351,8 @@ def covariant_average(
     """
     if action.algebra != sigma.source or rep.module != sigma.module:
         raise StructuralError("averaging data does not match the map")
-    order = action.group.order
-    values = []
-    for a in sigma.source.basis():
-        acc = np.zeros((sigma.module.flat_dim, sigma.module.flat_dim), dtype=np.complex128)
-        for g in action.group.elements():
-            ug = rep.unitaries[g].flat
-            acc += ug.conj().T @ sigma(action.apply(g, a)).flat @ ug
-        values.append(AdjointableOperator(sigma.module, sigma.module, acc / order))
-    return CompletelyPositiveMap(sigma.source, sigma.module, tuple(values))
+    # moved[g, i] = sigma(alpha_g(a_i)), one contraction with the action tensor.
+    moved = np.einsum("gji,jxy->gixy", action._action_tensor, sigma._value_tensor)
+    u = rep._unitary_tensor[:, None]
+    values = np.mean(u.conj().swapaxes(-1, -2) @ moved @ u, axis=0)
+    return CompletelyPositiveMap(sigma.source, sigma.module, sigma.module.operators(values))

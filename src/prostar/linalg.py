@@ -185,14 +185,17 @@ def hermitian_eigendecomposition(
     return vals, vecs
 
 
-def spectral_norm(m: np.ndarray) -> float:
-    """Largest singular value, via the top eigenvalue of m*m."""
-    m = as_complex_matrix(m)
+def spectral_norm(m: np.ndarray) -> float | np.ndarray:
+    """Largest singular value of a matrix, or of each matrix of a stack (..., r, c),
+    by one batched SVD. A 2-d input returns a float."""
+    m = np.asarray(m, dtype=np.complex128)
+    if not np.all(np.isfinite(m)):
+        raise PreconditionError("matrix contains NaN or Inf entries")
     if m.size == 0:
-        return 0.0
-    gram = m.conj().T @ m
-    vals, _ = hermitian_eigendecomposition((gram + gram.conj().T) / 2.0)
-    return float(np.sqrt(max(vals[-1], 0.0)))
+        top = np.zeros(m.shape[:-2])
+    else:
+        top = np.linalg.svd(m, compute_uv=False)[..., 0]
+    return float(top) if m.ndim == 2 else top
 
 
 def min_eigenvalue(h) -> float:
@@ -305,6 +308,9 @@ def max_frobenius(stack: np.ndarray) -> float:
 
 
 def _streamed_residual(left, right, values, coeffs) -> float:
+    # A gather keeps the memory layout of `values`; the squared norms below
+    # read each difference as contiguous float pairs.
+    values = np.ascontiguousarray(values)
     m, d, _ = left.shape
     n = right.shape[0]
     wide = right.transpose(1, 0, 2).reshape(d, n * d)

@@ -65,14 +65,6 @@ def decode_matrix(rows) -> np.ndarray:
         raise ScenarioError(f"bad matrix literal: {err}") from err
 
 
-def encode_matrix(m: np.ndarray) -> list:
-    return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(m, dtype=np.complex128)]
-
-
-def decode_algebra_element(algebra: FiniteCStarAlgebra, blocks):
-    return algebra.from_blocks([decode_matrix(b) for b in blocks])
-
-
 # -- scenario object store ---------------------------------------------------
 
 
@@ -330,6 +322,17 @@ def _validate_task_refs(scn: Scenario, task: dict) -> None:
             raise ScenarioError(f"task {task.get('name')}: triple shapes do not match")
         if action.group != rep.group:
             raise ScenarioError(f"task {task.get('name')}: action and representation groups differ")
+        if kind == "dilate":
+            for key in ("order_seed", "uniqueness_seed"):
+                value = task.get(key)
+                # bool is an int subclass; JSON true/false is not a seed.
+                if key in task and (type(value) is not int or value < 0):
+                    raise ScenarioError(
+                        f"task {task.get('name')}: {key} must be a non-negative integer, "
+                        f"got {value!r}"
+                    )
+            if not isinstance(task.get("uniqueness", False), bool):
+                raise ScenarioError(f"task {task.get('name')}: uniqueness must be true or false")
     elif kind == "crossed-product":
         scn._get(scn.actions, task.get("action"), "action")
     elif kind == "tower-check":

@@ -28,7 +28,7 @@ from .algebra import (
 )
 from .cpmaps import CompletelyPositiveMap
 from .crossed import CrossedProductRealization, IntegratedForm, integrated_form
-from .dilation import CovariantDilation
+from .dilation import CovariantDilation, label_shuffles
 from .errors import PreconditionError, StructuralError
 from .groups import (
     FiniteGroup,
@@ -444,7 +444,8 @@ def _connecting_class_matrix(
     ep, eq = mt.modules[p], mt.modules[q]
     pushed = mt.push(p, q, ep.basis_tensor, 1)
     y = eq._basis_pinv @ pushed.reshape(ep.complex_dim, -1).T  # (d_q, d_p)
-    shuffle = np.kron(np.eye(dim_a), y)
+    rows, cols = cores[q].quotient.spanning_labels, cores[p].quotient.spanning_labels
+    shuffle = label_shuffles(rows, cols, np.eye(dim_a)[None], y[None])[0]
     return cores[q]._coord_map @ shuffle @ cores[p]._class_embed, y
 
 

@@ -21,6 +21,15 @@ checks every pair of basis elements; `dilation_coherence_reference` and
 `integrated_coherence_reference` push each basis value and unitary on its
 own and compare the squares one operator, one group element and one (g, i)
 pair at a time.
+
+The dilation references keep the loops that the stacked (a)/(b)/(c)
+helpers replaced: `dilation_checks_reference` and `uniqueness_reference`
+check one basis element and one g at a time, with the scale of (a) taken
+as sqrt(max eigvalsh(X*X)) instead of `linalg.spectral_norm`, the null
+space through one kron shuffle per element, and the group law one pair
+(g, h) at a time (as do `unitary_representation_reference` and
+`action_reference`). `descended_reference` builds Φ(a_i), v_g and V by
+kron-and-permute, as `minimal_dilation` and `covariant_extend` did.
 """
 
 from __future__ import annotations
@@ -345,3 +354,300 @@ def integrated_coherence_reference(phi_top, v_top, xp, mt, tol: float) -> dict[s
         "levelwise integrated forms verified": (level, ""),
         "connecting identity on the spanning set": (conn, ""),
     }
+
+
+def _reference_spectral_norm(m: np.ndarray) -> float:
+    """Largest singular value as sqrt(max eigvalsh(X*X)), independent of linalg.spectral_norm."""
+    return float(np.sqrt(max(np.linalg.eigvalsh(m.conj().T @ m)[-1], 0.0)))
+
+
+def _label_shuffle(labels, a_matrix: np.ndarray, e_matrix: np.ndarray) -> np.ndarray:
+    """kron(a_matrix, e_matrix) transported through the spanning order in `labels`."""
+    i_idx = np.array([i for (i, _) in labels])
+    s_idx = np.array([s for (_, s) in labels])
+    return a_matrix[np.ix_(i_idx, i_idx)] * e_matrix[np.ix_(s_idx, s_idx)]
+
+
+def _null_reference(quotient, shuffle: np.ndarray) -> float:
+    nulls = quotient.null_vectors
+    if nulls.shape[1] == 0:
+        return 0.0
+    moved = shuffle @ nulls
+    quad = np.einsum("ki,kl,li->i", moved.conj(), quotient.scalar_gram, moved)
+    return float(np.sqrt(max(np.max(quad.real), 0.0)))
+
+
+def dilation_checks_reference(d, tol: float) -> list:
+    """verify_dilation's checks, one basis element, one g and one (g, h) pair at a time."""
+    from prostar.algebra import Check
+    from prostar.groups import covariance_terms
+    from prostar.linalg import matrix_rank
+
+    rho = d.cp_map
+    source = rho.source
+    v_flat = d.connector.flat
+    group = d.action.group
+    checks = []
+
+    worst = 0.0
+    for i in range(source.linear_dim):
+        lhs = rho.basis_values[i].flat
+        rhs = v_flat.conj().T @ d.representation.basis_values[i].flat @ v_flat
+        scale = 1.0 + _reference_spectral_norm(lhs)
+        worst = max(worst, float(np.linalg.norm(lhs - rhs)) / scale)
+    checks.append(Check("dilation identity rho = V* Phi V", float(worst), max(tol, 1e-9)))
+
+    x = np.hstack(rho.module.basis_tensor)
+    span_vecs = [(op.flat @ v_flat @ x).reshape(-1) for op in d.representation.basis_values]
+    d_e, big_d = rho.module.complex_dim, rho.module.block_dim
+    stacked = np.stack(span_vecs, axis=0).reshape(
+        source.linear_dim, d.module.flat_dim, d_e, big_d
+    )
+    flat_cols = stacked.transpose(0, 2, 1, 3).reshape(source.linear_dim * d_e, -1)
+    rank = matrix_rank(flat_cols, rel_threshold=1e-9)
+    checks.append(
+        Check(
+            "minimality rank = dim E_rho",
+            float(abs(rank - d.module.complex_dim)),
+            0.5,
+            f"rank {rank} vs dim {d.module.complex_dim}",
+        )
+    )
+
+    cov_worst = 0.0
+    for _, moved, conj in covariance_terms(d.representation, d.action, d.group_unitaries):
+        for k in range(len(moved)):
+            cov_worst = max(cov_worst, float(np.linalg.norm(moved[k] - conj[k])))
+    checks.append(Check("covariance of Phi", cov_worst, max(tol, 1e-9)))
+
+    inter = 0.0
+    for g in group.elements():
+        lhs = d.group_unitaries.unitaries[g].flat @ v_flat
+        rhs = v_flat @ d.rep.unitaries[g].flat
+        inter = max(inter, float(np.linalg.norm(lhs - rhs)))
+    checks.append(Check("intertwining v_g V = V u_g", inter, max(tol, 1e-9)))
+
+    unit_res = 0.0
+    for g in group.elements():
+        unit_res = max(unit_res, d.group_unitaries.unitaries[g].is_unitary(tol).max_residual)
+    checks.append(Check("v_g unitary", float(unit_res), max(tol, 1e-9)))
+    law = unitary_group_law_reference(d.group_unitaries)
+    checks.append(Check("group law on E_rho", law, max(tol, 1e-10)))
+
+    checks.append(
+        Check(
+            "Phi is a unital *-representation",
+            d.representation.verify_representation(max(tol, 1e-9)).max_residual,
+            max(tol, 1e-9),
+        )
+    )
+
+    labels = d.quotient.spanning_labels
+    lten = structure_constants(source).transpose(0, 2, 1)
+    eye_e = np.eye(d_e)
+    null_res = 0.0
+    for i in range(source.linear_dim):
+        shuffle = _label_shuffle(labels, lten[i], eye_e)
+        null_res = max(null_res, _null_reference(d.quotient, shuffle))
+    for g in group.elements():
+        shuffle = _label_shuffle(
+            labels, d.action.automorphisms[g].action_matrix, d.rep.unitaries[g].complex_matrix()
+        )
+        null_res = max(null_res, _null_reference(d.quotient, shuffle))
+    checks.append(Check("null space preserved", float(null_res), max(tol, 1e-9)))
+    return checks
+
+
+def uniqueness_reference(d, other, tol: float):
+    """uniqueness_unitary one basis element and one g at a time: (U flat, checks).
+
+    Raises PreconditionError with the library's messages when the candidate
+    fails (a), (b) or (c)."""
+    from prostar.algebra import Check
+    from prostar.errors import PreconditionError
+    from prostar.linalg import matrix_rank
+
+    rho = d.cp_map
+    pre_tol = max(tol, 1e-8)
+    w_flat = other.connector.flat
+    worst = 0.0
+    for i in range(rho.source.linear_dim):
+        lhs = rho.basis_values[i].flat
+        rhs = w_flat.conj().T @ other.representation.basis_values[i].flat @ w_flat
+        scale = 1.0 + _reference_spectral_norm(lhs)
+        worst = max(worst, float(np.linalg.norm(lhs - rhs)) / scale)
+    if worst > pre_tol:
+        raise PreconditionError(
+            f"candidate fails the dilation identity (a): residual {worst:.3e}"
+        )
+
+    def spanning(representation, connector):
+        x = np.hstack(rho.module.basis_tensor)
+        return np.hstack([op.flat @ connector.flat @ x for op in representation.basis_values])
+
+    z_cols = spanning(other.representation, other.connector)
+    d_e, big_d = rho.module.complex_dim, rho.module.block_dim
+    k = rho.source.linear_dim * d_e
+    z_vec = z_cols.reshape(other.module.flat_dim, k, big_d).transpose(1, 0, 2).reshape(k, -1)
+    if matrix_rank(z_vec, rel_threshold=1e-9) != other.module.complex_dim:
+        raise PreconditionError("candidate fails minimality (b): spanning family is not dense")
+
+    inter = 0.0
+    for g in d.action.group.elements():
+        lhs = other.unitaries.unitaries[g].flat @ w_flat
+        rhs = w_flat @ d.rep.unitaries[g].flat
+        inter = max(inter, float(np.linalg.norm(lhs - rhs)))
+    if inter > pre_tol:
+        raise PreconditionError(
+            f"candidate fails the intertwining (c): residual {inter:.3e}"
+        )
+
+    y_cols = spanning(d.representation, d.connector)
+    u_flat = z_cols @ np.linalg.pinv(y_cols, rcond=1e-10)
+    u_flat = other.module.projection_flat @ u_flat @ d.module.projection_flat
+    u_res = max(
+        float(np.linalg.norm(u_flat.conj().T @ u_flat - d.module.projection_flat)),
+        float(np.linalg.norm(u_flat @ u_flat.conj().T - other.module.projection_flat)),
+    )
+    phi_res = max(
+        float(
+            np.linalg.norm(
+                other.representation.basis_values[i].flat @ u_flat
+                - u_flat @ d.representation.basis_values[i].flat
+            )
+        )
+        for i in range(rho.source.linear_dim)
+    )
+    v_res = max(
+        float(
+            np.linalg.norm(
+                other.unitaries.unitaries[g].flat @ u_flat
+                - u_flat @ d.group_unitaries.unitaries[g].flat
+            )
+        )
+        for g in d.action.group.elements()
+    )
+    w_res = float(np.linalg.norm(w_flat - u_flat @ d.connector.flat))
+    threshold = max(tol, 1e-9)
+    return u_flat, [
+        Check("U unitary", u_res, threshold),
+        Check("Phi'(a) U = U Phi(a)", phi_res, threshold),
+        Check("v'_g U = U v_g", v_res, threshold),
+        Check("W = U V", w_res, threshold),
+    ]
+
+
+def unitary_group_law_reference(rep) -> float:
+    """max ||u_g u_h - u_gh||_F, one pair (g, h) at a time."""
+    group = rep.group
+    mult = 0.0
+    for g in group.elements():
+        for h in group.elements():
+            ugh = rep.unitaries[group.multiply(g, h)].flat
+            diff = rep.unitaries[g].flat @ rep.unitaries[h].flat - ugh
+            mult = max(mult, float(np.linalg.norm(diff)))
+    return mult
+
+
+def unitary_representation_reference(rep, tol: float) -> list:
+    """verify_unitary_representation's checks, one g and one (g, h) pair at a time."""
+    from prostar.algebra import Check
+
+    group = rep.group
+    e = group.identity
+    id_resid = (
+        float(np.linalg.norm(rep.unitaries[e].flat - rep.module.projection_flat))
+        if e is not None
+        else np.inf
+    )
+    unitary = 0.0
+    for u in rep.unitaries:
+        unitary = max(unitary, u.is_unitary(tol).max_residual)
+    inverse = 0.0
+    for g in group.elements():
+        inv = group.inverses[g]
+        if inv is None:
+            inverse = np.inf
+            break
+        diff = rep.unitaries[inv].flat - rep.unitaries[g].flat.conj().T
+        inverse = max(inverse, float(np.linalg.norm(diff)))
+    return [
+        Check("unit maps to identity", float(id_resid), tol),
+        Check("unitarity", float(unitary), tol),
+        Check("multiplicativity", unitary_group_law_reference(rep), tol),
+        Check("inverse law u_{g^-1} = u_g*", float(inverse), tol),
+    ]
+
+
+def action_reference(action, tol: float) -> list:
+    """verify_action's checks, one g and one (g, h) pair at a time."""
+    from prostar.algebra import Check
+
+    group, alg = action.group, action.algebra
+    e = group.identity
+    id_resid = (
+        float(np.linalg.norm(action.automorphisms[e].action_matrix - np.eye(alg.linear_dim)))
+        if e is not None
+        else np.inf
+    )
+    cocycle = 0.0
+    for g in group.elements():
+        mg = action.automorphisms[g].action_matrix
+        for h in group.elements():
+            mh = action.automorphisms[h].action_matrix
+            mgh = action.automorphisms[group.multiply(g, h)].action_matrix
+            cocycle = max(cocycle, float(np.linalg.norm(mg @ mh - mgh)))
+    star_hom = 0.0
+    bijective = True
+    for g in group.elements():
+        report = action.automorphisms[g].verify(tol, check_surjective=False)
+        star_hom = max(star_hom, report.max_residual)
+        bijective = bijective and action.automorphisms[g].is_bijective()
+    return [
+        Check("unit acts as identity", float(id_resid), tol),
+        Check("cocycle law", float(cocycle), tol),
+        Check("*-automorphisms", float(star_hom), tol),
+        Check("bijectivity", 0.0 if bijective else 1.0, 0.5),
+    ]
+
+
+def descended_reference(core, action, rep) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The flats of Phi(a_i), v_g and V built by kron-and-permute, one i, one g and
+    one generator of E at a time.
+
+    The permutation of the spanning set is read back from the quotient's
+    labels: label (i, s) sits at position i·dim E + s of the unpermuted order.
+    """
+    source, module = core.cp_map.source, core.cp_map.module
+    d_e, big_d = module.complex_dim, module.block_dim
+    perm = np.array([i * d_e + s for i, s in core.quotient.spanning_labels])
+    eye_e = np.eye(d_e)
+
+    def concrete(shuffle):
+        abstract = core._coord_map @ shuffle[np.ix_(perm, perm)] @ core._class_embed
+        return core._sqrt_flat @ np.kron(abstract @ core._coord_extract, np.eye(big_d))
+
+    lten = structure_constants(source).transpose(0, 2, 1)
+    phi = np.stack([concrete(np.kron(lten[i], eye_e)) for i in range(source.linear_dim)])
+    v = np.stack(
+        [
+            concrete(
+                np.kron(action.automorphisms[g].action_matrix, rep.unitaries[g].complex_matrix())
+            )
+            for g in action.group.elements()
+        ]
+    )
+    x_map = np.kron(source.unit().coords()[:, None], eye_e)[perm, :]
+    y = np.stack(
+        [
+            module.coords_of(
+                module.element_from_flat(
+                    module.projection_flat[:, j * big_d : (j + 1) * big_d]
+                )
+            )
+            for j in range(module.rank)
+        ],
+        axis=1,
+    )
+    connector = core._sqrt_flat @ np.kron(core._coord_map @ x_map @ y, np.eye(big_d))
+    return phi, v, connector

@@ -29,7 +29,12 @@ from prostar.dilation import (
     verify_dilation,
 )
 from prostar.errors import PreconditionError
-from prostar.groups import GroupAction, check_covariance
+from prostar.groups import (
+    GroupAction,
+    check_covariance,
+    verify_action,
+    verify_unitary_representation,
+)
 from prostar.linalg import hermitian_eigendecomposition, random_hermitian
 from prostar.modules import HilbertModule
 from prostar.recipes import (
@@ -368,6 +373,51 @@ def test_gram_and_hermiticity_match_pairwise_reference(grid_dilations):
         new = gram_operator(d.cp_map).bvalued_flat
         old = pairwise_reference.gram_reference(d.cp_map)
         assert np.linalg.norm(new - old) <= pairwise_reference.REL * max(1.0, np.linalg.norm(old))
+
+
+def _assert_checks_match(report, old_checks, scale: float) -> None:
+    """Same names in the same order, same thresholds, pass/fail and details; residuals
+    within REL."""
+    assert [c.threshold for c in report.checks] == [c.threshold for c in old_checks]
+    _assert_matches_reference(report, {c.name: (c.residual, c.detail) for c in old_checks}, scale)
+
+
+def test_dilation_checks_match_elementwise_reference():
+    """The descended flats, verify_dilation, covariant_extend's residuals, the group
+    checks and the uniqueness unitary equal the per-element loops on all 48 combos,
+    for the default spanning order and for a permuted one."""
+    for k, combo in enumerate(GRID):
+        rho, act, rep = dilation_instance(*combo, seed=BASE_SEED + k)
+        pair = []
+        for order_seed in (None, BASE_SEED + k + 1):
+            core = minimal_dilation(rho, order_seed=order_seed)
+            d = covariant_extend(core, act, rep)
+            phi, v, connector = pairwise_reference.descended_reference(core, act, rep)
+            assert np.abs(phi - d.representation._value_tensor).max() <= 1e-12
+            assert np.abs(v - d.group_unitaries._unitary_tensor).max() <= 1e-12
+            assert np.abs(connector - d.connector.flat).max() <= 1e-12
+
+            scale = pairwise_reference.product_scale(d.representation._value_tensor)
+            for report, tol in ((verify_dilation(d, 1e-9), 1e-9), (d.residuals, 1e-10)):
+                old = pairwise_reference.dilation_checks_reference(d, tol)
+                _assert_checks_match(report, old, scale)
+            _assert_checks_match(
+                verify_unitary_representation(d.group_unitaries, 1e-10),
+                pairwise_reference.unitary_representation_reference(d.group_unitaries, 1e-10),
+                pairwise_reference.product_scale(d.group_unitaries._unitary_tensor),
+            )
+            pair.append(d)
+        _assert_checks_match(
+            verify_action(act, 1e-10),
+            pairwise_reference.action_reference(act, 1e-10),
+            pairwise_reference.product_scale(act._action_tensor),
+        )
+        first, second = pair
+        u, report = uniqueness_unitary(first, second.as_triple(), 1e-9)
+        u_old, old = pairwise_reference.uniqueness_reference(first, second.as_triple(), 1e-9)
+        assert np.abs(u.flat - u_old).max() <= 1e-12
+        scale = pairwise_reference.product_scale(first.representation._value_tensor)
+        _assert_checks_match(report, old, scale)
 
 
 def _criterion_6_towers():

@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+
+import pairwise_reference
 
 from prostar.algebra import FiniteCStarAlgebra
 from prostar.cpmaps import CompletelyPositiveMap
@@ -15,7 +19,14 @@ from prostar.dilation import (
     verify_dilation,
 )
 from prostar.errors import PreconditionError
-from prostar.groups import FiniteGroup, GroupAction, UnitaryRepresentation
+from prostar.groups import (
+    FiniteGroup,
+    GroupAction,
+    UnitaryRepresentation,
+    verify_action,
+    verify_unitary_representation,
+)
+from prostar.linalg import DEFAULT_TOL
 from prostar.modules import AdjointableOperator, HilbertModule
 from prostar.recipes import dilation_instance, random_cp_map, unitalize
 
@@ -188,6 +199,15 @@ class TestCovariantDilation:
             covariant_extend(core, act, u)
 
 
+def assert_matches_dilation_reference(report, d) -> None:
+    """verify_dilation's report agrees check by check with the per-element loops."""
+    scale = pairwise_reference.product_scale(d.group_unitaries._unitary_tensor)
+    old = pairwise_reference.dilation_checks_reference(d, 1e-9)
+    assert [c.name for c in report.checks] == [c.name for c in old]
+    for new, ref in zip(report.checks, old):
+        pairwise_reference.assert_agrees(new.residual, ref.residual, scale, new.threshold)
+
+
 class TestNegativeControls:
     @pytest.fixture
     def dilation(self):
@@ -201,6 +221,21 @@ class TestNegativeControls:
         identity_check = rep.check("dilation identity rho = V* Phi V")
         assert not identity_check.passed
         assert identity_check.residual >= 0.3
+        assert_matches_dilation_reference(rep, bad)
+
+    def test_rotated_unitary_breaks_group_law(self):
+        # e^{i theta} v_1 is still unitary, but v_1 v_2 = v_0 fails on E_rho.
+        rho, act, rep = dilation_instance("m2", "c", 2, "z3", seed=5)
+        d = covariant_dilation(rho, act, rep)
+        unitaries = list(d.group_unitaries.unitaries)
+        unitaries[1] = np.exp(0.3j) * unitaries[1]
+        bad = replace(
+            d, group_unitaries=UnitaryRepresentation(act.group, d.module, tuple(unitaries))
+        )
+        report = verify_dilation(bad)
+        assert not report.check("group law on E_rho").passed
+        assert report.check("v_g unitary").passed
+        assert_matches_dilation_reference(report, bad)
 
     def test_padded_module_breaks_minimality(self, dilation):
         bad = padded_variant(dilation)
@@ -209,6 +244,7 @@ class TestNegativeControls:
         # the other defining identities still hold on the padded realization
         assert rep.check("dilation identity rho = V* Phi V").passed
         assert rep.check("covariance of Phi").passed
+        assert_matches_dilation_reference(rep, bad)
 
 
 class TestUniqueness:
@@ -268,6 +304,30 @@ class TestUniqueness:
         with pytest.raises(PreconditionError, match=r"\(a\)"):
             uniqueness_unitary(d, bad)
 
+    @staticmethod
+    def _rejections(d, candidate) -> tuple[str, str]:
+        """The library's and the reference's PreconditionError messages."""
+        with pytest.raises(PreconditionError) as new:
+            uniqueness_unitary(d, candidate)
+        with pytest.raises(PreconditionError) as old:
+            pairwise_reference.uniqueness_reference(d, candidate, DEFAULT_TOL)
+        return str(new.value), str(old.value)
+
+    def test_padded_candidate_rejected_by_minimality(self):
+        rho, act, rep = dilation_instance("m2", "c", 2, "z2", seed=16)
+        d = covariant_dilation(rho, act, rep)
+        new, old = self._rejections(d, padded_variant(d).as_triple())
+        assert "(b)" in new and new == old
+
+    def test_trivial_unitaries_rejected_by_intertwining(self):
+        # u_1 swaps the two coordinates of E, so v'_g = 1 breaks v'_g W = W u_g.
+        rho, act, rep = dilation_instance("m2", "c", 2, "z2", seed=16)
+        d = covariant_dilation(rho, act, rep)
+        trivial = UnitaryRepresentation.trivial(act.group, d.module)
+        candidate = CovariantTriple(d.representation, trivial, d.module, d.connector)
+        new, old = self._rejections(d, candidate)
+        assert "(c)" in new and new == old
+
 
 def test_order_seed_determinism():
     rho, act, rep = dilation_instance("m2", "c", 2, "z2", seed=44)
@@ -277,3 +337,58 @@ def test_order_seed_determinism():
     assert np.array_equal(
         d1.representation.basis_values[0].flat, d2.representation.basis_values[0].flat
     )
+
+
+def test_report_check_names_are_pinned():
+    """The ordered check names (the keys of the JSON and text reports), with their
+    thresholds at the default tolerance, of the dilation and group reports."""
+    rho, act, rep = dilation_instance("m2", "c", 2, "z2", seed=13)
+    d = covariant_dilation(rho, act, rep)
+    _, uniqueness = uniqueness_unitary(d, d.as_triple())
+    pinned = {
+        "covariant dilation": (
+            d.residuals,
+            [
+                ("dilation identity rho = V* Phi V", 1e-9),
+                ("minimality rank = dim E_rho", 0.5),
+                ("covariance of Phi", 1e-9),
+                ("intertwining v_g V = V u_g", 1e-9),
+                ("v_g unitary", 1e-9),
+                ("group law on E_rho", 1e-10),
+                ("Phi is a unital *-representation", 1e-9),
+                ("null space preserved", 1e-9),
+            ],
+        ),
+        "uniqueness unitary": (
+            uniqueness,
+            [
+                ("U unitary", 1e-9),
+                ("Phi'(a) U = U Phi(a)", 1e-9),
+                ("v'_g U = U v_g", 1e-9),
+                ("W = U V", 1e-9),
+            ],
+        ),
+        "unitary representation": (
+            verify_unitary_representation(d.group_unitaries),
+            [
+                ("unit maps to identity", DEFAULT_TOL),
+                ("unitarity", DEFAULT_TOL),
+                ("multiplicativity", DEFAULT_TOL),
+                ("inverse law u_{g^-1} = u_g*", DEFAULT_TOL),
+            ],
+        ),
+        "group action": (
+            verify_action(act),
+            [
+                ("unit acts as identity", DEFAULT_TOL),
+                ("cocycle law", DEFAULT_TOL),
+                ("*-automorphisms", DEFAULT_TOL),
+                ("bijectivity", 0.5),
+            ],
+        ),
+    }
+    names = [name for name, _ in pinned["covariant dilation"][1]]
+    assert [c.name for c in verify_dilation(d).checks] == names
+    for subject, (report, expected) in pinned.items():
+        assert report.subject == subject
+        assert [(c.name, c.threshold) for c in report.checks] == expected

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import pairwise_reference
+
 from prostar.algebra import FiniteCStarAlgebra, StarHomomorphism
 from prostar.cpmaps import CompletelyPositiveMap
 from prostar.errors import StructuralError
@@ -101,6 +103,21 @@ class TestRepresentations:
         )
         rep = verify_unitary_representation(u)
         assert not rep.check("unitarity").passed
+
+    def test_rotated_unitary_breaks_multiplicativity(self):
+        # e^{i theta} u_1 stays unitary; u_1 u_2 = u_0 and the inverse law fail.
+        e = HilbertModule.free(M2, 2)
+        u = standard_representation("z3", e)
+        unitaries = list(u.unitaries)
+        unitaries[1] = np.exp(0.3j) * unitaries[1]
+        bad = UnitaryRepresentation(u.group, e, tuple(unitaries))
+        report = verify_unitary_representation(bad)
+        assert not report.check("multiplicativity").passed
+        assert report.check("unitarity").passed
+        scale = pairwise_reference.product_scale(bad._unitary_tensor)
+        for old in pairwise_reference.unitary_representation_reference(bad, 1e-10):
+            new = report.check(old.name)
+            pairwise_reference.assert_agrees(new.residual, old.residual, scale, new.threshold)
 
     def test_inverse_law(self):
         e = HilbertModule.free(M2, 2)

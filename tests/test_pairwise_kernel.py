@@ -17,6 +17,7 @@ from prostar.algebra import FiniteCStarAlgebra, StarHomomorphism, verify_star_ho
 from prostar.cpmaps import CompletelyPositiveMap
 from prostar.crossed import build_crossed_product, extend_covariant_cp
 from prostar.dilation import covariant_dilation
+from prostar.groups import UnitaryRepresentation, verify_unitary_representation
 from prostar.modules import AdjointableOperator, HilbertModule
 from prostar.recipes import dilation_instance
 
@@ -193,3 +194,21 @@ def test_leak_off_the_corner_fails_multiplicative():
     assert ref.representation_residual(leaky) == 0.0
     assert not check.passed
     assert check.residual >= 1.0
+
+
+def test_values_stored_transposed_are_certified():
+    """Values whose flats are transposed views (as `op.adjoint()` returns them) give
+    the same certificate as C-ordered copies."""
+    rho, act, rep = dilation_instance("m2", "c", 2, "z2", seed=7000)
+    module = rho.module
+    phi = covariant_dilation(rho, act, rep).representation
+    adjoints = tuple(phi.basis_values[j].adjoint() for j in phi.source.adjoint_index)
+    assert not adjoints[0].flat.flags.c_contiguous
+    transposed = CompletelyPositiveMap(phi.source, phi.module, adjoints)
+    assert transposed.verify_representation().passed
+    new = transposed.verify_representation().check("multiplicative").residual
+    old = phi.verify_representation().check("multiplicative").residual
+    assert abs(new - old) <= ref.REL * ref.product_scale(phi._value_tensor)
+    unitaries = tuple(u.adjoint() for u in rep.unitaries)
+    flipped = UnitaryRepresentation(act.group, module, unitaries)
+    assert verify_unitary_representation(flipped).check("multiplicativity").passed

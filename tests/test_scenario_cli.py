@@ -208,6 +208,29 @@ class TestCli:
         assert main(["run", "--scenario", path]) == 2
         assert "invalid scenario" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"order_seed": -1, "uniqueness_seed": -1},
+            {"order_seed": "x", "uniqueness_seed": "x"},
+            {"order_seed": 1.5, "uniqueness_seed": 1.5},
+            {"order_seed": True},
+            {"uniqueness_seed": False},
+            {"uniqueness_seed": None},
+            {"uniqueness": "yes"},
+            {"uniqueness": 1},
+        ],
+    )
+    def test_malformed_dilation_seeds_exit_two(self, fields, tmp_path, capsys):
+        doc = generate_example("z2-m2-dilation", 0)
+        dilate = next(task for task in doc["tasks"] if task["kind"] == "dilate")
+        dilate.update(fields)
+        path = write_scenario(tmp_path, doc)
+        assert main(["validate", "--scenario", path]) == 2
+        assert main(["run", "--scenario", path]) == 2
+        err = capsys.readouterr().err
+        assert "invalid scenario" in err and "Traceback" not in err
+
     def test_overflowing_projection_exit_two(self, tmp_path, capsys):
         doc = {
             "schema": "prostar-scenario-v1",
