@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
 
 import numpy as np
 
@@ -28,7 +27,12 @@ from .algebra import (
 from .cpmaps import CompletelyPositiveMap
 from .dilation import CovariantDilation
 from .errors import NumericalError, PreconditionError, StructuralError
-from .groups import GroupAction, UnitaryRepresentation, covariance_terms
+from .groups import (
+    GroupAction,
+    UnitaryRepresentation,
+    _covariance_steps,
+    _require_covariant_data,
+)
 from .linalg import DEFAULT_TOL
 from .modules import AdjointableOperator, HilbertModule
 
@@ -311,17 +315,14 @@ def integrated_form(
         raise PreconditionError(
             f"Phi is not a unital *-representation (residual {rep_check.max_residual:.3e})"
         )
-    terms = covariance_terms(phi, action, v)
+    _require_covariant_data(phi, action, v)
     group = action.group
     dim_a = action.algebra.linear_dim
     fd = phi.module.flat_dim
     phi_tensor = phi._value_tensor
     u_tensor = v._unitary_tensor
 
-    # Spanning values K[g, i] = Phi(a_i) v_g.
-    k_values = np.einsum("aij,gjk->gaik", phi_tensor, u_tensor, optimize=True)
-
-    cov, mult, star = _spanning_residuals(phi, v, action, terms, k_values)
+    cov, mult, star = _spanning_residuals(phi_tensor, u_tensor, action, phi.module.range_basis)
     if not cov <= max(tol, 1e-8):
         raise PreconditionError(f"(Phi, v) is not covariant (residual {cov:.3e})")
 
@@ -330,7 +331,9 @@ def integrated_form(
         unit_value @ u_tensor[group.identity] - phi.module.projection_flat
     )
 
-    # Factor through the standard form: values on the standard basis by linearity.
+    # Factor through the standard form: values on the standard basis by
+    # linearity, from the spanning values K[g, i] = Phi(a_i) v_g on full flats.
+    k_values = np.einsum("aij,gjk->gaik", phi_tensor, u_tensor, optimize=True)
     k_matrix = k_values.reshape(group.order * dim_a, fd * fd)
     std_values = (xp._conv_from_std.T @ k_matrix).reshape(-1, fd, fd)
     standard_map = CompletelyPositiveMap(
@@ -358,50 +361,93 @@ def integrated_form(
 
 
 def _spanning_residuals(
-    phi: CompletelyPositiveMap,
-    v: UnitaryRepresentation,
+    values: np.ndarray,
+    unitaries: np.ndarray,
     action: GroupAction,
-    terms: Iterator[tuple[int, np.ndarray, np.ndarray]],
-    k_values: np.ndarray,
+    basis: np.ndarray | None,
 ) -> tuple[float, float, float]:
     """Covariance, multiplicativity and involution residuals on the spanning set.
 
-    One pass over G certifies every spanning identity from the two sides of
-    covariance at g, Phi(alpha_g(a_i)) and v_g Phi(a_i) v_g* (`terms`), and
-    the spanning values K[g, i] = Phi(a_i) v_g. The per-g stacks live in
-    this scope only, so they are freed before the caller's next check.
+    `values` stacks X_i = Phi(a_i) and `unitaries` V_g = v_g on the full
+    flats. On a non-free module (`basis` U with UU* = P) both are compressed
+    once to the p×p corners Y_i = U*X_iU and W_g = U*V_gU, and every product
+    below is formed at p×p; each residual is then the corner residual plus
+    an off-range slack, so it bounds the full-flat residual from above.
+    Without a basis the corners are the flats themselves and every slack is 0.
 
-    Multiplicativity on every spanning pair (delta_g a_i, delta_h a_j): both
-    sides share the right factor v_{gh}, which is unitary, so the residual
-    equals || Phi(a_i) (v_g Phi(a_j) v_g*) - Phi(a_i alpha_g(a_j)) ||. On a
-    non-free module the pairs are multiplied on the range of its
-    projection, and the residual bounds the full one from above.
+    One pass over G reads every identity from the two sides of covariance
+    at g (`_covariance_steps`), M_i = sum_j A_g[j, i] Y_j (the image of
+    alpha_g(a_i)) and C_i = W_g Y_i W_g*, and the spanning values
+    K[g, i] = Y_i W_g. Only one g's stacks are alive at a time.
 
-    Involution: (delta_h a_i)# = delta_{h^-1} alpha_{h^-1}(a_i*) / Delta(h^-1)
-    and a_i* is the basis element adjoint_index[i], so at g = h^-1 the image
-    of the left side is Phi(alpha_g(a_adjoint_index[i])) v_g / Delta(g), to
-    be compared with K[h, i]*.
+    - Covariance: max_i ||M_i - C_i||_F.
+    - Multiplicativity on every spanning pair (delta_g a_i, delta_h a_j):
+      both sides share the right factor v_{gh}, which is unitary, so the
+      residual is ||X_i (V_g X_j V_g*) - Phi(a_i alpha_g(a_j))||_F.
+    - Involution: (delta_h a_i)# = delta_{h^-1} alpha_{h^-1}(a_i*) / Delta(h^-1)
+      and a_i* is the basis element adjoint_index[i], so at g = h^-1 the
+      image of the left side is M_{adjoint_index[i]} V_g / Delta(g), to be
+      compared with K[h, i]*.
+
+    Slacks, from `linalg.product_slack` (c_L·f_R + f_L·c_R + t·c_W, with c
+    a corner defect and f an operator-norm bound of each factor, where that
+    docstring proves the formula). With c_X, f_X of the values and c_V, f_V
+    of the unitaries (maxima over the stacks, f from `_operator_bound`):
+    V X moves by c_VX = c_V·f_X + f_V·c_X and has norm at most
+    f_VX = f_V·f_X; V X V* moves by c_C = c_VX·f_V + f_VX·c_V; X V moves by
+    c_XV = c_X·f_V + f_X·c_V; M moves by t_A·c_X and has norm at most
+    t_A·f_X, with t_A = max_i sum_j |A_g[j, i]|. So the three residuals
+    move, between full flats and corners, by at most
+
+    - covariance, (V X_i) V* - sum_j A_g[j, i] X_j:
+      c_VX·f_V + f_VX·c_V + t_A·c_X;
+    - multiplicativity, X_i C_j - sum_k T_g[i, j, k] X_k:
+      c_X·f_C + f_X·c_C + t_T·c_X, with f_C = f_VX·f_V and
+      t_T = max_{i,j} sum_k |T_g[i, j, k]|;
+    - involution, M (V_g / Delta) - (X V_{g^-1})*:
+      t_A·c_X·f_V/Delta + t_A·f_X·c_V/Delta + c_XV.
     """
     group = action.group
-    phi_tensor = phi._value_tensor
     adjoint = action.algebra.adjoint_index
+    x, v = linalg.corner(values, basis), linalg.corner(unitaries, basis)
+    if basis is not None:
+        # f only ever multiplies a corner defect, and without a basis every c is 0.
+        x, v = _operator_bound(x), _operator_bound(v)
+    k = np.einsum("aij,gjk->gaik", x.y, v.y, optimize=True)
+    # t_A[g] = max_i sum_j |A_g[j, i]|, the coefficient sum of the moved side.
+    t_a = np.max(np.sum(np.abs(action._action_tensor), axis=1), axis=1)
+    c_vx = linalg.product_slack(v.c, v.f, x.c, x.f)
+    f_vx = v.f * x.f
+    c_xv = linalg.product_slack(x.c, x.f, v.c, v.f)
+    conj_c = linalg.product_slack(c_vx, f_vx, v.c, v.f)
     cov = mult = star = 0.0
-    for g, moved, conj in terms:
-        cov = max(cov, linalg.max_frobenius(moved - conj))
+    for g, moved, conj in _covariance_steps(x.y, v.y, action):
+        slack = linalg.product_slack(c_vx, f_vx, v.c, v.f, t_a[g], x.c)
+        cov = max(cov, linalg.max_frobenius(moved - conj) + slack)
         mult = max(
             mult,
-            linalg.max_product_residual(
-                phi_tensor,
-                conj,
-                phi_tensor,
-                _twisted_structure(action, g),
-                phi.module.range_basis,
+            linalg.corner_product_residual(
+                x, linalg.Corner(conj, conj_c, f_vx * v.f), x, _twisted_structure(action, g)
             ),
         )
-        lhs = np.matmul(moved[adjoint], v.unitaries[g].flat) / group.modular_function(g)
-        rhs = k_values[group.inverse(g)].conj().transpose(0, 2, 1)
-        star = max(star, linalg.max_frobenius(lhs - rhs))
+        delta = group.modular_function(g)
+        lhs = np.matmul(moved[adjoint], v.y[g]) / delta
+        rhs = k[group.inverse(g)].conj().transpose(0, 2, 1)
+        slack = linalg.product_slack(
+            t_a[g] * x.c, t_a[g] * x.f, v.c / delta, v.f / delta, 1.0, c_xv
+        )
+        star = max(star, linalg.max_frobenius(lhs - rhs) + slack)
     return cov, mult, star
+
+
+def _operator_bound(stack: linalg.Corner) -> linalg.Corner:
+    """The same corners with f = max ||Y||_op + c, a bound of max ||X||_op.
+
+    ||X||_op <= ||P·X·P||_op + ||X - P·X·P||_F, and ||P·X·P||_op = ||Y||_op. For
+    unitaries and matrix-unit images this is about 1, where the Frobenius
+    norm grows like sqrt(p) and would inflate every slack it multiplies.
+    """
+    return stack._replace(f=float(np.max(linalg.spectral_norm(stack.y))) + stack.c)
 
 
 @dataclass(eq=False)

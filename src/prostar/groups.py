@@ -298,27 +298,41 @@ def covariance_terms(
     """Both sides of rho(alpha_g(a)) = u_g rho(a) u_g*, one group element at a time.
 
     Yields (g, L, R) with L[i] = rho(alpha_g(a_i)) and R[i] = u_g rho(a_i) u_g*
-    stacked over the basis a_i of the source: L is one contraction of rho's
-    values with the action matrix of g, R two batched products. Only one
-    g's stacks are alive at a time. Mismatched data raise StructuralError
+    stacked over the basis a_i of the source, on the full flats of the
+    module (`_covariance_steps`). Mismatched data raise StructuralError
     here, before any term is formed.
     """
+    _require_covariant_data(rho, action, rep)
+    return _covariance_steps(rho._value_tensor, [u.flat for u in rep.unitaries], action)
+
+
+def _require_covariant_data(
+    rho: CompletelyPositiveMap, action: GroupAction, rep: UnitaryRepresentation
+) -> None:
+    """Raise StructuralError unless rho, the action and rep fit together."""
     if action.algebra != rho.source:
         raise StructuralError("action algebra differs from the map's source")
     if rep.module != rho.module:
         raise StructuralError("representation module differs from the map's target module")
     if action.group != rep.group:
         raise StructuralError("action and representation use different groups")
-    return _covariance_steps(rho._value_tensor, action, rep)
 
 
 def _covariance_steps(
-    vals: np.ndarray, action: GroupAction, rep: UnitaryRepresentation
+    values: np.ndarray, unitaries: Sequence[np.ndarray], action: GroupAction
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """(g, L, R) with L[i] = sum_j A_g[j, i] X_j and R[i] = V_g X_i V_g* for a value
+    stack X (one matrix per basis element) and unitaries V_g indexed by g.
+
+    L is one contraction of the values with the action matrix A_g of g, R
+    two batched products; only one g's stacks are alive at a time. The
+    stacks may be full flats or their corners on the range of the module
+    projection: the arithmetic is the same.
+    """
     for g in action.group.elements():
-        ug = rep.unitaries[g].flat
-        moved = np.tensordot(action.automorphisms[g].action_matrix, vals, axes=([0], [0]))
-        conj = np.matmul(np.matmul(ug[None], vals), ug.conj().T[None])
+        ug = unitaries[g]
+        moved = np.tensordot(action.automorphisms[g].action_matrix, values, axes=([0], [0]))
+        conj = np.matmul(np.matmul(ug[None], values), ug.conj().T[None])
         yield g, moved, conj
 
 

@@ -9,6 +9,8 @@ reconstruction residual.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .errors import NumericalError, PreconditionError
@@ -265,34 +267,73 @@ def max_product_residual(
 
     With `basis`, a (d, p) isometry U whose range holds the stacks (the
     range of a module projection P = UU*), the pairs are multiplied as the
-    p×p corners Y = U*XU, and the off-range part is bounded instead:
-    c_L·f_R + f_L·c_R + t·c_W is added, with c = max ||X - UYU*||_F,
-    f = max ||X||_F and t = max_{a,b} sum_k |T[a, b, k]|. The result is
-    then an upper bound of the full residual (Frobenius norms are
-    submultiplicative), and exceeds it only by terms in the corner defects c.
+    p×p corners (`corner_product_residual`), and the result is an upper
+    bound of the full residual.
     """
     if basis is None:
         return _streamed_residual(left, right, values, coeffs)
-    y_l, c_l, f_l = _corner(left, basis)
-    y_r, c_r, f_r = (y_l, c_l, f_l) if right is left else _corner(right, basis)
-    y_w, c_w, _ = (y_l, c_l, f_l) if values is left else _corner(values, basis)
+    lc = corner(left, basis)
+    rc = lc if right is left else corner(right, basis)
+    wc = lc if values is left else corner(values, basis)
+    return corner_product_residual(lc, rc, wc, coeffs)
+
+
+class Corner(NamedTuple):
+    """A stack X on the range of P = UU*: its corners Y = U*XU, a bound c of
+    max ||X - UYU*||_F (the corner defect) and a bound f of max ||X||_op
+    (`corner` takes max ||X||_F, which is one)."""
+
+    y: np.ndarray
+    c: float
+    f: float
+
+
+def corner(stack: np.ndarray, basis: np.ndarray | None) -> Corner:
+    """The corners U*XU of each X of a stack (m, d, d), with c and f taken
+    exactly. Without a basis (P = 1) the corners are the stack itself and c = 0."""
+    if basis is None:
+        return Corner(stack, 0.0, max_frobenius(stack))
+    m, d, _ = stack.shape
+    p = basis.shape[1]
+    basis_h = basis.conj().T
+    y = basis_h @ (stack.reshape(m * d, d) @ basis).reshape(m, d, p)
+    # Taken directly: ||X||² - ||Y||² would cancel to about sqrt(eps)·||X||.
+    defect = stack - (basis @ y) @ basis_h
+    return Corner(y, max_frobenius(defect), max_frobenius(stack))
+
+
+def product_slack(
+    c_l: float, f_l: float, c_r: float, f_r: float, t: float = 0.0, c_w: float = 0.0
+) -> float:
+    """c_L·f_R + f_L·c_R + t·c_W: how far ||L R - sum_k t_k W_k||_F can move when
+    every factor is replaced by its corner P·X·P.
+
+    Write X' = P·X·P, so ||X - X'||_F <= c_X and ||X'||_op <= ||X||_op <= f_X
+    (a compression does not grow the norm). Then
+
+        LR - L'R' = (L - L')R + L'(R - R'),
+
+    and ||AB||_F <= ||A||_F·||B||_op and ||AB||_F <= ||A||_op·||B||_F, so
+    ||LR - L'R'||_F <= c_L·f_R + f_L·c_R; the linear side moves by at most
+    t·c_W with t = sum_k |t_k|. By the triangle inequality the full and the
+    corner residuals differ by at most this sum, in either direction. A
+    product is itself a factor with c = product_slack(c_L, f_L, c_R, f_R)
+    and f = f_L·f_R, which is how the slack of a longer product is built.
+    """
+    return c_l * f_r + f_l * c_r + t * c_w
+
+
+def corner_product_residual(left: Corner, right: Corner, values: Corner, coeffs) -> float:
+    """`max_product_residual` of the stacks behind three corners: the pairs are
+    multiplied as p×p corners and `product_slack` is added, with t the
+    largest coefficient sum max_{a,b} sum_k |T[a, b, k]|. The result bounds
+    the full residual from above and exceeds it by at most twice the slack."""
     if np.issubdtype(coeffs.dtype, np.integer):
         t = float(np.any(coeffs >= 0))
     else:
         t = float(np.max(np.sum(np.abs(coeffs), axis=2)))
-    inner = _streamed_residual(y_l, y_r, y_w, coeffs)
-    return inner + c_l * f_r + f_l * c_r + t * c_w
-
-
-def _corner(stack: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """(U*XU for each X, max ||X - U(U*XU)U*||_F, max ||X||_F) over the stack."""
-    m, d, _ = stack.shape
-    p = basis.shape[1]
-    basis_h = basis.conj().T
-    corner = basis_h @ (stack.reshape(m * d, d) @ basis).reshape(m, d, p)
-    # Taken directly: ||X||² - ||Y||² would cancel to about sqrt(eps)·||X||.
-    defect = stack - (basis @ corner) @ basis_h
-    return corner, max_frobenius(defect), max_frobenius(stack)
+    inner = _streamed_residual(left.y, right.y, values.y, coeffs)
+    return inner + product_slack(left.c, left.f, right.c, right.f, t, values.c)
 
 
 def frobenius_each(stack: np.ndarray) -> np.ndarray:

@@ -9,6 +9,7 @@ type-checked before any task runs.
 from __future__ import annotations
 
 import json
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -100,6 +101,22 @@ def _object(value, what: str) -> dict:
     return value
 
 
+def _seed(value, what: str) -> int:
+    """A seed: a non-negative JSON integer, or a ScenarioError naming `what`."""
+    # bool is an int subclass; JSON true/false is not a seed.
+    if type(value) is not int or value < 0:
+        raise ScenarioError(f"{what} must be a non-negative integer, got {value!r}")
+    return value
+
+
+def _tolerance(value) -> float:
+    """A tolerance: a finite positive JSON number, or a ScenarioError."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (number and math.isfinite(value) and value > 0):
+        raise ScenarioError(f"tolerance must be a finite positive number, got {value!r}")
+    return float(value)
+
+
 def _parse_group(spec) -> FiniteGroup:
     if isinstance(spec, str):
         return recipes.named_group(spec)
@@ -147,7 +164,7 @@ def _parse_cp_map(scn: Scenario, name: str, spec: dict) -> CompletelyPositiveMap
         raise ScenarioError(f"cp map {name!r}: unknown generator {gen!r}")
     action = scn._get(scn.actions, gen.get("action"), "action")
     rep = scn._get(scn.representations, gen.get("representation"), "representation")
-    seed = int(gen.get("seed", scn.seed))
+    seed = _seed(gen["seed"], f"cp map {name!r}: generator seed") if "seed" in gen else scn.seed
     return recipes.random_covariant_cp(source, module, action, rep, seed)
 
 
@@ -229,8 +246,10 @@ def parse_scenario(data: dict, *, tolerance: float | None = None, seed: int | No
 
     try:
         scn = Scenario(
-            tolerance=float(tolerance if tolerance is not None else data.get("tolerance", 1e-10)),
-            seed=int(seed if seed is not None else data.get("seed", 0)),
+            tolerance=_tolerance(
+                tolerance if tolerance is not None else data.get("tolerance", 1e-10)
+            ),
+            seed=_seed(seed if seed is not None else data.get("seed", 0), "seed"),
         )
         for name, spec in section("algebras").items():
             scn.algebras[name] = (
@@ -324,13 +343,8 @@ def _validate_task_refs(scn: Scenario, task: dict) -> None:
             raise ScenarioError(f"task {task.get('name')}: action and representation groups differ")
         if kind == "dilate":
             for key in ("order_seed", "uniqueness_seed"):
-                value = task.get(key)
-                # bool is an int subclass; JSON true/false is not a seed.
-                if key in task and (type(value) is not int or value < 0):
-                    raise ScenarioError(
-                        f"task {task.get('name')}: {key} must be a non-negative integer, "
-                        f"got {value!r}"
-                    )
+                if key in task:
+                    _seed(task[key], f"task {task.get('name')}: {key}")
             if not isinstance(task.get("uniqueness", False), bool):
                 raise ScenarioError(f"task {task.get('name')}: uniqueness must be true or false")
     elif kind == "crossed-product":

@@ -380,7 +380,6 @@ def _null_reference(quotient, shuffle: np.ndarray) -> float:
 def dilation_checks_reference(d, tol: float) -> list:
     """verify_dilation's checks, one basis element, one g and one (g, h) pair at a time."""
     from prostar.algebra import Check
-    from prostar.groups import covariance_terms
     from prostar.linalg import matrix_rank
 
     rho = d.cp_map
@@ -414,10 +413,7 @@ def dilation_checks_reference(d, tol: float) -> list:
         )
     )
 
-    cov_worst = 0.0
-    for _, moved, conj in covariance_terms(d.representation, d.action, d.group_unitaries):
-        for k in range(len(moved)):
-            cov_worst = max(cov_worst, float(np.linalg.norm(moved[k] - conj[k])))
+    cov_worst, _ = covariance_reference(d.representation, d.action, d.group_unitaries)
     checks.append(Check("covariance of Phi", cov_worst, max(tol, 1e-9)))
 
     inter = 0.0

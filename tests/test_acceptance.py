@@ -15,6 +15,7 @@ from prostar.algebra import FiniteCStarAlgebra, StarHomomorphism, verify_star_ho
 from prostar.cpmaps import CompletelyPositiveMap
 from prostar.crossed import (
     ConvolutionElement,
+    _spanning_residuals,
     build_crossed_product,
     extend_covariant_cp,
 )
@@ -334,6 +335,29 @@ def test_grid_spanning_checks_match_elementwise_reference(grid_extensions):
         ):
             check = ext.report.check(label)
             pairwise_reference.assert_agrees(check.residual, old, scale, check.threshold)
+
+
+def test_integrated_form_corner_residuals_bound_the_references(grid_extensions):
+    """On the 24 non-free grid instances the integrated form's corner residuals,
+    slack included, are upper bounds of the full-flat element-wise references."""
+    non_free = 0
+    for combo, ext in grid_extensions.items():
+        d = ext.dilation
+        phi, v = d.representation, d.group_unitaries
+        basis = d.module.range_basis
+        if basis is None:
+            continue
+        non_free += 1
+        cov, mult, star = _spanning_residuals(
+            phi._value_tensor, v._unitary_tensor, d.action, basis
+        )
+        report = ext.integrated.report
+        assert mult == report.check("convolution -> composition (spanning pairs)").residual
+        assert star == report.check("involution -> adjoint (spanning set)").residual
+        assert cov >= pairwise_reference.covariance_reference(phi, d.action, v)[0], combo
+        assert mult >= pairwise_reference.twisted_residual(phi, v, d.action), combo
+        assert star >= pairwise_reference.star_reference(phi, v, d.action), combo
+    assert non_free == 24
 
 
 def test_crossed_certificates_match_pairwise_reference(crossed_products):

@@ -28,7 +28,13 @@ from prostar.groups import (
 )
 from prostar.linalg import DEFAULT_TOL
 from prostar.modules import AdjointableOperator, HilbertModule
-from prostar.recipes import dilation_instance, random_cp_map, unitalize
+from prostar.recipes import (
+    dilation_instance,
+    random_cp_map,
+    standard_action,
+    standard_representation,
+    unitalize,
+)
 
 M2 = FiniteCStarAlgebra((2,))
 C = FiniteCStarAlgebra((1,))
@@ -235,6 +241,23 @@ class TestNegativeControls:
         report = verify_dilation(bad)
         assert not report.check("group law on E_rho").passed
         assert report.check("v_g unitary").passed
+        assert_matches_dilation_reference(report, bad)
+
+    def test_noncovariant_unitary_breaks_null_space(self):
+        # The identity representation of M2 on C² leaves a 6-dimensional null
+        # space in the spanning set a (x) xi; the shuffle a (x) xi -> alpha_g(a) (x) xi
+        # of the trivial u is not covariant for the swap action and moves it.
+        module = HilbertModule.free(C, 2)
+        act = standard_action("z2", M2)
+        rho = CompletelyPositiveMap.identity_representation(M2, module)
+        d = covariant_dilation(rho, act, standard_representation("z2", module))
+        assert d.quotient.null_dim == 6
+        assert verify_dilation(d).check("null space preserved").residual == 0.0
+        bad = replace(d, rep=UnitaryRepresentation.trivial(act.group, module))
+        report = verify_dilation(bad)
+        check = report.check("null space preserved")
+        assert not check.passed and check.residual >= 0.5
+        assert report.check("Phi is a unital *-representation").passed
         assert_matches_dilation_reference(report, bad)
 
     def test_padded_module_breaks_minimality(self, dilation):

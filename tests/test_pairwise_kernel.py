@@ -157,6 +157,28 @@ def test_compressed_kernel_brackets_full_residual(m, n, d, k, rank, leak, gather
     assert got <= full + 2.0 * slack + rounding
 
 
+@pytest.mark.parametrize("leaky", ["left", "right", "values"])
+def test_each_slack_term_is_attained(leaky):
+    """Rank-one factors on d = 2, P = diag(1, 0), with one stack off the corner:
+    the full residual equals the one slack term that stack carries
+    (c_L·f_R, f_L·c_R or t·c_W), and the corner residual is 0."""
+    e = np.eye(2, dtype=np.complex128)
+    inside, out_left, out_right = np.outer(e[0], e[0]), np.outer(e[1], e[0]), np.outer(e[0], e[1])
+    zero = np.zeros((2, 2), dtype=np.complex128)
+    left, right, values = {
+        "left": (out_left, inside, zero),
+        "right": (inside, out_right, zero),
+        "values": (zero, zero, np.outer(e[1], e[1])),
+    }[leaky]
+    coeffs = np.ones((1, 1, 1), dtype=np.complex128)
+    if leaky != "values":
+        coeffs = np.zeros_like(coeffs)
+    stacks = (left[None], right[None], values[None])
+    basis = e[:, :1]
+    assert linalg.max_product_residual(*stacks, coeffs) == pytest.approx(1.0)
+    assert linalg.max_product_residual(*stacks, coeffs, basis) == pytest.approx(1.0)
+
+
 def test_free_module_keeps_full_flat_kernel():
     """P = 1 has no range basis, so certificates take the full-flat path unchanged."""
     module = HilbertModule.free(M2, 2)

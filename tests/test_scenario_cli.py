@@ -231,6 +231,54 @@ class TestCli:
         err = capsys.readouterr().err
         assert "invalid scenario" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "fields, flags",
+        [
+            ({"seed": -1}, []),
+            ({"seed": 1.5}, []),
+            ({"seed": True}, []),
+            ({"seed": "1"}, []),
+            ({}, ["--seed", "-1"]),
+            ({"generator_seed": -1}, []),
+            ({"generator_seed": 1.5}, []),
+            ({"generator_seed": False}, []),
+        ],
+    )
+    def test_malformed_seeds_exit_two(self, fields, flags, tmp_path, capsys):
+        """The top-level seed, --seed and a generator's seed follow the rule of order_seed."""
+        doc = generate_example("random-covariant-cp", 0)
+        if "seed" in fields:
+            doc["seed"] = fields["seed"]
+        if "generator_seed" in fields:
+            doc["cp_maps"]["rho"]["generator"]["seed"] = fields["generator_seed"]
+        path = write_scenario(tmp_path, doc)
+        assert main(["validate", "--scenario", path, *flags]) == 2
+        assert main(["run", "--scenario", path, *flags]) == 2
+        err = capsys.readouterr().err
+        assert "seed must be a non-negative integer" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "fields, flags",
+        [
+            ({"tolerance": float("nan")}, []),
+            ({"tolerance": 0}, []),
+            ({"tolerance": -1.0}, []),
+            ({"tolerance": float("inf")}, []),
+            ({"tolerance": True}, []),
+            ({}, ["--tolerance", "nan"]),
+            ({}, ["--tolerance", "0"]),
+            ({}, ["--tolerance", "-1"]),
+        ],
+    )
+    def test_meaningless_tolerance_exit_two(self, fields, flags, tmp_path, capsys):
+        doc = generate_example("random-covariant-cp", 0)
+        doc.update(fields)
+        path = write_scenario(tmp_path, doc)
+        assert main(["validate", "--scenario", path, *flags]) == 2
+        assert main(["run", "--scenario", path, *flags]) == 2
+        err = capsys.readouterr().err
+        assert "tolerance must be a finite positive number" in err and "Traceback" not in err
+
     def test_overflowing_projection_exit_two(self, tmp_path, capsys):
         doc = {
             "schema": "prostar-scenario-v1",
