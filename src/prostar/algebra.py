@@ -7,6 +7,7 @@ through `wedderburn_decompose`, which rewrites them in standard form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
@@ -205,6 +206,27 @@ class FiniteCStarAlgebra:
         for off, n in zip(self.block_offsets, self.block_sizes):
             mask[off : off + n, off : off + n] = 1.0
         return mask
+
+    @cached_property
+    def dense_support(self) -> np.ndarray:
+        """Flat positions of the support inside the dense embedding, in coordinate
+        order: row-major over a block-diagonal matrix is block by block, row-major."""
+        support = np.flatnonzero(self.dense_support_mask())
+        support.setflags(write=False)
+        return support
+
+    def dense_stack(self, coords: np.ndarray) -> np.ndarray:
+        """Dense embeddings (..., D, D) of a stack of coordinates (..., linear_dim),
+        by one scatter onto `dense_support`."""
+        d = self.total_dim
+        out = np.zeros(coords.shape[:-1] + (d * d,), dtype=np.complex128)
+        out[..., self.dense_support] = coords
+        return out.reshape(coords.shape[:-1] + (d, d))
+
+    def coords_stack(self, dense: np.ndarray) -> np.ndarray:
+        """Coordinates (..., linear_dim) of the block-diagonal parts of a stack
+        (..., D, D), by one gather from `dense_support`."""
+        return dense.reshape(dense.shape[:-2] + (-1,))[..., self.dense_support]
 
     def __str__(self) -> str:
         return "⊕".join(f"M{n}" for n in self.block_sizes)
@@ -414,19 +436,16 @@ def verify_star_homomorphism(
     """Check multiplicativity / star / unitality on all basis pairs, surjectivity by rank.
 
     Images are compared in the dense block-diagonal embedding of the target,
-    whose Frobenius norm is the blockwise one.
+    whose Frobenius norm is the blockwise one; all of them are scattered
+    there at once from the columns of the action matrix. Since a_i* is the
+    basis element `adjoint_index[i]`, the star check compares the image of
+    that index with the adjoint of the image of i, for every i in one gather.
     """
     src = phi.source
-    basis = list(src.basis())
-    images = [phi.apply(b) for b in basis]
-    dense = np.stack([im.dense() for im in images])
+    dense = phi.target.dense_stack(phi.action_matrix.T)
     mult = linalg.max_product_residual(dense, dense, dense, src.product_table)
-
-    star = max(
-        (phi.apply(a.adjoint()) - im.adjoint()).frobenius()
-        for a, im in zip(basis, images)
-    )
-    unital = (phi.apply(src.unit()) - phi.target.unit()).frobenius()
+    star = linalg.max_frobenius(dense[src.adjoint_index] - dense.conj().transpose(0, 2, 1))
+    unital = linalg.frobenius(phi.action_matrix @ src.unit().coords() - phi.target.unit().coords())
 
     checks = [
         Check("multiplicative", mult, tol),
@@ -450,73 +469,88 @@ def verify_star_homomorphism(
 class WedderburnDecomposition:
     """A concrete *-closed span rewritten as a direct sum of matrix blocks.
 
-    `embedding` maps the standard form into the ambient matrix algebra M_N and
-    realizes the inverse of `to_standard` on the span.
+    `matrix_units` stacks the images in M_N of the standard basis, in the
+    standard form's coordinate order (block by block, E_ij row-major), so
+    each direction of the change of basis is one product over the stack.
+    `embedding` is the same map as a *-homomorphism into M_N; it realizes
+    the inverse of `to_standard` on the span.
     """
 
     ambient_dim: int
     standard_form: FiniteCStarAlgebra
-    matrix_units: list[list[np.ndarray]]  # per block: row-major E_ij images in M_N
+    matrix_units: np.ndarray  # (dim, N, N): the image of each standard basis element
     multiplicities: tuple[int, ...]
     embedding: StarHomomorphism
     report: VerificationReport
 
-    def from_standard(self, a: AlgebraElement) -> np.ndarray:
-        if a.algebra != self.standard_form:
-            raise StructuralError("element is not in the standard form algebra")
-        out = np.zeros((self.ambient_dim, self.ambient_dim), dtype=np.complex128)
-        for k, (units, block) in enumerate(zip(self.matrix_units, a.blocks)):
-            n = self.standard_form.block_sizes[k]
-            for i in range(n):
-                for j in range(n):
-                    if block[i, j] != 0.0:
-                        out += block[i, j] * units[i * n + j]
-        return out
+    def from_standard(self, a) -> np.ndarray:
+        """The matrices in M_N of a stack of standard-form coordinates (..., dim)."""
+        return np.tensordot(a, self.matrix_units, axes=1)
 
-    def to_standard(self, x) -> AlgebraElement:
-        x = linalg.as_complex_matrix(x)
-        blocks = []
-        for k, units in enumerate(self.matrix_units):
-            n = self.standard_form.block_sizes[k]
-            mult = self.multiplicities[k]
-            block = np.empty((n, n), dtype=np.complex128)
-            for i in range(n):
-                for j in range(n):
-                    # coefficient of E_ij: HS pairing against the unit f_ij
-                    block[i, j] = np.trace(units[j * n + i] @ x) / mult
-            blocks.append(block)
-        return self.standard_form.from_blocks(blocks)
+    def to_standard(self, x) -> np.ndarray:
+        """Standard-form coordinates (..., dim) of a stack (..., N, N) in the span.
+
+        The coefficient of E_ij is the pairing tr(f_ji x) / multiplicity with
+        the unit f_ji, the image of E_ij* (`adjoint_index`).
+        """
+        n = self.ambient_dim
+        units = self.matrix_units[self.standard_form.adjoint_index].reshape(-1, n * n)
+        mult = np.repeat(self.multiplicities, np.square(self.standard_form.block_sizes))
+        flat = np.swapaxes(x, -1, -2).reshape(x.shape[:-2] + (n * n,))
+        return (flat @ units.T) / mult
 
 
-def _vec(m: np.ndarray) -> np.ndarray:
-    return m.ravel()
-
-
-def _orthonormal_span(mats: Sequence[np.ndarray], rel: float = 1e-9) -> np.ndarray:
-    """Orthonormal (HS) basis of the span, as stacked vec columns."""
-    stack = np.stack([_vec(m) for m in mats], axis=1)
-    u, s, _ = np.linalg.svd(stack, full_matrices=False)
+def _orthonormal_span(stack: np.ndarray, rel: float = 1e-9) -> np.ndarray:
+    """Orthonormal (HS) basis of the span of a stack (k, N, N), as vec columns."""
+    u, s, _ = np.linalg.svd(stack.reshape(len(stack), -1).T, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         raise PreconditionError("spanning set is zero")
-    keep = s > rel * s[0]
-    return u[:, keep]
+    return u[:, s > rel * s[0]]
 
 
-def _span_residual(onb: np.ndarray, m: np.ndarray) -> float:
-    v = _vec(m)
-    proj = onb @ (onb.conj().T @ v)
-    return float(np.linalg.norm(v - proj))
+def _span_residuals(onb: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """||x - proj(x)||_F for each matrix x of a stack, proj the HS projection on the span."""
+    v = stack.reshape(len(stack), -1).T
+    return np.linalg.norm(v - onb @ (onb.conj().T @ v), axis=0)
 
 
 def _cluster_by_gap(values: np.ndarray, gap: float) -> list[np.ndarray]:
     """Split ascending values into clusters at gaps larger than `gap`."""
-    clusters, start = [], 0
-    for i in range(1, len(values)):
-        if values[i] - values[i - 1] > gap:
-            clusters.append(np.arange(start, i))
-            start = i
-    clusters.append(np.arange(start, len(values)))
-    return clusters
+    cuts = np.flatnonzero(np.diff(values) > gap) + 1
+    return np.split(np.arange(len(values)), cuts)
+
+
+def _spectral_split(
+    span: np.ndarray, n_amb: int, count: int, rng, gap_tol: float, retries: int
+) -> np.ndarray:
+    """A stack of `count` eigenprojections of a random self-adjoint element of a span.
+
+    `span` holds an orthonormal basis of vec'd N×N matrices as columns. Each
+    try draws a complex Gaussian combination, takes its Hermitian part and
+    clusters the eigenvalues at gaps above `gap_tol` times their spread.
+    Clusters within that distance of 0 are dropped: a corner's ambient
+    kernel shows up as one. A try succeeds when `count` clusters remain and
+    each projection lies in the span (residual <= 1e-7); after `retries`
+    failed tries this raises NumericalError.
+    """
+    for _ in range(retries):
+        coeff = rng.standard_normal(span.shape[1]) + 1j * rng.standard_normal(span.shape[1])
+        y = (span @ coeff).reshape(n_amb, n_amb)
+        y = (y + y.conj().T) / 2.0
+        y /= max(linalg.frobenius(y), 1e-30)
+        vals, vecs = linalg.hermitian_eigendecomposition(y)
+        floor = gap_tol * max(float(vals[-1] - vals[0]), 1.0)
+        clusters = [
+            idx for idx in _cluster_by_gap(vals, floor) if np.max(np.abs(vals[idx])) > floor
+        ]
+        if len(clusters) != count:
+            continue
+        projs = np.stack([vecs[:, idx] @ vecs[:, idx].conj().T for idx in clusters])
+        if np.max(_span_residuals(span, projs)) <= 1e-7:
+            return projs
+    raise NumericalError(
+        f"spectral split into {count} projections failed after {retries} tries"
+    )
 
 
 def wedderburn_decompose(
@@ -529,209 +563,128 @@ def wedderburn_decompose(
 ) -> WedderburnDecomposition:
     """Standardize a *-closed unital matrix algebra into block form.
 
-    Orthonormalizes the span, extracts minimal central projections from a
-    seeded random self-adjoint central element, then builds matrix units per
-    simple block. Retries with fresh randomness when eigenvalue gaps fall
-    under `gap_tol`.
+    `spanning_set` is a sequence or a stack (k, N, N) of matrices. The span
+    gets an orthonormal (HS) basis b_1..b_m, and the products b_i b_j are
+    formed once, as one stack.
+
+    Closure: with B the N²×m basis matrix and P the N²×m² products, the
+    test is ||P − BB*P||_F <= min(tol, 1e-9). This never passes a span that
+    the rank test rank[B | P] = m (singular values above 1e-9 of the
+    largest) rejects. Put R = P − BB*P. [B | BB*P] has rank at most m, so
+    by Eckart–Young σ_{m+1}[B | P] <= ||[0 | R]||_2 <= ||R||_F <= 1e-9,
+    while σ_1[B | P] >= σ_1(B) = 1: the (m+1)-th singular value is not
+    above 1e-9 of the largest. The first m are at least σ_m(B) = 1, which
+    is above 1e-9·(m + 1) >= 1e-9·||[B | P]||_F for m < 10⁹ (each
+    ||b_i b_j||_F <= 1), so exactly m count.
+
+    Centre: with T[i, j, :] = B*(b_i b_j), the span coordinates of b_i b_j,
+    z = sum_c x_c b_c commutes with every b_j iff
+    sum_c x_c (T[c, j, :] − T[j, c, :]) = 0, so the centre is the kernel of
+    that m²×m matrix (singular values up to 1e-9 of the largest, or of 1).
+
+    Minimal central projections come from a seeded random self-adjoint
+    central element, then each simple corner is split into minimal
+    projections and linked into matrix units (`_spectral_split` for both,
+    retried with fresh randomness when eigenvalue gaps fall under
+    `gap_tol`).
     """
-    mats = [linalg.as_complex_matrix(m) for m in spanning_set]
-    if not mats:
+    try:
+        mats = np.asarray(spanning_set, dtype=np.complex128)
+    except ValueError as err:
+        raise PreconditionError("spanning matrices must all be square of equal size") from err
+    if mats.size == 0:
         raise PreconditionError("empty spanning set")
-    n_amb = mats[0].shape[0]
-    if any(m.shape != (n_amb, n_amb) for m in mats):
+    if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
         raise PreconditionError("spanning matrices must all be square of equal size")
+    if not np.all(np.isfinite(mats)):
+        raise PreconditionError("matrix contains NaN or Inf entries")
+    n_amb = mats.shape[1]
 
     onb = _orthonormal_span(mats)
     dim = onb.shape[1]
-    basis_mats = [onb[:, i].reshape(n_amb, n_amb) for i in range(dim)]
-    scale = max(1.0, max(linalg.frobenius(m) for m in mats))
+    basis = onb.T.reshape(dim, n_amb, n_amb)
+    scale = max(1.0, linalg.max_frobenius(mats))
 
-    # *-closure, unitality, and product closure (rank stabilization).
-    for m in mats:
-        if _span_residual(onb, m.conj().T) > tol * scale:
-            raise PreconditionError("spanning set is not closed under adjoints")
-    if _span_residual(onb, np.eye(n_amb, dtype=np.complex128)) > tol:
+    if np.max(_span_residuals(onb, mats.conj().transpose(0, 2, 1))) > tol * scale:
+        raise PreconditionError("spanning set is not closed under adjoints")
+    if _span_residuals(onb, np.eye(n_amb, dtype=np.complex128)[None])[0] > tol:
         raise PreconditionError("span does not contain the ambient identity")
-    products = [a @ b for a in basis_mats for b in basis_mats]
-    grown = np.concatenate(
-        [onb, np.stack([_vec(p) for p in products], axis=1)], axis=1
-    )
-    if linalg.matrix_rank(grown) != dim:
+    wide = basis.transpose(1, 0, 2).reshape(n_amb, dim * n_amb)
+    products = (basis.reshape(dim * n_amb, n_amb) @ wide).reshape(dim, n_amb, dim, n_amb)
+    products = products.transpose(0, 2, 1, 3).reshape(dim * dim, n_amb * n_amb).T
+    coeffs = onb.conj().T @ products
+    if linalg.frobenius(products - onb @ coeffs) > min(tol, 1e-9):
         raise PreconditionError("spanning set is not closed under multiplication")
 
-    # Center: kernel of c -> [X(c), basis_j] over span coordinates.
-    comm_cols = []
-    for i in range(dim):
-        x = basis_mats[i]
-        comm_cols.append(np.concatenate([_vec(x @ b - b @ x) for b in basis_mats]))
-    comm = np.stack(comm_cols, axis=1)
-    # Right-singular vectors suffice for the kernel; comm is tall, so
-    # full_matrices=False still returns all of them.
+    t = coeffs.T.reshape(dim, dim, dim)
+    comm = (t - t.transpose(1, 0, 2)).transpose(1, 2, 0).reshape(dim * dim, dim)
     _, s, vh = np.linalg.svd(comm, full_matrices=False)
-    cutoff = max(s[0], 1.0) * 1e-9 if s.size else 0.0
-    null_dim = int(np.count_nonzero(s <= cutoff)) + (dim - len(s))
-    center_coeffs = vh.conj().T[:, dim - null_dim :]
-    n_blocks = center_coeffs.shape[1]
+    null_dim = int(np.count_nonzero(s <= max(s[0], 1.0) * 1e-9))
+    center = onb @ vh.conj().T[:, dim - null_dim :]
 
     rng = np.random.default_rng(seed)
-    last_error = None
-    for _ in range(retries):
-        try:
-            coeff = center_coeffs @ (
-                rng.standard_normal(n_blocks) + 1j * rng.standard_normal(n_blocks)
-            )
-            central = (onb @ coeff).reshape(n_amb, n_amb)
-            central = (central + central.conj().T) / 2.0
-            central /= max(linalg.frobenius(central), 1e-30)
-            if _span_residual(onb, central) > 1e-8:
-                raise NumericalError("symmetrized central element left the span")
-            vals, vecs = linalg.hermitian_eigendecomposition(central)
-            spread = max(float(vals[-1] - vals[0]), 1.0)
-            clusters = _cluster_by_gap(vals, gap_tol * spread)
-            if len(clusters) != n_blocks:
-                raise NumericalError(
-                    "central element did not separate the blocks",
-                    clusters=len(clusters),
-                    expected=n_blocks,
-                )
-            projections = []
-            for idx in clusters:
-                cols = vecs[:, idx]
-                proj = cols @ cols.conj().T
-                if _span_residual(onb, proj) > 1e-7:
-                    raise NumericalError("central eigenprojection left the span")
-                projections.append(proj)
-            return _build_blocks(
-                n_amb, onb, basis_mats, projections, rng, tol, gap_tol, retries
-            )
-        except NumericalError as err:
-            last_error = err
-    raise NumericalError(
-        f"Wedderburn center separation failed after {retries} retries: {last_error}"
-    )
-
-
-def _minimal_projections(
-    corner_onb: np.ndarray,
-    n_amb: int,
-    block_dim: int,
-    rng: np.random.Generator,
-    gap_tol: float,
-    retries: int,
-) -> list[np.ndarray]:
-    """Diagonal matrix units of one simple corner, from a generic element."""
-    m = int(round(np.sqrt(block_dim)))
-    if m * m != block_dim:
-        raise NumericalError("corner dimension is not a perfect square", dim=block_dim)
-    for _ in range(retries):
-        coeff = rng.standard_normal(block_dim) + 1j * rng.standard_normal(block_dim)
-        y = (corner_onb @ coeff).reshape(n_amb, n_amb)
-        y = (y + y.conj().T) / 2.0
-        y /= max(linalg.frobenius(y), 1e-30)
-        vals, vecs = linalg.hermitian_eigendecomposition(y)
-        spread = max(float(vals[-1] - vals[0]), 1.0)
-        # Ambient kernel of the corner shows up as a zero cluster; drop it.
-        clusters = [
-            idx
-            for idx in _cluster_by_gap(vals, gap_tol * spread)
-            if np.max(np.abs(vals[idx])) > gap_tol * spread
-        ]
-        sizes = {len(idx) for idx in clusters}
-        if len(clusters) != m or len(sizes) != 1:
-            continue
-        projs = []
-        ok = True
-        for idx in clusters:
-            cols = vecs[:, idx]
-            proj = cols @ cols.conj().T
-            if _span_residual(corner_onb, proj) > 1e-7:
-                ok = False
-                break
-            projs.append(proj)
-        if ok:
-            return projs
-    raise NumericalError("failed to split a simple corner into minimal projections")
-
-
-def _build_blocks(n_amb, onb, basis_mats, central_projs, rng, tol, gap_tol, retries):
     blocks = []
-    for z in central_projs:
-        corner_mats = [z @ b @ z for b in basis_mats]
-        corner_onb = _orthonormal_span(corner_mats)
-        block_dim = corner_onb.shape[1]
-        diag = _minimal_projections(corner_onb, n_amb, block_dim, rng, gap_tol, retries)
-        m = len(diag)
-        mult = float(np.trace(diag[0]).real)
-        if abs(mult - round(mult)) > 1e-6 or round(mult) < 1:
-            raise NumericalError("non-integer block multiplicity", trace=mult)
-        mult = int(round(mult))
-
-        # Partial isometries f_1i via generic corner elements.
-        f_row = [diag[0]]
-        for i in range(1, m):
-            w = None
-            for _ in range(retries):
-                coeff = rng.standard_normal(block_dim) + 1j * rng.standard_normal(block_dim)
-                cand = (corner_onb @ coeff).reshape(n_amb, n_amb)
-                w_try = diag[0] @ cand @ diag[i]
-                norm = linalg.frobenius(w_try)
-                if norm > 1e-6:
-                    w = w_try
-                    break
-            if w is None:
-                raise NumericalError("could not link diagonal projections")
-            c = np.trace(w.conj().T @ w).real / mult
-            f = w / np.sqrt(c)
-            if linalg.frobenius(f.conj().T @ f - diag[i]) > 1e-7:
-                raise NumericalError("partial isometry residual too large")
-            f_row.append(f)
-
-        units = [None] * (m * m)
-        for i in range(m):
-            for j in range(m):
-                units[i * m + j] = f_row[i].conj().T @ f_row[j]
-        blocks.append((m, mult, units))
+    for z in _spectral_split(center, n_amb, null_dim, rng, gap_tol, retries):
+        corner = _orthonormal_span(z @ basis @ z)
+        m = math.isqrt(corner.shape[1])
+        if m * m != corner.shape[1]:
+            raise NumericalError("corner dimension is not a perfect square", dim=corner.shape[1])
+        diag = _spectral_split(corner, n_amb, m, rng, gap_tol, retries)
+        blocks.append(_matrix_units(diag, corner, n_amb, rng, retries))
 
     # Ascending block sizes, deterministic under the seed.
-    blocks.sort(key=lambda t: t[0])
-    sizes = tuple(b[0] for b in blocks)
-    mults = tuple(b[1] for b in blocks)
-    standard = FiniteCStarAlgebra(sizes)
-    unit_list = [b[2] for b in blocks]
-
+    blocks.sort(key=lambda b: b[0])
+    standard = FiniteCStarAlgebra(tuple(b[0] for b in blocks))
+    units = np.concatenate([b[2] for b in blocks])
     decomp = WedderburnDecomposition(
         ambient_dim=n_amb,
         standard_form=standard,
-        matrix_units=unit_list,
-        multiplicities=mults,
-        embedding=None,  # filled below
+        matrix_units=units,
+        multiplicities=tuple(b[1] for b in blocks),
+        embedding=StarHomomorphism(
+            standard, FiniteCStarAlgebra((n_amb,)), units.reshape(len(units), -1).T
+        ),
         report=None,
     )
-    ambient_alg = FiniteCStarAlgebra((n_amb,))
-    images = [
-        ambient_alg.from_dense(decomp.from_standard(b), check=False)
-        for b in standard.basis()
-    ]
-    decomp.embedding = StarHomomorphism.from_images(standard, ambient_alg, images)
     hom_report = decomp.embedding.verify(max(tol, 1e-8), check_surjective=False)
-
-    dim = onb.shape[1]
-    dim_check = Check("dimension conservation", float(abs(standard.linear_dim - dim)), 0.5)
-    injective = Check(
-        "embedding injective",
-        float(standard.linear_dim - linalg.matrix_rank(decomp.embedding.action_matrix)),
-        0.5,
-    )
-    round_trip = 0.0
-    for b in basis_mats:
-        back = decomp.from_standard(decomp.to_standard(b))
-        round_trip = max(round_trip, linalg.frobenius(back - b))
+    injective = standard.linear_dim - linalg.matrix_rank(decomp.embedding.action_matrix)
+    back = decomp.from_standard(decomp.to_standard(basis))
     checks = list(hom_report.checks) + [
-        dim_check,
-        injective,
-        Check("span round trip", round_trip, max(tol, 1e-8)),
+        Check("dimension conservation", float(abs(standard.linear_dim - dim)), 0.5),
+        Check("embedding injective", float(injective), 0.5),
+        Check("span round trip", linalg.max_frobenius(back - basis), max(tol, 1e-8)),
     ]
     decomp.report = VerificationReport(f"Wedderburn -> {standard}", tuple(checks))
     if not decomp.report.passed:
         raise NumericalError(f"Wedderburn verification failed:\n{decomp.report}")
     return decomp
+
+
+def _matrix_units(diag, corner, n_amb, rng, retries) -> tuple[int, int, np.ndarray]:
+    """(m, multiplicity, units) of one simple corner from its minimal projections.
+
+    Partial isometries f_1i = diag[0]·c·diag[i], scaled, link the first
+    projection to the others through generic corner elements c; the units
+    f_1i*·f_1j come out as one (m², N, N) stack in row-major (i, j) order.
+    """
+    m = len(diag)
+    mult = float(np.trace(diag[0]).real)
+    if abs(mult - round(mult)) > 1e-6 or round(mult) < 1:
+        raise NumericalError("non-integer block multiplicity", trace=mult)
+    mult = int(round(mult))
+    links = [diag[0]]
+    for i in range(1, m):
+        for _ in range(retries):
+            coeff = rng.standard_normal(corner.shape[1]) + 1j * rng.standard_normal(corner.shape[1])
+            w = diag[0] @ (corner @ coeff).reshape(n_amb, n_amb) @ diag[i]
+            if linalg.frobenius(w) > 1e-6:
+                break
+        else:
+            raise NumericalError("could not link diagonal projections")
+        f = w / np.sqrt(np.trace(w.conj().T @ w).real / mult)
+        if linalg.frobenius(f.conj().T @ f - diag[i]) > 1e-7:
+            raise NumericalError("partial isometry residual too large")
+        links.append(f)
+    row = np.stack(links)
+    units = np.matmul(row.conj().transpose(0, 2, 1)[:, None], row[None])
+    return m, mult, units.reshape(m * m, n_amb, n_amb)

@@ -138,48 +138,54 @@ class CrossedProductRealization:
     def standard_algebra(self) -> FiniteCStarAlgebra:
         return self.wedderburn.standard_form
 
-    def conv_basis(self) -> list[ConvolutionElement]:
-        out = []
-        for g in self.system.group.elements():
-            for b in self.system.algebra.basis():
-                out.append(ConvolutionElement.delta(self.system, g, b))
-        return out
+    @cached_property
+    def spanning_stack(self) -> np.ndarray:
+        """E, the embedding of the spanning set delta_g (x) a_i in g-major order, (m, N, N).
+
+        Block (t, t') of f is alpha_{t^-1}(f(t t'^-1)), so the only nonzero
+        blocks of delta_g a_i are (t, g^-1 t), each alpha_{t^-1}(a_i): column i
+        of the action matrix of t^-1 scattered onto the dense support. The
+        whole stack is filled by one indexed assignment of those |G|·dim
+        dense blocks.
+        """
+        group, alg = self.system.group, self.system.algebra
+        order, dim, d = group.order, alg.linear_dim, alg.total_dim
+        inv = np.array([group.inverse(t) for t in group.elements()])
+        moved = alg.dense_stack(self.system._action_tensor[inv].transpose(0, 2, 1))
+        g, t = np.indices((order, order))
+        cols = np.asarray(group.cayley)[inv[g], t]
+        stack = np.zeros((order, dim, order, d, order, d), dtype=np.complex128)
+        stack[g, :, t, :, cols, :] = moved[t]
+        stack.setflags(write=False)
+        return stack.reshape(order * dim, self.ambient_dim, self.ambient_dim)
 
     def embed(self, f: ConvolutionElement) -> np.ndarray:
         """Concrete matrix of f: block (t, t') is alpha_{t^-1}(f(t t'^-1))."""
+        return np.tensordot(f.coords(), self.spanning_stack, axes=1)
+
+    def _identity_row(self, stack: np.ndarray) -> np.ndarray:
+        """Coordinates (..., |G|, dim) read off the identity block row of a stack
+        (..., N, N): at g, the block (e, g^-1), where f(g) sits."""
         group, alg = self.system.group, self.system.algebra
-        d = alg.total_dim
-        out = np.zeros((self.ambient_dim, self.ambient_dim), dtype=np.complex128)
-        for t in group.elements():
-            inv_t = group.inverse(t)
-            for tp in group.elements():
-                g = group.multiply(t, group.inverse(tp))
-                block = self.system.apply(inv_t, f.values[g]).dense()
-                out[t * d : (t + 1) * d, tp * d : (tp + 1) * d] = block
-        return out
+        order, d = group.order, alg.total_dim
+        inv = [group.inverse(g) for g in group.elements()]
+        grid = stack.reshape(stack.shape[:-2] + (order, d, order, d))
+        return alg.coords_stack(np.moveaxis(grid[..., group.identity, :, inv, :], 0, -3))
 
     def extract_convolution(self, matrix) -> ConvolutionElement:
         """Inverse of `embed` on its image, read off the identity block row."""
-        m = linalg.as_complex_matrix(matrix)
-        group, alg = self.system.group, self.system.algebra
-        d = alg.total_dim
-        e = group.identity
-        values = []
-        for g in group.elements():
-            tp = group.inverse(g)
-            values.append(
-                alg.from_dense(m[e * d : (e + 1) * d, tp * d : (tp + 1) * d], check=False)
-            )
-        return ConvolutionElement(self.system, tuple(values))
+        rows = self._identity_row(linalg.as_complex_matrix(matrix))
+        return ConvolutionElement(
+            self.system, tuple(self.system.algebra.from_coords(c) for c in rows)
+        )
 
     def standardize(self, f: ConvolutionElement) -> AlgebraElement:
-        return self.wedderburn.to_standard(self.embed(f))
+        return self.standard_algebra.from_coords(self.wedderburn.to_standard(self.embed(f)))
 
     @cached_property
     def _std_from_conv(self) -> np.ndarray:
         """Linear map: convolution coordinates -> standard-form coordinates."""
-        cols = [self.standardize(f).coords() for f in self.conv_basis()]
-        return np.stack(cols, axis=1)
+        return self.wedderburn.to_standard(self.spanning_stack).T
 
     @cached_property
     def _conv_from_std(self) -> np.ndarray:
@@ -197,12 +203,21 @@ def build_crossed_product(
 ) -> CrossedProductRealization:
     """Realize A⋊G concretely and bring it to standard form.
 
-    Verifies that the embedding turns convolution into composition and the
-    involution into the adjoint on all spanning pairs, and that it is
-    injective (so dim(A⋊G) = |G|·dim(A)). The pairwise check streams over
-    row chunks (`linalg.max_product_residual`): with m = |G|·dim(A) and
-    N = |G|·total_dim(A), memory stays near m³ + chunk·m·N² entries instead
-    of the m²·N² of all pairwise products at once.
+    Every check reads the stack E of the spanning set (`spanning_stack`),
+    with m = |G|·dim(A) and N = |G|·total_dim(A):
+
+    - convolution -> product: (delta_g a_i)(delta_h a_j) = delta_{gh} a_i alpha_g(a_j),
+      so for each (g, h) the pairs of E[g] and E[h] are compared with
+      E[gh] through the twisted structure constants of g
+      (`linalg.max_product_residual`, streamed over row chunks);
+    - involution -> adjoint: (delta_h a_i)# = delta_{h^-1} alpha_{h^-1}(a_i*) / Delta(h^-1),
+      and a_i* is the basis element adjoint_index[i], so at g = h^-1 the
+      image is (sum_j A_g[j, :] E[g, j])[adjoint_index] / Delta(g), to be
+      compared with E[h, i]*;
+    - unit -> identity: the image of delta_e (x) 1;
+    - embedding injective: rank of E as m vectors (so dim(A⋊G) = m);
+    - extraction round trip: the identity block row of E gives back the
+      coordinates of each delta_g a_i.
     """
     group, alg = system.group, system.algebra
     if group.identity is None:
@@ -213,42 +228,35 @@ def build_crossed_product(
         wedderburn=None,
         embedding_report=None,
     )
-    basis = xp.conv_basis()
-    embedded = [xp.embed(f) for f in basis]
-    m = len(basis)
+    order, dim, n = group.order, alg.linear_dim, xp.ambient_dim
+    stack = xp.spanning_stack
+    m = len(stack)
 
-    stack = np.stack([e.ravel() for e in embedded], axis=1)
-    rank = linalg.matrix_rank(stack)
+    rank = linalg.matrix_rank(stack.reshape(m, n * n).T)
     injective = Check("embedding injective", float(m - rank), 0.5, f"rank {rank} of {m}")
 
-    # (delta_g a_i) x (delta_h a_j) = delta_s a_i alpha_g(a_j) at the s with
-    # g^-1 s = h, read off the convolution formula with f = delta_g a_i.
-    order, dim = group.order, alg.linear_dim
-    conv_coeffs = np.zeros((order, dim, order, dim, order, dim), dtype=np.complex128)
+    by_group = stack.reshape(order, dim, n, n)
+    mult = 0.0
     for g in group.elements():
         twisted = _twisted_structure(system, g)
-        g_inv = group.inverse(g)
-        for s in group.elements():
-            conv_coeffs[g, :, group.multiply(g_inv, s), :, s] = twisted
-    emb_tensor = np.stack(embedded, axis=0)
-    mult = linalg.max_product_residual(
-        emb_tensor, emb_tensor, emb_tensor, conv_coeffs.reshape(m, m, m)
-    )
+        for h in group.elements():
+            mult = max(
+                mult,
+                linalg.max_product_residual(
+                    by_group[g], by_group[h], by_group[group.multiply(g, h)], twisted
+                ),
+            )
 
-    star = 0.0
-    for i, f in enumerate(basis):
-        star = max(
-            star, linalg.frobenius(xp.embed(f.involution()) - embedded[i].conj().T)
-        )
-    unital = linalg.frobenius(
-        xp.embed(ConvolutionElement.unit(system)) - np.eye(xp.ambient_dim)
+    moved = np.einsum("gji,gjxy->gixy", system._action_tensor, by_group)
+    delta = np.array([group.modular_function(g) for g in group.elements()])
+    inv = [group.inverse(g) for g in group.elements()]
+    star = linalg.max_frobenius(
+        moved[:, alg.adjoint_index] / delta[:, None, None, None]
+        - by_group[inv].conj().transpose(0, 1, 3, 2)
     )
-    round_trip = 0.0
-    for i, f in enumerate(basis):
-        back = xp.extract_convolution(embedded[i])
-        round_trip = max(
-            round_trip, max((a - b).frobenius() for a, b in zip(back.values, f.values))
-        )
+    unital = linalg.frobenius(xp.embed(ConvolutionElement.unit(system)) - np.eye(n))
+    back = xp._identity_row(stack).reshape(m, m)
+    round_trip = float(np.max(np.linalg.norm((back - np.eye(m)).reshape(m, order, dim), axis=2)))
 
     xp.embedding_report = VerificationReport(
         f"crossed product embedding ({alg} by group of order {group.order})",
@@ -262,9 +270,10 @@ def build_crossed_product(
     )
     if not xp.embedding_report.passed:
         raise NumericalError(
-            f"crossed-product embedding failed verification:\n{xp.embedding_report}"
+            f"crossed-product embedding failed verification:\n{xp.embedding_report}",
+            report=xp.embedding_report,
         )
-    xp.wedderburn = wedderburn_decompose(embedded, seed=seed, tol=tol)
+    xp.wedderburn = wedderburn_decompose(stack, seed=seed, tol=tol)
     return xp
 
 

@@ -101,12 +101,23 @@ def _object(value, what: str) -> dict:
     return value
 
 
-def _seed(value, what: str) -> int:
-    """A seed: a non-negative JSON integer, or a ScenarioError naming `what`."""
-    # bool is an int subclass; JSON true/false is not a seed.
-    if type(value) is not int or value < 0:
-        raise ScenarioError(f"{what} must be a non-negative integer, got {value!r}")
+def _integer(value, what: str, least: int) -> int:
+    """A JSON integer >= `least` (0 or 1), or a ScenarioError naming `what`."""
+    # bool is an int subclass; JSON true/false is not a number.
+    if type(value) is not int or value < least:
+        kind = "non-negative" if least == 0 else "positive"
+        raise ScenarioError(f"{what} must be a {kind} integer, got {value!r}")
     return value
+
+
+def _seed(value, what: str) -> int:
+    """A seed: a non-negative JSON integer."""
+    return _integer(value, what, 0)
+
+
+def _count(value, what: str) -> int:
+    """A rank, an order or a block size: a positive JSON integer."""
+    return _integer(value, what, 1)
 
 
 def _tolerance(value) -> float:
@@ -122,7 +133,7 @@ def _parse_group(spec) -> FiniteGroup:
         return recipes.named_group(spec)
     if isinstance(spec, dict) and "cayley" in spec:
         table = spec["cayley"]
-        if "order" in spec and int(spec["order"]) != len(table):
+        if "order" in spec and _count(spec["order"], "group order") != len(table):
             raise ScenarioError("declared group order does not match the Cayley table")
         return FiniteGroup.from_table(table, tuple(spec.get("names", ())))
     raise ScenarioError(f"bad group literal {spec!r}")
@@ -169,7 +180,9 @@ def _parse_cp_map(scn: Scenario, name: str, spec: dict) -> CompletelyPositiveMap
 
 
 def _parse_tower(scn: Scenario, name: str, spec: dict) -> TowerDeclaration:
-    levels = [str(x) for x in spec["levels"]]
+    levels = spec["levels"]
+    if not isinstance(levels, list) or not all(isinstance(x, str) for x in levels):
+        raise ScenarioError(f"tower {name!r}: levels must be a list of strings, got {levels!r}")
     algebras = {
         lvl: FiniteCStarAlgebra(tuple(spec["algebras"][lvl])) for lvl in levels
     }
@@ -217,7 +230,7 @@ def _parse_tower(scn: Scenario, name: str, spec: dict) -> TowerDeclaration:
 
     module_tower = None
     if "module_rank" in spec:
-        rank = int(spec["module_rank"])
+        rank = _count(spec["module_rank"], f"tower {name!r}: module_rank")
         if "top_projection" in spec and spec["top_projection"] is not None:
             top = poset.greatest()
             if top is None:
@@ -260,7 +273,7 @@ def parse_scenario(data: dict, *, tolerance: float | None = None, seed: int | No
             scn.groups[name] = _parse_group(spec)
         for name, spec in specs("modules", "module"):
             algebra = scn._get(scn.algebras, spec.get("algebra"), "algebra")
-            rank = int(spec.get("rank", 1))
+            rank = _count(spec.get("rank", 1), f"module {name!r}: rank")
             if "projection" in spec and spec["projection"] is not None:
                 scn.modules[name] = HilbertModule(algebra, rank, decode_matrix(spec["projection"]))
             else:
@@ -349,6 +362,13 @@ def _validate_task_refs(scn: Scenario, task: dict) -> None:
                 raise ScenarioError(f"task {task.get('name')}: uniqueness must be true or false")
     elif kind == "crossed-product":
         scn._get(scn.actions, task.get("action"), "action")
+        if "expected_blocks" in task:
+            blocks = task["expected_blocks"]
+            what = f"task {task.get('name')}: expected_blocks"
+            if not isinstance(blocks, list):
+                raise ScenarioError(f"{what} must be a list, got {blocks!r}")
+            for b in blocks:
+                _count(b, f"{what} entry")
     elif kind == "tower-check":
         decl = scn._get(scn.towers, task.get("tower"), "tower")
         coherence = task.get("coherence")
@@ -418,7 +438,7 @@ def _run_crossed(scn: Scenario, task: dict, result: TaskResult) -> None:
     )
     expected = task.get("expected_blocks")
     if expected is not None:
-        match = blocks == sorted(int(b) for b in expected)
+        match = blocks == sorted(expected)
         result.residuals.append(
             {
                 "name": "block sizes match expectation",

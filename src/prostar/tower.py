@@ -114,12 +114,10 @@ def dense_transfer_matrix(hom: StarHomomorphism) -> np.ndarray:
     positions in row-major order, so the transfer is the action matrix
     scattered onto those positions.
     """
-    src = np.flatnonzero(hom.source.dense_support_mask())
-    dst = np.flatnonzero(hom.target.dense_support_mask())
     transfer = np.zeros(
         (hom.target.total_dim ** 2, hom.source.total_dim ** 2), dtype=np.complex128
     )
-    transfer[np.ix_(dst, src)] = hom.action_matrix
+    transfer[np.ix_(hom.target.dense_support, hom.source.dense_support)] = hom.action_matrix
     return transfer
 
 

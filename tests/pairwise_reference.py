@@ -22,6 +22,15 @@ checks every pair of basis elements; `dilation_coherence_reference` and
 own and compare the squares one operator, one group element and one (g, i)
 pair at a time.
 
+The crossed-product references keep the per-element construction that one
+stack E replaced: `embed_reference` fills each block with
+`GroupAction.apply`, over a double loop on G, for the spanning set of
+`conv_basis_reference` (one `ConvolutionElement.delta` each);
+`embedding_residuals_reference` checks the involution and the extraction
+one spanning element at a time; `to_standard_reference` and
+`from_standard_reference` pair with one matrix unit at a time; and
+`star_map_reference` applies a *-homomorphism to each adjoint.
+
 The dilation references keep the loops that the stacked (a)/(b)/(c)
 helpers replaced: `dilation_checks_reference` and `uniqueness_reference`
 check one basis element and one g at a time, with the scale of (a) taken
@@ -95,16 +104,129 @@ def twisted_residual(phi, v, action) -> float:
     return worst
 
 
+def conv_basis_reference(system) -> list:
+    """The spanning set delta_g (x) a_i of C(G, A), g-major, one delta at a time."""
+    from prostar.crossed import ConvolutionElement
+
+    return [
+        ConvolutionElement.delta(system, g, b)
+        for g in system.group.elements()
+        for b in system.algebra.basis()
+    ]
+
+
+def embed_reference(xp, f) -> np.ndarray:
+    """Concrete matrix of f, block by block: block (t, t') is alpha_{t^-1}(f(t t'^-1))."""
+    group, alg = xp.system.group, xp.system.algebra
+    d = alg.total_dim
+    out = np.zeros((xp.ambient_dim, xp.ambient_dim), dtype=np.complex128)
+    for t in group.elements():
+        inv_t = group.inverse(t)
+        for tp in group.elements():
+            g = group.multiply(t, group.inverse(tp))
+            block = xp.system.apply(inv_t, f.values[g]).dense()
+            out[t * d : (t + 1) * d, tp * d : (tp + 1) * d] = block
+    return out
+
+
+def extract_reference(xp, matrix):
+    """Inverse of the embedding on its image, one identity-row block at a time."""
+    from prostar.crossed import ConvolutionElement
+
+    group, alg = xp.system.group, xp.system.algebra
+    d, e = alg.total_dim, group.identity
+    values = []
+    for g in group.elements():
+        tp = group.inverse(g)
+        values.append(alg.from_dense(matrix[e * d : (e + 1) * d, tp * d : (tp + 1) * d], check=False))
+    return ConvolutionElement(xp.system, tuple(values))
+
+
 def convolution_residual(xp) -> float:
     """max ||embed(f) embed(h) - embed(f x h)||_F over the spanning pairs."""
-    basis = xp.conv_basis()
-    emb = np.stack([xp.embed(f) for f in basis])
+    basis = conv_basis_reference(xp.system)
+    emb = np.stack([embed_reference(xp, f) for f in basis])
     m = len(basis)
     conv_coords = np.zeros((m, m, m), dtype=np.complex128)
     for i, f in enumerate(basis):
         for j, h in enumerate(basis):
             conv_coords[i, j] = f.convolve(h).coords()
     return _max_residual(emb, emb, emb, conv_coords)
+
+
+def embedding_residuals_reference(xp) -> dict[str, float]:
+    """The five embedding checks of build_crossed_product, one spanning element at a time."""
+    from prostar.crossed import ConvolutionElement
+    from prostar.linalg import matrix_rank
+
+    basis = conv_basis_reference(xp.system)
+    emb = [embed_reference(xp, f) for f in basis]
+    star = max(
+        float(np.linalg.norm(embed_reference(xp, f.involution()) - x.conj().T))
+        for f, x in zip(basis, emb)
+    )
+    unit = embed_reference(xp, ConvolutionElement.unit(xp.system))
+    rank = matrix_rank(np.stack([x.ravel() for x in emb], axis=1))
+    round_trip = 0.0
+    for f, x in zip(basis, emb):
+        back = extract_reference(xp, x)
+        round_trip = max(
+            round_trip, max((a - b).frobenius() for a, b in zip(back.values, f.values))
+        )
+    return {
+        "convolution -> product": convolution_residual(xp),
+        "involution -> adjoint": star,
+        "unit -> identity": float(np.linalg.norm(unit - np.eye(xp.ambient_dim))),
+        "embedding injective": float(len(basis) - rank),
+        "extraction round trip": round_trip,
+    }
+
+
+def _block_units(w, k: int) -> np.ndarray:
+    """The matrix units of block k of a Wedderburn decomposition, row-major."""
+    off, n = w.standard_form.coord_offsets[k], w.standard_form.block_sizes[k]
+    return w.matrix_units[off : off + n * n]
+
+
+def to_standard_reference(w, x):
+    """Standard-form element of x, one trace pairing per matrix unit:
+    the coefficient of E_ij is tr(f_ji x) / multiplicity."""
+    blocks = []
+    for k, n in enumerate(w.standard_form.block_sizes):
+        units, mult = _block_units(w, k), w.multiplicities[k]
+        block = np.empty((n, n), dtype=np.complex128)
+        for i in range(n):
+            for j in range(n):
+                block[i, j] = np.trace(units[j * n + i] @ x) / mult
+        blocks.append(block)
+    return w.standard_form.from_blocks(blocks)
+
+
+def from_standard_reference(w, a) -> np.ndarray:
+    """The matrix in M_N of a standard-form element, summed one matrix unit at a time."""
+    out = np.zeros((w.ambient_dim, w.ambient_dim), dtype=np.complex128)
+    for k, (n, block) in enumerate(zip(w.standard_form.block_sizes, a.blocks)):
+        units = _block_units(w, k)
+        for i in range(n):
+            for j in range(n):
+                out += block[i, j] * units[i * n + j]
+    return out
+
+
+def std_from_conv_reference(xp) -> np.ndarray:
+    """Convolution -> standard-form coordinates, one spanning element at a time."""
+    cols = [
+        to_standard_reference(xp.wedderburn, embed_reference(xp, f)).coords()
+        for f in conv_basis_reference(xp.system)
+    ]
+    return np.stack(cols, axis=1)
+
+
+def star_map_reference(phi) -> float:
+    """max ||phi(a*) - phi(a)*|| over basis elements, one adjoint at a time."""
+    return max(
+        (phi.apply(a.adjoint()) - phi.apply(a).adjoint()).frobenius() for a in phi.source.basis()
+    )
 
 
 def star_homomorphism_residual(phi) -> float:

@@ -363,21 +363,41 @@ def test_integrated_form_corner_residuals_bound_the_references(grid_extensions):
 def test_crossed_certificates_match_pairwise_reference(crossed_products):
     """Criterion 3 embedding and Wedderburn certificates equal the pairwise loops."""
     for xp in crossed_products.values():
-        check = xp.embedding_report.check("convolution -> product")
-        emb = np.stack([xp.embed(f) for f in xp.conv_basis()])
-        old = pairwise_reference.convolution_residual(xp)
+        basis = pairwise_reference.conv_basis_reference(xp.system)
+        emb = np.stack([pairwise_reference.embed_reference(xp, f) for f in basis])
+        assert np.array_equal(xp.spanning_stack, emb)
         scale = pairwise_reference.product_scale(emb)
-        pairwise_reference.assert_agrees(check.residual, old, scale, check.threshold)
+        old = pairwise_reference.embedding_residuals_reference(xp)
+        assert [c.name for c in xp.embedding_report.checks] == list(old)
+        for check in xp.embedding_report.checks:
+            pairwise_reference.assert_agrees(check.residual, old[check.name], scale, check.threshold)
 
         phi = xp.wedderburn.embedding
         new = verify_star_homomorphism(phi, 1e-8, check_surjective=False)
         images = np.stack([phi.target.from_coords(c).dense() for c in phi.action_matrix.T])
-        pairwise_reference.assert_agrees(
-            new.check("multiplicative").residual,
-            pairwise_reference.star_homomorphism_residual(phi),
-            pairwise_reference.product_scale(images),
-            1e-8,
-        )
+        for name, reference in (
+            ("multiplicative", pairwise_reference.star_homomorphism_residual),
+            ("star", pairwise_reference.star_map_reference),
+        ):
+            pairwise_reference.assert_agrees(
+                new.check(name).residual,
+                reference(phi),
+                pairwise_reference.product_scale(images),
+                1e-8,
+            )
+
+
+def test_standardization_matches_per_unit_reference(crossed_products):
+    """The stacked change of basis equals the per-matrix-unit loops on the 12 crossed products."""
+    for xp in crossed_products.values():
+        w = xp.wedderburn
+        old = pairwise_reference.std_from_conv_reference(xp)
+        assert np.max(np.abs(xp._std_from_conv - old)) <= 1e-12
+        a = w.standard_form.from_coords(np.arange(w.standard_form.linear_dim) + 1j)
+        back = pairwise_reference.from_standard_reference(w, a)
+        assert np.max(np.abs(w.from_standard(a.coords()) - back)) <= 1e-12
+        again = pairwise_reference.to_standard_reference(w, back).coords()
+        assert np.max(np.abs(w.to_standard(back) - again)) <= 1e-12
 
 
 def test_standard_unit_is_standardized_convolution_unit(crossed_products):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import pairwise_reference
 from prostar import linalg
-from prostar.algebra import FiniteCStarAlgebra
+from prostar.algebra import FiniteCStarAlgebra, StarHomomorphism
 from prostar.crossed import (
     ConvolutionElement,
     _spanning_residuals,
@@ -14,7 +14,7 @@ from prostar.crossed import (
     integrated_form,
 )
 from prostar.dilation import covariant_dilation, scaled_connector_variant
-from prostar.errors import PreconditionError, StructuralError
+from prostar.errors import NumericalError, PreconditionError, StructuralError
 from prostar.groups import FiniteGroup, GroupAction, UnitaryRepresentation, check_covariance
 from prostar.modules import AdjointableOperator, HilbertModule
 from prostar.recipes import dilation_instance, named_algebra, named_group, standard_action
@@ -157,6 +157,35 @@ class TestCrossedProduct:
         rhs = xp.standardize(f) * xp.standardize(h)
         assert (lhs - rhs).frobenius() <= 1e-10
         assert (xp.standardize(f.involution()) - xp.standardize(f).adjoint()).frobenius() <= 1e-10
+
+
+class TestEmbeddingNegativeControls:
+    """Z2 actions on M2 by maps that are not *-automorphisms: the embedding
+    report fails on exactly the identity each one breaks."""
+
+    @staticmethod
+    def failed_checks(flip: StarHomomorphism) -> dict[str, float]:
+        action = GroupAction(FiniteGroup.cyclic(2), M2, (StarHomomorphism.identity(M2), flip))
+        with pytest.raises(NumericalError) as err:
+            build_crossed_product(action)
+        report = err.value.diagnostics["report"]
+        assert len(report.checks) == 5
+        return {c.name: c.residual for c in report.checks if not c.passed}
+
+    def test_transpose_breaks_convolution(self):
+        """a -> a^T reverses products: (delta_1 a)(delta_1 b) embeds as a^T b^T."""
+        transpose = StarHomomorphism(M2, M2, np.eye(4)[[0, 2, 1, 3]])
+        failed = self.failed_checks(transpose)
+        assert list(failed) == ["convolution -> product"]
+        assert failed["convolution -> product"] == pytest.approx(np.sqrt(2.0), rel=1e-12)
+
+    def test_non_unitary_conjugation_breaks_involution(self):
+        """a -> s a s with s = s^-1 = [[1, 1], [0, -1]] is multiplicative but not *-preserving."""
+        s = M2.from_blocks([np.array([[1.0, 1.0], [0.0, -1.0]])])
+        conj = StarHomomorphism.from_images(M2, M2, [s * b * s for b in M2.basis()])
+        failed = self.failed_checks(conj)
+        assert list(failed) == ["involution -> adjoint"]
+        assert failed["involution -> adjoint"] == pytest.approx(np.sqrt(3.0), rel=1e-12)
 
 
 class TestIntegratedForm:

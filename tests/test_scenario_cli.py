@@ -258,6 +258,54 @@ class TestCli:
         assert "seed must be a non-negative integer" in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
+        "doc",
+        [
+            {"algebras": {"A": [1]}, "modules": {"E": {"algebra": "A", "rank": "2"}}},
+            {"algebras": {"A": [1]}, "modules": {"E": {"algebra": "A", "rank": 1.5}}},
+            {"algebras": {"A": [1]}, "modules": {"E": {"algebra": "A", "rank": True}}},
+            {"groups": {"G": {"cayley": [[0, 1], [1, 0]], "order": 2.5}}},
+            {"groups": {"G": {"cayley": [[0, 1], [1, 0]], "order": "2"}}},
+        ],
+    )
+    def test_non_integer_rank_or_order_exit_two(self, doc, tmp_path, capsys):
+        """A module rank and a Cayley table's order are positive JSON integers."""
+        path = write_scenario(tmp_path, {"schema": "prostar-scenario-v1", **doc})
+        assert main(["validate", "--scenario", path]) == 2
+        assert main(["run", "--scenario", path]) == 2
+        err = capsys.readouterr().err
+        assert "must be a positive integer" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"module_rank": 1.5}, "must be a positive integer"),
+            ({"module_rank": True}, "must be a positive integer"),
+            ({"module_rank": 0}, "must be a positive integer"),
+            ({"levels": "qp"}, "levels must be a list of strings"),
+            ({"levels": ["q", 1]}, "levels must be a list of strings"),
+        ],
+    )
+    def test_malformed_tower_fields_exit_two(self, fields, message, tmp_path, capsys):
+        doc = generate_example("tower-two-level", 0)
+        doc["towers"]["T"].update(fields)
+        path = write_scenario(tmp_path, doc)
+        assert main(["validate", "--scenario", path]) == 2
+        assert main(["run", "--scenario", path]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("blocks", ["x", 5, None, [1.5], [True, True], [0], [2, "2"]])
+    def test_malformed_expected_blocks_exit_two(self, blocks, tmp_path, capsys):
+        """`expected_blocks` is a list of positive JSON integers, checked before any task runs."""
+        doc = generate_example("z2-swap-crossed", 0)
+        doc["tasks"][0]["expected_blocks"] = blocks
+        path = write_scenario(tmp_path, doc)
+        assert main(["validate", "--scenario", path]) == 2
+        assert main(["run", "--scenario", path]) == 2
+        err = capsys.readouterr().err
+        assert "expected_blocks" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
         "fields, flags",
         [
             ({"tolerance": float("nan")}, []),
