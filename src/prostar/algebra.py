@@ -464,8 +464,11 @@ def verify_star_homomorphism(
 # Wedderburn standardization of *-closed unital matrix algebras
 # ---------------------------------------------------------------------------
 
+SPLIT_GAP_TOL = 1e-6  # eigenvalue gaps, relative to the spread, that separate projections
+SPLIT_RETRIES = 5  # random draws per spectral split or link before giving up
 
-@dataclass
+
+@dataclass(frozen=True, eq=False)
 class WedderburnDecomposition:
     """A concrete *-closed span rewritten as a direct sum of matrix blocks.
 
@@ -493,11 +496,16 @@ class WedderburnDecomposition:
         The coefficient of E_ij is the pairing tr(f_ji x) / multiplicity with
         the unit f_ji, the image of E_ij* (`adjoint_index`).
         """
-        n = self.ambient_dim
-        units = self.matrix_units[self.standard_form.adjoint_index].reshape(-1, n * n)
-        mult = np.repeat(self.multiplicities, np.square(self.standard_form.block_sizes))
-        flat = np.swapaxes(x, -1, -2).reshape(x.shape[:-2] + (n * n,))
-        return (flat @ units.T) / mult
+        return _to_standard(self.standard_form, self.matrix_units, self.multiplicities, x)
+
+
+def _to_standard(standard, units, multiplicities, x) -> np.ndarray:
+    """`WedderburnDecomposition.to_standard` from its parts."""
+    n = units.shape[-1]
+    pairing = units[standard.adjoint_index].reshape(-1, n * n)
+    mult = np.repeat(multiplicities, np.square(standard.block_sizes))
+    flat = np.swapaxes(x, -1, -2).reshape(x.shape[:-2] + (n * n,))
+    return (flat @ pairing.T) / mult
 
 
 def _orthonormal_span(stack: np.ndarray, rel: float = 1e-9) -> np.ndarray:
@@ -520,26 +528,24 @@ def _cluster_by_gap(values: np.ndarray, gap: float) -> list[np.ndarray]:
     return np.split(np.arange(len(values)), cuts)
 
 
-def _spectral_split(
-    span: np.ndarray, n_amb: int, count: int, rng, gap_tol: float, retries: int
-) -> np.ndarray:
+def _spectral_split(span: np.ndarray, n_amb: int, count: int, rng) -> np.ndarray:
     """A stack of `count` eigenprojections of a random self-adjoint element of a span.
 
     `span` holds an orthonormal basis of vec'd N×N matrices as columns. Each
     try draws a complex Gaussian combination, takes its Hermitian part and
-    clusters the eigenvalues at gaps above `gap_tol` times their spread.
+    clusters the eigenvalues at gaps above `SPLIT_GAP_TOL` times their spread.
     Clusters within that distance of 0 are dropped: a corner's ambient
     kernel shows up as one. A try succeeds when `count` clusters remain and
-    each projection lies in the span (residual <= 1e-7); after `retries`
+    each projection lies in the span (residual <= 1e-7); after `SPLIT_RETRIES`
     failed tries this raises NumericalError.
     """
-    for _ in range(retries):
+    for _ in range(SPLIT_RETRIES):
         coeff = rng.standard_normal(span.shape[1]) + 1j * rng.standard_normal(span.shape[1])
         y = (span @ coeff).reshape(n_amb, n_amb)
         y = (y + y.conj().T) / 2.0
         y /= max(linalg.frobenius(y), 1e-30)
         vals, vecs = linalg.hermitian_eigendecomposition(y)
-        floor = gap_tol * max(float(vals[-1] - vals[0]), 1.0)
+        floor = SPLIT_GAP_TOL * max(float(vals[-1] - vals[0]), 1.0)
         clusters = [
             idx for idx in _cluster_by_gap(vals, floor) if np.max(np.abs(vals[idx])) > floor
         ]
@@ -549,7 +555,7 @@ def _spectral_split(
         if np.max(_span_residuals(span, projs)) <= 1e-7:
             return projs
     raise NumericalError(
-        f"spectral split into {count} projections failed after {retries} tries"
+        f"spectral split into {count} projections failed after {SPLIT_RETRIES} tries"
     )
 
 
@@ -558,8 +564,6 @@ def wedderburn_decompose(
     *,
     seed: int = 0,
     tol: float = DEFAULT_TOL,
-    gap_tol: float = 1e-6,
-    retries: int = 5,
 ) -> WedderburnDecomposition:
     """Standardize a *-closed unital matrix algebra into block form.
 
@@ -586,7 +590,7 @@ def wedderburn_decompose(
     central element, then each simple corner is split into minimal
     projections and linked into matrix units (`_spectral_split` for both,
     retried with fresh randomness when eigenvalue gaps fall under
-    `gap_tol`).
+    `SPLIT_GAP_TOL`).
     """
     try:
         mats = np.asarray(spanning_set, dtype=np.complex128)
@@ -624,43 +628,37 @@ def wedderburn_decompose(
 
     rng = np.random.default_rng(seed)
     blocks = []
-    for z in _spectral_split(center, n_amb, null_dim, rng, gap_tol, retries):
+    for z in _spectral_split(center, n_amb, null_dim, rng):
         corner = _orthonormal_span(z @ basis @ z)
         m = math.isqrt(corner.shape[1])
         if m * m != corner.shape[1]:
             raise NumericalError("corner dimension is not a perfect square", dim=corner.shape[1])
-        diag = _spectral_split(corner, n_amb, m, rng, gap_tol, retries)
-        blocks.append(_matrix_units(diag, corner, n_amb, rng, retries))
+        diag = _spectral_split(corner, n_amb, m, rng)
+        blocks.append(_matrix_units(diag, corner, n_amb, rng))
 
     # Ascending block sizes, deterministic under the seed.
     blocks.sort(key=lambda b: b[0])
     standard = FiniteCStarAlgebra(tuple(b[0] for b in blocks))
     units = np.concatenate([b[2] for b in blocks])
-    decomp = WedderburnDecomposition(
-        ambient_dim=n_amb,
-        standard_form=standard,
-        matrix_units=units,
-        multiplicities=tuple(b[1] for b in blocks),
-        embedding=StarHomomorphism(
-            standard, FiniteCStarAlgebra((n_amb,)), units.reshape(len(units), -1).T
-        ),
-        report=None,
+    multiplicities = tuple(b[1] for b in blocks)
+    embedding = StarHomomorphism(
+        standard, FiniteCStarAlgebra((n_amb,)), units.reshape(len(units), -1).T
     )
-    hom_report = decomp.embedding.verify(max(tol, 1e-8), check_surjective=False)
-    injective = standard.linear_dim - linalg.matrix_rank(decomp.embedding.action_matrix)
-    back = decomp.from_standard(decomp.to_standard(basis))
+    hom_report = embedding.verify(max(tol, 1e-8), check_surjective=False)
+    injective = standard.linear_dim - linalg.matrix_rank(embedding.action_matrix)
+    back = np.tensordot(_to_standard(standard, units, multiplicities, basis), units, axes=1)
     checks = list(hom_report.checks) + [
         Check("dimension conservation", float(abs(standard.linear_dim - dim)), 0.5),
         Check("embedding injective", float(injective), 0.5),
         Check("span round trip", linalg.max_frobenius(back - basis), max(tol, 1e-8)),
     ]
-    decomp.report = VerificationReport(f"Wedderburn -> {standard}", tuple(checks))
-    if not decomp.report.passed:
-        raise NumericalError(f"Wedderburn verification failed:\n{decomp.report}")
-    return decomp
+    report = VerificationReport(f"Wedderburn -> {standard}", tuple(checks))
+    if not report.passed:
+        raise NumericalError(f"Wedderburn verification failed:\n{report}")
+    return WedderburnDecomposition(n_amb, standard, units, multiplicities, embedding, report)
 
 
-def _matrix_units(diag, corner, n_amb, rng, retries) -> tuple[int, int, np.ndarray]:
+def _matrix_units(diag, corner, n_amb, rng) -> tuple[int, int, np.ndarray]:
     """(m, multiplicity, units) of one simple corner from its minimal projections.
 
     Partial isometries f_1i = diag[0]·c·diag[i], scaled, link the first
@@ -674,7 +672,7 @@ def _matrix_units(diag, corner, n_amb, rng, retries) -> tuple[int, int, np.ndarr
     mult = int(round(mult))
     links = [diag[0]]
     for i in range(1, m):
-        for _ in range(retries):
+        for _ in range(SPLIT_RETRIES):
             coeff = rng.standard_normal(corner.shape[1]) + 1j * rng.standard_normal(corner.shape[1])
             w = diag[0] @ (corner @ coeff).reshape(n_amb, n_amb) @ diag[i]
             if linalg.frobenius(w) > 1e-6:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -35,14 +35,13 @@ class CPCertificate:
         return min(self.choi_min_eigenvalues)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class CompletelyPositiveMap:
     """Linear map A -> L_B(E), stored by its values on the matrix-unit basis of A."""
 
     source: FiniteCStarAlgebra
     module: HilbertModule
     basis_values: tuple[AdjointableOperator, ...]
-    certification: CPCertificate | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if len(self.basis_values) != self.source.linear_dim:
@@ -52,7 +51,7 @@ class CompletelyPositiveMap:
         for op in self.basis_values:
             if op.domain != self.module or op.codomain != self.module:
                 raise StructuralError("basis values must be endomorphisms of the target module")
-        self.basis_values = tuple(self.basis_values)
+        object.__setattr__(self, "basis_values", tuple(self.basis_values))
 
     # -- constructors --------------------------------------------------------
 
@@ -152,27 +151,36 @@ class CompletelyPositiveMap:
             out.append(choi)
         return out
 
-    def verify_completely_positive(self, tol: float = DEFAULT_TOL) -> CPCertificate:
-        herm = self.hermiticity_residual()
+    @cached_property
+    def _choi_data(self) -> tuple:
+        """The Choi test's tolerance-free part: the hermiticity residual and its
+        scale, and per Choi block its Hermitian defect and scale, the least
+        eigenvalue of its Hermitian part and the norm of its anti-Hermitian part."""
         scale = max(1.0, max(linalg.frobenius(v.flat) for v in self.basis_values))
-        herm_ok = herm <= tol * scale
-        mins = []
+        blocks = []
         for choi in self.choi_matrices():
-            if linalg.hermitian_defect(choi) > tol * max(1.0, linalg.frobenius(choi)):
-                sym = (choi + choi.conj().T) / 2.0
-                anti = linalg.spectral_norm(choi - sym)
-                mins.append(min(linalg.min_eigenvalue(sym), -anti))
-            else:
-                mins.append(linalg.min_eigenvalue((choi + choi.conj().T) / 2.0))
-        cert = CPCertificate(
+            sym = (choi + choi.conj().T) / 2.0
+            size = max(1.0, linalg.frobenius(choi))
+            anti = linalg.spectral_norm(choi - sym)
+            blocks.append((linalg.hermitian_defect(choi), size, linalg.min_eigenvalue(sym), anti))
+        return self.hermiticity_residual(), scale, tuple(blocks)
+
+    def verify_completely_positive(self, tol: float = DEFAULT_TOL) -> CPCertificate:
+        """Blockwise Choi test at `tol`; a block whose Choi matrix is not Hermitian
+        within tol counts its anti-Hermitian norm as a negative eigenvalue."""
+        herm, scale, blocks = self._choi_data
+        herm_ok = herm <= tol * scale
+        mins = tuple(
+            float(min(low, -anti) if defect > tol * size else low)
+            for defect, size, low, anti in blocks
+        )
+        return CPCertificate(
             is_hermitian_preserving=herm_ok,
             hermitian_residual=herm,
-            choi_min_eigenvalues=tuple(float(m) for m in mins),
+            choi_min_eigenvalues=mins,
             is_cp=herm_ok and all(m >= -tol for m in mins),
             tol=tol,
         )
-        self.certification = cert
-        return cert
 
     def verify_nondegenerate(self, tol: float = DEFAULT_TOL) -> VerificationReport:
         """Unitality rho(1) = id_E, the finite-dimensional form of non-degeneracy."""
@@ -242,14 +250,8 @@ class CompletelyPositiveMap:
 
 
 def require_certified_cp(rho: CompletelyPositiveMap, tol: float = DEFAULT_TOL) -> CPCertificate:
-    """Certify on demand; raise PreconditionError when the map is not CP.
-
-    A cached certificate is reused when it was made at `tol`, or when it
-    passed at a stricter tolerance (which implies passing at `tol`).
-    """
-    cert = rho.certification
-    if cert is None or not (cert.tol == tol or (cert.is_cp and cert.tol < tol)):
-        cert = rho.verify_completely_positive(tol)
+    """Certify at `tol`; raise PreconditionError when the map is not CP."""
+    cert = rho.verify_completely_positive(tol)
     if not cert.is_cp:
         raise PreconditionError(
             f"map is not completely positive (Choi minimum {cert.min_eigenvalue:.3e})"

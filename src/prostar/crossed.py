@@ -24,7 +24,7 @@ from .algebra import (
     WedderburnDecomposition,
     wedderburn_decompose,
 )
-from .cpmaps import CompletelyPositiveMap
+from .cpmaps import CompletelyPositiveMap, CPCertificate
 from .dilation import CovariantDilation
 from .errors import NumericalError, PreconditionError, StructuralError
 from .groups import (
@@ -125,12 +125,44 @@ class ConvolutionElement:
         return np.concatenate([v.coords() for v in self.values])
 
 
-@dataclass(eq=False)
+def _spanning_stack(system: GroupAction) -> np.ndarray:
+    """E, the embedding of the spanning set delta_g (x) a_i in g-major order, (m, N, N).
+
+    Block (t, t') of f is alpha_{t^-1}(f(t t'^-1)), so the only nonzero
+    blocks of delta_g a_i are (t, g^-1 t), each alpha_{t^-1}(a_i): column i
+    of the action matrix of t^-1 scattered onto the dense support. The
+    whole stack is filled by one indexed assignment of those |G|·dim
+    dense blocks.
+    """
+    group, alg = system.group, system.algebra
+    order, dim, d = group.order, alg.linear_dim, alg.total_dim
+    inv = np.array([group.inverse(t) for t in group.elements()])
+    moved = alg.dense_stack(system._action_tensor[inv].transpose(0, 2, 1))
+    g, t = np.indices((order, order))
+    cols = np.asarray(group.cayley)[inv[g], t]
+    stack = np.zeros((order, dim, order, d, order, d), dtype=np.complex128)
+    stack[g, :, t, :, cols, :] = moved[t]
+    stack.setflags(write=False)
+    return stack.reshape(order * dim, order * d, order * d)
+
+
+def _identity_row(system: GroupAction, stack: np.ndarray) -> np.ndarray:
+    """Coordinates (..., |G|, dim) read off the identity block row of a stack
+    (..., N, N): at g, the block (e, g^-1), where f(g) sits."""
+    group, alg = system.group, system.algebra
+    order, d = group.order, alg.total_dim
+    inv = [group.inverse(g) for g in group.elements()]
+    grid = stack.reshape(stack.shape[:-2] + (order, d, order, d))
+    return alg.coords_stack(np.moveaxis(grid[..., group.identity, :, inv, :], 0, -3))
+
+
+@dataclass(frozen=True, eq=False)
 class CrossedProductRealization:
     """A⋊G: regular-representation embedding plus its standard form."""
 
     system: GroupAction
     ambient_dim: int
+    spanning_stack: np.ndarray
     wedderburn: WedderburnDecomposition
     embedding_report: VerificationReport
 
@@ -138,43 +170,13 @@ class CrossedProductRealization:
     def standard_algebra(self) -> FiniteCStarAlgebra:
         return self.wedderburn.standard_form
 
-    @cached_property
-    def spanning_stack(self) -> np.ndarray:
-        """E, the embedding of the spanning set delta_g (x) a_i in g-major order, (m, N, N).
-
-        Block (t, t') of f is alpha_{t^-1}(f(t t'^-1)), so the only nonzero
-        blocks of delta_g a_i are (t, g^-1 t), each alpha_{t^-1}(a_i): column i
-        of the action matrix of t^-1 scattered onto the dense support. The
-        whole stack is filled by one indexed assignment of those |G|·dim
-        dense blocks.
-        """
-        group, alg = self.system.group, self.system.algebra
-        order, dim, d = group.order, alg.linear_dim, alg.total_dim
-        inv = np.array([group.inverse(t) for t in group.elements()])
-        moved = alg.dense_stack(self.system._action_tensor[inv].transpose(0, 2, 1))
-        g, t = np.indices((order, order))
-        cols = np.asarray(group.cayley)[inv[g], t]
-        stack = np.zeros((order, dim, order, d, order, d), dtype=np.complex128)
-        stack[g, :, t, :, cols, :] = moved[t]
-        stack.setflags(write=False)
-        return stack.reshape(order * dim, self.ambient_dim, self.ambient_dim)
-
     def embed(self, f: ConvolutionElement) -> np.ndarray:
         """Concrete matrix of f: block (t, t') is alpha_{t^-1}(f(t t'^-1))."""
         return np.tensordot(f.coords(), self.spanning_stack, axes=1)
 
-    def _identity_row(self, stack: np.ndarray) -> np.ndarray:
-        """Coordinates (..., |G|, dim) read off the identity block row of a stack
-        (..., N, N): at g, the block (e, g^-1), where f(g) sits."""
-        group, alg = self.system.group, self.system.algebra
-        order, d = group.order, alg.total_dim
-        inv = [group.inverse(g) for g in group.elements()]
-        grid = stack.reshape(stack.shape[:-2] + (order, d, order, d))
-        return alg.coords_stack(np.moveaxis(grid[..., group.identity, :, inv, :], 0, -3))
-
     def extract_convolution(self, matrix) -> ConvolutionElement:
         """Inverse of `embed` on its image, read off the identity block row."""
-        rows = self._identity_row(linalg.as_complex_matrix(matrix))
+        rows = _identity_row(self.system, linalg.as_complex_matrix(matrix))
         return ConvolutionElement(
             self.system, tuple(self.system.algebra.from_coords(c) for c in rows)
         )
@@ -222,15 +224,9 @@ def build_crossed_product(
     group, alg = system.group, system.algebra
     if group.identity is None:
         raise PreconditionError("system group has no identity element")
-    xp = CrossedProductRealization(
-        system=system,
-        ambient_dim=group.order * alg.total_dim,
-        wedderburn=None,
-        embedding_report=None,
-    )
-    order, dim, n = group.order, alg.linear_dim, xp.ambient_dim
-    stack = xp.spanning_stack
-    m = len(stack)
+    stack = _spanning_stack(system)
+    order, dim = group.order, alg.linear_dim
+    m, n = stack.shape[:2]
 
     rank = linalg.matrix_rank(stack.reshape(m, n * n).T)
     injective = Check("embedding injective", float(m - rank), 0.5, f"rank {rank} of {m}")
@@ -254,11 +250,12 @@ def build_crossed_product(
         moved[:, alg.adjoint_index] / delta[:, None, None, None]
         - by_group[inv].conj().transpose(0, 1, 3, 2)
     )
-    unital = linalg.frobenius(xp.embed(ConvolutionElement.unit(system)) - np.eye(n))
-    back = xp._identity_row(stack).reshape(m, m)
+    unit = np.tensordot(ConvolutionElement.unit(system).coords(), stack, axes=1)
+    unital = linalg.frobenius(unit - np.eye(n))
+    back = _identity_row(system, stack).reshape(m, m)
     round_trip = float(np.max(np.linalg.norm((back - np.eye(m)).reshape(m, order, dim), axis=2)))
 
-    xp.embedding_report = VerificationReport(
+    embedding_report = VerificationReport(
         f"crossed product embedding ({alg} by group of order {group.order})",
         (
             Check("convolution -> product", mult, tol),
@@ -268,16 +265,16 @@ def build_crossed_product(
             Check("extraction round trip", round_trip, tol),
         ),
     )
-    if not xp.embedding_report.passed:
+    if not embedding_report.passed:
         raise NumericalError(
-            f"crossed-product embedding failed verification:\n{xp.embedding_report}",
-            report=xp.embedding_report,
+            f"crossed-product embedding failed verification:\n{embedding_report}",
+            report=embedding_report,
         )
-    xp.wedderburn = wedderburn_decompose(stack, seed=seed, tol=tol)
-    return xp
+    wedderburn = wedderburn_decompose(stack, seed=seed, tol=tol)
+    return CrossedProductRealization(system, n, stack, wedderburn, embedding_report)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class IntegratedForm:
     """(Phi x v): the representation of A⋊G attached to a covariant pair."""
 
@@ -459,14 +456,15 @@ def _operator_bound(stack: linalg.Corner) -> linalg.Corner:
     return stack._replace(f=float(np.max(linalg.spectral_norm(stack.y))) + stack.c)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class CovariantExtension:
     """phi = V*(Phi_rho x v_rho)(.)V, the CP extension of rho to A⋊G."""
 
     dilation: CovariantDilation
     crossed: CrossedProductRealization
     integrated: IntegratedForm
-    standard_map: CompletelyPositiveMap  # on the standard form of A⋊G, CP-certified
+    standard_map: CompletelyPositiveMap  # on the standard form of A⋊G
+    certificate: CPCertificate  # the Choi test of standard_map
     report: VerificationReport
 
     def on_convolution(self, f: ConvolutionElement) -> AdjointableOperator:
@@ -497,7 +495,7 @@ def extend_covariant_cp(
     unital, and to be completely positive (blockwise Choi test on the
     standard form).
     """
-    if d.residuals is None or not d.residuals.passed:
+    if not d.residuals.passed:
         raise PreconditionError("extension needs a verified covariant dilation")
     if xp.system is not d.action and (
         xp.system.group != d.action.group or xp.system.algebra != d.action.algebra
@@ -539,5 +537,6 @@ def extend_covariant_cp(
         crossed=xp,
         integrated=integrated,
         standard_map=phi_std,
+        certificate=cert,
         report=VerificationReport("covariant CP extension to A⋊G", checks),
     )

@@ -11,7 +11,7 @@ for covariant input data, a unitary representation of the group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -82,9 +82,10 @@ class CovariantTriple:
     connector: AdjointableOperator
 
 
-@dataclass
+@dataclass(frozen=True)
 class CovariantDilation:
-    """Verified covariant dilation of (rho, alpha, u)."""
+    """Covariant dilation of (rho, alpha, u). `residuals` is computed from the
+    other fields at `tol` when it is built, so `replace` checks it again."""
 
     cp_map: CompletelyPositiveMap
     action: GroupAction
@@ -94,7 +95,12 @@ class CovariantDilation:
     group_unitaries: UnitaryRepresentation
     connector: AdjointableOperator
     quotient: QuotientData
-    residuals: VerificationReport
+    tol: float
+    residuals: VerificationReport = field(init=False)
+
+    def __post_init__(self):
+        report = VerificationReport("covariant dilation", tuple(_dilation_checks(self, self.tol)))
+        object.__setattr__(self, "residuals", report)
 
     def as_triple(self) -> CovariantTriple:
         return CovariantTriple(
@@ -133,8 +139,6 @@ def minimal_dilation(
     *,
     tol: float = DEFAULT_TOL,
     order_seed: int | None = None,
-    null_rel: float = NULL_SPACE_REL,
-    support_rel: float = SUPPORT_REL,
 ) -> DilationCore:
     """Construct (E_rho, Phi_rho, V_rho) for a certified, unital CP map.
 
@@ -168,7 +172,7 @@ def minimal_dilation(
 
     vals, vecs = linalg.hermitian_eigendecomposition(scalar)
     lam_max = max(float(vals[-1]), 0.0)
-    threshold = max(null_rel * lam_max, NULL_SPACE_FLOOR)
+    threshold = max(NULL_SPACE_REL * lam_max, NULL_SPACE_FLOOR)
     keep = vals > threshold
     warnings = []
     ambiguous = np.logical_and(vals > threshold / 10.0, vals < threshold * 10.0)
@@ -193,7 +197,7 @@ def minimal_dilation(
 
     hvals, hvecs = linalg.hermitian_eigendecomposition(h_flat)
     h_top = max(float(hvals[-1]), 0.0)
-    sup_cut = max(support_rel * h_top, NULL_SPACE_FLOOR)
+    sup_cut = max(SUPPORT_REL * h_top, NULL_SPACE_FLOOR)
     keep_h = hvals > sup_cut
     w = (hvecs[:, keep_h] * np.sqrt(hvals[keep_h])) @ hvecs[:, keep_h].conj().T
     proj = hvecs[:, keep_h] @ hvecs[:, keep_h].conj().T
@@ -330,7 +334,7 @@ def covariant_extend(
     )
     group_unitaries = UnitaryRepresentation(action.group, core.module, core.module.operators(flats))
 
-    dilation = CovariantDilation(
+    return CovariantDilation(
         cp_map=rho,
         action=action,
         rep=rep,
@@ -339,12 +343,8 @@ def covariant_extend(
         group_unitaries=group_unitaries,
         connector=core.connector,
         quotient=core.quotient,
-        residuals=None,
+        tol=tol,
     )
-    dilation.residuals = VerificationReport(
-        "covariant dilation", tuple(_dilation_checks(dilation, tol))
-    )
-    return dilation
 
 
 def covariant_dilation(

@@ -22,6 +22,8 @@ DEFAULT_TOL = 1e-10
 JACOBI_OFFDIAG_TARGET = 1e-13
 JACOBI_MAX_SWEEPS = 100
 
+EIGH_CHECK_REL = 1e-10  # residual contract of `hermitian_eigendecomposition`
+
 # Bytes of pairwise products formed at once by `max_product_residual`; peak
 # memory stays near a small multiple of this whatever the number of pairs.
 PRODUCT_CHUNK_BYTES = 64 * 2**20
@@ -155,13 +157,11 @@ def jacobi_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals[order], _fix_phases(v[:, order])
 
 
-def hermitian_eigendecomposition(
-    h, *, engine: str = "lapack", check_rel_tol: float = 1e-10
-) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eigendecomposition(h, *, engine: str = "lapack") -> tuple[np.ndarray, np.ndarray]:
     """Eigendecompose a Hermitian matrix; returns (ascending values, unitary columns).
 
-    Verifies the reconstruction residual ||U diag(w) U* - h||_F <= 1e-10*||h||_F
-    and ||U*U - I||_F <= 1e-10 before returning.
+    Verifies the reconstruction residual ||U diag(w) U* - h||_F <= EIGH_CHECK_REL*||h||_F
+    and ||U*U - I||_F <= EIGH_CHECK_REL before returning.
     """
     h = require_hermitian(h)
     if engine == "jacobi":
@@ -177,7 +177,7 @@ def hermitian_eigendecomposition(
     scale = max(frobenius(h), 1.0)
     recon = frobenius((vecs * vals) @ vecs.conj().T - h)
     ortho = frobenius(vecs.conj().T @ vecs - np.eye(h.shape[0]))
-    if recon > check_rel_tol * scale or ortho > check_rel_tol:
+    if recon > EIGH_CHECK_REL * scale or ortho > EIGH_CHECK_REL:
         raise NumericalError(
             "eigendecomposition failed its residual contract",
             reconstruction=recon,

@@ -193,7 +193,7 @@ def random_covariant_cp(
     rng = np.random.default_rng(seed)
     sigma = random_cp_map(source, module, rng, kraus_terms=kraus_terms)
     rho = unitalize(covariant_average(sigma, action, rep))
-    rho.verify_completely_positive()
+    rho.verify_completely_positive()  # fills the map's cached Choi data
     return rho
 
 

@@ -120,6 +120,13 @@ def _count(value, what: str) -> int:
     return _integer(value, what, 1)
 
 
+def _block_sizes(value, what: str) -> tuple[int, ...]:
+    """An algebra's block sizes: a JSON list of positive integers."""
+    if not isinstance(value, list):
+        raise ScenarioError(f"{what} must be a list of block sizes, got {value!r}")
+    return tuple(_count(n, f"{what}: block size") for n in value)
+
+
 def _tolerance(value) -> float:
     """A tolerance: a finite positive JSON number, or a ScenarioError."""
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -184,7 +191,8 @@ def _parse_tower(scn: Scenario, name: str, spec: dict) -> TowerDeclaration:
     if not isinstance(levels, list) or not all(isinstance(x, str) for x in levels):
         raise ScenarioError(f"tower {name!r}: levels must be a list of strings, got {levels!r}")
     algebras = {
-        lvl: FiniteCStarAlgebra(tuple(spec["algebras"][lvl])) for lvl in levels
+        lvl: FiniteCStarAlgebra(_block_sizes(spec["algebras"][lvl], f"tower {name!r}: {lvl!r}"))
+        for lvl in levels
     }
     covers = [(str(a), str(b)) for a, b in spec.get("relations", [])]
     if not covers and len(levels) > 1:
@@ -267,7 +275,7 @@ def parse_scenario(data: dict, *, tolerance: float | None = None, seed: int | No
         for name, spec in section("algebras").items():
             scn.algebras[name] = (
                 recipes.named_algebra(spec) if isinstance(spec, str)
-                else FiniteCStarAlgebra(tuple(spec))
+                else FiniteCStarAlgebra(_block_sizes(spec, f"algebra {name!r}"))
             )
         for name, spec in section("groups").items():
             scn.groups[name] = _parse_group(spec)
@@ -419,8 +427,6 @@ def _run_dilate(scn: Scenario, task: dict, result: TaskResult) -> None:
         other = covariant_dilation(rho, action, rep, tol=tol, order_seed=seed)
         _, urep = uniqueness_unitary(d, other.as_triple(), tol)
         result.add_report(urep, prefix="uniqueness")
-    if not report.passed:
-        result.outcome = "fail"
 
 
 def _run_crossed(scn: Scenario, task: dict, result: TaskResult) -> None:
@@ -448,8 +454,6 @@ def _run_crossed(scn: Scenario, task: dict, result: TaskResult) -> None:
                 "detail": f"got {blocks}, expected {sorted(expected)}",
             }
         )
-    if not all(r["passed"] for r in result.residuals):
-        result.outcome = "fail"
 
 
 def _run_extend(scn: Scenario, task: dict, result: TaskResult) -> None:
@@ -463,7 +467,7 @@ def _run_extend(scn: Scenario, task: dict, result: TaskResult) -> None:
     result.add_report(d.residuals, prefix="dilation")
     result.add_report(ext.integrated.report, prefix="integrated form")
     result.add_report(ext.report, prefix="extension")
-    cert = ext.standard_map.certification
+    cert = ext.certificate
     result.dimensions.update(
         {
             "dilation_module_dim": d.module.complex_dim,
@@ -471,8 +475,6 @@ def _run_extend(scn: Scenario, task: dict, result: TaskResult) -> None:
             "choi_min_eigenvalue": float(cert.min_eigenvalue),
         }
     )
-    if not all(r["passed"] for r in result.residuals):
-        result.outcome = "fail"
 
 
 def _run_tower_check(scn: Scenario, task: dict, result: TaskResult) -> None:
@@ -493,8 +495,6 @@ def _run_tower_check(scn: Scenario, task: dict, result: TaskResult) -> None:
             co = levelwise_integrated_coherence(rho, rep, xp, decl.module_tower, tol=tol)
         result.add_report(co.report, prefix=f"{coherence} coherence")
         result.dimensions["level_dimensions"] = dict(sorted(co.level_dimensions.items()))
-    if not all(r["passed"] for r in result.residuals):
-        result.outcome = "fail"
 
 
 def _run_verify_all(scn: Scenario, task: dict, result: TaskResult) -> None:
@@ -521,8 +521,6 @@ def _run_verify_all(scn: Scenario, task: dict, result: TaskResult) -> None:
         result.add_report(decl.algebra_tower.verify(tol), prefix=f"tower {name}")
         if decl.module_tower is not None:
             result.add_report(decl.module_tower.verify(tol), prefix=f"module tower {name}")
-    if not all(r["passed"] for r in result.residuals):
-        result.outcome = "fail"
 
 
 _RUNNERS = {
@@ -539,6 +537,8 @@ def run_task(scn: Scenario, task: dict) -> TaskResult:
     start = time.perf_counter()
     try:
         _RUNNERS[task["kind"]](scn, task, result)
+        if not all(r["passed"] for r in result.residuals):
+            result.outcome = "fail"
     except NumericalError as err:
         result.outcome = "error"
         result.message = f"numerical failure: {err}"

@@ -242,7 +242,7 @@ def test_criterion_5_extension_suite(grid_extensions):
             span_worst, rep.check("phi(delta_g a) = rho(a) u_g (spanning set)").residual
         )
         unit_worst = max(unit_worst, rep.check("phi(1) = id_E").residual)
-        choi_min = min(choi_min, ext.standard_map.certification.min_eigenvalue)
+        choi_min = min(choi_min, ext.certificate.min_eigenvalue)
         if not rep.passed:
             failures.append(combo)
         if combo[3] == "trivial":

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -167,6 +169,23 @@ def test_require_certified_rejects_transpose():
         require_certified_cp(transpose_map())
 
 
+def test_map_has_no_certificate_field():
+    rho = transpose_map()
+    cert = rho.verify_completely_positive()
+    with pytest.raises(TypeError):
+        CompletelyPositiveMap(M2, rho.module, rho.basis_values, certification=cert)
+
+
+def test_replaced_map_is_certified_on_its_own_values():
+    """replace() of a certified CP map by its transpose is refused."""
+    e = HilbertModule.free(C, 2)
+    rho = CompletelyPositiveMap.identity_representation(M2, e)
+    assert require_certified_cp(rho).is_cp
+    transposed = tuple(rho.basis_values[M2.basis_index(0, j, i)] for i in range(2) for j in range(2))
+    with pytest.raises(PreconditionError):
+        require_certified_cp(replace(rho, basis_values=transposed))
+
+
 def test_source_mismatch(rng):
     e = HilbertModule.free(C, 2)
     rho = random_cp_map(M2, e, rng)
@@ -183,5 +202,4 @@ def test_certificate_reused_only_at_its_tolerance():
     assert rho.verify_completely_positive(1e-3).is_cp
     with pytest.raises(PreconditionError):
         require_certified_cp(rho, 1e-12)
-    assert rho.certification.tol == 1e-12
     assert require_certified_cp(rho, 1e-3).is_cp

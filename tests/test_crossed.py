@@ -439,7 +439,7 @@ class TestExtension:
         xp = build_crossed_product(act)
         ext = extend_covariant_cp(d, xp)
         assert ext.report.passed
-        cert = ext.standard_map.certification
+        cert = ext.certificate
         assert cert.is_cp and cert.min_eigenvalue >= -1e-9
         # phi(delta_g (x) 1) = u_g
         for g in act.group.elements():
@@ -465,6 +465,6 @@ class TestExtension:
         d = covariant_dilation(rho, act, rep)
         xp = build_crossed_product(act)
         bad = scaled_connector_variant(d, 0.5)
-        bad.residuals = None
-        with pytest.raises(PreconditionError):
+        assert not bad.residuals.passed
+        with pytest.raises(PreconditionError, match="needs a verified covariant dilation"):
             extend_covariant_cp(bad, xp)

@@ -229,6 +229,15 @@ class TestNegativeControls:
         assert identity_check.residual >= 0.3
         assert_matches_dilation_reference(rep, bad)
 
+    def test_replace_checks_the_new_dilation(self, dilation):
+        """The residuals of a replaced dilation are its own, not a copied pass."""
+        assert dilation.residuals.passed
+        bad = replace(dilation, connector=0.5 * dilation.connector)
+        assert bad.residuals == verify_dilation(bad, dilation.tol)
+        assert not bad.residuals.check("dilation identity rho = V* Phi V").passed
+        assert not scaled_connector_variant(dilation).residuals.passed
+        assert not padded_variant(dilation).residuals.passed
+
     def test_rotated_unitary_breaks_group_law(self):
         # e^{i theta} v_1 is still unitary, but v_1 v_2 = v_0 fails on E_rho.
         rho, act, rep = dilation_instance("m2", "c", 2, "z3", seed=5)

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -151,6 +152,23 @@ class TestRunOutcomes:
         r3 = run_scenario(load_scenario(path), jobs=2).to_dict()
         assert strip_timing(r1)["tasks"] == strip_timing(r3)["tasks"]
 
+    def test_failing_uniqueness_fails_the_task(self, tmp_path, monkeypatch):
+        """A task fails when any of its residuals fails, not only its first report."""
+        doc = generate_example("z2-m2-dilation", 1)
+        assert doc["tasks"][0]["uniqueness"]
+        real = scenario.uniqueness_unitary
+
+        def failing(d, other, tol):
+            u, report = real(d, other, tol)
+            worse = replace(report.checks[0], residual=1.0)
+            return u, replace(report, checks=(worse,) + report.checks[1:])
+
+        monkeypatch.setattr(scenario, "uniqueness_unitary", failing)
+        report = run_scenario(load_scenario(write_scenario(tmp_path, doc)), jobs=1)
+        task = report.tasks[0]
+        assert [r["passed"] for r in task.residuals if r["name"].startswith("uniqueness")][0] is False
+        assert task.outcome == "fail" and report.exit_status == 1
+
     def test_default_runs_serially(self, tmp_path, monkeypatch):
         path = write_scenario(tmp_path, generate_example("random-covariant-cp", 7))
         monkeypatch.setattr(scenario, "ThreadPoolExecutor", None)
@@ -293,6 +311,21 @@ class TestCli:
         assert main(["run", "--scenario", path]) == 2
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("sizes", [[True], [2.0], [1, True], 5])
+    @pytest.mark.parametrize("where", ["algebras", "tower"])
+    def test_non_integer_block_sizes_exit_two(self, sizes, where, tmp_path, capsys):
+        """Block sizes follow the rule of ranks and orders: `[true]` is not M1, nor `[2.0]` M2."""
+        doc = generate_example("tower-two-level", 0)
+        if where == "algebras":
+            doc["algebras"]["A"] = sizes
+        else:
+            doc["towers"]["T"]["algebras"]["q"] = sizes
+        path = write_scenario(tmp_path, doc)
+        assert main(["validate", "--scenario", path]) == 2
+        assert main(["run", "--scenario", path]) == 2
+        err = capsys.readouterr().err
+        assert "block size" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("blocks", ["x", 5, None, [1.5], [True, True], [0], [2, "2"]])
     def test_malformed_expected_blocks_exit_two(self, blocks, tmp_path, capsys):
