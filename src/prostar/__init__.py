@@ -43,7 +43,6 @@ from .groups import (
     GroupAction,
     UnitaryRepresentation,
     check_covariance,
-    covariance_terms,
     covariant_average,
     verify_action,
     verify_group,

@@ -118,7 +118,9 @@ class CompletelyPositiveMap:
 
     @cached_property
     def _value_tensor(self) -> np.ndarray:
-        return np.stack([op.flat for op in self.basis_values], axis=0)
+        stack = np.stack([op.flat for op in self.basis_values], axis=0)
+        stack.setflags(write=False)
+        return stack
 
     @cached_property
     def _value_matrix(self) -> np.ndarray:
@@ -134,8 +136,10 @@ class CompletelyPositiveMap:
 
     # -- structure tests -----------------------------------------------------
 
-    def hermiticity_residual(self) -> float:
-        """max over basis elements of ||rho(E_a*) - rho(E_a)*||_F."""
+    @cached_property
+    def _star_residual(self) -> float:
+        """max over basis elements of ||rho(E_a*) - rho(E_a)*||_F, shared by the
+        Choi test and the representation check."""
         vals = self._value_tensor
         adj = self.source.adjoint_index
         return max(linalg.frobenius(vals[adj[i]] - vals[i].conj().T) for i in range(len(vals)))
@@ -163,7 +167,7 @@ class CompletelyPositiveMap:
             size = max(1.0, linalg.frobenius(choi))
             anti = linalg.spectral_norm(choi - sym)
             blocks.append((linalg.hermitian_defect(choi), size, linalg.min_eigenvalue(sym), anti))
-        return self.hermiticity_residual(), scale, tuple(blocks)
+        return self._star_residual, scale, tuple(blocks)
 
     def verify_completely_positive(self, tol: float = DEFAULT_TOL) -> CPCertificate:
         """Blockwise Choi test at `tol`; a block whose Choi matrix is not Hermitian
@@ -191,8 +195,10 @@ class CompletelyPositiveMap:
             "non-degeneracy", (Check("rho(1) = id_E", float(resid), tol),)
         )
 
-    def verify_representation(self, tol: float = DEFAULT_TOL) -> VerificationReport:
-        """Unital *-homomorphism check of the map into L_B(E), on all basis pairs.
+    @cached_property
+    def _representation_data(self) -> tuple[float, float, float]:
+        """`verify_representation`'s tolerance-free part: the multiplicative,
+        star and unital residuals.
 
         Multiplicativity compares rho(E_a) rho(E_b) with rho(E_a E_b) through
         the source's product table, a few rows a at a time: memory stays near
@@ -207,14 +213,19 @@ class CompletelyPositiveMap:
         mult = linalg.max_product_residual(
             vals, vals, vals, self.source.product_table, self.module.range_basis
         )
-        star = self.hermiticity_residual()
         unital = linalg.frobenius(self(self.source.unit()).flat - self.module.projection_flat)
+        return float(mult), float(self._star_residual), float(unital)
+
+    def verify_representation(self, tol: float = DEFAULT_TOL) -> VerificationReport:
+        """Unital *-homomorphism check of the map into L_B(E), on all basis pairs,
+        at `tol` from the cached `_representation_data`."""
+        mult, star, unital = self._representation_data
         return VerificationReport(
             "representation",
             (
-                Check("multiplicative", float(mult), tol),
-                Check("star", float(star), tol),
-                Check("unital", float(unital), tol),
+                Check("multiplicative", mult, tol),
+                Check("star", star, tol),
+                Check("unital", unital, tol),
             ),
         )
 

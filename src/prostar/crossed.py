@@ -10,7 +10,7 @@ involution formula.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -276,27 +276,79 @@ def build_crossed_product(
 
 @dataclass(frozen=True, eq=False)
 class IntegratedForm:
-    """(Phi x v): the representation of A⋊G attached to a covariant pair."""
+    """(Phi x v): the representation of A⋊G attached to a covariant pair (Phi, v, F).
+
+    Phi must be a unital *-representation and (Phi, v) covariant. The other
+    fields are derived at `tol` when it is built, so `replace` checks it again.
+    `report` checks convolution -> composition and involution -> adjoint on
+    the whole spanning set {delta_g (x) a_i}, which by linearity pins the map
+    on all of A⋊G (the uniqueness clause).
+    """
 
     crossed: CrossedProductRealization
     representation: CompletelyPositiveMap  # Phi, a verified representation on F
     unitaries: UnitaryRepresentation  # v on F
-    standard_map: CompletelyPositiveMap  # the induced map on the standard form
-    report: VerificationReport
+    tol: float
+    standard_map: CompletelyPositiveMap = field(init=False)  # induced on the standard form
+    spanning_values: np.ndarray = field(init=False, repr=False)  # K, (|G|, dim A, fd, fd)
+    report: VerificationReport = field(init=False)
+
+    def __post_init__(self):
+        xp, phi, v, tol = self.crossed, self.representation, self.unitaries, self.tol
+        action = xp.system
+        if phi.source != action.algebra:
+            raise StructuralError("representation source differs from the system algebra")
+        rep_check = phi.verify_representation(max(tol, 1e-9))
+        if not rep_check.passed:
+            raise PreconditionError(
+                f"Phi is not a unital *-representation (residual {rep_check.max_residual:.3e})"
+            )
+        _require_covariant_data(phi, action, v)
+        fd = phi.module.flat_dim
+        phi_tensor, u_tensor = phi._value_tensor, v._unitary_tensor
+
+        cov, mult, star = _spanning_residuals(phi_tensor, u_tensor, action, phi.module.range_basis)
+        if not cov <= max(tol, 1e-8):
+            raise PreconditionError(f"(Phi, v) is not covariant (residual {cov:.3e})")
+
+        unit_value = np.tensordot(action.algebra.unit().coords(), phi_tensor, axes=([0], [0]))
+        unital = linalg.frobenius(
+            unit_value @ u_tensor[action.group.identity] - phi.module.projection_flat
+        )
+
+        # Factor through the standard form: values on the standard basis by
+        # linearity, from the spanning values K[g, i] = Phi(a_i) v_g on full flats.
+        k_values = np.einsum("aij,gjk->gaik", phi_tensor, u_tensor, optimize=True)
+        k_values.setflags(write=False)
+        std_values = (xp._conv_from_std.T @ k_values.reshape(-1, fd * fd)).reshape(-1, fd, fd)
+        standard_map = CompletelyPositiveMap(
+            xp.standard_algebra, phi.module, phi.module.operators(std_values)
+        )
+        std_report = standard_map.verify_representation(max(tol, 1e-9))
+
+        checks = (
+            Check("convolution -> composition (spanning pairs)", mult, max(tol, 1e-9)),
+            Check("involution -> adjoint (spanning set)", star, max(tol, 1e-9)),
+            Check("unit of C(G,A) -> identity", unital, max(tol, 1e-9)),
+            Check(
+                "standard-form factorization is a unital *-homomorphism",
+                std_report.max_residual,
+                max(tol, 1e-9),
+            ),
+        )
+        object.__setattr__(self, "standard_map", standard_map)
+        object.__setattr__(self, "spanning_values", k_values)
+        object.__setattr__(self, "report", VerificationReport("integrated form", checks))
 
     @property
     def module(self) -> HilbertModule:
         return self.representation.module
 
     def on_convolution(self, f: ConvolutionElement) -> AdjointableOperator:
-        """(Phi x v)(f) = sum_g Phi(f(g)) v_g."""
-        acc = np.zeros((self.module.flat_dim, self.module.flat_dim), dtype=np.complex128)
-        for g in self.crossed.system.group.elements():
-            acc += self.representation(f.values[g]).flat @ self.unitaries.unitaries[g].flat
-        return AdjointableOperator(self.module, self.module, acc)
-
-    def on_standard(self, a: AlgebraElement) -> AdjointableOperator:
-        return self.standard_map(a)
+        """(Phi x v)(f) = sum_g Phi(f(g)) v_g = sum_{g, i} f(g)_i K[g, i]."""
+        k = self.spanning_values
+        flat = np.tensordot(f.coords(), k.reshape(-1, *k.shape[2:]), axes=1)
+        return AdjointableOperator(self.module, self.module, flat)
 
 
 def integrated_form(
@@ -305,65 +357,9 @@ def integrated_form(
     xp: CrossedProductRealization,
     tol: float = DEFAULT_TOL,
 ) -> IntegratedForm:
-    """Integrate a covariant representation (Phi, v, F) over the crossed product.
-
-    Preconditions: Phi is a unital *-representation and (Phi, v, F) is
-    covariant for the system of `xp`. The result is verified to send
-    convolution to composition and the involution to the adjoint on the
-    whole spanning set {delta_g (x) a_i}; by linearity this pins the map on
-    all of A⋊G, which realizes the uniqueness clause.
-    """
-    action = xp.system
-    if phi.source != action.algebra:
-        raise StructuralError("representation source differs from the system algebra")
-    rep_check = phi.verify_representation(max(tol, 1e-9))
-    if not rep_check.passed:
-        raise PreconditionError(
-            f"Phi is not a unital *-representation (residual {rep_check.max_residual:.3e})"
-        )
-    _require_covariant_data(phi, action, v)
-    group = action.group
-    dim_a = action.algebra.linear_dim
-    fd = phi.module.flat_dim
-    phi_tensor = phi._value_tensor
-    u_tensor = v._unitary_tensor
-
-    cov, mult, star = _spanning_residuals(phi_tensor, u_tensor, action, phi.module.range_basis)
-    if not cov <= max(tol, 1e-8):
-        raise PreconditionError(f"(Phi, v) is not covariant (residual {cov:.3e})")
-
-    unit_value = np.tensordot(action.algebra.unit().coords(), phi_tensor, axes=([0], [0]))
-    unital = linalg.frobenius(
-        unit_value @ u_tensor[group.identity] - phi.module.projection_flat
-    )
-
-    # Factor through the standard form: values on the standard basis by
-    # linearity, from the spanning values K[g, i] = Phi(a_i) v_g on full flats.
-    k_values = np.einsum("aij,gjk->gaik", phi_tensor, u_tensor, optimize=True)
-    k_matrix = k_values.reshape(group.order * dim_a, fd * fd)
-    std_values = (xp._conv_from_std.T @ k_matrix).reshape(-1, fd, fd)
-    standard_map = CompletelyPositiveMap(
-        xp.standard_algebra, phi.module, phi.module.operators(std_values)
-    )
-    std_report = standard_map.verify_representation(max(tol, 1e-9))
-
-    checks = (
-        Check("convolution -> composition (spanning pairs)", mult, max(tol, 1e-9)),
-        Check("involution -> adjoint (spanning set)", star, max(tol, 1e-9)),
-        Check("unit of C(G,A) -> identity", unital, max(tol, 1e-9)),
-        Check(
-            "standard-form factorization is a unital *-homomorphism",
-            std_report.max_residual,
-            max(tol, 1e-9),
-        ),
-    )
-    return IntegratedForm(
-        crossed=xp,
-        representation=phi,
-        unitaries=v,
-        standard_map=standard_map,
-        report=VerificationReport("integrated form", checks),
-    )
+    """Integrate a covariant representation (Phi, v, F) over the crossed product
+    (see `IntegratedForm` for the preconditions and the report)."""
+    return IntegratedForm(xp, phi, v, tol)
 
 
 def _spanning_residuals(
@@ -458,14 +454,48 @@ def _operator_bound(stack: linalg.Corner) -> linalg.Corner:
 
 @dataclass(frozen=True, eq=False)
 class CovariantExtension:
-    """phi = V*(Phi_rho x v_rho)(.)V, the CP extension of rho to A⋊G."""
+    """phi = V*(Phi_rho x v_rho)(.)V, the CP extension of rho to A⋊G. `certificate`
+    (the Choi test of `standard_map`) and `report` are derived from the other
+    fields at `tol` when it is built, so `replace` checks it again."""
 
     dilation: CovariantDilation
     crossed: CrossedProductRealization
     integrated: IntegratedForm
     standard_map: CompletelyPositiveMap  # on the standard form of A⋊G
-    certificate: CPCertificate  # the Choi test of standard_map
-    report: VerificationReport
+    tol: float
+    certificate: CPCertificate = field(init=False)
+    report: VerificationReport = field(init=False)
+
+    def __post_init__(self):
+        d, tol, phi_std = self.dilation, self.tol, self.standard_map
+        cert = phi_std.verify_completely_positive(max(tol, 1e-9))
+
+        # Spanning agreement phi(delta_g a_i) = V* Phi(a_i) v_g V = rho(a_i) u_g,
+        # batched over (g, i) from the one stack V* Phi(a_i).
+        rho, v_flat = d.cp_map, d.connector.flat
+        pulled = np.matmul(v_flat.conj().T[None], d.representation._value_tensor)
+        moved_connector = d.group_unitaries._unitary_tensor @ v_flat
+        lhs = np.matmul(pulled[None], moved_connector[:, None])
+        rhs = np.matmul(rho._value_tensor[None], d.rep._unitary_tensor[:, None])
+        agree = linalg.max_frobenius(lhs - rhs)
+        restriction = linalg.max_frobenius(lhs[d.action.group.identity] - rho._value_tensor)
+
+        unit = self.crossed.standard_algebra.unit()
+        nondeg = linalg.frobenius(phi_std(unit).flat - rho.module.projection_flat)
+
+        checks = (
+            Check("phi(delta_g a) = rho(a) u_g (spanning set)", float(agree), max(tol, 1e-10)),
+            Check("phi(1) = id_E", float(nondeg), max(tol, 1e-10)),
+            Check(
+                "phi completely positive (Choi on standard form)",
+                float(max(0.0, -cert.min_eigenvalue)),
+                max(tol, 1e-9),
+            ),
+            Check("restriction to delta_e (x) A equals rho", float(restriction), max(tol, 1e-10)),
+        )
+        report = VerificationReport("covariant CP extension to A⋊G", checks)
+        object.__setattr__(self, "certificate", cert)
+        object.__setattr__(self, "report", report)
 
     def on_convolution(self, f: ConvolutionElement) -> AdjointableOperator:
         v = self.dilation.connector.flat
@@ -490,9 +520,9 @@ def extend_covariant_cp(
 ) -> CovariantExtension:
     """Extend a covariant CP map to a CP map on the crossed product.
 
-    The extension is phi(x) = V* (Phi x v)(x) V on the standard form; it is
-    verified to agree with sum_g rho(f(g)) u_g on the spanning set, to be
-    unital, and to be completely positive (blockwise Choi test on the
+    The extension is phi(x) = V* (Phi x v)(x) V on the standard form; its
+    report checks that it agrees with sum_g rho(f(g)) u_g on the spanning
+    set, is unital, and is completely positive (blockwise Choi test on the
     standard form).
     """
     if not d.residuals.passed:
@@ -507,36 +537,4 @@ def extend_covariant_cp(
     module = d.cp_map.module
     values = v_flat.conj().T @ integrated.standard_map._value_tensor @ v_flat
     phi_std = CompletelyPositiveMap(xp.standard_algebra, module, module.operators(values))
-    cert = phi_std.verify_completely_positive(max(tol, 1e-9))
-
-    # Spanning agreement phi(delta_g a_i) = V* Phi(a_i) v_g V = rho(a_i) u_g,
-    # batched over (g, i) from the one stack V* Phi(a_i).
-    rho = d.cp_map
-    pulled = np.matmul(v_flat.conj().T[None], d.representation._value_tensor)
-    moved_connector = d.group_unitaries._unitary_tensor @ v_flat
-    lhs = np.matmul(pulled[None], moved_connector[:, None])
-    u_tensor = d.rep._unitary_tensor
-    rhs = np.matmul(rho._value_tensor[None], u_tensor[:, None])
-    agree = linalg.max_frobenius(lhs - rhs)
-    restriction = linalg.max_frobenius(lhs[d.action.group.identity] - rho._value_tensor)
-
-    nondeg = linalg.frobenius(phi_std(xp.standard_algebra.unit()).flat - module.projection_flat)
-
-    checks = (
-        Check("phi(delta_g a) = rho(a) u_g (spanning set)", float(agree), max(tol, 1e-10)),
-        Check("phi(1) = id_E", float(nondeg), max(tol, 1e-10)),
-        Check(
-            "phi completely positive (Choi on standard form)",
-            float(max(0.0, -cert.min_eigenvalue)),
-            max(tol, 1e-9),
-        ),
-        Check("restriction to delta_e (x) A equals rho", float(restriction), max(tol, 1e-10)),
-    )
-    return CovariantExtension(
-        dilation=d,
-        crossed=xp,
-        integrated=integrated,
-        standard_map=phi_std,
-        certificate=cert,
-        report=VerificationReport("covariant CP extension to A⋊G", checks),
-    )
+    return CovariantExtension(d, xp, integrated, phi_std, tol)

@@ -12,7 +12,7 @@ for covariant input data, a unitary representation of the group.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -43,8 +43,10 @@ class GramData:
     scalar: np.ndarray  # (N, N), trace of each B-valued entry
 
 
-@dataclass
+@dataclass(frozen=True)
 class QuotientData:
+    """The quotient of the spanning set by the null space; every array is read-only."""
+
     spanning_labels: tuple[tuple[int, int], ...]
     scalar_gram: np.ndarray
     bvalued_flat: np.ndarray
@@ -82,10 +84,29 @@ class CovariantTriple:
     connector: AdjointableOperator
 
 
+class _Identity(NamedTuple):
+    """A defining identity's residual, free of tol. At tol its threshold is
+    max(tol, floor), or `floor` itself for a count (`scaled` False)."""
+
+    name: str
+    residual: float
+    floor: float
+    detail: str = ""
+    scaled: bool = True
+
+
+def _report_at(identities: Sequence[_Identity], tol: float) -> VerificationReport:
+    checks = tuple(
+        Check(i.name, i.residual, max(tol, i.floor) if i.scaled else i.floor, i.detail)
+        for i in identities
+    )
+    return VerificationReport("covariant dilation", checks)
+
+
 @dataclass(frozen=True)
 class CovariantDilation:
-    """Covariant dilation of (rho, alpha, u). `residuals` is computed from the
-    other fields at `tol` when it is built, so `replace` checks it again."""
+    """Covariant dilation of (rho, alpha, u). The residuals of its identities are
+    computed from the other fields when it is built, so `replace` checks it again."""
 
     cp_map: CompletelyPositiveMap
     action: GroupAction
@@ -96,11 +117,12 @@ class CovariantDilation:
     connector: AdjointableOperator
     quotient: QuotientData
     tol: float
-    residuals: VerificationReport = field(init=False)
+    residuals: VerificationReport = field(init=False)  # the report at tol
+    _identities: tuple[_Identity, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        report = VerificationReport("covariant dilation", tuple(_dilation_checks(self, self.tol)))
-        object.__setattr__(self, "residuals", report)
+        object.__setattr__(self, "_identities", tuple(_dilation_identities(self)))
+        object.__setattr__(self, "residuals", _report_at(self._identities, self.tol))
 
     def as_triple(self) -> CovariantTriple:
         return CovariantTriple(
@@ -146,7 +168,7 @@ def minimal_dilation(
     construction is deterministic for a fixed seed and yields unitarily
     equivalent results across seeds.
     """
-    require_certified_cp(rho, tol)
+    gram = gram_operator(rho, tol)  # certifies rho first
     nd = rho.verify_nondegenerate(max(tol, 1e-8))
     if not nd.passed:
         raise PreconditionError(
@@ -160,7 +182,6 @@ def minimal_dilation(
     dim_a = source.linear_dim
     n = dim_a * d_e
 
-    gram = gram_operator(rho, tol)
     if order_seed is None:
         perm = np.arange(n)
     else:
@@ -227,6 +248,8 @@ def minimal_dilation(
     v_flat = _descend(w, coord_map, inclusion, y)[0]
     connector = AdjointableOperator(module, dilation_module, v_flat)
 
+    for array in (scalar, bflat, c_plain, lam, null_vecs):
+        array.setflags(write=False)
     quotient = QuotientData(
         spanning_labels=labels,
         scalar_gram=scalar,
@@ -386,40 +409,36 @@ def _intertwining_residual(t: CovariantTriple, rep: UnitaryRepresentation) -> fl
     return linalg.max_frobenius(t.unitaries._unitary_tensor @ w - w @ rep._unitary_tensor)
 
 
-def _dilation_checks(d: CovariantDilation, tol: float):
+def _dilation_identities(d: CovariantDilation):
     rho = d.cp_map
     t = d.as_triple()
 
     # (a) rho(a) = V* Phi(a) V, relative to 1 + ||rho(a)||.
-    yield Check("dilation identity rho = V* Phi V", _identity_residual(rho, t), max(tol, 1e-9))
+    yield _Identity("dilation identity rho = V* Phi V", _identity_residual(rho, t), 1e-9)
 
     # (b) minimality: span{Phi(a_i) V xi_s} has full complex dimension.
     rank = _minimal_rank(_spanning_family(t, rho.module))
-    yield Check(
+    yield _Identity(
         "minimality rank = dim E_rho",
         float(abs(rank - d.module.complex_dim)),
         0.5,
         f"rank {rank} vs dim {d.module.complex_dim}",
+        scaled=False,
     )
 
     # covariance of Phi and (c) the intertwining of V.
-    cov = check_covariance(d.representation, d.action, d.group_unitaries, tol)
-    yield Check("covariance of Phi", cov.max_residual, max(tol, 1e-9))
-    yield Check("intertwining v_g V = V u_g", _intertwining_residual(t, d.rep), max(tol, 1e-9))
+    cov = check_covariance(d.representation, d.action, d.group_unitaries)
+    yield _Identity("covariance of Phi", cov.max_residual, 1e-9)
+    yield _Identity("intertwining v_g V = V u_g", _intertwining_residual(t, d.rep), 1e-9)
 
     # group structure on E_rho
-    group_report = verify_unitary_representation(d.group_unitaries, tol)
-    yield Check("v_g unitary", group_report.check("unitarity").residual, max(tol, 1e-9))
-    yield Check(
-        "group law on E_rho", group_report.check("multiplicativity").residual, max(tol, 1e-10)
-    )
+    group_report = verify_unitary_representation(d.group_unitaries)
+    yield _Identity("v_g unitary", group_report.check("unitarity").residual, 1e-9)
+    yield _Identity("group law on E_rho", group_report.check("multiplicativity").residual, 1e-10)
 
     # representation identities on E_rho
-    yield Check(
-        "Phi is a unital *-representation",
-        d.representation.verify_representation(max(tol, 1e-9)).max_residual,
-        max(tol, 1e-9),
-    )
+    rep_residual = d.representation.verify_representation().max_residual
+    yield _Identity("Phi is a unital *-representation", rep_residual, 1e-9)
 
     # well-definedness: the null space is respected by left multiplication and
     # by the covariant shuffles a(x)xi -> alpha_g(a)(x)u_g(xi)
@@ -431,12 +450,14 @@ def _dilation_checks(d: CovariantDilation, tol: float):
         ]
     )
     null_res = _null_preservation_residual(d.quotient, shuffles)
-    yield Check("null space preserved", float(null_res), max(tol, 1e-9))
+    yield _Identity("null space preserved", float(null_res), 1e-9)
 
 
 def verify_dilation(d: CovariantDilation, tol: float = 1e-9) -> VerificationReport:
-    """Recompute every defining identity of the dilation and report residuals."""
-    return VerificationReport("covariant dilation", tuple(_dilation_checks(d, tol)))
+    """Report every defining identity of the dilation at `tol`, from the residuals
+    `d` computed from its fields when it was built (`d.residuals` is the report
+    at `d.tol`): only the thresholds are applied again, nothing is recomputed."""
+    return _report_at(d._identities, tol)
 
 
 def uniqueness_unitary(
@@ -506,35 +527,17 @@ def scaled_connector_variant(d: CovariantDilation, factor: complex = 0.5) -> Cov
 
 def padded_variant(d: CovariantDilation) -> CovariantDilation:
     """Negative control: dilation module padded with an orthogonal free direction."""
-    b = d.module.algebra
     big_d = d.module.block_dim
-    old = d.module.flat_dim
-    proj = linalg.block_diag([d.module.projection_flat, np.eye(big_d, dtype=np.complex128)])
-    padded = HilbertModule(b, d.module.rank + 1, proj)
-
-    def pad_endo(flat: np.ndarray, corner: np.ndarray) -> np.ndarray:
-        out = np.zeros((old + big_d, old + big_d), dtype=np.complex128)
-        out[:old, :old] = flat
-        out[old:, old:] = corner
-        return out
-
-    zero = np.zeros((big_d, big_d))
-    eye = np.eye(big_d)
-    rep_values = tuple(
-        AdjointableOperator(padded, padded, pad_endo(v.flat, zero))
-        for v in d.representation.basis_values
-    )
-    unitaries = tuple(
-        AdjointableOperator(padded, padded, pad_endo(u.flat, eye))
-        for u in d.group_unitaries.unitaries
-    )
-    connector_flat = np.vstack(
-        [d.connector.flat, np.zeros((big_d, d.connector.flat.shape[1]))]
-    )
+    zero, eye = np.zeros((big_d, big_d)), np.eye(big_d)
+    proj = linalg.block_diag([d.module.projection_flat, eye])
+    padded = HilbertModule(d.module.algebra, d.module.rank + 1, proj)
+    values = [linalg.block_diag([x, zero]) for x in d.representation._value_tensor]
+    unitaries = [linalg.block_diag([u, eye]) for u in d.group_unitaries._unitary_tensor]
+    connector_flat = np.vstack([d.connector.flat, np.zeros((big_d, d.connector.flat.shape[1]))])
     return replace(
         d,
         module=padded,
-        representation=CompletelyPositiveMap(d.cp_map.source, padded, rep_values),
-        group_unitaries=UnitaryRepresentation(d.action.group, padded, unitaries),
+        representation=CompletelyPositiveMap(d.cp_map.source, padded, padded.operators(values)),
+        group_unitaries=UnitaryRepresentation(d.action.group, padded, padded.operators(unitaries)),
         connector=AdjointableOperator(d.cp_map.module, padded, connector_flat),
     )

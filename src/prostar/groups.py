@@ -216,7 +216,7 @@ def verify_action(action: GroupAction, tol: float = DEFAULT_TOL) -> Verification
     )
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class UnitaryRepresentation:
     """Unitary representation of a finite group on a Hilbert module."""
 
@@ -230,6 +230,7 @@ class UnitaryRepresentation:
         for u in self.unitaries:
             if u.domain != self.module or u.codomain != self.module:
                 raise StructuralError("unitaries must act on the representation module")
+        object.__setattr__(self, "unitaries", tuple(self.unitaries))
 
     @classmethod
     def trivial(cls, group: FiniteGroup, module: HilbertModule) -> "UnitaryRepresentation":
@@ -246,12 +247,11 @@ class UnitaryRepresentation:
         )
         return cls(group, module, ops)
 
-    @property
+    @cached_property
     def _unitary_tensor(self) -> np.ndarray:
-        return np.stack([u.flat for u in self.unitaries], axis=0)
-
-    def apply(self, g: int) -> AdjointableOperator:
-        return self.unitaries[g]
+        stack = np.stack([u.flat for u in self.unitaries], axis=0)
+        stack.setflags(write=False)
+        return stack
 
     def __str__(self) -> str:
         return f"unitary representation of {self.group} on {self.module}"
@@ -290,22 +290,6 @@ def verify_unitary_representation(
     )
 
 
-def covariance_terms(
-    rho: CompletelyPositiveMap,
-    action: GroupAction,
-    rep: UnitaryRepresentation,
-) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Both sides of rho(alpha_g(a)) = u_g rho(a) u_g*, one group element at a time.
-
-    Yields (g, L, R) with L[i] = rho(alpha_g(a_i)) and R[i] = u_g rho(a_i) u_g*
-    stacked over the basis a_i of the source, on the full flats of the
-    module (`_covariance_steps`). Mismatched data raise StructuralError
-    here, before any term is formed.
-    """
-    _require_covariant_data(rho, action, rep)
-    return _covariance_steps(rho._value_tensor, [u.flat for u in rep.unitaries], action)
-
-
 def _require_covariant_data(
     rho: CompletelyPositiveMap, action: GroupAction, rep: UnitaryRepresentation
 ) -> None:
@@ -342,9 +326,11 @@ def check_covariance(
     rep: UnitaryRepresentation,
     tol: float = DEFAULT_TOL,
 ) -> VerificationReport:
-    """Residuals of rho(alpha_g(a)) = u_g rho(a) u_g* over all g and basis a."""
+    """Residuals of rho(alpha_g(a)) = u_g rho(a) u_g* over all g and basis a, on
+    the full flats of the module; mismatched data raise StructuralError first."""
+    _require_covariant_data(rho, action, rep)
     worst, witness = 0.0, ""
-    for g, moved, conj in covariance_terms(rho, action, rep):
+    for g, moved, conj in _covariance_steps(rho._value_tensor, rep._unitary_tensor, action):
         resid = linalg.frobenius_each(moved - conj)
         i = int(np.argmax(resid))
         if resid[i] > worst:

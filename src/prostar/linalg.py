@@ -39,6 +39,16 @@ def as_complex_matrix(data) -> np.ndarray:
     return m
 
 
+def read_only(array: np.ndarray) -> np.ndarray:
+    """`array` if neither it nor the buffer it views can be written, else a
+    read-only copy of the same layout: a caller's own buffer is never frozen."""
+    base = array.base if isinstance(array.base, np.ndarray) else array
+    if array.flags.writeable or base.flags.writeable:
+        array = array.copy(order="K")
+        array.setflags(write=False)
+    return array
+
+
 def frobenius(m: np.ndarray) -> float:
     return float(np.linalg.norm(m))
 

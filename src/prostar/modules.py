@@ -42,7 +42,7 @@ class HilbertModule:
         p = linalg.as_complex_matrix(self.projection_flat)
         if p.shape != (d, d):
             raise StructuralError(f"projection shape {p.shape} != {(d, d)}")
-        self.projection_flat = p
+        self.projection_flat = linalg.read_only(p)
         # Written as `not (defect <= bound)` so that an overflow to inf or NaN
         # in the residuals or the scale rejects the projection.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -199,7 +199,7 @@ class HilbertModule:
         return ModuleElement(self, flat)
 
     def identity_operator(self) -> "AdjointableOperator":
-        return AdjointableOperator(self, self, self.projection_flat.copy())
+        return AdjointableOperator(self, self, self.projection_flat)
 
     def operators(self, flats) -> tuple["AdjointableOperator", ...]:
         """Endomorphisms of the module, one for each matrix of a stack of flats."""
@@ -264,9 +264,9 @@ class ModuleElement:
         return linalg.frobenius(self.module.projection_flat @ self.flat - self.flat)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class AdjointableOperator:
-    """A module map, stored as its flattened (m·D)×(n·D) complex matrix."""
+    """A module map, stored as its flattened (m·D)×(n·D) complex matrix (read-only)."""
 
     domain: HilbertModule
     codomain: HilbertModule
@@ -279,7 +279,7 @@ class AdjointableOperator:
         expect = (self.codomain.flat_dim, self.domain.flat_dim)
         if f.shape != expect:
             raise StructuralError(f"operator shape {f.shape} != {expect}")
-        self.flat = f
+        object.__setattr__(self, "flat", linalg.read_only(f))
 
     @classmethod
     def from_entries(

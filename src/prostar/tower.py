@@ -27,16 +27,10 @@ from .algebra import (
     VerificationReport,
 )
 from .cpmaps import CompletelyPositiveMap
-from .crossed import CrossedProductRealization, IntegratedForm, integrated_form
+from .crossed import CrossedProductRealization, integrated_form
 from .dilation import CovariantDilation, label_shuffles
 from .errors import PreconditionError, StructuralError
-from .groups import (
-    FiniteGroup,
-    GroupAction,
-    UnitaryRepresentation,
-    check_covariance,
-    verify_action,
-)
+from .groups import FiniteGroup, GroupAction, UnitaryRepresentation, verify_action
 from .linalg import DEFAULT_TOL
 from .modules import AdjointableOperator, HilbertModule, complex_matrices
 
@@ -486,12 +480,7 @@ def levelwise_dilation_coherence(
     cores, dils = {}, {}
     for q in levels:
         rho_q, u_q = _pushed_pair(mt, top, q, rho_top, rep_top)
-        cert = rho_q.verify_completely_positive(max(tol, 1e-9))
-        if not cert.is_cp:
-            raise PreconditionError(f"pushed map at level {q} is not CP")
-        cov = check_covariance(rho_q, action, u_q, max(tol, 1e-8))
-        if not cov.passed:
-            raise PreconditionError(f"covariance fails at level {q}")
+        # minimal_dilation certifies rho_q as CP; covariant_extend checks covariance.
         cores[q] = minimal_dilation(rho_q, tol=tol)
         dils[q] = covariant_extend(cores[q], action, u_q, tol)
 
@@ -570,20 +559,13 @@ def levelwise_integrated_coherence(
         raise StructuralError(f"Phi is not defined on the level-{top} module")
 
     levels = list(mt.base.poset.elements)
-    forms: dict[str, IntegratedForm] = {}
-    k_values: dict[str, np.ndarray] = {}
-    for q in levels:
-        phi_q, v_q = _pushed_pair(mt, top, q, phi_top, v_top)
-        forms[q] = integrated_form(phi_q, v_q, xp, tol)
-        k_values[q] = np.einsum(
-            "aij,gjk->gaik", phi_q._value_tensor, v_q._unitary_tensor, optimize=True
-        )
+    forms = {q: integrated_form(*_pushed_pair(mt, top, q, phi_top, v_top), xp, tol) for q in levels}
 
     level_res = max(forms[q].report.max_residual for q in levels)
     conn = 0.0
     for (p, q) in mt.base.poset.comparable_pairs():
-        pushed = mt.push(p, q, k_values[p], mt.modules[p].rank)
-        conn = max(conn, linalg.max_frobenius(pushed - k_values[q]))
+        pushed = mt.push(p, q, forms[p].spanning_values, mt.modules[p].rank)
+        conn = max(conn, linalg.max_frobenius(pushed - forms[q].spanning_values))
     checks = (
         Check("levelwise integrated forms verified", float(level_res), max(tol, 1e-9)),
         Check("connecting identity on the spanning set", float(conn), max(tol, 1e-9)),

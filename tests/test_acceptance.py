@@ -411,7 +411,7 @@ def test_gram_and_hermiticity_match_pairwise_reference(grid_dilations):
     """The gathered Gram blocks and adjoint lookups equal the pairwise loops on all 48 combos."""
     for d in grid_dilations.values():
         for rho in (d.cp_map, d.representation):
-            assert rho.hermiticity_residual() == pytest.approx(
+            assert rho.verify_completely_positive().hermitian_residual == pytest.approx(
                 pairwise_reference.hermiticity_reference(rho), rel=pairwise_reference.REL, abs=0.0
             )
         new = gram_operator(d.cp_map).bvalued_flat

@@ -203,3 +203,19 @@ def test_certificate_reused_only_at_its_tolerance():
     with pytest.raises(PreconditionError):
         require_certified_cp(rho, 1e-12)
     assert require_certified_cp(rho, 1e-3).is_cp
+
+
+def test_second_representation_check_forms_no_product(monkeypatch):
+    """verify_representation reports at any tol from residuals computed once."""
+    from prostar import linalg
+
+    rho = CompletelyPositiveMap.identity_representation(M2, HilbertModule.free(C, 2))
+    first = rho.verify_representation(1e-10)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("products formed again")
+
+    monkeypatch.setattr(linalg, "max_product_residual", refuse)
+    again = rho.verify_representation(1e-3)
+    assert [c.residual for c in again.checks] == [c.residual for c in first.checks]
+    assert all(c.threshold == 1e-3 for c in again.checks)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 import pairwise_reference
 from prostar import linalg
 from prostar.algebra import FiniteCStarAlgebra, StarHomomorphism
+from prostar.cpmaps import CompletelyPositiveMap
 from prostar.crossed import (
     ConvolutionElement,
     _spanning_residuals,
@@ -227,7 +230,7 @@ class TestIntegratedForm:
         d, xp = z2_data
         form = integrated_form(d.representation, d.group_unitaries, xp)
         f = random_conv(xp.system, rng)
-        via_standard = form.on_standard(xp.standardize(f))
+        via_standard = form.standard_map(xp.standardize(f))
         direct = form.on_convolution(f)
         assert np.abs(via_standard.flat - direct.flat).max() <= 1e-10
 
@@ -269,6 +272,9 @@ class TestIntegratedForm:
         report = integrated_form(d.representation, twisted, xp).report
         star = report.check("involution -> adjoint (spanning set)")
         assert not star.passed
+        # replace() builds and checks the form again rather than copying its pass.
+        form = integrated_form(d.representation, v, xp)
+        assert form.report.passed and replace(form, unitaries=twisted).report == report
         old = pairwise_reference.star_reference(d.representation, twisted, xp.system)
         scale = pairwise_reference.product_scale(d.representation._value_tensor)
         pairwise_reference.assert_agrees(star.residual, old, scale, star.threshold)
@@ -468,3 +474,22 @@ class TestExtension:
         assert not bad.residuals.passed
         with pytest.raises(PreconditionError, match="needs a verified covariant dilation"):
             extend_covariant_cp(bad, xp)
+
+    def test_replaced_standard_map_is_certified_again(self):
+        """phi composed with the blockwise transpose is unital but not CP; its
+        extension's certificate and report are its own, not the copied pass."""
+        rho, act, rep = dilation_instance("m2", "c", 2, "z3", seed=5)
+        ext = extend_covariant_cp(covariant_dilation(rho, act, rep), build_crossed_product(act))
+        assert ext.certificate.is_cp and ext.report.passed
+        phi = ext.standard_map
+        order, off = [], 0
+        for n in phi.source.block_sizes:
+            order += [off + c * n + r for r in range(n) for c in range(n)]
+            off += n * n
+        values = tuple(phi.basis_values[i] for i in order)
+        bad = replace(ext, standard_map=CompletelyPositiveMap(phi.source, phi.module, values))
+        assert bad.certificate.min_eigenvalue < -0.1
+        assert not bad.certificate.is_cp
+        assert not bad.report.passed
+        assert not bad.report.check("phi completely positive (Choi on standard form)").passed
+        assert bad.report.check("phi(1) = id_E").passed

@@ -5,6 +5,7 @@ import pytest
 
 import pairwise_reference
 
+from prostar import dilation as dilation_layer
 from prostar.algebra import FiniteCStarAlgebra
 from prostar.cpmaps import CompletelyPositiveMap
 from prostar.dilation import (
@@ -277,6 +278,60 @@ class TestNegativeControls:
         assert rep.check("dilation identity rho = V* Phi V").passed
         assert rep.check("covariance of Phi").passed
         assert_matches_dilation_reference(rep, bad)
+
+
+def test_verify_dilation_reports_at_tol_without_recomputing(monkeypatch):
+    """verify_dilation reads the residuals the dilation computed when it was
+    built and applies each threshold again at the tol it is asked for."""
+    rho, act, rep = dilation_instance("m2", "c", 2, "z3", seed=5)
+    d = covariant_dilation(rho, act, rep)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an identity was computed again")
+
+    monkeypatch.setattr(dilation_layer, "check_covariance", refuse)
+    monkeypatch.setattr(dilation_layer, "verify_unitary_representation", refuse)
+    built = [(c.name, c.residual, c.detail) for c in d.residuals.checks]
+    floors = [1e-9, 0.5, 1e-9, 1e-9, 1e-9, 1e-10, 1e-9, 1e-9]
+    for tol, thresholds in ((1e-6, [0.5 if f == 0.5 else 1e-6 for f in floors]), (1e-12, floors)):
+        report = verify_dilation(d, tol)
+        assert [(c.name, c.residual, c.detail) for c in report.checks] == built
+        assert [c.threshold for c in report.checks] == thresholds
+
+
+def _null_space_dilation():
+    """The identity representation of M2 on C², which leaves a null space."""
+    module = HilbertModule.free(C, 2)
+    act = standard_action("z2", M2)
+    rho = CompletelyPositiveMap.identity_representation(M2, module)
+    return covariant_dilation(rho, act, standard_representation("z2", module))
+
+
+HELD_ARRAYS = {
+    "operator flat": lambda d: d.connector.flat,
+    "module projection": lambda d: d.module.projection_flat,
+    "value tensor": lambda d: d.representation._value_tensor,
+    "unitary tensor": lambda d: d.group_unitaries._unitary_tensor,
+    "scalar Gram": lambda d: d.quotient.scalar_gram,
+    "B-valued Gram": lambda d: d.quotient.bvalued_flat,
+    "retained vectors": lambda d: d.quotient.retained_vectors,
+    "retained eigenvalues": lambda d: d.quotient.retained_eigenvalues,
+    "null vectors": lambda d: d.quotient.null_vectors,
+}
+
+
+@pytest.mark.parametrize("name", list(HELD_ARRAYS))
+def test_held_arrays_are_read_only(name):
+    """A cache over an array is sound only if the array cannot be written."""
+    array = HELD_ARRAYS[name](_null_space_dilation())
+    assert array.size > 0
+    with pytest.raises(ValueError, match="read-only"):
+        array[...] = 0.0
+
+
+def test_unitary_tensor_is_stacked_once():
+    u = _null_space_dilation().group_unitaries
+    assert u._unitary_tensor is u._unitary_tensor
 
 
 class TestUniqueness:

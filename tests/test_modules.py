@@ -167,3 +167,16 @@ def test_equality_with_itself_skips_the_projection_comparison(monkeypatch):
 
     monkeypatch.setattr(np, "allclose", refuse)
     assert module == module
+
+
+def test_held_arrays_are_read_only_copies_of_a_callers_buffer():
+    """A complex128 buffer is not copied by `as_complex_matrix`; the module and
+    the operator freeze a copy of it and leave the caller's buffer writeable."""
+    module = HilbertModule.free(B, 1)
+    buffer = np.eye(2, dtype=np.complex128)
+    op = AdjointableOperator(module, module, buffer)
+    projected = HilbertModule(B, 1, buffer)
+    buffer[0, 1] = 5.0
+    assert op.flat[0, 1] == 0.0 and projected.projection_flat[0, 1] == 0.0
+    assert not op.flat.flags.writeable and not projected.projection_flat.flags.writeable
+    assert op.adjoint().adjoint().flat is not buffer

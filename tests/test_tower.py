@@ -295,5 +295,5 @@ class TestLevelwiseCoherence:
         from prostar.recipes import random_cp_map, unitalize
 
         rho = unitalize(random_cp_map(a2, mt.modules["p"], rng))  # not covariant
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match="is not covariant"):
             levelwise_dilation_coherence(rho, act, u, mt)
