@@ -48,7 +48,7 @@ from .groups import (
     verify_group,
     verify_unitary_representation,
 )
-from .linalg import DEFAULT_TOL, hermitian_eigendecomposition, jacobi_eigh
+from .linalg import DEFAULT_TOL, hermitian_eigendecomposition
 from .modules import (
     AdjointableOperator,
     HilbertModule,

@@ -337,8 +337,8 @@ class StarHomomorphism:
     """Linear map between standard-form algebras, in matrix-unit coordinates.
 
     `action_matrix` has shape (target.linear_dim, source.linear_dim); the
-    homomorphism identities are checked by `verify`, which returns its
-    report and leaves the object unchanged.
+    homomorphism identities are checked by `verify_star_homomorphism`, which
+    returns its report and leaves the object unchanged.
     """
 
     source: FiniteCStarAlgebra
@@ -416,18 +416,15 @@ class StarHomomorphism:
             raise StructuralError("composition shape mismatch")
         return StarHomomorphism(inner.source, self.target, self.action_matrix @ inner.action_matrix)
 
-    def is_bijective(self, tol: float = 1e-9) -> bool:
+    def is_bijective(self) -> bool:
         if self.source.linear_dim != self.target.linear_dim:
             return False
-        return linalg.matrix_rank(self.action_matrix, rel_threshold=tol) == self.source.linear_dim
+        return linalg.matrix_rank(self.action_matrix) == self.source.linear_dim
 
     def inverse(self) -> "StarHomomorphism":
         if not self.is_bijective():
             raise PreconditionError("homomorphism is not bijective")
         return StarHomomorphism(self.target, self.source, np.linalg.inv(self.action_matrix))
-
-    def verify(self, tol: float = DEFAULT_TOL, *, check_surjective: bool = True) -> VerificationReport:
-        return verify_star_homomorphism(self, tol, check_surjective=check_surjective)
 
 
 def verify_star_homomorphism(
@@ -508,12 +505,13 @@ def _to_standard(standard, units, multiplicities, x) -> np.ndarray:
     return (flat @ pairing.T) / mult
 
 
-def _orthonormal_span(stack: np.ndarray, rel: float = 1e-9) -> np.ndarray:
-    """Orthonormal (HS) basis of the span of a stack (k, N, N), as vec columns."""
+def _orthonormal_span(stack: np.ndarray) -> np.ndarray:
+    """Orthonormal (HS) basis of the span of a stack (k, N, N), as vec columns
+    (singular values above `linalg.RANK_REL` times the largest)."""
     u, s, _ = np.linalg.svd(stack.reshape(len(stack), -1).T, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         raise PreconditionError("spanning set is zero")
-    return u[:, s > rel * s[0]]
+    return u[:, s > linalg.RANK_REL * s[0]]
 
 
 def _span_residuals(onb: np.ndarray, stack: np.ndarray) -> np.ndarray:
@@ -644,7 +642,7 @@ def wedderburn_decompose(
     embedding = StarHomomorphism(
         standard, FiniteCStarAlgebra((n_amb,)), units.reshape(len(units), -1).T
     )
-    hom_report = embedding.verify(max(tol, 1e-8), check_surjective=False)
+    hom_report = verify_star_homomorphism(embedding, max(tol, 1e-8), check_surjective=False)
     injective = standard.linear_dim - linalg.matrix_rank(embedding.action_matrix)
     back = np.tensordot(_to_standard(standard, units, multiplicities, basis), units, axes=1)
     checks = list(hom_report.checks) + [

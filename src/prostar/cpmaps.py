@@ -1,4 +1,4 @@
-"""Completely positive maps A -> L_B(E): basis values, amplification, Choi tests."""
+"""Completely positive maps A -> L_B(E): basis values, Choi tests, representation checks."""
 
 from __future__ import annotations
 
@@ -228,33 +228,6 @@ class CompletelyPositiveMap:
                 Check("unital", unital, tol),
             ),
         )
-
-    # -- amplification -------------------------------------------------------
-
-    def amplify(self, n: int) -> "CompletelyPositiveMap":
-        """Entrywise application on n×n matrices over A, as a map M_n(A) -> L_B(E^n)."""
-        if n < 1:
-            raise PreconditionError("amplification order must be >= 1")
-        if n == 1:
-            return self
-        big_source = FiniteCStarAlgebra(tuple(n * m for m in self.source.block_sizes))
-        big_module = HilbertModule(
-            self.module.algebra,
-            n * self.module.rank,
-            np.kron(np.eye(n, dtype=np.complex128), self.module.projection_flat),
-        )
-        fd = self.module.flat_dim
-        values = []
-        for k, m in enumerate(self.source.block_sizes):
-            for big_row in range(n * m):
-                for big_col in range(n * m):
-                    i, u = divmod(big_row, m)
-                    j, v = divmod(big_col, m)
-                    flat = np.zeros((n * fd, n * fd), dtype=np.complex128)
-                    inner = self.basis_values[self.source.basis_index(k, u, v)].flat
-                    flat[i * fd : (i + 1) * fd, j * fd : (j + 1) * fd] = inner
-                    values.append(AdjointableOperator(big_module, big_module, flat))
-        return CompletelyPositiveMap(big_source, big_module, tuple(values))
 
     def __str__(self) -> str:
         return f"CP map {self.source} -> L_B({self.module})"

@@ -503,15 +503,6 @@ class CovariantExtension:
         module = self.dilation.cp_map.module
         return AdjointableOperator(module, module, v.conj().T @ inner @ v)
 
-    def direct_form(self, f: ConvolutionElement) -> AdjointableOperator:
-        """The defining formula sum_g rho(f(g)) u_g, computed without the dilation."""
-        rho, rep = self.dilation.cp_map, self.dilation.rep
-        module = rho.module
-        acc = np.zeros((module.flat_dim, module.flat_dim), dtype=np.complex128)
-        for g in f.system.group.elements():
-            acc += rho(f.values[g]).flat @ rep.unitaries[g].flat
-        return AdjointableOperator(module, module, acc)
-
 
 def extend_covariant_cp(
     d: CovariantDilation,

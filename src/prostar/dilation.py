@@ -400,7 +400,7 @@ def _spanning_family(t: CovariantTriple, source_module: HilbertModule) -> np.nda
 
 def _minimal_rank(family: np.ndarray) -> int:
     """Complex rank of a spanning family; minimality is rank = dim of the module."""
-    return linalg.matrix_rank(family.reshape(len(family), -1), rel_threshold=1e-9)
+    return linalg.matrix_rank(family.reshape(len(family), -1))
 
 
 def _intertwining_residual(t: CovariantTriple, rep: UnitaryRepresentation) -> float:

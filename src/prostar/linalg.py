@@ -1,8 +1,8 @@
-"""Dense complex-matrix kernels: Hermitian eigensolvers and positive-matrix helpers.
+"""Dense complex-matrix kernels: one Hermitian eigensolver and positive-matrix helpers.
 
 Everything downstream (norms, positivity tests, square roots, Wedderburn
 standardization, quotient constructions) funnels through
-`hermitian_eigendecomposition`, so its contract is the load-bearing one:
+`hermitian_eigendecomposition`, LAPACK's `eigh` with its contract checked:
 ascending eigenvalues, deterministic eigenvector phases, and a verified
 reconstruction residual.
 """
@@ -17,12 +17,8 @@ from .errors import NumericalError, PreconditionError
 
 DEFAULT_TOL = 1e-10
 
-# Convergence target for the Jacobi sweep loop: off-diagonal Frobenius mass
-# relative to the input's Frobenius norm.
-JACOBI_OFFDIAG_TARGET = 1e-13
-JACOBI_MAX_SWEEPS = 100
-
 EIGH_CHECK_REL = 1e-10  # residual contract of `hermitian_eigendecomposition`
+RANK_REL = 1e-9  # singular values at or below this times the largest count as zero
 
 # Bytes of pairwise products formed at once by `max_product_residual`; peak
 # memory stays near a small multiple of this whatever the number of pairs.
@@ -90,99 +86,18 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
-def _jacobi_rotate(h: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
-    """One complex Jacobi rotation zeroing h[p, q], accumulated into v."""
-    apq = h[p, q]
-    mod = abs(apq)
-    if mod == 0.0:
-        return
-    phi = apq / mod
-    tau = (h[q, q].real - h[p, p].real) / (2.0 * mod)
-    if tau >= 0.0:
-        t = -1.0 / (tau + np.sqrt(1.0 + tau * tau))
-    else:
-        t = 1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-    c = 1.0 / np.sqrt(1.0 + t * t)
-    s = t * c
-
-    # Unitary J = I except J[[p,q],[p,q]] = [[c, -s*phi], [s*conj(phi), c]].
-    col_p = h[:, p].copy()
-    col_q = h[:, q].copy()
-    h[:, p] = c * col_p + s * np.conj(phi) * col_q
-    h[:, q] = -s * phi * col_p + c * col_q
-    row_p = h[p, :].copy()
-    row_q = h[q, :].copy()
-    h[p, :] = c * row_p + s * phi * row_q
-    h[q, :] = -s * np.conj(phi) * row_p + c * row_q
-    h[p, q] = 0.0
-    h[q, p] = 0.0
-    h[p, p] = h[p, p].real
-    h[q, q] = h[q, q].real
-
-    vol_p = v[:, p].copy()
-    vol_q = v[:, q].copy()
-    v[:, p] = c * vol_p + s * np.conj(phi) * vol_q
-    v[:, q] = -s * phi * vol_p + c * vol_q
-
-
-def _offdiag_frobenius(h: np.ndarray) -> float:
-    return frobenius(h - np.diag(np.diag(h)))
-
-
-def jacobi_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic complex Jacobi diagonalization of a Hermitian matrix.
-
-    Sweeps all (p, q) pivots, skipping entries already below the per-sweep
-    threshold; converged when the off-diagonal Frobenius mass drops below
-    1e-13 times the input Frobenius norm. Raises NumericalError after 100
-    sweeps without convergence.
-    """
-    h = require_hermitian(h)
-    n = h.shape[0]
-    scale = max(frobenius(h), 1.0)
-    work = h.copy()
-    v = np.eye(n, dtype=np.complex128)
-    if n == 1:
-        return work.real.reshape(1), v
-    target = JACOBI_OFFDIAG_TARGET * scale
-    for sweep in range(JACOBI_MAX_SWEEPS):
-        off = _offdiag_frobenius(work)
-        if off <= target:
-            break
-        # Rotating pivots already far below the remaining mass is wasted work.
-        threshold = min(off / n, off)
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if abs(work[p, q]) > threshold * 1e-3:
-                    _jacobi_rotate(work, v, p, q)
-    else:
-        raise NumericalError(
-            "Jacobi sweep limit reached without convergence",
-            offdiag=_offdiag_frobenius(work),
-            target=target,
-            sweeps=JACOBI_MAX_SWEEPS,
-        )
-    vals = np.diag(work).real
-    order = np.argsort(vals, kind="stable")
-    return vals[order], _fix_phases(v[:, order])
-
-
-def hermitian_eigendecomposition(h, *, engine: str = "lapack") -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecompose a Hermitian matrix; returns (ascending values, unitary columns).
+def hermitian_eigendecomposition(h) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecompose a Hermitian matrix by LAPACK; returns (ascending values,
+    unitary columns with `_fix_phases` phases).
 
     Verifies the reconstruction residual ||U diag(w) U* - h||_F <= EIGH_CHECK_REL*||h||_F
     and ||U*U - I||_F <= EIGH_CHECK_REL before returning.
     """
     h = require_hermitian(h)
-    if engine == "jacobi":
-        vals, vecs = jacobi_eigh(h)
-    elif engine == "lapack":
-        vals, vecs = np.linalg.eigh(h)
-        order = np.argsort(vals, kind="stable")
-        vals = vals[order]
-        vecs = _fix_phases(vecs[:, order])
-    else:
-        raise PreconditionError(f"unknown eigensolver engine {engine!r}")
+    vals, vecs = np.linalg.eigh(h)
+    order = np.argsort(vals, kind="stable")
+    vals = vals[order]
+    vecs = _fix_phases(vecs[:, order])
 
     scale = max(frobenius(h), 1.0)
     recon = frobenius((vecs * vals) @ vecs.conj().T - h)
@@ -215,37 +130,14 @@ def min_eigenvalue(h) -> float:
     return float(vals[0])
 
 
-def psd_function(h, fn, *, floor: float = 0.0) -> np.ndarray:
-    """Apply a scalar function to the spectrum of a (near-)PSD Hermitian matrix.
-
-    Eigenvalues below `floor` are clamped to zero before `fn` is applied.
-    """
+def psd_sqrt_matrix(h) -> np.ndarray:
+    """Square root of a (near-)PSD Hermitian matrix; negative eigenvalues count as zero."""
     vals, vecs = hermitian_eigendecomposition(h)
-    clipped = np.where(vals > floor, vals, 0.0)
-    return (vecs * fn(clipped)) @ vecs.conj().T
+    return (vecs * np.sqrt(np.where(vals > 0.0, vals, 0.0))) @ vecs.conj().T
 
 
-def psd_sqrt_matrix(h, *, floor: float = 0.0) -> np.ndarray:
-    return psd_function(h, np.sqrt, floor=floor)
-
-
-def support_projection(h, *, rel_threshold: float = 1e-12) -> tuple[np.ndarray, int]:
-    """Orthogonal projection onto the significant eigenspace of a PSD matrix.
-
-    Returns (projection, rank); eigenvalues <= rel_threshold * max eigenvalue
-    (with an absolute floor of 1e-14) count as zero.
-    """
-    vals, vecs = hermitian_eigendecomposition(h)
-    top = max(float(vals[-1]), 0.0) if vals.size else 0.0
-    cut = max(rel_threshold * top, 1e-14)
-    keep = vals > cut
-    rank = int(np.count_nonzero(keep))
-    basis = vecs[:, keep]
-    return basis @ basis.conj().T, rank
-
-
-def matrix_rank(m, *, rel_threshold: float = 1e-9) -> int:
-    """Rank by singular values relative to the largest one."""
+def matrix_rank(m) -> int:
+    """Rank by singular values above RANK_REL times the largest one."""
     m = as_complex_matrix(m)
     if m.size == 0:
         return 0
@@ -253,7 +145,7 @@ def matrix_rank(m, *, rel_threshold: float = 1e-9) -> int:
     top = float(svals[0]) if svals.size else 0.0
     if top == 0.0:
         return 0
-    return int(np.count_nonzero(svals > rel_threshold * top))
+    return int(np.count_nonzero(svals > RANK_REL * top))
 
 
 def max_product_residual(

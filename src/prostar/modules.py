@@ -117,14 +117,12 @@ class HilbertModule:
                 flats.append(self.algebra.from_blocks(e).dense())
         return ModuleElement(self, np.vstack(flats))
 
-    def element_from_flat(self, flat, *, project: bool = False) -> "ModuleElement":
+    def element_from_flat(self, flat) -> "ModuleElement":
         flat = linalg.as_complex_matrix(flat)
         if flat.shape != (self.flat_dim, self.block_dim):
             raise StructuralError(
                 f"flat element shape {flat.shape} != {(self.flat_dim, self.block_dim)}"
             )
-        if project:
-            flat = self.projection_flat @ flat
         return ModuleElement(self, flat)
 
     def zero_element(self) -> "ModuleElement":
@@ -392,15 +390,3 @@ def complex_matrices(domain: HilbertModule, codomain: HilbertModule, flats) -> n
     images = flats[..., None, :, :] @ domain.basis_tensor  # (..., d_dom, m·D, D)
     return codomain._basis_pinv @ images.reshape(*images.shape[:-2], -1).swapaxes(-1, -2)
 
-
-def adjointability_residual(t: AdjointableOperator) -> float:
-    """Max over basis pairs of ||<T xi, eta> - <xi, T* eta>||."""
-    tstar = t.adjoint()
-    worst = 0.0
-    for xi in t.domain.complex_basis:
-        txi = t(xi)
-        for eta in t.codomain.complex_basis:
-            lhs = txi.inner(eta)
-            rhs = xi.inner(tstar(eta))
-            worst = max(worst, (lhs - rhs).operator_norm())
-    return worst

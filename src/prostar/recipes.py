@@ -25,6 +25,9 @@ from .modules import AdjointableOperator, HilbertModule
 
 GROUP_NAMES = ("trivial", "z2", "z3", "s3")
 
+KRAUS_TERMS = 3  # Kraus operators of `random_cp_map`
+DEPOLARIZING_WEIGHT = 0.05  # weight of the trace term `random_cp_map` adds
+
 
 def named_group(name: str) -> FiniteGroup:
     if name == "trivial":
@@ -129,22 +132,18 @@ def compress_to_module_algebra(flat: np.ndarray, module: HilbertModule) -> np.nd
 
 
 def random_cp_map(
-    source: FiniteCStarAlgebra,
-    module: HilbertModule,
-    rng: np.random.Generator,
-    *,
-    kraus_terms: int = 3,
-    depolarizing_weight: float = 0.05,
+    source: FiniteCStarAlgebra, module: HilbertModule, rng: np.random.Generator
 ) -> CompletelyPositiveMap:
-    """A random CP map A -> L_B(E): Kraus form compressed into the module algebra.
+    """A random CP map A -> L_B(E): Kraus form (KRAUS_TERMS terms) compressed
+    into the module algebra.
 
-    A small depolarizing term keeps rho(1) well away from singular, so the
-    map can be normalized to a unital one.
+    A small depolarizing term (DEPOLARIZING_WEIGHT) keeps rho(1) well away
+    from singular, so the map can be normalized to a unital one.
     """
     fd, td = module.flat_dim, source.total_dim
-    kraus = [linalg.random_complex(rng, fd, td) / np.sqrt(fd * td) for _ in range(kraus_terms)]
+    kraus = [linalg.random_complex(rng, fd, td) / np.sqrt(fd * td) for _ in range(KRAUS_TERMS)]
     values = []
-    unit_scale = depolarizing_weight / source.total_dim
+    unit_scale = DEPOLARIZING_WEIGHT / source.total_dim
     for b in source.basis():
         dense = b.dense()
         acc = sum(k @ dense @ k.conj().T for k in kraus)
@@ -170,7 +169,7 @@ def unitalize(rho: CompletelyPositiveMap) -> CompletelyPositiveMap:
     # Eigenvalues near zero must belong to the complement of the range projection.
     keep = vals > 1e-12 * top
     inv_sqrt = (vecs[:, keep] / np.sqrt(vals[keep])) @ vecs[:, keep].conj().T
-    rank_p = linalg.matrix_rank(module.projection_flat, rel_threshold=1e-9)
+    rank_p = linalg.matrix_rank(module.projection_flat)
     if int(np.count_nonzero(keep)) != rank_p:
         raise PreconditionError("rho(1) is singular on the module; cannot normalize")
     values = tuple(
@@ -186,12 +185,10 @@ def random_covariant_cp(
     action: GroupAction,
     rep: UnitaryRepresentation,
     seed: int,
-    *,
-    kraus_terms: int = 3,
 ) -> CompletelyPositiveMap:
     """Seeded generator of a unital covariant CP map: average, then normalize."""
     rng = np.random.default_rng(seed)
-    sigma = random_cp_map(source, module, rng, kraus_terms=kraus_terms)
+    sigma = random_cp_map(source, module, rng)
     rho = unitalize(covariant_average(sigma, action, rep))
     rho.verify_completely_positive()  # fills the map's cached Choi data
     return rho

@@ -34,7 +34,6 @@ from .modules import AdjointableOperator, HilbertModule
 from .report import Report, TaskResult, VERSION
 from .tower import (
     AlgebraTower,
-    DirectedPoset,
     ModuleTower,
     levelwise_dilation_coherence,
     levelwise_integrated_coherence,
@@ -156,9 +155,16 @@ def _parse_cp_map(scn: Scenario, name: str, spec: dict) -> CompletelyPositiveMap
         )
     if "blocks" in spec:
         fd = module.flat_dim
+        blocks = spec["blocks"]
+        if not isinstance(blocks, list) or len(blocks) != len(source.block_sizes):
+            got = len(blocks) if isinstance(blocks, list) else repr(blocks)
+            raise ScenarioError(
+                f"cp map {name!r}: blocks must list one block per source block "
+                f"({len(source.block_sizes)}), got {got}"
+            )
         values = []
         for k, n in enumerate(source.block_sizes):
-            arr = spec["blocks"][k]
+            arr = blocks[k]
             if len(arr) != n or any(len(row) != n for row in arr):
                 raise ScenarioError(f"cp map {name!r}: block {k} is not {n}x{n}")
             for i in range(n):
@@ -197,50 +203,22 @@ def _parse_tower(scn: Scenario, name: str, spec: dict) -> TowerDeclaration:
     covers = [(str(a), str(b)) for a, b in spec.get("relations", [])]
     if not covers and len(levels) > 1:
         covers = [(levels[i], levels[i + 1]) for i in range(len(levels) - 1)]
-    # Transitive closure of the cover relations.
-    rels = set(covers)
-    changed = True
-    while changed:
-        changed = False
-        for (a, b) in list(rels):
-            for (c, d) in list(rels):
-                if b == c and (a, d) not in rels:
-                    rels.add((a, d))
-                    changed = True
-    poset = DirectedPoset(tuple(levels), frozenset(rels))
-
     maps = {}
     for key, mat in _object(spec.get("maps", {}), f"tower {name!r}: maps").items():
         upper, lower = [s.strip() for s in key.split(">")]
         maps[(upper, lower)] = StarHomomorphism(
             algebras[upper], algebras[lower], decode_matrix(mat)
         )
-    # Fill in composites along cover chains for comparable pairs without a map.
-    connecting = dict(maps)
-
-    def compose_path(p: str, q: str) -> StarHomomorphism | None:
-        if (p, q) in connecting:
-            return connecting[(p, q)]
-        for (u, l) in list(maps):
-            if u == p:
-                rest = compose_path(l, q) if l != q else StarHomomorphism.identity(algebras[q])
-                if rest is not None:
-                    return rest.compose(maps[(u, l)])
-        return None
-
-    for (lo, up) in rels:
-        if (up, lo) not in connecting:
-            composed = compose_path(up, lo)
-            if composed is None:
-                raise ScenarioError(f"tower {name!r}: no map path from {up} to {lo}")
-            connecting[(up, lo)] = composed
-    tower = AlgebraTower(poset, algebras, connecting)
+    try:
+        tower = AlgebraTower.from_covers(algebras, covers, maps)
+    except StructuralError as err:
+        raise ScenarioError(f"tower {name!r}: {err}") from err
 
     module_tower = None
     if "module_rank" in spec:
         rank = _count(spec["module_rank"], f"tower {name!r}: module_rank")
         if "top_projection" in spec and spec["top_projection"] is not None:
-            top = poset.greatest()
+            top = tower.poset.greatest()
             if top is None:
                 raise ScenarioError(f"tower {name!r}: top_projection needs a greatest level")
             top_module = HilbertModule(

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from .algebra import (
     FiniteCStarAlgebra,
     StarHomomorphism,
     VerificationReport,
+    verify_star_homomorphism,
 )
 from .cpmaps import CompletelyPositiveMap
 from .crossed import CrossedProductRealization, integrated_form
@@ -41,16 +42,6 @@ class DirectedPoset:
 
     elements: tuple[str, ...]
     relations: frozenset[tuple[str, str]]  # (lower, upper) pairs, strict
-
-    @classmethod
-    def chain(cls, labels: Sequence[str]) -> "DirectedPoset":
-        """Totally ordered: labels[0] < labels[1] < ..."""
-        rels = {
-            (labels[i], labels[j])
-            for i in range(len(labels))
-            for j in range(i + 1, len(labels))
-        }
-        return cls(tuple(labels), frozenset(rels))
 
     def leq(self, a: str, b: str) -> bool:
         return a == b or (a, b) in self.relations
@@ -150,26 +141,52 @@ class AlgebraTower:
                 raise StructuralError(f"connecting map {p} -> {q} has wrong end algebras")
 
     @classmethod
-    def from_chain(
+    def from_covers(
         cls,
-        labels: Sequence[str],
-        algebras: Sequence[FiniteCStarAlgebra],
-        downward_maps: Sequence[StarHomomorphism],
+        algebras: dict[str, FiniteCStarAlgebra],
+        covers: Iterable[tuple[str, str]],
+        maps: dict[tuple[str, str], StarHomomorphism],
     ) -> "AlgebraTower":
-        """Chain tower from consecutive maps labels[i+1] -> labels[i]; composites filled in."""
-        if len(downward_maps) != len(labels) - 1:
-            raise StructuralError("need one map per consecutive pair")
-        poset = DirectedPoset.chain(labels)
-        alg = dict(zip(labels, algebras))
-        connecting: dict[tuple[str, str], StarHomomorphism] = {}
-        for i in range(len(labels) - 1, 0, -1):
-            step = downward_maps[i - 1]
-            connecting[(labels[i], labels[i - 1])] = step
-            for j in range(i + 1, len(labels)):
-                connecting[(labels[j], labels[i - 1])] = step.compose(
-                    connecting[(labels[j], labels[i])]
+        """The tower over the order that the relations `covers` generate.
+
+        `algebras` gives the levels in order with their algebras, `covers`
+        the relations as (lower, upper) pairs and `maps` the given connecting
+        maps, keyed (upper, lower) as `connecting` is. The relations are
+        closed transitively, and a cycle is rejected. Each given map is kept;
+        each comparable pair p > r without one gets the composite
+        pi_qr ∘ pi_pq along the first cover (q, p) with a given map and
+        r < q, filled from the bottom level up.
+        """
+        levels = tuple(algebras)
+        covers = list(covers)
+        for lower, upper in covers:
+            if lower not in algebras or upper not in algebras:
+                raise StructuralError(f"relation {lower} < {upper} names an unknown level")
+        rels = set(covers)
+        while True:
+            new = {(a, d) for a, b in rels for c, d in rels if b == c} - rels
+            if not new:
+                break
+            rels |= new
+        cycle = sorted(a for a, b in rels if a == b)
+        if cycle:
+            raise StructuralError(f"relations form a cycle through level {cycle[0]}")
+        for upper, lower in maps:
+            if (lower, upper) not in rels:
+                raise StructuralError(f"map {upper} -> {lower} joins levels that are not related")
+        below = {p: sorted(lo for lo, up in rels if up == p) for p in levels}
+        connecting = dict(maps)
+        for p in sorted(levels, key=lambda level: len(below[level])):
+            for r in below[p]:
+                if (p, r) in connecting:
+                    continue
+                q = next(
+                    (q for q, up in covers if up == p and (p, q) in maps and (q, r) in connecting),
+                    None,
                 )
-        return cls(poset, alg, connecting)
+                if q is not None:
+                    connecting[(p, r)] = connecting[(q, r)].compose(maps[(p, q)])
+        return cls(DirectedPoset(levels, frozenset(rels)), dict(algebras), connecting)
 
     def map(self, p: str, q: str) -> StarHomomorphism:
         if p == q:
@@ -179,7 +196,7 @@ class AlgebraTower:
     def verify(self, tol: float = DEFAULT_TOL) -> VerificationReport:
         hom_res, surj_ok = 0.0, True
         for pair, hom in self.connecting.items():
-            rep = hom.verify(tol)
+            rep = verify_star_homomorphism(hom, tol)
             hom_res = max(hom_res, rep.check("multiplicative").residual,
                           rep.check("star").residual, rep.check("unital").residual)
             surj_ok = surj_ok and rep.check("surjective").passed
@@ -255,7 +272,17 @@ class CoherentElement:
 
 @dataclass(eq=False)
 class TowerAction:
-    """A group acting compatibly on every level of an algebra tower."""
+    """A group acting compatibly on every level of an algebra tower.
+
+    This is the inverse system of actions (G, A_p, alpha_p) that a locally
+    C*-dynamical system is the limit of (N. C. Phillips, "Inverse limits of
+    C*-algebras", J. Operator Theory 1988): `verify` checks each level's
+    action and that every connecting map intertwines them,
+    pi_pq ∘ alpha_p(g) = alpha_q(g) ∘ pi_pq. No construction here takes one
+    (the levelwise checks vary the coefficient algebra B_p and keep one
+    action on A), but it is the object the paper's inverse-limit setting of
+    the acting algebra starts from.
+    """
 
     group: FiniteGroup
     tower: AlgebraTower
@@ -453,7 +480,6 @@ def levelwise_dilation_coherence(
     rep_top: UnitaryRepresentation,
     mt: ModuleTower,
     *,
-    top: str | None = None,
     tol: float = DEFAULT_TOL,
 ) -> CoherenceReport:
     """Build the covariant dilation at every level and verify the commuting squares.
@@ -465,7 +491,7 @@ def levelwise_dilation_coherence(
     """
     from .dilation import covariant_extend, minimal_dilation
 
-    top = top or mt.base.poset.greatest()
+    top = mt.base.poset.greatest()
     if top is None:
         raise PreconditionError("module tower has no greatest level to push from")
     if rho_top.module != mt.modules[top]:
@@ -508,10 +534,7 @@ def levelwise_dilation_coherence(
         lhs = mapped.conj().T @ mapped
         h_p = cores[p]._sqrt_flat @ cores[p]._sqrt_flat
         gram_sq = max(gram_sq, linalg.frobenius(lhs - mt.push(p, q, h_p, fp.rank)))
-        surj = max(
-            surj,
-            float(fq.complex_dim - linalg.matrix_rank(m_pq, rel_threshold=1e-9)),
-        )
+        surj = max(surj, float(fq.complex_dim - linalg.matrix_rank(m_pq)))
     func = 0.0
     for (p, q) in mt.base.poset.comparable_pairs():
         for r in levels:
@@ -544,7 +567,6 @@ def levelwise_integrated_coherence(
     xp: CrossedProductRealization,
     mt: ModuleTower,
     *,
-    top: str | None = None,
     tol: float = DEFAULT_TOL,
 ) -> CoherenceReport:
     """Integrate a covariant representation at every level and check coherence.
@@ -552,7 +574,7 @@ def levelwise_integrated_coherence(
     Verifies (pi_qr)_*((Phi_q x v_q)(f)) = (Phi_r x v_r)(f) on the spanning
     set {delta_g (x) a_i} for every comparable pair of levels.
     """
-    top = top or mt.base.poset.greatest()
+    top = mt.base.poset.greatest()
     if top is None:
         raise PreconditionError("module tower has no greatest level to push from")
     if phi_top.module != mt.modules[top]:

@@ -39,6 +39,13 @@ space through one kron shuffle per element, and the group law one pair
 (g, h) at a time (as do `unitary_representation_reference` and
 `action_reference`). `descended_reference` builds Φ(a_i), v_g and V by
 kron-and-permute, as `minimal_dilation` and `covariant_extend` did.
+
+The last references were once library code that only the tests called:
+`jacobi_eigh` is a cyclic complex Jacobi eigensolver, independent of LAPACK;
+`amplify` is a CP map applied entrywise on M_n(A), for positivity at level
+n; `adjointability_residual` checks <Tξ, η> = <ξ, T*η> over all pairs of
+complex basis elements; and `direct_form` sums ρ(f(g))u_g over the group,
+without the dilation.
 """
 
 from __future__ import annotations
@@ -439,7 +446,7 @@ def dilation_coherence_reference(rho_top, action, rep_top, mt, tol: float) -> di
         h_p = cores[p]._sqrt_flat @ cores[p]._sqrt_flat
         rhs = _push_reference(hom, h_p, fp.rank, fp.rank)
         gram_sq = max(gram_sq, float(np.linalg.norm(mapped.conj().T @ mapped - rhs)))
-        surj = max(surj, float(fq.complex_dim - matrix_rank(m, rel_threshold=1e-9)))
+        surj = max(surj, float(fq.complex_dim - matrix_rank(m)))
     for p, q, r in _lower_pairs(mt):
         diff = class_maps[(q, r)] @ class_maps[(p, q)] - class_maps[(p, r)]
         func = max(func, float(np.linalg.norm(diff)))
@@ -525,7 +532,7 @@ def dilation_checks_reference(d, tol: float) -> list:
         source.linear_dim, d.module.flat_dim, d_e, big_d
     )
     flat_cols = stacked.transpose(0, 2, 1, 3).reshape(source.linear_dim * d_e, -1)
-    rank = matrix_rank(flat_cols, rel_threshold=1e-9)
+    rank = matrix_rank(flat_cols)
     checks.append(
         Check(
             "minimality rank = dim E_rho",
@@ -607,7 +614,7 @@ def uniqueness_reference(d, other, tol: float):
     d_e, big_d = rho.module.complex_dim, rho.module.block_dim
     k = rho.source.linear_dim * d_e
     z_vec = z_cols.reshape(other.module.flat_dim, k, big_d).transpose(1, 0, 2).reshape(k, -1)
-    if matrix_rank(z_vec, rel_threshold=1e-9) != other.module.complex_dim:
+    if matrix_rank(z_vec) != other.module.complex_dim:
         raise PreconditionError("candidate fails minimality (b): spanning family is not dense")
 
     inter = 0.0
@@ -699,7 +706,7 @@ def unitary_representation_reference(rep, tol: float) -> list:
 
 def action_reference(action, tol: float) -> list:
     """verify_action's checks, one g and one (g, h) pair at a time."""
-    from prostar.algebra import Check
+    from prostar.algebra import Check, verify_star_homomorphism
 
     group, alg = action.group, action.algebra
     e = group.identity
@@ -718,7 +725,7 @@ def action_reference(action, tol: float) -> list:
     star_hom = 0.0
     bijective = True
     for g in group.elements():
-        report = action.automorphisms[g].verify(tol, check_surjective=False)
+        report = verify_star_homomorphism(action.automorphisms[g], tol, check_surjective=False)
         star_hom = max(star_hom, report.max_residual)
         bijective = bijective and action.automorphisms[g].is_bijective()
     return [
@@ -769,3 +776,144 @@ def descended_reference(core, action, rep) -> tuple[np.ndarray, np.ndarray, np.n
     )
     connector = core._sqrt_flat @ np.kron(core._coord_map @ x_map @ y, np.eye(big_d))
     return phi, v, connector
+
+
+# -- former library code, kept as independent references ----------------------
+
+# Convergence target of the Jacobi sweeps: off-diagonal Frobenius mass
+# relative to the input's Frobenius norm.
+JACOBI_OFFDIAG_TARGET = 1e-13
+JACOBI_MAX_SWEEPS = 100
+
+
+def _jacobi_rotate(h: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
+    """One complex Jacobi rotation zeroing h[p, q], accumulated into v."""
+    apq = h[p, q]
+    mod = abs(apq)
+    if mod == 0.0:
+        return
+    phi = apq / mod
+    tau = (h[q, q].real - h[p, p].real) / (2.0 * mod)
+    if tau >= 0.0:
+        t = -1.0 / (tau + np.sqrt(1.0 + tau * tau))
+    else:
+        t = 1.0 / (-tau + np.sqrt(1.0 + tau * tau))
+    c = 1.0 / np.sqrt(1.0 + t * t)
+    s = t * c
+
+    # Unitary J = I except J[[p,q],[p,q]] = [[c, -s*phi], [s*conj(phi), c]].
+    col_p = h[:, p].copy()
+    col_q = h[:, q].copy()
+    h[:, p] = c * col_p + s * np.conj(phi) * col_q
+    h[:, q] = -s * phi * col_p + c * col_q
+    row_p = h[p, :].copy()
+    row_q = h[q, :].copy()
+    h[p, :] = c * row_p + s * phi * row_q
+    h[q, :] = -s * np.conj(phi) * row_p + c * row_q
+    h[p, q] = 0.0
+    h[q, p] = 0.0
+    h[p, p] = h[p, p].real
+    h[q, q] = h[q, q].real
+
+    vol_p = v[:, p].copy()
+    vol_q = v[:, q].copy()
+    v[:, p] = c * vol_p + s * np.conj(phi) * vol_q
+    v[:, q] = -s * phi * vol_p + c * vol_q
+
+
+def _offdiag_frobenius(h: np.ndarray) -> float:
+    return float(np.linalg.norm(h - np.diag(np.diag(h))))
+
+
+def jacobi_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cyclic complex Jacobi diagonalization of a Hermitian matrix.
+
+    Sweeps all (p, q) pivots, skipping entries already below the per-sweep
+    threshold; converged when the off-diagonal Frobenius mass drops below
+    1e-13 times the input Frobenius norm. Raises NumericalError after 100
+    sweeps without convergence. Eigenvalues ascend and the eigenvector
+    phases follow the library's rule (`linalg._fix_phases`).
+    """
+    from prostar.errors import NumericalError
+    from prostar.linalg import _fix_phases, require_hermitian
+
+    h = require_hermitian(h)
+    n = h.shape[0]
+    scale = max(float(np.linalg.norm(h)), 1.0)
+    work = h.copy()
+    v = np.eye(n, dtype=np.complex128)
+    if n == 1:
+        return work.real.reshape(1), v
+    target = JACOBI_OFFDIAG_TARGET * scale
+    for sweep in range(JACOBI_MAX_SWEEPS):
+        off = _offdiag_frobenius(work)
+        if off <= target:
+            break
+        # Rotating pivots already far below the remaining mass is wasted work.
+        threshold = min(off / n, off)
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                if abs(work[p, q]) > threshold * 1e-3:
+                    _jacobi_rotate(work, v, p, q)
+    else:
+        raise NumericalError(
+            "Jacobi sweep limit reached without convergence",
+            offdiag=_offdiag_frobenius(work),
+            target=target,
+            sweeps=JACOBI_MAX_SWEEPS,
+        )
+    vals = np.diag(work).real
+    order = np.argsort(vals, kind="stable")
+    return vals[order], _fix_phases(v[:, order])
+
+
+def amplify(rho, n: int):
+    """Entrywise application on n×n matrices over A, as a map M_n(A) -> L_B(E^n)."""
+    from prostar.algebra import FiniteCStarAlgebra
+    from prostar.cpmaps import CompletelyPositiveMap
+    from prostar.modules import AdjointableOperator, HilbertModule
+
+    big_source = FiniteCStarAlgebra(tuple(n * m for m in rho.source.block_sizes))
+    big_module = HilbertModule(
+        rho.module.algebra,
+        n * rho.module.rank,
+        np.kron(np.eye(n, dtype=np.complex128), rho.module.projection_flat),
+    )
+    fd = rho.module.flat_dim
+    values = []
+    for k, m in enumerate(rho.source.block_sizes):
+        for big_row in range(n * m):
+            for big_col in range(n * m):
+                i, u = divmod(big_row, m)
+                j, v = divmod(big_col, m)
+                flat = np.zeros((n * fd, n * fd), dtype=np.complex128)
+                inner = rho.basis_values[rho.source.basis_index(k, u, v)].flat
+                flat[i * fd : (i + 1) * fd, j * fd : (j + 1) * fd] = inner
+                values.append(AdjointableOperator(big_module, big_module, flat))
+    return CompletelyPositiveMap(big_source, big_module, tuple(values))
+
+
+def adjointability_residual(t) -> float:
+    """Max over basis pairs of ||<T xi, eta> - <xi, T* eta>||."""
+    tstar = t.adjoint()
+    worst = 0.0
+    for xi in t.domain.complex_basis:
+        txi = t(xi)
+        for eta in t.codomain.complex_basis:
+            lhs = txi.inner(eta)
+            rhs = xi.inner(tstar(eta))
+            worst = max(worst, (lhs - rhs).operator_norm())
+    return worst
+
+
+def direct_form(ext, f):
+    """The defining formula sum_g rho(f(g)) u_g of an extension, computed without
+    the dilation."""
+    from prostar.modules import AdjointableOperator
+
+    rho, rep = ext.dilation.cp_map, ext.dilation.rep
+    module = rho.module
+    acc = np.zeros((module.flat_dim, module.flat_dim), dtype=np.complex128)
+    for g in f.system.group.elements():
+        acc += rho(f.values[g]).flat @ rep.unitaries[g].flat
+    return AdjointableOperator(module, module, acc)

@@ -270,8 +270,8 @@ def test_criterion_5_extension_suite(grid_extensions):
 def _tower_two_level():
     bp = FiniteCStarAlgebra((1, 1))
     bq = FiniteCStarAlgebra((1,))
-    return AlgebraTower.from_chain(
-        ["q", "p"], [bq, bp], [StarHomomorphism.block_projection(bp, [0])]
+    return AlgebraTower.from_covers(
+        {"q": bq, "p": bp}, [("q", "p")], {("p", "q"): StarHomomorphism.block_projection(bp, [0])}
     )
 
 
@@ -279,13 +279,13 @@ def _tower_three_level():
     b3 = FiniteCStarAlgebra((2, 1, 1))
     b2 = FiniteCStarAlgebra((2, 1))
     b1 = FiniteCStarAlgebra((2,))
-    return AlgebraTower.from_chain(
-        ["r", "q", "p"],
-        [b1, b2, b3],
-        [
-            StarHomomorphism.block_projection(b2, [0]),
-            StarHomomorphism.block_projection(b3, [0, 1]),
-        ],
+    return AlgebraTower.from_covers(
+        {"r": b1, "q": b2, "p": b3},
+        [("r", "q"), ("q", "p")],
+        {
+            ("q", "r"): StarHomomorphism.block_projection(b2, [0]),
+            ("p", "q"): StarHomomorphism.block_projection(b3, [0, 1]),
+        },
     )
 
 
@@ -561,10 +561,10 @@ def test_criterion_7_numerical_kernel_suite(rng):
     """Eigendecomposition round-trips to 64x64, C*-identity, transpose Choi -1."""
     roundtrip_ok = True
     worst_rt = 0.0
-    for engine in ("lapack", "jacobi"):
+    for solve in (hermitian_eigendecomposition, pairwise_reference.jacobi_eigh):
         for n in (8, 32, 64):
             h = random_hermitian(rng, n)
-            vals, vecs = hermitian_eigendecomposition(h, engine=engine)
+            vals, vecs = solve(h)
             scale = np.linalg.norm(h)
             resid = np.linalg.norm((vecs * vals) @ vecs.conj().T - h) / scale
             ortho = np.linalg.norm(vecs.conj().T @ vecs - np.eye(n))

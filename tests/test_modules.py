@@ -3,11 +3,9 @@ import pytest
 
 from prostar.algebra import FiniteCStarAlgebra
 from prostar.errors import StructuralError
-from prostar.modules import (
-    AdjointableOperator,
-    HilbertModule,
-    adjointability_residual,
-)
+from prostar.modules import AdjointableOperator, HilbertModule
+
+from pairwise_reference import adjointability_residual
 
 B = FiniteCStarAlgebra((2,))
 C = FiniteCStarAlgebra((1,))

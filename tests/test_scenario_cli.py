@@ -301,6 +301,22 @@ class TestCli:
             ({"module_rank": 0}, "must be a positive integer"),
             ({"levels": "qp"}, "levels must be a list of strings"),
             ({"levels": ["q", 1]}, "levels must be a list of strings"),
+            (
+                {
+                    "levels": ["p", "q", "r"],
+                    "algebras": {"p": [1], "q": [1], "r": [1]},
+                    "relations": [["q", "p"], ["r", "p"], ["p", "r"]],
+                    "maps": {"p>r": [[[1, 0]]], "r>p": [[[1, 0]]]},
+                },
+                "tower 'T': relations form a cycle",
+            ),
+            (
+                {
+                    "relations": [["q", "p"], ["p", "q"]],
+                    "maps": {"p>q": [[[1, 0], [0, 0]]], "q>p": [[[1, 0]], [[1, 0]]]},
+                },
+                "tower 'T': relations form a cycle",
+            ),
         ],
     )
     def test_malformed_tower_fields_exit_two(self, fields, message, tmp_path, capsys):
@@ -311,6 +327,28 @@ class TestCli:
         assert main(["run", "--scenario", path]) == 2
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("count", [0, 2])
+    def test_cp_map_block_count_exit_two(self, count, tmp_path, capsys):
+        """A `blocks` literal lists exactly one block per source block: M2 has one."""
+        # The identity map: E_ij goes to the 2x2 matrix unit E_ij, entries [re, im].
+        unit = [[[[float((r, c) == (i, j)), 0.0] for c in range(2)] for r in range(2)]
+                for i in range(2) for j in range(2)]
+        block = [unit[0:2], unit[2:4]]
+        doc = {
+            "schema": "prostar-scenario-v1",
+            "algebras": {"A": [2], "B": [1]},
+            "modules": {"E": {"algebra": "B", "rank": 2}},
+            "cp_maps": {"rho": {"source": "A", "module": "E", "blocks": [block] * count}},
+        }
+        path = write_scenario(tmp_path, doc)
+        assert main(["validate", "--scenario", path]) == 2
+        assert main(["run", "--scenario", path]) == 2
+        err = capsys.readouterr().err
+        assert "one block per source block (1), got " + str(count) in err
+        assert "Traceback" not in err
+        doc["cp_maps"]["rho"]["blocks"] = [block]
+        assert main(["validate", "--scenario", write_scenario(tmp_path, doc)]) == 0
 
     @pytest.mark.parametrize("sizes", [[True], [2.0], [1, True], 5])
     @pytest.mark.parametrize("where", ["algebras", "tower"])

@@ -4,7 +4,7 @@ import pytest
 from prostar.algebra import FiniteCStarAlgebra, StarHomomorphism
 from prostar.crossed import build_crossed_product
 from prostar.dilation import covariant_dilation
-from prostar.errors import PreconditionError
+from prostar.errors import PreconditionError, StructuralError
 from prostar.groups import FiniteGroup, GroupAction
 from prostar.modules import AdjointableOperator, HilbertModule
 from prostar.recipes import (
@@ -27,26 +27,34 @@ def two_level_tower():
     bp = FiniteCStarAlgebra((1, 1))
     bq = FiniteCStarAlgebra((1,))
     pi = StarHomomorphism.block_projection(bp, [0])
-    return AlgebraTower.from_chain(["q", "p"], [bq, bp], [pi])
+    return AlgebraTower.from_covers({"q": bq, "p": bp}, [("q", "p")], {("p", "q"): pi})
+
+
+def three_level_maps():
+    b3 = FiniteCStarAlgebra((2, 1, 1))
+    b2 = FiniteCStarAlgebra((2, 1))
+    return {
+        ("q", "r"): StarHomomorphism.block_projection(b2, [0]),
+        ("p", "q"): StarHomomorphism.block_projection(b3, [0, 1]),
+    }
+
+
+def three_level_algebras(maps):
+    return {
+        "r": maps[("q", "r")].target,
+        "q": maps[("q", "r")].source,
+        "p": maps[("p", "q")].source,
+    }
 
 
 def three_level_tower():
-    b3 = FiniteCStarAlgebra((2, 1, 1))
-    b2 = FiniteCStarAlgebra((2, 1))
-    b1 = FiniteCStarAlgebra((2,))
-    return AlgebraTower.from_chain(
-        ["r", "q", "p"],
-        [b1, b2, b3],
-        [
-            StarHomomorphism.block_projection(b2, [0]),
-            StarHomomorphism.block_projection(b3, [0, 1]),
-        ],
-    )
+    maps = three_level_maps()
+    return AlgebraTower.from_covers(three_level_algebras(maps), [("r", "q"), ("q", "p")], maps)
 
 
 class TestPoset:
     def test_chain(self):
-        poset = DirectedPoset.chain(["a", "b", "c"])
+        poset = DirectedPoset(("a", "b", "c"), frozenset({("a", "b"), ("b", "c"), ("a", "c")}))
         assert poset.verify().passed
         assert poset.greatest() == "c"
         assert poset.leq("a", "c") and not poset.leq("c", "a")
@@ -60,7 +68,7 @@ class TestPoset:
 class TestAlgebraTower:
     def test_single_level_vacuous(self):
         alg = FiniteCStarAlgebra((2,))
-        tower = AlgebraTower(DirectedPoset.chain(["p"]), {"p": alg}, {})
+        tower = AlgebraTower.from_covers({"p": alg}, [], {})
         assert tower.verify().passed
 
     def test_two_level_projection(self):
@@ -121,6 +129,69 @@ class TestCoherentElements:
             "q": tower.algebras["q"].unit() * 5.0,
         }
         assert not CoherentElement(tower, levels).verify().passed
+
+
+class TestFromCovers:
+    def test_diamond_fills_the_composite_both_ways(self):
+        """r < q1, q2 < p: the one missing map p -> r is filled, and it agrees with
+        the composite along each of the two routes."""
+        bp, bq, br = (FiniteCStarAlgebra(s) for s in ((1, 1, 1), (1, 1), (1,)))
+        maps = {
+            ("p", "q1"): StarHomomorphism.block_projection(bp, [0, 1]),
+            ("p", "q2"): StarHomomorphism.block_projection(bp, [0, 2]),
+            ("q1", "r"): StarHomomorphism.block_projection(bq, [0]),
+            ("q2", "r"): StarHomomorphism.block_projection(bq, [0]),
+        }
+        covers = [("r", "q1"), ("r", "q2"), ("q1", "p"), ("q2", "p")]
+        tower = AlgebraTower.from_covers({"r": br, "q1": bq, "q2": bq, "p": bp}, covers, maps)
+        assert set(tower.connecting) == set(maps) | {("p", "r")}
+        for q in ("q1", "q2"):
+            route = maps[(q, "r")].compose(maps[("p", q)])
+            assert np.array_equal(tower.map("p", "r").action_matrix, route.action_matrix)
+        assert tower.poset.greatest() == "p"
+        assert tower.verify().passed
+
+    def test_given_map_for_a_non_cover_pair_is_kept(self):
+        maps = three_level_maps()
+        given = StarHomomorphism.block_projection(maps[("p", "q")].source, [0])
+        maps[("p", "r")] = given
+        tower = AlgebraTower.from_covers(
+            three_level_algebras(maps), [("r", "q"), ("q", "p")], maps
+        )
+        assert tower.connecting[("p", "r")] is given
+        assert tower.verify().passed
+
+    def test_chain_matches_consecutive_composition_bit_for_bit(self):
+        """The composite of a chain is pi_qr ∘ pi_pq, the product the chain builder
+        formed: (pi_qr.action_matrix) @ (pi_pq.action_matrix)."""
+        maps = three_level_maps()
+        tower = three_level_tower()
+        assert tower.poset.relations == {("r", "q"), ("q", "p"), ("r", "p")}
+        for pair, hom in maps.items():
+            assert np.array_equal(tower.connecting[pair].action_matrix, hom.action_matrix)
+        expected = maps[("q", "r")].action_matrix @ maps[("p", "q")].action_matrix
+        assert np.array_equal(tower.connecting[("p", "r")].action_matrix, expected)
+
+    @pytest.mark.parametrize(
+        "covers",
+        [[("p", "p")], [("q", "p"), ("p", "q")], [("r", "q"), ("q", "p"), ("p", "r")]],
+    )
+    def test_cycle_rejected(self, covers):
+        alg = FiniteCStarAlgebra((1,))
+        ident = StarHomomorphism.identity(alg)
+        algebras = {"p": alg, "q": alg, "r": alg}
+        maps = {(upper, lower): ident for lower, upper in covers if lower != upper}
+        with pytest.raises(StructuralError, match="cycle"):
+            AlgebraTower.from_covers(algebras, covers, maps)
+
+    def test_unrelated_map_and_missing_cover_map_rejected(self):
+        maps = three_level_maps()
+        algebras = three_level_algebras(maps)
+        with pytest.raises(StructuralError, match="not related"):
+            AlgebraTower.from_covers(algebras, [("r", "q")], maps)
+        del maps[("p", "q")]
+        with pytest.raises(StructuralError, match="missing connecting map p -> q"):
+            AlgebraTower.from_covers(algebras, [("r", "q"), ("q", "p")], maps)
 
 
 class TestTowerAction:
@@ -222,7 +293,7 @@ class TestModuleTower:
         bp, bq = FiniteCStarAlgebra((1, 1)), FiniteCStarAlgebra((1,))
         pi = StarHomomorphism.block_projection(bp, [0])
         doubled = StarHomomorphism(bp, bq, 2.0 * pi.action_matrix)
-        tower = AlgebraTower.from_chain(["q", "p"], [bq, bp], [doubled])
+        tower = AlgebraTower.from_covers({"q": bq, "p": bp}, [("q", "p")], {("p", "q"): doubled})
         mt = ModuleTower.of_free_modules(tower, 1)
         assert not mt.verify().check("inner products connect").passed
         a2 = FiniteCStarAlgebra((2,))
@@ -236,7 +307,7 @@ class TestModuleTower:
 class TestLevelwiseCoherence:
     def test_single_level_reduces_to_dilation(self):
         alg = FiniteCStarAlgebra((1, 1))
-        tower = AlgebraTower(DirectedPoset.chain(["p"]), {"p": alg}, {})
+        tower = AlgebraTower.from_covers({"p": alg}, [], {})
         mt = ModuleTower.of_free_modules(tower, 1)
         a2 = FiniteCStarAlgebra((2,))
         act = standard_action("z2", a2)
