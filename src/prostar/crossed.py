@@ -174,13 +174,6 @@ class CrossedProductRealization:
         """Concrete matrix of f: block (t, t') is alpha_{t^-1}(f(t t'^-1))."""
         return np.tensordot(f.coords(), self.spanning_stack, axes=1)
 
-    def extract_convolution(self, matrix) -> ConvolutionElement:
-        """Inverse of `embed` on its image, read off the identity block row."""
-        rows = _identity_row(self.system, linalg.as_complex_matrix(matrix))
-        return ConvolutionElement(
-            self.system, tuple(self.system.algebra.from_coords(c) for c in rows)
-        )
-
     def standardize(self, f: ConvolutionElement) -> AlgebraElement:
         return self.standard_algebra.from_coords(self.wedderburn.to_standard(self.embed(f)))
 

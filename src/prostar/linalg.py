@@ -71,18 +71,20 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     """Rotate each column so its first significant entry is positive real.
 
     Makes eigenbases reproducible across runs and BLAS builds; the pivot is
-    the first entry within 1e-8 of the column's max modulus.
+    the first entry within 1e-8 of the column's max modulus. Zero columns are
+    left as they are. All columns are rotated at once, bit for bit as one
+    column at a time: the pivot's modulus is taken by `np.hypot`, which rounds
+    as the scalar `abs` of one entry does, and the phases multiply as a (1, k)
+    row, because NumPy multiplies a (1, 1) array by a (1,) one without the
+    fused multiply-add it uses for a column times a scalar.
     """
     out = vectors.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        mags = np.abs(col)
-        top = mags.max()
-        if top == 0.0:
-            continue
-        pivot = int(np.argmax(mags > (1.0 - 1e-8) * top))
-        phase = col[pivot] / abs(col[pivot])
-        out[:, j] = col * np.conj(phase)
+    mags = np.abs(vectors)
+    top = mags.max(axis=0, initial=0.0)
+    cols = np.flatnonzero(top > 0.0)
+    pivot = np.argmax(mags[:, cols] > (1.0 - 1e-8) * top[cols], axis=0)
+    lead = vectors[pivot, cols]
+    out[:, cols] = vectors[:, cols] * np.conj(lead / np.hypot(lead.real, lead.imag))[None, :]
     return out
 
 
@@ -236,6 +238,51 @@ def corner_product_residual(left: Corner, right: Corner, values: Corner, coeffs)
         t = float(np.max(np.sum(np.abs(coeffs), axis=2)))
     inner = _streamed_residual(left.y, right.y, values.y, coeffs)
     return inner + product_slack(left.c, left.f, right.c, right.f, t, values.c)
+
+
+def matrix_unit_bound(stack: np.ndarray, relations, basis: np.ndarray | None = None) -> float:
+    """An upper bound of `max_product_residual(stack, stack, stack, product_table,
+    basis)` for a stack X of values on the matrix units of a standard-form
+    source, from dim + (Σn)² products instead of dim².
+
+    `relations` is the source's `matrix_unit_relations` (left, right, row,
+    col, table). Write X_ij = X(E^b_ij) for the units of one block b and put
+
+        r1 = max_ij ||X_ij - X_i1 X_1j||_F            (every basis element),
+        r2 = max ||X^b_1j X^c_k1 - δ_bc δ_jk X^b_11||_F (first row × first column),
+
+    the first a batched product through the index arrays `left` and `right`,
+    the second `_streamed_residual` with the integer table `table`. With
+    f >= max ||X||_op, every pair of basis elements has
+
+        ||X_ij X_kl - δ_jk X_il||_F <= (1 + f)²·r1 + f²·r2.
+
+    Proof: write e_ij = X_ij - X_i1 X_1j and e'_jk = X_1j X_k1 - δ_jk X_11.
+    Then X_ij X_kl = e_ij X_kl + X_i1 X_1j e_kl + X_i1 X_1j X_k1 X_1l, and
+    X_i1 X_1j X_k1 X_1l = X_i1 e'_jk X_1l + δ_jk X_i1 X_11 X_1l. Since
+    e_i1 = X_i1 - X_i1 X_11 (E_i1 = E_i1 E_11), X_i1 X_11 X_1l =
+    X_i1 X_1l - e_i1 X_1l = X_il - e_il - e_i1 X_1l. So
+
+        X_ij X_kl - δ_jk X_il
+            = e_ij X_kl + X_i1 X_1j e_kl + X_i1 e'_jk X_1l - δ_jk (e_il + e_i1 X_1l),
+
+    and ||AB||_F <= ||A||_op ||B||_F <= ||A||_F ||B||_F bounds the terms by
+    f·r1, f²·r1, f²·r2 and r1 + f·r1. Across blocks b ≠ c the product
+    should vanish; the same expansion with δ = 0 gives f²·r2 + (f² + f)·r1,
+    which is smaller.
+
+    On a non-free module (`basis` given) the relations are taken on the
+    corners Y = U*XU, whose norms are at most those of X, and
+    `product_slack(c, f, c, f, 1, c)` is added exactly as
+    `corner_product_residual` adds it, so the result also bounds the corner
+    residual that `max_product_residual` reports. f is max ||X||_F, which
+    `corner` returns.
+    """
+    y, c, f = corner(stack, basis)
+    left, right, row, col, table = relations
+    r1 = max_frobenius(y[left] @ y[right] - y)
+    r2 = _streamed_residual(y[row], y[col], y, table)
+    return (1.0 + f) ** 2 * r1 + f * f * r2 + product_slack(c, f, c, f, 1.0, c)
 
 
 def frobenius_each(stack: np.ndarray) -> np.ndarray:

@@ -125,9 +125,6 @@ class HilbertModule:
             )
         return ModuleElement(self, flat)
 
-    def zero_element(self) -> "ModuleElement":
-        return ModuleElement(self, np.zeros((self.flat_dim, self.block_dim), dtype=np.complex128))
-
     def random_element(self, rng: np.random.Generator) -> "ModuleElement":
         entries = [self.algebra.random_element(rng) for _ in range(self.rank)]
         raw = self.element_from_entries(entries)
@@ -189,13 +186,6 @@ class HilbertModule:
             raise StructuralError("element belongs to a different module")
         return self._basis_pinv @ xi.flat.ravel()
 
-    def element_from_coords(self, coords) -> "ModuleElement":
-        z = np.asarray(coords, dtype=np.complex128).reshape(-1)
-        if z.shape[0] != self.complex_dim:
-            raise StructuralError(f"coordinate length {z.shape[0]} != {self.complex_dim}")
-        flat = (self._basis_stack @ z).reshape(self.flat_dim, self.block_dim)
-        return ModuleElement(self, flat)
-
     def identity_operator(self) -> "AdjointableOperator":
         return AdjointableOperator(self, self, self.projection_flat)
 
@@ -256,10 +246,6 @@ class ModuleElement:
 
     def norm(self) -> float:
         return float(np.sqrt(max(self.inner(self).operator_norm(), 0.0)))
-
-    def range_defect(self) -> float:
-        """Residual of P·xi = xi."""
-        return linalg.frobenius(self.module.projection_flat @ self.flat - self.flat)
 
 
 @dataclass(frozen=True, eq=False)

