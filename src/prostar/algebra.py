@@ -325,29 +325,32 @@ class AlgebraElement:
 
     def is_positive(self, tol: float = DEFAULT_TOL) -> "PositivityWitness":
         """Positivity with a witness: Hermitian within tol and spectrum >= -tol*(1+||a||)."""
+        return self._positivity(tol)[0]
+
+    def _positivity(self, tol: float) -> tuple["PositivityWitness", list]:
+        """`is_positive`, with the eigendecomposition of each block's Hermitian
+        part that it reads (`psd_sqrt` roots the same one)."""
+        spectra = [
+            linalg.hermitian_eigendecomposition((b + b.conj().T) / 2.0) for b in self.blocks
+        ]
         scale = max(1.0, self.frobenius())
         defect = max(linalg.hermitian_defect(b) for b in self.blocks)
         herm = defect <= tol * scale
-        min_eig = np.inf
-        for b in self.blocks:
-            sym = (b + b.conj().T) / 2.0
-            vals, _ = linalg.hermitian_eigendecomposition(sym)
-            min_eig = min(min_eig, float(vals[0]))
+        min_eig = min(float(vals[0]) for vals, _ in spectra)
         floor = -tol * (1.0 + self.operator_norm())
-        return PositivityWitness(herm and min_eig >= floor, float(min_eig), float(defect))
+        witness = PositivityWitness(herm and min_eig >= floor, float(min_eig), float(defect))
+        return witness, spectra
 
     def psd_sqrt(self, tol: float = DEFAULT_TOL) -> "AlgebraElement":
-        """Positive square root s with ||s*s - a|| <= 1e-9*(1+||a||)."""
-        witness = self.is_positive(tol)
+        """Positive square root s with ||s*s - a|| <= 1e-9*(1+||a||); each block is
+        eigendecomposed once, for the positivity witness and the root."""
+        witness, spectra = self._positivity(tol)
         if not witness:
             raise PreconditionError(
                 f"psd_sqrt needs a positive element; witness min eigenvalue {witness.min_eigenvalue:.3e}"
             )
-        roots = []
-        for b in self.blocks:
-            sym = (b + b.conj().T) / 2.0
-            roots.append(linalg.psd_sqrt_matrix(sym))
-        s = AlgebraElement(self.algebra, tuple(roots))
+        roots = tuple(linalg.psd_root(vals, vecs) for vals, vecs in spectra)
+        s = AlgebraElement(self.algebra, roots)
         resid = (s * s - self).operator_norm()
         bound = 1e-9 * (1.0 + self.operator_norm())
         if resid > bound:
@@ -368,13 +371,14 @@ class PositivityWitness:
         return self.positive
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class StarHomomorphism:
     """Linear map between standard-form algebras, in matrix-unit coordinates.
 
-    `action_matrix` has shape (target.linear_dim, source.linear_dim); the
-    homomorphism identities are checked by `verify_star_homomorphism`, which
-    returns its report and leaves the object unchanged.
+    `action_matrix` has shape (target.linear_dim, source.linear_dim) and is
+    read-only. The tolerance-free data of its checks are computed once and
+    cached on it; `verify_star_homomorphism` reports them at any `tol` and
+    leaves the object unchanged.
     """
 
     source: FiniteCStarAlgebra
@@ -388,7 +392,7 @@ class StarHomomorphism:
                 f"action matrix shape {m.shape} != "
                 f"({self.target.linear_dim}, {self.source.linear_dim})"
             )
-        self.action_matrix = m
+        object.__setattr__(self, "action_matrix", linalg.read_only(m))
 
     @classmethod
     def identity(cls, algebra: FiniteCStarAlgebra) -> "StarHomomorphism":
@@ -452,10 +456,57 @@ class StarHomomorphism:
             raise StructuralError("composition shape mismatch")
         return StarHomomorphism(inner.source, self.target, self.action_matrix @ inner.action_matrix)
 
+    @cached_property
+    def _dense(self) -> np.ndarray:
+        """The images of the source basis in the dense embedding of the target,
+        shape (source.linear_dim, D, D): the action matrix's columns scattered
+        there at once."""
+        dense = self.target.dense_stack(self.action_matrix.T)
+        dense.setflags(write=False)
+        return dense
+
+    @cached_property
+    def _homomorphism_data(self) -> tuple[float, float, float]:
+        """`verify_star_homomorphism`'s tolerance-free part: the matrix-unit
+        bound of the multiplicative residual, and the star and unital residuals."""
+        src, dense = self.source, self._dense
+        mult = linalg.matrix_unit_bound(dense, src.matrix_unit_relations)
+        star = linalg.max_frobenius(dense[src.adjoint_index] - dense.conj().transpose(0, 2, 1))
+        unit_image = self.action_matrix @ src.unit().coords()
+        unital = linalg.frobenius(unit_image - self.target.unit().coords())
+        return mult, star, unital
+
+    @cached_property
+    def _exact_multiplicative(self) -> float:
+        """The all-pairs multiplicative residual, formed when the bound says nothing."""
+        dense = self._dense
+        return linalg.max_product_residual(dense, dense, dense, self.source.product_table)
+
+    @cached_property
+    def _rank(self) -> int:
+        """Rank of the action matrix (`linalg.matrix_rank`), shared by the
+        surjectivity check and `is_bijective`."""
+        return linalg.matrix_rank(self.action_matrix)
+
+    @cached_property
+    def _transfer_matrix(self) -> np.ndarray:
+        """The map vec(dense block) -> vec(dense block) that the homomorphism induces.
+
+        Matrix-unit coordinates sit in the dense embedding at the support
+        positions in row-major order, so the transfer is the action matrix
+        scattered onto those positions. It is read-only, and formed once.
+        """
+        transfer = np.zeros(
+            (self.target.total_dim ** 2, self.source.total_dim ** 2), dtype=np.complex128
+        )
+        transfer[np.ix_(self.target.dense_support, self.source.dense_support)] = self.action_matrix
+        transfer.setflags(write=False)
+        return transfer
+
     def is_bijective(self) -> bool:
         if self.source.linear_dim != self.target.linear_dim:
             return False
-        return linalg.matrix_rank(self.action_matrix) == self.source.linear_dim
+        return self._rank == self.source.linear_dim
 
     def inverse(self) -> "StarHomomorphism":
         if not self.is_bijective():
@@ -477,27 +528,20 @@ def verify_star_homomorphism(
     (`linalg.max_product_residual`), so the decision is the all-pairs one at
     every `tol`. Since a_i* is the basis element `adjoint_index[i]`, the star
     check compares the image of that index with the adjoint of the image of
-    i, for every i in one gather.
+    i, for every i in one gather. Every residual and the rank are computed
+    once and cached on `phi`; this only applies `tol` to them.
     """
-    src = phi.source
-    dense = phi.target.dense_stack(phi.action_matrix.T)
-    mult = linalg.matrix_unit_bound(dense, src.matrix_unit_relations)
+    mult, star, unital = phi._homomorphism_data
     if not mult <= tol:
-        mult = linalg.max_product_residual(dense, dense, dense, src.product_table)
-    star = linalg.max_frobenius(dense[src.adjoint_index] - dense.conj().transpose(0, 2, 1))
-    unital = linalg.frobenius(phi.action_matrix @ src.unit().coords() - phi.target.unit().coords())
-
+        mult = phi._exact_multiplicative
     checks = [
         Check("multiplicative", mult, tol),
         Check("star", star, tol),
         Check("unital", unital, tol),
     ]
     if check_surjective:
-        rank = linalg.matrix_rank(phi.action_matrix)
-        checks.append(
-            Check("surjective", float(phi.target.linear_dim - rank), 0.5)
-        )
-    return VerificationReport(f"*-homomorphism {src} -> {phi.target}", tuple(checks))
+        checks.append(Check("surjective", float(phi.target.linear_dim - phi._rank), 0.5))
+    return VerificationReport(f"*-homomorphism {phi.source} -> {phi.target}", tuple(checks))
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +560,7 @@ class WedderburnDecomposition:
     standard form's coordinate order (block by block, E_ij row-major), so
     each direction of the change of basis is one product over the stack.
     `embedding` is the same map as a *-homomorphism into M_N; it realizes
-    the inverse of `to_standard` on the span.
+    the inverse of `to_standard` on the span. `matrix_units` is read-only.
     """
 
     ambient_dim: int
@@ -525,6 +569,9 @@ class WedderburnDecomposition:
     multiplicities: tuple[int, ...]
     embedding: StarHomomorphism
     report: VerificationReport
+
+    def __post_init__(self):
+        object.__setattr__(self, "matrix_units", linalg.read_only(self.matrix_units))
 
     def to_standard(self, x) -> np.ndarray:
         """Standard-form coordinates (..., dim) of a stack (..., N, N) in the span.
@@ -677,12 +724,13 @@ def wedderburn_decompose(
     blocks.sort(key=lambda b: b[0])
     standard = FiniteCStarAlgebra(tuple(b[0] for b in blocks))
     units = np.concatenate([b[2] for b in blocks])
+    units.setflags(write=False)
     multiplicities = tuple(b[1] for b in blocks)
     embedding = StarHomomorphism(
         standard, FiniteCStarAlgebra((n_amb,)), units.reshape(len(units), -1).T
     )
     hom_report = verify_star_homomorphism(embedding, max(tol, 1e-8), check_surjective=False)
-    injective = standard.linear_dim - linalg.matrix_rank(embedding.action_matrix)
+    injective = standard.linear_dim - embedding._rank
     back = np.tensordot(_to_standard(standard, units, multiplicities, basis), units, axes=1)
     checks = list(hom_report.checks) + [
         Check("dimension conservation", float(abs(standard.linear_dim - dim)), 0.5),

@@ -179,12 +179,16 @@ class CrossedProductRealization:
 
     @cached_property
     def _std_from_conv(self) -> np.ndarray:
-        """Linear map: convolution coordinates -> standard-form coordinates."""
-        return self.wedderburn.to_standard(self.spanning_stack).T
+        """Linear map: convolution coordinates -> standard-form coordinates (read-only)."""
+        std = self.wedderburn.to_standard(self.spanning_stack).T
+        std.setflags(write=False)
+        return std
 
     @cached_property
     def _conv_from_std(self) -> np.ndarray:
-        return np.linalg.inv(self._std_from_conv)
+        conv = np.linalg.inv(self._std_from_conv)
+        conv.setflags(write=False)
+        return conv
 
 
 def _twisted_structure(action: GroupAction, g: int) -> np.ndarray:

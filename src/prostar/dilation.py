@@ -34,13 +34,17 @@ NULL_SPACE_FLOOR = 1e-14
 SUPPORT_REL = 1e-12
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class GramData:
-    """The semi-inner product of the spanning set {a_i (x) xi_s}."""
+    """The semi-inner product of the spanning set {a_i (x) xi_s}; its arrays are read-only."""
 
     spanning_labels: tuple[tuple[int, int], ...]  # (A-basis index, E-basis index)
     bvalued_flat: np.ndarray  # (N*D, N*D), PSD over M_N(B)
     scalar: np.ndarray  # (N, N), trace of each B-valued entry
+
+    def __post_init__(self):
+        for name in ("bvalued_flat", "scalar"):
+            object.__setattr__(self, name, linalg.read_only(getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -58,9 +62,9 @@ class QuotientData:
     warnings: tuple[str, ...]
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class DilationCore:
-    """(E_rho, Phi_rho, V_rho) plus the quotient bookkeeping."""
+    """(E_rho, Phi_rho, V_rho) plus the quotient bookkeeping; its arrays are read-only."""
 
     cp_map: CompletelyPositiveMap
     module: HilbertModule
@@ -72,6 +76,10 @@ class DilationCore:
     _class_embed: np.ndarray  # (N, r): normalized retained basis
     _sqrt_flat: np.ndarray  # W = sqrt of pushed-forward B-valued Gram
     _coord_extract: np.ndarray  # (r, r): trace extraction of W blocks
+
+    def __post_init__(self):
+        for name in ("_coord_map", "_class_embed", "_sqrt_flat", "_coord_extract"):
+            object.__setattr__(self, name, linalg.read_only(getattr(self, name)))
 
 
 @dataclass
@@ -153,6 +161,8 @@ def gram_operator(rho: CompletelyPositiveMap, tol: float = DEFAULT_TOL) -> GramD
     g4 = gram.reshape(n, big_d, n, big_d)
     scalar = np.einsum("kala->kl", g4)
     scalar = (scalar + scalar.conj().T) / 2.0
+    for array in (gram, scalar):
+        array.setflags(write=False)
     return GramData(labels, gram, scalar)
 
 
@@ -225,7 +235,7 @@ def minimal_dilation(
     w4 = w.reshape(r, big_d, r, big_d)
     coord_extract = np.einsum("iaja->ij", w4)
 
-    class_flats = tuple(w[:, a * big_d : (a + 1) * big_d].copy() for a in range(r))
+    class_flats = tuple(linalg.read_only(w[:, a * big_d : (a + 1) * big_d]) for a in range(r))
     dilation_module = HilbertModule(algebra_b, r, proj, basis_flats=class_flats)
     # Internal consistency: the identity shuffle must descend to P.
     right = c_norm @ coord_extract
@@ -248,7 +258,7 @@ def minimal_dilation(
     v_flat = _descend(w, coord_map, inclusion, y)[0]
     connector = AdjointableOperator(module, dilation_module, v_flat)
 
-    for array in (scalar, bflat, c_plain, lam, null_vecs):
+    for array in (scalar, bflat, c_plain, lam, null_vecs, coord_map, c_norm, w, coord_extract):
         array.setflags(write=False)
     quotient = QuotientData(
         spanning_labels=labels,

@@ -146,7 +146,7 @@ def verify_group(group: FiniteGroup) -> VerificationReport:
     )
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class GroupAction:
     """Action of a finite group on an algebra by *-automorphisms."""
 
@@ -160,6 +160,7 @@ class GroupAction:
         for phi in self.automorphisms:
             if phi.source != self.algebra or phi.target != self.algebra:
                 raise StructuralError("automorphisms must map the algebra to itself")
+        object.__setattr__(self, "automorphisms", tuple(self.automorphisms))
 
     @classmethod
     def trivial(cls, group: FiniteGroup, algebra: FiniteCStarAlgebra) -> "GroupAction":
@@ -184,9 +185,12 @@ class GroupAction:
         autos = tuple(StarHomomorphism.block_permutation(algebra, p) for p in perms)
         return cls(group, algebra, autos)
 
-    @property
+    @cached_property
     def _action_tensor(self) -> np.ndarray:
-        return np.stack([phi.action_matrix for phi in self.automorphisms], axis=0)
+        """The action matrices stacked by group element (read-only), formed once."""
+        stack = np.stack([phi.action_matrix for phi in self.automorphisms], axis=0)
+        stack.setflags(write=False)
+        return stack
 
     def apply(self, g: int, a: AlgebraElement) -> AlgebraElement:
         return self.automorphisms[g].apply(a)

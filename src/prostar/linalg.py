@@ -134,7 +134,11 @@ def min_eigenvalue(h) -> float:
 
 def psd_sqrt_matrix(h) -> np.ndarray:
     """Square root of a (near-)PSD Hermitian matrix; negative eigenvalues count as zero."""
-    vals, vecs = hermitian_eigendecomposition(h)
+    return psd_root(*hermitian_eigendecomposition(h))
+
+
+def psd_root(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """The square root U·sqrt(max(Λ, 0))·U* from an eigendecomposition (Λ, U)."""
     return (vecs * np.sqrt(np.where(vals > 0.0, vals, 0.0))) @ vecs.conj().T
 
 

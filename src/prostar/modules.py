@@ -25,9 +25,12 @@ def _tile_mask(mask: np.ndarray, rows: int, cols: int) -> np.ndarray:
     return np.tile(mask, (rows, cols))
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class HilbertModule:
-    """P·B^n for a self-adjoint idempotent P in the n×n matrices over B."""
+    """P·B^n for a self-adjoint idempotent P in the n×n matrices over B.
+
+    Every array it holds or caches is read-only.
+    """
 
     algebra: FiniteCStarAlgebra
     rank: int
@@ -42,7 +45,9 @@ class HilbertModule:
         p = linalg.as_complex_matrix(self.projection_flat)
         if p.shape != (d, d):
             raise StructuralError(f"projection shape {p.shape} != {(d, d)}")
-        self.projection_flat = linalg.read_only(p)
+        object.__setattr__(self, "projection_flat", linalg.read_only(p))
+        if self.basis_flats is not None:
+            object.__setattr__(self, "basis_flats", tuple(map(linalg.read_only, self.basis_flats)))
         # Written as `not (defect <= bound)` so that an overflow to inf or NaN
         # in the residuals or the scale rejects the projection.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -148,7 +153,9 @@ class HilbertModule:
                 b = self.algebra.basis_element(mu)
                 flat = np.zeros((self.flat_dim, self.block_dim), dtype=np.complex128)
                 flat[i * self.block_dim : (i + 1) * self.block_dim, :] = b.dense()
-                candidates.append(self.projection_flat @ flat)
+                candidate = self.projection_flat @ flat
+                candidate.setflags(write=False)
+                candidates.append(candidate)
         if self.is_free:
             return tuple(ModuleElement(self, f) for f in candidates)
         kept, kept_vecs = [], []
@@ -170,7 +177,9 @@ class HilbertModule:
 
     @cached_property
     def _basis_stack(self) -> np.ndarray:
-        return np.stack([b.flat.ravel() for b in self.complex_basis], axis=1)
+        stack = np.stack([b.flat.ravel() for b in self.complex_basis], axis=1)
+        stack.setflags(write=False)
+        return stack
 
     @property
     def basis_tensor(self) -> np.ndarray:
@@ -179,7 +188,9 @@ class HilbertModule:
 
     @cached_property
     def _basis_pinv(self) -> np.ndarray:
-        return np.linalg.pinv(self._basis_stack)
+        pinv = np.linalg.pinv(self._basis_stack)
+        pinv.setflags(write=False)
+        return pinv
 
     def coords_of(self, xi: "ModuleElement") -> np.ndarray:
         if xi.module != self:

@@ -7,6 +7,11 @@ towers share one ambient rank, with connecting maps acting entrywise through
 the algebra maps, so well-definedness of induced operators is structural.
 Every entrywise application, (pi_pq)_*, is `ModuleTower.push`: one product
 with the transfer matrix of pi_pq over a whole stack of flats.
+
+Towers are frozen, and their level and map tables are read-only mappings, so
+the residuals of `AlgebraTower.verify` and `ModuleTower.verify` are computed
+once per tower; a report at `tol` only applies thresholds to them. Every
+check over composites walks the same chains p > q > r, `DirectedPoset.triangles`.
 """
 
 from __future__ import annotations
@@ -14,7 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -29,7 +35,7 @@ from .algebra import (
 )
 from .cpmaps import CompletelyPositiveMap
 from .crossed import CrossedProductRealization, integrated_form
-from .dilation import CovariantDilation, label_shuffles
+from .dilation import label_shuffles
 from .errors import PreconditionError, StructuralError
 from .groups import FiniteGroup, GroupAction, UnitaryRepresentation, verify_action
 from .linalg import DEFAULT_TOL
@@ -49,6 +55,17 @@ class DirectedPoset:
     def comparable_pairs(self) -> list[tuple[str, str]]:
         """All (upper, lower) pairs with upper > lower."""
         return sorted((b, a) for (a, b) in self.relations)
+
+    @cached_property
+    def triangles(self) -> tuple[tuple[str, str, str], ...]:
+        """Every chain p > q > r: the pairs (p, q) in `comparable_pairs` order,
+        and for each the levels r below q in element order."""
+        return tuple(
+            (p, q, r)
+            for p, q in self.comparable_pairs()
+            for r in self.elements
+            if r != p and r != q and self.leq(r, q)
+        )
 
     def upper_bound(self, a: str, b: str) -> str | None:
         for c in self.elements:
@@ -92,26 +109,12 @@ class DirectedPoset:
         )
 
 
-def dense_transfer_matrix(hom: StarHomomorphism) -> np.ndarray:
-    """The map vec(dense block) -> vec(dense block) induced by a *-homomorphism.
-
-    Matrix-unit coordinates sit in the dense embedding at the support
-    positions in row-major order, so the transfer is the action matrix
-    scattered onto those positions.
-    """
-    transfer = np.zeros(
-        (hom.target.total_dim ** 2, hom.source.total_dim ** 2), dtype=np.complex128
-    )
-    transfer[np.ix_(hom.target.dense_support, hom.source.dense_support)] = hom.action_matrix
-    return transfer
-
-
 def _push_entrywise(transfer: np.ndarray, flats: np.ndarray, cols: int) -> np.ndarray:
     """Apply a connecting map to every D_p×D_p entry of a stack of flats.
 
     `flats` has shape (..., rows·D_p, cols·D_p) with any leading batch axes and
-    `transfer` is the map's `dense_transfer_matrix`; all entries of the stack
-    go through one matrix product.
+    `transfer` is the map's transfer matrix (`StarHomomorphism._transfer_matrix`,
+    formed once per map); all entries of the stack go through one matrix product.
     """
     dq, dp = (math.isqrt(n) for n in transfer.shape)
     *batch, height, _ = flats.shape
@@ -121,15 +124,18 @@ def _push_entrywise(transfer: np.ndarray, flats: np.ndarray, cols: int) -> np.nd
     return out.reshape(*batch, rows * dq, cols * dq)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class AlgebraTower:
-    """Inverse system {A_p; pi_pq} over a directed poset."""
+    """Inverse system {A_p; pi_pq} over a directed poset; `algebras` and
+    `connecting` are copied into read-only mappings."""
 
     poset: DirectedPoset
-    algebras: dict[str, FiniteCStarAlgebra]
-    connecting: dict[tuple[str, str], StarHomomorphism]  # (upper, lower) -> map
+    algebras: Mapping[str, FiniteCStarAlgebra]
+    connecting: Mapping[tuple[str, str], StarHomomorphism]  # (upper, lower) -> map
 
     def __post_init__(self):
+        object.__setattr__(self, "algebras", MappingProxyType(dict(self.algebras)))
+        object.__setattr__(self, "connecting", MappingProxyType(dict(self.connecting)))
         for label in self.poset.elements:
             if label not in self.algebras:
                 raise StructuralError(f"no algebra at level {label}")
@@ -186,34 +192,41 @@ class AlgebraTower:
                 )
                 if q is not None:
                     connecting[(p, r)] = connecting[(q, r)].compose(maps[(p, q)])
-        return cls(DirectedPoset(levels, frozenset(rels)), dict(algebras), connecting)
+        return cls(DirectedPoset(levels, frozenset(rels)), algebras, connecting)
 
     def map(self, p: str, q: str) -> StarHomomorphism:
         if p == q:
             return StarHomomorphism.identity(self.algebras[p])
         return self.connecting[(p, q)]
 
+    @cached_property
+    def _residuals(self) -> tuple[float, str, VerificationReport]:
+        """`verify`'s tolerance-free part besides the maps' own checks: the worst
+        composition square ||pi_qr pi_pq - pi_pr||_F with its chain, and the
+        poset's report."""
+        comp, witness = 0.0, ""
+        for p, q, r in self.poset.triangles:
+            lhs = self.connecting[(q, r)].action_matrix @ self.connecting[(p, q)].action_matrix
+            res = linalg.frobenius(lhs - self.connecting[(p, r)].action_matrix)
+            if res > comp:
+                comp, witness = res, f"{p} -> {q} -> {r}"
+        return comp, witness, self.poset.verify()
+
     def verify(self, tol: float = DEFAULT_TOL) -> VerificationReport:
+        """The tower's report at `tol`, from residuals computed once: each
+        connecting map's checks are cached on the map, the squares on the tower."""
         hom_res, surj_ok = 0.0, True
-        for pair, hom in self.connecting.items():
+        for hom in self.connecting.values():
             rep = verify_star_homomorphism(hom, tol)
             hom_res = max(hom_res, rep.check("multiplicative").residual,
                           rep.check("star").residual, rep.check("unital").residual)
             surj_ok = surj_ok and rep.check("surjective").passed
-        comp, witness = 0.0, ""
-        for (p, q) in self.poset.comparable_pairs():
-            for r in self.poset.elements:
-                if r == q or not self.poset.leq(r, q):
-                    continue
-                lhs = self.map(q, r).action_matrix @ self.map(p, q).action_matrix
-                res = linalg.frobenius(lhs - self.map(p, r).action_matrix)
-                if res > comp:
-                    comp, witness = res, f"{p} -> {q} -> {r}"
+        comp, witness, poset_report = self._residuals
         checks = (
             Check("connecting maps are *-homomorphisms", float(hom_res), tol),
             Check("connecting maps surjective", 0.0 if surj_ok else 1.0, 0.5),
             Check("composition squares", float(comp), tol, witness),
-        ) + tuple(self.poset.verify().checks)
+        ) + poset_report.checks
         return VerificationReport("algebra tower", checks)
 
 
@@ -313,19 +326,21 @@ class TowerAction:
         )
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ModuleTower:
     """Inverse system of modules over an algebra tower, sharing one ambient rank.
 
     The connecting maps sigma_pq act entrywise through pi_pq, so
     sigma(xi·a) = sigma(xi)·pi(a) and <sigma xi, sigma eta> = pi(<xi, eta>)
-    hold structurally and are re-verified numerically.
+    hold structurally and are re-verified numerically. `modules` is copied
+    into a read-only mapping.
     """
 
     base: AlgebraTower
-    modules: dict[str, HilbertModule]
+    modules: Mapping[str, HilbertModule]
 
     def __post_init__(self):
+        object.__setattr__(self, "modules", MappingProxyType(dict(self.modules)))
         ranks = {m.rank for m in self.modules.values()}
         if len(ranks) != 1:
             raise StructuralError("module tower levels must share the ambient rank")
@@ -334,13 +349,6 @@ class ModuleTower:
                 raise StructuralError(f"no module at level {label}")
             if self.modules[label].algebra != self.base.algebras[label]:
                 raise StructuralError(f"module at {label} is over the wrong algebra")
-
-    @cached_property
-    def _transfers(self) -> dict[tuple[str, str], np.ndarray]:
-        return {
-            pair: dense_transfer_matrix(self.base.connecting[pair])
-            for pair in self.base.connecting
-        }
 
     @classmethod
     def of_free_modules(cls, base: AlgebraTower, rank: int) -> "ModuleTower":
@@ -360,9 +368,7 @@ class ModuleTower:
             if not base.poset.leq(label, top):
                 raise StructuralError(f"level {label} is not below {top}")
             proj = _push_entrywise(
-                dense_transfer_matrix(base.map(top, label)),
-                top_module.projection_flat,
-                top_module.rank,
+                base.map(top, label)._transfer_matrix, top_module.projection_flat, top_module.rank
             )
             modules[label] = HilbertModule(base.algebras[label], top_module.rank, proj)
         return cls(base, modules)
@@ -374,9 +380,9 @@ class ModuleTower:
         """
         if p == q:
             return flats
-        if (p, q) not in self._transfers:
+        if (p, q) not in self.base.connecting:
             raise StructuralError(f"no connecting map {p} -> {q}")
-        return _push_entrywise(self._transfers[(p, q)], flats, cols)
+        return _push_entrywise(self.base.connecting[(p, q)]._transfer_matrix, flats, cols)
 
     def induced_operator(self, p: str, q: str, t: AdjointableOperator) -> AdjointableOperator:
         """(pi_pq)_* applied to an operator at level p."""
@@ -387,7 +393,10 @@ class ModuleTower:
         eq = self.modules[q]
         return AdjointableOperator(eq, eq, self.push(p, q, t.flat, eq.rank))
 
-    def verify(self, tol: float = DEFAULT_TOL) -> VerificationReport:
+    @cached_property
+    def _residuals(self) -> tuple[float, str, float, float]:
+        """`verify`'s residuals, free of tol: projections (with the worst pair),
+        inner products, and sigma composition."""
         proj_res, inner_res, witness = 0.0, 0.0, ""
         for (p, q) in self.base.poset.comparable_pairs():
             ep = self.modules[p]
@@ -401,13 +410,15 @@ class ModuleTower:
             gap = self.push(p, q, _pairwise_inner(basis), 1) - _pairwise_inner(pushed)
             inner_res = max(inner_res, linalg.max_frobenius(gap))
         comp = 0.0
-        for (p, q) in self.base.poset.comparable_pairs():
-            for r in self.base.poset.elements:
-                if r == p or r == q or not self.base.poset.leq(r, q):
-                    continue
-                probe = self.modules[p].projection_flat[:, : self.modules[p].block_dim]
-                via = self.push(q, r, self.push(p, q, probe, 1), 1)
-                comp = max(comp, linalg.frobenius(via - self.push(p, r, probe, 1)))
+        for p, q, r in self.base.poset.triangles:
+            probe = self.modules[p].projection_flat[:, : self.modules[p].block_dim]
+            via = self.push(q, r, self.push(p, q, probe, 1), 1)
+            comp = max(comp, linalg.frobenius(via - self.push(p, r, probe, 1)))
+        return proj_res, witness, inner_res, comp
+
+    def verify(self, tol: float = DEFAULT_TOL) -> VerificationReport:
+        """The module tower's report at `tol`, from `_residuals`, computed once."""
+        proj_res, witness, inner_res, comp = self._residuals
         checks = (
             Check("projections connect", float(proj_res), tol, witness),
             Check("inner products connect", float(inner_res), tol),
@@ -444,7 +455,6 @@ def _pushed_pair(
 class CoherenceReport:
     report: VerificationReport
     level_dimensions: dict[str, int]
-    dilations: dict[str, CovariantDilation] | None = None
 
     @property
     def passed(self) -> bool:
@@ -536,13 +546,9 @@ def levelwise_dilation_coherence(
         gram_sq = max(gram_sq, linalg.frobenius(lhs - mt.push(p, q, h_p, fp.rank)))
         surj = max(surj, float(fq.complex_dim - linalg.matrix_rank(m_pq)))
     func = 0.0
-    for (p, q) in mt.base.poset.comparable_pairs():
-        for r in levels:
-            if r == p or r == q or not mt.base.poset.leq(r, q):
-                continue
-            m_qr = class_maps[(q, r)]
-            m_pr = class_maps[(p, r)]
-            func = max(func, linalg.frobenius(m_qr @ class_maps[(p, q)] - m_pr))
+    for p, q, r in mt.base.poset.triangles:
+        composite = class_maps[(q, r)] @ class_maps[(p, q)]
+        func = max(func, linalg.frobenius(composite - class_maps[(p, r)]))
 
     checks.extend(
         [
@@ -557,7 +563,6 @@ def levelwise_dilation_coherence(
     return CoherenceReport(
         report=VerificationReport("levelwise dilation coherence", tuple(checks)),
         level_dimensions={q: dils[q].module.complex_dim for q in levels},
-        dilations=dils,
     )
 
 

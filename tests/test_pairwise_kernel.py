@@ -44,25 +44,45 @@ def test_negative_controls_fail_with_reference_residual():
 
 
 def test_chunk_boundaries_mid_basis(monkeypatch):
-    """Chunks of one row, and of three rows of M2⊕C (splitting its M2 block), change nothing."""
+    """Chunks of one row, and of three rows of M2⊕C (splitting its M2 block), change nothing.
+
+    The maps are rebuilt from their values under each budget: a map caches its
+    residuals, so only a fresh one runs the chunked kernel again.
+    """
     rho, act, rep = dilation_instance("m2+c", "m2", 2, "s3", seed=7000)
     d = covariant_dilation(rho, act, rep)
     xp = build_crossed_product(act)
     maps = (d.representation, extend_covariant_cp(d, xp).integrated.standard_map)
     scales = [ref.product_scale(m._value_tensor) for m in maps] + [1.0]
+    streamed = linalg._streamed_residual
+    calls = []
 
-    def residuals():
-        out = [m.verify_representation().check("multiplicative").residual for m in maps]
+    def counted(*args):
+        calls.append(args)
+        return streamed(*args)
+
+    def fresh(m):
+        return CompletelyPositiveMap(m.source, m.module, m.basis_values)
+
+    def map_residuals():
+        return [fresh(m).verify_representation().check("multiplicative").residual for m in maps]
+
+    def product_residual():
         rebuilt = build_crossed_product(act)
-        return out + [rebuilt.embedding_report.check("convolution -> product").residual]
+        return rebuilt.embedding_report.check("convolution -> product").residual
 
-    before = residuals()
+    before = map_residuals() + [product_residual()]
     dim, fd = maps[0]._value_tensor.shape[:2]
+    monkeypatch.setattr(linalg, "_streamed_residual", counted)
     for budget in (1, 3 * dim * fd * fd * 16):
         monkeypatch.setattr(linalg, "PRODUCT_CHUNK_BYTES", budget)
-        for new, old, scale in zip(residuals(), before, scales):
+        calls.clear()
+        after = map_residuals()
+        # Each fresh map streams the first-row table of its bound's relation term.
+        assert len(calls) >= len(maps)
+        for new, old, scale in zip(after + [product_residual()], before, scales):
             assert abs(new - old) <= ref.REL * scale
-        new = maps[0].verify_representation().check("multiplicative").residual
+        new = fresh(maps[0]).verify_representation().check("multiplicative").residual
         ref.assert_agrees(new, ref.representation_residual(maps[0]), scales[0], 1e-9)
 
 
