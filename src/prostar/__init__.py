@@ -28,7 +28,6 @@ from .crossed import (
 )
 from .dilation import (
     CovariantDilation,
-    CovariantTriple,
     DilationCore,
     covariant_dilation,
     covariant_extend,

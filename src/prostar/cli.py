@@ -68,7 +68,7 @@ def _emit_report(report: Report, output: str | None, fmt: str) -> None:
     if fmt in ("text", "both"):
         path = base if base.endswith(".txt") else base + ".txt"
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(report.to_text(color=False))
+            fh.write(text)
     sys.stdout.write(text)
 
 

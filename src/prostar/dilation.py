@@ -19,7 +19,7 @@ import numpy as np
 from . import linalg
 from .algebra import Check, VerificationReport
 from .cpmaps import CompletelyPositiveMap, require_certified_cp
-from .errors import PreconditionError
+from .errors import PreconditionError, StructuralError
 from .groups import (
     GroupAction,
     UnitaryRepresentation,
@@ -53,7 +53,6 @@ class QuotientData:
 
     spanning_labels: tuple[tuple[int, int], ...]
     scalar_gram: np.ndarray
-    bvalued_flat: np.ndarray
     retained_vectors: np.ndarray  # orthonormal eigenvectors, columns
     retained_eigenvalues: np.ndarray
     null_vectors: np.ndarray
@@ -82,16 +81,6 @@ class DilationCore:
             object.__setattr__(self, name, linalg.read_only(getattr(self, name)))
 
 
-@dataclass
-class CovariantTriple:
-    """A candidate covariant dilation (Phi, v, F) with connector W: E -> F."""
-
-    representation: CompletelyPositiveMap
-    unitaries: UnitaryRepresentation
-    module: HilbertModule
-    connector: AdjointableOperator
-
-
 class _Identity(NamedTuple):
     """A defining identity's residual, free of tol. At tol its threshold is
     max(tol, floor), or `floor` itself for a count (`scaled` False)."""
@@ -113,8 +102,11 @@ def _report_at(identities: Sequence[_Identity], tol: float) -> VerificationRepor
 
 @dataclass(frozen=True)
 class CovariantDilation:
-    """Covariant dilation of (rho, alpha, u). The residuals of its identities are
-    computed from the other fields when it is built, so `replace` checks it again."""
+    """Covariant dilation (Phi, v, F, V) of (rho, alpha, u). The residuals of its
+    identities, and the spanning family {Phi(a_i) V xi_s} that (b) and
+    `uniqueness_unitary` read, are computed from the other fields when it is
+    built, so `replace` checks it again: a hand-built uniqueness candidate is
+    `replace(d, module=…, representation=…, group_unitaries=…, connector=…)`."""
 
     cp_map: CompletelyPositiveMap
     action: GroupAction
@@ -127,15 +119,20 @@ class CovariantDilation:
     tol: float
     residuals: VerificationReport = field(init=False)  # the report at tol
     _identities: tuple[_Identity, ...] = field(init=False, repr=False)
+    # The flats of Phi(a_i) V xi_s, shape (dim A·dim E, fd, D), i major; read-only.
+    _spanning_family: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_identities", tuple(_dilation_identities(self)))
-        object.__setattr__(self, "residuals", _report_at(self._identities, self.tol))
+        family, identities = _dilation_identities(self)
+        object.__setattr__(self, "_spanning_family", family)
+        object.__setattr__(self, "_identities", identities)
+        object.__setattr__(self, "residuals", _report_at(identities, self.tol))
 
-    def as_triple(self) -> CovariantTriple:
-        return CovariantTriple(
-            self.representation, self.group_unitaries, self.module, self.connector
-        )
+    def as_triple(self) -> CovariantDilation:
+        """The dilation itself. A uniqueness candidate was once a separate
+        (Phi, v, F, W) type; `d.as_triple()` is kept so that callers written
+        for it, such as the benchmark's workloads, still run."""
+        return self
 
 
 def gram_operator(rho: CompletelyPositiveMap, tol: float = DEFAULT_TOL) -> GramData:
@@ -258,12 +255,11 @@ def minimal_dilation(
     v_flat = _descend(w, coord_map, inclusion, y)[0]
     connector = AdjointableOperator(module, dilation_module, v_flat)
 
-    for array in (scalar, bflat, c_plain, lam, null_vecs, coord_map, c_norm, w, coord_extract):
+    for array in (scalar, c_plain, lam, null_vecs, coord_map, c_norm, w, coord_extract):
         array.setflags(write=False)
     quotient = QuotientData(
         spanning_labels=labels,
         scalar_gram=scalar,
-        bvalued_flat=bflat,
         retained_vectors=c_plain,
         retained_eigenvalues=lam,
         null_vectors=null_vecs,
@@ -393,62 +389,48 @@ def covariant_dilation(
     return covariant_extend(core, action, rep, tol)
 
 
-def _identity_residual(rho: CompletelyPositiveMap, t: CovariantTriple) -> float:
-    """(a): max_i ||rho(a_i) - W* Phi(a_i) W||_F / (1 + ||rho(a_i)||)."""
-    lhs = rho._value_tensor
-    w = t.connector.flat
-    rhs = w.conj().T @ t.representation._value_tensor @ w
-    return float(np.max(linalg.frobenius_each(lhs - rhs) / (1.0 + linalg.spectral_norm(lhs))))
+_IDENTITY = "dilation identity rho = V* Phi V"
+_MINIMALITY = "minimality rank = dim E_rho"
+_INTERTWINING = "intertwining v_g V = V u_g"
 
 
-def _spanning_family(t: CovariantTriple, source_module: HilbertModule) -> np.ndarray:
-    """(b): the flats of Phi(a_i) W xi_s, shape (dim A·dim E, fd, D), i major."""
-    phi_w = t.representation._value_tensor @ t.connector.flat  # (dim A, fd, fd_E)
-    family = phi_w[:, None] @ source_module.basis_tensor  # (dim A, dim E, fd, D)
-    return family.reshape(-1, *family.shape[2:])
-
-
-def _minimal_rank(family: np.ndarray) -> int:
-    """Complex rank of a spanning family; minimality is rank = dim of the module."""
-    return linalg.matrix_rank(family.reshape(len(family), -1))
-
-
-def _intertwining_residual(t: CovariantTriple, rep: UnitaryRepresentation) -> float:
-    """(c): max_g ||v_g W - W u_g||_F."""
-    w = t.connector.flat
-    return linalg.max_frobenius(t.unitaries._unitary_tensor @ w - w @ rep._unitary_tensor)
-
-
-def _dilation_identities(d: CovariantDilation):
+def _dilation_identities(d: CovariantDilation) -> tuple[np.ndarray, tuple[_Identity, ...]]:
+    """The spanning family of `d` (read-only) and the residuals of its identities."""
     rho = d.cp_map
-    t = d.as_triple()
+    phi, w = d.representation._value_tensor, d.connector.flat
+    identities = []
 
-    # (a) rho(a) = V* Phi(a) V, relative to 1 + ||rho(a)||.
-    yield _Identity("dilation identity rho = V* Phi V", _identity_residual(rho, t), 1e-9)
+    # (a) rho(a) = V* Phi(a) V: max_i ||rho(a_i) - V* Phi(a_i) V||_F / (1 + ||rho(a_i)||).
+    lhs = rho._value_tensor
+    scale = 1.0 + linalg.spectral_norm(lhs)
+    worst = float(np.max(linalg.frobenius_each(lhs - w.conj().T @ phi @ w) / scale))
+    identities.append(_Identity(_IDENTITY, worst, 1e-9))
 
     # (b) minimality: span{Phi(a_i) V xi_s} has full complex dimension.
-    rank = _minimal_rank(_spanning_family(t, rho.module))
-    yield _Identity(
-        "minimality rank = dim E_rho",
-        float(abs(rank - d.module.complex_dim)),
-        0.5,
-        f"rank {rank} vs dim {d.module.complex_dim}",
-        scaled=False,
-    )
+    family = (phi @ w)[:, None] @ rho.module.basis_tensor  # (dim A, dim E, fd, D)
+    family = family.reshape(-1, *family.shape[2:])
+    family.setflags(write=False)
+    rank = linalg.matrix_rank(family.reshape(len(family), -1))
+    dim = d.module.complex_dim
+    detail = f"rank {rank} vs dim {dim}"
+    identities.append(_Identity(_MINIMALITY, float(abs(rank - dim)), 0.5, detail, scaled=False))
 
-    # covariance of Phi and (c) the intertwining of V.
+    # covariance of Phi and (c) the intertwining max_g ||v_g V - V u_g||_F.
     cov = check_covariance(d.representation, d.action, d.group_unitaries)
-    yield _Identity("covariance of Phi", cov.max_residual, 1e-9)
-    yield _Identity("intertwining v_g V = V u_g", _intertwining_residual(t, d.rep), 1e-9)
+    identities.append(_Identity("covariance of Phi", cov.max_residual, 1e-9))
+    inter = linalg.max_frobenius(d.group_unitaries._unitary_tensor @ w - w @ d.rep._unitary_tensor)
+    identities.append(_Identity(_INTERTWINING, inter, 1e-9))
 
     # group structure on E_rho
     group_report = verify_unitary_representation(d.group_unitaries)
-    yield _Identity("v_g unitary", group_report.check("unitarity").residual, 1e-9)
-    yield _Identity("group law on E_rho", group_report.check("multiplicativity").residual, 1e-10)
+    identities.append(_Identity("v_g unitary", group_report.check("unitarity").residual, 1e-9))
+    identities.append(
+        _Identity("group law on E_rho", group_report.check("multiplicativity").residual, 1e-10)
+    )
 
     # representation identities on E_rho
     rep_residual = d.representation.verify_representation().max_residual
-    yield _Identity("Phi is a unital *-representation", rep_residual, 1e-9)
+    identities.append(_Identity("Phi is a unital *-representation", rep_residual, 1e-9))
 
     # well-definedness: the null space is respected by left multiplication and
     # by the covariant shuffles a(x)xi -> alpha_g(a)(x)u_g(xi)
@@ -460,7 +442,8 @@ def _dilation_identities(d: CovariantDilation):
         ]
     )
     null_res = _null_preservation_residual(d.quotient, shuffles)
-    yield _Identity("null space preserved", float(null_res), 1e-9)
+    identities.append(_Identity("null space preserved", float(null_res), 1e-9))
+    return family, tuple(identities)
 
 
 def verify_dilation(d: CovariantDilation, tol: float = 1e-9) -> VerificationReport:
@@ -472,43 +455,46 @@ def verify_dilation(d: CovariantDilation, tol: float = 1e-9) -> VerificationRepo
 
 def uniqueness_unitary(
     d: CovariantDilation,
-    other: CovariantTriple,
+    other: CovariantDilation,
     tol: float = DEFAULT_TOL,
 ) -> tuple[AdjointableOperator, VerificationReport]:
-    """The unitary carrying d onto another covariant dilation of the same map.
+    """The unitary carrying d onto another covariant dilation of the same (rho, u).
 
-    The candidate must satisfy the three dilation properties itself
-    (checked first; failures raise PreconditionError naming the condition).
-    U is defined on the spanning family by Phi(a) V xi -> Phi'(a) W xi and
-    extended linearly.
+    `other` must dilate the same map and representation (StructuralError
+    otherwise) and satisfy the three dilation properties itself: they were
+    computed when it was built and are read at max(tol, 1e-8) here, and a
+    failure raises PreconditionError naming the condition. U is defined on
+    the spanning families both dilations keep, Phi(a) V xi -> Phi'(a) W xi,
+    and extended linearly.
     """
-    rho = d.cp_map
+    for what, mine, theirs in (
+        ("CP map rho", d.cp_map, other.cp_map),
+        ("representation u", d.rep, other.rep),
+    ):
+        if theirs is not mine:
+            raise StructuralError(f"candidate dilates another {what}")
     pre_tol = max(tol, 1e-8)
-
-    worst = _identity_residual(rho, other)
-    if worst > pre_tol:
+    kept = {i.name: i.residual for i in other._identities}
+    if kept[_IDENTITY] > pre_tol:
         raise PreconditionError(
-            f"candidate fails the dilation identity (a): residual {worst:.3e}"
+            f"candidate fails the dilation identity (a): residual {kept[_IDENTITY]:.3e}"
         )
-    z_family = _spanning_family(other, rho.module)
-    if _minimal_rank(z_family) != other.module.complex_dim:
+    if kept[_MINIMALITY] != 0.0:
         raise PreconditionError("candidate fails minimality (b): spanning family is not dense")
-    inter = _intertwining_residual(other, d.rep)
-    if inter > pre_tol:
+    if kept[_INTERTWINING] > pre_tol:
         raise PreconditionError(
-            f"candidate fails the intertwining (c): residual {inter:.3e}"
+            f"candidate fails the intertwining (c): residual {kept[_INTERTWINING]:.3e}"
         )
 
     def wide(family: np.ndarray) -> np.ndarray:
         return family.transpose(1, 0, 2).reshape(family.shape[1], -1)
 
-    y_family = _spanning_family(d.as_triple(), rho.module)
-    u_flat = wide(z_family) @ np.linalg.pinv(wide(y_family), rcond=1e-10)
+    u_flat = wide(other._spanning_family) @ np.linalg.pinv(wide(d._spanning_family), rcond=1e-10)
     u_flat = other.module.projection_flat @ u_flat @ d.module.projection_flat
     u = AdjointableOperator(d.module, other.module, u_flat)
 
     phi, phi_other = d.representation._value_tensor, other.representation._value_tensor
-    v, v_other = d.group_unitaries._unitary_tensor, other.unitaries._unitary_tensor
+    v, v_other = d.group_unitaries._unitary_tensor, other.group_unitaries._unitary_tensor
     checks = [
         Check("U unitary", u.is_unitary(tol).max_residual, max(tol, 1e-9)),
         Check(

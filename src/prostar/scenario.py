@@ -403,7 +403,7 @@ def _run_dilate(scn: Scenario, task: dict, result: TaskResult) -> None:
     if task.get("uniqueness", False):
         seed = int(task.get("uniqueness_seed", scn.seed + 1))
         other = covariant_dilation(rho, action, rep, tol=tol, order_seed=seed)
-        _, urep = uniqueness_unitary(d, other.as_triple(), tol)
+        _, urep = uniqueness_unitary(d, other, tol)
         result.add_report(urep, prefix="uniqueness")
 
 

@@ -655,7 +655,7 @@ def uniqueness_reference(d, other, tol: float):
 
     inter = 0.0
     for g in d.action.group.elements():
-        lhs = other.unitaries.unitaries[g].flat @ w_flat
+        lhs = other.group_unitaries.unitaries[g].flat @ w_flat
         rhs = w_flat @ d.rep.unitaries[g].flat
         inter = max(inter, float(np.linalg.norm(lhs - rhs)))
     if inter > pre_tol:
@@ -682,7 +682,7 @@ def uniqueness_reference(d, other, tol: float):
     v_res = max(
         float(
             np.linalg.norm(
-                other.unitaries.unitaries[g].flat @ u_flat
+                other.group_unitaries.unitaries[g].flat @ u_flat
                 - u_flat @ d.group_unitaries.unitaries[g].flat
             )
         )

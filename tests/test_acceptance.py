@@ -143,7 +143,7 @@ def test_criterion_2_uniqueness_suite():
         rho, act, rep = dilation_instance(*combo, seed=BASE_SEED + 900 + k)
         d1 = covariant_dilation(rho, act, rep, order_seed=2 * k)
         d2 = covariant_dilation(rho, act, rep, order_seed=2 * k + 1)
-        _, report = uniqueness_unitary(d1, d2.as_triple(), 1e-9)
+        _, report = uniqueness_unitary(d1, d2, 1e-9)
         worst = max(worst, report.max_residual)
         count += 1
         if not report.passed:
@@ -457,8 +457,8 @@ def test_dilation_checks_match_elementwise_reference():
             pairwise_reference.product_scale(act._action_tensor),
         )
         first, second = pair
-        u, report = uniqueness_unitary(first, second.as_triple(), 1e-9)
-        u_old, old = pairwise_reference.uniqueness_reference(first, second.as_triple(), 1e-9)
+        u, report = uniqueness_unitary(first, second, 1e-9)
+        u_old, old = pairwise_reference.uniqueness_reference(first, second, 1e-9)
         assert np.abs(u.flat - u_old).max() <= 1e-12
         scale = pairwise_reference.product_scale(first.representation._value_tensor)
         _assert_checks_match(report, old, scale)

@@ -9,7 +9,6 @@ from prostar import dilation as dilation_layer
 from prostar.algebra import FiniteCStarAlgebra
 from prostar.cpmaps import CompletelyPositiveMap
 from prostar.dilation import (
-    CovariantTriple,
     covariant_dilation,
     covariant_extend,
     gram_operator,
@@ -19,7 +18,7 @@ from prostar.dilation import (
     uniqueness_unitary,
     verify_dilation,
 )
-from prostar.errors import PreconditionError
+from prostar.errors import PreconditionError, StructuralError
 from prostar.groups import (
     FiniteGroup,
     GroupAction,
@@ -313,10 +312,10 @@ HELD_ARRAYS = {
     "value tensor": lambda d: d.representation._value_tensor,
     "unitary tensor": lambda d: d.group_unitaries._unitary_tensor,
     "scalar Gram": lambda d: d.quotient.scalar_gram,
-    "B-valued Gram": lambda d: d.quotient.bvalued_flat,
     "retained vectors": lambda d: d.quotient.retained_vectors,
     "retained eigenvalues": lambda d: d.quotient.retained_eigenvalues,
     "null vectors": lambda d: d.quotient.null_vectors,
+    "spanning family": lambda d: d._spanning_family,
 }
 
 
@@ -334,11 +333,16 @@ def test_unitary_tensor_is_stacked_once():
     assert u._unitary_tensor is u._unitary_tensor
 
 
+def _two_seed_dilations():
+    rho, act, rep = dilation_instance("m2+c", "m2", 2, "z3", seed=15)
+    return (covariant_dilation(rho, act, rep, order_seed=seed) for seed in (1, 2))
+
+
 class TestUniqueness:
     def test_self_gives_identity(self):
         rho, act, rep = dilation_instance("m2", "c", 2, "z2", seed=13)
         d = covariant_dilation(rho, act, rep)
-        u, report = uniqueness_unitary(d, d.as_triple())
+        u, report = uniqueness_unitary(d, d)
         assert report.passed
         assert np.abs(u.flat - d.module.projection_flat).max() <= 1e-12
 
@@ -369,25 +373,49 @@ class TestUniqueness:
             ),
         )
         w = AdjointableOperator(rho.module, other_module, big @ d.connector.flat)
-        u, report = uniqueness_unitary(d, CovariantTriple(phi, vperm, other_module, w))
+        candidate = replace(
+            d, module=other_module, representation=phi, group_unitaries=vperm, connector=w
+        )
+        u, report = uniqueness_unitary(d, candidate)
         assert report.passed and report.max_residual <= 1e-11
         assert np.abs(u.flat - big @ d.module.projection_flat).max() <= 1e-10
 
     def test_two_seeds_unitarily_equivalent(self):
-        rho, act, rep = dilation_instance("m2+c", "m2", 2, "z3", seed=15)
-        d1 = covariant_dilation(rho, act, rep, order_seed=1)
-        d2 = covariant_dilation(rho, act, rep, order_seed=2)
-        _, report = uniqueness_unitary(d1, d2.as_triple())
+        d1, d2 = _two_seed_dilations()
+        _, report = uniqueness_unitary(d1, d2)
         assert report.passed
         assert report.max_residual <= 1e-9
+
+    def test_reads_kept_certificates(self, monkeypatch):
+        """The candidate's (a), (b), (c) and both spanning families were computed
+        when the dilations were built: no rank is taken again."""
+        d1, d2 = _two_seed_dilations()
+        calls = []
+        rank = dilation_layer.linalg.matrix_rank
+
+        def counted(m):
+            calls.append(m.shape)
+            return rank(m)
+
+        monkeypatch.setattr(dilation_layer.linalg, "matrix_rank", counted)
+        _, report = uniqueness_unitary(d1, d2)
+        assert report.passed and calls == []
+
+    def test_candidate_of_another_map_or_representation(self):
+        d1, _ = _two_seed_dilations()
+        other = covariant_dilation(*dilation_instance("m2+c", "m2", 2, "z3", seed=16))
+        with pytest.raises(StructuralError, match="another CP map"):
+            uniqueness_unitary(d1, other)
+        # An equal copy of u is another representation too: (c) was computed against it.
+        rho, act, rep = d1.cp_map, d1.action, d1.rep
+        other_rep = UnitaryRepresentation(rep.group, rep.module, rep.unitaries)
+        with pytest.raises(StructuralError, match="another representation"):
+            uniqueness_unitary(d1, covariant_dilation(rho, act, other_rep, order_seed=2))
 
     def test_scaled_candidate_rejected(self):
         rho, act, rep = dilation_instance("m2", "c", 1, "z2", seed=16)
         d = covariant_dilation(rho, act, rep)
-        other = d.as_triple()
-        bad = CovariantTriple(
-            other.representation, other.unitaries, other.module, 0.5 * other.connector
-        )
+        bad = replace(d, connector=0.5 * d.connector)
         with pytest.raises(PreconditionError, match=r"\(a\)"):
             uniqueness_unitary(d, bad)
 
@@ -403,7 +431,7 @@ class TestUniqueness:
     def test_padded_candidate_rejected_by_minimality(self):
         rho, act, rep = dilation_instance("m2", "c", 2, "z2", seed=16)
         d = covariant_dilation(rho, act, rep)
-        new, old = self._rejections(d, padded_variant(d).as_triple())
+        new, old = self._rejections(d, padded_variant(d))
         assert "(b)" in new and new == old
 
     def test_trivial_unitaries_rejected_by_intertwining(self):
@@ -411,7 +439,7 @@ class TestUniqueness:
         rho, act, rep = dilation_instance("m2", "c", 2, "z2", seed=16)
         d = covariant_dilation(rho, act, rep)
         trivial = UnitaryRepresentation.trivial(act.group, d.module)
-        candidate = CovariantTriple(d.representation, trivial, d.module, d.connector)
+        candidate = replace(d, group_unitaries=trivial)
         new, old = self._rejections(d, candidate)
         assert "(c)" in new and new == old
 
@@ -431,7 +459,7 @@ def test_report_check_names_are_pinned():
     thresholds at the default tolerance, of the dilation and group reports."""
     rho, act, rep = dilation_instance("m2", "c", 2, "z2", seed=13)
     d = covariant_dilation(rho, act, rep)
-    _, uniqueness = uniqueness_unitary(d, d.as_triple())
+    _, uniqueness = uniqueness_unitary(d, d)
     pinned = {
         "covariant dilation": (
             d.residuals,

@@ -7,7 +7,7 @@ from prostar.errors import PreconditionError
 from prostar.linalg import (
     _fix_phases,
     hermitian_eigendecomposition,
-    psd_sqrt_matrix,
+    psd_root,
     random_complex,
     random_hermitian,
     spectral_norm,
@@ -78,7 +78,7 @@ def test_spectral_norm_against_power_iteration(rng):
 def test_psd_sqrt_and_support(rng):
     m = rng.standard_normal((7, 4)) + 1j * rng.standard_normal((7, 4))
     h = m @ m.conj().T  # PSD of rank 4
-    s = psd_sqrt_matrix(h)
+    s = psd_root(*hermitian_eigendecomposition(h))
     assert np.linalg.norm(s @ s - h) <= 1e-9 * np.linalg.norm(h)
     # The root keeps the support of h: it vanishes, up to sqrt of rounding, on
     # the kernel of h (the vectors that m* annihilates).

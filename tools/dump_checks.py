@@ -5,7 +5,10 @@
 ROOT is a checkout (its `src/` and `bench/` are imported). The output covers
 `d.residuals` and `verify_dilation(d, 1e-9)` of the 48 grid dilations at
 seed 1, the integrated-form and extension reports and the Choi certificate
-of the 48 grid extensions, both reports of the 12 grid crossed products and
+of the 48 grid extensions, the uniqueness report of each grid dilation
+against a second one at the `order_seed` the `dilate-grid` workload uses,
+the rejections of three hand-built candidates per grid dilation (below),
+both reports of the 12 grid crossed products and
 `verify_action` of their 12 actions, the towers (below), and the
 timing-free JSON and text reports of the 6 example recipes. The towers are
 a 3-level chain M2⊕C⊕C -> M2⊕C -> M2 of block projections with Z2 acting
@@ -19,13 +22,18 @@ towers are reported at tol 1e-10 and 1e-16, the second below every
 matrix-unit bound, so the all-pairs fallback is dumped too. Each check
 line is (subject, name, position, threshold, pass/fail, repr of the
 residual, and the witness or detail when the check has one), so two dumps
-agree byte for byte only if every certificate does:
+agree byte for byte only if every certificate does. The three candidates
+are the negative controls `scaled_connector_variant(d)` and
+`padded_variant(d)` and `d` with trivial group unitaries; each prints the
+type and message of the error `uniqueness_unitary` raises, or its report
+when it raises none:
 
     python tools/dump_checks.py OLD > a; python tools/dump_checks.py NEW > b; cmp a b
 
 With `--decisions` every line is printed without its residual or witness:
 the check lines keep (subject, name, position, threshold, pass/fail), the
-Choi certificate keeps its two decisions and its tol, and the recipe
+Choi certificate keeps its two decisions and its tol, a rejection message
+loses its residual, and the recipe
 reports lose each residual's value. Two such dumps agree when every decision does, which
 is what a change that reports a proven bound in place of an exact residual
 must keep.
@@ -41,6 +49,7 @@ import json
 import re
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +57,7 @@ import numpy as np
 SEED = 1
 TOLS = (1e-10, 1e-16)
 TEXT_VALUE = re.compile(r": [^ ]+ \(threshold")
+MESSAGE_VALUE = re.compile(r"residual [^ ]+")
 
 
 def emit(tag, report, decisions):
@@ -56,6 +66,29 @@ def emit(tag, report, decisions):
         if not decisions:
             line += (repr(c.residual),) + ((c.detail,) if c.detail else ())
         print(repr(line))
+
+
+def dump_candidates(tag, d, decisions):
+    """The outcome of `uniqueness_unitary` on the three hand-built candidates for `d`."""
+    from prostar import dilation
+    from prostar.errors import ProstarError
+    from prostar.groups import UnitaryRepresentation
+
+    trivial = UnitaryRepresentation.trivial(d.action.group, d.module)
+    candidates = {
+        "scaled": dilation.scaled_connector_variant(d),
+        "padded": dilation.padded_variant(d),
+        "trivial v": replace(d, group_unitaries=trivial),
+    }
+    for name, candidate in candidates.items():
+        # `as_triple()` also runs on checkouts where a candidate is a type of its own.
+        try:
+            _, report = dilation.uniqueness_unitary(d, candidate.as_triple())
+        except ProstarError as err:
+            message = MESSAGE_VALUE.sub("residual", str(err)) if decisions else str(err)
+            print(repr((f"{tag} {name}", type(err).__name__, message)))
+        else:
+            emit(f"{tag} {name}", report, decisions)
 
 
 def dump_towers(decisions):
@@ -155,11 +188,16 @@ def main():
         emit(f"xp {an}/{gn}", xp.embedding_report, args.decisions)
         emit(f"xp {an}/{gn}", xp.wedderburn.report, args.decisions)
     dump_towers(args.decisions)
-    for combo, (rho, action, rep) in workloads.grid_inputs(SEED):
+    for k, (combo, (rho, action, rep)) in enumerate(workloads.grid_inputs(SEED)):
         label = "/".join(map(str, combo))
         d = dilation.covariant_dilation(rho, action, rep)
         emit(f"dil {label}", d.residuals, args.decisions)
         emit(f"verify {label}", dilation.verify_dilation(d, 1e-9), args.decisions)
+        seed = workloads.instance_seed(SEED, k) + 1
+        d2 = dilation.covariant_dilation(rho, action, rep, order_seed=seed)
+        _, unique = dilation.uniqueness_unitary(d, d2.as_triple())
+        emit(f"unique {label}", unique, args.decisions)
+        dump_candidates(f"candidate {label}", d, args.decisions)
         ext = crossed.extend_covariant_cp(d, xps[(combo[0], combo[3])])
         emit(f"int {label}", ext.integrated.report, args.decisions)
         emit(f"ext {label}", ext.report, args.decisions)
