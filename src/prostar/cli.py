@@ -52,21 +52,21 @@ def _want_color() -> bool:
 
 
 def _emit_report(report: Report, output: str | None, fmt: str) -> None:
-    text = report.to_text(color=_want_color() and output is None)
-    js = report.to_json()
+    """Write the report in `fmt`, rendering only what is written: to stdout, or
+    to OUTPUT.json / OUTPUT.txt with the text on stdout as well."""
     if output is None:
         if fmt in ("text", "both"):
-            sys.stdout.write(text)
+            sys.stdout.write(report.to_text(color=_want_color()))
         if fmt in ("json", "both"):
-            sys.stdout.write(js + "\n")
+            sys.stdout.write(report.to_json() + "\n")
         return
-    base = output
     if fmt in ("json", "both"):
-        path = base if base.endswith(".json") else base + ".json"
+        path = output if output.endswith(".json") else output + ".json"
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(js + "\n")
+            fh.write(report.to_json() + "\n")
+    text = report.to_text(color=False)
     if fmt in ("text", "both"):
-        path = base if base.endswith(".txt") else base + ".txt"
+        path = output if output.endswith(".txt") else output + ".txt"
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     sys.stdout.write(text)

@@ -37,7 +37,8 @@ class CPCertificate:
 
 @dataclass(frozen=True, eq=False)
 class CompletelyPositiveMap:
-    """Linear map A -> L_B(E), stored by its values on the matrix-unit basis of A."""
+    """Linear map A -> L_B(E), stored by its values on the matrix-unit basis of A
+    (each held in the range coordinates of E)."""
 
     source: FiniteCStarAlgebra
     module: HilbertModule
@@ -59,14 +60,10 @@ class CompletelyPositiveMap:
     def from_dense_images(
         cls, source: FiniteCStarAlgebra, module: HilbertModule, images: Sequence
     ) -> "CompletelyPositiveMap":
-        values = []
-        for m in images:
-            op = AdjointableOperator(module, module, linalg.as_complex_matrix(m))
-            module._check_b_structure(op.flat, module.rank, module.rank)
-            if op.corner_defect() > 1e-9 * max(1.0, linalg.frobenius(op.flat)):
-                raise StructuralError("image does not respect the module's range projection")
-            values.append(op)
-        return cls(source, module, tuple(values))
+        """The map with the given matrices on the flats as its basis values, each
+        checked by `modules.operator_coords`."""
+        values = tuple(AdjointableOperator.from_flat(module, module, m) for m in images)
+        return cls(source, module, values)
 
     @classmethod
     def identity_representation(
@@ -118,23 +115,28 @@ class CompletelyPositiveMap:
 
     @cached_property
     def _value_tensor(self) -> np.ndarray:
-        stack = np.stack([op.flat for op in self.basis_values], axis=0)
+        stack = np.stack([op.coords for op in self.basis_values], axis=0)
         stack.setflags(write=False)
         return stack
 
     @cached_property
     def _value_matrix(self) -> np.ndarray:
-        fd = self.module.flat_dim
-        return self._value_tensor.reshape(self.source.linear_dim, fd * fd)
+        p = self.module.coord_dim
+        return self._value_tensor.reshape(self.source.linear_dim, p * p)
 
     def __call__(self, a: AlgebraElement) -> AdjointableOperator:
         if a.algebra != self.source:
             raise StructuralError("element does not belong to the source algebra")
-        fd = self.module.flat_dim
-        flat = (a.coords() @ self._value_matrix).reshape(fd, fd)
-        return AdjointableOperator(self.module, self.module, flat)
+        p = self.module.coord_dim
+        return AdjointableOperator(
+            self.module, self.module, (a.coords() @ self._value_matrix).reshape(p, p)
+        )
 
     # -- structure tests -----------------------------------------------------
+
+    @property
+    def _identity(self) -> np.ndarray:
+        return np.eye(self.module.coord_dim, dtype=np.complex128)
 
     @cached_property
     def _star_residual(self) -> float:
@@ -145,13 +147,16 @@ class CompletelyPositiveMap:
         return linalg.max_frobenius(vals[adj] - vals.conj().transpose(0, 2, 1))
 
     def choi_matrices(self) -> list[np.ndarray]:
-        """Per source block: C_k = sum_ij E_ij (x) rho(E_ij), flattened over L_B(E)."""
-        fd = self.module.flat_dim
+        """Per source block: C_k = sum_ij E_ij (x) rho(E_ij), on the range coordinates of E.
+
+        On the flats C_k would be (1 (x) U) C_k (1 (x) U)*, with the same nonzero
+        spectrum and extra zero eigenvalues, so the CP decision is the same."""
+        p = self.module.coord_dim
         out = []
         for k, n in enumerate(self.source.block_sizes):
             off = self.source.coord_offsets[k]
-            vals = self._value_tensor[off : off + n * n].reshape(n, n, fd, fd)
-            choi = vals.transpose(0, 2, 1, 3).reshape(n * fd, n * fd)
+            vals = self._value_tensor[off : off + n * n].reshape(n, n, p, p)
+            choi = vals.transpose(0, 2, 1, 3).reshape(n * p, n * p)
             out.append(choi)
         return out
 
@@ -160,7 +165,7 @@ class CompletelyPositiveMap:
         """The Choi test's tolerance-free part: the hermiticity residual and its
         scale, and per Choi block its Hermitian defect and scale, the least
         eigenvalue of its Hermitian part and the norm of its anti-Hermitian part."""
-        scale = max(1.0, max(linalg.frobenius(v.flat) for v in self.basis_values))
+        scale = max(1.0, max(linalg.frobenius(v.coords) for v in self.basis_values))
         blocks = []
         for choi in self.choi_matrices():
             sym = (choi + choi.conj().T) / 2.0
@@ -188,9 +193,7 @@ class CompletelyPositiveMap:
 
     def verify_nondegenerate(self, tol: float = DEFAULT_TOL) -> VerificationReport:
         """Unitality rho(1) = id_E, the finite-dimensional form of non-degeneracy."""
-        resid = linalg.spectral_norm(
-            self(self.source.unit()).flat - self.module.projection_flat
-        )
+        resid = linalg.spectral_norm(self(self.source.unit()).coords - self._identity)
         return VerificationReport(
             "non-degeneracy", (Check("rho(1) = id_E", float(resid), tol),)
         )
@@ -202,15 +205,10 @@ class CompletelyPositiveMap:
 
         The bound is `linalg.matrix_unit_bound`: it bounds every basis pair's
         ||rho(E_a) rho(E_b) - rho(E_a E_b)||_F from the matrix-unit relations
-        of the source, with dim + (Σn)² products. On a non-free module the
-        relations are taken on the range of its projection
-        (`HilbertModule.range_basis`), and the bound also counts the values'
-        mass off the corner P·X·P.
+        of the source, with dim + (Σn)² products on the range coordinates.
         """
-        mult = linalg.matrix_unit_bound(
-            self._value_tensor, self.source.matrix_unit_relations, self.module.range_basis
-        )
-        unital = linalg.frobenius(self(self.source.unit()).flat - self.module.projection_flat)
+        mult = linalg.matrix_unit_bound(self._value_tensor, self.source.matrix_unit_relations)
+        unital = linalg.frobenius(self(self.source.unit()).coords - self._identity)
         return float(mult), float(self._star_residual), float(unital)
 
     @cached_property
@@ -219,16 +217,11 @@ class CompletelyPositiveMap:
 
         It compares rho(E_a) rho(E_b) with rho(E_a E_b) through the source's
         product table, a few rows a at a time (`linalg.max_product_residual`):
-        memory stays near chunk·dim·fd² entries instead of dim²·fd². On a
-        non-free module it is the corner residual plus its slack, an upper
-        bound of the full one that counts the mass off the corner.
+        memory stays near chunk·dim·p² entries instead of dim²·p², with p
+        the rank of the module projection.
         """
         vals = self._value_tensor
-        return float(
-            linalg.max_product_residual(
-                vals, vals, vals, self.source.product_table, self.module.range_basis
-            )
-        )
+        return float(linalg.max_product_residual(vals, vals, vals, self.source.product_table))
 
     def verify_representation(self, tol: float = DEFAULT_TOL) -> VerificationReport:
         """Unital *-homomorphism check of the map into L_B(E) at `tol`, from the

@@ -287,7 +287,8 @@ class IntegratedForm:
     unitaries: UnitaryRepresentation  # v on F
     tol: float
     standard_map: CompletelyPositiveMap = field(init=False)  # induced on the standard form
-    spanning_values: np.ndarray = field(init=False, repr=False)  # K, (|G|, dim A, fd, fd)
+    # K[g, i] = Phi(a_i) v_g in range coordinates, (|G|, dim A, rank P, rank P)
+    spanning_values: np.ndarray = field(init=False, repr=False)
     report: VerificationReport = field(init=False)
 
     def __post_init__(self):
@@ -301,23 +302,23 @@ class IntegratedForm:
                 f"Phi is not a unital *-representation (residual {rep_check.max_residual:.3e})"
             )
         _require_covariant_data(phi, action, v)
-        fd = phi.module.flat_dim
+        p = phi.module.coord_dim
         phi_tensor, u_tensor = phi._value_tensor, v._unitary_tensor
 
-        cov, mult, star = _spanning_residuals(phi_tensor, u_tensor, action, phi.module.range_basis)
+        cov, mult, star = _spanning_residuals(phi_tensor, u_tensor, action)
         if not cov <= max(tol, 1e-8):
             raise PreconditionError(f"(Phi, v) is not covariant (residual {cov:.3e})")
 
         unit_value = np.tensordot(action.algebra.unit().coords(), phi_tensor, axes=([0], [0]))
         unital = linalg.frobenius(
-            unit_value @ u_tensor[action.group.identity] - phi.module.projection_flat
+            unit_value @ u_tensor[action.group.identity] - np.eye(p)
         )
 
         # Factor through the standard form: values on the standard basis by
-        # linearity, from the spanning values K[g, i] = Phi(a_i) v_g on full flats.
+        # linearity, from the spanning values K[g, i] = Phi(a_i) v_g.
         k_values = np.einsum("aij,gjk->gaik", phi_tensor, u_tensor, optimize=True)
         k_values.setflags(write=False)
-        std_values = (xp._conv_from_std.T @ k_values.reshape(-1, fd * fd)).reshape(-1, fd, fd)
+        std_values = (xp._conv_from_std.T @ k_values.reshape(-1, p * p)).reshape(-1, p, p)
         standard_map = CompletelyPositiveMap(
             xp.standard_algebra, phi.module, phi.module.operators(std_values)
         )
@@ -344,8 +345,8 @@ class IntegratedForm:
     def on_convolution(self, f: ConvolutionElement) -> AdjointableOperator:
         """(Phi x v)(f) = sum_g Phi(f(g)) v_g = sum_{g, i} f(g)_i K[g, i]."""
         k = self.spanning_values
-        flat = np.tensordot(f.coords(), k.reshape(-1, *k.shape[2:]), axes=1)
-        return AdjointableOperator(self.module, self.module, flat)
+        coords = np.tensordot(f.coords(), k.reshape(-1, *k.shape[2:]), axes=1)
+        return AdjointableOperator(self.module, self.module, coords)
 
 
 def integrated_form(
@@ -360,24 +361,15 @@ def integrated_form(
 
 
 def _spanning_residuals(
-    values: np.ndarray,
-    unitaries: np.ndarray,
-    action: GroupAction,
-    basis: np.ndarray | None,
+    values: np.ndarray, unitaries: np.ndarray, action: GroupAction
 ) -> tuple[float, float, float]:
     """Covariance, multiplicativity and involution residuals on the spanning set.
 
-    `values` stacks X_i = Phi(a_i) and `unitaries` V_g = v_g on the full
-    flats. On a non-free module (`basis` U with UU* = P) both are compressed
-    once to the p×p corners Y_i = U*X_iU and W_g = U*V_gU, and every product
-    below is formed at p×p; each residual is then the corner residual plus
-    an off-range slack, so it bounds the full-flat residual from above.
-    Without a basis the corners are the flats themselves and every slack is 0.
-
-    One pass over G reads every identity from the two sides of covariance
-    at g (`_covariance_steps`), M_i = sum_j A_g[j, i] Y_j (the image of
-    alpha_g(a_i)) and C_i = W_g Y_i W_g*, and the spanning values
-    K[g, i] = Y_i W_g. Only one g's stacks are alive at a time.
+    `values` stacks X_i = Phi(a_i) and `unitaries` V_g = v_g, in the range
+    coordinates of the module. One pass over G reads every identity from the
+    two sides of covariance at g (`_covariance_steps`), M_i = sum_j A_g[j, i] X_j
+    (the image of alpha_g(a_i)) and C_i = V_g X_i V_g*, and the spanning
+    values K[g, i] = X_i V_g. Only one g's stacks are alive at a time.
 
     - Covariance: max_i ||M_i - C_i||_F.
     - Multiplicativity on every spanning pair (delta_g a_i, delta_h a_j):
@@ -387,66 +379,21 @@ def _spanning_residuals(
       and a_i* is the basis element adjoint_index[i], so at g = h^-1 the
       image of the left side is M_{adjoint_index[i]} V_g / Delta(g), to be
       compared with K[h, i]*.
-
-    Slacks, from `linalg.product_slack` (c_L·f_R + f_L·c_R + t·c_W, with c
-    a corner defect and f an operator-norm bound of each factor, where that
-    docstring proves the formula). With c_X, f_X of the values and c_V, f_V
-    of the unitaries (maxima over the stacks, f from `_operator_bound`):
-    V X moves by c_VX = c_V·f_X + f_V·c_X and has norm at most
-    f_VX = f_V·f_X; V X V* moves by c_C = c_VX·f_V + f_VX·c_V; X V moves by
-    c_XV = c_X·f_V + f_X·c_V; M moves by t_A·c_X and has norm at most
-    t_A·f_X, with t_A = max_i sum_j |A_g[j, i]|. So the three residuals
-    move, between full flats and corners, by at most
-
-    - covariance, (V X_i) V* - sum_j A_g[j, i] X_j:
-      c_VX·f_V + f_VX·c_V + t_A·c_X;
-    - multiplicativity, X_i C_j - sum_k T_g[i, j, k] X_k:
-      c_X·f_C + f_X·c_C + t_T·c_X, with f_C = f_VX·f_V and
-      t_T = max_{i,j} sum_k |T_g[i, j, k]|;
-    - involution, M (V_g / Delta) - (X V_{g^-1})*:
-      t_A·c_X·f_V/Delta + t_A·f_X·c_V/Delta + c_XV.
     """
     group = action.group
     adjoint = action.algebra.adjoint_index
-    x, v = linalg.corner(values, basis), linalg.corner(unitaries, basis)
-    if basis is not None:
-        # f only ever multiplies a corner defect, and without a basis every c is 0.
-        x, v = _operator_bound(x), _operator_bound(v)
-    k = np.einsum("aij,gjk->gaik", x.y, v.y, optimize=True)
-    # t_A[g] = max_i sum_j |A_g[j, i]|, the coefficient sum of the moved side.
-    t_a = np.max(np.sum(np.abs(action._action_tensor), axis=1), axis=1)
-    c_vx = linalg.product_slack(v.c, v.f, x.c, x.f)
-    f_vx = v.f * x.f
-    c_xv = linalg.product_slack(x.c, x.f, v.c, v.f)
-    conj_c = linalg.product_slack(c_vx, f_vx, v.c, v.f)
+    k = np.einsum("aij,gjk->gaik", values, unitaries, optimize=True)
     cov = mult = star = 0.0
-    for g, moved, conj in _covariance_steps(x.y, v.y, action):
-        slack = linalg.product_slack(c_vx, f_vx, v.c, v.f, t_a[g], x.c)
-        cov = max(cov, linalg.max_frobenius(moved - conj) + slack)
+    for g, moved, conj in _covariance_steps(values, unitaries, action):
+        cov = max(cov, linalg.max_frobenius(moved - conj))
         mult = max(
-            mult,
-            linalg.corner_product_residual(
-                x, linalg.Corner(conj, conj_c, f_vx * v.f), x, _twisted_structure(action, g)
-            ),
+            mult, linalg.max_product_residual(values, conj, values, _twisted_structure(action, g))
         )
-        delta = group.modular_function(g)
-        lhs = np.matmul(moved[adjoint], v.y[g]) / delta
+        lhs = np.matmul(moved[adjoint], unitaries[g]) / group.modular_function(g)
         rhs = k[group.inverse(g)].conj().transpose(0, 2, 1)
-        slack = linalg.product_slack(
-            t_a[g] * x.c, t_a[g] * x.f, v.c / delta, v.f / delta, 1.0, c_xv
-        )
-        star = max(star, linalg.max_frobenius(lhs - rhs) + slack)
+        # Kept a NumPy scalar, as reports have always carried this residual.
+        star = max(star, np.max(linalg.frobenius_each(lhs - rhs)))
     return cov, mult, star
-
-
-def _operator_bound(stack: linalg.Corner) -> linalg.Corner:
-    """The same corners with f = max ||Y||_op + c, a bound of max ||X||_op.
-
-    ||X||_op <= ||P·X·P||_op + ||X - P·X·P||_F, and ||P·X·P||_op = ||Y||_op. For
-    unitaries and matrix-unit images this is about 1, where the Frobenius
-    norm grows like sqrt(p) and would inflate every slack it multiplies.
-    """
-    return stack._replace(f=float(np.max(linalg.spectral_norm(stack.y))) + stack.c)
 
 
 @dataclass(frozen=True, eq=False)
@@ -469,16 +416,16 @@ class CovariantExtension:
 
         # Spanning agreement phi(delta_g a_i) = V* Phi(a_i) v_g V = rho(a_i) u_g,
         # batched over (g, i) from the one stack V* Phi(a_i).
-        rho, v_flat = d.cp_map, d.connector.flat
-        pulled = np.matmul(v_flat.conj().T[None], d.representation._value_tensor)
-        moved_connector = d.group_unitaries._unitary_tensor @ v_flat
+        rho, v = d.cp_map, d.connector.coords
+        pulled = np.matmul(v.conj().T[None], d.representation._value_tensor)
+        moved_connector = d.group_unitaries._unitary_tensor @ v
         lhs = np.matmul(pulled[None], moved_connector[:, None])
         rhs = np.matmul(rho._value_tensor[None], d.rep._unitary_tensor[:, None])
         agree = linalg.max_frobenius(lhs - rhs)
         restriction = linalg.max_frobenius(lhs[d.action.group.identity] - rho._value_tensor)
 
         unit = self.crossed.standard_algebra.unit()
-        nondeg = linalg.frobenius(phi_std(unit).flat - rho.module.projection_flat)
+        nondeg = linalg.frobenius(phi_std(unit).coords - np.eye(rho.module.coord_dim))
 
         checks = (
             Check("phi(delta_g a) = rho(a) u_g (spanning set)", float(agree), max(tol, 1e-10)),
@@ -495,8 +442,8 @@ class CovariantExtension:
         object.__setattr__(self, "report", report)
 
     def on_convolution(self, f: ConvolutionElement) -> AdjointableOperator:
-        v = self.dilation.connector.flat
-        inner = self.integrated.on_convolution(f).flat
+        v = self.dilation.connector.coords
+        inner = self.integrated.on_convolution(f).coords
         module = self.dilation.cp_map.module
         return AdjointableOperator(module, module, v.conj().T @ inner @ v)
 
@@ -521,8 +468,8 @@ def extend_covariant_cp(
         raise StructuralError("crossed product belongs to a different dynamical system")
 
     integrated = integrated_form(d.representation, d.group_unitaries, xp, tol)
-    v_flat = d.connector.flat
+    v = d.connector.coords
     module = d.cp_map.module
-    values = v_flat.conj().T @ integrated.standard_map._value_tensor @ v_flat
+    values = v.conj().T @ integrated.standard_map._value_tensor @ v
     phi_std = CompletelyPositiveMap(xp.standard_algebra, module, module.operators(values))
     return CovariantExtension(d, xp, integrated, phi_std, tol)

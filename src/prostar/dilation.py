@@ -119,7 +119,7 @@ class CovariantDilation:
     tol: float
     residuals: VerificationReport = field(init=False)  # the report at tol
     _identities: tuple[_Identity, ...] = field(init=False, repr=False)
-    # The flats of Phi(a_i) V xi_s, shape (dim A·dim E, fd, D), i major; read-only.
+    # Phi(a_i) V xi_s in coordinates, shape (dim A·dim E, rank P, D), i major; read-only.
     _spanning_family: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -143,7 +143,7 @@ def gram_operator(rho: CompletelyPositiveMap, tol: float = DEFAULT_TOL) -> GramD
     basis_e = module.complex_basis
     d_e = len(basis_e)
     big_d = module.block_dim
-    x = np.hstack(module.basis_tensor)  # (fd, d_e*D)
+    x = np.hstack(module.coord_basis)  # (rank P, d_e*D)
 
     labels = tuple((i, s) for i in range(dim_a) for s in range(d_e))
     n = dim_a * d_e
@@ -228,32 +228,37 @@ def minimal_dilation(
     sup_cut = max(SUPPORT_REL * h_top, NULL_SPACE_FLOOR)
     keep_h = hvals > sup_cut
     w = (hvecs[:, keep_h] * np.sqrt(hvals[keep_h])) @ hvecs[:, keep_h].conj().T
-    proj = hvecs[:, keep_h] @ hvecs[:, keep_h].conj().T
+    # E_rho = P·B^r with P the support projection of h, held by U = hvecs[:, keep_h];
+    # when h is invertible P = 1 and E_rho is free.
+    isometry = None if np.all(keep_h) else hvecs[:, keep_h]
     w4 = w.reshape(r, big_d, r, big_d)
     coord_extract = np.einsum("iaja->ij", w4)
 
     class_flats = tuple(linalg.read_only(w[:, a * big_d : (a + 1) * big_d]) for a in range(r))
-    dilation_module = HilbertModule(algebra_b, r, proj, basis_flats=class_flats)
-    # Internal consistency: the identity shuffle must descend to P.
+    dilation_module = HilbertModule(algebra_b, r, isometry, basis_flats=class_flats)
+    # W = U·(U*W): the descended operators are formed from the rows U*W only.
+    w_rows = dilation_module.to_range(w)
+    # Internal consistency: the identity shuffle must descend to the identity.
     right = c_norm @ coord_extract
-    ident_defect = linalg.frobenius(_descend(w, coord_map, np.eye(n)[None], right)[0] - proj)
-    if ident_defect > 1e-8 * max(1.0, linalg.frobenius(proj)):
+    ident = _descend(w_rows, coord_map, np.eye(n)[None], right, isometry)[0]
+    ident_defect = linalg.frobenius(ident - np.eye(len(ident)))
+    if ident_defect > 1e-8 * max(1.0, np.sqrt(len(ident))):
         warnings.append(f"quotient embedding defect {ident_defect:.3e}")
 
     # Left representation of A on the quotient, and the connector
     # V: xi -> class of 1 (x) xi, both descended from shuffles of the spanning set.
-    phi_flats = _descend(w, coord_map, _multiplication_shuffles(source, labels, d_e), right)
-    representation = CompletelyPositiveMap(
-        source, dilation_module, dilation_module.operators(phi_flats)
-    )
+    shuffles = _multiplication_shuffles(source, labels, d_e)
+    phi = _descend(w_rows, coord_map, shuffles, right, isometry)
+    representation = CompletelyPositiveMap(source, dilation_module, dilation_module.operators(phi))
     e_labels = tuple((0, s) for s in range(d_e))
     unit_coords = source.unit().coords()[None, :, None]
     inclusion = label_shuffles(labels, e_labels, unit_coords, np.eye(d_e)[None])
     # y: the coordinates of the generators e_j·1 of E = P·B^n in its complex basis.
-    gens = module.projection_flat.reshape(module.flat_dim, module.rank, big_d)
+    gens = module.to_range(module.projection_flat).reshape(module.coord_dim, module.rank, big_d)
     y = module._basis_pinv @ gens.transpose(1, 0, 2).reshape(module.rank, -1).T
-    v_flat = _descend(w, coord_map, inclusion, y)[0]
-    connector = AdjointableOperator(module, dilation_module, v_flat)
+    connector = AdjointableOperator(
+        module, dilation_module, _descend(w_rows, coord_map, inclusion, y, module.isometry)[0]
+    )
 
     for array in (scalar, c_plain, lam, null_vecs, coord_map, c_norm, w, coord_extract):
         array.setflags(write=False)
@@ -310,21 +315,28 @@ def _covariant_shuffles(action: GroupAction, rep: UnitaryRepresentation, labels)
 
 
 def _descend(
-    w: np.ndarray, coord_map: np.ndarray, shuffles: np.ndarray, right: np.ndarray
+    w_rows: np.ndarray,
+    coord_map: np.ndarray,
+    shuffles: np.ndarray,
+    right: np.ndarray,
+    domain_basis: np.ndarray | None,
 ) -> np.ndarray:
-    """Flats W·kron(coord_map·S_k·right, I_D) on E_rho for a stack of shuffles S_k.
+    """Range coordinates U*·W·kron(coord_map·S_k·right, I_D)·U_dom of the maps
+    descended from a stack of shuffles S_k, from the rows U*W of W.
 
     With right = class_embed·coord_extract a shuffle of the spanning set
-    descends to an endomorphism of the quotient; with the inclusion
-    xi -> 1 (x) xi and right = y it gives the connector.
+    descends to an endomorphism of the quotient (U_dom = U); with the
+    inclusion xi -> 1 (x) xi and right = y it gives the connector (U_dom the
+    isometry of E, or None when E is free).
     """
     coords = coord_map @ shuffles @ right  # (K, r, c)
     k, r, c = coords.shape
-    big_d = w.shape[0] // r
-    # Column (b, y) of W·kron(C, I_D) is sum_a C[a, b] W[:, (a, y)]; no Kronecker
-    # product is formed.
-    flats = np.einsum("pay,kab->kpby", w.reshape(-1, r, big_d), coords, optimize=True)
-    return np.ascontiguousarray(flats.reshape(k, w.shape[0], c * big_d))
+    big_d = w_rows.shape[1] // r
+    # Column (b, y) of U*W·kron(C, I_D) is sum_a C[a, b] (U*W)[:, (a, y)]; no
+    # Kronecker product is formed.
+    rows = np.einsum("pay,kab->kpby", w_rows.reshape(-1, r, big_d), coords, optimize=True)
+    rows = rows.reshape(k, w_rows.shape[0], c * big_d)
+    return np.ascontiguousarray(rows if domain_basis is None else rows @ domain_basis)
 
 
 def _null_preservation_residual(quotient: QuotientData, shuffles: np.ndarray) -> float:
@@ -358,10 +370,15 @@ def covariant_extend(
         )
 
     shuffles = _covariant_shuffles(action, rep, core.quotient.spanning_labels)
-    flats = _descend(
-        core._sqrt_flat, core._coord_map, shuffles, core._class_embed @ core._coord_extract
+    coords = _descend(
+        core.module.to_range(core._sqrt_flat),
+        core._coord_map,
+        shuffles,
+        core._class_embed @ core._coord_extract,
+        core.module.isometry,
     )
-    group_unitaries = UnitaryRepresentation(action.group, core.module, core.module.operators(flats))
+    unitaries = core.module.operators(coords)
+    group_unitaries = UnitaryRepresentation(action.group, core.module, unitaries)
 
     return CovariantDilation(
         cp_map=rho,
@@ -397,17 +414,18 @@ _INTERTWINING = "intertwining v_g V = V u_g"
 def _dilation_identities(d: CovariantDilation) -> tuple[np.ndarray, tuple[_Identity, ...]]:
     """The spanning family of `d` (read-only) and the residuals of its identities."""
     rho = d.cp_map
-    phi, w = d.representation._value_tensor, d.connector.flat
+    w = d.connector.coords
+    phi_v = d.representation._value_tensor @ w  # Phi(a_i) V, formed once
     identities = []
 
     # (a) rho(a) = V* Phi(a) V: max_i ||rho(a_i) - V* Phi(a_i) V||_F / (1 + ||rho(a_i)||).
     lhs = rho._value_tensor
     scale = 1.0 + linalg.spectral_norm(lhs)
-    worst = float(np.max(linalg.frobenius_each(lhs - w.conj().T @ phi @ w) / scale))
+    worst = float(np.max(linalg.frobenius_each(lhs - w.conj().T @ phi_v) / scale))
     identities.append(_Identity(_IDENTITY, worst, 1e-9))
 
     # (b) minimality: span{Phi(a_i) V xi_s} has full complex dimension.
-    family = (phi @ w)[:, None] @ rho.module.basis_tensor  # (dim A, dim E, fd, D)
+    family = phi_v[:, None] @ rho.module.coord_basis  # (dim A, dim E, rank P, D)
     family = family.reshape(-1, *family.shape[2:])
     family.setflags(write=False)
     rank = linalg.matrix_rank(family.reshape(len(family), -1))
@@ -489,9 +507,10 @@ def uniqueness_unitary(
     def wide(family: np.ndarray) -> np.ndarray:
         return family.transpose(1, 0, 2).reshape(family.shape[1], -1)
 
-    u_flat = wide(other._spanning_family) @ np.linalg.pinv(wide(d._spanning_family), rcond=1e-10)
-    u_flat = other.module.projection_flat @ u_flat @ d.module.projection_flat
-    u = AdjointableOperator(d.module, other.module, u_flat)
+    # Both families are in range coordinates, so this is U's coordinate matrix:
+    # with U_F the isometry of F, pinv(U_F·A) = pinv(A)·U_F*.
+    u_coords = wide(other._spanning_family) @ np.linalg.pinv(wide(d._spanning_family), rcond=1e-10)
+    u = AdjointableOperator(d.module, other.module, u_coords)
 
     phi, phi_other = d.representation._value_tensor, other.representation._value_tensor
     v, v_other = d.group_unitaries._unitary_tensor, other.group_unitaries._unitary_tensor
@@ -499,17 +518,17 @@ def uniqueness_unitary(
         Check("U unitary", u.is_unitary(tol).max_residual, max(tol, 1e-9)),
         Check(
             "Phi'(a) U = U Phi(a)",
-            linalg.max_frobenius(phi_other @ u_flat - u_flat @ phi),
+            linalg.max_frobenius(phi_other @ u_coords - u_coords @ phi),
             max(tol, 1e-9),
         ),
         Check(
             "v'_g U = U v_g",
-            linalg.max_frobenius(v_other @ u_flat - u_flat @ v),
+            linalg.max_frobenius(v_other @ u_coords - u_coords @ v),
             max(tol, 1e-9),
         ),
         Check(
             "W = U V",
-            linalg.frobenius(other.connector.flat - u_flat @ d.connector.flat),
+            linalg.frobenius(other.connector.coords - u_coords @ d.connector.coords),
             max(tol, 1e-9),
         ),
     ]
@@ -522,18 +541,26 @@ def scaled_connector_variant(d: CovariantDilation, factor: complex = 0.5) -> Cov
 
 
 def padded_variant(d: CovariantDilation) -> CovariantDilation:
-    """Negative control: dilation module padded with an orthogonal free direction."""
-    big_d = d.module.block_dim
+    """Negative control: dilation module padded with an orthogonal free direction,
+    its operators entered as flats."""
+    module, big_d = d.module, d.module.block_dim
     zero, eye = np.zeros((big_d, big_d)), np.eye(big_d)
-    proj = linalg.block_diag([d.module.projection_flat, eye])
-    padded = HilbertModule(d.module.algebra, d.module.rank + 1, proj)
-    values = [linalg.block_diag([x, zero]) for x in d.representation._value_tensor]
-    unitaries = [linalg.block_diag([u, eye]) for u in d.group_unitaries._unitary_tensor]
-    connector_flat = np.vstack([d.connector.flat, np.zeros((big_d, d.connector.flat.shape[1]))])
+    basis = np.eye(module.flat_dim) if module.isometry is None else module.isometry
+    padded = HilbertModule(module.algebra, module.rank + 1, linalg.block_diag([basis, eye]))
+
+    def pad(ops, block):
+        flats = (linalg.block_diag([op.flat, block]) for op in ops)
+        return tuple(AdjointableOperator.from_flat(padded, padded, f) for f in flats)
+
+    connector = np.vstack([d.connector.flat, np.zeros((big_d, d.cp_map.module.flat_dim))])
     return replace(
         d,
         module=padded,
-        representation=CompletelyPositiveMap(d.cp_map.source, padded, padded.operators(values)),
-        group_unitaries=UnitaryRepresentation(d.action.group, padded, padded.operators(unitaries)),
-        connector=AdjointableOperator(d.cp_map.module, padded, connector_flat),
+        representation=CompletelyPositiveMap(
+            d.cp_map.source, padded, pad(d.representation.basis_values, zero)
+        ),
+        group_unitaries=UnitaryRepresentation(
+            d.action.group, padded, pad(d.group_unitaries.unitaries, eye)
+        ),
+        connector=AdjointableOperator.from_flat(d.cp_map.module, padded, connector),
     )

@@ -28,6 +28,8 @@ from .errors import StructuralError
 from .linalg import DEFAULT_TOL
 from .modules import AdjointableOperator, HilbertModule
 
+TIE_REL = 1e-12  # residuals this close to the largest, relative to the values, tie
+
 
 @dataclass(frozen=True)
 class FiniteGroup:
@@ -254,7 +256,7 @@ class UnitaryRepresentation:
 
     @cached_property
     def _unitary_tensor(self) -> np.ndarray:
-        stack = np.stack([u.flat for u in self.unitaries], axis=0)
+        stack = np.stack([u.coords for u in self.unitaries], axis=0)
         stack.setflags(write=False)
         return stack
 
@@ -274,7 +276,8 @@ def group_law_residual(stack: np.ndarray, group: FiniteGroup) -> float:
 def verify_unitary_representation(
     rep: UnitaryRepresentation, tol: float = DEFAULT_TOL
 ) -> VerificationReport:
-    group, u, p = rep.group, rep._unitary_tensor, rep.module.projection_flat
+    group, u = rep.group, rep._unitary_tensor
+    p = np.eye(rep.module.coord_dim, dtype=np.complex128)
     e = group.identity
     id_resid = np.inf if e is None else linalg.frobenius(u[e] - p)
     u_star = u.conj().swapaxes(-1, -2)
@@ -314,9 +317,7 @@ def _covariance_steps(
     stack X (one matrix per basis element) and unitaries V_g indexed by g.
 
     L is one contraction of the values with the action matrix A_g of g, R
-    two batched products; only one g's stacks are alive at a time. The
-    stacks may be full flats or their corners on the range of the module
-    projection: the arithmetic is the same.
+    two batched products; only one g's stacks are alive at a time.
     """
     for g in action.group.elements():
         ug = unitaries[g]
@@ -332,14 +333,23 @@ def check_covariance(
     tol: float = DEFAULT_TOL,
 ) -> VerificationReport:
     """Residuals of rho(alpha_g(a)) = u_g rho(a) u_g* over all g and basis a, on
-    the full flats of the module; mismatched data raise StructuralError first."""
+    the range coordinates of the module; mismatched data raise StructuralError
+    first.
+
+    Tie rule: the witness is the first (g, basis #i), g-major, whose residual
+    is within TIE_REL·max(1, max_i ||rho(a_i)||_F) of the largest. Rounding
+    moves a residual far less, so the witness does not depend on the
+    coordinates the map is held in; at rounding level the first pair is named.
+    """
     _require_covariant_data(rho, action, rep)
-    worst, witness = 0.0, ""
-    for g, moved, conj in _covariance_steps(rho._value_tensor, rep._unitary_tensor, action):
-        resid = linalg.frobenius_each(moved - conj)
-        i = int(np.argmax(resid))
-        if resid[i] > worst:
-            worst, witness = float(resid[i]), f"g={g}, basis #{i}"
+    values = rho._value_tensor
+    steps = _covariance_steps(values, rep._unitary_tensor, action)
+    resid = np.stack([linalg.frobenius_each(moved - conj) for _, moved, conj in steps])
+    worst, witness = float(np.max(resid)), ""
+    if worst > 0.0:
+        band = TIE_REL * max(1.0, linalg.max_frobenius(values))
+        g, i = divmod(int(np.argmax(resid >= worst - band)), resid.shape[1])
+        witness = f"g={g}, basis #{i}"
     return VerificationReport(
         "covariance", (Check("rho(alpha_g(a)) = u_g rho(a) u_g*", worst, tol, witness),)
     )

@@ -9,8 +9,6 @@ reconstruction residual.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .errors import NumericalError, PreconditionError
@@ -150,11 +148,7 @@ def matrix_rank(m) -> int:
 
 
 def max_product_residual(
-    left: np.ndarray,
-    right: np.ndarray,
-    values: np.ndarray,
-    coeffs: np.ndarray,
-    basis: np.ndarray | None = None,
+    left: np.ndarray, right: np.ndarray, values: np.ndarray, coeffs: np.ndarray
 ) -> float:
     """max over all pairs (a, b) of ||left[a] right[b] - sum_k T[a, b, k] values[k]||_F.
 
@@ -167,82 +161,14 @@ def max_product_residual(
     entries instead of m·n·d²: each chunk is one product
     (chunk·d × d) @ (d × n·d), and the expected side is gathered or
     contracted from the chunk's rows of T only.
-
-    With `basis`, a (d, p) isometry U whose range holds the stacks (the
-    range of a module projection P = UU*), the pairs are multiplied as the
-    p×p corners (`corner_product_residual`), and the result is an upper
-    bound of the full residual.
     """
-    if basis is None:
-        return _streamed_residual(left, right, values, coeffs)
-    lc = corner(left, basis)
-    rc = lc if right is left else corner(right, basis)
-    wc = lc if values is left else corner(values, basis)
-    return corner_product_residual(lc, rc, wc, coeffs)
+    return _streamed_residual(left, right, values, coeffs)
 
 
-class Corner(NamedTuple):
-    """A stack X on the range of P = UU*: its corners Y = U*XU, a bound c of
-    max ||X - UYU*||_F (the corner defect) and a bound f of max ||X||_op
-    (`corner` takes max ||X||_F, which is one)."""
-
-    y: np.ndarray
-    c: float
-    f: float
-
-
-def corner(stack: np.ndarray, basis: np.ndarray | None) -> Corner:
-    """The corners U*XU of each X of a stack (m, d, d), with c and f taken
-    exactly. Without a basis (P = 1) the corners are the stack itself and c = 0."""
-    if basis is None:
-        return Corner(stack, 0.0, max_frobenius(stack))
-    m, d, _ = stack.shape
-    p = basis.shape[1]
-    basis_h = basis.conj().T
-    y = basis_h @ (stack.reshape(m * d, d) @ basis).reshape(m, d, p)
-    # Taken directly: ||X||² - ||Y||² would cancel to about sqrt(eps)·||X||.
-    defect = stack - (basis @ y) @ basis_h
-    return Corner(y, max_frobenius(defect), max_frobenius(stack))
-
-
-def product_slack(
-    c_l: float, f_l: float, c_r: float, f_r: float, t: float = 0.0, c_w: float = 0.0
-) -> float:
-    """c_L·f_R + f_L·c_R + t·c_W: how far ||L R - sum_k t_k W_k||_F can move when
-    every factor is replaced by its corner P·X·P.
-
-    Write X' = P·X·P, so ||X - X'||_F <= c_X and ||X'||_op <= ||X||_op <= f_X
-    (a compression does not grow the norm). Then
-
-        LR - L'R' = (L - L')R + L'(R - R'),
-
-    and ||AB||_F <= ||A||_F·||B||_op and ||AB||_F <= ||A||_op·||B||_F, so
-    ||LR - L'R'||_F <= c_L·f_R + f_L·c_R; the linear side moves by at most
-    t·c_W with t = sum_k |t_k|. By the triangle inequality the full and the
-    corner residuals differ by at most this sum, in either direction. A
-    product is itself a factor with c = product_slack(c_L, f_L, c_R, f_R)
-    and f = f_L·f_R, which is how the slack of a longer product is built.
-    """
-    return c_l * f_r + f_l * c_r + t * c_w
-
-
-def corner_product_residual(left: Corner, right: Corner, values: Corner, coeffs) -> float:
-    """`max_product_residual` of the stacks behind three corners: the pairs are
-    multiplied as p×p corners and `product_slack` is added, with t the
-    largest coefficient sum max_{a,b} sum_k |T[a, b, k]|. The result bounds
-    the full residual from above and exceeds it by at most twice the slack."""
-    if np.issubdtype(coeffs.dtype, np.integer):
-        t = float(np.any(coeffs >= 0))
-    else:
-        t = float(np.max(np.sum(np.abs(coeffs), axis=2)))
-    inner = _streamed_residual(left.y, right.y, values.y, coeffs)
-    return inner + product_slack(left.c, left.f, right.c, right.f, t, values.c)
-
-
-def matrix_unit_bound(stack: np.ndarray, relations, basis: np.ndarray | None = None) -> float:
-    """An upper bound of `max_product_residual(stack, stack, stack, product_table,
-    basis)` for a stack X of values on the matrix units of a standard-form
-    source, from dim + (Σn)² products instead of dim².
+def matrix_unit_bound(stack: np.ndarray, relations) -> float:
+    """An upper bound of `max_product_residual(stack, stack, stack, product_table)`
+    for a stack X of values on the matrix units of a standard-form source,
+    from dim + (Σn)² products instead of dim².
 
     `relations` is the source's `matrix_unit_relations` (left, right, row,
     col, table). Write X_ij = X(E^b_ij) for the units of one block b and put
@@ -252,7 +178,7 @@ def matrix_unit_bound(stack: np.ndarray, relations, basis: np.ndarray | None = N
 
     the first a batched product through the index arrays `left` and `right`,
     the second `_streamed_residual` with the integer table `table`. With
-    f >= max ||X||_op, every pair of basis elements has
+    f = max ||X||_F >= max ||X||_op, every pair of basis elements has
 
         ||X_ij X_kl - δ_jk X_il||_F <= (1 + f)²·r1 + f²·r2.
 
@@ -269,19 +195,12 @@ def matrix_unit_bound(stack: np.ndarray, relations, basis: np.ndarray | None = N
     f·r1, f²·r1, f²·r2 and r1 + f·r1. Across blocks b ≠ c the product
     should vanish; the same expansion with δ = 0 gives f²·r2 + (f² + f)·r1,
     which is smaller.
-
-    On a non-free module (`basis` given) the relations are taken on the
-    corners Y = U*XU, whose norms are at most those of X, and
-    `product_slack(c, f, c, f, 1, c)` is added exactly as
-    `corner_product_residual` adds it, so the result also bounds the corner
-    residual that `max_product_residual` reports. f is max ||X||_F, which
-    `corner` returns.
     """
-    y, c, f = corner(stack, basis)
     left, right, row, col, table = relations
-    r1 = max_frobenius(y[left] @ y[right] - y)
-    r2 = _streamed_residual(y[row], y[col], y, table)
-    return (1.0 + f) ** 2 * r1 + f * f * r2 + product_slack(c, f, c, f, 1.0, c)
+    f = max_frobenius(stack)
+    r1 = max_frobenius(stack[left] @ stack[right] - stack)
+    r2 = _streamed_residual(stack[row], stack[col], stack, table)
+    return (1.0 + f) ** 2 * r1 + f * f * r2
 
 
 def frobenius_each(stack: np.ndarray) -> np.ndarray:

@@ -1,10 +1,13 @@
 """Hilbert modules over a finite-dimensional C*-algebra and their adjointable maps.
 
-A module is a projective summand P·B^n. Elements are columns over B and
-operators are matrices over B, both stored through the dense block-diagonal
-embedding of B: an element is an (n·D)×D complex matrix, an operator an
-(m·D)×(n·D) one, where D is the embedding size of B. Inner products,
-composition, adjoints and norms then reduce to plain matrix algebra.
+A module P·B^n is held by an isometry U with UU* = P (none when P = 1).
+Elements are columns over B, stored through the dense block-diagonal
+embedding of B (size D) as (n·D)×D "flats". An operator T: P·B^n -> Q·B^m is
+held by its range coordinates U_Q*·T·U_P: L_B(P·B^n) = P·M_n(B)·P, and
+X ↦ U*XU is an injective *-homomorphism on it, so products, adjoints,
+unitarity and norms are exact on coordinates (E. C. Lance, *Hilbert
+C*-modules*, LMS Lecture Notes 210, 1995, ch. 1). A matrix on the flats
+enters only through `operator_coords`, which refuses what is not a module map.
 """
 
 from __future__ import annotations
@@ -20,34 +23,63 @@ from .algebra import AlgebraElement, Check, FiniteCStarAlgebra, VerificationRepo
 from .errors import StructuralError
 from .linalg import DEFAULT_TOL
 
+B_MASS_REL = 1e-10  # mass outside B allowed in a flat (kept), relative to max(1, ||X||_F)
+OFF_RANGE_REL = 1e-12  # mass off the range allowed in a flat (dropped), likewise
 
-def _tile_mask(mask: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    return np.tile(mask, (rows, cols))
+
+def _mass_outside(algebra: FiniteCStarAlgebra, flats: np.ndarray, rows: int, cols: int):
+    """Per matrix of a stack of flats (..., rows·D, cols·D): the Frobenius mass
+    outside B entrywise, and the scale max(1, ||X||_F)."""
+    off = 1.0 - np.tile(algebra.dense_support_mask(), (rows, cols))
+    return linalg.frobenius_each(flats * off), np.maximum(1.0, linalg.frobenius_each(flats))
 
 
 @dataclass(frozen=True, eq=False)
 class HilbertModule:
-    """P·B^n for a self-adjoint idempotent P in the n×n matrices over B.
-
-    Every array it holds or caches is read-only.
-    """
+    """P·B^n for a self-adjoint idempotent P in M_n(B), held by an isometry U
+    (fd × rank P) with UU* = P, or None when P = 1. Every array it holds or
+    caches is read-only. Equal modules share their U, in which operator
+    coordinates are taken."""
 
     algebra: FiniteCStarAlgebra
     rank: int
-    projection_flat: np.ndarray
+    isometry: np.ndarray | None = None
     # Optional: flats of a known complex basis (skips the generic scan).
     basis_flats: tuple[np.ndarray, ...] | None = None
 
     def __post_init__(self):
         if self.rank < 1:
             raise StructuralError("module rank must be positive")
-        d = self.flat_dim
-        p = linalg.as_complex_matrix(self.projection_flat)
-        if p.shape != (d, d):
-            raise StructuralError(f"projection shape {p.shape} != {(d, d)}")
-        object.__setattr__(self, "projection_flat", linalg.read_only(p))
+        if self.isometry is not None:
+            d = self.flat_dim
+            u = linalg.as_complex_matrix(self.isometry)
+            if u.shape[0] != d or u.shape[1] > d:
+                raise StructuralError(f"isometry shape {u.shape} does not fit flat dimension {d}")
+            object.__setattr__(self, "isometry", linalg.read_only(u))
+            with np.errstate(over="ignore", invalid="ignore"):
+                defect = linalg.frobenius(u.conj().T @ u - np.eye(u.shape[1]))
+            if not defect <= 1e-9 * max(1.0, linalg.frobenius(u)):
+                raise StructuralError("range basis is not an isometry")
+            leak, scale = _mass_outside(self.algebra, self.projection_flat, self.rank, self.rank)
+            if not leak <= B_MASS_REL * scale:
+                raise StructuralError(f"projection has {leak:.3e} mass outside the base algebra")
         if self.basis_flats is not None:
             object.__setattr__(self, "basis_flats", tuple(map(linalg.read_only, self.basis_flats)))
+
+    @classmethod
+    def free(cls, algebra: FiniteCStarAlgebra, rank: int) -> "HilbertModule":
+        return cls(algebra, rank)
+
+    @classmethod
+    def from_projection(
+        cls, algebra: FiniteCStarAlgebra, rank: int, projection
+    ) -> "HilbertModule":
+        """P·B^n for a declared projection P, eigendecomposed once: U holds the
+        eigenvectors of eigenvalue 1. P within 1e-12 of 1 gives the free module."""
+        d = algebra.total_dim * rank
+        p = linalg.as_complex_matrix(projection)
+        if p.shape != (d, d):
+            raise StructuralError(f"projection shape {p.shape} != {(d, d)}")
         # Written as `not (defect <= bound)` so that an overflow to inf or NaN
         # in the residuals or the scale rejects the projection.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -56,12 +88,13 @@ class HilbertModule:
             herm = linalg.hermitian_defect(p)
         if not (np.isfinite(bound) and idem <= bound and herm <= bound):
             raise StructuralError("range projection is not a self-adjoint idempotent")
-        self._check_b_structure(p, self.rank, self.rank)
-
-    @classmethod
-    def free(cls, algebra: FiniteCStarAlgebra, rank: int) -> "HilbertModule":
-        d = algebra.total_dim * rank
-        return cls(algebra, rank, np.eye(d, dtype=np.complex128))
+        if np.allclose(p, np.eye(d), atol=1e-12):
+            return cls.free(algebra, rank)
+        vals, vecs = linalg.hermitian_eigendecomposition((p + p.conj().T) / 2.0)
+        module = cls(algebra, rank, np.ascontiguousarray(vecs[:, vals > 0.5]))
+        # `projection_flat` reads back the declared P, not its rounding UU*.
+        vars(module)["projection_flat"] = linalg.read_only(p)
+        return module
 
     @property
     def block_dim(self) -> int:
@@ -72,39 +105,44 @@ class HilbertModule:
         return self.rank * self.algebra.total_dim
 
     @property
+    def coord_dim(self) -> int:
+        """rank P, the size of operator coordinates."""
+        return self.flat_dim if self.isometry is None else self.isometry.shape[1]
+
+    @property
     def is_free(self) -> bool:
-        return bool(np.allclose(self.projection_flat, np.eye(self.flat_dim), atol=1e-12))
+        return self.coord_dim == self.flat_dim
 
     @cached_property
-    def range_basis(self) -> np.ndarray | None:
-        """Orthonormal columns U with UU* = P (read-only), or None when P = 1.
-
-        Every operator of L_B(E) is a corner P·X·P, so products of operators
-        can be formed as the rank(P)-sided corners U*XU.
-        """
-        if self.is_free:
-            return None
-        p = self.projection_flat
-        vals, vecs = linalg.hermitian_eigendecomposition((p + p.conj().T) / 2.0)
-        basis = np.ascontiguousarray(vecs[:, vals > 0.5])
-        basis.setflags(write=False)
-        return basis
+    def projection_flat(self) -> np.ndarray:
+        """P = UU* on the flats (read-only), the identity on a free module; the
+        declared P itself for a module made by `from_projection`."""
+        u = self.isometry
+        p = np.eye(self.flat_dim, dtype=np.complex128) if u is None else u @ u.conj().T
+        p.setflags(write=False)
+        return p
 
     def __eq__(self, other) -> bool:
         if other is self:
             return True
-        return (
+        if not (
             isinstance(other, HilbertModule)
             and self.algebra == other.algebra
             and self.rank == other.rank
-            and np.allclose(self.projection_flat, other.projection_flat, atol=1e-12)
-        )
+        ):
+            return False
+        mine, theirs = self.isometry, other.isometry
+        if mine is None or theirs is None:
+            return mine is theirs
+        return mine.shape == theirs.shape and bool(np.allclose(mine, theirs, atol=1e-12))
 
-    def _check_b_structure(self, flat: np.ndarray, rows: int, cols: int, tol: float = 1e-10):
-        mask = _tile_mask(self.algebra.dense_support_mask(), rows, cols)
-        leak = linalg.frobenius(flat * (1.0 - mask))
-        if not (leak <= tol * max(1.0, linalg.frobenius(flat))):
-            raise StructuralError(f"matrix has {leak:.3e} mass outside the base algebra")
+    def to_range(self, flats: np.ndarray) -> np.ndarray:
+        """U*·X for a stack of matrices X with fd rows."""
+        return flats if self.isometry is None else self.isometry.conj().T @ flats
+
+    def from_range(self, coords: np.ndarray) -> np.ndarray:
+        """U·Y for a stack of matrices Y with rank P rows."""
+        return coords if self.isometry is None else self.isometry @ coords
 
     # -- elements ----------------------------------------------------------
 
@@ -156,7 +194,7 @@ class HilbertModule:
                 candidate = self.projection_flat @ flat
                 candidate.setflags(write=False)
                 candidates.append(candidate)
-        if self.is_free:
+        if self.isometry is None:
             return tuple(ModuleElement(self, f) for f in candidates)
         kept, kept_vecs = [], []
         for f in candidates:
@@ -176,15 +214,25 @@ class HilbertModule:
         return len(self.complex_basis)
 
     @cached_property
-    def _basis_stack(self) -> np.ndarray:
-        stack = np.stack([b.flat.ravel() for b in self.complex_basis], axis=1)
+    def basis_tensor(self) -> np.ndarray:
+        """The complex basis as one stack of flats, shape (complex_dim, flat_dim, block_dim)."""
+        stack = np.stack([b.flat for b in self.complex_basis], axis=0)
         stack.setflags(write=False)
         return stack
 
-    @property
-    def basis_tensor(self) -> np.ndarray:
-        """The complex basis as one stack of flats, shape (complex_dim, flat_dim, block_dim)."""
-        return self._basis_stack.T.reshape(-1, self.flat_dim, self.block_dim)
+    @cached_property
+    def coord_basis(self) -> np.ndarray:
+        """The complex basis in range coordinates U*·b, shape (complex_dim, rank P, block_dim)."""
+        stack = self.to_range(self.basis_tensor)
+        stack.setflags(write=False)
+        return stack
+
+    @cached_property
+    def _basis_stack(self) -> np.ndarray:
+        """The coordinate basis as columns, shape (rank P · block_dim, complex_dim)."""
+        stack = np.ascontiguousarray(self.coord_basis.reshape(self.complex_dim, -1).T)
+        stack.setflags(write=False)
+        return stack
 
     @cached_property
     def _basis_pinv(self) -> np.ndarray:
@@ -195,18 +243,62 @@ class HilbertModule:
     def coords_of(self, xi: "ModuleElement") -> np.ndarray:
         if xi.module != self:
             raise StructuralError("element belongs to a different module")
-        return self._basis_pinv @ xi.flat.ravel()
+        return self._basis_pinv @ self.to_range(xi.flat).ravel()
 
     def identity_operator(self) -> "AdjointableOperator":
-        return AdjointableOperator(self, self, self.projection_flat)
+        return AdjointableOperator(self, self, np.eye(self.coord_dim, dtype=np.complex128))
 
-    def operators(self, flats) -> tuple["AdjointableOperator", ...]:
-        """Endomorphisms of the module, one for each matrix of a stack of flats."""
-        return tuple(AdjointableOperator(self, self, f) for f in flats)
+    def operators(self, coords) -> tuple["AdjointableOperator", ...]:
+        """Endomorphisms of the module, one for each matrix of a stack of coordinates."""
+        return tuple(AdjointableOperator(self, self, y) for y in coords)
 
     def __str__(self) -> str:
         kind = "free" if self.is_free else "projective"
         return f"{kind} module of rank {self.rank} over {self.algebra}"
+
+
+def operator_coords(domain: HilbertModule, codomain: HilbertModule, flats) -> np.ndarray:
+    """The one entry of matrices on the flats: the coordinates U_Q*·X·U_P of each
+    X of a stack (..., m·D, n·D), refusing (StructuralError) what is not a map
+    P·B^n -> Q·B^m of L_B.
+
+    Mass outside B entrywise may reach B_MASS_REL = 1e-10 times max(1, ||X||_F),
+    as for a declared projection; it stays in the coordinates, where every
+    residual counts it. The off-range mass ||X - Q·X·P||_F may reach only
+    OFF_RANGE_REL = 1e-12 times that scale, since the coordinates drop it: a
+    dropped δ moves a product residual by at most δ·||other factor||_op, so
+    100× below DEFAULT_TOL it cannot decide a certificate at the default
+    tolerance for factors of norm up to about 10, while the rounding of flats
+    formed from coordinates (about fd·eps·||X||_F, 3e-14 at fd = 144) passes.
+    """
+    x = np.asarray(flats, dtype=np.complex128)
+    expect = (codomain.flat_dim, domain.flat_dim)
+    if x.ndim < 2 or x.shape[-2:] != expect or domain.algebra != codomain.algebra:
+        raise StructuralError(f"operator of shape {x.shape} is not {expect} over one algebra")
+    if not np.all(np.isfinite(x)):
+        raise StructuralError("operator matrix contains NaN or Inf entries")
+    leak, scale = _mass_outside(domain.algebra, x, codomain.rank, domain.rank)
+    if not np.all(leak <= B_MASS_REL * scale):
+        raise StructuralError(f"matrix has {np.max(leak):.3e} mass outside the base algebra")
+    y = range_coords(domain, codomain, x)
+    if domain.isometry is not None or codomain.isometry is not None:
+        defect = linalg.frobenius_each(x - operator_flats(domain, codomain, y))
+        if not np.all(defect <= OFF_RANGE_REL * scale):
+            raise StructuralError(f"matrix has {np.max(defect):.3e} mass off the module range")
+    return y
+
+
+def range_coords(domain: HilbertModule, codomain: HilbertModule, flats) -> np.ndarray:
+    """U_Q*·X·U_P for a stack of matrices X on the flats, unchecked: the
+    coordinates of the compression Q·X·P."""
+    y = codomain.to_range(flats)
+    return y if domain.isometry is None else y @ domain.isometry
+
+
+def operator_flats(domain: HilbertModule, codomain: HilbertModule, coords) -> np.ndarray:
+    """U_Q·Y·U_P* for a stack of operator coordinates Y: the maps on the flats."""
+    x = codomain.from_range(coords)
+    return x if domain.isometry is None else x @ domain.isometry.conj().T
 
 
 @dataclass(eq=False)
@@ -215,14 +307,6 @@ class ModuleElement:
 
     module: HilbertModule
     flat: np.ndarray
-
-    @property
-    def coordinates(self) -> list[AlgebraElement]:
-        d = self.module.block_dim
-        return [
-            self.module.algebra.from_dense(self.flat[i * d : (i + 1) * d, :], check=False)
-            for i in range(self.module.rank)
-        ]
 
     def _require_same(self, other: "ModuleElement") -> None:
         if self.module != other.module:
@@ -261,20 +345,30 @@ class ModuleElement:
 
 @dataclass(frozen=True, eq=False)
 class AdjointableOperator:
-    """A module map, stored as its flattened (m·D)×(n·D) complex matrix (read-only)."""
+    """A module map T: E -> F, held by its range coordinates U_F*·T·U_E, a
+    rank P_F × rank P_E matrix (read-only). A matrix on the flats enters
+    through `from_flat` (`operator_coords`)."""
 
     domain: HilbertModule
     codomain: HilbertModule
-    flat: np.ndarray
+    coords: np.ndarray
 
     def __post_init__(self):
         if self.domain.algebra != self.codomain.algebra:
             raise StructuralError("operators require a common base algebra")
-        f = linalg.as_complex_matrix(self.flat)
-        expect = (self.codomain.flat_dim, self.domain.flat_dim)
-        if f.shape != expect:
-            raise StructuralError(f"operator shape {f.shape} != {expect}")
-        object.__setattr__(self, "flat", linalg.read_only(f))
+        y = linalg.as_complex_matrix(self.coords)
+        expect = (self.codomain.coord_dim, self.domain.coord_dim)
+        if y.shape != expect:
+            raise StructuralError(f"operator coordinates shape {y.shape} != {expect}")
+        object.__setattr__(self, "coords", linalg.read_only(y))
+
+    @classmethod
+    def from_flat(
+        cls, domain: HilbertModule, codomain: HilbertModule, flat
+    ) -> "AdjointableOperator":
+        """The map given by an (m·D)×(n·D) matrix on the flats (`operator_coords`)."""
+        flat = linalg.as_complex_matrix(flat)
+        return cls(domain, codomain, operator_coords(domain, codomain, flat))
 
     @classmethod
     def from_entries(
@@ -289,19 +383,27 @@ class AdjointableOperator:
                 e = entries[i][j]
                 dense = e.dense() if isinstance(e, AlgebraElement) else domain.algebra.from_blocks(e).dense()
                 flat[i * d : (i + 1) * d, j * d : (j + 1) * d] = dense
-        return cls(domain, codomain, flat)
+        return cls.from_flat(domain, codomain, flat)
 
     @classmethod
     def from_complex_matrix(
         cls, domain: HilbertModule, codomain: HilbertModule, matrix
     ) -> "AdjointableOperator":
-        """Promote a complex m×n matrix entrywise to multiples of the unit of B."""
+        """Promote a complex m×n matrix entrywise to multiples of the unit of B,
+        compressed to Q·(m ⊗ 1)·P."""
         m = linalg.as_complex_matrix(matrix)
         if m.shape != (codomain.rank, domain.rank):
             raise StructuralError(f"matrix shape {m.shape} != {(codomain.rank, domain.rank)}")
         flat = np.kron(m, np.eye(domain.block_dim, dtype=np.complex128))
-        flat = codomain.projection_flat @ flat @ domain.projection_flat
-        return cls(domain, codomain, flat)
+        return cls(domain, codomain, range_coords(domain, codomain, flat))
+
+    @cached_property
+    def flat(self) -> np.ndarray:
+        """U_F·Y·U_E*, the map on the flats (read-only)."""
+        x = operator_flats(self.domain, self.codomain, self.coords)
+        if x is not self.coords:
+            x.setflags(write=False)
+        return x
 
     def entry(self, i: int, j: int) -> AlgebraElement:
         d = self.domain.block_dim
@@ -312,78 +414,59 @@ class AdjointableOperator:
     def __call__(self, xi: ModuleElement) -> ModuleElement:
         if xi.module != self.domain:
             raise StructuralError("element is not in the operator domain")
-        return ModuleElement(self.codomain, self.flat @ xi.flat)
+        image = self.codomain.from_range(self.coords @ self.domain.to_range(xi.flat))
+        return ModuleElement(self.codomain, image)
 
     def compose(self, inner_op: "AdjointableOperator") -> "AdjointableOperator":
         """self ∘ inner_op."""
         if inner_op.codomain != self.domain:
             raise StructuralError("composition shape mismatch")
-        return AdjointableOperator(inner_op.domain, self.codomain, self.flat @ inner_op.flat)
+        return AdjointableOperator(inner_op.domain, self.codomain, self.coords @ inner_op.coords)
 
     def __matmul__(self, other: "AdjointableOperator") -> "AdjointableOperator":
         return self.compose(other)
 
     def adjoint(self) -> "AdjointableOperator":
-        return AdjointableOperator(self.codomain, self.domain, self.flat.conj().T)
+        return AdjointableOperator(self.codomain, self.domain, self.coords.conj().T)
 
     def __add__(self, other: "AdjointableOperator") -> "AdjointableOperator":
         if other.domain != self.domain or other.codomain != self.codomain:
             raise StructuralError("operator shape mismatch")
-        return AdjointableOperator(self.domain, self.codomain, self.flat + other.flat)
+        return AdjointableOperator(self.domain, self.codomain, self.coords + other.coords)
 
     def __sub__(self, other: "AdjointableOperator") -> "AdjointableOperator":
         return self + (-other)
 
     def __neg__(self) -> "AdjointableOperator":
-        return AdjointableOperator(self.domain, self.codomain, -self.flat)
+        return AdjointableOperator(self.domain, self.codomain, -self.coords)
 
     def __mul__(self, scalar) -> "AdjointableOperator":
-        return AdjointableOperator(self.domain, self.codomain, self.flat * complex(scalar))
+        return AdjointableOperator(self.domain, self.codomain, self.coords * complex(scalar))
 
     __rmul__ = __mul__
 
     def norm(self) -> float:
-        """Largest singular value of the flattened matrix (corner-restricted)."""
-        return linalg.spectral_norm(
-            self.codomain.projection_flat @ self.flat @ self.domain.projection_flat
-        )
-
-    def corner_defect(self) -> float:
-        """Residual of Q·T·P = T."""
-        fixed = self.codomain.projection_flat @ self.flat @ self.domain.projection_flat
-        return linalg.frobenius(fixed - self.flat)
+        """Operator norm: the largest singular value of the coordinates."""
+        return linalg.spectral_norm(self.coords)
 
     def complex_matrix(self) -> np.ndarray:
         """Matrix w.r.t. the complex bases of domain and codomain."""
-        return complex_matrices(self.domain, self.codomain, self.flat)
+        return complex_matrices(self.domain, self.codomain, self.coords)
 
     def is_unitary(self, tol: float = DEFAULT_TOL) -> VerificationReport:
-        left = linalg.frobenius(
-            self.flat.conj().T @ self.flat - self.domain.projection_flat
-        )
-        right = linalg.frobenius(
-            self.flat @ self.flat.conj().T - self.codomain.projection_flat
-        )
+        y = self.coords
+        left = linalg.frobenius(y.conj().T @ y - np.eye(y.shape[1]))
+        right = linalg.frobenius(y @ y.conj().T - np.eye(y.shape[0]))
         return VerificationReport(
             "unitary operator",
             (Check("T*T = id", left, tol), Check("TT* = id", right, tol)),
         )
 
-    def is_positive(self, tol: float = DEFAULT_TOL) -> bool:
-        if self.domain != self.codomain:
-            raise StructuralError("positivity needs an endomorphism")
-        scale = max(1.0, linalg.frobenius(self.flat))
-        if linalg.hermitian_defect(self.flat) > tol * scale:
-            return False
-        sym = (self.flat + self.flat.conj().T) / 2.0
-        return linalg.min_eigenvalue(sym) >= -tol * (1.0 + linalg.spectral_norm(sym))
-
     def __str__(self) -> str:
         return f"operator ({self.codomain.rank}×{self.domain.rank}) over {self.domain.algebra}"
 
 
-def complex_matrices(domain: HilbertModule, codomain: HilbertModule, flats) -> np.ndarray:
-    """Matrices w.r.t. the complex bases of a stack of operator flats (..., m·D, n·D)."""
-    images = flats[..., None, :, :] @ domain.basis_tensor  # (..., d_dom, m·D, D)
+def complex_matrices(domain: HilbertModule, codomain: HilbertModule, coords) -> np.ndarray:
+    """Matrices w.r.t. the complex bases of a stack of operator coordinates (..., q, p)."""
+    images = coords[..., None, :, :] @ domain.coord_basis  # (..., d_dom, q, D)
     return codomain._basis_pinv @ images.reshape(*images.shape[:-2], -1).swapaxes(-1, -2)
-

@@ -21,7 +21,7 @@ from .groups import (
     UnitaryRepresentation,
     covariant_average,
 )
-from .modules import AdjointableOperator, HilbertModule
+from .modules import AdjointableOperator, HilbertModule, range_coords
 
 GROUP_NAMES = ("trivial", "z2", "z3", "s3")
 
@@ -124,11 +124,12 @@ def standard_representation(group_name: str, module: HilbertModule) -> UnitaryRe
 
 
 def compress_to_module_algebra(flat: np.ndarray, module: HilbertModule) -> np.ndarray:
-    """Conditional expectation of an operator matrix onto L_B(E) (block support)."""
+    """Conditional expectation of an operator matrix onto L_B(E) (block support),
+    in the range coordinates U*·(X masked)·U of the module."""
     mask = np.kron(
         np.ones((module.rank, module.rank)), module.algebra.dense_support_mask()
     )
-    return module.projection_flat @ (flat * mask) @ module.projection_flat
+    return range_coords(module, module, flat * mask)
 
 
 def random_cp_map(
@@ -148,7 +149,7 @@ def random_cp_map(
         dense = b.dense()
         acc = sum(k @ dense @ k.conj().T for k in kraus)
         acc = compress_to_module_algebra(acc, module)
-        acc += unit_scale * b.trace() * module.projection_flat
+        acc += unit_scale * b.trace() * np.eye(module.coord_dim)
         values.append(AdjointableOperator(module, module, acc))
     return CompletelyPositiveMap(source, module, tuple(values))
 
@@ -156,24 +157,22 @@ def random_cp_map(
 def unitalize(rho: CompletelyPositiveMap) -> CompletelyPositiveMap:
     """Normalize a CP map so that rho(1) = id_E, preserving covariance.
 
-    Conjugates by rho(1)^(-1/2); requires rho(1) to be invertible on the
-    range of the module projection.
+    Conjugates by rho(1)^(-1/2) on the range coordinates; requires rho(1) to
+    be invertible there.
     """
     module = rho.module
-    s = rho(rho.source.unit()).flat
+    s = rho(rho.source.unit()).coords
     s = (s + s.conj().T) / 2.0
     vals, vecs = linalg.hermitian_eigendecomposition(s)
     top = max(float(vals[-1]), 0.0)
     if top <= 0.0:
         raise PreconditionError("rho(1) vanishes; cannot normalize")
-    # Eigenvalues near zero must belong to the complement of the range projection.
     keep = vals > 1e-12 * top
-    inv_sqrt = (vecs[:, keep] / np.sqrt(vals[keep])) @ vecs[:, keep].conj().T
-    rank_p = linalg.matrix_rank(module.projection_flat)
-    if int(np.count_nonzero(keep)) != rank_p:
+    if int(np.count_nonzero(keep)) != module.coord_dim:
         raise PreconditionError("rho(1) is singular on the module; cannot normalize")
+    inv_sqrt = (vecs / np.sqrt(vals)) @ vecs.conj().T
     values = tuple(
-        AdjointableOperator(module, module, inv_sqrt @ v.flat @ inv_sqrt)
+        AdjointableOperator(module, module, inv_sqrt @ v.coords @ inv_sqrt)
         for v in rho.basis_values
     )
     return CompletelyPositiveMap(rho.source, module, values)

@@ -221,7 +221,7 @@ def _parse_tower(scn: Scenario, name: str, spec: dict) -> TowerDeclaration:
             top = tower.poset.greatest()
             if top is None:
                 raise ScenarioError(f"tower {name!r}: top_projection needs a greatest level")
-            top_module = HilbertModule(
+            top_module = HilbertModule.from_projection(
                 algebras[top], rank, decode_matrix(spec["top_projection"])
             )
             module_tower = ModuleTower.pushed_down(tower, top, top_module)
@@ -261,7 +261,8 @@ def parse_scenario(data: dict, *, tolerance: float | None = None, seed: int | No
             algebra = scn._get(scn.algebras, spec.get("algebra"), "algebra")
             rank = _count(spec.get("rank", 1), f"module {name!r}: rank")
             if "projection" in spec and spec["projection"] is not None:
-                scn.modules[name] = HilbertModule(algebra, rank, decode_matrix(spec["projection"]))
+                projection = decode_matrix(spec["projection"])
+                scn.modules[name] = HilbertModule.from_projection(algebra, rank, projection)
             else:
                 scn.modules[name] = HilbertModule.free(algebra, rank)
         for name, spec in specs("actions", "action"):
@@ -302,10 +303,13 @@ def parse_scenario(data: dict, *, tolerance: float | None = None, seed: int | No
                     group, module, mats
                 )
             elif "unitaries" in spec:
-                ops = tuple(
-                    AdjointableOperator(module, module, decode_matrix(m))
-                    for m in spec["unitaries"]
-                )
+                try:
+                    ops = tuple(
+                        AdjointableOperator.from_flat(module, module, decode_matrix(m))
+                        for m in spec["unitaries"]
+                    )
+                except StructuralError as err:
+                    raise ScenarioError(f"representation {name!r}: {err}") from err
                 scn.representations[name] = UnitaryRepresentation(group, module, ops)
             else:
                 raise ScenarioError(f"representation {name!r}: need kind or unitaries")

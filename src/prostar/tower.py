@@ -6,7 +6,8 @@ Levels form a finite directed poset; connecting maps run downward
 towers share one ambient rank, with connecting maps acting entrywise through
 the algebra maps, so well-definedness of induced operators is structural.
 Every entrywise application, (pi_pq)_*, is `ModuleTower.push`: one product
-with the transfer matrix of pi_pq over a whole stack of flats.
+with the transfer matrix of pi_pq over a whole stack of flats; operators go
+through it as flats and come back through `modules.operator_coords`.
 
 Towers are frozen, and their level and map tables are read-only mappings, so
 the residuals of `AlgebraTower.verify` and `ModuleTower.verify` are computed
@@ -40,6 +41,7 @@ from .errors import PreconditionError, StructuralError
 from .groups import FiniteGroup, GroupAction, UnitaryRepresentation, verify_action
 from .linalg import DEFAULT_TOL
 from .modules import AdjointableOperator, HilbertModule, complex_matrices
+from .modules import operator_coords, operator_flats
 
 
 @dataclass(frozen=True)
@@ -370,7 +372,9 @@ class ModuleTower:
             proj = _push_entrywise(
                 base.map(top, label)._transfer_matrix, top_module.projection_flat, top_module.rank
             )
-            modules[label] = HilbertModule(base.algebras[label], top_module.rank, proj)
+            modules[label] = HilbertModule.from_projection(
+                base.algebras[label], top_module.rank, proj
+            )
         return cls(base, modules)
 
     def push(self, p: str, q: str, flats: np.ndarray, cols: int) -> np.ndarray:
@@ -384,6 +388,16 @@ class ModuleTower:
             raise StructuralError(f"no connecting map {p} -> {q}")
         return _push_entrywise(self.base.connecting[(p, q)]._transfer_matrix, flats, cols)
 
+    def push_operators(self, p: str, q: str, coords: np.ndarray) -> np.ndarray:
+        """(pi_pq)_* on a stack of operator coordinates on E_p (..., rank P_p, rank P_p):
+        pushed as flats and entered at level q through `operator_coords`, which
+        refuses a push with mass off the range of E_q."""
+        if p == q:
+            return coords
+        ep, eq = self.modules[p], self.modules[q]
+        pushed = self.push(p, q, operator_flats(ep, ep, coords), ep.rank)
+        return operator_coords(eq, eq, pushed)
+
     def induced_operator(self, p: str, q: str, t: AdjointableOperator) -> AdjointableOperator:
         """(pi_pq)_* applied to an operator at level p."""
         if t.domain != self.modules[p] or t.codomain != self.modules[p]:
@@ -391,7 +405,7 @@ class ModuleTower:
         if p == q:
             return t
         eq = self.modules[q]
-        return AdjointableOperator(eq, eq, self.push(p, q, t.flat, eq.rank))
+        return AdjointableOperator(eq, eq, self.push_operators(p, q, t.coords))
 
     @cached_property
     def _residuals(self) -> tuple[float, str, float, float]:
@@ -443,8 +457,8 @@ def _pushed_pair(
     if q == top:
         return rho, u
     eq = mt.modules[q]
-    values = mt.push(top, q, rho._value_tensor, eq.rank)
-    unitaries = mt.push(top, q, u._unitary_tensor, eq.rank)
+    values = mt.push_operators(top, q, rho._value_tensor)
+    unitaries = mt.push_operators(top, q, u._unitary_tensor)
     return (
         CompletelyPositiveMap(rho.source, eq, eq.operators(values)),
         UnitaryRepresentation(u.group, eq, eq.operators(unitaries)),
@@ -472,7 +486,7 @@ def _connecting_class_matrix(
     and the matrix y of sigma_pq: E_p -> E_q in the complex bases."""
     ep, eq = mt.modules[p], mt.modules[q]
     pushed = mt.push(p, q, ep.basis_tensor, 1)
-    y = eq._basis_pinv @ pushed.reshape(ep.complex_dim, -1).T  # (d_q, d_p)
+    y = eq._basis_pinv @ eq.to_range(pushed).reshape(ep.complex_dim, -1).T  # (d_q, d_p)
     rows, cols = cores[q].quotient.spanning_labels, cores[p].quotient.spanning_labels
     shuffle = label_shuffles(rows, cols, np.eye(dim_a)[None], y[None])[0]
     return cores[q]._coord_map @ shuffle @ cores[p]._class_embed, y
@@ -539,7 +553,7 @@ def levelwise_dilation_coherence(
         cm_v_q = dils[q].connector.complex_matrix()
         conn_sq = max(conn_sq, linalg.frobenius(m_pq @ cm_v_p - cm_v_q @ y))
         # Inner products: <Sigma x, Sigma y> = pi(<x, y>) on the class basis.
-        images = (fq._basis_stack @ m_pq).T.reshape(-1, fq.flat_dim, fq.block_dim)
+        images = (fq._basis_stack @ m_pq).T.reshape(-1, fq.coord_dim, fq.block_dim)
         mapped = np.hstack(images)
         lhs = mapped.conj().T @ mapped
         h_p = cores[p]._sqrt_flat @ cores[p]._sqrt_flat
@@ -591,7 +605,7 @@ def levelwise_integrated_coherence(
     level_res = max(forms[q].report.max_residual for q in levels)
     conn = 0.0
     for (p, q) in mt.base.poset.comparable_pairs():
-        pushed = mt.push(p, q, forms[p].spanning_values, mt.modules[p].rank)
+        pushed = mt.push_operators(p, q, forms[p].spanning_values)
         conn = max(conn, linalg.max_frobenius(pushed - forms[q].spanning_values))
     checks = (
         Check("levelwise integrated forms verified", float(level_res), max(tol, 1e-9)),

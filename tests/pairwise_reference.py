@@ -93,9 +93,14 @@ def _max_residual(left, right, values, coeffs) -> float:
     return float(np.sqrt(worst))
 
 
+def value_flats(rho) -> np.ndarray:
+    """The basis values of a map as matrices on the flats, (dim A, fd, fd)."""
+    return np.stack([op.flat for op in rho.basis_values])
+
+
 def representation_residual(rho) -> float:
-    """max ||rho(a_i) rho(a_j) - rho(a_i a_j)||_F over basis pairs."""
-    vals = rho._value_tensor
+    """max ||rho(a_i) rho(a_j) - rho(a_i a_j)||_F over basis pairs, on the flats."""
+    vals = value_flats(rho)
     return _max_residual(vals, vals, vals, structure_constants(rho.source))
 
 
@@ -126,7 +131,7 @@ def relation_residuals(stack: np.ndarray, algebra) -> tuple[float, float, float]
 
 def twisted_residual(phi, v, action) -> float:
     """max over g, i, j of ||Phi(a_i) v_g Phi(a_j) v_g* - Phi(a_i alpha_g(a_j))||_F."""
-    phi_tensor = phi._value_tensor
+    phi_tensor = value_flats(phi)
     basis = list(action.algebra.basis())
     dim = len(basis)
     worst = 0.0
@@ -297,17 +302,21 @@ def hermiticity_reference(rho) -> float:
 
 
 def covariance_reference(rho, action, rep) -> tuple[float, str]:
-    """max ||rho(alpha_g(a_i)) - u_g rho(a_i) u_g*||_F and its (g, i), pair by pair."""
-    worst, witness = 0.0, ""
+    """max ||rho(alpha_g(a_i)) - u_g rho(a_i) u_g*||_F and its (g, i), pair by pair on
+    the flats; the witness is the first pair within 1e-12·max(1, max_i ||rho(a_i)||_F)
+    of the largest residual (the tie rule of `check_covariance`)."""
+    residuals = []
     for g in action.group.elements():
         ug = rep.unitaries[g].flat
         for i, a in enumerate(rho.source.basis()):
             lhs = rho(action.apply(g, a)).flat
             rhs = ug @ rho.basis_values[i].flat @ ug.conj().T
-            r = float(np.linalg.norm(lhs - rhs))
-            if r > worst:
-                worst, witness = r, f"g={g}, basis #{i}"
-    return worst, witness
+            residuals.append((float(np.linalg.norm(lhs - rhs)), f"g={g}, basis #{i}"))
+    worst = max(r for r, _ in residuals)
+    if worst == 0.0:
+        return worst, ""
+    band = 1e-12 * max([1.0] + [float(np.linalg.norm(op.flat)) for op in rho.basis_values])
+    return worst, next(name for r, name in residuals if r >= worst - band)
 
 
 def _sum_form(f, phi, v) -> np.ndarray:
@@ -420,7 +429,8 @@ def _pushed_reference(mt, top, q, rho, u):
     hom, eq = mt.base.map(top, q), mt.modules[q]
 
     def push(op):
-        return AdjointableOperator(eq, eq, _push_reference(hom, op.flat, eq.rank, eq.rank))
+        pushed = _push_reference(hom, op.flat, eq.rank, eq.rank)
+        return AdjointableOperator.from_flat(eq, eq, pushed)
 
     return (
         CompletelyPositiveMap(rho.source, eq, tuple(push(op) for op in rho.basis_values)),
@@ -926,7 +936,7 @@ def amplify(rho, n: int):
     from prostar.modules import AdjointableOperator, HilbertModule
 
     big_source = FiniteCStarAlgebra(tuple(n * m for m in rho.source.block_sizes))
-    big_module = HilbertModule(
+    big_module = HilbertModule.from_projection(
         rho.module.algebra,
         n * rho.module.rank,
         np.kron(np.eye(n, dtype=np.complex128), rho.module.projection_flat),
@@ -941,7 +951,7 @@ def amplify(rho, n: int):
                 flat = np.zeros((n * fd, n * fd), dtype=np.complex128)
                 inner = rho.basis_values[rho.source.basis_index(k, u, v)].flat
                 flat[i * fd : (i + 1) * fd, j * fd : (j + 1) * fd] = inner
-                values.append(AdjointableOperator(big_module, big_module, flat))
+                values.append(AdjointableOperator.from_flat(big_module, big_module, flat))
     return CompletelyPositiveMap(big_source, big_module, tuple(values))
 
 
@@ -968,4 +978,4 @@ def direct_form(ext, f):
     acc = np.zeros((module.flat_dim, module.flat_dim), dtype=np.complex128)
     for g in f.system.group.elements():
         acc += rho(f.values[g]).flat @ rep.unitaries[g].flat
-    return AdjointableOperator(module, module, acc)
+    return AdjointableOperator.from_flat(module, module, acc)

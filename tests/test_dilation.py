@@ -353,14 +353,16 @@ class TestUniqueness:
         perm = np.random.default_rng(3).permutation(r)
         pmat = np.eye(r)[perm]
         big = np.kron(pmat, np.eye(d.module.block_dim))
-        other_module = HilbertModule(
+        other_module = HilbertModule.from_projection(
             d.module.algebra, r, big @ d.module.projection_flat @ big.conj().T
         )
         phi = CompletelyPositiveMap(
             rho.source,
             other_module,
             tuple(
-                AdjointableOperator(other_module, other_module, big @ v.flat @ big.conj().T)
+                AdjointableOperator.from_flat(
+                    other_module, other_module, big @ v.flat @ big.conj().T
+                )
                 for v in d.representation.basis_values
             ),
         )
@@ -368,11 +370,13 @@ class TestUniqueness:
             act.group,
             other_module,
             tuple(
-                AdjointableOperator(other_module, other_module, big @ v.flat @ big.conj().T)
+                AdjointableOperator.from_flat(
+                    other_module, other_module, big @ v.flat @ big.conj().T
+                )
                 for v in d.group_unitaries.unitaries
             ),
         )
-        w = AdjointableOperator(rho.module, other_module, big @ d.connector.flat)
+        w = AdjointableOperator.from_flat(rho.module, other_module, big @ d.connector.flat)
         candidate = replace(
             d, module=other_module, representation=phi, group_unitaries=vperm, connector=w
         )

@@ -63,6 +63,9 @@ def test_adjoint_involution_and_composition(rng):
     assert np.allclose(
         (s @ t).adjoint().flat, (t.adjoint() @ s.adjoint()).flat, atol=1e-12
     )
+    # composition applies the inner operator first
+    xi = e.random_element(rng)
+    assert np.allclose((s @ t)(xi).flat, s(t(xi)).flat, atol=1e-12)
     # identity composition
     ident = e.identity_operator()
     assert np.allclose((t @ ident).flat, t.flat)
@@ -122,7 +125,7 @@ def test_complex_basis_free(algebra, rank, expected):
 def test_complex_basis_projective():
     v = np.array([[0.6], [0.8]], dtype=complex)
     proj = v @ v.conj().T
-    m = HilbertModule(C, 2, proj)
+    m = HilbertModule.from_projection(C, 2, proj)
     assert m.complex_dim == 1
     xi = m.complex_basis[0]
     assert np.linalg.norm(proj @ xi.flat - xi.flat) <= 1e-12
@@ -143,22 +146,33 @@ def test_rejects_projection_whose_residual_overflows(entry):
     """p² overflows to inf; the test must reject, not compare inf > inf."""
     with np.errstate(over="raise", invalid="raise"):
         with pytest.raises(StructuralError, match="self-adjoint idempotent"):
-            HilbertModule(C, 1, np.array([[entry]]))
+            HilbertModule.from_projection(C, 1, np.array([[entry]]))
 
 
-def test_range_basis_spans_the_projection():
-    assert HilbertModule.free(B, 2).range_basis is None
+def test_declared_projection_is_held_as_its_isometry():
+    """A declared projection is eigendecomposed once into U with UU* = P; the
+    free module holds none; a U that is not an isometry, or whose range is not
+    a B-submodule, is refused at construction."""
+    assert HilbertModule.free(B, 2).isometry is None
     flat = np.zeros((4, 4), dtype=np.complex128)
     flat[:2, :2] = np.eye(2)
-    module = HilbertModule(B, 2, flat)
-    u = module.range_basis
+    module = HilbertModule.from_projection(B, 2, flat)
+    u = module.isometry
     assert u.shape == (4, 2) and not u.flags.writeable
+    assert module.coord_dim == 2 and not module.is_free
     assert np.allclose(u.conj().T @ u, np.eye(2), atol=1e-14)
-    assert np.allclose(u @ u.conj().T, flat, atol=1e-14)
+    assert np.allclose(module.projection_flat, flat, atol=1e-14)
+    assert not module.projection_flat.flags.writeable
+    with pytest.raises(StructuralError, match="not an isometry"):
+        HilbertModule(B, 2, 2.0 * u)
+    # Over C⊕C the range of (1, 1, 0, 0)/sqrt(2) mixes the two summands of B.
+    with pytest.raises(StructuralError, match="outside the base algebra"):
+        mixed = np.array([[1.0], [1.0], [0.0], [0.0]]) / np.sqrt(2)
+        HilbertModule(FiniteCStarAlgebra((1, 1)), 2, mixed)
 
 
 def test_equality_with_itself_skips_the_projection_comparison(monkeypatch):
-    module = HilbertModule(B, 2, np.kron(np.diag([1.0, 0.0]), np.eye(2)))
+    module = HilbertModule.from_projection(B, 2, np.kron(np.diag([1.0, 0.0]), np.eye(2)))
 
     def refuse(*args, **kwargs):
         raise AssertionError("compared projections of a module with itself")

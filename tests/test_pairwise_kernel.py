@@ -18,7 +18,8 @@ from prostar.cpmaps import CompletelyPositiveMap
 from prostar.crossed import build_crossed_product, extend_covariant_cp
 from prostar.dilation import covariant_dilation
 from prostar.groups import UnitaryRepresentation, verify_unitary_representation
-from prostar.modules import AdjointableOperator, HilbertModule
+from prostar.errors import StructuralError
+from prostar.modules import AdjointableOperator, HilbertModule, operator_coords
 from prostar.recipes import dilation_instance
 
 M2 = FiniteCStarAlgebra((2,))
@@ -117,108 +118,88 @@ def test_kernel_matches_dense_formula(m, n, d, k, gather, budget, seed):
     assert got == pytest.approx(want, rel=1e-12)
 
 
-def _slack(stacks, coeffs, projection):
-    """c_L·f_R + f_L·c_R + t·c_W, from dense arithmetic on the full stacks."""
-    defect = [max(np.linalg.norm(x - projection @ x @ projection) for x in s) for s in stacks]
-    size = [max(np.linalg.norm(x) for x in s) for s in stacks]
-    t = float(np.max(np.sum(np.abs(coeffs), axis=2)))
-    return defect[0] * size[1] + size[0] * defect[1] + t * defect[2]
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     m=st.integers(1, 5),
     n=st.integers(1, 5),
     d=st.integers(1, 6),
     k=st.integers(1, 5),
-    rank=st.integers(0, 6),
-    leak=st.sampled_from([0.0, 1e-12, 1e-6, 0.3]),
+    rank=st.integers(1, 6),
+    leak=st.sampled_from([0.0, 1e-6, 0.3]),
     gather=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_compressed_kernel_brackets_full_residual(m, n, d, k, rank, leak, gather, seed):
-    """On the range of a rank-p projection: full <= compressed <= full + 2·slack.
-
-    The compressed result is the p×p corner residual plus the slack, and the
-    corner residual itself exceeds the full one by at most c_L·f_R.
-    """
+    """On the range of a rank-p projection P = UU*, the kernel on the coordinates
+    U*XU brackets the kernel on the flats with no slack left: the two agree to
+    rounding. A stack with mass off the range is refused where it would enter."""
     rng = np.random.default_rng(seed)
     p = min(rank, d)
     basis = np.linalg.qr(linalg.random_complex(rng, d, d))[0][:, :p]
     projection = basis @ basis.conj().T
+    module = HilbertModule(C, d, basis)
 
     def stack(count):
-        inside = projection @ linalg.random_complex(rng, count * d, d).reshape(count, d, d) @ projection
-        noise = linalg.random_complex(rng, count * d, d).reshape(count, d, d)
-        off = noise - projection @ noise @ projection
-        scale = max(np.linalg.norm(off), 1e-300)
-        return inside + leak * off / scale
+        corners = linalg.random_complex(rng, count * p, p).reshape(count, p, p)
+        return basis @ corners @ basis.conj().T
 
     left, right, values = stack(m), stack(n), stack(k)
     if gather:
         coeffs = rng.integers(-1, k, size=(m, n))
-        dense = np.zeros((m, n, k), dtype=np.complex128)
-        a, b = np.nonzero(coeffs >= 0)
-        dense[a, b, coeffs[a, b]] = 1.0
     else:
-        coeffs = dense = linalg.random_complex(rng, m * n, k).reshape(m, n, k)
-
+        coeffs = linalg.random_complex(rng, m * n, k).reshape(m, n, k)
+    if leak and p < d:
+        noise = linalg.random_complex(rng, d, d)
+        off = noise - projection @ noise @ projection
+        with pytest.raises(StructuralError, match="off the module range"):
+            operator_coords(module, module, left + leak * off / np.linalg.norm(off))
     full = linalg.max_product_residual(left, right, values, coeffs)
-    assert linalg.max_product_residual(left, right, values, coeffs, None) == full
-    products = np.matmul(left[:, None], right[None, :])
-    expected = np.tensordot(dense, values, axes=([2], [0]))
-    want = np.sqrt(np.max(np.sum(np.abs(products - expected) ** 2, axis=(2, 3))))
-    assert full == pytest.approx(want, rel=1e-12)
-
-    got = linalg.max_product_residual(left, right, values, coeffs, basis)
-    slack = _slack((left, right, values), dense, projection)
-    rounding = 1e-12 * ref.product_scale(np.concatenate([left, right, values]))
-    assert full <= got + rounding
-    assert got <= full + 2.0 * slack + rounding
+    coords = [operator_coords(module, module, x) for x in (left, right, values)]
+    got = linalg.max_product_residual(*coords, coeffs)
+    rounding = ref.REL * ref.product_scale(np.concatenate([left, right, values])) ** 2
+    assert abs(got - full) <= rounding
 
 
 @pytest.mark.parametrize("leaky", ["left", "right", "values"])
-def test_each_slack_term_is_attained(leaky):
-    """Rank-one factors on d = 2, P = diag(1, 0), with one stack off the corner:
-    the full residual equals the one slack term that stack carries
-    (c_L·f_R, f_L·c_R or t·c_W), and the corner residual is 0."""
+def test_each_off_corner_factor_is_refused(leaky):
+    """Rank-one factors on d = 2, P = diag(1, 0): the factor that maps into or out
+    of the complement of range(P), which would move a product residual by its
+    full size, is refused at construction, and the corner factors enter."""
     e = np.eye(2, dtype=np.complex128)
-    inside, out_left, out_right = np.outer(e[0], e[0]), np.outer(e[1], e[0]), np.outer(e[0], e[1])
-    zero = np.zeros((2, 2), dtype=np.complex128)
-    left, right, values = {
-        "left": (out_left, inside, zero),
-        "right": (inside, out_right, zero),
-        "values": (zero, zero, np.outer(e[1], e[1])),
+    inside = np.outer(e[0], e[0])
+    off_corner = {
+        "left": np.outer(e[1], e[0]),
+        "right": np.outer(e[0], e[1]),
+        "values": np.outer(e[1], e[1]),
     }[leaky]
-    coeffs = np.ones((1, 1, 1), dtype=np.complex128)
-    if leaky != "values":
-        coeffs = np.zeros_like(coeffs)
-    stacks = (left[None], right[None], values[None])
-    basis = e[:, :1]
-    assert linalg.max_product_residual(*stacks, coeffs) == pytest.approx(1.0)
-    assert linalg.max_product_residual(*stacks, coeffs, basis) == pytest.approx(1.0)
+    module = HilbertModule.from_projection(C, 2, inside)
+    assert np.allclose(operator_coords(module, module, inside), [[1.0]])
+    with pytest.raises(StructuralError, match="off the module range"):
+        AdjointableOperator.from_flat(module, module, off_corner)
 
 
 def test_free_module_keeps_full_flat_kernel():
-    """P = 1 has no range basis, so certificates take the full-flat path unchanged."""
+    """P = 1 has no isometry, so coordinates are the flats themselves; a dilation
+    module holds the read-only isometry U with UU* = P it was built from."""
     module = HilbertModule.free(M2, 2)
-    assert module.range_basis is None
+    assert module.isometry is None and module.coord_dim == module.flat_dim
+    flat = np.kron(np.eye(2), M2.unit().dense())
+    assert np.array_equal(AdjointableOperator.from_flat(module, module, flat).coords, flat)
     d = covariant_dilation(*dilation_instance("m2", "m2", 1, "trivial", seed=7000))
-    basis = d.module.range_basis
+    basis = d.module.isometry
     assert basis is not None and not basis.flags.writeable
+    assert basis.shape == (d.module.flat_dim, d.module.coord_dim)
     assert np.allclose(basis.conj().T @ basis, np.eye(basis.shape[1]), atol=1e-12)
     assert np.allclose(basis @ basis.conj().T, d.module.projection_flat, atol=1e-12)
 
 
-def test_leak_off_the_corner_fails_multiplicative():
-    """A representation on range(P) plus a second one off the corner is not into L_B(E).
-
-    The full-flat products of Φ ⊕ Ψ multiply exactly, so the pairwise
-    reference sees nothing; the corner check counts the off-range mass.
-    """
+def test_leak_off_the_corner_is_refused_by_the_map():
+    """A representation on range(P) plus a second one off the corner is not into
+    L_B(E). Its flats multiply exactly, so no product residual would see the
+    second copy; the map refuses the values when they enter."""
     c = FiniteCStarAlgebra((1,))
     projection = np.diag([1.0, 1.0, 0.0, 0.0]).astype(np.complex128)
-    module = HilbertModule(c, 4, projection)
+    module = HilbertModule.from_projection(c, 4, projection)
     images = []
     for b in M2.basis():
         inside = np.zeros((4, 4), dtype=np.complex128)
@@ -227,15 +208,12 @@ def test_leak_off_the_corner_fails_multiplicative():
     honest = CompletelyPositiveMap.from_dense_images(M2, module, images)
     assert honest.verify_representation().passed
 
-    leaky = CompletelyPositiveMap(
-        M2,
-        module,
-        tuple(AdjointableOperator(module, module, np.kron(np.eye(2), b.dense())) for b in M2.basis()),
-    )
-    check = leaky.verify_representation().check("multiplicative")
-    assert ref.representation_residual(leaky) == 0.0
-    assert not check.passed
-    assert check.residual >= 1.0
+    leaky = [np.kron(np.eye(2), b.dense()) for b in M2.basis()]
+    assert ref._max_residual(
+        np.stack(leaky), np.stack(leaky), np.stack(leaky), ref.structure_constants(M2)
+    ) == 0.0
+    with pytest.raises(StructuralError, match="off the module range"):
+        CompletelyPositiveMap.from_dense_images(M2, module, leaky)
 
 
 def test_values_stored_transposed_are_certified():
@@ -245,7 +223,7 @@ def test_values_stored_transposed_are_certified():
     module = rho.module
     phi = covariant_dilation(rho, act, rep).representation
     adjoints = tuple(phi.basis_values[j].adjoint() for j in phi.source.adjoint_index)
-    assert not adjoints[0].flat.flags.c_contiguous
+    assert not adjoints[0].coords.flags.c_contiguous
     transposed = CompletelyPositiveMap(phi.source, phi.module, adjoints)
     assert transposed.verify_representation().passed
     new = transposed.verify_representation().check("multiplicative").residual
@@ -333,14 +311,19 @@ def test_matrix_unit_bound_covers_all_pairs(sizes, mults, extra, kind, eps, cora
         isometry = np.linalg.qr(linalg.random_complex(rng, d + corank, d + corank))[0][:, :d]
         projection = isometry @ isometry.conj().T
         flats = isometry @ x @ isometry.conj().T
-        module = HilbertModule(C, d + corank, projection)
+        module = HilbertModule(C, d + corank, isometry)
     if kind == "leak":
+        # Off-corner mass of Frobenius norm eps on every value: refused unless it
+        # is below the conversion's threshold, where the coordinates drop it.
         noise = linalg.random_complex(rng, alg.linear_dim * (d + corank), d + corank)
         noise = noise.reshape(flats.shape)
-        flats = flats + eps * (noise - projection @ noise @ projection)
-    rho = CompletelyPositiveMap(
-        alg, module, tuple(AdjointableOperator(module, module, f) for f in flats)
-    )
+        off = noise - projection @ noise @ projection
+        flats = flats + eps * off / linalg.frobenius_each(off)[:, None, None]
+        if eps > 1e-12:
+            with pytest.raises(StructuralError, match="off the module range"):
+                CompletelyPositiveMap.from_dense_images(alg, module, flats)
+            return
+    rho = CompletelyPositiveMap.from_dense_images(alg, module, flats)
     bound = rho.verify_representation(np.inf).check("multiplicative").residual
     rounding = ref.REL * ref.product_scale(flats)
     assert ref.representation_residual(rho) <= bound + rounding
@@ -356,6 +339,21 @@ def test_matrix_unit_bound_covers_all_pairs(sizes, mults, extra, kind, eps, cora
         phi = StarHomomorphism(alg, FiniteCStarAlgebra((d,)), x.reshape(len(x), -1).T)
         hom = verify_star_homomorphism(phi, np.inf, check_surjective=False)
         assert ref.star_homomorphism_residual(phi) <= hom.check("multiplicative").residual + rounding
+
+
+def test_fallback_decides_when_the_bound_exceeds_tol():
+    """Between the all-pairs residual and the matrix-unit bound the decision is
+    the all-pairs one: with tol at two thirds of the bound the map passes and
+    reports its exact residual."""
+    rng = np.random.default_rng(5)
+    noise = 1e-6 * linalg.random_complex(rng, 8, 2).reshape(4, 2, 2)
+    values = np.stack([b.dense() for b in M2.basis()]) + noise
+    rho = CompletelyPositiveMap.from_dense_images(M2, HilbertModule.free(C, 2), values)
+    bound, exact = rho._representation_data[0], rho._exact_multiplicative
+    tol = 2.0 * bound / 3.0
+    assert exact < tol < bound
+    check = rho.verify_representation(tol).check("multiplicative")
+    assert check.passed and check.residual == exact
 
 
 def test_passing_map_forms_no_pair_products(monkeypatch):

@@ -408,6 +408,73 @@ class TestCli:
         assert main(["validate", "--scenario", path]) == 2
         assert "self-adjoint idempotent" in capsys.readouterr().err
 
+    def test_unitaries_outside_the_base_algebra_exit_two(self, tmp_path, capsys):
+        """u_1 = swap on the free rank-1 module over C⊕C mixes the summands of B, so
+        it is no module map: the representation is refused, and named, at parse."""
+        doc = {
+            "schema": "prostar-scenario-v1",
+            "algebras": {"A": [1, 1], "B": [1, 1]},
+            "groups": {"G": "z2"},
+            "modules": {"E": {"algebra": "B", "rank": 1}},
+            "actions": {"alpha": {"group": "G", "algebra": "A", "kind": "trivial"}},
+            "representations": {
+                "u": {
+                    "group": "G",
+                    "module": "E",
+                    "unitaries": [[[1, 0], [0, 1]], [[0, 1], [1, 0]]],
+                }
+            },
+            "cp_maps": {"rho": {"source": "A", "module": "E", "shorthand": "trace-state"}},
+            "tasks": [
+                {"kind": "dilate", "cp_map": "rho", "action": "alpha", "representation": "u"}
+            ],
+        }
+        path = write_scenario(tmp_path, doc)
+        assert main(["validate", "--scenario", path]) == 2
+        assert main(["run", "--scenario", path]) == 2
+        err = capsys.readouterr().err
+        assert err.count("representation 'u'") == 2 and "outside the base algebra" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("output", [False, True])
+    @pytest.mark.parametrize("fmt", ["text", "json", "both"])
+    def test_report_renders_only_what_it_writes(self, fmt, output, tmp_path, capsys, monkeypatch):
+        """Each --format/--output combination renders each form it writes once and
+        no other, and writes exactly the rendered bytes."""
+        from prostar.report import Report
+
+        rendered = {"text": [], "json": []}
+        for kind, name in (("text", "to_text"), ("json", "to_json")):
+            original = getattr(Report, name)
+
+            def counted(self, *args, _original=original, _kind=kind, **kwargs):
+                out = _original(self, *args, **kwargs)
+                rendered[_kind].append(out)
+                return out
+
+            monkeypatch.setattr(Report, name, counted)
+        path = write_scenario(tmp_path, generate_example("s3-group-algebra", 0))
+        base = tmp_path / "report"
+        extra = ["--output", str(base)] if output else []
+        assert main(["run", "--scenario", path, "--format", fmt, *extra]) == 0
+        out = capsys.readouterr().out
+        wants_text = fmt in ("text", "both") or output
+        wants_json = fmt in ("json", "both")
+        assert len(rendered["text"]) == int(wants_text)
+        assert len(rendered["json"]) == int(wants_json)
+        text = rendered["text"][0] if wants_text else ""
+        js = rendered["json"][0] + "\n" if wants_json else ""
+        if output:
+            assert out == text
+            assert base.with_suffix(".json").exists() == wants_json
+            assert base.with_suffix(".txt").exists() == (fmt in ("text", "both"))
+            if wants_json:
+                assert base.with_suffix(".json").read_text(encoding="utf-8") == js
+            if fmt in ("text", "both"):
+                assert base.with_suffix(".txt").read_text(encoding="utf-8") == text
+        else:
+            assert out == text + js
+
     def test_validate_ok(self, tmp_path, capsys):
         path = write_scenario(tmp_path, generate_example("trivial-group", 0))
         assert main(["validate", "--scenario", path]) == 0

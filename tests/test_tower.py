@@ -275,14 +275,16 @@ class TestModuleTower:
         # projective module at the top: range of a projection in M2(B_p)
         bp = tower.algebras["p"]
         proj = np.diag([1.0, 1.0, 1.0, 0.0]).astype(complex)
-        top = HilbertModule(bp, 2, proj)
+        top = HilbertModule.from_projection(bp, 2, proj)
         mt = ModuleTower.pushed_down(tower, "p", top)
         assert mt.verify().passed
         assert mt.modules["q"].complex_dim <= top.complex_dim
 
     def test_tampered_level_fails_projections(self):
         tower = two_level_tower()
-        top = HilbertModule(tower.algebras["p"], 2, np.diag([1.0, 0.0, 0.0, 1.0]).astype(complex))
+        top = HilbertModule.from_projection(
+            tower.algebras["p"], 2, np.diag([1.0, 0.0, 0.0, 1.0]).astype(complex)
+        )
         assert ModuleTower.pushed_down(tower, "p", top).verify().passed
         free_q = HilbertModule.free(tower.algebras["q"], 2)
         check = ModuleTower(tower, {"p": top, "q": free_q}).verify().check("projections connect")

@@ -1,0 +1,241 @@
+"""Run the recorded mutants of prostar, each against the tests that should kill it.
+
+    python tools/mutants.py [--root ROOT] [ID ...]
+
+Each mutant is (id, file, exact old text, new text, tests). For each one the
+checkout at ROOT (default: the one holding this file) is copied to a
+temporary directory, the old text is replaced by the new, and pytest runs
+only the listed tests there, with that copy's `src/` first on the path. The
+tool prints one line per mutant:
+
+- `killed`: a listed test fails (pytest exit 1, or 2 when the mutant breaks
+  collection);
+- `survived`: every listed test passes;
+- `stale`: the old text does not occur exactly once in the file;
+- `error`: pytest could not run the tests as listed (another exit status).
+
+It exits 0 only when every mutant is killed. Tier-1 does not collect this
+file (`testpaths` is `tests`). On two CPUs the whole list takes about two
+minutes; one mutant takes a few seconds, one that runs
+`tests/test_acceptance.py` about twenty.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    id: str
+    file: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+KERNEL = "tests/test_pairwise_kernel.py"
+CROSSED = "tests/test_crossed.py"
+DILATION = "tests/test_dilation.py"
+GROUPS = "tests/test_groups.py"
+MODULES = "tests/test_modules.py"
+ACCEPTANCE = "tests/test_acceptance.py"
+
+MUTANTS = (
+    # The streamed pairwise kernel.
+    Mutant(
+        "kernel-last-row-dropped", "src/prostar/linalg.py",
+        "rows = slice(start, min(start + chunk, m))",
+        "rows = slice(start, min(start + chunk, m - 1))", (KERNEL,),
+    ),
+    Mutant(
+        "kernel-zeros-not-gathered", "src/prostar/linalg.py",
+        "            expected[idx < 0] = 0.0\n", "", (KERNEL,),
+    ),
+    Mutant(
+        "kernel-table-transposed", "src/prostar/linalg.py",
+        "idx = coeffs[rows]", "idx = coeffs.T[rows]", (KERNEL,),
+    ),
+    # The matrix-unit bound and its fallback.
+    Mutant(
+        "bound-r2-dropped", "src/prostar/linalg.py",
+        "(1.0 + f) ** 2 * r1 + f * f * r2", "(1.0 + f) ** 2 * r1", (KERNEL,),
+    ),
+    Mutant(
+        "bound-r1-weakened", "src/prostar/linalg.py",
+        "(1.0 + f) ** 2 * r1 + f * f * r2", "(1.0 + f) * r1 + f * f * r2", (KERNEL,),
+    ),
+    Mutant(
+        "bound-index-arrays-swapped", "src/prostar/linalg.py",
+        "r1 = max_frobenius(stack[left] @ stack[right] - stack)",
+        "r1 = max_frobenius(stack[right] @ stack[left] - stack)", (KERNEL,),
+    ),
+    Mutant(
+        "fallback-never", "src/prostar/cpmaps.py",
+        "if not mult <= tol:", "if False:", (KERNEL,),
+    ),
+    Mutant(
+        "fallback-always", "src/prostar/cpmaps.py",
+        "if not mult <= tol:", "if True:", (KERNEL,),
+    ),
+    Mutant(
+        "fallback-at-twice-tol", "src/prostar/cpmaps.py",
+        "if not mult <= tol:", "if not mult <= 2 * tol:",
+        (f"{KERNEL}::test_fallback_decides_when_the_bound_exceeds_tol",),
+    ),
+    # Eigenvector phases.
+    Mutant(
+        "phases-abs-for-hypot", "src/prostar/linalg.py",
+        "np.conj(lead / np.hypot(lead.real, lead.imag))", "np.conj(lead / np.abs(lead))",
+        ("tests/test_linalg.py",),
+    ),
+    Mutant(
+        "phases-1d-row", "src/prostar/linalg.py",
+        "np.hypot(lead.real, lead.imag))[None, :]", "np.hypot(lead.real, lead.imag))",
+        ("tests/test_linalg.py",),
+    ),
+    # The crossed product and the integrated form.
+    Mutant(
+        "crossed-product-order-reversed", "src/prostar/crossed.py",
+        "by_group[group.multiply(g, h)]", "by_group[group.multiply(h, g)]", (CROSSED,),
+    ),
+    Mutant(
+        "involution-adjoint-gather-dropped", "src/prostar/crossed.py",
+        "moved[adjoint]", "moved", (CROSSED,),
+    ),
+    Mutant(
+        "involution-against-k-g", "src/prostar/crossed.py",
+        "rhs = k[group.inverse(g)]", "rhs = k[g]", (CROSSED, ACCEPTANCE),
+    ),
+    Mutant(
+        "twisted-products-dropped", "src/prostar/crossed.py",
+        "        mult = max(\n            mult, linalg.max_product_residual(values, conj",
+        "        mult = 0.0 * max(\n            mult, linalg.max_product_residual(values, conj",
+        (CROSSED,),
+    ),
+    Mutant(
+        "covariance-not-enforced", "src/prostar/crossed.py",
+        "if not cov <= max(tol, 1e-8):", "if False:", (CROSSED,),
+    ),
+    Mutant(
+        "unit-at-wrong-element", "src/prostar/crossed.py",
+        "unit_value @ u_tensor[action.group.identity]", "unit_value @ u_tensor[-1]", (CROSSED,),
+    ),
+    Mutant(
+        "extension-u-reversed", "src/prostar/crossed.py",
+        "d.rep._unitary_tensor[:, None]", "d.rep._unitary_tensor[::-1, None]", (CROSSED,),
+    ),
+    # Groups, covariance and the covariant average.
+    Mutant(
+        "witness-ties-by-exact-max", "src/prostar/groups.py",
+        "resid >= worst - band", "resid >= worst", (ACCEPTANCE,),
+    ),
+    Mutant(
+        "average-conjugation-reversed", "src/prostar/groups.py",
+        "u.conj().swapaxes(-1, -2) @ moved @ u", "u @ moved @ u.conj().swapaxes(-1, -2)",
+        ("tests/test_cpmaps.py", GROUPS),
+    ),
+    Mutant(
+        "inverse-law-gather-dropped", "src/prostar/groups.py",
+        "u[list(group.inverses)]", "u[list(range(group.order))]", (GROUPS,),
+    ),
+    # The dilation and the uniqueness unitary.
+    Mutant(
+        "null-space-covariant-shuffles-dropped", "src/prostar/dilation.py",
+        "            _covariant_shuffles(d.action, d.rep, labels),\n", "", (DILATION, ACCEPTANCE),
+    ),
+    Mutant(
+        "minimality-never-fails", "src/prostar/dilation.py",
+        "float(abs(rank - dim))", "0.0", (DILATION,),
+    ),
+    Mutant(
+        "uniqueness-intertwining-unread", "src/prostar/dilation.py",
+        "if kept[_INTERTWINING] > pre_tol:", "if False:", (DILATION,),
+    ),
+    # Range coordinates and the one conversion of flats.
+    Mutant(
+        "off-range-mass-accepted", "src/prostar/modules.py",
+        "if not np.all(defect <= OFF_RANGE_REL * scale):", "if False:", (KERNEL, CROSSED),
+    ),
+    Mutant(
+        "off-range-threshold-loosened", "src/prostar/modules.py",
+        "OFF_RANGE_REL = 1e-12  #", "OFF_RANGE_REL = 1e-8  #", (CROSSED,),
+    ),
+    Mutant(
+        "mass-outside-b-accepted", "src/prostar/modules.py",
+        "if not np.all(leak <= B_MASS_REL * scale):", "if False:",
+        ("tests/test_scenario_cli.py",),
+    ),
+    Mutant(
+        "compose-order-reversed", "src/prostar/modules.py",
+        "self.coords @ inner_op.coords", "inner_op.coords @ self.coords", (MODULES,),
+    ),
+    Mutant(
+        "unitary-against-zero", "src/prostar/modules.py",
+        "left = linalg.frobenius(y.conj().T @ y - np.eye(y.shape[1]))",
+        "left = linalg.frobenius(y.conj().T @ y)", (MODULES,),
+    ),
+    Mutant(
+        "tower-projections-unchecked", "src/prostar/tower.py",
+        "res = linalg.frobenius(mapped_proj - self.modules[q].projection_flat)", "res = 0.0",
+        ("tests/test_tower.py",),
+    ),
+    # Report output.
+    Mutant(
+        "report-renders-json-for-text", "src/prostar/cli.py",
+        "    text = report.to_text(color=False)\n",
+        "    report.to_json()\n    text = report.to_text(color=False)\n",
+        ("tests/test_scenario_cli.py",),
+    ),
+)
+
+
+def run(mutant: Mutant, root: Path) -> str:
+    """The outcome of one mutant on a fresh copy of `root`."""
+    source = (root / mutant.file).read_text(encoding="utf-8")
+    if source.count(mutant.old) != 1:
+        return "stale"
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        copy = Path(tmp) / "tree"
+        shutil.copytree(
+            root,
+            copy,
+            ignore=shutil.ignore_patterns(".git", "results", "__pycache__", ".hypothesis"),
+        )
+        target = copy / mutant.file
+        target.write_text(source.replace(mutant.old, mutant.new), encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(copy / "src"))
+        status = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *mutant.tests],
+            cwd=copy,
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+        ).returncode
+    return {0: "survived", 1: "killed", 2: "killed"}.get(status, "error")
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--root", type=Path, default=ROOT, help="checkout to mutate")
+    parser.add_argument("ids", nargs="*", help="run only these mutants")
+    args = parser.parse_args()
+    chosen = [m for m in MUTANTS if not args.ids or m.id in args.ids]
+    outcomes = []
+    for mutant in chosen:
+        outcome = run(mutant, args.root.resolve())
+        outcomes.append(outcome)
+        print(f"{outcome:9s} {mutant.id}", flush=True)
+    return 0 if all(o == "killed" for o in outcomes) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
