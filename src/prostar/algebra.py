@@ -606,6 +606,46 @@ def _span_residuals(onb: np.ndarray, stack: np.ndarray) -> np.ndarray:
     return np.linalg.norm(v - onb @ (onb.conj().T @ v), axis=0)
 
 
+def _pair_products(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """vec(x·y) for every x of `left` (k, N, N) and y of `right` (l, N, N), as
+    rows in (x, y) order: shape (k·l, N²), one product (k·N × N) @ (N × l·N)."""
+    k, n, _ = left.shape
+    count = right.shape[0]
+    wide = right.transpose(1, 0, 2).reshape(n, count * n)
+    prod = (left.reshape(k * n, n) @ wide).reshape(k, n, count, n)
+    return prod.transpose(0, 2, 1, 3).reshape(k * count, n * n)
+
+
+def _structure_sweep(onb: np.ndarray, basis: np.ndarray) -> tuple[float, np.ndarray]:
+    """(closure residual ||P − BB*P||_F, triangular factor R of the commutator
+    matrix C) of an orthonormal basis, for `wedderburn_decompose`.
+
+    Rows i of the basis are taken in chunks of about
+    `linalg.PRODUCT_CHUNK_BYTES` of products each. A chunk J forms b_J·b_all,
+    their coordinates T[J, :, :] and the residual in place, and b_all·b_J for
+    T[:, J, :]; its rows of C, C[(j, l), c] = T[c, j, l] − T[j, c, l], are
+    folded into R by one QR. Neither the m² products nor T nor C is whole.
+    """
+    dim, n, _ = basis.shape
+    dual = onb.conj()
+    chunk = max(1, linalg.PRODUCT_CHUNK_BYTES // (dim * n * n * 16))
+    sq = 0.0
+    r = np.zeros((0, dim), dtype=np.complex128)
+    for start in range(0, dim, chunk):
+        part = basis[start : start + chunk]
+        c = len(part)
+        left = _pair_products(part, basis)
+        t_left = left @ dual
+        left -= t_left @ onb.T
+        parts = left.view(np.float64)
+        sq += float(np.einsum("ij,ij->", parts, parts))
+        del left, parts  # one chunk of products at a time
+        t_right = (_pair_products(basis, part) @ dual).reshape(dim, c, dim)
+        rows = t_right.transpose(1, 2, 0) - t_left.reshape(c, dim, dim).transpose(0, 2, 1)
+        r = np.linalg.qr(np.vstack([r, rows.reshape(c * dim, dim)]), mode="r")
+    return float(np.sqrt(sq)), r
+
+
 def _cluster_by_gap(values: np.ndarray, gap: float) -> list[np.ndarray]:
     """Split ascending values into clusters at gaps larger than `gap`."""
     cuts = np.flatnonzero(np.diff(values) > gap) + 1
@@ -652,8 +692,9 @@ def wedderburn_decompose(
     """Standardize a *-closed unital matrix algebra into block form.
 
     `spanning_set` is a sequence or a stack (k, N, N) of matrices. The span
-    gets an orthonormal (HS) basis b_1..b_m, and the products b_i b_j are
-    formed once, as one stack.
+    gets an orthonormal (HS) basis b_1..b_m, and `_structure_sweep` forms the
+    products b_i b_j a few rows i at a time, so memory stays near
+    `linalg.PRODUCT_CHUNK_BYTES` plus O(m² + m·N²) however large m·N is.
 
     Closure: with B the N²×m basis matrix and P the N²×m² products, the
     test is ||P − BB*P||_F <= min(tol, 1e-9). This never passes a span that
@@ -663,12 +704,21 @@ def wedderburn_decompose(
     while σ_1[B | P] >= σ_1(B) = 1: the (m+1)-th singular value is not
     above 1e-9 of the largest. The first m are at least σ_m(B) = 1, which
     is above 1e-9·(m + 1) >= 1e-9·||[B | P]||_F for m < 10⁹ (each
-    ||b_i b_j||_F <= 1), so exactly m count.
+    ||b_i b_j||_F <= 1), so exactly m count. The sweep forms the columns of
+    P (and of R) one chunk of rows i at a time and adds up their squared
+    norms: ||R||_F² is the sum of the squared norms of its column chunks,
+    so the test on the square root of that sum is the same test.
 
     Centre: with T[i, j, :] = B*(b_i b_j), the span coordinates of b_i b_j,
     z = sum_c x_c b_c commutes with every b_j iff
     sum_c x_c (T[c, j, :] − T[j, c, :]) = 0, so the centre is the kernel of
-    that m²×m matrix (singular values up to 1e-9 of the largest, or of 1).
+    that m²×m matrix C (singular values up to 1e-9 of the largest, or of 1).
+    The rows of C for a chunk of j come from the products b_j b_c already
+    formed and the products b_c b_j, and each block is folded into a running
+    triangular factor, R ← the R of QR([R; rows]) (TSQR). Then C = Q·R with
+    Q having orthonormal columns, so C*C = R*R: the m×m R has the singular
+    values and the right singular vectors of C, and its SVD gives the same
+    centre under the same 1e-9 cut.
 
     Minimal central projections come from a seeded random self-adjoint
     central element, then each simple corner is split into minimal
@@ -697,16 +747,11 @@ def wedderburn_decompose(
         raise PreconditionError("spanning set is not closed under adjoints")
     if _span_residuals(onb, np.eye(n_amb, dtype=np.complex128)[None])[0] > tol:
         raise PreconditionError("span does not contain the ambient identity")
-    wide = basis.transpose(1, 0, 2).reshape(n_amb, dim * n_amb)
-    products = (basis.reshape(dim * n_amb, n_amb) @ wide).reshape(dim, n_amb, dim, n_amb)
-    products = products.transpose(0, 2, 1, 3).reshape(dim * dim, n_amb * n_amb).T
-    coeffs = onb.conj().T @ products
-    if linalg.frobenius(products - onb @ coeffs) > min(tol, 1e-9):
+    residual, r = _structure_sweep(onb, basis)
+    if residual > min(tol, 1e-9):
         raise PreconditionError("spanning set is not closed under multiplication")
 
-    t = coeffs.T.reshape(dim, dim, dim)
-    comm = (t - t.transpose(1, 0, 2)).transpose(1, 2, 0).reshape(dim * dim, dim)
-    _, s, vh = np.linalg.svd(comm, full_matrices=False)
+    _, s, vh = np.linalg.svd(r)
     null_dim = int(np.count_nonzero(s <= max(s[0], 1.0) * 1e-9))
     center = onb @ vh.conj().T[:, dim - null_dim :]
 

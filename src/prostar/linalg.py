@@ -18,9 +18,12 @@ DEFAULT_TOL = 1e-10
 EIGH_CHECK_REL = 1e-10  # residual contract of `hermitian_eigendecomposition`
 RANK_REL = 1e-9  # singular values at or below this times the largest count as zero
 
-# Bytes of pairwise products formed at once by `max_product_residual`; peak
-# memory stays near a small multiple of this whatever the number of pairs.
-PRODUCT_CHUNK_BYTES = 64 * 2**20
+# Bytes of pairwise products formed at once by the kernels that stream them:
+# `max_product_residual` and the relation term of `matrix_unit_bound` (both
+# through `_streamed_residual`), and Wedderburn's closure and centre sweep
+# (`algebra._structure_sweep`). Peak memory stays near a small multiple of
+# this whatever the number of pairs.
+PRODUCT_CHUNK_BYTES = 4 * 2**20
 
 
 def as_complex_matrix(data) -> np.ndarray:

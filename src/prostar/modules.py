@@ -179,35 +179,27 @@ class HilbertModule:
     def complex_basis(self) -> tuple["ModuleElement", ...]:
         """A C-linear basis of the module viewed as a complex vector space.
 
-        Candidates P·(e_i · b_mu) are scanned in coordinate-major order and a
-        maximal independent subset is kept; for a free module this is exactly
-        the canonical basis e_i · b_mu.
+        For a free module this is exactly the canonical basis e_i · b_mu. For a
+        projective one the candidates U*·(e_i · b_mu), in range coordinates,
+        get one SVD, and the basis is U·u for each left singular vector u of a
+        singular value above 1e-9 of the largest: orthonormal in coordinates,
+        so the coordinate basis has condition number 1.
         """
         if self.basis_flats is not None:
             return tuple(ModuleElement(self, f) for f in self.basis_flats)
-        candidates = []
+        d = self.block_dim
+        dim = self.algebra.linear_dim
+        candidates = np.zeros((self.rank, dim, self.flat_dim, d), dtype=np.complex128)
+        dense = self.algebra.dense_stack(np.eye(dim, dtype=np.complex128))
         for i in range(self.rank):
-            for mu in range(self.algebra.linear_dim):
-                b = self.algebra.basis_element(mu)
-                flat = np.zeros((self.flat_dim, self.block_dim), dtype=np.complex128)
-                flat[i * self.block_dim : (i + 1) * self.block_dim, :] = b.dense()
-                candidate = self.projection_flat @ flat
-                candidate.setflags(write=False)
-                candidates.append(candidate)
-        if self.isometry is None:
-            return tuple(ModuleElement(self, f) for f in candidates)
-        kept, kept_vecs = [], []
-        for f in candidates:
-            v = f.ravel()
-            if kept_vecs:
-                stack = np.stack(kept_vecs, axis=1)
-                v_res = v - stack @ np.linalg.lstsq(stack, v, rcond=None)[0]
-            else:
-                v_res = v
-            if np.linalg.norm(v_res) > 1e-9 * max(1.0, np.linalg.norm(v)):
-                kept.append(f)
-                kept_vecs.append(v)
-        return tuple(ModuleElement(self, f) for f in kept)
+            candidates[i, :, i * d : (i + 1) * d, :] = dense
+        flats = candidates.reshape(-1, self.flat_dim, d)
+        if self.isometry is not None:
+            coords = self.to_range(flats).reshape(len(flats), -1).T
+            u, s, _ = np.linalg.svd(coords, full_matrices=False)
+            flats = self.from_range(u[:, s > 1e-9 * s[0]].T.reshape(-1, self.coord_dim, d))
+        flats.setflags(write=False)
+        return tuple(ModuleElement(self, f) for f in flats)
 
     @property
     def complex_dim(self) -> int:

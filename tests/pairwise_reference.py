@@ -47,6 +47,11 @@ n; `adjointability_residual` checks <Tξ, η> = <ξ, T*η> over all pairs of
 complex basis elements; and `direct_form` sums ρ(f(g))u_g over the group,
 without the dilation.
 
+`wedderburn_structure_reference` forms every product of an orthonormal
+basis at once, as `algebra.wedderburn_decompose` did before it swept them in
+chunks: the closure residual of the whole N²×m² product matrix and the
+singular values of the whole m²×m commutator matrix.
+
 `relation_residuals` takes the matrix-unit relations of
 `linalg.matrix_unit_bound` one basis element and one pair at a time, through
 `basis_index`, and `fix_phases_reference` rotates one eigenvector column at
@@ -82,6 +87,23 @@ def structure_constants(algebra) -> np.ndarray:
         for j, b in enumerate(basis):
             out[i, j] = (a * b).coords()
     return out
+
+
+def wedderburn_structure_reference(onb: np.ndarray) -> tuple[float, np.ndarray]:
+    """(||P − BB*P||_F, singular values of the commutator matrix) of an
+    orthonormal basis B (N²×m), with all m² products P and the whole m²×m
+    commutator matrix formed at once."""
+    dim = onb.shape[1]
+    n = int(round(np.sqrt(onb.shape[0])))
+    basis = onb.T.reshape(dim, n, n)
+    wide = basis.transpose(1, 0, 2).reshape(n, dim * n)
+    products = (basis.reshape(dim * n, n) @ wide).reshape(dim, n, dim, n)
+    products = products.transpose(0, 2, 1, 3).reshape(dim * dim, n * n).T
+    coeffs = onb.conj().T @ products
+    residual = float(np.linalg.norm(products - onb @ coeffs))
+    t = coeffs.T.reshape(dim, dim, dim)
+    comm = (t - t.transpose(1, 0, 2)).transpose(1, 2, 0).reshape(dim * dim, dim)
+    return residual, np.linalg.svd(comm, compute_uv=False)
 
 
 def _max_residual(left, right, values, coeffs) -> float:

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pairwise_reference
+import prostar
 from prostar import linalg
 from prostar.algebra import FiniteCStarAlgebra, StarHomomorphism
 from prostar.cpmaps import CompletelyPositiveMap
@@ -160,6 +165,42 @@ class TestCrossedProduct:
         rhs = xp.standardize(f) * xp.standardize(h)
         assert (lhs - rhs).frobenius() <= 1e-10
         assert (xp.standardize(f.involution()) - xp.standardize(f).adjoint()).frobenius() <= 1e-10
+
+    def test_trivial_z12_on_m3_builds_in_bounded_memory(self):
+        """Z12 acting trivially on M3 has m = 108 spanning elements of size
+        N = 36, so all m² products b_i b_j would fill one 242 MB matrix. Built in
+        a fresh process, the construction's peak RSS stays below 200 MB.
+
+        The child reads VmHWM, the peak of its own address space. Its
+        RUSAGE_SELF ru_maxrss would not do: Linux keeps, across exec, the
+        high-water mark of the address space the child was started from, so it
+        reads at least the RSS of this test process.
+        """
+        status = Path("/proc/self/status")
+        if not status.exists():
+            pytest.skip("needs /proc/self/status")
+        code = (
+            "from pathlib import Path\n"
+            "from prostar.crossed import build_crossed_product\n"
+            "from prostar.groups import FiniteGroup, GroupAction\n"
+            "from prostar.recipes import named_algebra\n"
+            "action = GroupAction.trivial(FiniteGroup.cyclic(12), named_algebra('m3'))\n"
+            "xp = build_crossed_product(action)\n"
+            "assert xp.standard_algebra.block_sizes == (3,) * 12\n"
+            "lines = Path('/proc/self/status').read_text().splitlines()\n"
+            "print(next(x for x in lines if x.startswith('VmHWM:')).split()[1])\n"
+        )
+        src = str(Path(prostar.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        peak_mb = int(out.stdout.split()[-1]) / 1024.0  # VmHWM is in kB
+        assert peak_mb < 200.0, peak_mb
 
 
 class TestEmbeddingNegativeControls:

@@ -4,6 +4,8 @@ Every certificate that checks all basis pairs goes through
 `linalg.max_product_residual`. `pairwise_reference` keeps the loops it
 replaced; `test_acceptance.py` compares the two on the acceptance grid, and
 the tests here cover the table, the negative controls and the chunking.
+Wedderburn's closure and centre sweep streams through the same chunk budget
+and is compared here with the whole-matrix reference.
 """
 
 import numpy as np
@@ -12,15 +14,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pairwise_reference as ref
-from prostar import linalg
-from prostar.algebra import FiniteCStarAlgebra, StarHomomorphism, verify_star_homomorphism
+from prostar import algebra, linalg
+from prostar.algebra import (
+    FiniteCStarAlgebra,
+    StarHomomorphism,
+    verify_star_homomorphism,
+    wedderburn_decompose,
+)
 from prostar.cpmaps import CompletelyPositiveMap
 from prostar.crossed import build_crossed_product, extend_covariant_cp
 from prostar.dilation import covariant_dilation
 from prostar.groups import UnitaryRepresentation, verify_unitary_representation
-from prostar.errors import StructuralError
+from prostar.errors import PreconditionError, StructuralError
 from prostar.modules import AdjointableOperator, HilbertModule, operator_coords
-from prostar.recipes import dilation_instance
+from prostar.recipes import dilation_instance, named_algebra, standard_action
 
 M2 = FiniteCStarAlgebra((2,))
 
@@ -379,3 +386,58 @@ def test_passing_map_forms_no_pair_products(monkeypatch):
     assert len(calls) == 1
     assert not verify_star_homomorphism(StarHomomorphism(M2, M2, 2.0 * np.eye(4))).passed
     assert len(calls) == 2
+
+
+def _sweep_budgets(dim: int, n: int) -> dict[str, int]:
+    """Budgets for one-row chunks, chunks of the fewest rows (at least 2) that
+    leave a ragged last chunk, and one chunk, for a basis of `dim` matrices N×N."""
+    row = dim * n * n * 16
+    ragged = next(k for k in range(2, dim) if dim % k)
+    return {"one-row": 1, "ragged": ragged * row, "single": dim * row}
+
+
+@pytest.mark.parametrize("alg_name, group_name", [("m2", "s3"), ("m2+c", "s3"), ("m3", "z3")])
+def test_structure_sweep_matches_whole_matrix_reference(monkeypatch, alg_name, group_name):
+    """The chunked closure residual agrees with the whole product matrix's within
+    REL, and the triangular factor keeps the commutator matrix's singular values,
+    so the centre and the blocks come out the same under every chunking."""
+    action = standard_action(group_name, named_algebra(alg_name))
+    stack = build_crossed_product(action).spanning_stack
+    onb = algebra._orthonormal_span(stack)
+    dim, n = onb.shape[1], stack.shape[1]
+    basis = onb.T.reshape(dim, n, n)
+    residual, svals = ref.wedderburn_structure_reference(onb)
+    centre = np.count_nonzero(svals <= max(svals[0], 1.0) * 1e-9)
+    blocks = wedderburn_decompose(stack, seed=1).standard_form.block_sizes
+    assert len(blocks) == centre
+    for name, budget in _sweep_budgets(dim, n).items():
+        monkeypatch.setattr(linalg, "PRODUCT_CHUNK_BYTES", budget)
+        got, r = algebra._structure_sweep(onb, basis)
+        ref.assert_agrees(got, residual, 1.0, 1e-9)
+        s = np.linalg.svd(r, compute_uv=False)
+        assert np.max(np.abs(s - svals)) <= ref.REL * max(svals[0], 1.0), name
+        assert np.count_nonzero(s <= max(s[0], 1.0) * 1e-9) == centre, name
+        assert wedderburn_decompose(stack, seed=1).standard_form.block_sizes == blocks, name
+
+
+@pytest.mark.parametrize("defect_row", ["first", "last"])
+def test_structure_sweep_refuses_a_defect_in_any_chunk(monkeypatch, defect_row):
+    """span{w1, w2, h} in M4 is *-closed and holds 1 = w1 + w2, and every
+    product lies in it except h·h = diag(0, 1, 0, 1). The orthonormal basis is
+    ordered by norm, so scaling puts h's row first or last: the only defect
+    falls in the first or the last chunk."""
+    w1, w2 = np.diag([1.0, 0, 0, 0]), np.diag([0, 1.0, 1, 1])
+    h = np.diag([0, 1.0, 0, -1])
+    span = np.stack([w1, w2, 3.0 * h] if defect_row == "first" else [3.0 * w1, 2.0 * w2, h])
+    onb = algebra._orthonormal_span(span.astype(complex))
+    basis = onb.T.reshape(3, 4, 4)
+    where = 0 if defect_row == "first" else 2
+    assert np.allclose(np.abs(basis[where]), np.abs(h) / np.sqrt(2))
+    residual, _ = ref.wedderburn_structure_reference(onb)
+    assert residual > 0.1
+    for name, budget in _sweep_budgets(3, 4).items():
+        monkeypatch.setattr(linalg, "PRODUCT_CHUNK_BYTES", budget)
+        got, _ = algebra._structure_sweep(onb, basis)
+        ref.assert_agrees(got, residual, 1.0, 1e-9)
+        with pytest.raises(PreconditionError, match="not closed under multiplication"):
+            wedderburn_decompose(span)

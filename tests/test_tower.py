@@ -280,6 +280,23 @@ class TestModuleTower:
         assert mt.verify().passed
         assert mt.modules["q"].complex_dim <= top.complex_dim
 
+    @pytest.mark.parametrize("group_name", ["z2", "z3"])
+    def test_pushed_down_levels_have_orthonormal_coordinate_bases(self, group_name):
+        # The chain and dilation of `tools/dump_checks.py`, at Z2 and Z3 on M2.
+        tower = three_level_tower()
+        free = ModuleTower.of_free_modules(tower, 1)
+        a2 = FiniteCStarAlgebra((2,))
+        act = standard_action(group_name, a2)
+        u = standard_representation(group_name, free.modules["p"])
+        d = covariant_dilation(random_covariant_cp(a2, free.modules["p"], act, u, 1), act, u)
+        mt = ModuleTower.pushed_down(tower, "p", d.module)
+        for level in ("q", "r"):
+            module = mt.modules[level]
+            assert not module.is_free
+            coords = module.coord_basis.reshape(module.complex_dim, -1).T
+            s = np.linalg.svd(coords, compute_uv=False)
+            assert s[0] / s[-1] <= 1 + 1e-9, (level, s[0] / s[-1])
+
     def test_tampered_level_fails_projections(self):
         tower = two_level_tower()
         top = HilbertModule.from_projection(

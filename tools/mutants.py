@@ -48,6 +48,10 @@ DILATION = "tests/test_dilation.py"
 GROUPS = "tests/test_groups.py"
 MODULES = "tests/test_modules.py"
 ACCEPTANCE = "tests/test_acceptance.py"
+SWEEP = (
+    f"{KERNEL}::test_structure_sweep_matches_whole_matrix_reference",
+    f"{KERNEL}::test_structure_sweep_refuses_a_defect_in_any_chunk",
+)
 
 MUTANTS = (
     # The streamed pairwise kernel.
@@ -63,6 +67,24 @@ MUTANTS = (
     Mutant(
         "kernel-table-transposed", "src/prostar/linalg.py",
         "idx = coeffs[rows]", "idx = coeffs.T[rows]", (KERNEL,),
+    ),
+    # Wedderburn's closure and centre sweep.
+    Mutant(
+        "sweep-last-chunk-dropped", "src/prostar/algebra.py",
+        "for start in range(0, dim, chunk):", "for start in range(0, dim - chunk, chunk):", SWEEP,
+    ),
+    Mutant(
+        "sweep-closure-sum-overwritten", "src/prostar/algebra.py",
+        "sq += float(", "sq = float(", SWEEP,
+    ),
+    Mutant(
+        "sweep-r-restarted-each-chunk", "src/prostar/algebra.py",
+        "np.linalg.qr(np.vstack([r, rows.reshape(c * dim, dim)]), mode=\"r\")",
+        "np.linalg.qr(rows.reshape(c * dim, dim), mode=\"r\")", SWEEP,
+    ),
+    Mutant(
+        "sweep-commutator-products-swapped", "src/prostar/algebra.py",
+        "_pair_products(basis, part) @ dual", "_pair_products(part, basis) @ dual", SWEEP,
     ),
     # The matrix-unit bound and its fallback.
     Mutant(
