@@ -280,6 +280,13 @@ class IntegratedForm:
     `report` checks convolution -> composition and involution -> adjoint on
     the whole spanning set {delta_g (x) a_i}, which by linearity pins the map
     on all of A⋊G (the uniqueness clause).
+
+    Composition on the spanning pairs is certified as `verify_representation`
+    certifies Phi: the relation bound f·C + a·M (`_relation_bound`) is
+    reported where it is at most the threshold, and otherwise the exact
+    residual over all spanning pairs (`_twisted_residual`). Pass/fail is the
+    all-pairs decision at every `tol`, a passing residual is an upper bound,
+    and the check's detail names the certificate that decided.
     """
 
     crossed: CrossedProductRealization
@@ -294,9 +301,10 @@ class IntegratedForm:
     def __post_init__(self):
         xp, phi, v, tol = self.crossed, self.representation, self.unitaries, self.tol
         action = xp.system
+        threshold = max(tol, 1e-9)
         if phi.source != action.algebra:
             raise StructuralError("representation source differs from the system algebra")
-        rep_check = phi.verify_representation(max(tol, 1e-9))
+        rep_check = phi.verify_representation(threshold)
         if not rep_check.passed:
             raise PreconditionError(
                 f"Phi is not a unital *-representation (residual {rep_check.max_residual:.3e})"
@@ -305,9 +313,15 @@ class IntegratedForm:
         p = phi.module.coord_dim
         phi_tensor, u_tensor = phi._value_tensor, v._unitary_tensor
 
-        cov, mult, star = _spanning_residuals(phi_tensor, u_tensor, action)
+        k_values, cov, star = _spanning_residuals(phi_tensor, u_tensor, action)
         if not cov <= max(tol, 1e-8):
             raise PreconditionError(f"(Phi, v) is not covariant (residual {cov:.3e})")
+        mult, certificate = _relation_bound(
+            phi_tensor, action, cov, rep_check.check("multiplicative").residual
+        )
+        if not mult <= threshold:
+            mult = _twisted_residual(phi_tensor, u_tensor, action)
+            certificate = "all spanning pairs"
 
         unit_value = np.tensordot(action.algebra.unit().coords(), phi_tensor, axes=([0], [0]))
         unital = linalg.frobenius(
@@ -316,22 +330,20 @@ class IntegratedForm:
 
         # Factor through the standard form: values on the standard basis by
         # linearity, from the spanning values K[g, i] = Phi(a_i) v_g.
-        k_values = np.einsum("aij,gjk->gaik", phi_tensor, u_tensor, optimize=True)
-        k_values.setflags(write=False)
         std_values = (xp._conv_from_std.T @ k_values.reshape(-1, p * p)).reshape(-1, p, p)
         standard_map = CompletelyPositiveMap(
             xp.standard_algebra, phi.module, phi.module.operators(std_values)
         )
-        std_report = standard_map.verify_representation(max(tol, 1e-9))
+        std_report = standard_map.verify_representation(threshold)
 
         checks = (
-            Check("convolution -> composition (spanning pairs)", mult, max(tol, 1e-9)),
-            Check("involution -> adjoint (spanning set)", star, max(tol, 1e-9)),
-            Check("unit of C(G,A) -> identity", unital, max(tol, 1e-9)),
+            Check("convolution -> composition (spanning pairs)", mult, threshold, certificate),
+            Check("involution -> adjoint (spanning set)", star, threshold),
+            Check("unit of C(G,A) -> identity", unital, threshold),
             Check(
                 "standard-form factorization is a unital *-homomorphism",
                 std_report.max_residual,
-                max(tol, 1e-9),
+                threshold,
             ),
         )
         object.__setattr__(self, "standard_map", standard_map)
@@ -362,38 +374,83 @@ def integrated_form(
 
 def _spanning_residuals(
     values: np.ndarray, unitaries: np.ndarray, action: GroupAction
-) -> tuple[float, float, float]:
-    """Covariance, multiplicativity and involution residuals on the spanning set.
+) -> tuple[np.ndarray, float, float]:
+    """The spanning values, and the covariance and involution residuals on the spanning set.
 
     `values` stacks X_i = Phi(a_i) and `unitaries` V_g = v_g, in the range
-    coordinates of the module. One pass over G reads every identity from the
-    two sides of covariance at g (`_covariance_steps`), M_i = sum_j A_g[j, i] X_j
-    (the image of alpha_g(a_i)) and C_i = V_g X_i V_g*, and the spanning
-    values K[g, i] = X_i V_g. Only one g's stacks are alive at a time.
+    coordinates of the module. The spanning values K[g, i] = X_i V_g are
+    formed once (read-only); the integrated form keeps them. One pass over G
+    reads both residuals from the two sides of covariance at g
+    (`_covariance_steps`), M_i = sum_j A_g[j, i] X_j (the image of
+    alpha_g(a_i)) and C_i = V_g X_i V_g*. Only one g's stacks are alive at a
+    time.
 
     - Covariance: max_i ||M_i - C_i||_F.
-    - Multiplicativity on every spanning pair (delta_g a_i, delta_h a_j):
-      both sides share the right factor v_{gh}, which is unitary, so the
-      residual is ||X_i (V_g X_j V_g*) - Phi(a_i alpha_g(a_j))||_F.
     - Involution: (delta_h a_i)# = delta_{h^-1} alpha_{h^-1}(a_i*) / Delta(h^-1)
       and a_i* is the basis element adjoint_index[i], so at g = h^-1 the
       image of the left side is M_{adjoint_index[i]} V_g / Delta(g), to be
       compared with K[h, i]*.
+
+    Multiplicativity on the spanning pairs is `_relation_bound` of these
+    residuals, or `_twisted_residual` where that bound says nothing.
     """
     group = action.group
     adjoint = action.algebra.adjoint_index
     k = np.einsum("aij,gjk->gaik", values, unitaries, optimize=True)
-    cov = mult = star = 0.0
+    k.setflags(write=False)
+    cov = star = 0.0
     for g, moved, conj in _covariance_steps(values, unitaries, action):
         cov = max(cov, linalg.max_frobenius(moved - conj))
-        mult = max(
-            mult, linalg.max_product_residual(values, conj, values, _twisted_structure(action, g))
-        )
         lhs = np.matmul(moved[adjoint], unitaries[g]) / group.modular_function(g)
         rhs = k[group.inverse(g)].conj().transpose(0, 2, 1)
         # Kept a NumPy scalar, as reports have always carried this residual.
         star = max(star, np.max(linalg.frobenius_each(lhs - rhs)))
-    return cov, mult, star
+    return k, cov, star
+
+
+def _relation_bound(
+    values: np.ndarray, action: GroupAction, cov: float, mult: float
+) -> tuple[float, str]:
+    """An upper bound of `_twisted_residual(values, unitaries, action)` from two
+    residuals the integrated form already holds, and the detail naming it.
+
+    Multiplicativity on a spanning pair (delta_g a_i, delta_h a_j) is, after
+    the unitary right factor v_{gh} is cancelled, ||X_i C_j - Phi(a_i alpha_g(a_j))||_F
+    with X_i = Phi(a_i) and C_j = V_g X_j V_g*. Let C be the covariance
+    residual max_{g,j} ||C_j - M_j||_F, with M_j = sum_l A_g[l, j] X_l the
+    image of alpha_g(a_j), and M an upper bound of Phi's all-pairs residual
+    max_{i,l} ||X_i X_l - Phi(a_i a_l)||_F (the `multiplicative` residual
+    of a passing `verify_representation`). Since
+    Phi(a_i alpha_g(a_j)) = sum_l A_g[l, j] Phi(a_i a_l),
+
+        X_i C_j - Phi(a_i alpha_g(a_j))
+            = X_i (C_j - M_j) + sum_l A_g[l, j] (X_i X_l - Phi(a_i a_l)),
+
+    and ||AB||_F <= ||A||_op ||B||_F with the triangle inequality bound it
+    by f·C + a·M, with
+    f = max_i ||X_i||_F >= max_i ||X_i||_op and a = max_{g,j} sum_l |A_g[l, j]|,
+    the largest column 1-norm of the action matrices.
+    """
+    f = linalg.max_frobenius(values)
+    a = float(np.max(np.sum(np.abs(action._action_tensor), axis=1)))
+    bound = f * cov + a * mult
+    return bound, f"relation bound f·C + a·M: f={f:.3e}, C={cov:.3e}, a={a:.3e}, M={mult:.3e}"
+
+
+def _twisted_residual(values: np.ndarray, unitaries: np.ndarray, action: GroupAction) -> float:
+    """max over g, i, j of ||X_i (V_g X_j V_g*) - Phi(a_i alpha_g(a_j))||_F, every
+    spanning pair, formed when `_relation_bound` exceeds the threshold.
+
+    For each g the products are compared through the twisted structure
+    constants of g (`linalg.max_product_residual`, streamed over row chunks).
+    """
+    worst = 0.0
+    for g, _, conj in _covariance_steps(values, unitaries, action):
+        worst = max(
+            worst,
+            linalg.max_product_residual(values, conj, values, _twisted_structure(action, g)),
+        )
+    return worst
 
 
 @dataclass(frozen=True, eq=False)

@@ -16,16 +16,24 @@ from prostar.algebra import FiniteCStarAlgebra, StarHomomorphism
 from prostar.cpmaps import CompletelyPositiveMap
 from prostar.crossed import (
     ConvolutionElement,
+    _relation_bound,
     _spanning_residuals,
+    _twisted_residual,
     build_crossed_product,
     extend_covariant_cp,
     integrated_form,
 )
 from prostar.dilation import covariant_dilation, scaled_connector_variant
 from prostar.errors import NumericalError, PreconditionError, StructuralError
-from prostar.groups import FiniteGroup, GroupAction, UnitaryRepresentation
+from prostar.groups import FiniteGroup, GroupAction, UnitaryRepresentation, covariant_average
 from prostar.modules import AdjointableOperator, HilbertModule, operator_coords
-from prostar.recipes import dilation_instance, named_algebra, named_group, standard_action
+from prostar.recipes import (
+    complex_unitary_rep,
+    dilation_instance,
+    named_algebra,
+    named_group,
+    standard_action,
+)
 
 M2 = FiniteCStarAlgebra((2,))
 C = FiniteCStarAlgebra((1,))
@@ -322,25 +330,50 @@ class TestIntegratedForm:
         assert report.check("convolution -> composition (spanning pairs)").passed
         assert report.check("unit of C(G,A) -> identity").passed
 
-    def test_small_covariance_defect_fails_composition(self, z2_data):
-        # v_1 -> v_1·diag(exp(i·3e-9·k)) leaves a covariance residual of 6e-9,
-        # inside the 1e-8 precondition, but the spanning products then miss
-        # by as much, above their 1e-9 threshold.
-        d, xp = z2_data
-        v = d.group_unitaries
+    @staticmethod
+    def drifted(v, size):
+        """v with v_1 -> v_1·diag(exp(i·size·k)), which moves covariance by about 2·size."""
         n = v.module.flat_dim
-        drift = v.unitaries[1].flat @ np.diag(np.exp(3e-9j * np.arange(n)))
-        drifted = UnitaryRepresentation(
+        drift = v.unitaries[1].flat @ np.diag(np.exp(1j * size * np.arange(n)))
+        return UnitaryRepresentation(
             v.group,
             v.module,
             (v.unitaries[0], AdjointableOperator.from_flat(v.module, v.module, drift)),
         )
+
+    def test_small_covariance_defect_fails_composition(self, z2_data):
+        # A drift of 3e-9 leaves a covariance residual of 6e-9, inside the
+        # 1e-8 precondition, but the spanning products then miss by as much,
+        # above their 1e-9 threshold. The relation bound exceeds it too, so
+        # the exact residual decides.
+        d, xp = z2_data
+        drifted = self.drifted(d.group_unitaries, 3e-9)
         check = integrated_form(d.representation, drifted, xp).report.check(
             "convolution -> composition (spanning pairs)"
         )
-        assert not check.passed
+        assert not check.passed and check.detail == "all spanning pairs"
         old = pairwise_reference.twisted_residual(d.representation, drifted, xp.system)
         scale = pairwise_reference.product_scale(d.representation._value_tensor)
+        pairwise_reference.assert_agrees(check.residual, old, scale, check.threshold)
+
+    def test_exact_residual_decides_when_the_bound_exceeds_tol(self, z2_data):
+        """A drift of 3.5e-10 puts f·C + a·M near 1.4e-9, above the 1e-9
+        threshold, while every spanning pair misses by only about 7e-10: the
+        form passes and reports the exact residual over all spanning pairs."""
+        d, xp = z2_data
+        phi, drifted = d.representation, self.drifted(d.group_unitaries, 3.5e-10)
+        values, unitaries = phi._value_tensor, drifted._unitary_tensor
+        _, cov, _ = _spanning_residuals(values, unitaries, xp.system)
+        mult = phi.verify_representation(1e-9).check("multiplicative").residual
+        bound, _ = _relation_bound(values, xp.system, cov, mult)
+        check = integrated_form(phi, drifted, xp).report.check(
+            "convolution -> composition (spanning pairs)"
+        )
+        assert check.residual < check.threshold < bound
+        assert check.passed and check.detail == "all spanning pairs"
+        assert check.residual == _twisted_residual(values, unitaries, xp.system)
+        old = pairwise_reference.twisted_residual(phi, drifted, xp.system)
+        scale = pairwise_reference.product_scale(values)
         pairwise_reference.assert_agrees(check.residual, old, scale, check.threshold)
 
     def test_leak_off_the_corner_is_refused_before_integration(self):
@@ -377,7 +410,8 @@ def test_one_sided_leak_of_v_counts_in_the_involution():
     module = HilbertModule.from_projection(C, 2, projection)
     action = GroupAction.trivial(FiniteGroup.trivial(), C)
     values, unitaries = projection[None], (projection + np.outer(e[0], e[1]))[None]
-    assert _spanning_residuals(values, unitaries, action) == pytest.approx(
+    _, cov, star = _spanning_residuals(values, unitaries, action)
+    assert (cov, _twisted_residual(values, unitaries, action), star) == pytest.approx(
         (0.0, 0.0, np.sqrt(2.0))
     )
     with pytest.raises(StructuralError, match="off the module range"):
@@ -427,14 +461,100 @@ def test_corner_spanning_residuals_bracket_full_ones(system, d, rank, leak_phi, 
     corners = [np.linalg.qr(linalg.random_complex(rng, p, p))[0] for _ in range(order)]
     unitaries = stack(np.array(corners).reshape(order, p, p), leak_v)
 
-    full = _spanning_residuals(values, unitaries, action)
-    got = _spanning_residuals(
-        operator_coords(module, module, values), operator_coords(module, module, unitaries), action
+    def residuals(values, unitaries):
+        _, cov, star = _spanning_residuals(values, unitaries, action)
+        return cov, _twisted_residual(values, unitaries, action), star
+
+    full = residuals(values, unitaries)
+    got = residuals(
+        operator_coords(module, module, values), operator_coords(module, module, unitaries)
     )
     scale = pairwise_reference.product_scale(values) * pairwise_reference.product_scale(unitaries)
     rounding = pairwise_reference.REL * scale
     for f, c in zip(full, got):
         assert abs(f - c) <= rounding
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    system=st.sampled_from(SPANNING_SYSTEMS),
+    p=st.integers(1, 6),
+    homomorphic=st.booleans(),
+    drift=st.sampled_from([0.0, 1e-12, 1e-9]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_relation_bound_covers_the_twisted_residual(system, p, homomorphic, drift, seed):
+    """f·C + a·M is at least every spanning pair's twisted residual.
+
+    On C^p in a random orthonormal basis W, v_g is a unitary representation
+    of G and Phi one of two kinds: the covariant average of random values
+    (C at rounding, M of order one), or, when `homomorphic` and p is at
+    least the defining dimension n of A, a ↦ W(a ⊕ 0)W* with
+    v_g = W(w_g ⊕ 1)W* for the unitaries w_g implementing the action (C and
+    M both at rounding). Then v_g at g ≠ e is drifted by diag(exp(i·drift·k)).
+    C is the library's covariance residual and M Phi's exact all-pairs
+    residual, the smallest M the bound admits; the twisted residual is the
+    element-wise reference on every spanning pair.
+    """
+    group_name, algebra_name = system
+    action = standard_action(group_name, named_algebra(algebra_name))
+    alg, group = action.algebra, action.group
+    rng = np.random.default_rng(seed)
+    module = HilbertModule.free(C, p)
+    basis = np.linalg.qr(linalg.random_complex(rng, p, p))[0]
+    n = alg.total_dim
+
+    if homomorphic and p >= n:
+        def corner(x):
+            return basis[:, :n] @ x @ basis[:, :n].conj().T
+
+        rest = np.eye(p) - corner(np.eye(n))
+        phi = CompletelyPositiveMap.from_dense_images(
+            alg, module, [corner(b.dense()) for b in alg.basis()]
+        )
+        blocks = [complex_unitary_rep(group_name, m) for m in alg.block_sizes]
+        mats = [
+            corner(linalg.block_diag([rep[g] for rep in blocks])) + rest
+            for g in group.elements()
+        ]
+    else:
+        mats = [basis @ u @ basis.conj().T for u in complex_unitary_rep(group_name, p)]
+        values = linalg.random_complex(rng, alg.linear_dim * p, p).reshape(-1, p, p)
+        sigma = CompletelyPositiveMap.from_dense_images(alg, module, values)
+        rep = UnitaryRepresentation.from_complex_matrices(group, module, mats)
+        phi = covariant_average(sigma, action, rep)
+    phases = np.diag(np.exp(1j * drift * np.arange(1, p + 1)))
+    mats = [m if g == group.identity else m @ phases for g, m in enumerate(mats)]
+    v = UnitaryRepresentation.from_complex_matrices(group, module, mats)
+
+    values, unitaries = phi._value_tensor, v._unitary_tensor
+    _, cov, _ = _spanning_residuals(values, unitaries, action)
+    bound, detail = _relation_bound(values, action, cov, phi._exact_multiplicative)
+    old = pairwise_reference.twisted_residual(phi, v, action)
+    # Rounding of products of this size, far below REL, which would hide the 1e-12 drift.
+    assert old <= bound + 64 * np.finfo(float).eps * pairwise_reference.product_scale(values)
+    assert detail.startswith("relation bound f·C + a·M: ")
+
+
+def test_relation_bound_reads_column_norms_of_the_action():
+    """a = max_{g,j} sum_l |A_g[l, j]|, the coefficients of alpha_g(a_j) that
+    the proof sums, not the rows of A_g.
+
+    For a group action the two maxima agree (A_{g^-1} = A_g* on the
+    trace-orthonormal matrix units), but the proof reads each A_g alone. So
+    M3 carries Ad(w) at the one non-identity element of Z2, for a random
+    unitary w with w² ≠ 1, whose action matrix has a largest column 1-norm
+    above its largest row 1-norm.
+    """
+    rng = np.random.default_rng(7)
+    m3 = FiniteCStarAlgebra((3,))
+    w = np.linalg.qr(linalg.random_complex(rng, 3, 3))[0]
+    action = GroupAction.by_conjugation(FiniteGroup.cyclic(2), m3, [[np.eye(3)], [w]])
+    moved = np.abs([[action.apply(g, a).coords() for a in m3.basis()] for g in (0, 1)])
+    columns, rows = moved.sum(axis=2).max(), moved.sum(axis=1).max()
+    assert columns > 1.01 * rows
+    bound, _ = _relation_bound(np.zeros((m3.linear_dim, 1, 1)), action, 0.0, 1.0)
+    assert bound == pytest.approx(columns, rel=1e-12)
 
 
 class TestExtension:

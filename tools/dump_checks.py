@@ -34,7 +34,8 @@ With `--decisions` every line is printed without its residual or witness:
 the check lines keep (subject, name, position, threshold, pass/fail), the
 Choi certificate keeps its two decisions and its tol, a rejection message
 loses its residual, and the recipe
-reports lose each residual's value. Two such dumps agree when every decision does, which
+reports lose each residual's value and detail (a detail may name the
+certificate that decided, with its values). Two such dumps agree when every decision does, which
 is what a change that reports a proven bound in place of an exact residual
 must keep.
 
@@ -57,6 +58,7 @@ import numpy as np
 SEED = 1
 TOLS = (1e-10, 1e-16)
 TEXT_VALUE = re.compile(r": [^ ]+ \(threshold")
+TEXT_DETAIL = re.compile(r"(\(threshold [^ )]+\))  \[.*\]$", re.MULTILINE)
 MESSAGE_VALUE = re.compile(r"residual [^ ]+")
 
 
@@ -158,13 +160,15 @@ def dump_towers(decisions):
 
 
 def without_values(stable):
-    """The timing-free JSON and text reports with every residual value removed."""
+    """The timing-free JSON and text reports with every residual value and detail removed."""
     json_text, text = stable.split("\n", 1)
     doc = json.loads(json_text)
     for task in doc["tasks"]:
         for r in task["residuals"]:
             r.pop("value")
-    return json.dumps(doc, sort_keys=True) + "\n" + TEXT_VALUE.sub(": (threshold", text)
+            r.pop("detail", None)
+    text = TEXT_DETAIL.sub(r"\1", TEXT_VALUE.sub(": (threshold", text))
+    return json.dumps(doc, sort_keys=True) + "\n" + text
 
 
 def main():

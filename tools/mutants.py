@@ -137,11 +137,29 @@ MUTANTS = (
         "involution-against-k-g", "src/prostar/crossed.py",
         "rhs = k[group.inverse(g)]", "rhs = k[g]", (CROSSED, ACCEPTANCE),
     ),
+    # The integrated form's relation bound f·C + a·M and its all-pairs fallback.
     Mutant(
         "twisted-products-dropped", "src/prostar/crossed.py",
-        "        mult = max(\n            mult, linalg.max_product_residual(values, conj",
-        "        mult = 0.0 * max(\n            mult, linalg.max_product_residual(values, conj",
+        "        worst = max(\n            worst,\n            linalg.max_product_residual(",
+        "        worst = 0.0 * max(\n            worst,\n            linalg.max_product_residual(",
         (CROSSED,),
+    ),
+    Mutant(
+        "relation-bound-fc-dropped", "src/prostar/crossed.py",
+        "bound = f * cov + a * mult", "bound = a * mult", (CROSSED,),
+    ),
+    Mutant(
+        "relation-bound-am-dropped", "src/prostar/crossed.py",
+        "bound = f * cov + a * mult", "bound = f * cov", (CROSSED,),
+    ),
+    Mutant(
+        "relation-bound-a-over-rows", "src/prostar/crossed.py",
+        "np.sum(np.abs(action._action_tensor), axis=1)",
+        "np.sum(np.abs(action._action_tensor), axis=2)", (CROSSED,),
+    ),
+    Mutant(
+        "relation-fallback-never", "src/prostar/crossed.py",
+        "if not mult <= threshold:", "if False:", (CROSSED,),
     ),
     Mutant(
         "covariance-not-enforced", "src/prostar/crossed.py",
