@@ -1,7 +1,8 @@
 """Command-line front door: run scenarios, generate examples, validate files.
 
 Exit status contract for `run`: 0 all tasks pass, 1 verification failure,
-2 parse/validation error, 3 numerical failure. `validate` exits 0/2.
+2 parse/validation error or an output that cannot be written, 3 numerical
+failure. `validate` exits 0/2.
 Only the optional NO_COLOR environment variable is consulted.
 """
 
@@ -15,6 +16,17 @@ import sys
 from .examples_gen import RECIPES, generate_example
 from .report import Report
 from .scenario import ScenarioError, load_scenario, run_scenario
+
+
+def _integer(least: int, kind: str):
+    """An argparse type: an integer of at least `least`, else exit 2 with a message."""
+
+    def parse(text: str) -> int:
+        if not text.removeprefix("-").isdecimal() or int(text) < least:
+            raise argparse.ArgumentTypeError(f"must be a {kind} integer, got {text!r}")
+        return int(text)
+
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -32,12 +44,13 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--output", default=None, help="base path for report files")
     run_p.add_argument("--tolerance", type=float, default=None, help="override tolerance (default 1e-10)")
     run_p.add_argument("--seed", type=int, default=None, help="override seed (default 0)")
-    run_p.add_argument("--jobs", type=int, default=None, help="threads to run tasks on (default 1: serial)")
+    run_p.add_argument("--jobs", type=_integer(1, "positive"), default=None,
+                       help="threads to run tasks on (default 1: serial)")
     run_p.add_argument("--format", choices=("text", "json", "both"), default="text")
 
     ex_p = sub.add_parser("example", help="emit a ready-made scenario")
     ex_p.add_argument("recipe", choices=RECIPES, help="example recipe name")
-    ex_p.add_argument("--seed", type=int, default=0)
+    ex_p.add_argument("--seed", type=_integer(0, "non-negative"), default=0)
     ex_p.add_argument("--output", default=None, help="write the scenario here instead of stdout")
 
     val_p = sub.add_parser("validate", help="parse and type-check a scenario without running it")
@@ -72,6 +85,11 @@ def _emit_report(report: Report, output: str | None, fmt: str) -> None:
     sys.stdout.write(text)
 
 
+def _cannot_write(err: OSError) -> int:
+    sys.stderr.write(f"cannot write {err.filename}: {err.strerror}\n")
+    return 2
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
 
@@ -79,8 +97,11 @@ def main(argv: list[str] | None = None) -> int:
         doc = generate_example(args.recipe, args.seed)
         payload = json.dumps(doc, indent=2, sort_keys=True) + "\n"
         if args.output:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(payload)
+            try:
+                with open(args.output, "w", encoding="utf-8") as fh:
+                    fh.write(payload)
+            except OSError as err:
+                return _cannot_write(err)
         else:
             sys.stdout.write(payload)
         return 0
@@ -101,7 +122,10 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.write(f"invalid scenario: {err}\n")
         return 2
     report = run_scenario(scn, jobs=args.jobs, scenario_path=args.scenario)
-    _emit_report(report, args.output, args.format)
+    try:
+        _emit_report(report, args.output, args.format)
+    except OSError as err:
+        return _cannot_write(err)
     return report.exit_status
 
 

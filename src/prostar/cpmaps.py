@@ -17,7 +17,7 @@ from .algebra import (
 )
 from .errors import PreconditionError, StructuralError
 from .linalg import DEFAULT_TOL
-from .modules import AdjointableOperator, HilbertModule
+from .modules import AdjointableOperator, HilbertModule, endomorphism_stack, operator_coords
 
 
 @dataclass(frozen=True)
@@ -37,22 +37,22 @@ class CPCertificate:
 
 @dataclass(frozen=True, eq=False)
 class CompletelyPositiveMap:
-    """Linear map A -> L_B(E), stored by its values on the matrix-unit basis of A
-    (each held in the range coordinates of E)."""
+    """Linear map A -> L_B(E), held by its values on the matrix-unit basis of A as
+    one read-only stack of range coordinates of E, (dim A, rank P, rank P)
+    (`modules.endomorphism_stack`)."""
 
     source: FiniteCStarAlgebra
     module: HilbertModule
-    basis_values: tuple[AdjointableOperator, ...]
+    values: np.ndarray
 
     def __post_init__(self):
-        if len(self.basis_values) != self.source.linear_dim:
-            raise StructuralError(
-                f"need {self.source.linear_dim} basis values, got {len(self.basis_values)}"
-            )
-        for op in self.basis_values:
-            if op.domain != self.module or op.codomain != self.module:
-                raise StructuralError("basis values must be endomorphisms of the target module")
-        object.__setattr__(self, "basis_values", tuple(self.basis_values))
+        stack = endomorphism_stack(self.module, self.values, self.source.linear_dim, "basis values")
+        object.__setattr__(self, "values", stack)
+
+    @property
+    def basis_values(self) -> tuple[AdjointableOperator, ...]:
+        """The values as operators: views for readers outside the package."""
+        return tuple(AdjointableOperator(self.module, self.module, y) for y in self.values)
 
     # -- constructors --------------------------------------------------------
 
@@ -60,10 +60,10 @@ class CompletelyPositiveMap:
     def from_dense_images(
         cls, source: FiniteCStarAlgebra, module: HilbertModule, images: Sequence
     ) -> "CompletelyPositiveMap":
-        """The map with the given matrices on the flats as its basis values, each
-        checked by `modules.operator_coords`."""
-        values = tuple(AdjointableOperator.from_flat(module, module, m) for m in images)
-        return cls(source, module, values)
+        """The map with the given matrices on the flats as its basis values, checked
+        by one `modules.operator_coords` call on their stack."""
+        flats = np.array([linalg.as_complex_matrix(m) for m in images])
+        return cls(source, module, operator_coords(module, module, flats))
 
     @classmethod
     def identity_representation(
@@ -74,15 +74,13 @@ class CompletelyPositiveMap:
             raise StructuralError(
                 f"identity representation needs flat module dimension {source.total_dim}"
             )
-        return cls.from_dense_images(source, module, [b.dense() for b in source.basis()])
+        return cls.from_dense_images(source, module, source.dense_stack(np.eye(source.linear_dim)))
 
     @classmethod
     def trace_state(cls, source: FiniteCStarAlgebra, module: HilbertModule) -> "CompletelyPositiveMap":
         """a -> (trace a / trace 1) * id_E, the normalized-trace state."""
         total = float(source.total_dim)
-        images = [
-            (b.trace() / total) * module.projection_flat for b in source.basis()
-        ]
+        images = [(b.trace() / total) * module.projection_flat for b in source.basis()]
         return cls.from_dense_images(source, module, images)
 
     @classmethod
@@ -94,42 +92,26 @@ class CompletelyPositiveMap:
         The caller must supply Kraus terms whose images stay inside L_B(E);
         this is checked at construction.
         """
-        ks = [linalg.as_complex_matrix(k) for k in kraus]
-        for k in ks:
-            if k.shape != (module.flat_dim, source.total_dim):
-                raise StructuralError(
-                    f"Kraus shape {k.shape} != {(module.flat_dim, source.total_dim)}"
-                )
-        images = []
-        for b in source.basis():
-            dense = b.dense()
-            images.append(sum(k @ dense @ k.conj().T for k in ks))
-        return cls.from_dense_images(source, module, images)
+        ks = np.array([linalg.as_complex_matrix(k) for k in kraus])
+        if ks.shape[1:] != (module.flat_dim, source.total_dim):
+            raise StructuralError(
+                f"Kraus shape {ks.shape[1:]} != {(module.flat_dim, source.total_dim)}"
+            )
+        dense = source.dense_stack(np.eye(source.linear_dim, dtype=np.complex128))
+        return cls.from_dense_images(source, module, sum(k @ dense @ k.conj().T for k in ks))
 
     @classmethod
     def zero(cls, source: FiniteCStarAlgebra, module: HilbertModule) -> "CompletelyPositiveMap":
-        z = np.zeros((module.flat_dim, module.flat_dim), dtype=np.complex128)
-        return cls.from_dense_images(source, module, [z] * source.linear_dim)
+        return cls(source, module, np.zeros((source.linear_dim, module.coord_dim, module.coord_dim)))
 
     # -- evaluation ----------------------------------------------------------
-
-    @cached_property
-    def _value_tensor(self) -> np.ndarray:
-        stack = np.stack([op.coords for op in self.basis_values], axis=0)
-        stack.setflags(write=False)
-        return stack
-
-    @cached_property
-    def _value_matrix(self) -> np.ndarray:
-        p = self.module.coord_dim
-        return self._value_tensor.reshape(self.source.linear_dim, p * p)
 
     def __call__(self, a: AlgebraElement) -> AdjointableOperator:
         if a.algebra != self.source:
             raise StructuralError("element does not belong to the source algebra")
         p = self.module.coord_dim
         return AdjointableOperator(
-            self.module, self.module, (a.coords() @ self._value_matrix).reshape(p, p)
+            self.module, self.module, (a.coords() @ self.values.reshape(-1, p * p)).reshape(p, p)
         )
 
     # -- structure tests -----------------------------------------------------
@@ -142,7 +124,7 @@ class CompletelyPositiveMap:
     def _star_residual(self) -> float:
         """max over basis elements of ||rho(E_a*) - rho(E_a)*||_F, shared by the
         Choi test and the representation check."""
-        vals = self._value_tensor
+        vals = self.values
         adj = self.source.adjoint_index
         return linalg.max_frobenius(vals[adj] - vals.conj().transpose(0, 2, 1))
 
@@ -155,7 +137,7 @@ class CompletelyPositiveMap:
         out = []
         for k, n in enumerate(self.source.block_sizes):
             off = self.source.coord_offsets[k]
-            vals = self._value_tensor[off : off + n * n].reshape(n, n, p, p)
+            vals = self.values[off : off + n * n].reshape(n, n, p, p)
             choi = vals.transpose(0, 2, 1, 3).reshape(n * p, n * p)
             out.append(choi)
         return out
@@ -165,7 +147,7 @@ class CompletelyPositiveMap:
         """The Choi test's tolerance-free part: the hermiticity residual and its
         scale, and per Choi block its Hermitian defect and scale, the least
         eigenvalue of its Hermitian part and the norm of its anti-Hermitian part."""
-        scale = max(1.0, max(linalg.frobenius(v.coords) for v in self.basis_values))
+        scale = max(1.0, linalg.max_frobenius(self.values))
         blocks = []
         for choi in self.choi_matrices():
             sym = (choi + choi.conj().T) / 2.0
@@ -207,7 +189,7 @@ class CompletelyPositiveMap:
         ||rho(E_a) rho(E_b) - rho(E_a E_b)||_F from the matrix-unit relations
         of the source, with dim + (Σn)² products on the range coordinates.
         """
-        mult = linalg.matrix_unit_bound(self._value_tensor, self.source.matrix_unit_relations)
+        mult = linalg.matrix_unit_bound(self.values, self.source.matrix_unit_relations)
         unital = linalg.frobenius(self(self.source.unit()).coords - self._identity)
         return float(mult), float(self._star_residual), float(unital)
 
@@ -220,7 +202,7 @@ class CompletelyPositiveMap:
         memory stays near chunk·dim·p² entries instead of dim²·p², with p
         the rank of the module projection.
         """
-        vals = self._value_tensor
+        vals = self.values
         return float(linalg.max_product_residual(vals, vals, vals, self.source.product_table))
 
     def verify_representation(self, tol: float = DEFAULT_TOL) -> VerificationReport:

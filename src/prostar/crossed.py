@@ -311,29 +311,24 @@ class IntegratedForm:
             )
         _require_covariant_data(phi, action, v)
         p = phi.module.coord_dim
-        phi_tensor, u_tensor = phi._value_tensor, v._unitary_tensor
 
-        k_values, cov, star = _spanning_residuals(phi_tensor, u_tensor, action)
+        k_values, cov, star = _spanning_residuals(phi.values, v.values, action)
         if not cov <= max(tol, 1e-8):
             raise PreconditionError(f"(Phi, v) is not covariant (residual {cov:.3e})")
         mult, certificate = _relation_bound(
-            phi_tensor, action, cov, rep_check.check("multiplicative").residual
+            phi.values, action, cov, rep_check.check("multiplicative").residual
         )
         if not mult <= threshold:
-            mult = _twisted_residual(phi_tensor, u_tensor, action)
+            mult = _twisted_residual(phi.values, v.values, action)
             certificate = "all spanning pairs"
 
-        unit_value = np.tensordot(action.algebra.unit().coords(), phi_tensor, axes=([0], [0]))
-        unital = linalg.frobenius(
-            unit_value @ u_tensor[action.group.identity] - np.eye(p)
-        )
+        unit_value = np.tensordot(action.algebra.unit().coords(), phi.values, axes=([0], [0]))
+        unital = linalg.frobenius(unit_value @ v.values[action.group.identity] - np.eye(p))
 
         # Factor through the standard form: values on the standard basis by
         # linearity, from the spanning values K[g, i] = Phi(a_i) v_g.
         std_values = (xp._conv_from_std.T @ k_values.reshape(-1, p * p)).reshape(-1, p, p)
-        standard_map = CompletelyPositiveMap(
-            xp.standard_algebra, phi.module, phi.module.operators(std_values)
-        )
+        standard_map = CompletelyPositiveMap(xp.standard_algebra, phi.module, std_values)
         std_report = standard_map.verify_representation(threshold)
 
         checks = (
@@ -474,12 +469,12 @@ class CovariantExtension:
         # Spanning agreement phi(delta_g a_i) = V* Phi(a_i) v_g V = rho(a_i) u_g,
         # batched over (g, i) from the one stack V* Phi(a_i).
         rho, v = d.cp_map, d.connector.coords
-        pulled = np.matmul(v.conj().T[None], d.representation._value_tensor)
-        moved_connector = d.group_unitaries._unitary_tensor @ v
+        pulled = np.matmul(v.conj().T[None], d.representation.values)
+        moved_connector = d.group_unitaries.values @ v
         lhs = np.matmul(pulled[None], moved_connector[:, None])
-        rhs = np.matmul(rho._value_tensor[None], d.rep._unitary_tensor[:, None])
+        rhs = np.matmul(rho.values[None], d.rep.values[:, None])
         agree = linalg.max_frobenius(lhs - rhs)
-        restriction = linalg.max_frobenius(lhs[d.action.group.identity] - rho._value_tensor)
+        restriction = linalg.max_frobenius(lhs[d.action.group.identity] - rho.values)
 
         unit = self.crossed.standard_algebra.unit()
         nondeg = linalg.frobenius(phi_std(unit).coords - np.eye(rho.module.coord_dim))
@@ -527,6 +522,6 @@ def extend_covariant_cp(
     integrated = integrated_form(d.representation, d.group_unitaries, xp, tol)
     v = d.connector.coords
     module = d.cp_map.module
-    values = v.conj().T @ integrated.standard_map._value_tensor @ v
-    phi_std = CompletelyPositiveMap(xp.standard_algebra, module, module.operators(values))
+    values = v.conj().T @ integrated.standard_map.values @ v
+    phi_std = CompletelyPositiveMap(xp.standard_algebra, module, values)
     return CovariantExtension(d, xp, integrated, phi_std, tol)

@@ -140,8 +140,7 @@ def gram_operator(rho: CompletelyPositiveMap, tol: float = DEFAULT_TOL) -> GramD
     require_certified_cp(rho, tol)
     source, module = rho.source, rho.module
     dim_a = source.linear_dim
-    basis_e = module.complex_basis
-    d_e = len(basis_e)
+    d_e = module.complex_dim
     big_d = module.block_dim
     x = np.hstack(module.coord_basis)  # (rank P, d_e*D)
 
@@ -149,7 +148,7 @@ def gram_operator(rho: CompletelyPositiveMap, tol: float = DEFAULT_TOL) -> GramD
     n = dim_a * d_e
     # Block (i, j) is x* rho(a_i* a_j) x, and a_i* a_j is the basis element
     # product_table[adjoint_index[i], j] (or zero): a gather of the values.
-    sandwiched = x.conj().T @ rho._value_tensor @ x  # (dim_a, d_e*D, d_e*D)
+    sandwiched = x.conj().T @ rho.values @ x  # (dim_a, d_e*D, d_e*D)
     idx = source.product_table[source.adjoint_index]
     blocks = sandwiched[np.maximum(idx, 0)]
     blocks[idx < 0] = 0.0
@@ -234,7 +233,9 @@ def minimal_dilation(
     w4 = w.reshape(r, big_d, r, big_d)
     coord_extract = np.einsum("iaja->ij", w4)
 
-    class_flats = tuple(linalg.read_only(w[:, a * big_d : (a + 1) * big_d]) for a in range(r))
+    # The class flats w[:, (a, ·)], one per retained class a, as one stack.
+    class_flats = np.ascontiguousarray(w.reshape(r * big_d, r, big_d).transpose(1, 0, 2))
+    class_flats.setflags(write=False)
     dilation_module = HilbertModule(algebra_b, r, isometry, basis_flats=class_flats)
     # W = U·(U*W): the descended operators are formed from the rows U*W only.
     w_rows = dilation_module.to_range(w)
@@ -249,7 +250,7 @@ def minimal_dilation(
     # V: xi -> class of 1 (x) xi, both descended from shuffles of the spanning set.
     shuffles = _multiplication_shuffles(source, labels, d_e)
     phi = _descend(w_rows, coord_map, shuffles, right, isometry)
-    representation = CompletelyPositiveMap(source, dilation_module, dilation_module.operators(phi))
+    representation = CompletelyPositiveMap(source, dilation_module, phi)
     e_labels = tuple((0, s) for s in range(d_e))
     unit_coords = source.unit().coords()[None, :, None]
     inclusion = label_shuffles(labels, e_labels, unit_coords, np.eye(d_e)[None])
@@ -310,7 +311,7 @@ def _multiplication_shuffles(source, labels, d_e: int) -> np.ndarray:
 
 def _covariant_shuffles(action: GroupAction, rep: UnitaryRepresentation, labels) -> np.ndarray:
     """a (x) xi -> alpha_g(a) (x) u_g(xi) for every g, in label order."""
-    u_cm = complex_matrices(rep.module, rep.module, rep._unitary_tensor)
+    u_cm = complex_matrices(rep.module, rep.module, rep.values)
     return label_shuffles(labels, labels, action._action_tensor, u_cm)
 
 
@@ -377,8 +378,7 @@ def covariant_extend(
         core._class_embed @ core._coord_extract,
         core.module.isometry,
     )
-    unitaries = core.module.operators(coords)
-    group_unitaries = UnitaryRepresentation(action.group, core.module, unitaries)
+    group_unitaries = UnitaryRepresentation(action.group, core.module, coords)
 
     return CovariantDilation(
         cp_map=rho,
@@ -415,11 +415,11 @@ def _dilation_identities(d: CovariantDilation) -> tuple[np.ndarray, tuple[_Ident
     """The spanning family of `d` (read-only) and the residuals of its identities."""
     rho = d.cp_map
     w = d.connector.coords
-    phi_v = d.representation._value_tensor @ w  # Phi(a_i) V, formed once
+    phi_v = d.representation.values @ w  # Phi(a_i) V, formed once
     identities = []
 
     # (a) rho(a) = V* Phi(a) V: max_i ||rho(a_i) - V* Phi(a_i) V||_F / (1 + ||rho(a_i)||).
-    lhs = rho._value_tensor
+    lhs = rho.values
     scale = 1.0 + linalg.spectral_norm(lhs)
     worst = float(np.max(linalg.frobenius_each(lhs - w.conj().T @ phi_v) / scale))
     identities.append(_Identity(_IDENTITY, worst, 1e-9))
@@ -436,7 +436,7 @@ def _dilation_identities(d: CovariantDilation) -> tuple[np.ndarray, tuple[_Ident
     # covariance of Phi and (c) the intertwining max_g ||v_g V - V u_g||_F.
     cov = check_covariance(d.representation, d.action, d.group_unitaries)
     identities.append(_Identity("covariance of Phi", cov.max_residual, 1e-9))
-    inter = linalg.max_frobenius(d.group_unitaries._unitary_tensor @ w - w @ d.rep._unitary_tensor)
+    inter = linalg.max_frobenius(d.group_unitaries.values @ w - w @ d.rep.values)
     identities.append(_Identity(_INTERTWINING, inter, 1e-9))
 
     # group structure on E_rho
@@ -512,8 +512,8 @@ def uniqueness_unitary(
     u_coords = wide(other._spanning_family) @ np.linalg.pinv(wide(d._spanning_family), rcond=1e-10)
     u = AdjointableOperator(d.module, other.module, u_coords)
 
-    phi, phi_other = d.representation._value_tensor, other.representation._value_tensor
-    v, v_other = d.group_unitaries._unitary_tensor, other.group_unitaries._unitary_tensor
+    phi, phi_other = d.representation.values, other.representation.values
+    v, v_other = d.group_unitaries.values, other.group_unitaries.values
     checks = [
         Check("U unitary", u.is_unitary(tol).max_residual, max(tol, 1e-9)),
         Check(
@@ -541,26 +541,27 @@ def scaled_connector_variant(d: CovariantDilation, factor: complex = 0.5) -> Cov
 
 
 def padded_variant(d: CovariantDilation) -> CovariantDilation:
-    """Negative control: dilation module padded with an orthogonal free direction,
-    its operators entered as flats."""
+    """Negative control: dilation module padded with an orthogonal free direction.
+    Its isometry is U ⊕ 1, so an operator X ⊕ c on it has coordinates Y ⊕ c."""
     module, big_d = d.module, d.module.block_dim
-    zero, eye = np.zeros((big_d, big_d)), np.eye(big_d)
     basis = np.eye(module.flat_dim) if module.isometry is None else module.isometry
-    padded = HilbertModule(module.algebra, module.rank + 1, linalg.block_diag([basis, eye]))
+    padded = HilbertModule(module.algebra, module.rank + 1, linalg.block_diag([basis, np.eye(big_d)]))
 
-    def pad(ops, block):
-        flats = (linalg.block_diag([op.flat, block]) for op in ops)
-        return tuple(AdjointableOperator.from_flat(padded, padded, f) for f in flats)
+    def pad(coords, block):
+        out = np.pad(coords, ((0, 0), (0, big_d), (0, big_d)))
+        out[:, -big_d:, -big_d:] = block
+        return out
 
-    connector = np.vstack([d.connector.flat, np.zeros((big_d, d.cp_map.module.flat_dim))])
     return replace(
         d,
         module=padded,
         representation=CompletelyPositiveMap(
-            d.cp_map.source, padded, pad(d.representation.basis_values, zero)
+            d.cp_map.source, padded, pad(d.representation.values, 0.0)
         ),
         group_unitaries=UnitaryRepresentation(
-            d.action.group, padded, pad(d.group_unitaries.unitaries, eye)
+            d.action.group, padded, pad(d.group_unitaries.values, np.eye(big_d))
         ),
-        connector=AdjointableOperator.from_flat(d.cp_map.module, padded, connector),
+        connector=AdjointableOperator(
+            d.cp_map.module, padded, np.pad(d.connector.coords, ((0, big_d), (0, 0)))
+        ),
     )

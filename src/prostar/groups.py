@@ -26,7 +26,7 @@ from .algebra import (
 from .cpmaps import CompletelyPositiveMap
 from .errors import StructuralError
 from .linalg import DEFAULT_TOL
-from .modules import AdjointableOperator, HilbertModule
+from .modules import AdjointableOperator, HilbertModule, endomorphism_stack, range_coords
 
 TIE_REL = 1e-12  # residuals this close to the largest, relative to the values, tie
 
@@ -225,40 +225,38 @@ def verify_action(action: GroupAction, tol: float = DEFAULT_TOL) -> Verification
 
 @dataclass(frozen=True, eq=False)
 class UnitaryRepresentation:
-    """Unitary representation of a finite group on a Hilbert module."""
+    """Unitary representation of a finite group on a Hilbert module, held as one
+    read-only stack of range coordinates, (|G|, rank P, rank P)
+    (`modules.endomorphism_stack`)."""
 
     group: FiniteGroup
     module: HilbertModule
-    unitaries: tuple[AdjointableOperator, ...]
+    values: np.ndarray
 
     def __post_init__(self):
-        if len(self.unitaries) != self.group.order:
-            raise StructuralError("need one unitary per group element")
-        for u in self.unitaries:
-            if u.domain != self.module or u.codomain != self.module:
-                raise StructuralError("unitaries must act on the representation module")
-        object.__setattr__(self, "unitaries", tuple(self.unitaries))
+        stack = endomorphism_stack(self.module, self.values, self.group.order, "unitaries")
+        object.__setattr__(self, "values", stack)
 
     @classmethod
     def trivial(cls, group: FiniteGroup, module: HilbertModule) -> "UnitaryRepresentation":
-        ident = module.identity_operator()
-        return cls(group, module, tuple(ident for _ in range(group.order)))
+        return cls(group, module, np.array([np.eye(module.coord_dim)] * group.order))
 
     @classmethod
     def from_complex_matrices(
         cls, group: FiniteGroup, module: HilbertModule, matrices: Sequence
     ) -> "UnitaryRepresentation":
-        """Promote a complex unitary representation entrywise to operators over B."""
-        ops = tuple(
-            AdjointableOperator.from_complex_matrix(module, module, m) for m in matrices
-        )
-        return cls(group, module, ops)
+        """Promote a complex unitary representation entrywise to operators over B,
+        each compressed to P·(m ⊗ 1)·P."""
+        m = np.array([linalg.as_complex_matrix(x) for x in matrices])
+        if m.shape[1:] != (module.rank, module.rank):
+            raise StructuralError(f"matrix shape {m.shape[1:]} != {(module.rank, module.rank)}")
+        flats = np.kron(m, np.eye(module.block_dim, dtype=np.complex128))
+        return cls(group, module, range_coords(module, module, flats))
 
-    @cached_property
-    def _unitary_tensor(self) -> np.ndarray:
-        stack = np.stack([u.coords for u in self.unitaries], axis=0)
-        stack.setflags(write=False)
-        return stack
+    @property
+    def unitaries(self) -> tuple[AdjointableOperator, ...]:
+        """The unitaries as operators: views for readers outside the package."""
+        return tuple(AdjointableOperator(self.module, self.module, y) for y in self.values)
 
     def __str__(self) -> str:
         return f"unitary representation of {self.group} on {self.module}"
@@ -276,7 +274,7 @@ def group_law_residual(stack: np.ndarray, group: FiniteGroup) -> float:
 def verify_unitary_representation(
     rep: UnitaryRepresentation, tol: float = DEFAULT_TOL
 ) -> VerificationReport:
-    group, u = rep.group, rep._unitary_tensor
+    group, u = rep.group, rep.values
     p = np.eye(rep.module.coord_dim, dtype=np.complex128)
     e = group.identity
     id_resid = np.inf if e is None else linalg.frobenius(u[e] - p)
@@ -342,8 +340,8 @@ def check_covariance(
     coordinates the map is held in; at rounding level the first pair is named.
     """
     _require_covariant_data(rho, action, rep)
-    values = rho._value_tensor
-    steps = _covariance_steps(values, rep._unitary_tensor, action)
+    values = rho.values
+    steps = _covariance_steps(values, rep.values, action)
     resid = np.stack([linalg.frobenius_each(moved - conj) for _, moved, conj in steps])
     worst, witness = float(np.max(resid)), ""
     if worst > 0.0:
@@ -367,7 +365,7 @@ def covariant_average(
     if action.algebra != sigma.source or rep.module != sigma.module:
         raise StructuralError("averaging data does not match the map")
     # moved[g, i] = sigma(alpha_g(a_i)), one contraction with the action tensor.
-    moved = np.einsum("gji,jxy->gixy", action._action_tensor, sigma._value_tensor)
-    u = rep._unitary_tensor[:, None]
+    moved = np.einsum("gji,jxy->gixy", action._action_tensor, sigma.values)
+    u = rep.values[:, None]
     values = np.mean(u.conj().swapaxes(-1, -2) @ moved @ u, axis=0)
-    return CompletelyPositiveMap(sigma.source, sigma.module, sigma.module.operators(values))
+    return CompletelyPositiveMap(sigma.source, sigma.module, values)

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import linalg
 from .algebra import AlgebraElement, Check, FiniteCStarAlgebra, VerificationReport
-from .errors import StructuralError
+from .errors import PreconditionError, StructuralError
 from .linalg import DEFAULT_TOL
 
 B_MASS_REL = 1e-10  # mass outside B allowed in a flat (kept), relative to max(1, ||X||_F)
@@ -44,8 +44,9 @@ class HilbertModule:
     algebra: FiniteCStarAlgebra
     rank: int
     isometry: np.ndarray | None = None
-    # Optional: flats of a known complex basis (skips the generic scan).
-    basis_flats: tuple[np.ndarray, ...] | None = None
+    # Optional: a known complex basis as one stack of flats (complex_dim, fd, D),
+    # which skips the generic scan.
+    basis_flats: np.ndarray | None = None
 
     def __post_init__(self):
         if self.rank < 1:
@@ -64,7 +65,8 @@ class HilbertModule:
             if not leak <= B_MASS_REL * scale:
                 raise StructuralError(f"projection has {leak:.3e} mass outside the base algebra")
         if self.basis_flats is not None:
-            object.__setattr__(self, "basis_flats", tuple(map(linalg.read_only, self.basis_flats)))
+            flats = np.asarray(self.basis_flats, dtype=np.complex128)
+            object.__setattr__(self, "basis_flats", linalg.read_only(flats))
 
     @classmethod
     def free(cls, algebra: FiniteCStarAlgebra, rank: int) -> "HilbertModule":
@@ -176,17 +178,19 @@ class HilbertModule:
     # -- complex-linear view -----------------------------------------------
 
     @cached_property
-    def complex_basis(self) -> tuple["ModuleElement", ...]:
-        """A C-linear basis of the module viewed as a complex vector space.
+    def basis_tensor(self) -> np.ndarray:
+        """A C-linear basis of the module viewed as a complex vector space, as one
+        read-only stack of flats (complex_dim, flat_dim, block_dim).
 
-        For a free module this is exactly the canonical basis e_i · b_mu. For a
-        projective one the candidates U*·(e_i · b_mu), in range coordinates,
-        get one SVD, and the basis is U·u for each left singular vector u of a
-        singular value above 1e-9 of the largest: orthonormal in coordinates,
-        so the coordinate basis has condition number 1.
+        `basis_flats` when given. For a free module it is exactly the
+        canonical basis e_i · b_mu. For a projective one the candidates
+        U*·(e_i · b_mu), in range coordinates, get one SVD, and the basis is
+        U·u for each left singular vector u of a singular value above 1e-9 of
+        the largest: orthonormal in coordinates, so the coordinate basis has
+        condition number 1.
         """
         if self.basis_flats is not None:
-            return tuple(ModuleElement(self, f) for f in self.basis_flats)
+            return self.basis_flats
         d = self.block_dim
         dim = self.algebra.linear_dim
         candidates = np.zeros((self.rank, dim, self.flat_dim, d), dtype=np.complex128)
@@ -199,18 +203,16 @@ class HilbertModule:
             u, s, _ = np.linalg.svd(coords, full_matrices=False)
             flats = self.from_range(u[:, s > 1e-9 * s[0]].T.reshape(-1, self.coord_dim, d))
         flats.setflags(write=False)
-        return tuple(ModuleElement(self, f) for f in flats)
+        return flats
+
+    @property
+    def complex_basis(self) -> tuple["ModuleElement", ...]:
+        """`basis_tensor` as elements: views for readers outside the package."""
+        return tuple(ModuleElement(self, f) for f in self.basis_tensor)
 
     @property
     def complex_dim(self) -> int:
-        return len(self.complex_basis)
-
-    @cached_property
-    def basis_tensor(self) -> np.ndarray:
-        """The complex basis as one stack of flats, shape (complex_dim, flat_dim, block_dim)."""
-        stack = np.stack([b.flat for b in self.complex_basis], axis=0)
-        stack.setflags(write=False)
-        return stack
+        return len(self.basis_tensor)
 
     @cached_property
     def coord_basis(self) -> np.ndarray:
@@ -239,10 +241,6 @@ class HilbertModule:
 
     def identity_operator(self) -> "AdjointableOperator":
         return AdjointableOperator(self, self, np.eye(self.coord_dim, dtype=np.complex128))
-
-    def operators(self, coords) -> tuple["AdjointableOperator", ...]:
-        """Endomorphisms of the module, one for each matrix of a stack of coordinates."""
-        return tuple(AdjointableOperator(self, self, y) for y in coords)
 
     def __str__(self) -> str:
         kind = "free" if self.is_free else "projective"
@@ -278,6 +276,30 @@ def operator_coords(domain: HilbertModule, codomain: HilbertModule, flats) -> np
         if not np.all(defect <= OFF_RANGE_REL * scale):
             raise StructuralError(f"matrix has {np.max(defect):.3e} mass off the module range")
     return y
+
+
+def endomorphism_stack(module: HilbertModule, values, count: int, what: str) -> np.ndarray:
+    """One read-only copy of the range coordinates (count, rank P, rank P) of a
+    family of endomorphisms of `module` (a map's values, a representation's
+    unitaries), given as a coordinate stack or a sequence of operators on it.
+    A wrong count or shape, or an operator on another module, raises
+    StructuralError; NaN or Inf entries raise PreconditionError."""
+    if not isinstance(values, np.ndarray):
+        ops = tuple(values)
+        for op in ops:
+            if not isinstance(op, AdjointableOperator) or op.domain != module or op.codomain != module:
+                raise StructuralError(f"{what} must be endomorphisms of the module")
+        values = [op.coords for op in ops]
+    stack = np.array(values, dtype=np.complex128)
+    if stack.ndim == 0 or len(stack) != count:
+        raise StructuralError(f"need {count} {what}, got {len(stack) if stack.ndim else 0}")
+    p = module.coord_dim
+    if stack.shape[1:] != (p, p):
+        raise StructuralError(f"{what} coordinates of shape {stack.shape[1:]} != {(p, p)}")
+    if not np.all(np.isfinite(stack)):
+        raise PreconditionError(f"{what} contain NaN or Inf entries")
+    stack.setflags(write=False)
+    return stack
 
 
 def range_coords(domain: HilbertModule, codomain: HilbertModule, flats) -> np.ndarray:
@@ -376,18 +398,6 @@ class AdjointableOperator:
                 dense = e.dense() if isinstance(e, AlgebraElement) else domain.algebra.from_blocks(e).dense()
                 flat[i * d : (i + 1) * d, j * d : (j + 1) * d] = dense
         return cls.from_flat(domain, codomain, flat)
-
-    @classmethod
-    def from_complex_matrix(
-        cls, domain: HilbertModule, codomain: HilbertModule, matrix
-    ) -> "AdjointableOperator":
-        """Promote a complex m×n matrix entrywise to multiples of the unit of B,
-        compressed to Q·(m ⊗ 1)·P."""
-        m = linalg.as_complex_matrix(matrix)
-        if m.shape != (codomain.rank, domain.rank):
-            raise StructuralError(f"matrix shape {m.shape} != {(codomain.rank, domain.rank)}")
-        flat = np.kron(m, np.eye(domain.block_dim, dtype=np.complex128))
-        return cls(domain, codomain, range_coords(domain, codomain, flat))
 
     @cached_property
     def flat(self) -> np.ndarray:

@@ -21,7 +21,7 @@ from .groups import (
     UnitaryRepresentation,
     covariant_average,
 )
-from .modules import AdjointableOperator, HilbertModule, range_coords
+from .modules import HilbertModule, range_coords
 
 GROUP_NAMES = ("trivial", "z2", "z3", "s3")
 
@@ -143,15 +143,12 @@ def random_cp_map(
     """
     fd, td = module.flat_dim, source.total_dim
     kraus = [linalg.random_complex(rng, fd, td) / np.sqrt(fd * td) for _ in range(KRAUS_TERMS)]
-    values = []
+    dense = source.dense_stack(np.eye(source.linear_dim, dtype=np.complex128))
+    values = compress_to_module_algebra(sum(k @ dense @ k.conj().T for k in kraus), module)
     unit_scale = DEPOLARIZING_WEIGHT / source.total_dim
-    for b in source.basis():
-        dense = b.dense()
-        acc = sum(k @ dense @ k.conj().T for k in kraus)
-        acc = compress_to_module_algebra(acc, module)
-        acc += unit_scale * b.trace() * np.eye(module.coord_dim)
-        values.append(AdjointableOperator(module, module, acc))
-    return CompletelyPositiveMap(source, module, tuple(values))
+    traces = np.trace(dense, axis1=1, axis2=2)[:, None, None]
+    values += unit_scale * traces * np.eye(module.coord_dim)
+    return CompletelyPositiveMap(source, module, values)
 
 
 def unitalize(rho: CompletelyPositiveMap) -> CompletelyPositiveMap:
@@ -171,11 +168,7 @@ def unitalize(rho: CompletelyPositiveMap) -> CompletelyPositiveMap:
     if int(np.count_nonzero(keep)) != module.coord_dim:
         raise PreconditionError("rho(1) is singular on the module; cannot normalize")
     inv_sqrt = (vecs / np.sqrt(vals)) @ vecs.conj().T
-    values = tuple(
-        AdjointableOperator(module, module, inv_sqrt @ v.coords @ inv_sqrt)
-        for v in rho.basis_values
-    )
-    return CompletelyPositiveMap(rho.source, module, values)
+    return CompletelyPositiveMap(rho.source, module, inv_sqrt @ rho.values @ inv_sqrt)
 
 
 def random_covariant_cp(

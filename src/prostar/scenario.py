@@ -30,7 +30,7 @@ from .groups import (
     verify_group,
     verify_unitary_representation,
 )
-from .modules import AdjointableOperator, HilbertModule
+from .modules import HilbertModule, operator_coords
 from .report import Report, TaskResult, VERSION
 from .tower import (
     AlgebraTower,
@@ -303,14 +303,12 @@ def parse_scenario(data: dict, *, tolerance: float | None = None, seed: int | No
                     group, module, mats
                 )
             elif "unitaries" in spec:
+                flats = np.array([decode_matrix(m) for m in spec["unitaries"]])
                 try:
-                    ops = tuple(
-                        AdjointableOperator.from_flat(module, module, decode_matrix(m))
-                        for m in spec["unitaries"]
-                    )
+                    coords = operator_coords(module, module, flats)
                 except StructuralError as err:
                     raise ScenarioError(f"representation {name!r}: {err}") from err
-                scn.representations[name] = UnitaryRepresentation(group, module, ops)
+                scn.representations[name] = UnitaryRepresentation(group, module, coords)
             else:
                 raise ScenarioError(f"representation {name!r}: need kind or unitaries")
         for name, spec in specs("cp_maps", "cp map"):

@@ -457,11 +457,9 @@ def _pushed_pair(
     if q == top:
         return rho, u
     eq = mt.modules[q]
-    values = mt.push_operators(top, q, rho._value_tensor)
-    unitaries = mt.push_operators(top, q, u._unitary_tensor)
     return (
-        CompletelyPositiveMap(rho.source, eq, eq.operators(values)),
-        UnitaryRepresentation(u.group, eq, eq.operators(unitaries)),
+        CompletelyPositiveMap(rho.source, eq, mt.push_operators(top, q, rho.values)),
+        UnitaryRepresentation(u.group, eq, mt.push_operators(top, q, u.values)),
     )
 
 
@@ -545,10 +543,10 @@ def levelwise_dilation_coherence(
         m_pq, y = _connecting_class_matrix(mt, p, q, cores, dim_a)
         class_maps[(p, q)] = m_pq
         fp, fq = dils[p].module, dils[q].module
-        rep_sq = max(rep_sq, _square(m_pq, fp, fq, dils[p].representation._value_tensor,
-                                     dils[q].representation._value_tensor))
-        v_sq = max(v_sq, _square(m_pq, fp, fq, dils[p].group_unitaries._unitary_tensor,
-                                 dils[q].group_unitaries._unitary_tensor))
+        rep_sq = max(rep_sq, _square(m_pq, fp, fq, dils[p].representation.values,
+                                     dils[q].representation.values))
+        v_sq = max(v_sq, _square(m_pq, fp, fq, dils[p].group_unitaries.values,
+                                 dils[q].group_unitaries.values))
         cm_v_p = dils[p].connector.complex_matrix()
         cm_v_q = dils[q].connector.complex_matrix()
         conn_sq = max(conn_sq, linalg.frobenius(m_pq @ cm_v_p - cm_v_q @ y))

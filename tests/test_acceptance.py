@@ -299,13 +299,13 @@ def test_grid_certificates_match_pairwise_reference(grid_extensions):
         d = ext.dilation
         for rho in (d.representation, ext.integrated.standard_map):
             new = rho.verify_representation(1e-9).check("multiplicative").residual
-            scale = pairwise_reference.product_scale(rho._value_tensor)
+            scale = pairwise_reference.product_scale(rho.values)
             old = pairwise_reference.representation_residual(rho)
             pairwise_reference.assert_agrees(new, old, scale, 1e-9)
 
         check = ext.integrated.report.check("convolution -> composition (spanning pairs)")
         old = pairwise_reference.twisted_residual(d.representation, d.group_unitaries, d.action)
-        scale = pairwise_reference.product_scale(d.representation._value_tensor)
+        scale = pairwise_reference.product_scale(d.representation.values)
         pairwise_reference.assert_agrees(check.residual, old, scale, check.threshold)
         assert old <= check.residual and check.detail.startswith("relation bound"), combo
 
@@ -323,17 +323,17 @@ def test_grid_spanning_checks_match_elementwise_reference(grid_extensions):
         for rho, unitaries in ((d.cp_map, d.rep), (d.representation, d.group_unitaries)):
             check = check_covariance(rho, d.action, unitaries, 1e-8).check(covariance)
             old, witness = pairwise_reference.covariance_reference(rho, d.action, unitaries)
-            scale = pairwise_reference.product_scale(rho._value_tensor)
+            scale = pairwise_reference.product_scale(rho.values)
             pairwise_reference.assert_agrees(check.residual, old, scale, check.threshold)
             assert check.detail == witness, (combo, check.detail, witness)
 
         check = ext.integrated.report.check("involution -> adjoint (spanning set)")
         old = pairwise_reference.star_reference(d.representation, d.group_unitaries, d.action)
-        scale = pairwise_reference.product_scale(d.representation._value_tensor)
+        scale = pairwise_reference.product_scale(d.representation.values)
         pairwise_reference.assert_agrees(check.residual, old, scale, check.threshold)
 
         agree, restriction = pairwise_reference.spanning_reference(d)
-        scale = pairwise_reference.product_scale(d.cp_map._value_tensor)
+        scale = pairwise_reference.product_scale(d.cp_map.values)
         for label, old in (
             ("phi(delta_g a) = rho(a) u_g (spanning set)", agree),
             ("restriction to delta_e (x) A equals rho", restriction),
@@ -355,8 +355,8 @@ def test_integrated_form_corner_residuals_bound_the_references(grid_extensions):
         if d.module.coord_dim == d.module.flat_dim:
             continue
         non_free += 1
-        _, cov, star = _spanning_residuals(phi._value_tensor, v._unitary_tensor, d.action)
-        mult = _twisted_residual(phi._value_tensor, v._unitary_tensor, d.action)
+        _, cov, star = _spanning_residuals(phi.values, v.values, d.action)
+        mult = _twisted_residual(phi.values, v.values, d.action)
         report = ext.integrated.report
         assert mult <= report.check("convolution -> composition (spanning pairs)").residual
         assert star == report.check("involution -> adjoint (spanning set)").residual
@@ -460,14 +460,14 @@ def test_dilation_checks_match_elementwise_reference():
             assert np.abs(v - unitaries).max() <= 1e-12
             assert np.abs(connector - d.connector.flat).max() <= 1e-12
 
-            scale = pairwise_reference.product_scale(d.representation._value_tensor)
+            scale = pairwise_reference.product_scale(d.representation.values)
             for report, tol in ((verify_dilation(d, 1e-9), 1e-9), (d.residuals, 1e-10)):
                 old = pairwise_reference.dilation_checks_reference(d, tol)
                 _assert_checks_match(report, old, scale)
             _assert_checks_match(
                 verify_unitary_representation(d.group_unitaries, 1e-10),
                 pairwise_reference.unitary_representation_reference(d.group_unitaries, 1e-10),
-                pairwise_reference.product_scale(d.group_unitaries._unitary_tensor),
+                pairwise_reference.product_scale(d.group_unitaries.values),
             )
             pair.append(d)
         _assert_checks_match(
@@ -479,7 +479,7 @@ def test_dilation_checks_match_elementwise_reference():
         u, report = uniqueness_unitary(first, second, 1e-9)
         u_old, old = pairwise_reference.uniqueness_reference(first, second, 1e-9)
         assert np.abs(u.flat - u_old).max() <= 1e-12
-        scale = pairwise_reference.product_scale(first.representation._value_tensor)
+        scale = pairwise_reference.product_scale(first.representation.values)
         _assert_checks_match(report, old, scale)
 
 
@@ -567,12 +567,12 @@ def test_tower_checks_match_elementwise_reference():
         _assert_matches_reference(
             levelwise_dilation_coherence(rho, act, u, mt, tol=tol).report,
             pairwise_reference.dilation_coherence_reference(rho, act, u, mt, tol),
-            pairwise_reference.product_scale(rho._value_tensor),
+            pairwise_reference.product_scale(rho.values),
         )
     _assert_matches_reference(
         levelwise_integrated_coherence(phi, v, xp, mt_push, tol=tol).report,
         pairwise_reference.integrated_coherence_reference(phi, v, xp, mt_push, tol),
-        pairwise_reference.product_scale(phi._value_tensor),
+        pairwise_reference.product_scale(phi.values),
     )
 
 

@@ -116,7 +116,7 @@ class TestAmplify:
         rho = random_cp_map(M2, e, rng)
         amp = amplify(rho, 1)
         assert amp.source == rho.source and amp.module.rank == rho.module.rank
-        assert np.array_equal(amp._value_tensor, rho._value_tensor)
+        assert np.array_equal(amp.values, rho.values)
 
     def test_identity_amplified(self):
         e = HilbertModule.free(C, 2)
@@ -183,7 +183,7 @@ def test_replaced_map_is_certified_on_its_own_values():
     assert require_certified_cp(rho).is_cp
     transposed = tuple(rho.basis_values[M2.basis_index(0, j, i)] for i in range(2) for j in range(2))
     with pytest.raises(PreconditionError):
-        require_certified_cp(replace(rho, basis_values=transposed))
+        require_certified_cp(replace(rho, values=transposed))
 
 
 def test_source_mismatch(rng):

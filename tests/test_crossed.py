@@ -325,7 +325,7 @@ class TestIntegratedForm:
         form = integrated_form(d.representation, v, xp)
         assert form.report.passed and replace(form, unitaries=twisted).report == report
         old = pairwise_reference.star_reference(d.representation, twisted, xp.system)
-        scale = pairwise_reference.product_scale(d.representation._value_tensor)
+        scale = pairwise_reference.product_scale(d.representation.values)
         pairwise_reference.assert_agrees(star.residual, old, scale, star.threshold)
         assert report.check("convolution -> composition (spanning pairs)").passed
         assert report.check("unit of C(G,A) -> identity").passed
@@ -353,7 +353,7 @@ class TestIntegratedForm:
         )
         assert not check.passed and check.detail == "all spanning pairs"
         old = pairwise_reference.twisted_residual(d.representation, drifted, xp.system)
-        scale = pairwise_reference.product_scale(d.representation._value_tensor)
+        scale = pairwise_reference.product_scale(d.representation.values)
         pairwise_reference.assert_agrees(check.residual, old, scale, check.threshold)
 
     def test_exact_residual_decides_when_the_bound_exceeds_tol(self, z2_data):
@@ -362,7 +362,7 @@ class TestIntegratedForm:
         form passes and reports the exact residual over all spanning pairs."""
         d, xp = z2_data
         phi, drifted = d.representation, self.drifted(d.group_unitaries, 3.5e-10)
-        values, unitaries = phi._value_tensor, drifted._unitary_tensor
+        values, unitaries = phi.values, drifted.values
         _, cov, _ = _spanning_residuals(values, unitaries, xp.system)
         mult = phi.verify_representation(1e-9).check("multiplicative").residual
         bound, _ = _relation_bound(values, xp.system, cov, mult)
@@ -527,7 +527,7 @@ def test_relation_bound_covers_the_twisted_residual(system, p, homomorphic, drif
     mats = [m if g == group.identity else m @ phases for g, m in enumerate(mats)]
     v = UnitaryRepresentation.from_complex_matrices(group, module, mats)
 
-    values, unitaries = phi._value_tensor, v._unitary_tensor
+    values, unitaries = phi.values, v.values
     _, cov, _ = _spanning_residuals(values, unitaries, action)
     bound, detail = _relation_bound(values, action, cov, phi._exact_multiplicative)
     old = pairwise_reference.twisted_residual(phi, v, action)
@@ -599,6 +599,24 @@ class TestExtension:
                 ).max()
                 <= 1e-10
             )
+
+    def test_grid_extension_builds_few_operator_objects(self, monkeypatch):
+        """The dilation and its extension hold their families as stacks: only the
+        connector, rho(1) of the unitality check, Phi(1) of each representation
+        check and phi(1) of the extension are built as operator objects (5; 76
+        when every family was a tuple of operators)."""
+        rho, act, rep = dilation_instance("m2+c", "m2", 2, "s3", seed=7)
+        xp = build_crossed_product(act)
+        built = []
+        init = AdjointableOperator.__post_init__
+
+        def counted(op):
+            built.append(op)
+            init(op)
+
+        monkeypatch.setattr(AdjointableOperator, "__post_init__", counted)
+        ext = extend_covariant_cp(covariant_dilation(rho, act, rep), xp)
+        assert ext.report.passed and len(built) <= 8
 
     def test_unverified_dilation_rejected(self):
         rho, act, rep = dilation_instance("m2", "c", 1, "z2", seed=34)

@@ -207,7 +207,7 @@ class TestCovariantDilation:
 
 def assert_matches_dilation_reference(report, d) -> None:
     """verify_dilation's report agrees check by check with the per-element loops."""
-    scale = pairwise_reference.product_scale(d.group_unitaries._unitary_tensor)
+    scale = pairwise_reference.product_scale(d.group_unitaries.values)
     old = pairwise_reference.dilation_checks_reference(d, 1e-9)
     assert [c.name for c in report.checks] == [c.name for c in old]
     for new, ref in zip(report.checks, old):
@@ -309,8 +309,8 @@ def _null_space_dilation():
 HELD_ARRAYS = {
     "operator flat": lambda d: d.connector.flat,
     "module projection": lambda d: d.module.projection_flat,
-    "value tensor": lambda d: d.representation._value_tensor,
-    "unitary tensor": lambda d: d.group_unitaries._unitary_tensor,
+    "value tensor": lambda d: d.representation.values,
+    "unitary tensor": lambda d: d.group_unitaries.values,
     "scalar Gram": lambda d: d.quotient.scalar_gram,
     "retained vectors": lambda d: d.quotient.retained_vectors,
     "retained eigenvalues": lambda d: d.quotient.retained_eigenvalues,
@@ -328,9 +328,21 @@ def test_held_arrays_are_read_only(name):
         array[...] = 0.0
 
 
-def test_unitary_tensor_is_stacked_once():
-    u = _null_space_dilation().group_unitaries
-    assert u._unitary_tensor is u._unitary_tensor
+def test_held_stack_is_a_read_only_copy_of_a_callers_buffer():
+    """A map and a representation each freeze one copy of the stack they are
+    given, and leave the caller's buffer writeable."""
+    module = HilbertModule.free(C, 2)
+    values = np.stack([np.eye(2, dtype=np.complex128)] * M2.linear_dim)
+    unitaries = np.stack([np.eye(2, dtype=np.complex128)] * 2)
+    rho = CompletelyPositiveMap(M2, module, values)
+    rep = UnitaryRepresentation(FiniteGroup.cyclic(2), module, unitaries)
+    for held, buffer in ((rho.values, values), (rep.values, unitaries)):
+        assert not np.shares_memory(held, buffer)
+        buffer[0, 0, 1] = 5.0
+        assert held[0, 0, 1] == 0.0 and buffer.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            held[...] = 0.0
+    assert all(not op.coords.flags.writeable for op in rho.basis_values + rep.unitaries)
 
 
 def _two_seed_dilations():

@@ -114,7 +114,7 @@ class TestRepresentations:
         report = verify_unitary_representation(bad)
         assert not report.check("multiplicativity").passed
         assert report.check("unitarity").passed
-        scale = pairwise_reference.product_scale(bad._unitary_tensor)
+        scale = pairwise_reference.product_scale(bad.values)
         for old in pairwise_reference.unitary_representation_reference(bad, 1e-10):
             new = report.check(old.name)
             pairwise_reference.assert_agrees(new.residual, old.residual, scale, new.threshold)

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from prostar.algebra import FiniteCStarAlgebra
-from prostar.errors import StructuralError
+from prostar.cpmaps import CompletelyPositiveMap
+from prostar.errors import PreconditionError, StructuralError
+from prostar.groups import FiniteGroup, UnitaryRepresentation
 from prostar.modules import AdjointableOperator, HilbertModule
 
 from pairwise_reference import adjointability_residual
@@ -76,7 +78,7 @@ def test_adjoint_involution_and_composition(rng):
 def test_transpose_unit_operator():
     # B = C, the matrix-unit operator on B^2 has the transposed unit as adjoint
     e = HilbertModule.free(C, 2)
-    t = AdjointableOperator.from_complex_matrix(e, e, np.array([[0.0, 1.0], [0.0, 0.0]]))
+    t = AdjointableOperator.from_flat(e, e, np.array([[0.0, 1.0], [0.0, 0.0]]))
     assert np.allclose(t.adjoint().flat, np.array([[0.0, 0.0], [1.0, 0.0]]))
 
 
@@ -99,7 +101,7 @@ def test_norms():
 def test_is_unitary():
     e = HilbertModule.free(B, 2)
     assert e.identity_operator().is_unitary().passed
-    swap = AdjointableOperator.from_complex_matrix(e, e, np.array([[0, 1], [1, 0]]))
+    swap = AdjointableOperator.from_flat(e, e, np.kron([[0, 1], [1, 0]], np.eye(2)))
     assert swap.is_unitary().passed
     e1 = HilbertModule.free(C, 1)
     half = 0.5 * e1.identity_operator()
@@ -192,3 +194,46 @@ def test_held_arrays_are_read_only_copies_of_a_callers_buffer():
     assert op.flat[0, 1] == 0.0 and projected.projection_flat[0, 1] == 0.0
     assert not op.flat.flags.writeable and not projected.projection_flat.flags.writeable
     assert op.adjoint().adjoint().flat is not buffer
+
+
+def _holders(module):
+    """Build a CP map on M2 (4 values) and a Z2 representation (2 unitaries) on `module`."""
+    return {
+        "map": (lambda v: CompletelyPositiveMap(B, module, v), B.linear_dim),
+        "representation": (lambda v: UnitaryRepresentation(FiniteGroup.cyclic(2), module, v), 2),
+    }
+
+
+REFUSALS = {
+    "nan": (PreconditionError, "NaN or Inf"),
+    "shape": (StructuralError, "coordinates of shape"),
+    "count": (StructuralError, "need"),
+    "other module": (StructuralError, "endomorphisms of the module"),
+}
+
+
+@pytest.mark.parametrize("holder", ["map", "representation"])
+@pytest.mark.parametrize("case", list(REFUSALS))
+def test_endomorphism_stack_refuses_for_the_reason_it_names(holder, case):
+    """A map's values and a representation's unitaries enter through one checked
+    entry: a NaN, a wrong shape, a wrong count or an operator on another module
+    is refused, each with its own error."""
+    module = HilbertModule.free(B, 2)
+    build, count = _holders(module)[holder]
+    good = np.stack([np.eye(module.coord_dim, dtype=np.complex128)] * count)
+    assert build(good).values.shape == good.shape
+    assert np.array_equal(build([module.identity_operator()] * count).values, good)
+    if case == "nan":
+        bad = good.copy()
+        bad[-1, 0, 0] = np.nan
+    elif case == "shape":
+        bad = good[:, :-1]
+    elif case == "count":
+        bad = good[:-1]
+    else:
+        # Over C⊕C the coordinates have the same shape: only the domain check tells.
+        other = HilbertModule.free(FiniteCStarAlgebra((1, 1)), 2)
+        bad = [module.identity_operator()] * (count - 1) + [other.identity_operator()]
+    error, match = REFUSALS[case]
+    with pytest.raises(error, match=match):
+        build(bad)

@@ -475,6 +475,42 @@ class TestCli:
         else:
             assert out == text + js
 
+    @pytest.mark.parametrize("command", ["run", "example"])
+    def test_unwritable_output_exits_two(self, command, tmp_path, capsys):
+        """A report or scenario that cannot be written is named, with exit 2 and
+        no traceback; exit 1 stays the status of a verification failure."""
+        target = tmp_path / "no-such-dir" / "out.json"
+        if command == "run":
+            path = write_scenario(tmp_path, generate_example("trivial-group", 0))
+            argv = ["run", "--scenario", path, "--format", "json", "--output", str(target)]
+        else:
+            argv = ["example", "z2-m2-dilation", "--output", str(target)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"cannot write {target}: " in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command, option, value",
+        [
+            ("example", "--seed", "-1"),
+            ("example", "--seed", "one"),
+            ("run", "--jobs", "0"),
+            ("run", "--jobs", "-3"),
+            ("run", "--jobs", "2.5"),
+        ],
+    )
+    def test_bad_seed_or_jobs_exits_two(self, command, option, value, tmp_path, capsys):
+        """`example` refuses a seed that `validate` would refuse; `run` refuses a
+        thread count below one instead of running serially."""
+        if command == "run":
+            argv = ["run", "--scenario", write_scenario(tmp_path, generate_example("trivial-group", 0))]
+        else:
+            argv = ["example", "z2-m2-dilation"]
+        with pytest.raises(SystemExit) as exited:
+            main([*argv, option, value])
+        assert exited.value.code == 2
+        assert f"argument {option}: must be a" in capsys.readouterr().err
+
     def test_validate_ok(self, tmp_path, capsys):
         path = write_scenario(tmp_path, generate_example("trivial-group", 0))
         assert main(["validate", "--scenario", path]) == 0

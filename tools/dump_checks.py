@@ -98,7 +98,6 @@ def dump_towers(decisions):
     from prostar import crossed, dilation, recipes
     from prostar.algebra import FiniteCStarAlgebra, StarHomomorphism
     from prostar.cpmaps import CompletelyPositiveMap
-    from prostar.modules import AdjointableOperator
     from prostar.tower import (
         AlgebraTower,
         ModuleTower,
@@ -128,8 +127,8 @@ def dump_towers(decisions):
     free2 = ModuleTower.of_free_modules(chain, 2)
     top2 = free2.modules["p"]
     v2 = recipes.standard_representation("z2", top2)
-    values = tuple(AdjointableOperator.from_complex_matrix(top2, top2, b.dense()) for b in a.basis())
-    phi2 = CompletelyPositiveMap(a, top2, values)
+    images = [np.kron(b.dense(), np.eye(top2.block_dim)) for b in a.basis()]
+    phi2 = CompletelyPositiveMap.from_dense_images(a, top2, images)
     d = dilation.covariant_dilation(rho1, action, u1)
     pushed = ModuleTower.pushed_down(chain, "p", d.module)
     rho_pushed = recipes.random_covariant_cp(a, d.module, action, d.group_unitaries, SEED + 1)

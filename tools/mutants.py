@@ -48,6 +48,7 @@ DILATION = "tests/test_dilation.py"
 GROUPS = "tests/test_groups.py"
 MODULES = "tests/test_modules.py"
 ACCEPTANCE = "tests/test_acceptance.py"
+STACK_ENTRY = f"{MODULES}::test_endomorphism_stack_refuses_for_the_reason_it_names"
 SWEEP = (
     f"{KERNEL}::test_structure_sweep_matches_whole_matrix_reference",
     f"{KERNEL}::test_structure_sweep_refuses_a_defect_in_any_chunk",
@@ -167,11 +168,11 @@ MUTANTS = (
     ),
     Mutant(
         "unit-at-wrong-element", "src/prostar/crossed.py",
-        "unit_value @ u_tensor[action.group.identity]", "unit_value @ u_tensor[-1]", (CROSSED,),
+        "unit_value @ v.values[action.group.identity]", "unit_value @ v.values[-1]", (CROSSED,),
     ),
     Mutant(
         "extension-u-reversed", "src/prostar/crossed.py",
-        "d.rep._unitary_tensor[:, None]", "d.rep._unitary_tensor[::-1, None]", (CROSSED,),
+        "d.rep.values[:, None]", "d.rep.values[::-1, None]", (CROSSED,),
     ),
     # Groups, covariance and the covariant average.
     Mutant(
@@ -200,7 +201,7 @@ MUTANTS = (
         "uniqueness-intertwining-unread", "src/prostar/dilation.py",
         "if kept[_INTERTWINING] > pre_tol:", "if False:", (DILATION,),
     ),
-    # Range coordinates and the one conversion of flats.
+    # Range coordinates, the one conversion of flats and the one entry of stacks.
     Mutant(
         "off-range-mass-accepted", "src/prostar/modules.py",
         "if not np.all(defect <= OFF_RANGE_REL * scale):", "if False:", (KERNEL, CROSSED),
@@ -213,6 +214,15 @@ MUTANTS = (
         "mass-outside-b-accepted", "src/prostar/modules.py",
         "if not np.all(leak <= B_MASS_REL * scale):", "if False:",
         ("tests/test_scenario_cli.py",),
+    ),
+    Mutant(
+        "stack-domain-unchecked", "src/prostar/modules.py",
+        "if not isinstance(op, AdjointableOperator) or op.domain != module or op.codomain != module:",
+        "if not isinstance(op, AdjointableOperator):", (STACK_ENTRY,),
+    ),
+    Mutant(
+        "stack-finiteness-unchecked", "src/prostar/modules.py",
+        "if not np.all(np.isfinite(stack)):", "if False:", (STACK_ENTRY,),
     ),
     Mutant(
         "compose-order-reversed", "src/prostar/modules.py",
