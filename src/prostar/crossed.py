@@ -291,7 +291,7 @@ class IntegratedForm:
 
     crossed: CrossedProductRealization
     representation: CompletelyPositiveMap  # Phi, a verified representation on F
-    unitaries: UnitaryRepresentation  # v on F
+    group_unitaries: UnitaryRepresentation  # v on F
     tol: float
     standard_map: CompletelyPositiveMap = field(init=False)  # induced on the standard form
     # K[g, i] = Phi(a_i) v_g in range coordinates, (|G|, dim A, rank P, rank P)
@@ -299,7 +299,7 @@ class IntegratedForm:
     report: VerificationReport = field(init=False)
 
     def __post_init__(self):
-        xp, phi, v, tol = self.crossed, self.representation, self.unitaries, self.tol
+        xp, phi, v, tol = self.crossed, self.representation, self.group_unitaries, self.tol
         action = xp.system
         threshold = max(tol, 1e-9)
         if phi.source != action.algebra:

@@ -2,11 +2,16 @@
 
 Given a certified CP map rho: A -> L_B(E), the dilation module is the
 quotient of A (x) E by the null space of the semi-inner product
-<a(x)xi, b(x)eta> = <xi, rho(a*b) eta>. The quotient is computed through one
-Hermitian eigenproblem of the scalarized (trace) Gram matrix; the retained
-eigenbasis realizes the quotient concretely as a projective submodule P·B^r,
-carrying the left representation of A, the connecting operator from E, and,
-for covariant input data, a unitary representation of the group.
+<a(x)xi, b(x)eta> = <xi, rho(a*b) eta>. A = (+)_k M_{n_k} is spanned by its
+matrix units, and <E_ab (x) xi, E_cd (x) eta> = δ_ac <xi, rho(E_bd) eta>, so on
+summand k the scalarized (trace) Gram matrix is I_{n_k} (x) C_k, the
+B-valued one I_{n_k} (x) G_k, and different summands are orthogonal. The
+quotient is computed through one Hermitian eigenproblem of C_k per summand,
+whose retained eigenvectors e_α (x) c_j realize it concretely as a
+projective submodule P·B^r, and one of the pushed B-valued Gram c* G_k c
+per summand, whose square root gives P. On that basis Phi(E_ab) = E_ab (x) 1
+exactly; the connecting operator from E and, for covariant input data, the
+unitary representation of the group descend from shuffles of the spanning set.
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ class QuotientData:
 
     spanning_labels: tuple[tuple[int, int], ...]
     scalar_gram: np.ndarray
-    retained_vectors: np.ndarray  # orthonormal eigenvectors, columns
+    retained_vectors: np.ndarray  # orthonormal eigenvectors, columns in (k, α, j) order
     retained_eigenvalues: np.ndarray
     null_vectors: np.ndarray
     null_dim: int
@@ -170,7 +175,8 @@ def minimal_dilation(
 ) -> DilationCore:
     """Construct (E_rho, Phi_rho, V_rho) for a certified, unital CP map.
 
-    `order_seed` permutes the spanning set before the quotient is taken; the
+    `order_seed` permutes the spanning set before the quotient is taken, so
+    each C_k is solved with its labels in the permuted order; the
     construction is deterministic for a fixed seed and yields unitarily
     equivalent results across seeds.
     """
@@ -194,44 +200,56 @@ def minimal_dilation(
         perm = np.random.default_rng(order_seed).permutation(n)
     labels = tuple(gram.spanning_labels[k] for k in perm)
     scalar = gram.scalar[np.ix_(perm, perm)]
-    flat_idx = (perm[:, None] * big_d + np.arange(big_d)[None, :]).ravel()
-    bflat = gram.bvalued_flat[np.ix_(flat_idx, flat_idx)]
+    order, rows0 = _summand_rows(source, d_e, perm)
+    sizes = source.block_sizes
 
-    vals, vecs = linalg.hermitian_eigendecomposition(scalar)
-    lam_max = max(float(vals[-1]), 0.0)
+    # The scalar Gram is I_{n_k} (x) C_k on summand k: one eigenproblem per C_k,
+    # with the null cut taken from the largest eigenvalue over all summands.
+    spectra = [linalg.hermitian_eigendecomposition(gram.scalar[np.ix_(r0, r0)]) for r0 in rows0]
+    lam_max = max(max(float(vals[-1]) for vals, _ in spectra), 0.0)
     threshold = max(NULL_SPACE_REL * lam_max, NULL_SPACE_FLOOR)
-    keep = vals > threshold
+    keeps = [vals > threshold for vals, _ in spectra]
     warnings = []
-    ambiguous = np.logical_and(vals > threshold / 10.0, vals < threshold * 10.0)
+    every = np.concatenate([vals for vals, _ in spectra])
+    ambiguous = np.logical_and(every > threshold / 10.0, every < threshold * 10.0)
     if np.any(ambiguous):
         warnings.append(
             "quotient is ill-conditioned: scalar Gram eigenvalues within 10x of the null threshold"
         )
-    r = int(np.count_nonzero(keep))
+    r = sum(nk * int(np.count_nonzero(keep)) for nk, keep in zip(sizes, keeps))
     if r == 0:
         raise PreconditionError("the semi-inner product vanishes identically")
-    c_plain = vecs[:, keep]
-    lam = vals[keep]
-    null_vecs = vecs[:, ~keep]
+    kept = [(vals[keep], vecs[:, keep]) for (vals, vecs), keep in zip(spectra, keeps)]
+    c_plain = _in_label_order(order, [vecs for _, vecs in kept], sizes)
+    nulls = [vecs[:, ~keep] for (_, vecs), keep in zip(spectra, keeps)]
+    null_vecs = _in_label_order(order, nulls, sizes)
+    lam = np.concatenate([np.tile(vals, nk) for (vals, _), nk in zip(kept, sizes)])
     c_norm = c_plain / np.sqrt(lam)[None, :]
     coord_map = np.sqrt(lam)[:, None] * c_plain.conj().T  # (r, N)
 
-    # Push the B-valued Gram onto the normalized retained basis.
-    g4 = bflat.reshape(n, big_d, n, big_d)
-    h4 = np.einsum("kA,kalb,lB->AaBb", c_norm.conj(), g4, c_norm, optimize=True)
-    h_flat = h4.reshape(r * big_d, r * big_d)
-    h_flat = (h_flat + h_flat.conj().T) / 2.0
-
-    hvals, hvecs = linalg.hermitian_eigendecomposition(h_flat)
-    h_top = max(float(hvals[-1]), 0.0)
-    sup_cut = max(SUPPORT_REL * h_top, NULL_SPACE_FLOOR)
-    keep_h = hvals > sup_cut
-    w = (hvecs[:, keep_h] * np.sqrt(hvals[keep_h])) @ hvecs[:, keep_h].conj().T
-    # E_rho = P·B^r with P the support projection of h, held by U = hvecs[:, keep_h];
-    # when h is invertible P = 1 and E_rho is free.
-    isometry = None if np.all(keep_h) else hvecs[:, keep_h]
-    w4 = w.reshape(r, big_d, r, big_d)
-    coord_extract = np.einsum("iaja->ij", w4)
+    # Push the B-valued Gram, I_{n_k} (x) G_k as well, onto each summand's
+    # normalized retained basis c_k: h_k = c_k* G_k c_k, one eigenproblem each.
+    pushed = []
+    for r0, (vals, vecs) in zip(rows0, kept):
+        if not len(vals):
+            pushed.append(None)
+            continue
+        c_k = vecs / np.sqrt(vals)[None, :]
+        m, r_k = c_k.shape
+        flat = (r0[:, None] * big_d + np.arange(big_d)[None, :]).ravel()
+        # h[(A, a), (B, b)] = sum_kl conj(c_k[k, A]) G_k[(k, a), (l, b)] c_k[l, B], as two products.
+        half = c_k.conj().T @ gram.bvalued_flat[np.ix_(flat, flat)].reshape(m, -1)
+        h = (half.reshape(r_k * big_d, m, big_d).transpose(0, 2, 1) @ c_k).transpose(0, 2, 1)
+        h = h.reshape(r_k * big_d, r_k * big_d)
+        pushed.append(linalg.hermitian_eigendecomposition((h + h.conj().T) / 2.0))
+    roots = _support_roots(pushed, big_d)
+    w = _repeated_diag([root.w for root in roots], sizes)
+    coord_extract = _repeated_diag([root.x for root in roots], sizes)
+    # E_rho = P·B^r with P the support projection of h, held by U, block-diagonal
+    # in (k, α); when h is invertible P = 1 and E_rho is free.
+    ranges = [root.u for root in roots]
+    free = all(u.shape[0] == u.shape[1] for u in ranges)
+    isometry = None if free else _repeated_diag(ranges, sizes)
 
     # The class flats w[:, (a, ·)], one per retained class a, as one stack.
     class_flats = np.ascontiguousarray(w.reshape(r * big_d, r, big_d).transpose(1, 0, 2))
@@ -240,17 +258,24 @@ def minimal_dilation(
     # W = U·(U*W): the descended operators are formed from the rows U*W only.
     w_rows = dilation_module.to_range(w)
     # Internal consistency: the identity shuffle must descend to the identity.
-    right = c_norm @ coord_extract
-    ident = _descend(w_rows, coord_map, np.eye(n)[None], right, isometry)[0]
+    ident = _descend(w_rows, coord_map, c_norm[None], coord_extract, isometry)[0]
     ident_defect = linalg.frobenius(ident - np.eye(len(ident)))
     if ident_defect > 1e-8 * max(1.0, np.sqrt(len(ident))):
         warnings.append(f"quotient embedding defect {ident_defect:.3e}")
 
-    # Left representation of A on the quotient, and the connector
-    # V: xi -> class of 1 (x) xi, both descended from shuffles of the spanning set.
-    shuffles = _multiplication_shuffles(source, labels, d_e)
-    phi = _descend(w_rows, coord_map, shuffles, right, isometry)
+    # Left representation of A on the quotient: on summand k's coordinates
+    # Phi(E_ab) = E_ab (x) 1, since a (x) xi -> E_ab a (x) xi carries row b of the
+    # spanning set onto row a and U, W and coord_extract repeat one block per row.
+    p = dilation_module.coord_dim
+    phi = np.zeros((dim_a, p, p), dtype=np.complex128)
+    start = 0
+    for nk, off, root in zip(sizes, source.coord_offsets, roots):
+        pk = root.u.shape[1]
+        a, b, t = np.ix_(np.arange(nk), np.arange(nk), np.arange(pk))
+        phi[off + a * nk + b, start + a * pk + t, start + b * pk + t] = 1.0
+        start += nk * pk
     representation = CompletelyPositiveMap(source, dilation_module, phi)
+    # The connector V: xi -> class of 1 (x) xi, descended from the inclusion.
     e_labels = tuple((0, s) for s in range(d_e))
     unit_coords = source.unit().coords()[None, :, None]
     inclusion = label_shuffles(labels, e_labels, unit_coords, np.eye(d_e)[None])
@@ -284,6 +309,73 @@ def minimal_dilation(
         _sqrt_flat=w,
         _coord_extract=coord_extract,
     )
+
+
+def _summand_rows(source, d_e: int, perm: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The permuted spanning labels grouped by summand k and row α of E_αβ.
+
+    Returns the positions of the labels in (k, α, slot) order and, for each
+    k, the unpermuted labels (E_0β, s) of row 0 in the order they appear in
+    the permutation, which is the order C_k is solved in. Slot j of row α
+    holds (E_αβ, s) for the (E_0β, s) of slot j of row 0.
+    """
+    sizes = np.array(source.block_sizes)
+    offs = np.array(source.coord_offsets)
+    k_of = np.repeat(np.arange(len(sizes)), sizes * sizes)
+    alpha, beta = np.divmod(np.arange(source.linear_dim) - offs[k_of], sizes[k_of])
+    n = len(perm)
+    i, s = np.divmod(np.arange(n), d_e)
+    row0 = (offs[k_of[i]] + beta[i]) * d_e + s  # label index = i·dim E + s
+    inv = np.empty_like(perm)
+    inv[perm] = np.arange(n)
+    ordered = np.argsort((k_of[i] * sizes.max() + alpha[i]) * n + inv[row0])
+    starts = np.cumsum([0, *(sizes * sizes * d_e)])
+    return inv[ordered], [ordered[st : st + nk * d_e] for st, nk in zip(starts, sizes)]
+
+
+class _Root(NamedTuple):
+    """The square root w_k of a summand's pushed Gram h_k on its support, the
+    range U_k of that support, and the traces x_k of the D×D blocks of w_k."""
+
+    w: np.ndarray
+    u: np.ndarray
+    x: np.ndarray
+
+
+def _support_roots(pushed: Sequence, big_d: int) -> list[_Root]:
+    """The `_Root` of each summand's pushed Gram from its eigendecomposition
+    (values, vectors), empty for a summand with no retained class (None).
+    The support cut is SUPPORT_REL times the largest eigenvalue over all
+    summands, the largest eigenvalue of the whole pushed Gram."""
+    h_top = max(max(float(vals[-1]) for vals, _ in filter(None, pushed)), 0.0)
+    sup_cut = max(SUPPORT_REL * h_top, NULL_SPACE_FLOOR)
+    roots = []
+    for eig in pushed:
+        if eig is None:
+            empty = np.zeros((0, 0), dtype=np.complex128)
+            roots.append(_Root(empty, empty, empty))
+            continue
+        hvals, hvecs = eig
+        keep_h = hvals > sup_cut
+        u = hvecs[:, keep_h]
+        w = (u * np.sqrt(hvals[keep_h])) @ u.conj().T
+        r_k = len(w) // big_d
+        roots.append(_Root(w, u, np.einsum("iaja->ij", w.reshape(r_k, big_d, r_k, big_d))))
+    return roots
+
+
+def _repeated_diag(blocks: Sequence[np.ndarray], copies: Sequence[int]) -> np.ndarray:
+    """The block-diagonal matrix with blocks[k] repeated copies[k] times."""
+    return linalg.block_diag([b for b, c in zip(blocks, copies) for _ in range(c)])
+
+
+def _in_label_order(order: np.ndarray, blocks, copies) -> np.ndarray:
+    """`_repeated_diag(blocks, copies)` with its rows moved to the label positions
+    `order`: column (k, α, j) is e_α (x) (column j of blocks[k])."""
+    diag = _repeated_diag(blocks, copies)
+    out = np.empty_like(diag)
+    out[order] = diag
+    return out
 
 
 def label_shuffles(
@@ -341,12 +433,9 @@ def _descend(
 
 
 def _null_preservation_residual(quotient: QuotientData, shuffles: np.ndarray) -> float:
-    """Semi-norm of shuffled null vectors over a stack of shuffles; zero when the
-    null space is respected."""
-    nulls = quotient.null_vectors
-    if nulls.shape[1] == 0:
-        return 0.0
-    moved = shuffles @ nulls
+    """Semi-norm of shuffled null vectors over a stack of shuffles, for a
+    non-empty null space; zero when the null space is respected."""
+    moved = shuffles @ quotient.null_vectors
     quad = np.einsum("bki,kl,bli->bi", moved.conj(), quotient.scalar_gram, moved)
     return float(np.sqrt(max(np.max(quad.real), 0.0)))
 
@@ -451,15 +540,18 @@ def _dilation_identities(d: CovariantDilation) -> tuple[np.ndarray, tuple[_Ident
     identities.append(_Identity("Phi is a unital *-representation", rep_residual, 1e-9))
 
     # well-definedness: the null space is respected by left multiplication and
-    # by the covariant shuffles a(x)xi -> alpha_g(a)(x)u_g(xi)
-    labels = d.quotient.spanning_labels
-    shuffles = np.concatenate(
-        [
-            _multiplication_shuffles(rho.source, labels, rho.module.complex_dim),
-            _covariant_shuffles(d.action, d.rep, labels),
-        ]
-    )
-    null_res = _null_preservation_residual(d.quotient, shuffles)
+    # by the covariant shuffles a(x)xi -> alpha_g(a)(x)u_g(xi); an empty null
+    # space is, and then no shuffle is formed.
+    null_res = 0.0
+    if d.quotient.null_dim:
+        labels = d.quotient.spanning_labels
+        shuffles = np.concatenate(
+            [
+                _multiplication_shuffles(rho.source, labels, rho.module.complex_dim),
+                _covariant_shuffles(d.action, d.rep, labels),
+            ]
+        )
+        null_res = _null_preservation_residual(d.quotient, shuffles)
     identities.append(_Identity("null space preserved", float(null_res), 1e-9))
     return family, tuple(identities)
 

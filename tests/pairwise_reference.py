@@ -39,6 +39,9 @@ space through one kron shuffle per element, and the group law one pair
 (g, h) at a time (as do `unitary_representation_reference` and
 `action_reference`). `descended_reference` builds Φ(a_i), v_g and V by
 kron-and-permute, as `minimal_dilation` and `covariant_extend` did.
+`whole_gram_quotient` takes the quotient as `minimal_dilation` did before
+it took it one matrix-unit summand at a time: one eigenproblem of the whole
+scalar Gram and one of the whole pushed B-valued Gram.
 
 The last references were once library code that only the tests called:
 `jacobi_eigh` is a cyclic complex Jacobi eigensolver, independent of LAPACK;
@@ -60,7 +63,18 @@ a time, as `linalg._fix_phases` did before it rotated them all at once.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
+
+from prostar.dilation import (
+    NULL_SPACE_FLOOR,
+    NULL_SPACE_REL,
+    SUPPORT_REL,
+    _descend,
+    _multiplication_shuffles,
+    gram_operator,
+)
 
 # Residuals are sums of rounding errors taken in another order, so the two
 # paths agree relative to the size of the products, not bit for bit.
@@ -844,6 +858,82 @@ def descended_reference(core, action, rep) -> tuple[np.ndarray, np.ndarray, np.n
     )
     connector = core._sqrt_flat @ np.kron(core._coord_map @ x_map @ y, np.eye(big_d))
     return phi, v, connector
+
+
+class WholeGramQuotient(NamedTuple):
+    threshold: float
+    retained_eigenvalues: np.ndarray  # ascending
+    null_dim: int
+    support_rank: int  # rank P of E_rho = P·B^r
+    warnings: tuple[str, ...]
+
+
+def whole_gram_quotient(gram, order_seed: int | None = None) -> WholeGramQuotient:
+    """The quotient of `dilation.gram_operator`'s Gram taken whole: the N×N
+    scalar Gram (permuted by `order_seed` as `minimal_dilation` permutes it)
+    in one eigenproblem, the B-valued Gram pushed onto all r retained classes
+    and that r·D×r·D matrix in one more, with the identity shuffle descended
+    through the whole square root for the embedding defect."""
+    n = len(gram.scalar)
+    big_d = len(gram.bvalued_flat) // n
+    perm = np.arange(n) if order_seed is None else np.random.default_rng(order_seed).permutation(n)
+    flat = (perm[:, None] * big_d + np.arange(big_d)[None, :]).ravel()
+    bflat = gram.bvalued_flat[np.ix_(flat, flat)]
+    vals, vecs = np.linalg.eigh(gram.scalar[np.ix_(perm, perm)])
+    threshold = max(NULL_SPACE_REL * max(float(vals[-1]), 0.0), NULL_SPACE_FLOOR)
+    keep = vals > threshold
+    warnings = []
+    if np.any((vals > threshold / 10.0) & (vals < threshold * 10.0)):
+        warnings.append(
+            "quotient is ill-conditioned: scalar Gram eigenvalues within 10x of the null threshold"
+        )
+    lam = vals[keep]
+    r = len(lam)
+    c_norm = vecs[:, keep] / np.sqrt(lam)[None, :]
+    coord_map = np.sqrt(lam)[:, None] * vecs[:, keep].conj().T
+    g4 = bflat.reshape(n, big_d, n, big_d)
+    h = np.einsum("kA,kalb,lB->AaBb", c_norm.conj(), g4, c_norm).reshape(r * big_d, r * big_d)
+    hvals, hvecs = np.linalg.eigh((h + h.conj().T) / 2.0)
+    keep_h = hvals > max(SUPPORT_REL * max(float(hvals[-1]), 0.0), NULL_SPACE_FLOOR)
+    u = hvecs[:, keep_h]
+    w = (u * np.sqrt(hvals[keep_h])) @ u.conj().T
+    extract = np.einsum("iaja->ij", w.reshape(r, big_d, r, big_d))
+    ident = w @ np.kron(coord_map @ c_norm @ extract, np.eye(big_d))
+    if not np.all(keep_h):
+        ident = u.conj().T @ ident @ u
+    defect = np.linalg.norm(ident - np.eye(len(ident)))
+    if defect > 1e-8 * max(1.0, np.sqrt(len(ident))):
+        warnings.append(f"quotient embedding defect {defect:.3e}")
+    return WholeGramQuotient(threshold, lam, n - r, u.shape[1], tuple(warnings))
+
+
+def assert_summand_quotient_agrees(core, order_seed: int | None) -> None:
+    """`core`, a `minimal_dilation` at `order_seed`, keeps the whole-Gram
+    quotient's rank, null dimension, support rank and warnings, its threshold
+    and retained spectrum (as a multiset) within REL; and its Phi, written as
+    E_ab ⊗ 1, is the Phi that the multiplication shuffles descend to."""
+    rho, quotient = core.cp_map, core.quotient
+    ref = whole_gram_quotient(gram_operator(rho), order_seed)
+    assert len(quotient.retained_eigenvalues) == len(ref.retained_eigenvalues)
+    assert quotient.null_dim == ref.null_dim
+    assert core.module.coord_dim == ref.support_rank
+    assert quotient.warnings == ref.warnings
+    assert abs(quotient.threshold - ref.threshold) <= REL * ref.threshold
+    spectrum = np.sort(quotient.retained_eigenvalues)
+    top = max(1.0, float(ref.retained_eigenvalues[-1]))
+    assert np.abs(spectrum - ref.retained_eigenvalues).max() <= REL * top
+
+    shuffles = _multiplication_shuffles(
+        rho.source, quotient.spanning_labels, rho.module.complex_dim
+    )
+    descended = _descend(
+        core.module.to_range(core._sqrt_flat),
+        core._coord_map,
+        shuffles,
+        core._class_embed @ core._coord_extract,
+        core.module.isometry,
+    )
+    assert np.abs(descended - core.representation.values).max() <= 1e-12
 
 
 # -- former library code, kept as independent references ----------------------

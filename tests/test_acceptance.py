@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import pairwise_reference
+from prostar import dilation as dilation_layer
 from prostar.algebra import FiniteCStarAlgebra, StarHomomorphism, verify_star_homomorphism
 from prostar.cpmaps import CompletelyPositiveMap
 from prostar.crossed import (
@@ -643,3 +644,38 @@ def test_criterion_8_negative_controls():
         f"non-covariant map rejected {raised}"
     )
     assert ok
+
+
+def test_summand_quotient_matches_whole_gram_reference():
+    """The quotient taken one matrix-unit summand at a time agrees with the
+    whole-Gram quotient on all 48 combos, for the default spanning order and
+    for a permuted one, and its Phi is the one the shuffles descend to."""
+    for k, combo in enumerate(GRID):
+        rho, _, _ = dilation_instance(*combo, seed=BASE_SEED + k)
+        for order_seed in (None, BASE_SEED + k + 1):
+            core = minimal_dilation(rho, order_seed=order_seed)
+            pairwise_reference.assert_summand_quotient_agrees(core, order_seed)
+
+
+def test_one_eigensolve_per_summand_for_each_gram(monkeypatch):
+    """Each grid dilation solves one C_k and one pushed h_k per summand M_{n_k}.
+    The largest is h_k of M3 on the rank-2 free M2-module: C_k has 3·8 = 24
+    labels, all retained, and h_k is 24·2 = 48 square."""
+    sizes = []
+    solve = dilation_layer.linalg.hermitian_eigendecomposition
+
+    def counted(h):
+        sizes.append(len(h))
+        return solve(h)
+
+    largest = 0
+    for k, combo in enumerate(GRID):
+        rho, _, _ = dilation_instance(*combo, seed=BASE_SEED + k)
+        gram_operator(rho)  # the CP certificate's eigensolves are not the quotient's
+        sizes.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(dilation_layer.linalg, "hermitian_eigendecomposition", counted)
+            minimal_dilation(rho)
+        assert len(sizes) == 2 * len(rho.source.block_sizes), (combo, sizes)
+        largest = max(largest, *sizes)
+    assert largest == 48

@@ -323,7 +323,7 @@ class TestIntegratedForm:
         assert not star.passed
         # replace() builds and checks the form again rather than copying its pass.
         form = integrated_form(d.representation, v, xp)
-        assert form.report.passed and replace(form, unitaries=twisted).report == report
+        assert form.report.passed and replace(form, group_unitaries=twisted).report == report
         old = pairwise_reference.star_reference(d.representation, twisted, xp.system)
         scale = pairwise_reference.product_scale(d.representation.values)
         pairwise_reference.assert_agrees(star.residual, old, scale, star.threshold)
@@ -332,7 +332,8 @@ class TestIntegratedForm:
 
     @staticmethod
     def drifted(v, size):
-        """v with v_1 -> v_1·diag(exp(i·size·k)), which moves covariance by about 2·size."""
+        """v with v_1 -> v_1·diag(exp(i·size·k)), which moves covariance in
+        proportion to size, by a factor that depends on the order of E_rho's basis."""
         n = v.module.flat_dim
         drift = v.unitaries[1].flat @ np.diag(np.exp(1j * size * np.arange(n)))
         return UnitaryRepresentation(
@@ -341,13 +342,23 @@ class TestIntegratedForm:
             (v.unitaries[0], AdjointableOperator.from_flat(v.module, v.module, drift)),
         )
 
+    @classmethod
+    def drifted_to(cls, d, xp, covariance):
+        """`drifted` at the size that gives a covariance residual `covariance`.
+        The residual is linear in the size at these sizes, so the covariance
+        of a unit probe, 1e-9, fixes the size whatever the basis of E_rho."""
+        probe = 1e-9
+        moved = cls.drifted(d.group_unitaries, probe).values
+        _, cov, _ = _spanning_residuals(d.representation.values, moved, xp.system)
+        return cls.drifted(d.group_unitaries, covariance * probe / cov)
+
     def test_small_covariance_defect_fails_composition(self, z2_data):
-        # A drift of 3e-9 leaves a covariance residual of 6e-9, inside the
-        # 1e-8 precondition, but the spanning products then miss by as much,
-        # above their 1e-9 threshold. The relation bound exceeds it too, so
-        # the exact residual decides.
+        # A drift with covariance residual 6e-9 is inside the 1e-8
+        # precondition, but the spanning products then miss by as much, above
+        # their 1e-9 threshold. The relation bound exceeds it too, so the
+        # exact residual decides.
         d, xp = z2_data
-        drifted = self.drifted(d.group_unitaries, 3e-9)
+        drifted = self.drifted_to(d, xp, 6e-9)
         check = integrated_form(d.representation, drifted, xp).report.check(
             "convolution -> composition (spanning pairs)"
         )
@@ -357,11 +368,11 @@ class TestIntegratedForm:
         pairwise_reference.assert_agrees(check.residual, old, scale, check.threshold)
 
     def test_exact_residual_decides_when_the_bound_exceeds_tol(self, z2_data):
-        """A drift of 3.5e-10 puts f·C + a·M near 1.4e-9, above the 1e-9
+        """A drift with covariance residual 7e-10 puts f·C + a·M above the 1e-9
         threshold, while every spanning pair misses by only about 7e-10: the
         form passes and reports the exact residual over all spanning pairs."""
         d, xp = z2_data
-        phi, drifted = d.representation, self.drifted(d.group_unitaries, 3.5e-10)
+        phi, drifted = d.representation, self.drifted_to(d, xp, 7e-10)
         values, unitaries = phi.values, drifted.values
         _, cov, _ = _spanning_residuals(values, unitaries, xp.system)
         mult = phi.verify_representation(1e-9).check("multiplicative").residual

@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pairwise_reference
 
@@ -30,6 +32,7 @@ from prostar.linalg import DEFAULT_TOL
 from prostar.modules import AdjointableOperator, HilbertModule
 from prostar.recipes import (
     dilation_instance,
+    named_algebra,
     random_cp_map,
     standard_action,
     standard_representation,
@@ -523,3 +526,73 @@ def test_report_check_names_are_pinned():
     for subject, (report, expected) in pinned.items():
         assert report.subject == subject
         assert [(c.name, c.threshold) for c in report.checks] == expected
+
+
+M2_PLUS_C = FiniteCStarAlgebra((2, 1))
+
+
+@pytest.mark.parametrize("source", [M2, M2_PLUS_C], ids=["m2", "m2+c"])
+@pytest.mark.parametrize("order_seed", [None, 3])
+def test_summand_quotient_with_a_null_space(source, order_seed):
+    """The identity representation on the defining space leaves a null space
+    (6 on M2 over C², 12 on M2⊕C over C³); the quotient taken per summand keeps
+    the whole-Gram quotient's, and its Phi is the descended one."""
+    module = HilbertModule.free(C, source.total_dim)
+    rho = CompletelyPositiveMap.identity_representation(source, module)
+    core = minimal_dilation(rho, order_seed=order_seed)
+    assert core.quotient.null_dim == source.linear_dim * source.total_dim - source.total_dim
+    pairwise_reference.assert_summand_quotient_agrees(core, order_seed)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+    base=st.sampled_from(["c", "m2"]),
+    rank=st.integers(1, 2),
+    seed=st.integers(0, 2**16),
+)
+def test_gram_is_one_block_per_summand_row(sizes, base, rank, seed):
+    """<E_ab (x) xi, E_cd (x) eta> = δ_ac <xi, rho(E_bd) eta>: for a random Kraus map
+    both Grams are exactly zero outside the (summand, row) blocks of the spanning
+    set, and the n_k row blocks of a summand are equal entry for entry."""
+    source = FiniteCStarAlgebra(tuple(sizes))
+    module = HilbertModule.free(named_algebra(base), rank)
+    gram = gram_operator(random_cp_map(source, module, np.random.default_rng(seed)))
+    d_e, big_d = module.complex_dim, module.block_dim
+    # E_αβ of summand k, at basis index off_k + α·n_k + β, lies in block off_k + α.
+    offsets, blocks = source.coord_offsets, source.block_sizes
+    block = np.concatenate([np.repeat(off + np.arange(n), n) for off, n in zip(offsets, blocks)])
+    labels = np.repeat(block, d_e)
+    outside = labels[:, None] != labels[None, :]
+    assert np.all(gram.scalar[outside] == 0.0)
+    assert np.all(gram.bvalued_flat[np.kron(outside, np.ones((big_d, big_d), bool))] == 0.0)
+    g4 = gram.bvalued_flat.reshape(len(labels), big_d, len(labels), big_d)
+    for off, n in zip(offsets, blocks):
+        rows = [slice((off + a * n) * d_e, (off + a * n + n) * d_e) for a in range(n)]
+        for row in rows[1:]:
+            assert np.array_equal(gram.scalar[row, row], gram.scalar[rows[0], rows[0]])
+            assert np.array_equal(g4[row, :, row], g4[rows[0], :, rows[0]])
+
+
+def test_null_cut_is_global_over_summands():
+    """On C⊕C with rho(e_1) = diag(1, 1 - t) and rho(e_2) = diag(0, t), t = 1e-12,
+    C_2's top eigenvalue t lies below the null cut 1e-9 that C_1 sets, so both
+    classes of e_2 are null, as in the whole Gram; a cut taken from C_2's own
+    top would keep one."""
+    t = 1e-12
+    module = HilbertModule.free(C, 2)
+    images = [np.diag([1.0, 1.0 - t]), np.diag([0.0, t])]
+    rho = CompletelyPositiveMap.from_dense_images(FiniteCStarAlgebra((1, 1)), module, images)
+    core = minimal_dilation(rho)
+    assert core.quotient.threshold == pytest.approx(1e-9, rel=1e-12)
+    assert (core.module.complex_dim, core.quotient.null_dim) == (2, 2)
+    pairwise_reference.assert_summand_quotient_agrees(core, None)
+
+
+def test_support_cut_is_global_over_summands():
+    """An eigenvalue of one summand's pushed Gram above SUPPORT_REL times that
+    summand's top, but below SUPPORT_REL times the top over all summands, is cut."""
+    pushed = [(np.array([2.0]), np.eye(1)), (np.array([1.5e-12, 1.0]), np.eye(2))]
+    roots = dilation_layer._support_roots(pushed, 1)
+    assert [root.u.shape[1] for root in roots] == [1, 1]
+    assert np.array_equal(roots[1].w, np.diag([0.0, 1.0]))

@@ -191,7 +191,30 @@ MUTANTS = (
     # The dilation and the uniqueness unitary.
     Mutant(
         "null-space-covariant-shuffles-dropped", "src/prostar/dilation.py",
-        "            _covariant_shuffles(d.action, d.rep, labels),\n", "", (DILATION, ACCEPTANCE),
+        "                _covariant_shuffles(d.action, d.rep, labels),\n", "", (DILATION, ACCEPTANCE),
+    ),
+    # The quotient one matrix-unit summand at a time.
+    Mutant(
+        "null-cut-per-summand", "src/prostar/dilation.py",
+        "keeps = [vals > threshold for vals, _ in spectra]",
+        "keeps = [vals > max(NULL_SPACE_REL * vals[-1], NULL_SPACE_FLOOR) for vals, _ in spectra]",
+        (f"{DILATION}::test_null_cut_is_global_over_summands",),
+    ),
+    Mutant(
+        "only-row-0-filled", "src/prostar/dilation.py",
+        "[b for b, c in zip(blocks, copies) for _ in range(c)]",
+        "[b if j == 0 else 0 * b for b, c in zip(blocks, copies) for j in range(c)]", (DILATION,),
+    ),
+    Mutant(
+        "phi-block-at-b-a", "src/prostar/dilation.py",
+        "phi[off + a * nk + b, start + a * pk + t, start + b * pk + t] = 1.0",
+        "phi[off + a * nk + b, start + b * pk + t, start + a * pk + t] = 1.0", (DILATION,),
+    ),
+    Mutant(
+        "support-cut-per-summand", "src/prostar/dilation.py",
+        "keep_h = hvals > sup_cut",
+        "keep_h = hvals > max(SUPPORT_REL * hvals[-1], NULL_SPACE_FLOOR)",
+        (f"{DILATION}::test_support_cut_is_global_over_summands",),
     ),
     Mutant(
         "minimality-never-fails", "src/prostar/dilation.py",
