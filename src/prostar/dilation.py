@@ -4,14 +4,15 @@ Given a certified CP map rho: A -> L_B(E), the dilation module is the
 quotient of A (x) E by the null space of the semi-inner product
 <a(x)xi, b(x)eta> = <xi, rho(a*b) eta>. A = (+)_k M_{n_k} is spanned by its
 matrix units, and <E_ab (x) xi, E_cd (x) eta> = δ_ac <xi, rho(E_bd) eta>, so on
-summand k the scalarized (trace) Gram matrix is I_{n_k} (x) C_k, the
-B-valued one I_{n_k} (x) G_k, and different summands are orthogonal. The
-quotient is computed through one Hermitian eigenproblem of C_k per summand,
-whose retained eigenvectors e_α (x) c_j realize it concretely as a
-projective submodule P·B^r, and one of the pushed B-valued Gram c* G_k c
-per summand, whose square root gives P. On that basis Phi(E_ab) = E_ab (x) 1
-exactly; the connecting operator from E and, for covariant input data, the
-unitary representation of the group descend from shuffles of the spanning set.
+summand k the B-valued Gram is I_{n_k} (x) G_k, with G_k rho's Choi block
+sandwiched by the complex basis of E, and the scalarized (trace) one
+I_{n_k} (x) C_k; summands are orthogonal, and only the G_k and C_k are formed.
+One Hermitian eigenproblem of C_k per summand gives retained eigenvectors
+e_α (x) c_j that realize the quotient as a projective submodule P·B^r, and
+one of the pushed Gram c* G_k c per summand has the square root that gives P.
+On that basis Phi(E_ab) = E_ab (x) 1 exactly; the connecting operator from E
+and, for covariant input data, the unitary representation of the group
+descend from shuffles of the spanning set.
 """
 
 from __future__ import annotations
@@ -41,29 +42,35 @@ SUPPORT_REL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class GramData:
-    """The semi-inner product of the spanning set {a_i (x) xi_s}; its arrays are read-only."""
+    """The Gram of the spanning set {E_αβ (x) xi_s} of each summand M_{n_k} of A,
+    I_{n_k} (x) G_k over M(B) and I_{n_k} (x) C_k scalarized; labels (β, s)
+    are β·dim E + s. Its arrays are read-only."""
 
-    spanning_labels: tuple[tuple[int, int], ...]  # (A-basis index, E-basis index)
-    bvalued_flat: np.ndarray  # (N*D, N*D), PSD over M_N(B)
-    scalar: np.ndarray  # (N, N), trace of each B-valued entry
+    bvalued_blocks: tuple[np.ndarray, ...]  # G_k, (n_k·dim E·D)², block (β, δ) = x* rho(E_βδ) x
+    scalar_blocks: tuple[np.ndarray, ...]  # C_k, (n_k·dim E)², trace of each D×D block of G_k
 
     def __post_init__(self):
-        for name in ("bvalued_flat", "scalar"):
-            object.__setattr__(self, name, linalg.read_only(getattr(self, name)))
+        for name in ("bvalued_blocks", "scalar_blocks"):
+            object.__setattr__(self, name, tuple(map(linalg.read_only, getattr(self, name))))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuotientData:
     """The quotient of the spanning set by the null space; every array is read-only."""
 
     spanning_labels: tuple[tuple[int, int], ...]
-    scalar_gram: np.ndarray
+    scalar_blocks: tuple[np.ndarray, ...]  # C_k with its labels in the order solved
     retained_vectors: np.ndarray  # orthonormal eigenvectors, columns in (k, α, j) order
     retained_eigenvalues: np.ndarray
     null_vectors: np.ndarray
     null_dim: int
     threshold: float
     warnings: tuple[str, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "scalar_blocks", tuple(map(linalg.read_only, self.scalar_blocks)))
+        for name in ("retained_vectors", "retained_eigenvalues", "null_vectors"):
+            object.__setattr__(self, name, linalg.read_only(getattr(self, name)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,7 +112,7 @@ def _report_at(identities: Sequence[_Identity], tol: float) -> VerificationRepor
     return VerificationReport("covariant dilation", checks)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CovariantDilation:
     """Covariant dilation (Phi, v, F, V) of (rho, alpha, u). The residuals of its
     identities, and the spanning family {Phi(a_i) V xi_s} that (b) and
@@ -141,30 +148,24 @@ class CovariantDilation:
 
 
 def gram_operator(rho: CompletelyPositiveMap, tol: float = DEFAULT_TOL) -> GramData:
-    """B-valued and scalarized Gram of the spanning set {a_i (x) xi_s}."""
+    """G_k and its blockwise trace C_k for each summand M_{n_k} of A: block (β, δ)
+    of G_k is x* rho(E_βδ) x, with x the complex basis of E in range coordinates,
+    i.e. rho's Choi block Σ E_βδ (x) rho(E_βδ) with x applied on both sides."""
     require_certified_cp(rho, tol)
     source, module = rho.source, rho.module
-    dim_a = source.linear_dim
-    d_e = module.complex_dim
     big_d = module.block_dim
     x = np.hstack(module.coord_basis)  # (rank P, d_e*D)
-
-    labels = tuple((i, s) for i in range(dim_a) for s in range(d_e))
-    n = dim_a * d_e
-    # Block (i, j) is x* rho(a_i* a_j) x, and a_i* a_j is the basis element
-    # product_table[adjoint_index[i], j] (or zero): a gather of the values.
     sandwiched = x.conj().T @ rho.values @ x  # (dim_a, d_e*D, d_e*D)
-    idx = source.product_table[source.adjoint_index]
-    blocks = sandwiched[np.maximum(idx, 0)]
-    blocks[idx < 0] = 0.0
-    gram = blocks.transpose(0, 2, 1, 3).reshape(n * big_d, n * big_d)
-    gram = (gram + gram.conj().T) / 2.0
-    g4 = gram.reshape(n, big_d, n, big_d)
-    scalar = np.einsum("kala->kl", g4)
-    scalar = (scalar + scalar.conj().T) / 2.0
-    for array in (gram, scalar):
-        array.setflags(write=False)
-    return GramData(labels, gram, scalar)
+    m = sandwiched.shape[1]
+    bvalued, scalar = [], []
+    for off, nk in zip(source.coord_offsets, source.block_sizes):
+        g = sandwiched[off : off + nk * nk].reshape(nk, nk, m, m).transpose(0, 2, 1, 3)
+        g = g.reshape(nk * m, nk * m)
+        g = (g + g.conj().T) / 2.0
+        c = np.einsum("kala->kl", g.reshape(-1, big_d, len(g) // big_d, big_d))
+        bvalued.append(g)
+        scalar.append((c + c.conj().T) / 2.0)
+    return GramData(tuple(bvalued), tuple(scalar))
 
 
 def minimal_dilation(
@@ -188,24 +189,20 @@ def minimal_dilation(
         )
 
     source, module = rho.source, rho.module
-    algebra_b = module.algebra
     big_d = module.block_dim
     d_e = module.complex_dim
     dim_a = source.linear_dim
     n = dim_a * d_e
 
-    if order_seed is None:
-        perm = np.arange(n)
-    else:
-        perm = np.random.default_rng(order_seed).permutation(n)
-    labels = tuple(gram.spanning_labels[k] for k in perm)
-    scalar = gram.scalar[np.ix_(perm, perm)]
+    perm = np.arange(n) if order_seed is None else np.random.default_rng(order_seed).permutation(n)
+    labels = tuple(divmod(int(k), d_e) for k in perm)
     order, rows0 = _summand_rows(source, d_e, perm)
     sizes = source.block_sizes
 
     # The scalar Gram is I_{n_k} (x) C_k on summand k: one eigenproblem per C_k,
     # with the null cut taken from the largest eigenvalue over all summands.
-    spectra = [linalg.hermitian_eigendecomposition(gram.scalar[np.ix_(r0, r0)]) for r0 in rows0]
+    scalar = [c[np.ix_(r0, r0)] for c, r0 in zip(gram.scalar_blocks, rows0)]
+    spectra = [linalg.hermitian_eigendecomposition(c) for c in scalar]
     lam_max = max(max(float(vals[-1]) for vals, _ in spectra), 0.0)
     threshold = max(NULL_SPACE_REL * lam_max, NULL_SPACE_FLOOR)
     keeps = [vals > threshold for vals, _ in spectra]
@@ -230,7 +227,7 @@ def minimal_dilation(
     # Push the B-valued Gram, I_{n_k} (x) G_k as well, onto each summand's
     # normalized retained basis c_k: h_k = c_k* G_k c_k, one eigenproblem each.
     pushed = []
-    for r0, (vals, vecs) in zip(rows0, kept):
+    for g_k, r0, (vals, vecs) in zip(gram.bvalued_blocks, rows0, kept):
         if not len(vals):
             pushed.append(None)
             continue
@@ -238,7 +235,7 @@ def minimal_dilation(
         m, r_k = c_k.shape
         flat = (r0[:, None] * big_d + np.arange(big_d)[None, :]).ravel()
         # h[(A, a), (B, b)] = sum_kl conj(c_k[k, A]) G_k[(k, a), (l, b)] c_k[l, B], as two products.
-        half = c_k.conj().T @ gram.bvalued_flat[np.ix_(flat, flat)].reshape(m, -1)
+        half = c_k.conj().T @ g_k[np.ix_(flat, flat)].reshape(m, -1)
         h = (half.reshape(r_k * big_d, m, big_d).transpose(0, 2, 1) @ c_k).transpose(0, 2, 1)
         h = h.reshape(r_k * big_d, r_k * big_d)
         pushed.append(linalg.hermitian_eigendecomposition((h + h.conj().T) / 2.0))
@@ -254,7 +251,7 @@ def minimal_dilation(
     # The class flats w[:, (a, ·)], one per retained class a, as one stack.
     class_flats = np.ascontiguousarray(w.reshape(r * big_d, r, big_d).transpose(1, 0, 2))
     class_flats.setflags(write=False)
-    dilation_module = HilbertModule(algebra_b, r, isometry, basis_flats=class_flats)
+    dilation_module = HilbertModule(module.algebra, r, isometry, basis_flats=class_flats)
     # W = U·(U*W): the descended operators are formed from the rows U*W only.
     w_rows = dilation_module.to_range(w)
     # Internal consistency: the identity shuffle must descend to the identity.
@@ -286,11 +283,11 @@ def minimal_dilation(
         module, dilation_module, _descend(w_rows, coord_map, inclusion, y, module.isometry)[0]
     )
 
-    for array in (scalar, c_plain, lam, null_vecs, coord_map, c_norm, w, coord_extract):
+    for array in (coord_map, c_norm, w, coord_extract):
         array.setflags(write=False)
     quotient = QuotientData(
         spanning_labels=labels,
-        scalar_gram=scalar,
+        scalar_blocks=tuple(scalar),
         retained_vectors=c_plain,
         retained_eigenvalues=lam,
         null_vectors=null_vecs,
@@ -315,8 +312,8 @@ def _summand_rows(source, d_e: int, perm: np.ndarray) -> tuple[np.ndarray, list[
     """The permuted spanning labels grouped by summand k and row α of E_αβ.
 
     Returns the positions of the labels in (k, α, slot) order and, for each
-    k, the unpermuted labels (E_0β, s) of row 0 in the order they appear in
-    the permutation, which is the order C_k is solved in. Slot j of row α
+    k, the labels β·dim E + s of C_k for the (E_0β, s) of row 0 in the order
+    C_k is solved in, their order in the permutation. Slot j of row α
     holds (E_αβ, s) for the (E_0β, s) of slot j of row 0.
     """
     sizes = np.array(source.block_sizes)
@@ -330,7 +327,8 @@ def _summand_rows(source, d_e: int, perm: np.ndarray) -> tuple[np.ndarray, list[
     inv[perm] = np.arange(n)
     ordered = np.argsort((k_of[i] * sizes.max() + alpha[i]) * n + inv[row0])
     starts = np.cumsum([0, *(sizes * sizes * d_e)])
-    return inv[ordered], [ordered[st : st + nk * d_e] for st, nk in zip(starts, sizes)]
+    rows0 = [ordered[st : st + nk * d_e] - off * d_e for st, nk, off in zip(starts, sizes, offs)]
+    return inv[ordered], rows0
 
 
 class _Root(NamedTuple):
@@ -432,11 +430,21 @@ def _descend(
     return np.ascontiguousarray(rows if domain_basis is None else rows @ domain_basis)
 
 
-def _null_preservation_residual(quotient: QuotientData, shuffles: np.ndarray) -> float:
-    """Semi-norm of shuffled null vectors over a stack of shuffles, for a
-    non-empty null space; zero when the null space is respected."""
-    moved = shuffles @ quotient.null_vectors
-    quad = np.einsum("bki,kl,bli->bi", moved.conj(), quotient.scalar_gram, moved)
+def _null_preservation_residual(d: CovariantDilation) -> float:
+    """Semi-norm of the null vectors moved by left multiplication and by the
+    covariant shuffles, for a non-empty null space; zero when it is respected.
+    The scalar Gram is read as I_{n_k} (x) C_k on the labels of summand k."""
+    source, d_e, quotient = d.cp_map.source, d.cp_map.module.complex_dim, d.quotient
+    labels = quotient.spanning_labels
+    left = _multiplication_shuffles(source, labels, d_e)
+    shuffles = np.concatenate([left, _covariant_shuffles(d.action, d.rep, labels)])
+    order, _ = _summand_rows(source, d_e, np.array([i * d_e + s for i, s in labels]))
+    moved = (shuffles @ quotient.null_vectors)[:, order]  # labels in (k, α, slot) order
+    quad, start = 0.0, 0
+    for c_k, nk in zip(quotient.scalar_blocks, source.block_sizes):
+        rows = moved[:, start : start + nk * len(c_k)].reshape(len(moved), nk, len(c_k), -1)
+        quad = quad + np.einsum("baki,kl,bali->bi", rows.conj(), c_k, rows)
+        start += nk * len(c_k)
     return float(np.sqrt(max(np.max(quad.real), 0.0)))
 
 
@@ -542,17 +550,8 @@ def _dilation_identities(d: CovariantDilation) -> tuple[np.ndarray, tuple[_Ident
     # well-definedness: the null space is respected by left multiplication and
     # by the covariant shuffles a(x)xi -> alpha_g(a)(x)u_g(xi); an empty null
     # space is, and then no shuffle is formed.
-    null_res = 0.0
-    if d.quotient.null_dim:
-        labels = d.quotient.spanning_labels
-        shuffles = np.concatenate(
-            [
-                _multiplication_shuffles(rho.source, labels, rho.module.complex_dim),
-                _covariant_shuffles(d.action, d.rep, labels),
-            ]
-        )
-        null_res = _null_preservation_residual(d.quotient, shuffles)
-    identities.append(_Identity("null space preserved", float(null_res), 1e-9))
+    null_res = _null_preservation_residual(d) if d.quotient.null_dim else 0.0
+    identities.append(_Identity("null space preserved", null_res, 1e-9))
     return family, tuple(identities)
 
 

@@ -5,8 +5,11 @@ This is how the library computed them before the streamed kernel
 per pair of basis elements, then dense products compared entrywise on the
 full flats of the module. The only change is that the dense products are
 formed one left factor at a time, so the largest grid instance fits in
-memory; each pair's arithmetic is the same. `gram_reference` keeps the
-pairwise loop of `dilation.gram_operator` in the same way.
+memory; each pair's arithmetic is the same. `gram_reference` forms the
+whole KSGNS Gram [x* rho(a_i* a_j) x] of the spanning set one pair at a time,
+as `dilation.gram_operator` did before it formed only the per-summand blocks
+G_k and C_k; it is the only whole Gram left, and `summand_blocks` slices
+those blocks out of it.
 
 The element-wise references keep the loops that the one pass over the
 group replaced: `covariance_reference` (one (g, i) pair at a time, with
@@ -39,9 +42,11 @@ space through one kron shuffle per element, and the group law one pair
 (g, h) at a time (as do `unitary_representation_reference` and
 `action_reference`). `descended_reference` builds Φ(a_i), v_g and V by
 kron-and-permute, as `minimal_dilation` and `covariant_extend` did.
-`whole_gram_quotient` takes the quotient as `minimal_dilation` did before
-it took it one matrix-unit summand at a time: one eigenproblem of the whole
-scalar Gram and one of the whole pushed B-valued Gram.
+`whole_gram_quotient` takes the quotient of `gram_reference`'s Gram as
+`minimal_dilation` did before it took it one matrix-unit summand at a time:
+one eigenproblem of the whole scalar Gram and one of the whole pushed
+B-valued Gram. The null-space check of `dilation_checks_reference` reads the
+seminorm off the same whole scalar Gram.
 
 The last references were once library code that only the tests called:
 `jacobi_eigh` is a cyclic complex Jacobi eigensolver, independent of LAPACK;
@@ -73,7 +78,6 @@ from prostar.dilation import (
     SUPPORT_REL,
     _descend,
     _multiplication_shuffles,
-    gram_operator,
 )
 
 # Residuals are sums of rounding errors taken in another order, so the two
@@ -329,6 +333,27 @@ def gram_reference(rho) -> np.ndarray:
     return (gram + gram.conj().T) / 2.0
 
 
+def scalar_gram_reference(gram: np.ndarray, big_d: int) -> np.ndarray:
+    """The scalarized Gram: the trace of each D×D block of a B-valued one."""
+    n = len(gram) // big_d
+    scalar = np.einsum("kala->kl", gram.reshape(n, big_d, n, big_d))
+    return (scalar + scalar.conj().T) / 2.0
+
+
+def summand_blocks(rho, gram: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(G_k, C_k) of each summand k, sliced out of the whole Gram `gram` of
+    `gram_reference` and its trace: the rows and columns of the labels
+    (E_0β, s) of row 0 of the summand, at positions (off_k + β)·dim E + s."""
+    source, d_e, big_d = rho.source, rho.module.complex_dim, rho.module.block_dim
+    scalar = scalar_gram_reference(gram, big_d)
+    blocks = []
+    for off, n in zip(source.coord_offsets, source.block_sizes):
+        rows = np.arange(off * d_e, (off + n) * d_e)
+        flat = (rows[:, None] * big_d + np.arange(big_d)[None, :]).ravel()
+        blocks.append((gram[np.ix_(flat, flat)], scalar[np.ix_(rows, rows)]))
+    return blocks
+
+
 def hermiticity_reference(rho) -> float:
     """max ||rho(a_i*) - rho(a_i)*||_F, evaluating rho on each adjoint."""
     return max(
@@ -579,12 +604,10 @@ def _label_shuffle(labels, a_matrix: np.ndarray, e_matrix: np.ndarray) -> np.nda
     return a_matrix[np.ix_(i_idx, i_idx)] * e_matrix[np.ix_(s_idx, s_idx)]
 
 
-def _null_reference(quotient, shuffle: np.ndarray) -> float:
-    nulls = quotient.null_vectors
-    if nulls.shape[1] == 0:
-        return 0.0
+def _null_reference(scalar: np.ndarray, nulls: np.ndarray, shuffle: np.ndarray) -> float:
+    """Seminorm of the shuffled null vectors under the whole scalar Gram."""
     moved = shuffle @ nulls
-    quad = np.einsum("ki,kl,li->i", moved.conj(), quotient.scalar_gram, moved)
+    quad = np.einsum("ki,kl,li->i", moved.conj(), scalar, moved)
     return float(np.sqrt(max(np.max(quad.real), 0.0)))
 
 
@@ -649,18 +672,24 @@ def dilation_checks_reference(d, tol: float) -> list:
         )
     )
 
-    labels = d.quotient.spanning_labels
-    lten = structure_constants(source).transpose(0, 2, 1)
-    eye_e = np.eye(d_e)
+    labels, nulls = d.quotient.spanning_labels, d.quotient.null_vectors
     null_res = 0.0
-    for i in range(source.linear_dim):
-        shuffle = _label_shuffle(labels, lten[i], eye_e)
-        null_res = max(null_res, _null_reference(d.quotient, shuffle))
-    for g in group.elements():
-        shuffle = _label_shuffle(
-            labels, d.action.automorphisms[g].action_matrix, d.rep.unitaries[g].complex_matrix()
-        )
-        null_res = max(null_res, _null_reference(d.quotient, shuffle))
+    if nulls.shape[1]:
+        perm = [i * d_e + s for i, s in labels]
+        scalar = scalar_gram_reference(gram_reference(rho), rho.module.block_dim)
+        scalar = scalar[np.ix_(perm, perm)]
+        lten = structure_constants(source).transpose(0, 2, 1)
+        eye_e = np.eye(d_e)
+        for i in range(source.linear_dim):
+            shuffle = _label_shuffle(labels, lten[i], eye_e)
+            null_res = max(null_res, _null_reference(scalar, nulls, shuffle))
+        for g in group.elements():
+            shuffle = _label_shuffle(
+                labels,
+                d.action.automorphisms[g].action_matrix,
+                d.rep.unitaries[g].complex_matrix(),
+            )
+            null_res = max(null_res, _null_reference(scalar, nulls, shuffle))
     checks.append(Check("null space preserved", float(null_res), max(tol, 1e-9)))
     return checks
 
@@ -868,18 +897,18 @@ class WholeGramQuotient(NamedTuple):
     warnings: tuple[str, ...]
 
 
-def whole_gram_quotient(gram, order_seed: int | None = None) -> WholeGramQuotient:
-    """The quotient of `dilation.gram_operator`'s Gram taken whole: the N×N
-    scalar Gram (permuted by `order_seed` as `minimal_dilation` permutes it)
-    in one eigenproblem, the B-valued Gram pushed onto all r retained classes
-    and that r·D×r·D matrix in one more, with the identity shuffle descended
+def whole_gram_quotient(rho, order_seed: int | None = None) -> WholeGramQuotient:
+    """The quotient of `gram_reference`'s whole Gram of `rho`: the N×N scalar
+    Gram (permuted by `order_seed` as `minimal_dilation` permutes it) in one
+    eigenproblem, the B-valued Gram pushed onto all r retained classes and
+    that r·D×r·D matrix in one more, with the identity shuffle descended
     through the whole square root for the embedding defect."""
-    n = len(gram.scalar)
-    big_d = len(gram.bvalued_flat) // n
+    gram, big_d = gram_reference(rho), rho.module.block_dim
+    n = len(gram) // big_d
     perm = np.arange(n) if order_seed is None else np.random.default_rng(order_seed).permutation(n)
     flat = (perm[:, None] * big_d + np.arange(big_d)[None, :]).ravel()
-    bflat = gram.bvalued_flat[np.ix_(flat, flat)]
-    vals, vecs = np.linalg.eigh(gram.scalar[np.ix_(perm, perm)])
+    bflat = gram[np.ix_(flat, flat)]
+    vals, vecs = np.linalg.eigh(scalar_gram_reference(gram, big_d)[np.ix_(perm, perm)])
     threshold = max(NULL_SPACE_REL * max(float(vals[-1]), 0.0), NULL_SPACE_FLOOR)
     keep = vals > threshold
     warnings = []
@@ -913,7 +942,7 @@ def assert_summand_quotient_agrees(core, order_seed: int | None) -> None:
     and retained spectrum (as a multiset) within REL; and its Phi, written as
     E_ab ⊗ 1, is the Phi that the multiplication shuffles descend to."""
     rho, quotient = core.cp_map, core.quotient
-    ref = whole_gram_quotient(gram_operator(rho), order_seed)
+    ref = whole_gram_quotient(rho, order_seed)
     assert len(quotient.retained_eigenvalues) == len(ref.retained_eigenvalues)
     assert quotient.null_dim == ref.null_dim
     assert core.module.coord_dim == ref.support_rank

@@ -419,7 +419,9 @@ def test_standard_unit_is_standardized_convolution_unit(crossed_products):
 
 
 def test_gram_and_hermiticity_match_pairwise_reference(grid_dilations):
-    """The gathered Gram blocks and adjoint lookups equal the pairwise loops on all 48 combos."""
+    """The per-summand Gram blocks G_k and C_k and the adjoint lookups equal the
+    pairwise loops on all 48 combos: G_k and C_k are the row-0 blocks of the
+    whole Gram formed one pair at a time."""
     for d in grid_dilations.values():
         # rho is on a free module and its flats are its coordinates; Phi is held
         # in range coordinates, so its residual agrees within REL of its size.
@@ -433,9 +435,14 @@ def test_gram_and_hermiticity_match_pairwise_reference(grid_dilations):
             pairwise_reference.product_scale(pairwise_reference.value_flats(phi)),
             1e-10,
         )
-        new = gram_operator(d.cp_map).bvalued_flat
+        gram = gram_operator(d.cp_map)
         old = pairwise_reference.gram_reference(d.cp_map)
-        assert np.linalg.norm(new - old) <= pairwise_reference.REL * max(1.0, np.linalg.norm(old))
+        scale = pairwise_reference.REL * max(1.0, np.linalg.norm(old))
+        blocks = pairwise_reference.summand_blocks(d.cp_map, old)
+        assert len(blocks) == len(gram.bvalued_blocks) == len(gram.scalar_blocks)
+        for g_k, c_k, (old_g, old_c) in zip(gram.bvalued_blocks, gram.scalar_blocks, blocks):
+            assert np.linalg.norm(g_k - old_g) <= scale
+            assert np.linalg.norm(c_k - old_c) <= scale
 
 
 def _assert_checks_match(report, old_checks, scale: float) -> None:

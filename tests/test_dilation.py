@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import pairwise_reference
 
 from prostar import dilation as dilation_layer
+from prostar import linalg
 from prostar.algebra import FiniteCStarAlgebra
 from prostar.cpmaps import CompletelyPositiveMap
 from prostar.dilation import (
@@ -54,29 +55,30 @@ class TestGram:
         e = HilbertModule.free(C, 1)
         rho = CompletelyPositiveMap.identity_representation(C, e)
         rho.verify_completely_positive()
-        gram = gram_operator(rho)
-        assert gram.scalar.shape == (1, 1)
-        assert gram.scalar[0, 0] == pytest.approx(1.0)
+        (c_k,) = gram_operator(rho).scalar_blocks
+        assert c_k.shape == (1, 1)
+        assert c_k[0, 0] == pytest.approx(1.0)
 
     def test_trace_state_gram_is_half_identity(self):
         e = HilbertModule.free(C, 1)
         rho = CompletelyPositiveMap.trace_state(M2, e)
         rho.verify_completely_positive()
         gram = gram_operator(rho)
-        # oracle: S[(i),(j)] = tr(a_i* a_j)/2 over the matrix-unit basis
-        basis = list(M2.basis())
-        oracle = np.array(
-            [[(a.adjoint() * b).trace() / 2.0 for b in basis] for a in basis]
-        )
-        assert np.allclose(gram.scalar, oracle, atol=1e-13)
-        assert np.allclose(gram.scalar, 0.5 * np.eye(4), atol=1e-13)
+        # oracle: S[(i),(j)] = tr(a_i* a_j)/2 over row 0 of the matrix units,
+        # E_00 and E_01; with B = C, G_k and C_k coincide.
+        row0 = list(M2.basis())[:2]
+        oracle = np.array([[(a.adjoint() * b).trace() / 2.0 for b in row0] for a in row0])
+        for block in (*gram.scalar_blocks, *gram.bvalued_blocks):
+            assert np.allclose(block, oracle, atol=1e-13)
+            assert np.allclose(block, 0.5 * np.eye(2), atol=1e-13)
 
     def test_zero_map_gram(self):
         e = HilbertModule.free(C, 2)
         rho = CompletelyPositiveMap.zero(M2, e)
         rho.verify_completely_positive()
         gram = gram_operator(rho)
-        assert np.abs(gram.bvalued_flat).max() == 0.0
+        for block in (*gram.bvalued_blocks, *gram.scalar_blocks):
+            assert block.shape == (4, 4) and np.abs(block).max() == 0.0
 
     def test_noncp_rejected(self):
         e = HilbertModule.free(C, 2)
@@ -127,7 +129,8 @@ class TestMinimalDilation:
         assert np.abs(core.connector.flat - np.eye(3)).max() <= 1e-10
 
     def test_scalarization_soundness(self):
-        # zero B-valued self-pairing iff zero trace pairing, both directions
+        # zero B-valued self-pairing iff zero trace pairing, both directions, on
+        # G_k and C_k: the Grams are I_{n_k} (x) G_k and I_{n_k} (x) C_k
         b = FiniteCStarAlgebra((2,))
         e = HilbertModule.free(b, 1)
         rho = CompletelyPositiveMap.identity_representation(
@@ -135,14 +138,15 @@ class TestMinimalDilation:
         )
         rho.verify_completely_positive()
         gram = gram_operator(rho)
-        n = gram.scalar.shape[0]
+        (g_k,), (c_k,) = gram.bvalued_blocks, gram.scalar_blocks
+        n = c_k.shape[0]
         big_d = e.block_dim
-        vals, vecs = np.linalg.eigh(gram.scalar)
+        vals, vecs = np.linalg.eigh(c_k)
         assert (vals <= 1e-9 * vals.max()).sum() > 0  # a genuine quotient
 
         def bform(v):
             x = np.kron(v.reshape(-1, 1), np.eye(big_d))
-            return np.linalg.norm(x.conj().T @ gram.bvalued_flat @ x)
+            return np.linalg.norm(x.conj().T @ g_k @ x)
 
         for k in range(n):
             scalar_zero = vals[k] <= 1e-9 * vals.max()
@@ -153,7 +157,7 @@ class TestMinimalDilation:
         for _ in range(10):
             v = gen.standard_normal(n) + 1j * gen.standard_normal(n)
             v /= np.linalg.norm(v)
-            scalar_val = float((v.conj() @ gram.scalar @ v).real)
+            scalar_val = float((v.conj() @ c_k @ v).real)
             assert (scalar_val <= 1e-9) == (bform(v) <= 1e-9)
 
     def test_nonunital_rejected(self, rng):
@@ -314,7 +318,7 @@ HELD_ARRAYS = {
     "module projection": lambda d: d.module.projection_flat,
     "value tensor": lambda d: d.representation.values,
     "unitary tensor": lambda d: d.group_unitaries.values,
-    "scalar Gram": lambda d: d.quotient.scalar_gram,
+    "scalar Gram": lambda d: d.quotient.scalar_blocks[0],
     "retained vectors": lambda d: d.quotient.retained_vectors,
     "retained eigenvalues": lambda d: d.quotient.retained_eigenvalues,
     "null vectors": lambda d: d.quotient.null_vectors,
@@ -544,34 +548,69 @@ def test_summand_quotient_with_a_null_space(source, order_seed):
     pairwise_reference.assert_summand_quotient_agrees(core, order_seed)
 
 
+@pytest.mark.parametrize("order_seed", [None, 3])
+def test_null_seminorm_is_read_per_summand(order_seed):
+    """The identity representation of M2⊕C on C³ leaves a null space in both
+    summands; the trivial u is not covariant for the swap action and moves it.
+    The seminorm read off each C_k agrees with the whole reference scalar Gram."""
+    module = HilbertModule.free(C, 3)
+    act = standard_action("z2", M2_PLUS_C)
+    rho = CompletelyPositiveMap.identity_representation(M2_PLUS_C, module)
+    rep = standard_representation("z2", module)
+    d = covariant_dilation(rho, act, rep, order_seed=order_seed)
+    assert d.residuals.check("null space preserved").residual == 0.0
+    bad = replace(d, rep=UnitaryRepresentation.trivial(act.group, module))
+    report = verify_dilation(bad)
+    assert not report.check("null space preserved").passed
+    assert_matches_dilation_reference(report, bad)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     sizes=st.lists(st.integers(1, 3), min_size=1, max_size=3),
     base=st.sampled_from(["c", "m2"]),
     rank=st.integers(1, 2),
+    projective=st.booleans(),
     seed=st.integers(0, 2**16),
 )
-def test_gram_is_one_block_per_summand_row(sizes, base, rank, seed):
+def test_gram_is_one_block_per_summand_row(sizes, base, rank, projective, seed):
     """<E_ab (x) xi, E_cd (x) eta> = δ_ac <xi, rho(E_bd) eta>: for a random Kraus map
-    both Grams are exactly zero outside the (summand, row) blocks of the spanning
-    set, and the n_k row blocks of a summand are equal entry for entry."""
+    the pairwise reference Gram is exactly zero outside the (summand, row) blocks
+    of the spanning set, its n_k row blocks of a summand are equal entry for
+    entry, and G_k and C_k are its row-0 blocks within REL, on a free E and on
+    a projective one (the range of a rank-one projection of B^(rank+1))."""
     source = FiniteCStarAlgebra(tuple(sizes))
-    module = HilbertModule.free(named_algebra(base), rank)
-    gram = gram_operator(random_cp_map(source, module, np.random.default_rng(seed)))
+    algebra_b = named_algebra(base)
+    gen = np.random.default_rng(seed)
+    if projective:
+        v = linalg.random_complex(gen, (rank + 1) * algebra_b.total_dim, 1)
+        v /= np.linalg.norm(v)
+        module = HilbertModule.from_projection(algebra_b, rank + 1, v @ v.conj().T)
+        assert not module.is_free
+    else:
+        module = HilbertModule.free(algebra_b, rank)
+    rho = random_cp_map(source, module, gen)
+    whole = pairwise_reference.gram_reference(rho)
+    gram = gram_operator(rho)
     d_e, big_d = module.complex_dim, module.block_dim
     # E_αβ of summand k, at basis index off_k + α·n_k + β, lies in block off_k + α.
     offsets, blocks = source.coord_offsets, source.block_sizes
     block = np.concatenate([np.repeat(off + np.arange(n), n) for off, n in zip(offsets, blocks)])
     labels = np.repeat(block, d_e)
     outside = labels[:, None] != labels[None, :]
-    assert np.all(gram.scalar[outside] == 0.0)
-    assert np.all(gram.bvalued_flat[np.kron(outside, np.ones((big_d, big_d), bool))] == 0.0)
-    g4 = gram.bvalued_flat.reshape(len(labels), big_d, len(labels), big_d)
+    assert np.all(whole[np.kron(outside, np.ones((big_d, big_d), bool))] == 0.0)
+    g4 = whole.reshape(len(labels), big_d, len(labels), big_d)
     for off, n in zip(offsets, blocks):
         rows = [slice((off + a * n) * d_e, (off + a * n + n) * d_e) for a in range(n)]
         for row in rows[1:]:
-            assert np.array_equal(gram.scalar[row, row], gram.scalar[rows[0], rows[0]])
             assert np.array_equal(g4[row, :, row], g4[rows[0], :, rows[0]])
+    reference = pairwise_reference.summand_blocks(rho, whole)
+    assert len(gram.bvalued_blocks) == len(gram.scalar_blocks) == len(reference)
+    for g_k, c_k, (old_g, old_c) in zip(gram.bvalued_blocks, gram.scalar_blocks, reference):
+        assert g_k.shape == old_g.shape and c_k.shape == old_c.shape
+        scale = max(1.0, np.linalg.norm(old_g))
+        assert np.linalg.norm(g_k - old_g) <= pairwise_reference.REL * scale
+        assert np.linalg.norm(c_k - old_c) <= pairwise_reference.REL * scale
 
 
 def test_null_cut_is_global_over_summands():

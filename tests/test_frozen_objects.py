@@ -1,9 +1,10 @@
 """Frozen objects, read-only arrays, and checks computed once.
 
 A cache is sound only if its inputs cannot change. *-homomorphisms, group
-actions, modules, towers and the dilation's core and Gram data are frozen;
-every array they hold or cache is read-only; and the residuals of a
-*-homomorphism and of a tower are computed once and read at any tol.
+actions, modules, towers and the dilation, its core, quotient and Gram data
+are frozen; every array they hold or cache is read-only; and the residuals
+of a *-homomorphism and of a tower are computed once and read at any tol.
+Objects that hold arrays compare by identity, so `==` never compares arrays.
 """
 
 import dataclasses
@@ -18,7 +19,7 @@ from prostar import tower as tower_layer
 from prostar.algebra import FiniteCStarAlgebra, StarHomomorphism, verify_star_homomorphism
 from prostar.cli import main
 from prostar.crossed import build_crossed_product
-from prostar.dilation import gram_operator, minimal_dilation
+from prostar.dilation import covariant_dilation, gram_operator, minimal_dilation
 from prostar.examples_gen import generate_example
 from prostar.modules import HilbertModule
 from prostar.recipes import dilation_instance, standard_action
@@ -45,6 +46,10 @@ def _core():
     return minimal_dilation(rho)
 
 
+def _dilation():
+    return covariant_dilation(*dilation_instance("m2", "c", 2, "z2", seed=3))
+
+
 def test_callers_matrix_is_not_held():
     """A complex128 matrix is not copied by `as_complex_matrix`; the homomorphism
     freezes a copy, so writing into the caller's buffer changes nothing."""
@@ -64,7 +69,12 @@ FROZEN = {
     "AlgebraTower": (_tower, "connecting"),
     "ModuleTower": (lambda: ModuleTower.of_free_modules(_tower(), 1), "modules"),
     "DilationCore": (_core, "module"),
-    "GramData": (lambda: gram_operator(dilation_instance("m2", "c", 1, "z2", seed=3)[0]), "scalar"),
+    "GramData": (
+        lambda: gram_operator(dilation_instance("m2", "c", 1, "z2", seed=3)[0]),
+        "scalar_blocks",
+    ),
+    "QuotientData": (lambda: _core().quotient, "scalar_blocks"),
+    "CovariantDilation": (_dilation, "quotient"),
 }
 
 
@@ -74,6 +84,17 @@ def test_attribute_assignment_raises(name):
     obj = build()
     with pytest.raises(dataclasses.FrozenInstanceError):
         setattr(obj, attribute, getattr(obj, attribute))
+
+
+def test_dilation_objects_compare_by_identity():
+    """Two quotients built the same way, and a dilation and its `replace` copy,
+    compare unequal without raising; each equals itself and is hashable."""
+    rho, action, rep = dilation_instance("m2", "c", 2, "z2", seed=5)
+    q1, q2 = minimal_dilation(rho).quotient, minimal_dilation(rho).quotient
+    d = covariant_dilation(rho, action, rep)
+    for obj, twin in ((q1, q2), (d, dataclasses.replace(d))):
+        assert obj == obj and obj != twin
+        assert hash(obj) == hash(obj)
 
 
 def test_tower_maps_are_read_only():
@@ -97,6 +118,7 @@ HELD_ARRAYS = {
     "square root": lambda: _core()._sqrt_flat,
     "coordinate extraction": lambda: _core()._coord_extract,
     "module basis": lambda: _core().module.basis_flats[0],
+    "Gram block": lambda: gram_operator(_core().cp_map).bvalued_blocks[0],
 }
 
 

@@ -49,6 +49,9 @@ GROUPS = "tests/test_groups.py"
 MODULES = "tests/test_modules.py"
 ACCEPTANCE = "tests/test_acceptance.py"
 STACK_ENTRY = f"{MODULES}::test_endomorphism_stack_refuses_for_the_reason_it_names"
+GRAM_BLOCKS = f"{DILATION}::test_gram_is_one_block_per_summand_row"
+GRAM_GRID = f"{ACCEPTANCE}::test_gram_and_hermiticity_match_pairwise_reference"
+NULL_PER_SUMMAND = f"{DILATION}::test_null_seminorm_is_read_per_summand"
 SWEEP = (
     f"{KERNEL}::test_structure_sweep_matches_whole_matrix_reference",
     f"{KERNEL}::test_structure_sweep_refuses_a_defect_in_any_chunk",
@@ -191,7 +194,32 @@ MUTANTS = (
     # The dilation and the uniqueness unitary.
     Mutant(
         "null-space-covariant-shuffles-dropped", "src/prostar/dilation.py",
-        "                _covariant_shuffles(d.action, d.rep, labels),\n", "", (DILATION, ACCEPTANCE),
+        "np.concatenate([left, _covariant_shuffles(d.action, d.rep, labels)])", "left",
+        (DILATION, ACCEPTANCE),
+    ),
+    # The Gram as rho's Choi blocks G_k and C_k, one per summand.
+    Mutant(
+        "gram-summand-offset-dropped", "src/prostar/dilation.py",
+        "sandwiched[off : off + nk * nk]", "sandwiched[: nk * nk]", (GRAM_BLOCKS, GRAM_GRID),
+    ),
+    Mutant(
+        "gram-choi-reshape-transposed", "src/prostar/dilation.py",
+        "reshape(nk, nk, m, m).transpose(0, 2, 1, 3)", "reshape(nk, nk, m, m).transpose(1, 2, 0, 3)",
+        (GRAM_BLOCKS, GRAM_GRID),
+    ),
+    Mutant(
+        "row0-labels-left-global", "src/prostar/dilation.py",
+        "ordered[st : st + nk * d_e] - off * d_e", "ordered[st : st + nk * d_e]", (DILATION,),
+    ),
+    Mutant(
+        "null-seminorm-wrong-summand", "src/prostar/dilation.py",
+        "zip(quotient.scalar_blocks, source.block_sizes)",
+        "zip(quotient.scalar_blocks[::-1], source.block_sizes)", (NULL_PER_SUMMAND,),
+    ),
+    Mutant(
+        "null-seminorm-in-label-order", "src/prostar/dilation.py",
+        "(shuffles @ quotient.null_vectors)[:, order]", "(shuffles @ quotient.null_vectors)",
+        (NULL_PER_SUMMAND,),
     ),
     # The quotient one matrix-unit summand at a time.
     Mutant(
