@@ -22,7 +22,11 @@ from .modules import AdjointableOperator, HilbertModule, endomorphism_stack, ope
 
 @dataclass(frozen=True)
 class CPCertificate:
-    """Outcome of the blockwise Choi test."""
+    """Outcome of the blockwise Choi test. Each entry of `choi_min_eigenvalues`
+    belongs to one Choi block: the least eigenvalue of its Hermitian part, or a
+    certified lower bound of it (the CP extension's Stinespring bound,
+    `crossed._stinespring_bound`); a block that is not Hermitian within tol
+    counts minus its anti-Hermitian norm when that is lower."""
 
     is_hermitian_preserving: bool
     hermitian_residual: float
@@ -143,27 +147,46 @@ class CompletelyPositiveMap:
         return out
 
     @cached_property
-    def _choi_data(self) -> tuple:
-        """The Choi test's tolerance-free part: the hermiticity residual and its
-        scale, and per Choi block its Hermitian defect and scale, the least
-        eigenvalue of its Hermitian part and the norm of its anti-Hermitian part."""
+    def _choi_frame(self) -> tuple:
+        """The Choi test's eigensolve-free part: the hermiticity residual and its
+        scale, and per Choi block its Hermitian defect and its scale."""
         scale = max(1.0, linalg.max_frobenius(self.values))
-        blocks = []
-        for choi in self.choi_matrices():
-            sym = (choi + choi.conj().T) / 2.0
-            size = max(1.0, linalg.frobenius(choi))
-            anti = linalg.spectral_norm(choi - sym)
-            blocks.append((linalg.hermitian_defect(choi), size, linalg.min_eigenvalue(sym), anti))
-        return self._star_residual, scale, tuple(blocks)
+        blocks = tuple(
+            (linalg.hermitian_defect(choi), max(1.0, linalg.frobenius(choi)))
+            for choi in self.choi_matrices()
+        )
+        return self._star_residual, scale, blocks
+
+    @cached_property
+    def _choi_lows(self) -> tuple[float, ...]:
+        """The least eigenvalue of each Choi block's Hermitian part, one eigensolve each."""
+        return tuple(
+            linalg.min_eigenvalue((choi + choi.conj().T) / 2.0) for choi in self.choi_matrices()
+        )
+
+    @cached_property
+    def _choi_antis(self) -> tuple[float, ...]:
+        """The norm of each Choi block's anti-Hermitian part, one SVD each."""
+        return tuple(
+            linalg.spectral_norm(choi - (choi + choi.conj().T) / 2.0)
+            for choi in self.choi_matrices()
+        )
 
     def verify_completely_positive(self, tol: float = DEFAULT_TOL) -> CPCertificate:
-        """Blockwise Choi test at `tol`; a block whose Choi matrix is not Hermitian
-        within tol counts its anti-Hermitian norm as a negative eigenvalue."""
-        herm, scale, blocks = self._choi_data
+        """Blockwise Choi test at `tol`, on the least eigenvalue of each block."""
+        return self.choi_certificate(self._choi_lows, tol)
+
+    def choi_certificate(self, lows: Sequence[float], tol: float) -> CPCertificate:
+        """The Choi test's one decision rule at `tol`, given per Choi block `lows`,
+        the least eigenvalue of its Hermitian part or a certified lower bound of
+        it. A block whose Hermitian defect exceeds tol times its size counts its
+        anti-Hermitian norm as a negative eigenvalue; those norms are formed only
+        when some block reads them."""
+        herm, scale, blocks = self._choi_frame
         herm_ok = herm <= tol * scale
         mins = tuple(
-            float(min(low, -anti) if defect > tol * size else low)
-            for defect, size, low, anti in blocks
+            float(min(low, -self._choi_antis[k]) if defect > tol * size else low)
+            for k, ((defect, size), low) in enumerate(zip(blocks, lows))
         )
         return CPCertificate(
             is_hermitian_preserving=herm_ok,

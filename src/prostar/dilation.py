@@ -59,7 +59,6 @@ class QuotientData:
     """The quotient of the spanning set by the null space; every array is read-only."""
 
     spanning_labels: tuple[tuple[int, int], ...]
-    scalar_blocks: tuple[np.ndarray, ...]  # C_k with its labels in the order solved
     retained_vectors: np.ndarray  # orthonormal eigenvectors, columns in (k, α, j) order
     retained_eigenvalues: np.ndarray
     null_vectors: np.ndarray
@@ -68,7 +67,6 @@ class QuotientData:
     warnings: tuple[str, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "scalar_blocks", tuple(map(linalg.read_only, self.scalar_blocks)))
         for name in ("retained_vectors", "retained_eigenvalues", "null_vectors"):
             object.__setattr__(self, name, linalg.read_only(getattr(self, name)))
 
@@ -287,7 +285,6 @@ def minimal_dilation(
         array.setflags(write=False)
     quotient = QuotientData(
         spanning_labels=labels,
-        scalar_blocks=tuple(scalar),
         retained_vectors=c_plain,
         retained_eigenvalues=lam,
         null_vectors=null_vecs,
@@ -431,21 +428,19 @@ def _descend(
 
 
 def _null_preservation_residual(d: CovariantDilation) -> float:
-    """Semi-norm of the null vectors moved by left multiplication and by the
-    covariant shuffles, for a non-empty null space; zero when it is respected.
-    The scalar Gram is read as I_{n_k} (x) C_k on the labels of summand k."""
+    """Norm of the classes in E_rho of the null vectors moved by left
+    multiplication and by the covariant shuffles, for a non-empty null space;
+    zero when it is respected. The class of a spanning vector x has
+    coordinates diag(√λ)·c*·x on the retained eigenvectors c of the scalar
+    Gram, with eigenvalues λ (the quotient's `coord_map`), so a moved null
+    vector is zero in E_rho exactly when they vanish."""
     source, d_e, quotient = d.cp_map.source, d.cp_map.module.complex_dim, d.quotient
     labels = quotient.spanning_labels
     left = _multiplication_shuffles(source, labels, d_e)
     shuffles = np.concatenate([left, _covariant_shuffles(d.action, d.rep, labels)])
-    order, _ = _summand_rows(source, d_e, np.array([i * d_e + s for i, s in labels]))
-    moved = (shuffles @ quotient.null_vectors)[:, order]  # labels in (k, α, slot) order
-    quad, start = 0.0, 0
-    for c_k, nk in zip(quotient.scalar_blocks, source.block_sizes):
-        rows = moved[:, start : start + nk * len(c_k)].reshape(len(moved), nk, len(c_k), -1)
-        quad = quad + np.einsum("baki,kl,bali->bi", rows.conj(), c_k, rows)
-        start += nk * len(c_k)
-    return float(np.sqrt(max(np.max(quad.real), 0.0)))
+    coord_map = np.sqrt(quotient.retained_eigenvalues)[:, None] * quotient.retained_vectors.conj().T
+    classes = coord_map @ (shuffles @ quotient.null_vectors)
+    return float(np.max(np.linalg.norm(classes, axis=1)))
 
 
 def covariant_extend(

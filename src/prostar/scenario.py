@@ -447,7 +447,8 @@ def _run_extend(scn: Scenario, task: dict, result: TaskResult) -> None:
     result.add_report(d.residuals, prefix="dilation")
     result.add_report(ext.integrated.report, prefix="integrated form")
     result.add_report(ext.report, prefix="extension")
-    cert = ext.certificate
+    # The exact least Choi eigenvalue, also where a bound decided the certificate.
+    cert = ext.standard_map.verify_completely_positive(ext.certificate.tol)
     result.dimensions.update(
         {
             "dilation_module_dim": d.module.complex_dim,

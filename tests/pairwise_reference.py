@@ -604,11 +604,16 @@ def _label_shuffle(labels, a_matrix: np.ndarray, e_matrix: np.ndarray) -> np.nda
     return a_matrix[np.ix_(i_idx, i_idx)] * e_matrix[np.ix_(s_idx, s_idx)]
 
 
-def _null_reference(scalar: np.ndarray, nulls: np.ndarray, shuffle: np.ndarray) -> float:
-    """Seminorm of the shuffled null vectors under the whole scalar Gram."""
-    moved = shuffle @ nulls
-    quad = np.einsum("ki,kl,li->i", moved.conj(), scalar, moved)
-    return float(np.sqrt(max(np.max(quad.real), 0.0)))
+def _null_reference(
+    vals: np.ndarray, vecs: np.ndarray, nulls: np.ndarray, shuffle: np.ndarray
+) -> float:
+    """Largest norm of the classes of the shuffled null vectors in E_rho: their
+    coordinates √λ·u* x on the retained eigenpairs (λ, u) of the whole scalar
+    Gram, one null vector at a time."""
+    worst = 0.0
+    for x in (shuffle @ nulls).T:
+        worst = max(worst, float(np.linalg.norm(np.sqrt(vals) * (vecs.conj().T @ x))))
+    return worst
 
 
 def dilation_checks_reference(d, tol: float) -> list:
@@ -677,19 +682,21 @@ def dilation_checks_reference(d, tol: float) -> list:
     if nulls.shape[1]:
         perm = [i * d_e + s for i, s in labels]
         scalar = scalar_gram_reference(gram_reference(rho), rho.module.block_dim)
-        scalar = scalar[np.ix_(perm, perm)]
+        vals, vecs = np.linalg.eigh(scalar[np.ix_(perm, perm)])
+        keep = vals > d.quotient.threshold
+        vals, vecs = vals[keep], vecs[:, keep]
         lten = structure_constants(source).transpose(0, 2, 1)
         eye_e = np.eye(d_e)
         for i in range(source.linear_dim):
             shuffle = _label_shuffle(labels, lten[i], eye_e)
-            null_res = max(null_res, _null_reference(scalar, nulls, shuffle))
+            null_res = max(null_res, _null_reference(vals, vecs, nulls, shuffle))
         for g in group.elements():
             shuffle = _label_shuffle(
                 labels,
                 d.action.automorphisms[g].action_matrix,
                 d.rep.unitaries[g].complex_matrix(),
             )
-            null_res = max(null_res, _null_reference(scalar, nulls, shuffle))
+            null_res = max(null_res, _null_reference(vals, vecs, nulls, shuffle))
     checks.append(Check("null space preserved", float(null_res), max(tol, 1e-9)))
     return checks
 

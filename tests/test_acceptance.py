@@ -418,6 +418,25 @@ def test_standard_unit_is_standardized_convolution_unit(crossed_products):
         assert (xp.standard_algebra.unit() - old).frobenius() <= 1e-12
 
 
+def test_stinespring_bound_decides_every_grid_extension(grid_extensions):
+    """On all 48 grid extensions the Stinespring bound decides the Choi check,
+    with no fallback: each block's entry is minus its bound, at most the least
+    eigenvalue the exact Choi test finds, and the decision is the exact test's."""
+    worst = 0.0
+    for combo, ext in grid_extensions.items():
+        check = ext.report.check("phi completely positive (Choi on standard form)")
+        assert check.detail.startswith("Stinespring bound"), combo
+        cert = ext.certificate
+        exact = ext.standard_map.verify_completely_positive(cert.tol)
+        assert cert.is_cp and exact.is_cp, combo
+        assert check.residual == -cert.min_eigenvalue
+        for bound, low in zip(cert.choi_min_eigenvalues, exact.choi_min_eigenvalues, strict=True):
+            assert bound <= 0.0 and bound <= low, combo
+        worst = max(worst, check.residual)
+    assert worst <= 1e-10
+    _emit(f"[Stinespring] largest bound {worst:.2e} over {len(grid_extensions)} extensions")
+
+
 def test_gram_and_hermiticity_match_pairwise_reference(grid_dilations):
     """The per-summand Gram blocks G_k and C_k and the adjoint lookups equal the
     pairwise loops on all 48 combos: G_k and C_k are the row-0 blocks of the

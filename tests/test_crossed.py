@@ -18,6 +18,7 @@ from prostar.crossed import (
     ConvolutionElement,
     _relation_bound,
     _spanning_residuals,
+    _stinespring_bound,
     _twisted_residual,
     build_crossed_product,
     extend_covariant_cp,
@@ -654,5 +655,135 @@ class TestExtension:
         assert bad.certificate.min_eigenvalue < -0.1
         assert not bad.certificate.is_cp
         assert not bad.report.passed
-        assert not bad.report.check("phi completely positive (Choi on standard form)").passed
+        choi = bad.report.check("phi completely positive (Choi on standard form)")
+        assert not choi.passed
+        assert choi.detail.startswith("exact Choi eigenvalues")
         assert bad.report.check("phi(1) = id_E").passed
+
+
+CHOI_CHECK = "phi completely positive (Choi on standard form)"
+
+
+def choi_lows(source, values: np.ndarray) -> list[float]:
+    """eigvalsh's least eigenvalue of the Hermitian part of each Choi block."""
+    q = values.shape[1]
+    lows = []
+    for off, n in zip(source.coord_offsets, source.block_sizes):
+        block = values[off : off + n * n].reshape(n, n, q, q).transpose(0, 2, 1, 3)
+        choi = block.reshape(n * q, n * q)
+        lows.append(float(np.linalg.eigvalsh((choi + choi.conj().T) / 2.0)[0]))
+    return lows
+
+
+def assert_bound_holds(pi, connector: np.ndarray, values: np.ndarray) -> list[float]:
+    """-b_k <= the least eigenvalue of each Choi block, with M and s pi's exact
+    multiplicative and star residuals, up to eigvalsh's rounding; returns the b_k."""
+    mult = pairwise_reference.representation_residual(pi)
+    star = pairwise_reference.hermiticity_reference(pi)
+    bounds, _ = _stinespring_bound(pi, mult, star, connector, values)
+    slack = 1e-12 * max(1.0, float(np.linalg.norm(values)))
+    for b, low in zip(bounds, choi_lows(pi.source, values), strict=True):
+        assert b >= 0.0 and -b <= low + slack, (b, low)
+    return list(bounds)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+    multiplicity=st.integers(1, 2),
+    extra=st.integers(0, 2),
+    additive=st.sampled_from([0.0, 1e-6, 1e-3, 0.1]),
+    similarity=st.sampled_from([0.0, 1e-6, 1e-3, 0.1]),
+    width=st.integers(1, 4),
+    rank=st.integers(1, 4),
+    norm=st.sampled_from([0.3, 1.0, 3.0]),
+    delta=st.sampled_from([0.0, 1e-6, 1e-3]),
+    seed=st.integers(0, 2**16),
+)
+def test_stinespring_bound_is_below_the_least_choi_eigenvalue(
+    sizes, multiplicity, extra, additive, similarity, width, rank, norm, delta, seed
+):
+    """pi is a *-representation of a random standard form (U (a (x) 1) U* ⊕ 0),
+    perturbed non-Hermitianly (a similarity S·S⁻¹, still multiplicative) and
+    non-multiplicatively (an additive term). V is random of rank at most `rank`
+    (rank-deficient when that is below its width) and norm `norm`; the map is
+    V* pi(.) V plus an optional Δ. -b_k is at most each Choi block's least
+    eigenvalue."""
+    source = FiniteCStarAlgebra(tuple(sizes))
+    gen = np.random.default_rng(seed)
+    dim = source.linear_dim
+    p = source.total_dim * multiplicity + extra
+    units = np.kron(source.dense_stack(np.eye(dim)), np.eye(multiplicity))
+    units = np.pad(units, ((0, 0), (0, extra), (0, extra)))
+    u = np.linalg.qr(linalg.random_complex(gen, p, p))[0]
+    s_mat = np.eye(p) + similarity * linalg.random_complex(gen, p, p)
+    noise = np.stack([linalg.random_complex(gen, p, p) for _ in range(dim)])
+    pi_values = s_mat @ u @ units @ u.conj().T @ np.linalg.inv(s_mat) + additive * noise
+    pi = CompletelyPositiveMap(source, HilbertModule.free(C, p), pi_values)
+    r = min(rank, p, width)
+    v = linalg.random_complex(gen, p, r) @ linalg.random_complex(gen, r, width)
+    v *= norm / np.linalg.norm(v, 2)
+    phi_values = v.conj().T @ pi_values @ v
+    phi_values += delta * np.stack([linalg.random_complex(gen, width, width) for _ in range(dim)])
+    assert_bound_holds(pi, v, phi_values)
+
+
+M3 = FiniteCStarAlgebra((3,))
+M3_UNITS = M3.dense_stack(np.eye(9))
+# Y = u u* with u = (e_0 - e_1)/√2: J (x) Y is orthogonal to the range of the Choi
+# matrix Σ E_ij (x) E_ij of the identity representation of M3.
+_U = np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0)
+M3_Y = np.outer(_U, _U)
+S3 = np.diag([3.0, 1.0, 1.0])
+TERM_INSTANCES = {
+    # P_ij = E_ij - εY: λ_min = -3ε, while M = 0.0021 < 3ε.
+    "block size n": (M3_UNITS - 1e-3 * M3_Y, np.eye(3), None),
+    # The same pi with V = 2: λ_min = -12ε, while n·M = 0.0064.
+    "connector norm": (M3_UNITS - 1e-3 * M3_Y, 2.0 * np.eye(3), None),
+    # S E_ij S⁻¹ is multiplicative (M = 0) but not *-preserving: λ_min = -0.91.
+    "star residual": (S3 @ M3_UNITS @ np.linalg.inv(S3), np.eye(3), None),
+    # An exact pi and Δ_ij = -εY: λ_min = -3ε = -||Δ||_F.
+    "map distance": (M3_UNITS.astype(complex), np.eye(3), -1e-3 * M3_Y),
+}
+
+
+@pytest.mark.parametrize("term", list(TERM_INSTANCES))
+def test_stinespring_bound_needs_each_term(term):
+    """On M3 on C³, instances where the bound without one of its terms, n, ||V||²,
+    f·s or ||Δ_k||_F, would lie above the least Choi eigenvalue; the whole bound
+    is below it."""
+    pi_values, v, delta = TERM_INSTANCES[term]
+    pi = CompletelyPositiveMap(M3, HilbertModule.free(C, 3), pi_values)
+    values = v.conj().T @ pi_values @ v + (0.0 if delta is None else delta[None])
+    (low,) = choi_lows(M3, values)
+    (bound,) = assert_bound_holds(pi, v, values)
+    assert low < -1e-3 and bound <= 30.0 * -low
+
+
+class TestStinespringCertificate:
+    def test_conjugated_pi_takes_the_exact_path_and_passes(self):
+        """pi conjugated by a unitary within 1e-6 of 1 is still a covariant
+        *-representation, so its integrated form passes, but phi = V* pi(.) V is
+        1e-6 from V* pi'(.) V: the bound exceeds the threshold, and the exact Choi
+        test decides, as it would without the bound."""
+        rho, act, rep = dilation_instance("m2", "c", 2, "z3", seed=5)
+        d = covariant_dilation(rho, act, rep)
+        xp = build_crossed_product(act)
+        ext = extend_covariant_cp(d, xp)
+        assert ext.report.check(CHOI_CHECK).detail.startswith("Stinespring bound")
+        gen = np.random.default_rng(11)
+        vals, vecs = np.linalg.eigh(linalg.random_hermitian(gen, d.module.coord_dim))
+        w = (vecs * np.exp(1e-6j * vals)) @ vecs.conj().T
+
+        def conj(stack):
+            return w @ stack @ w.conj().T
+
+        phi = CompletelyPositiveMap(d.cp_map.source, d.module, conj(d.representation.values))
+        v = UnitaryRepresentation(act.group, d.module, conj(d.group_unitaries.values))
+        moved = replace(ext, integrated=integrated_form(phi, v, xp))
+        assert moved.integrated.report.passed
+        check = moved.report.check(CHOI_CHECK)
+        assert check.detail.startswith("exact Choi eigenvalues")
+        assert check.passed and moved.report.passed
+        exact = ext.standard_map.verify_completely_positive(moved.certificate.tol)
+        assert moved.certificate == exact

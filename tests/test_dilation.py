@@ -318,7 +318,7 @@ HELD_ARRAYS = {
     "module projection": lambda d: d.module.projection_flat,
     "value tensor": lambda d: d.representation.values,
     "unitary tensor": lambda d: d.group_unitaries.values,
-    "scalar Gram": lambda d: d.quotient.scalar_blocks[0],
+    "scalar Gram": lambda d: gram_operator(d.cp_map).scalar_blocks[0],
     "retained vectors": lambda d: d.quotient.retained_vectors,
     "retained eigenvalues": lambda d: d.quotient.retained_eigenvalues,
     "null vectors": lambda d: d.quotient.null_vectors,
@@ -552,7 +552,8 @@ def test_summand_quotient_with_a_null_space(source, order_seed):
 def test_null_seminorm_is_read_per_summand(order_seed):
     """The identity representation of M2⊕C on C³ leaves a null space in both
     summands; the trivial u is not covariant for the swap action and moves it.
-    The seminorm read off each C_k agrees with the whole reference scalar Gram."""
+    The classes of the moved null vectors, read off the quotient solved per
+    summand, agree with those read off the whole reference scalar Gram."""
     module = HilbertModule.free(C, 3)
     act = standard_action("z2", M2_PLUS_C)
     rho = CompletelyPositiveMap.identity_representation(M2_PLUS_C, module)
@@ -562,6 +563,31 @@ def test_null_seminorm_is_read_per_summand(order_seed):
     bad = replace(d, rep=UnitaryRepresentation.trivial(act.group, module))
     report = verify_dilation(bad)
     assert not report.check("null space preserved").passed
+    assert_matches_dilation_reference(report, bad)
+
+
+@pytest.mark.parametrize("order_seed", [None, 3])
+def test_null_space_preserved_on_m3_identity_representation(order_seed):
+    """The identity representation of M3 on C³ leaves a 24-dimensional null
+    space, which a correct dilation respects: the classes of the moved null
+    vectors vanish to rounding, with the trivial group and with Z2 (the square
+    root of the null vectors' quadratic form read about 5e-9 here). The
+    trivial u, not covariant for Z2, moves it by 1."""
+    m3 = FiniteCStarAlgebra((3,))
+    module = HilbertModule.free(C, 3)
+    rho = CompletelyPositiveMap.identity_representation(m3, module)
+    for group in ("trivial", "z2"):
+        act = standard_action(group, m3)
+        rep = standard_representation(group, module)
+        d = covariant_dilation(rho, act, rep, order_seed=order_seed)
+        assert d.quotient.null_dim == 24
+        check = d.residuals.check("null space preserved")
+        assert check.passed and check.residual <= 1e-14
+        assert d.residuals.passed
+        assert_matches_dilation_reference(verify_dilation(d), d)
+    bad = replace(d, rep=UnitaryRepresentation.trivial(act.group, module))
+    report = verify_dilation(bad)
+    assert report.check("null space preserved").residual == pytest.approx(1.0, rel=1e-12)
     assert_matches_dilation_reference(report, bad)
 
 

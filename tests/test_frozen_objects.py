@@ -73,7 +73,7 @@ FROZEN = {
         lambda: gram_operator(dilation_instance("m2", "c", 1, "z2", seed=3)[0]),
         "scalar_blocks",
     ),
-    "QuotientData": (lambda: _core().quotient, "scalar_blocks"),
+    "QuotientData": (lambda: _core().quotient, "retained_vectors"),
     "CovariantDilation": (_dilation, "quotient"),
 }
 

@@ -52,6 +52,9 @@ STACK_ENTRY = f"{MODULES}::test_endomorphism_stack_refuses_for_the_reason_it_nam
 GRAM_BLOCKS = f"{DILATION}::test_gram_is_one_block_per_summand_row"
 GRAM_GRID = f"{ACCEPTANCE}::test_gram_and_hermiticity_match_pairwise_reference"
 NULL_PER_SUMMAND = f"{DILATION}::test_null_seminorm_is_read_per_summand"
+NULL_M3 = f"{DILATION}::test_null_space_preserved_on_m3_identity_representation"
+BOUND_TERMS = f"{CROSSED}::test_stinespring_bound_needs_each_term"
+BOUND_GRID = f"{ACCEPTANCE}::test_stinespring_bound_decides_every_grid_extension"
 SWEEP = (
     f"{KERNEL}::test_structure_sweep_matches_whole_matrix_reference",
     f"{KERNEL}::test_structure_sweep_refuses_a_defect_in_any_chunk",
@@ -177,6 +180,41 @@ MUTANTS = (
         "extension-u-reversed", "src/prostar/crossed.py",
         "d.rep.values[:, None]", "d.rep.values[::-1, None]", (CROSSED,),
     ),
+    # The extension's Stinespring bound and its exact Choi fallback.
+    Mutant(
+        "stinespring-n-dropped", "src/prostar/crossed.py",
+        "v_sq * n * (f * star + mult) + d_k", "v_sq * (f * star + mult) + d_k",
+        (BOUND_TERMS,),
+    ),
+    Mutant(
+        "stinespring-v-norm-dropped", "src/prostar/crossed.py",
+        "v_sq * n * (f * star + mult) + d_k", "n * (f * star + mult) + d_k",
+        (BOUND_TERMS,),
+    ),
+    Mutant(
+        "stinespring-fs-dropped", "src/prostar/crossed.py",
+        "v_sq * n * (f * star + mult) + d_k", "v_sq * n * mult + d_k",
+        (BOUND_TERMS,),
+    ),
+    Mutant(
+        "stinespring-delta-dropped", "src/prostar/crossed.py",
+        "v_sq * n * (f * star + mult) + d_k", "v_sq * n * (f * star + mult)",
+        (BOUND_TERMS, f"{CROSSED}::TestExtension::test_replaced_standard_map_is_certified_again"),
+    ),
+    Mutant(
+        "stinespring-threshold-skipped", "src/prostar/crossed.py",
+        "if max(bounds) <= threshold:", "if True:",
+        (f"{CROSSED}::TestStinespringCertificate", f"{CROSSED}::TestExtension"),
+    ),
+    Mutant(
+        "stinespring-never-decides", "src/prostar/crossed.py",
+        "if max(bounds) <= threshold:", "if False:", (BOUND_GRID,),
+    ),
+    Mutant(
+        "choi-lows-ignored", "src/prostar/cpmaps.py",
+        "enumerate(zip(blocks, lows))", "enumerate(zip(blocks, [0.0] * len(blocks)))",
+        ("tests/test_cpmaps.py",),
+    ),
     # Groups, covariance and the covariant average.
     Mutant(
         "witness-ties-by-exact-max", "src/prostar/groups.py",
@@ -212,13 +250,13 @@ MUTANTS = (
         "ordered[st : st + nk * d_e] - off * d_e", "ordered[st : st + nk * d_e]", (DILATION,),
     ),
     Mutant(
-        "null-seminorm-wrong-summand", "src/prostar/dilation.py",
-        "zip(quotient.scalar_blocks, source.block_sizes)",
-        "zip(quotient.scalar_blocks[::-1], source.block_sizes)", (NULL_PER_SUMMAND,),
+        "null-classes-of-unmoved-vectors", "src/prostar/dilation.py",
+        "coord_map @ (shuffles @ quotient.null_vectors)", "coord_map @ quotient.null_vectors",
+        (NULL_PER_SUMMAND, NULL_M3),
     ),
     Mutant(
-        "null-seminorm-in-label-order", "src/prostar/dilation.py",
-        "(shuffles @ quotient.null_vectors)[:, order]", "(shuffles @ quotient.null_vectors)",
+        "null-class-eigenvalues-unrooted", "src/prostar/dilation.py",
+        "np.sqrt(quotient.retained_eigenvalues)[:, None]", "quotient.retained_eigenvalues[:, None]",
         (NULL_PER_SUMMAND,),
     ),
     # The quotient one matrix-unit summand at a time.
