@@ -7,12 +7,13 @@ matrix units, and <E_ab (x) xi, E_cd (x) eta> = δ_ac <xi, rho(E_bd) eta>, so on
 summand k the B-valued Gram is I_{n_k} (x) G_k, with G_k rho's Choi block
 sandwiched by the complex basis of E, and the scalarized (trace) one
 I_{n_k} (x) C_k; summands are orthogonal, and only the G_k and C_k are formed.
-One Hermitian eigenproblem of C_k per summand gives retained eigenvectors
-e_α (x) c_j that realize the quotient as a projective submodule P·B^r, and
-one of the pushed Gram c* G_k c per summand has the square root that gives P.
-On that basis Phi(E_ab) = E_ab (x) 1 exactly; the connecting operator from E
-and, for covariant input data, the unitary representation of the group
-descend from shuffles of the spanning set.
+One Hermitian eigenproblem of C_k per summand gives its retained eigenpairs
+(λ_k, c_k), and the class of E_ab (x) xi_s is e_a (x) m_k[:, (b, s)] with
+m_k = diag(√λ_k)·c_k*; the classes realize the quotient as a projective
+submodule P·B^r, and one eigenproblem of the pushed Gram c_k* G_k c_k per
+summand has the square root that gives P. On that basis Phi(E_ab) = E_ab (x) 1
+exactly; the group unitaries v_g, the connector V and the checks of the null
+space descend through `class_matrices`, one pair of summands at a time.
 """
 
 from __future__ import annotations
@@ -56,19 +57,23 @@ class GramData:
 
 @dataclass(frozen=True, eq=False)
 class QuotientData:
-    """The quotient of the spanning set by the null space; every array is read-only."""
+    """The quotient of the spanning set by the null space, one summand M_{n_k}
+    of A at a time: the class of E_αβ (x) xi_s is e_α (x) m_k[:, (β, s)], and
+    e_k's columns are spanning vectors of row 0 with the classes (k, 0, ·).
+    Labels (β, s) are β·dim E + s, classes (k, α, j) are in that order; every
+    array is read-only."""
 
-    spanning_labels: tuple[tuple[int, int], ...]
-    retained_vectors: np.ndarray  # orthonormal eigenvectors, columns in (k, α, j) order
-    retained_eigenvalues: np.ndarray
-    null_vectors: np.ndarray
+    class_maps: tuple[np.ndarray, ...]  # m_k = diag(√λ_k)·c_k*, (r_k, n_k·dim E)
+    embeddings: tuple[np.ndarray, ...]  # e_k = c_k / √λ_k, (n_k·dim E, r_k)
+    retained_eigenvalues: tuple[np.ndarray, ...]  # λ_k, the eigenvalues of C_k kept
+    null_vectors: tuple[np.ndarray, ...]  # orthonormal null eigenvectors of C_k
     null_dim: int
     threshold: float
     warnings: tuple[str, ...]
 
     def __post_init__(self):
-        for name in ("retained_vectors", "retained_eigenvalues", "null_vectors"):
-            object.__setattr__(self, name, linalg.read_only(getattr(self, name)))
+        for name in ("class_maps", "embeddings", "retained_eigenvalues", "null_vectors"):
+            object.__setattr__(self, name, tuple(map(linalg.read_only, getattr(self, name))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,13 +86,11 @@ class DilationCore:
     connector: AdjointableOperator
     quotient: QuotientData
     # Pushforward data reused by the covariant extension:
-    _coord_map: np.ndarray  # (r, N): spanning coordinates -> class coordinates
-    _class_embed: np.ndarray  # (N, r): normalized retained basis
     _sqrt_flat: np.ndarray  # W = sqrt of pushed-forward B-valued Gram
     _coord_extract: np.ndarray  # (r, r): trace extraction of W blocks
 
     def __post_init__(self):
-        for name in ("_coord_map", "_class_embed", "_sqrt_flat", "_coord_extract"):
+        for name in ("_sqrt_flat", "_coord_extract"):
             object.__setattr__(self, name, linalg.read_only(getattr(self, name)))
 
 
@@ -174,10 +177,10 @@ def minimal_dilation(
 ) -> DilationCore:
     """Construct (E_rho, Phi_rho, V_rho) for a certified, unital CP map.
 
-    `order_seed` permutes the spanning set before the quotient is taken, so
-    each C_k is solved with its labels in the permuted order; the
-    construction is deterministic for a fixed seed and yields unitarily
-    equivalent results across seeds.
+    `order_seed` draws one permutation of the spanning labels, and each C_k
+    is solved with its labels (β, s) in the order that summand k's row 0
+    takes in it; the construction is deterministic for a fixed seed and
+    yields unitarily equivalent results across seeds.
     """
     gram = gram_operator(rho, tol)  # certifies rho first
     nd = rho.verify_nondegenerate(max(tol, 1e-8))
@@ -190,17 +193,20 @@ def minimal_dilation(
     big_d = module.block_dim
     d_e = module.complex_dim
     dim_a = source.linear_dim
-    n = dim_a * d_e
-
-    perm = np.arange(n) if order_seed is None else np.random.default_rng(order_seed).permutation(n)
-    labels = tuple(divmod(int(k), d_e) for k in perm)
-    order, rows0 = _summand_rows(source, d_e, perm)
     sizes = source.block_sizes
 
     # The scalar Gram is I_{n_k} (x) C_k on summand k: one eigenproblem per C_k,
     # with the null cut taken from the largest eigenvalue over all summands.
-    scalar = [c[np.ix_(r0, r0)] for c, r0 in zip(gram.scalar_blocks, rows0)]
-    spectra = [linalg.hermitian_eigendecomposition(c) for c in scalar]
+    # C_k's label (β, s) is the spanning label (off_k + β)·dim E + s of row 0.
+    rng = None if order_seed is None else np.random.default_rng(order_seed)
+    perm = None if rng is None else rng.permutation(dim_a * d_e)
+    spectra = []
+    for c, off in zip(gram.scalar_blocks, source.coord_offsets):
+        order = np.arange(len(c))
+        if perm is not None:  # row 0's labels in the order they take in `perm`
+            order = perm[(perm >= off * d_e) & (perm < off * d_e + len(c))] - off * d_e
+        vals, vecs = linalg.hermitian_eigendecomposition(c[np.ix_(order, order)])
+        spectra.append((vals, vecs[np.argsort(order)]))  # rows back in label order
     lam_max = max(max(float(vals[-1]) for vals, _ in spectra), 0.0)
     threshold = max(NULL_SPACE_REL * lam_max, NULL_SPACE_FLOOR)
     keeps = [vals > threshold for vals, _ in spectra]
@@ -214,27 +220,27 @@ def minimal_dilation(
     r = sum(nk * int(np.count_nonzero(keep)) for nk, keep in zip(sizes, keeps))
     if r == 0:
         raise PreconditionError("the semi-inner product vanishes identically")
-    kept = [(vals[keep], vecs[:, keep]) for (vals, vecs), keep in zip(spectra, keeps)]
-    c_plain = _in_label_order(order, [vecs for _, vecs in kept], sizes)
-    nulls = [vecs[:, ~keep] for (_, vecs), keep in zip(spectra, keeps)]
-    null_vecs = _in_label_order(order, nulls, sizes)
-    lam = np.concatenate([np.tile(vals, nk) for (vals, _), nk in zip(kept, sizes)])
-    c_norm = c_plain / np.sqrt(lam)[None, :]
-    coord_map = np.sqrt(lam)[:, None] * c_plain.conj().T  # (r, N)
+    lams, maps, embeds, nulls = [], [], [], []
+    for (vals, vecs), keep in zip(spectra, keeps):
+        lam, c_k = vals[keep], vecs[:, keep]
+        lams.append(lam)
+        maps.append(np.sqrt(lam)[:, None] * c_k.conj().T)
+        embeds.append(c_k / np.sqrt(lam)[None, :])
+        nulls.append(vecs[:, ~keep])
+    for array in (*lams, *maps, *embeds, *nulls):
+        array.setflags(write=False)
 
     # Push the B-valued Gram, I_{n_k} (x) G_k as well, onto each summand's
-    # normalized retained basis c_k: h_k = c_k* G_k c_k, one eigenproblem each.
+    # normalized retained basis e_k: h_k = e_k* G_k e_k, one eigenproblem each.
     pushed = []
-    for g_k, r0, (vals, vecs) in zip(gram.bvalued_blocks, rows0, kept):
-        if not len(vals):
+    for g_k, e_k in zip(gram.bvalued_blocks, embeds):
+        m, r_k = e_k.shape
+        if not r_k:
             pushed.append(None)
             continue
-        c_k = vecs / np.sqrt(vals)[None, :]
-        m, r_k = c_k.shape
-        flat = (r0[:, None] * big_d + np.arange(big_d)[None, :]).ravel()
-        # h[(A, a), (B, b)] = sum_kl conj(c_k[k, A]) G_k[(k, a), (l, b)] c_k[l, B], as two products.
-        half = c_k.conj().T @ g_k[np.ix_(flat, flat)].reshape(m, -1)
-        h = (half.reshape(r_k * big_d, m, big_d).transpose(0, 2, 1) @ c_k).transpose(0, 2, 1)
+        # h[(A, a), (B, b)] = sum_kl conj(e_k[k, A]) G_k[(k, a), (l, b)] e_k[l, B], as two products.
+        half = e_k.conj().T @ g_k.reshape(m, -1)
+        h = (half.reshape(r_k * big_d, m, big_d).transpose(0, 2, 1) @ e_k).transpose(0, 2, 1)
         h = h.reshape(r_k * big_d, r_k * big_d)
         pushed.append(linalg.hermitian_eigendecomposition((h + h.conj().T) / 2.0))
     roots = _support_roots(pushed, big_d)
@@ -252,8 +258,9 @@ def minimal_dilation(
     dilation_module = HilbertModule(module.algebra, r, isometry, basis_flats=class_flats)
     # W = U·(U*W): the descended operators are formed from the rows U*W only.
     w_rows = dilation_module.to_range(w)
-    # Internal consistency: the identity shuffle must descend to the identity.
-    ident = _descend(w_rows, coord_map, c_norm[None], coord_extract, isometry)[0]
+    # Internal consistency: the identity a (x) xi -> a (x) xi must descend to the identity.
+    ident = class_matrices(np.eye(dim_a)[None], np.eye(d_e)[None], maps, sizes, embeds, sizes)
+    ident = _concrete(w_rows, ident @ coord_extract, isometry)[0]
     ident_defect = linalg.frobenius(ident - np.eye(len(ident)))
     if ident_defect > 1e-8 * max(1.0, np.sqrt(len(ident))):
         warnings.append(f"quotient embedding defect {ident_defect:.3e}")
@@ -270,25 +277,25 @@ def minimal_dilation(
         phi[off + a * nk + b, start + a * pk + t, start + b * pk + t] = 1.0
         start += nk * pk
     representation = CompletelyPositiveMap(source, dilation_module, phi)
-    # The connector V: xi -> class of 1 (x) xi, descended from the inclusion.
-    e_labels = tuple((0, s) for s in range(d_e))
-    unit_coords = source.unit().coords()[None, :, None]
-    inclusion = label_shuffles(labels, e_labels, unit_coords, np.eye(d_e)[None])
+    # The connector V: xi -> class of 1 (x) xi, which is sum_{k,α} e_α (x) m_k[:, (α, ·)]:
+    # the map a (x) xi -> a·1 (x) xi out of the quotient C (x) E = E, whose T is 1's coordinates.
+    unit = source.unit().coords()[None, :, None]
+    inclusion = class_matrices(unit, np.eye(d_e)[None], maps, sizes, (np.eye(d_e),), (1,))
     # y: the coordinates of the generators e_j·1 of E = P·B^n in its complex basis.
     gens = module.to_range(module.projection_flat).reshape(module.coord_dim, module.rank, big_d)
     y = module._basis_pinv @ gens.transpose(1, 0, 2).reshape(module.rank, -1).T
     connector = AdjointableOperator(
-        module, dilation_module, _descend(w_rows, coord_map, inclusion, y, module.isometry)[0]
+        module, dilation_module, _concrete(w_rows, inclusion @ y, module.isometry)[0]
     )
 
-    for array in (coord_map, c_norm, w, coord_extract):
+    for array in (w, coord_extract):
         array.setflags(write=False)
     quotient = QuotientData(
-        spanning_labels=labels,
-        retained_vectors=c_plain,
-        retained_eigenvalues=lam,
-        null_vectors=null_vecs,
-        null_dim=int(null_vecs.shape[1]),
+        class_maps=tuple(maps),
+        embeddings=tuple(embeds),
+        retained_eigenvalues=tuple(lams),
+        null_vectors=tuple(nulls),
+        null_dim=sum(nk * z.shape[1] for nk, z in zip(sizes, nulls)),
         threshold=threshold,
         warnings=tuple(warnings),
     )
@@ -298,34 +305,9 @@ def minimal_dilation(
         representation=representation,
         connector=connector,
         quotient=quotient,
-        _coord_map=coord_map,
-        _class_embed=c_norm,
         _sqrt_flat=w,
         _coord_extract=coord_extract,
     )
-
-
-def _summand_rows(source, d_e: int, perm: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The permuted spanning labels grouped by summand k and row α of E_αβ.
-
-    Returns the positions of the labels in (k, α, slot) order and, for each
-    k, the labels β·dim E + s of C_k for the (E_0β, s) of row 0 in the order
-    C_k is solved in, their order in the permutation. Slot j of row α
-    holds (E_αβ, s) for the (E_0β, s) of slot j of row 0.
-    """
-    sizes = np.array(source.block_sizes)
-    offs = np.array(source.coord_offsets)
-    k_of = np.repeat(np.arange(len(sizes)), sizes * sizes)
-    alpha, beta = np.divmod(np.arange(source.linear_dim) - offs[k_of], sizes[k_of])
-    n = len(perm)
-    i, s = np.divmod(np.arange(n), d_e)
-    row0 = (offs[k_of[i]] + beta[i]) * d_e + s  # label index = i·dim E + s
-    inv = np.empty_like(perm)
-    inv[perm] = np.arange(n)
-    ordered = np.argsort((k_of[i] * sizes.max() + alpha[i]) * n + inv[row0])
-    starts = np.cumsum([0, *(sizes * sizes * d_e)])
-    rows0 = [ordered[st : st + nk * d_e] - off * d_e for st, nk, off in zip(starts, sizes, offs)]
-    return inv[ordered], rows0
 
 
 class _Root(NamedTuple):
@@ -364,60 +346,58 @@ def _repeated_diag(blocks: Sequence[np.ndarray], copies: Sequence[int]) -> np.nd
     return linalg.block_diag([b for b, c in zip(blocks, copies) for _ in range(c)])
 
 
-def _in_label_order(order: np.ndarray, blocks, copies) -> np.ndarray:
-    """`_repeated_diag(blocks, copies)` with its rows moved to the label positions
-    `order`: column (k, α, j) is e_α (x) (column j of blocks[k])."""
-    diag = _repeated_diag(blocks, copies)
-    out = np.empty_like(diag)
-    out[order] = diag
+def class_matrices(
+    t: np.ndarray,
+    y: np.ndarray,
+    maps: Sequence[np.ndarray],
+    sizes: Sequence[int],
+    embeds: Sequence[np.ndarray],
+    embed_sizes: Sequence[int],
+) -> np.ndarray:
+    """Class coordinates of a (x) xi -> T(a) (x) Y xi between two quotients, for
+    each pair (T_K, Y_K) of two stacks (a stack of length 1 is shared).
+
+    T_K acts on algebra coordinates (column i holds T(a_i)) and Y_K on complex
+    coordinates of E. `maps` are the target's m_k' with block sizes `sizes`;
+    `embeds` are vectors of the source's summands in (β, s) labels, its e_k
+    or any others (null vectors), with block sizes `embed_sizes`. Column
+    (k, α, j) is e_α (x) embeds[k][:, j], and block ((k', γ), (k, α)) of the
+    result is sum_{δ,β} T[(k'γδ), (kαβ)]·m_k'[:, (δ, ·)]·Y·e_k[(β, ·), :]: only
+    T's (n_k'², n_k²) blocks are read, one pair of summands at a time.
+    """
+    count = max(len(t), len(y))
+    rows = [m.shape[0] * nq for m, nq in zip(maps, sizes)]
+    cols = [e.shape[1] * nk for e, nk in zip(embeds, embed_sizes)]
+    out = np.zeros((count, sum(rows), sum(cols)), dtype=np.complex128)
+    row, t_row = 0, 0
+    for m, nq, height in zip(maps, sizes, rows):
+        r_q = m.shape[0]
+        my = m.reshape(r_q * nq, m.shape[1] // nq) @ y  # (K, (j, δ), t): m[j, (δ, ·)]·Y
+        col, t_col = 0, 0
+        for e, nk, width in zip(embeds, embed_sizes, cols):
+            r_k, d_in = e.shape[1], len(e) // nk
+            wide = e.reshape(nk, d_in, r_k).transpose(1, 0, 2).reshape(d_in, nk * r_k)
+            # prod[(δ, β), (j, q)] = m[j, (δ, ·)]·Y·e[(β, ·), q]
+            prod = (my @ wide).reshape(len(my), r_q, nq, nk, r_k).transpose(0, 2, 3, 1, 4)
+            tb = t[:, t_row : t_row + nq * nq, t_col : t_col + nk * nk]
+            tb = tb.reshape(-1, nq, nq, nk, nk).transpose(0, 1, 3, 2, 4)  # (γ, α), (δ, β)
+            block = tb.reshape(-1, nq * nk, nq * nk) @ prod.reshape(len(my), nq * nk, r_q * r_k)
+            block = block.reshape(count, nq, nk, r_q, r_k).transpose(0, 1, 3, 2, 4)
+            out[:, row : row + height, col : col + width] = block.reshape(count, height, width)
+            col, t_col = col + width, t_col + nk * nk
+        row, t_row = row + height, t_row + nq * nq
     return out
 
 
-def label_shuffles(
-    rows: Sequence[tuple[int, int]],
-    cols: Sequence[tuple[int, int]],
-    a_stack: np.ndarray,
-    e_stack: np.ndarray,
-) -> np.ndarray:
-    """kron(A_k, E_k) for each k of two stacks, gathered in the spanning orders `rows`, `cols`.
+def _concrete(w_rows: np.ndarray, coords: np.ndarray, domain_basis: np.ndarray | None):
+    """Range coordinates U*·W·kron(C_K, I_D)·U_dom of a stack of class-coordinate
+    matrices C_K, from the rows U*W of W.
 
-    `rows` and `cols` are (A-index, E-index) label lists, as in
-    `QuotientData.spanning_labels`: entry ((i, s), (j, t)) is A_k[i, j]·E_k[s, t].
-    A stack of length 1 is shared by every k of the other.
+    With C_K = (class matrix)·coord_extract it gives an endomorphism of the
+    quotient (U_dom = U); with the classes of the inclusion xi -> 1 (x) xi
+    times y it gives the connector (U_dom the isometry of E, or None when E
+    is free).
     """
-    ri, rs = np.asarray(rows).T
-    ci, cs = np.asarray(cols).T
-    return a_stack[:, ri[:, None], ci[None, :]] * e_stack[:, rs[:, None], cs[None, :]]
-
-
-def _multiplication_shuffles(source, labels, d_e: int) -> np.ndarray:
-    """a (x) xi -> a_i a (x) xi for every basis element a_i, in label order."""
-    lten = source.structure_constants().transpose(0, 2, 1)  # lten[i][:, j] = coords of E_i E_j
-    return label_shuffles(labels, labels, lten, np.eye(d_e)[None])
-
-
-def _covariant_shuffles(action: GroupAction, rep: UnitaryRepresentation, labels) -> np.ndarray:
-    """a (x) xi -> alpha_g(a) (x) u_g(xi) for every g, in label order."""
-    u_cm = complex_matrices(rep.module, rep.module, rep.values)
-    return label_shuffles(labels, labels, action._action_tensor, u_cm)
-
-
-def _descend(
-    w_rows: np.ndarray,
-    coord_map: np.ndarray,
-    shuffles: np.ndarray,
-    right: np.ndarray,
-    domain_basis: np.ndarray | None,
-) -> np.ndarray:
-    """Range coordinates U*·W·kron(coord_map·S_k·right, I_D)·U_dom of the maps
-    descended from a stack of shuffles S_k, from the rows U*W of W.
-
-    With right = class_embed·coord_extract a shuffle of the spanning set
-    descends to an endomorphism of the quotient (U_dom = U); with the
-    inclusion xi -> 1 (x) xi and right = y it gives the connector (U_dom the
-    isometry of E, or None when E is free).
-    """
-    coords = coord_map @ shuffles @ right  # (K, r, c)
     k, r, c = coords.shape
     big_d = w_rows.shape[1] // r
     # Column (b, y) of U*W·kron(C, I_D) is sum_a C[a, b] (U*W)[:, (a, y)]; no
@@ -429,18 +409,21 @@ def _descend(
 
 def _null_preservation_residual(d: CovariantDilation) -> float:
     """Norm of the classes in E_rho of the null vectors moved by left
-    multiplication and by the covariant shuffles, for a non-empty null space;
-    zero when it is respected. The class of a spanning vector x has
-    coordinates diag(√λ)·c*·x on the retained eigenvectors c of the scalar
-    Gram, with eigenvalues λ (the quotient's `coord_map`), so a moved null
-    vector is zero in E_rho exactly when they vanish."""
-    source, d_e, quotient = d.cp_map.source, d.cp_map.module.complex_dim, d.quotient
-    labels = quotient.spanning_labels
-    left = _multiplication_shuffles(source, labels, d_e)
-    shuffles = np.concatenate([left, _covariant_shuffles(d.action, d.rep, labels)])
-    coord_map = np.sqrt(quotient.retained_eigenvalues)[:, None] * quotient.retained_vectors.conj().T
-    classes = coord_map @ (shuffles @ quotient.null_vectors)
-    return float(np.max(np.linalg.norm(classes, axis=1)))
+    multiplication and by a (x) xi -> alpha_g(a) (x) u_g(xi), for a non-empty
+    null space; zero when it is respected. The class of a spanning vector x of
+    summand k's row α has coordinates m_k·x there, so a moved null vector is
+    zero in E_rho exactly when they vanish."""
+    source, quotient, rep = d.cp_map.source, d.quotient, d.rep
+    sizes = source.block_sizes
+    moves = (
+        (source.structure_constants().transpose(0, 2, 1), np.eye(rep.module.complex_dim)[None]),
+        (d.action._action_tensor, complex_matrices(rep.module, rep.module, rep.values)),
+    )
+    worst = 0.0
+    for t, y in moves:
+        classes = class_matrices(t, y, quotient.class_maps, sizes, quotient.null_vectors, sizes)
+        worst = max(worst, float(np.max(np.linalg.norm(classes, axis=1))))
+    return worst
 
 
 def covariant_extend(
@@ -462,13 +445,13 @@ def covariant_extend(
             f"(rho, alpha, u) is not covariant; residual {cov.max_residual:.3e}"
         )
 
-    shuffles = _covariant_shuffles(action, rep, core.quotient.spanning_labels)
-    coords = _descend(
-        core.module.to_range(core._sqrt_flat),
-        core._coord_map,
-        shuffles,
-        core._class_embed @ core._coord_extract,
-        core.module.isometry,
+    quotient, sizes = core.quotient, rho.source.block_sizes
+    u_cm = complex_matrices(rep.module, rep.module, rep.values)
+    classes = class_matrices(
+        action._action_tensor, u_cm, quotient.class_maps, sizes, quotient.embeddings, sizes
+    )
+    coords = _concrete(
+        core.module.to_range(core._sqrt_flat), classes @ core._coord_extract, core.module.isometry
     )
     group_unitaries = UnitaryRepresentation(action.group, core.module, coords)
 
@@ -543,8 +526,8 @@ def _dilation_identities(d: CovariantDilation) -> tuple[np.ndarray, tuple[_Ident
     identities.append(_Identity("Phi is a unital *-representation", rep_residual, 1e-9))
 
     # well-definedness: the null space is respected by left multiplication and
-    # by the covariant shuffles a(x)xi -> alpha_g(a)(x)u_g(xi); an empty null
-    # space is, and then no shuffle is formed.
+    # by a(x)xi -> alpha_g(a)(x)u_g(xi); an empty null space is, and then no
+    # class is formed.
     null_res = _null_preservation_residual(d) if d.quotient.null_dim else 0.0
     identities.append(_Identity("null space preserved", null_res, 1e-9))
     return family, tuple(identities)

@@ -399,7 +399,7 @@ def _run_dilate(scn: Scenario, task: dict, result: TaskResult) -> None:
         {
             "dilation_module_dim": d.module.complex_dim,
             "null_space_dim": d.quotient.null_dim,
-            "spanning_size": len(d.quotient.spanning_labels),
+            "spanning_size": rho.source.linear_dim * rho.module.complex_dim,
         }
     )
     if task.get("uniqueness", False):

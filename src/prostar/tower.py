@@ -36,7 +36,7 @@ from .algebra import (
 )
 from .cpmaps import CompletelyPositiveMap
 from .crossed import CrossedProductRealization, integrated_form
-from .dilation import label_shuffles
+from .dilation import class_matrices
 from .errors import PreconditionError, StructuralError
 from .groups import FiniteGroup, GroupAction, UnitaryRepresentation, verify_action
 from .linalg import DEFAULT_TOL
@@ -477,17 +477,17 @@ class CoherenceReport:
         return self.report.max_residual
 
 
-def _connecting_class_matrix(
-    mt: ModuleTower, p: str, q: str, cores, dim_a: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Class-coordinate matrix of the map a(x)xi -> a(x)sigma(xi) on the quotients,
-    and the matrix y of sigma_pq: E_p -> E_q in the complex bases."""
+def _connecting_class_matrix(mt: ModuleTower, p: str, q: str, cores) -> tuple[np.ndarray, ...]:
+    """Class-coordinate matrix ⊕_k I_{n_k} (x) m^q_k (I_{n_k} (x) y) e^p_k of the map
+    a(x)xi -> a(x)sigma(xi) on the quotients, and the matrix y of sigma_pq: E_p -> E_q."""
     ep, eq = mt.modules[p], mt.modules[q]
     pushed = mt.push(p, q, ep.basis_tensor, 1)
     y = eq._basis_pinv @ eq.to_range(pushed).reshape(ep.complex_dim, -1).T  # (d_q, d_p)
-    rows, cols = cores[q].quotient.spanning_labels, cores[p].quotient.spanning_labels
-    shuffle = label_shuffles(rows, cols, np.eye(dim_a)[None], y[None])[0]
-    return cores[q]._coord_map @ shuffle @ cores[p]._class_embed, y
+    below, above = cores[q].quotient, cores[p].quotient
+    source = cores[p].cp_map.source
+    sizes, eye = source.block_sizes, np.eye(source.linear_dim)[None]
+    m = class_matrices(eye, y[None], below.class_maps, sizes, above.embeddings, sizes)
+    return m[0], y
 
 
 def _square(m: np.ndarray, fp: HilbertModule, fq: HilbertModule, ops_p, ops_q) -> float:
@@ -538,9 +538,8 @@ def levelwise_dilation_coherence(
     ]
     class_maps: dict[tuple[str, str], np.ndarray] = {}
     rep_sq = conn_sq = v_sq = gram_sq = surj = 0.0
-    dim_a = rho_top.source.linear_dim
     for (p, q) in mt.base.poset.comparable_pairs():
-        m_pq, y = _connecting_class_matrix(mt, p, q, cores, dim_a)
+        m_pq, y = _connecting_class_matrix(mt, p, q, cores)
         class_maps[(p, q)] = m_pq
         fp, fq = dils[p].module, dils[q].module
         rep_sq = max(rep_sq, _square(m_pq, fp, fq, dils[p].representation.values,

@@ -41,12 +41,16 @@ as sqrt(max eigvalsh(X*X)) instead of `linalg.spectral_norm`, the null
 space through one kron shuffle per element, and the group law one pair
 (g, h) at a time (as do `unitary_representation_reference` and
 `action_reference`). `descended_reference` builds Φ(a_i), v_g and V by
-kron-and-permute, as `minimal_dilation` and `covariant_extend` did.
+kron-and-permute through the whole spanning set's (r, N) coordinate map and
+(N, r) class embedding, N = dim A·dim E, as `minimal_dilation` and
+`covariant_extend` did before they descended one pair of summands at a
+time (`dilation.class_matrices`); `spanning_classes` assembles the two
+from the quotient's per-summand m_k and e_k.
 `whole_gram_quotient` takes the quotient of `gram_reference`'s Gram as
 `minimal_dilation` did before it took it one matrix-unit summand at a time:
 one eigenproblem of the whole scalar Gram and one of the whole pushed
 B-valued Gram. The null-space check of `dilation_checks_reference` reads the
-seminorm off the same whole scalar Gram.
+seminorm off the same whole scalar Gram, with one kron shuffle per element.
 
 The last references were once library code that only the tests called:
 `jacobi_eigh` is a cyclic complex Jacobi eigensolver, independent of LAPACK;
@@ -72,13 +76,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from prostar.dilation import (
-    NULL_SPACE_FLOOR,
-    NULL_SPACE_REL,
-    SUPPORT_REL,
-    _descend,
-    _multiplication_shuffles,
-)
+from prostar.dilation import NULL_SPACE_FLOOR, NULL_SPACE_REL, SUPPORT_REL
 
 # Residuals are sums of rounding errors taken in another order, so the two
 # paths agree relative to the size of the products, not bit for bit.
@@ -535,7 +533,8 @@ def dilation_coherence_reference(rho_top, action, rep_top, mt, tol: float) -> di
             ],
             axis=1,
         )
-        m = cores[q]._coord_map @ np.kron(np.eye(dim_a), y) @ cores[p]._class_embed
+        below, above = spanning_classes(cores[q])[0], spanning_classes(cores[p])[1]
+        m = below @ np.kron(np.eye(dim_a), y) @ above
         class_maps[(p, q)] = m
         for a, b in zip(dils[p].representation.basis_values, dils[q].representation.basis_values):
             diff = m @ _complex_matrix_reference(a) - _complex_matrix_reference(b) @ m
@@ -595,13 +594,6 @@ def integrated_coherence_reference(phi_top, v_top, xp, mt, tol: float) -> dict[s
 def _reference_spectral_norm(m: np.ndarray) -> float:
     """Largest singular value as sqrt(max eigvalsh(X*X)), independent of linalg.spectral_norm."""
     return float(np.sqrt(max(np.linalg.eigvalsh(m.conj().T @ m)[-1], 0.0)))
-
-
-def _label_shuffle(labels, a_matrix: np.ndarray, e_matrix: np.ndarray) -> np.ndarray:
-    """kron(a_matrix, e_matrix) transported through the spanning order in `labels`."""
-    i_idx = np.array([i for (i, _) in labels])
-    s_idx = np.array([s for (_, s) in labels])
-    return a_matrix[np.ix_(i_idx, i_idx)] * e_matrix[np.ix_(s_idx, s_idx)]
 
 
 def _null_reference(
@@ -677,24 +669,20 @@ def dilation_checks_reference(d, tol: float) -> list:
         )
     )
 
-    labels, nulls = d.quotient.spanning_labels, d.quotient.null_vectors
     null_res = 0.0
-    if nulls.shape[1]:
-        perm = [i * d_e + s for i, s in labels]
-        scalar = scalar_gram_reference(gram_reference(rho), rho.module.block_dim)
-        vals, vecs = np.linalg.eigh(scalar[np.ix_(perm, perm)])
+    if d.quotient.null_dim:
+        nulls = _repeated_blocks(d.quotient.null_vectors, source.block_sizes)
+        vals, vecs = np.linalg.eigh(scalar_gram_reference(gram_reference(rho), big_d))
         keep = vals > d.quotient.threshold
         vals, vecs = vals[keep], vecs[:, keep]
         lten = structure_constants(source).transpose(0, 2, 1)
         eye_e = np.eye(d_e)
         for i in range(source.linear_dim):
-            shuffle = _label_shuffle(labels, lten[i], eye_e)
+            shuffle = np.kron(lten[i], eye_e)
             null_res = max(null_res, _null_reference(vals, vecs, nulls, shuffle))
         for g in group.elements():
-            shuffle = _label_shuffle(
-                labels,
-                d.action.automorphisms[g].action_matrix,
-                d.rep.unitaries[g].complex_matrix(),
+            shuffle = np.kron(
+                d.action.automorphisms[g].action_matrix, d.rep.unitaries[g].complex_matrix()
             )
             null_res = max(null_res, _null_reference(vals, vecs, nulls, shuffle))
     checks.append(Check("null space preserved", float(null_res), max(tol, 1e-9)))
@@ -854,21 +842,49 @@ def action_reference(action, tol: float) -> list:
     ]
 
 
+def _repeated_blocks(blocks, copies) -> np.ndarray:
+    """The block-diagonal matrix with blocks[k] repeated copies[k] times; a block
+    may have no columns or no rows."""
+    parts = [b for b, c in zip(blocks, copies) for _ in range(c)]
+    out = np.zeros((sum(b.shape[0] for b in parts), sum(b.shape[1] for b in parts)), complex)
+    r = c = 0
+    for b in parts:
+        out[r : r + b.shape[0], c : c + b.shape[1]] = b
+        r, c = r + b.shape[0], c + b.shape[1]
+    return out
+
+
+def spanning_classes(core) -> tuple[np.ndarray, np.ndarray]:
+    """The (r, N) coordinate map and the (N, r) class embedding of the whole
+    spanning set, N = dim A·dim E, assembled from the quotient's per-summand m_k
+    and e_k. Label (E_αβ, s) of summand k is (off_k + α·n_k + β)·dim E + s, so
+    row α's labels are one contiguous run in (β, s) order and both matrices are
+    block-diagonal, with m_k and e_k repeated once per row α."""
+    sizes, quotient = core.cp_map.source.block_sizes, core.quotient
+    return (
+        _repeated_blocks(quotient.class_maps, sizes),
+        _repeated_blocks(quotient.embeddings, sizes),
+    )
+
+
+def descend_reference(core, coords: np.ndarray) -> np.ndarray:
+    """The flat W·kron(C·coord_extract, I_D) of a class-coordinate matrix C, with
+    the Kronecker product formed."""
+    big_d = core.module.block_dim
+    return core._sqrt_flat @ np.kron(coords @ core._coord_extract, np.eye(big_d))
+
+
 def descended_reference(core, action, rep) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The flats of Phi(a_i), v_g and V built by kron-and-permute, one i, one g and
-    one generator of E at a time.
-
-    The permutation of the spanning set is read back from the quotient's
-    labels: label (i, s) sits at position i·dim E + s of the unpermuted order.
-    """
+    one generator of E at a time, through the whole spanning set's coordinate
+    map and class embedding (`spanning_classes`)."""
     source, module = core.cp_map.source, core.cp_map.module
     d_e, big_d = module.complex_dim, module.block_dim
-    perm = np.array([i * d_e + s for i, s in core.quotient.spanning_labels])
+    coord_map, class_embed = spanning_classes(core)
     eye_e = np.eye(d_e)
 
     def concrete(shuffle):
-        abstract = core._coord_map @ shuffle[np.ix_(perm, perm)] @ core._class_embed
-        return core._sqrt_flat @ np.kron(abstract @ core._coord_extract, np.eye(big_d))
+        return descend_reference(core, coord_map @ shuffle @ class_embed)
 
     lten = structure_constants(source).transpose(0, 2, 1)
     phi = np.stack([concrete(np.kron(lten[i], eye_e)) for i in range(source.linear_dim)])
@@ -880,7 +896,7 @@ def descended_reference(core, action, rep) -> tuple[np.ndarray, np.ndarray, np.n
             for g in action.group.elements()
         ]
     )
-    x_map = np.kron(source.unit().coords()[:, None], eye_e)[perm, :]
+    x_map = np.kron(source.unit().coords()[:, None], eye_e)
     y = np.stack(
         [
             module.coords_of(
@@ -892,7 +908,7 @@ def descended_reference(core, action, rep) -> tuple[np.ndarray, np.ndarray, np.n
         ],
         axis=1,
     )
-    connector = core._sqrt_flat @ np.kron(core._coord_map @ x_map @ y, np.eye(big_d))
+    connector = core._sqrt_flat @ np.kron(coord_map @ x_map @ y, np.eye(big_d))
     return phi, v, connector
 
 
@@ -906,7 +922,8 @@ class WholeGramQuotient(NamedTuple):
 
 def whole_gram_quotient(rho, order_seed: int | None = None) -> WholeGramQuotient:
     """The quotient of `gram_reference`'s whole Gram of `rho`: the N×N scalar
-    Gram (permuted by `order_seed` as `minimal_dilation` permutes it) in one
+    Gram, its labels in an order drawn from `order_seed` (the quantities that
+    `assert_summand_quotient_agrees` compares do not depend on it), in one
     eigenproblem, the B-valued Gram pushed onto all r retained classes and
     that r·D×r·D matrix in one more, with the identity shuffle descended
     through the whole square root for the embedding defect."""
@@ -947,29 +964,28 @@ def assert_summand_quotient_agrees(core, order_seed: int | None) -> None:
     """`core`, a `minimal_dilation` at `order_seed`, keeps the whole-Gram
     quotient's rank, null dimension, support rank and warnings, its threshold
     and retained spectrum (as a multiset) within REL; and its Phi, written as
-    E_ab ⊗ 1, is the Phi that the multiplication shuffles descend to."""
+    E_ab ⊗ 1, is the Phi that the multiplication shuffles a ⊗ ξ ↦ a_i a ⊗ ξ
+    descend to through the whole spanning set (`spanning_classes`)."""
     rho, quotient = core.cp_map, core.quotient
+    sizes = rho.source.block_sizes
     ref = whole_gram_quotient(rho, order_seed)
-    assert len(quotient.retained_eigenvalues) == len(ref.retained_eigenvalues)
+    spectrum = np.sort(
+        np.concatenate([np.tile(lam, n) for lam, n in zip(quotient.retained_eigenvalues, sizes)])
+    )
+    assert len(spectrum) == len(ref.retained_eigenvalues) == core.module.rank
     assert quotient.null_dim == ref.null_dim
     assert core.module.coord_dim == ref.support_rank
     assert quotient.warnings == ref.warnings
     assert abs(quotient.threshold - ref.threshold) <= REL * ref.threshold
-    spectrum = np.sort(quotient.retained_eigenvalues)
     top = max(1.0, float(ref.retained_eigenvalues[-1]))
     assert np.abs(spectrum - ref.retained_eigenvalues).max() <= REL * top
 
-    shuffles = _multiplication_shuffles(
-        rho.source, quotient.spanning_labels, rho.module.complex_dim
-    )
-    descended = _descend(
-        core.module.to_range(core._sqrt_flat),
-        core._coord_map,
-        shuffles,
-        core._class_embed @ core._coord_extract,
-        core.module.isometry,
-    )
-    assert np.abs(descended - core.representation.values).max() <= 1e-12
+    coord_map, class_embed = spanning_classes(core)
+    lten = structure_constants(rho.source).transpose(0, 2, 1)
+    eye_e = np.eye(rho.module.complex_dim)
+    for i, phi in enumerate(core.representation.basis_values):
+        descended = descend_reference(core, coord_map @ np.kron(lten[i], eye_e) @ class_embed)
+        assert np.abs(descended - phi.flat).max() <= 1e-12
 
 
 # -- former library code, kept as independent references ----------------------

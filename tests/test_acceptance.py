@@ -672,6 +672,24 @@ def test_criterion_8_negative_controls():
     assert ok
 
 
+def test_order_seed_changes_the_construction():
+    """A second `order_seed` gives another, unitarily equivalent dilation. At the
+    seeds of the benchmark's `dilate-grid` at seed 1 (instance 1000 + k, order
+    seed 1001 + k), V moves by more than 1e-6 on at least one of the 48
+    instances, and the uniqueness unitary carries one onto the other on all."""
+    moved = []
+    for k, combo in enumerate(GRID):
+        rho, act, rep = dilation_instance(*combo, seed=1000 + k)
+        d1 = covariant_dilation(rho, act, rep)
+        d2 = covariant_dilation(rho, act, rep, order_seed=1001 + k)
+        if np.abs(d1.connector.coords - d2.connector.coords).max() > 1e-6:
+            moved.append(combo)
+        _, report = uniqueness_unitary(d1, d2)
+        assert report.passed, combo
+    _emit(f"order_seed moved V on {len(moved)} of {len(GRID)} grid instances")
+    assert moved
+
+
 def test_summand_quotient_matches_whole_gram_reference():
     """The quotient taken one matrix-unit summand at a time agrees with the
     whole-Gram quotient on all 48 combos, for the default spanning order and

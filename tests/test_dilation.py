@@ -34,6 +34,7 @@ from prostar.modules import AdjointableOperator, HilbertModule
 from prostar.recipes import (
     dilation_instance,
     named_algebra,
+    random_covariant_cp,
     random_cp_map,
     standard_action,
     standard_representation,
@@ -319,9 +320,9 @@ HELD_ARRAYS = {
     "value tensor": lambda d: d.representation.values,
     "unitary tensor": lambda d: d.group_unitaries.values,
     "scalar Gram": lambda d: gram_operator(d.cp_map).scalar_blocks[0],
-    "retained vectors": lambda d: d.quotient.retained_vectors,
-    "retained eigenvalues": lambda d: d.quotient.retained_eigenvalues,
-    "null vectors": lambda d: d.quotient.null_vectors,
+    "embeddings": lambda d: d.quotient.embeddings[0],
+    "retained eigenvalues": lambda d: d.quotient.retained_eigenvalues[0],
+    "null vectors": lambda d: d.quotient.null_vectors[0],
     "spanning family": lambda d: d._spanning_family,
 }
 
@@ -652,6 +653,52 @@ def test_null_cut_is_global_over_summands():
     assert core.quotient.threshold == pytest.approx(1e-9, rel=1e-12)
     assert (core.module.complex_dim, core.quotient.null_dim) == (2, 2)
     pairwise_reference.assert_summand_quotient_agrees(core, None)
+
+
+def _assert_descends_as_reference(core, d, act, rep):
+    """Every residual passes, matches the per-element loops, and v_g and V are
+    the kron-and-permute ones of `descended_reference`."""
+    assert d.residuals.passed
+    assert_matches_dilation_reference(verify_dilation(d), d)
+    _, v, connector = pairwise_reference.descended_reference(core, act, rep)
+    assert np.abs(v - np.stack([u.flat for u in d.group_unitaries.unitaries])).max() <= 1e-12
+    assert np.abs(connector - d.connector.flat).max() <= 1e-12
+    assert d.residuals.check("null space preserved").residual <= 1e-9
+
+
+SWAPPED = [FiniteCStarAlgebra((1, 1)), FiniteCStarAlgebra((2, 2))]
+
+
+@pytest.mark.parametrize("order_seed", [None, 5])
+@pytest.mark.parametrize("rank", [1, 2])
+@pytest.mark.parametrize("base", ["c", "m2"])
+@pytest.mark.parametrize("source", SWAPPED, ids=["c+c", "m2+m2"])
+def test_summand_swapping_action_descends(source, base, rank, order_seed):
+    """Z2 swapping the two summands moves each class into the other summand, so
+    v_g is read off the cross-summand blocks of `class_matrices` only (every
+    grid action is inner, and leaves those blocks zero)."""
+    module = HilbertModule.free(named_algebra(base), rank)
+    act = GroupAction.by_block_permutation(FiniteGroup.cyclic(2), source, [[0, 1], [1, 0]])
+    rep = standard_representation("z2", module)
+    rho = random_covariant_cp(source, module, act, rep, seed=31 + rank)
+    core = minimal_dilation(rho, order_seed=order_seed)
+    _assert_descends_as_reference(core, covariant_extend(core, act, rep), act, rep)
+
+
+@pytest.mark.parametrize("order_seed", [None, 5])
+def test_summand_swapping_action_with_a_null_space(order_seed):
+    """rho(a ⊕ b) = (a_00 + b_00)/2 into C is covariant for the swap of M2⊕M2
+    with the trivial u, and leaves a null space of dimension 4 (one null label
+    in each row of each summand), which the swap carries across summands."""
+    source = FiniteCStarAlgebra((2, 2))
+    module = HilbertModule.free(C, 1)
+    corner = [0.5 if i in (0, 4) else 0.0 for i in range(source.linear_dim)]
+    rho = CompletelyPositiveMap.from_dense_images(source, module, [[[c]] for c in corner])
+    act = GroupAction.by_block_permutation(FiniteGroup.cyclic(2), source, [[0, 1], [1, 0]])
+    rep = UnitaryRepresentation.trivial(act.group, module)
+    core = minimal_dilation(rho, order_seed=order_seed)
+    assert (core.module.complex_dim, core.quotient.null_dim) == (4, 4)
+    _assert_descends_as_reference(core, covariant_extend(core, act, rep), act, rep)
 
 
 def test_support_cut_is_global_over_summands():

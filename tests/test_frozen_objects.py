@@ -73,7 +73,7 @@ FROZEN = {
         lambda: gram_operator(dilation_instance("m2", "c", 1, "z2", seed=3)[0]),
         "scalar_blocks",
     ),
-    "QuotientData": (lambda: _core().quotient, "retained_vectors"),
+    "QuotientData": (lambda: _core().quotient, "class_maps"),
     "CovariantDilation": (_dilation, "quotient"),
 }
 
@@ -113,8 +113,8 @@ HELD_ARRAYS = {
     "transfer matrix": lambda: StarHomomorphism.identity(M2)._transfer_matrix,
     "action tensor": lambda: standard_action("z3", M3)._action_tensor,
     "matrix units": lambda: build_crossed_product(standard_action("z2", M2)).wedderburn.matrix_units,
-    "coordinate map": lambda: _core()._coord_map,
-    "class embedding": lambda: _core()._class_embed,
+    "coordinate map": lambda: _core().quotient.class_maps[0],
+    "class embedding": lambda: _core().quotient.embeddings[0],
     "square root": lambda: _core()._sqrt_flat,
     "coordinate extraction": lambda: _core()._coord_extract,
     "module basis": lambda: _core().module.basis_flats[0],

@@ -119,6 +119,16 @@ class TestRunOutcomes:
         dims = report.tasks[0].dimensions
         assert dims["dilation_module_dim"] == 2
 
+    def test_dilate_task_pins_spanning_size_and_null_space(self, tmp_path):
+        """The identity representation of M2 on C² spans A ⊗ E by 4·2 = 8 vectors,
+        of which 6 are null: the two sizes come from the shapes and the
+        quotient, and add up to the spanning size with the module's dimension."""
+        path = write_scenario(tmp_path, generate_example("z2-m2-dilation", 1))
+        (task,) = [t for t in run_scenario(load_scenario(path), jobs=1).tasks if t.kind == "dilate"]
+        dims = task.dimensions
+        assert (dims["spanning_size"], dims["null_space_dim"]) == (8, 6)
+        assert dims["spanning_size"] == dims["dilation_module_dim"] + dims["null_space_dim"]
+
     def test_transpose_declared_cp_fails_with_witness(self, tmp_path):
         # transpose map entered via explicit blocks; verify-all must fail with
         # the Choi witness -1 in the report

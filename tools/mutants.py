@@ -53,6 +53,11 @@ GRAM_BLOCKS = f"{DILATION}::test_gram_is_one_block_per_summand_row"
 GRAM_GRID = f"{ACCEPTANCE}::test_gram_and_hermiticity_match_pairwise_reference"
 NULL_PER_SUMMAND = f"{DILATION}::test_null_seminorm_is_read_per_summand"
 NULL_M3 = f"{DILATION}::test_null_space_preserved_on_m3_identity_representation"
+SWAPPED = (
+    f"{DILATION}::test_summand_swapping_action_descends",
+    f"{DILATION}::test_summand_swapping_action_with_a_null_space",
+)
+ORDER_SEED = f"{ACCEPTANCE}::test_order_seed_changes_the_construction"
 BOUND_TERMS = f"{CROSSED}::test_stinespring_bound_needs_each_term"
 BOUND_GRID = f"{ACCEPTANCE}::test_stinespring_bound_decides_every_grid_extension"
 SWEEP = (
@@ -231,9 +236,10 @@ MUTANTS = (
     ),
     # The dilation and the uniqueness unitary.
     Mutant(
-        "null-space-covariant-shuffles-dropped", "src/prostar/dilation.py",
-        "np.concatenate([left, _covariant_shuffles(d.action, d.rep, labels)])", "left",
-        (DILATION, ACCEPTANCE),
+        "null-space-covariant-moves-dropped", "src/prostar/dilation.py",
+        "\n        (d.action._action_tensor,"
+        " complex_matrices(rep.module, rep.module, rep.values)),",
+        "", (DILATION, ACCEPTANCE),
     ),
     # The Gram as rho's Choi blocks G_k and C_k, one per summand.
     Mutant(
@@ -247,17 +253,52 @@ MUTANTS = (
     ),
     Mutant(
         "row0-labels-left-global", "src/prostar/dilation.py",
-        "ordered[st : st + nk * d_e] - off * d_e", "ordered[st : st + nk * d_e]", (DILATION,),
+        "perm[(perm >= off * d_e) & (perm < off * d_e + len(c))] - off * d_e",
+        "perm[(perm >= off * d_e) & (perm < off * d_e + len(c))]", (DILATION,),
+    ),
+    Mutant(
+        "row0-order-not-undone", "src/prostar/dilation.py",
+        "spectra.append((vals, vecs[np.argsort(order)]))", "spectra.append((vals, vecs))",
+        (DILATION,),
+    ),
+    Mutant(
+        "order-seed-ignored", "src/prostar/dilation.py",
+        "if perm is not None:", "if False:", (ORDER_SEED,),
     ),
     Mutant(
         "null-classes-of-unmoved-vectors", "src/prostar/dilation.py",
-        "coord_map @ (shuffles @ quotient.null_vectors)", "coord_map @ quotient.null_vectors",
+        "for t, y in moves:",
+        "for t, y in [(np.eye(source.linear_dim)[None], np.eye(rep.module.complex_dim)[None])]:",
         (NULL_PER_SUMMAND, NULL_M3),
     ),
     Mutant(
         "null-class-eigenvalues-unrooted", "src/prostar/dilation.py",
-        "np.sqrt(quotient.retained_eigenvalues)[:, None]", "quotient.retained_eigenvalues[:, None]",
+        "maps.append(np.sqrt(lam)[:, None] * c_k.conj().T)",
+        "maps.append(lam[:, None] * c_k.conj().T)",
         (NULL_PER_SUMMAND,),
+    ),
+    # The class kernel: one pair of summands at a time.
+    Mutant(
+        "class-cross-summand-blocks-skipped", "src/prostar/dilation.py",
+        "tb = t[:, t_row : t_row + nq * nq, t_col : t_col + nk * nk]",
+        "tb = t[:, t_row : t_row + nq * nq, t_col : t_col + nk * nk]"
+        " * (t_row == t_col or len(embeds) == 1)",
+        SWAPPED,
+    ),
+    Mutant(
+        "class-u-replaced-by-identity", "src/prostar/dilation.py",
+        "u_cm = complex_matrices(rep.module, rep.module, rep.values)",
+        "u_cm = np.eye(rep.module.complex_dim)[None]", (DILATION,),
+    ),
+    Mutant(
+        "class-t-block-transposed", "src/prostar/dilation.py",
+        "tb.reshape(-1, nq, nq, nk, nk).transpose(0, 1, 3, 2, 4)",
+        "tb.reshape(-1, nq, nq, nk, nk).transpose(0, 2, 4, 1, 3)", (DILATION,),
+    ),
+    Mutant(
+        "tower-class-y-transposed", "src/prostar/tower.py",
+        "class_matrices(eye, y[None],", "class_matrices(eye, y.T[None],",
+        ("tests/test_tower.py",),
     ),
     # The quotient one matrix-unit summand at a time.
     Mutant(
