@@ -28,6 +28,11 @@ class Check:
     threshold: float
     detail: str = ""
 
+    def __post_init__(self):
+        # Python floats, so `passed` is a bool whatever scalar a residual was read as.
+        object.__setattr__(self, "residual", float(self.residual))
+        object.__setattr__(self, "threshold", float(self.threshold))
+
     @property
     def passed(self) -> bool:
         return self.residual <= self.threshold
@@ -376,9 +381,10 @@ class StarHomomorphism:
     """Linear map between standard-form algebras, in matrix-unit coordinates.
 
     `action_matrix` has shape (target.linear_dim, source.linear_dim) and is
-    read-only. The tolerance-free data of its checks are computed once and
-    cached on it; `verify_star_homomorphism` reports them at any `tol` and
-    leaves the object unchanged.
+    read-only. The tolerance-free data of its checks (its view as a
+    representation on B, with that view's residuals, and its rank) are
+    computed once and cached on it; `verify_star_homomorphism` reports them
+    at any `tol` and leaves the object unchanged.
     """
 
     source: FiniteCStarAlgebra
@@ -457,35 +463,23 @@ class StarHomomorphism:
         return StarHomomorphism(inner.source, self.target, self.action_matrix @ inner.action_matrix)
 
     @cached_property
-    def _dense(self) -> np.ndarray:
-        """The images of the source basis in the dense embedding of the target,
-        shape (source.linear_dim, D, D): the action matrix's columns scattered
-        there at once."""
+    def _representation(self):
+        """phi as the representation of the source it is on B = target, viewed as
+        the free Hilbert B-module of rank 1 (L_B(B_B) = B): a
+        `cpmaps.CompletelyPositiveMap` whose values are the images of the source
+        basis in the dense embedding of B, (source.linear_dim, D, D), scattered
+        there at once from the columns of the action matrix. Its cached
+        residuals are phi's."""
+        from .cpmaps import CompletelyPositiveMap
+        from .modules import HilbertModule
+
         dense = self.target.dense_stack(self.action_matrix.T)
-        dense.setflags(write=False)
-        return dense
-
-    @cached_property
-    def _homomorphism_data(self) -> tuple[float, float, float]:
-        """`verify_star_homomorphism`'s tolerance-free part: the matrix-unit
-        bound of the multiplicative residual, and the star and unital residuals."""
-        src, dense = self.source, self._dense
-        mult = linalg.matrix_unit_bound(dense, src.matrix_unit_relations)
-        star = linalg.max_frobenius(dense[src.adjoint_index] - dense.conj().transpose(0, 2, 1))
-        unit_image = self.action_matrix @ src.unit().coords()
-        unital = linalg.frobenius(unit_image - self.target.unit().coords())
-        return mult, star, unital
-
-    @cached_property
-    def _exact_multiplicative(self) -> float:
-        """The all-pairs multiplicative residual, formed when the bound says nothing."""
-        dense = self._dense
-        return linalg.max_product_residual(dense, dense, dense, self.source.product_table)
+        return CompletelyPositiveMap(self.source, HilbertModule.free(self.target, 1), dense)
 
     @cached_property
     def _rank(self) -> int:
-        """Rank of the action matrix (`linalg.matrix_rank`), shared by the
-        surjectivity check and `is_bijective`."""
+        """Rank of the action matrix (`linalg.matrix_rank`), shared by
+        `is_surjective` and `is_bijective`."""
         return linalg.matrix_rank(self.action_matrix)
 
     @cached_property
@@ -503,6 +497,9 @@ class StarHomomorphism:
         transfer.setflags(write=False)
         return transfer
 
+    def is_surjective(self) -> bool:
+        return self._rank == self.target.linear_dim
+
     def is_bijective(self) -> bool:
         if self.source.linear_dim != self.target.linear_dim:
             return False
@@ -514,34 +511,16 @@ class StarHomomorphism:
         return StarHomomorphism(self.target, self.source, np.linalg.inv(self.action_matrix))
 
 
-def verify_star_homomorphism(
-    phi: StarHomomorphism, tol: float = DEFAULT_TOL, *, check_surjective: bool = True
-) -> VerificationReport:
-    """Check multiplicativity / star / unitality on the matrix-unit basis, surjectivity by rank.
-
-    Images are compared in the dense block-diagonal embedding of the target,
-    whose Frobenius norm is the blockwise one; all of them are scattered
-    there at once from the columns of the action matrix. The multiplicative
-    residual is the matrix-unit bound of every basis pair's
-    ||phi(a)phi(b) - phi(ab)||_F (`linalg.matrix_unit_bound`) when that is
-    at most `tol`; otherwise it is the all-pairs maximum itself
-    (`linalg.max_product_residual`), so the decision is the all-pairs one at
-    every `tol`. Since a_i* is the basis element `adjoint_index[i]`, the star
-    check compares the image of that index with the adjoint of the image of
-    i, for every i in one gather. Every residual and the rank are computed
-    once and cached on `phi`; this only applies `tol` to them.
+def verify_star_homomorphism(phi: StarHomomorphism, tol: float = DEFAULT_TOL) -> VerificationReport:
+    """Multiplicativity, star and unitality of phi at `tol`: the
+    `verify_representation` report of phi as a representation on B
+    (`StarHomomorphism._representation`), under phi's own subject. Images
+    are compared in the dense block-diagonal embedding of the target, whose
+    Frobenius norm is the blockwise one. The residuals are cached on phi's
+    view; this only applies `tol` to them. Surjectivity is `is_surjective`.
     """
-    mult, star, unital = phi._homomorphism_data
-    if not mult <= tol:
-        mult = phi._exact_multiplicative
-    checks = [
-        Check("multiplicative", mult, tol),
-        Check("star", star, tol),
-        Check("unital", unital, tol),
-    ]
-    if check_surjective:
-        checks.append(Check("surjective", float(phi.target.linear_dim - phi._rank), 0.5))
-    return VerificationReport(f"*-homomorphism {phi.source} -> {phi.target}", tuple(checks))
+    checks = phi._representation.verify_representation(tol).checks
+    return VerificationReport(f"*-homomorphism {phi.source} -> {phi.target}", checks)
 
 
 # ---------------------------------------------------------------------------
@@ -606,16 +585,6 @@ def _span_residuals(onb: np.ndarray, stack: np.ndarray) -> np.ndarray:
     return np.linalg.norm(v - onb @ (onb.conj().T @ v), axis=0)
 
 
-def _pair_products(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """vec(x·y) for every x of `left` (k, N, N) and y of `right` (l, N, N), as
-    rows in (x, y) order: shape (k·l, N²), one product (k·N × N) @ (N × l·N)."""
-    k, n, _ = left.shape
-    count = right.shape[0]
-    wide = right.transpose(1, 0, 2).reshape(n, count * n)
-    prod = (left.reshape(k * n, n) @ wide).reshape(k, n, count, n)
-    return prod.transpose(0, 2, 1, 3).reshape(k * count, n * n)
-
-
 def _structure_sweep(onb: np.ndarray, basis: np.ndarray) -> tuple[float, np.ndarray]:
     """(closure residual ||P − BB*P||_F, triangular factor R of the commutator
     matrix C) of an orthonormal basis, for `wedderburn_decompose`.
@@ -634,13 +603,13 @@ def _structure_sweep(onb: np.ndarray, basis: np.ndarray) -> tuple[float, np.ndar
     for start in range(0, dim, chunk):
         part = basis[start : start + chunk]
         c = len(part)
-        left = _pair_products(part, basis)
+        left = linalg.pair_products(part, basis).reshape(-1, n * n)
         t_left = left @ dual
         left -= t_left @ onb.T
         parts = left.view(np.float64)
         sq += float(np.einsum("ij,ij->", parts, parts))
         del left, parts  # one chunk of products at a time
-        t_right = (_pair_products(basis, part) @ dual).reshape(dim, c, dim)
+        t_right = (linalg.pair_products(basis, part).reshape(-1, n * n) @ dual).reshape(dim, c, dim)
         rows = t_right.transpose(1, 2, 0) - t_left.reshape(c, dim, dim).transpose(0, 2, 1)
         r = np.linalg.qr(np.vstack([r, rows.reshape(c * dim, dim)]), mode="r")
     return float(np.sqrt(sq)), r
@@ -774,7 +743,7 @@ def wedderburn_decompose(
     embedding = StarHomomorphism(
         standard, FiniteCStarAlgebra((n_amb,)), units.reshape(len(units), -1).T
     )
-    hom_report = verify_star_homomorphism(embedding, max(tol, 1e-8), check_surjective=False)
+    hom_report = verify_star_homomorphism(embedding, max(tol, 1e-8))
     injective = standard.linear_dim - embedding._rank
     back = np.tensordot(_to_standard(standard, units, multiplicities, basis), units, axes=1)
     checks = list(hom_report.checks) + [

@@ -230,20 +230,23 @@ class CompletelyPositiveMap:
 
     def verify_representation(self, tol: float = DEFAULT_TOL) -> VerificationReport:
         """Unital *-homomorphism check of the map into L_B(E) at `tol`, from the
-        cached `_representation_data`.
+        cached `_representation_data`. A *-homomorphism A -> B is checked here
+        too, as a representation on B_B (`algebra.verify_star_homomorphism`).
 
         The multiplicative residual is the matrix-unit bound when that is at
         most `tol`, and otherwise the all-pairs residual
         (`_exact_multiplicative`, computed once): pass/fail is the all-pairs
-        decision at every `tol`, and a passing residual is an upper bound.
+        decision at every `tol`, a passing residual is an upper bound, and the
+        check's detail names the certificate that decided.
         """
         mult, star, unital = self._representation_data
+        certificate = "matrix-unit bound"
         if not mult <= tol:
-            mult = self._exact_multiplicative
+            mult, certificate = self._exact_multiplicative, "all pairs"
         return VerificationReport(
             "representation",
             (
-                Check("multiplicative", mult, tol),
+                Check("multiplicative", mult, tol, certificate),
                 Check("star", star, tol),
                 Check("unital", unital, tol),
             ),

@@ -281,12 +281,21 @@ class IntegratedForm:
     the whole spanning set {delta_g (x) a_i}, which by linearity pins the map
     on all of A⋊G (the uniqueness clause).
 
-    Composition on the spanning pairs is certified as `verify_representation`
+    The composition check compares X_i (V_g X_j V_g*) with Phi(a_i alpha_g(a_j)),
+    X_i = Phi(a_i): the product of the images of delta_g a_i and delta_h a_j
+    with the right factor v_g v_h = v_{gh} cancelled. That cancellation assumes
+    v is multiplicative, so the check certifies composition on the spanning
+    pairs only for a unitary representation v. It does not check the group
+    law: a v that breaks it while keeping each Ad(v_g) passes this check,
+    and only the involution and standard-form checks fail.
+
+    The composition residual is certified as `verify_representation`
     certifies Phi: the relation bound f·C + a·M (`_relation_bound`) is
     reported where it is at most the threshold, and otherwise the exact
-    residual over all spanning pairs (`_twisted_residual`). Pass/fail is the
-    all-pairs decision at every `tol`, a passing residual is an upper bound,
-    and the check's detail names the certificate that decided.
+    residual of that comparison over all spanning pairs
+    (`_twisted_residual`). Pass/fail is the all-pairs decision at every
+    `tol`, a passing residual is an upper bound, and the check's detail
+    names the certificate that decided.
     """
 
     crossed: CrossedProductRealization
@@ -391,15 +400,14 @@ def _spanning_residuals(
     """
     group = action.group
     adjoint = action.algebra.adjoint_index
-    k = np.einsum("aij,gjk->gaik", values, unitaries, optimize=True)
+    k = np.matmul(values[None], unitaries[:, None])
     k.setflags(write=False)
     cov = star = 0.0
     for g, moved, conj in _covariance_steps(values, unitaries, action):
         cov = max(cov, linalg.max_frobenius(moved - conj))
         lhs = np.matmul(moved[adjoint], unitaries[g]) / group.modular_function(g)
         rhs = k[group.inverse(g)].conj().transpose(0, 2, 1)
-        # Kept a NumPy scalar, as reports have always carried this residual.
-        star = max(star, np.max(linalg.frobenius_each(lhs - rhs)))
+        star = max(star, linalg.max_frobenius(lhs - rhs))
     return k, cov, star
 
 
@@ -409,9 +417,11 @@ def _relation_bound(
     """An upper bound of `_twisted_residual(values, unitaries, action)` from two
     residuals the integrated form already holds, and the detail naming it.
 
-    Multiplicativity on a spanning pair (delta_g a_i, delta_h a_j) is, after
-    the unitary right factor v_{gh} is cancelled, ||X_i C_j - Phi(a_i alpha_g(a_j))||_F
-    with X_i = Phi(a_i) and C_j = V_g X_j V_g*. Let C be the covariance
+    The residual bounded is ||X_i C_j - Phi(a_i alpha_g(a_j))||_F with
+    X_i = Phi(a_i) and C_j = V_g X_j V_g*: multiplicativity on a spanning pair
+    (delta_g a_i, delta_h a_j) once the right factor v_g v_h is replaced by
+    v_{gh} and cancelled, which holds only when v is multiplicative (see
+    `IntegratedForm`). Let C be the covariance
     residual max_{g,j} ||C_j - M_j||_F, with M_j = sum_l A_g[l, j] X_l the
     image of alpha_g(a_j), and M an upper bound of Phi's all-pairs residual
     max_{i,l} ||X_i X_l - Phi(a_i a_l)||_F (the `multiplicative` residual

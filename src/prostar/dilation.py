@@ -401,9 +401,11 @@ def _concrete(w_rows: np.ndarray, coords: np.ndarray, domain_basis: np.ndarray |
     k, r, c = coords.shape
     big_d = w_rows.shape[1] // r
     # Column (b, y) of U*W·kron(C, I_D) is sum_a C[a, b] (U*W)[:, (a, y)]; no
-    # Kronecker product is formed.
-    rows = np.einsum("pay,kab->kpby", w_rows.reshape(-1, r, big_d), coords, optimize=True)
-    rows = rows.reshape(k, w_rows.shape[0], c * big_d)
+    # Kronecker product is formed, only one batched product of each Cᵀ with
+    # the rows regrouped by a.
+    by_a = w_rows.reshape(-1, r, big_d).transpose(1, 0, 2).reshape(r, -1)
+    rows = np.matmul(coords.transpose(0, 2, 1), by_a).reshape(k, c, -1, big_d)
+    rows = rows.transpose(0, 2, 1, 3).reshape(k, w_rows.shape[0], c * big_d)
     return np.ascontiguousarray(rows if domain_basis is None else rows @ domain_basis)
 
 

@@ -209,7 +209,7 @@ def verify_action(action: GroupAction, tol: float = DEFAULT_TOL) -> Verification
     star_hom = 0.0
     bijective = True
     for g in group.elements():
-        rep = verify_star_homomorphism(action.automorphisms[g], tol, check_surjective=False)
+        rep = verify_star_homomorphism(action.automorphisms[g], tol)
         star_hom = max(star_hom, rep.max_residual)
         bijective = bijective and action.automorphisms[g].is_bijective()
     return VerificationReport(

@@ -161,9 +161,8 @@ def max_product_residual(
     -1 where T[a, b] = 0 (the form of matrix-unit structure constants).
 
     Rows a are taken a few at a time, so memory stays near chunk·n·d²
-    entries instead of m·n·d²: each chunk is one product
-    (chunk·d × d) @ (d × n·d), and the expected side is gathered or
-    contracted from the chunk's rows of T only.
+    entries instead of m·n·d²: each chunk is one `pair_products`, and the
+    expected side is gathered or contracted from the chunk's rows of T only.
     """
     return _streamed_residual(left, right, values, coeffs)
 
@@ -206,6 +205,15 @@ def matrix_unit_bound(stack: np.ndarray, relations) -> float:
     return (1.0 + f) ** 2 * r1 + f * f * r2
 
 
+def pair_products(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """x·y for every x of `left` (k, d, d) and y of `right` (l, d, d), shape
+    (k, l, d, d): one product (k·d × d) @ (d × l·d), returned as a view."""
+    k, d, _ = left.shape
+    count = right.shape[0]
+    wide = right.transpose(1, 0, 2).reshape(d, count * d)
+    return (left.reshape(k * d, d) @ wide).reshape(k, d, count, d).transpose(0, 2, 1, 3)
+
+
 def frobenius_each(stack: np.ndarray) -> np.ndarray:
     """||X||_F of each matrix X (the last two axes) of a stack, shape stack.shape[:-2]."""
     parts = np.ascontiguousarray(stack, dtype=np.complex128).view(np.float64)
@@ -224,14 +232,13 @@ def _streamed_residual(left, right, values, coeffs) -> float:
     values = np.ascontiguousarray(values)
     m, d, _ = left.shape
     n = right.shape[0]
-    wide = right.transpose(1, 0, 2).reshape(d, n * d)
     chunk = max(1, PRODUCT_CHUNK_BYTES // max(1, n * d * d * 16))
     gather = np.issubdtype(coeffs.dtype, np.integer)
     worst = 0.0
     for start in range(0, m, chunk):
         rows = slice(start, min(start + chunk, m))
         c = rows.stop - start
-        prod = (left[rows].reshape(c * d, d) @ wide).reshape(c, d, n, d).transpose(0, 2, 1, 3)
+        prod = pair_products(left[rows], right)
         if gather:
             idx = coeffs[rows]
             expected = values[np.maximum(idx, 0)]

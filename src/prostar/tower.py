@@ -219,10 +219,8 @@ class AlgebraTower:
         connecting map's checks are cached on the map, the squares on the tower."""
         hom_res, surj_ok = 0.0, True
         for hom in self.connecting.values():
-            rep = verify_star_homomorphism(hom, tol)
-            hom_res = max(hom_res, rep.check("multiplicative").residual,
-                          rep.check("star").residual, rep.check("unital").residual)
-            surj_ok = surj_ok and rep.check("surjective").passed
+            hom_res = max(hom_res, verify_star_homomorphism(hom, tol).max_residual)
+            surj_ok = surj_ok and hom.is_surjective()
         comp, witness, poset_report = self._residuals
         checks = (
             Check("connecting maps are *-homomorphisms", float(hom_res), tol),

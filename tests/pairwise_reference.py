@@ -831,7 +831,7 @@ def action_reference(action, tol: float) -> list:
     star_hom = 0.0
     bijective = True
     for g in group.elements():
-        report = verify_star_homomorphism(action.automorphisms[g], tol, check_surjective=False)
+        report = verify_star_homomorphism(action.automorphisms[g], tol)
         star_hom = max(star_hom, report.max_residual)
         bijective = bijective and action.automorphisms[g].is_bijective()
     return [

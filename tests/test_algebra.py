@@ -137,9 +137,18 @@ class TestStarHomomorphisms:
     def test_block_projection(self):
         pi = StarHomomorphism.block_projection(M2M3, [0])
         rep = verify_star_homomorphism(pi)
-        assert rep.passed
-        for name in ("multiplicative", "star", "unital", "surjective"):
+        assert rep.passed and pi.is_surjective()
+        for name in ("multiplicative", "star", "unital"):
             assert rep.check(name).passed
+
+    def test_surjectivity_is_the_rank_of_the_action_matrix(self):
+        assert StarHomomorphism.block_projection(M2M3, [0]).is_surjective()
+        target = FiniteCStarAlgebra((2, 2))
+        diagonal = StarHomomorphism.from_images(
+            M2, target, [target.from_blocks([b.blocks[0], b.blocks[0]]) for b in M2.basis()]
+        )
+        assert verify_star_homomorphism(diagonal).passed
+        assert not diagonal.is_surjective()
 
     def test_broken_multiplicativity(self):
         # send E12 to E12 + E11, keep the rest; evaluated on (E12, E21)

@@ -305,9 +305,10 @@ class TestIntegratedForm:
             integrated_form(d.representation, UnitaryRepresentation.trivial(z3, d.module), xp)
 
     def test_phase_twisted_unitaries_fail_star_only(self, z2_data):
-        # g -> i·v_g at g != e keeps every Ad(v_g), so (Phi, v) stays covariant
-        # and products of spanning elements still match, but v_g² = -1 breaks
-        # the group law, which the involution check detects.
+        # g -> i·v_g at g != e keeps every Ad(v_g), so (Phi, v) stays covariant,
+        # but v_g² = -1 breaks the group law, so products of spanning elements
+        # no longer match. The composition check still passes, since it cancels
+        # v_g v_h against v_gh; the involution check detects the broken law.
         d, xp = z2_data
         v = d.group_unitaries
         phases = [1.0 if g == v.group.identity else 1j for g in v.group.elements()]

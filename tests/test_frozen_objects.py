@@ -136,8 +136,8 @@ def test_action_tensor_is_stacked_once():
 
 
 def test_homomorphism_checks_are_computed_once(monkeypatch):
-    """Reports at three tols and `is_bijective` form the bound, the rank and
-    (below the bound) the all-pairs residual once each."""
+    """Reports at three tols, `is_bijective` and `is_surjective` form the bound,
+    the rank and (below the bound) the all-pairs residual once each."""
     calls = Counter()
     for name in ("matrix_unit_bound", "max_product_residual", "matrix_rank"):
         original = getattr(linalg, name)
@@ -149,14 +149,14 @@ def test_homomorphism_checks_are_computed_once(monkeypatch):
         monkeypatch.setattr(linalg, name, counted)
     unitary, _ = np.linalg.qr(linalg.random_complex(np.random.default_rng(5), 3, 3))
     hom = StarHomomorphism.conjugation_by(M3, [unitary])
-    bound = hom._homomorphism_data[0]
+    view = hom._representation
+    bound = view._representation_data[0]
     assert 0.0 < bound
     reports = [verify_star_homomorphism(hom, tol) for tol in (1e-6, bound / 2, bound / 4)]
-    assert hom.is_bijective()
+    assert hom.is_bijective() and hom.is_surjective()
     assert calls == {"matrix_unit_bound": 1, "max_product_residual": 1, "matrix_rank": 1}
     assert reports[0].check("multiplicative").residual == bound
-    assert reports[1].check("multiplicative").residual == hom._exact_multiplicative
-    assert all(r.check("surjective").passed for r in reports)
+    assert reports[1].check("multiplicative").residual == view._exact_multiplicative
 
 
 def test_tower_recipe_checks_each_tower_once(tmp_path, monkeypatch):

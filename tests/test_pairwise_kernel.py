@@ -347,7 +347,7 @@ def test_matrix_unit_bound_covers_all_pairs(sizes, mults, extra, kind, eps, cora
         expected = (1.0 + f) ** 2 * r1 + f * f * max(within, across)
         assert abs(bound - expected) <= ref.REL * (1.0 + f) ** 2 * ref.product_scale(x)
         phi = StarHomomorphism(alg, FiniteCStarAlgebra((d,)), x.reshape(len(x), -1).T)
-        hom = verify_star_homomorphism(phi, np.inf, check_surjective=False)
+        hom = verify_star_homomorphism(phi, np.inf)
         assert ref.star_homomorphism_residual(phi) <= hom.check("multiplicative").residual + rounding
 
 
@@ -364,6 +364,26 @@ def test_fallback_decides_when_the_bound_exceeds_tol():
     assert exact < tol < bound
     check = rho.verify_representation(tol).check("multiplicative")
     assert check.passed and check.residual == exact
+
+
+def test_star_homomorphism_names_the_certificate_that_decided():
+    """A *-automorphism passes on the matrix-unit bound. Ad(u) for u 1e-6 off
+    unitary, at a tol between its all-pairs residual and its bound, passes on
+    the exact all-pairs residual, and each check's detail names its certificate."""
+    rng = np.random.default_rng(5)
+    u = np.linalg.qr(linalg.random_complex(rng, 2, 2))[0]
+    check = verify_star_homomorphism(StarHomomorphism.conjugation_by(M2, [u])).check("multiplicative")
+    assert check.passed and check.detail == "matrix-unit bound"
+
+    phi = StarHomomorphism.conjugation_by(M2, [u + 1e-6 * linalg.random_complex(rng, 2, 2)])
+    bound = verify_star_homomorphism(phi, np.inf).check("multiplicative")
+    exact = ref.star_homomorphism_residual(phi)
+    assert bound.detail == "matrix-unit bound" and 2.0 * exact < bound.residual
+    tol = np.sqrt(exact * bound.residual)
+    check = verify_star_homomorphism(phi, tol).check("multiplicative")
+    assert check.passed and check.detail == "all pairs"
+    assert check.residual == pytest.approx(exact, rel=ref.REL)
+    assert not verify_star_homomorphism(phi, exact / 2).check("multiplicative").passed
 
 
 def test_passing_map_forms_no_pair_products(monkeypatch):

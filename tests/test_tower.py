@@ -90,6 +90,9 @@ class TestAlgebraTower:
         rep = bad.verify()
         assert not rep.passed
         assert "p -> q -> r" in rep.check("composition squares").detail
+        # The zero map is no surjection; the intact maps are.
+        assert not rep.check("connecting maps surjective").passed
+        assert tower.verify().check("connecting maps surjective").passed
 
 
 class TestCoherentElements:

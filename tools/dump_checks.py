@@ -35,9 +35,12 @@ the check lines keep (subject, name, position, threshold, pass/fail), the
 Choi certificate keeps its two decisions and its tol, a rejection message
 loses its residual, and the recipe
 reports lose each residual's value and detail (a detail may name the
-certificate that decided, with its values). Two such dumps agree when every decision does, which
-is what a change that reports a proven bound in place of an exact residual
-must keep.
+certificate that decided, with its values) and the `choi_min_eigenvalue`
+dimension, a rounding-level value. Thresholds, pass/fail and residuals are
+printed as Python floats and bools, so one version of this tool gives the
+same bytes on any checkout. Two such dumps agree when every decision does,
+which is what a change that reports a proven bound in place of an exact
+residual must keep.
 
 The inputs and the timing filter come from `bench/workloads.py` and
 `bench/checks.py`, which are imported and left unchanged.
@@ -60,13 +63,16 @@ TOLS = (1e-10, 1e-16)
 TEXT_VALUE = re.compile(r": [^ ]+ \(threshold")
 TEXT_DETAIL = re.compile(r"(\(threshold [^ )]+\))  \[.*\]$", re.MULTILINE)
 MESSAGE_VALUE = re.compile(r"residual [^ ]+")
+CHOI_DIMENSION = re.compile(r"^  dim choi_min_eigenvalue = .*\n", re.MULTILINE)
 
 
 def emit(tag, report, decisions):
     for k, c in enumerate(report.checks):
-        line = (tag, report.subject, c.name, k, c.threshold, c.passed)
+        # Plain Python scalars, so the bytes do not depend on how a checkout
+        # happens to type a residual.
+        line = (tag, report.subject, c.name, k, float(c.threshold), bool(c.passed))
         if not decisions:
-            line += (repr(c.residual),) + ((c.detail,) if c.detail else ())
+            line += (repr(float(c.residual)),) + ((c.detail,) if c.detail else ())
         print(repr(line))
 
 
@@ -159,14 +165,17 @@ def dump_towers(decisions):
 
 
 def without_values(stable):
-    """The timing-free JSON and text reports with every residual value and detail removed."""
+    """The timing-free JSON and text reports with every residual value and
+    detail, and the rounding-level `choi_min_eigenvalue` dimension, removed."""
     json_text, text = stable.split("\n", 1)
     doc = json.loads(json_text)
     for task in doc["tasks"]:
+        task["dimensions"].pop("choi_min_eigenvalue", None)
         for r in task["residuals"]:
             r.pop("value")
             r.pop("detail", None)
     text = TEXT_DETAIL.sub(r"\1", TEXT_VALUE.sub(": (threshold", text))
+    text = CHOI_DIMENSION.sub("", text)
     return json.dumps(doc, sort_keys=True) + "\n" + text
 
 

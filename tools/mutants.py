@@ -48,6 +48,7 @@ DILATION = "tests/test_dilation.py"
 GROUPS = "tests/test_groups.py"
 MODULES = "tests/test_modules.py"
 ACCEPTANCE = "tests/test_acceptance.py"
+ALGEBRA = "tests/test_algebra.py"
 STACK_ENTRY = f"{MODULES}::test_endomorphism_stack_refuses_for_the_reason_it_names"
 GRAM_BLOCKS = f"{DILATION}::test_gram_is_one_block_per_summand_row"
 GRAM_GRID = f"{ACCEPTANCE}::test_gram_and_hermiticity_match_pairwise_reference"
@@ -96,7 +97,12 @@ MUTANTS = (
     ),
     Mutant(
         "sweep-commutator-products-swapped", "src/prostar/algebra.py",
-        "_pair_products(basis, part) @ dual", "_pair_products(part, basis) @ dual", SWEEP,
+        "linalg.pair_products(basis, part)", "linalg.pair_products(part, basis)", SWEEP,
+    ),
+    Mutant(
+        "pair-products-untransposed", "src/prostar/linalg.py",
+        ".reshape(k, d, count, d).transpose(0, 2, 1, 3)", ".reshape(k, count, d, d)",
+        (KERNEL,) + SWEEP,
     ),
     # The matrix-unit bound and its fallback.
     Mutant(
@@ -124,6 +130,28 @@ MUTANTS = (
         "fallback-at-twice-tol", "src/prostar/cpmaps.py",
         "if not mult <= tol:", "if not mult <= 2 * tol:",
         (f"{KERNEL}::test_fallback_decides_when_the_bound_exceeds_tol",),
+    ),
+    Mutant(
+        "certificate-names-swapped", "src/prostar/cpmaps.py",
+        'certificate = "matrix-unit bound"\n'
+        "        if not mult <= tol:\n"
+        '            mult, certificate = self._exact_multiplicative, "all pairs"',
+        'certificate = "all pairs"\n'
+        "        if not mult <= tol:\n"
+        '            mult, certificate = self._exact_multiplicative, "matrix-unit bound"',
+        (f"{KERNEL}::test_star_homomorphism_names_the_certificate_that_decided",),
+    ),
+    # A *-homomorphism checked as the representation it is on B.
+    Mutant(
+        "hom-view-of-transposed-images", "src/prostar/algebra.py",
+        "dense = self.target.dense_stack(self.action_matrix.T)",
+        "dense = self.target.dense_stack(self.action_matrix.T).transpose(0, 2, 1)",
+        (ALGEBRA,),
+    ),
+    Mutant(
+        "surjective-against-source", "src/prostar/algebra.py",
+        "return self._rank == self.target.linear_dim",
+        "return self._rank == self.source.linear_dim", (ALGEBRA,),
     ),
     # Eigenvector phases.
     Mutant(
