@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -70,6 +70,21 @@ class VerificationReport:
     def __str__(self) -> str:
         head = f"{self.subject}: {'PASS' if self.passed else 'FAIL'}"
         return "\n".join([head] + [f"  {c}" for c in self.checks])
+
+
+def bound_or_exact(bound, certificate: str, threshold: float, exact: Callable[[], tuple]) -> tuple:
+    """The one rule by which a proven bound stands in for an exact residual.
+
+    `bound` is an upper bound of the exact value (a float, or a tuple of
+    them, one per part), named `certificate`. Where every entry is at most
+    `threshold` it is returned with its name; otherwise `exact()` is called,
+    only then, and returns the exact value and the name of the certificate
+    that decided. So a check thresholded at `threshold` (or above) decides as
+    the exact value does, and a passing value is an upper bound of it.
+    """
+    if (max(bound) if isinstance(bound, tuple) else bound) <= threshold:
+        return bound, certificate
+    return exact()
 
 
 class MatrixUnitRelations(NamedTuple):

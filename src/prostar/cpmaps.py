@@ -14,6 +14,7 @@ from .algebra import (
     Check,
     FiniteCStarAlgebra,
     VerificationReport,
+    bound_or_exact,
 )
 from .errors import PreconditionError, StructuralError
 from .linalg import DEFAULT_TOL
@@ -213,8 +214,12 @@ class CompletelyPositiveMap:
         of the source, with dim + (Σn)² products on the range coordinates.
         """
         mult = linalg.matrix_unit_bound(self.values, self.source.matrix_unit_relations)
-        unital = linalg.frobenius(self(self.source.unit()).coords - self._identity)
-        return float(mult), float(self._star_residual), float(unital)
+        return float(mult), float(self._star_residual), self._unital_residual
+
+    @cached_property
+    def _unital_residual(self) -> float:
+        """||rho(1) - id_E||_F, read by the representation check."""
+        return linalg.frobenius(self(self.source.unit()).coords - self._identity)
 
     @cached_property
     def _exact_multiplicative(self) -> float:
@@ -235,14 +240,15 @@ class CompletelyPositiveMap:
 
         The multiplicative residual is the matrix-unit bound when that is at
         most `tol`, and otherwise the all-pairs residual
-        (`_exact_multiplicative`, computed once): pass/fail is the all-pairs
-        decision at every `tol`, a passing residual is an upper bound, and the
-        check's detail names the certificate that decided.
+        (`_exact_multiplicative`, computed once), by `algebra.bound_or_exact`:
+        pass/fail is the all-pairs decision at every `tol`, a passing residual
+        is an upper bound, and the check's detail names the certificate that
+        decided.
         """
         mult, star, unital = self._representation_data
-        certificate = "matrix-unit bound"
-        if not mult <= tol:
-            mult, certificate = self._exact_multiplicative, "all pairs"
+        mult, certificate = bound_or_exact(
+            mult, "matrix-unit bound", tol, lambda: (self._exact_multiplicative, "all pairs")
+        )
         return VerificationReport(
             "representation",
             (

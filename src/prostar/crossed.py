@@ -22,6 +22,7 @@ from .algebra import (
     FiniteCStarAlgebra,
     VerificationReport,
     WedderburnDecomposition,
+    bound_or_exact,
     wedderburn_decompose,
 )
 from .cpmaps import CompletelyPositiveMap, CPCertificate
@@ -190,6 +191,46 @@ class CrossedProductRealization:
         conv.setflags(write=False)
         return conv
 
+    @cached_property
+    def _change_of_basis(self) -> tuple[float, float]:
+        """(c, ε_T) of T = `_conv_from_std`, whose column m holds the convolution
+        coordinates t_m of the standard basis element s_m: c = max_m ||t_m||_1,
+        the largest column 1-norm, and
+
+            ε_T = max_{m,n} ||t_m * t_n - T(s_m s_n)||_1,
+
+        the convolution of the two columns against the column of s_m s_n (0
+        where the matrix units do not compose). They bound how far the
+        standard map of a representation strays from the spanning values it is
+        formed from (`_standard_map_bound`), and belong to A⋊G alone, so they
+        are formed on first use and kept.
+
+        For δ_g a_i * δ_h a_j = δ_{gh} a_i α_g(a_j), the product is, at s
+        and a_k, Σ_g Σ_j t_n[g^-1 s, j] L_g[j, k] with
+        L_g[j, k] = Σ_i t_m[g, i] T_g[i, j, k] (`_twisted_structure`): one
+        matrix product of S[(n, s), (g, j)] = t_n[g^-1 s, j], formed once,
+        with L stacked over (g, j). It is formed one row s_m at a time against
+        every s_n, so (dim A⋊G)² products are alive at once, never the
+        (dim A⋊G)³ structure constants of the whole algebra.
+        """
+        group, dim = self.system.group, self.system.algebra.linear_dim
+        conv = self._conv_from_std
+        size, order = conv.shape[0], group.order
+        columns = conv.T.reshape(size, order, dim)
+        twisted = np.stack([_twisted_structure(self.system, g) for g in group.elements()])
+        lifted = np.einsum("mgi,gijk->mgjk", columns, twisted).reshape(size, order * dim, dim)
+        # left[s, g] = g^-1 s, the h with g h = s.
+        elements = group.elements()
+        left = np.array([[group.multiply(group.inverse(g), s) for g in elements] for s in elements])
+        shifted = columns[:, left, :].reshape(size * order, order * dim)
+        table = self.standard_algebra.product_table
+        padded = np.vstack([conv.T, np.zeros((1, size))])  # row -1: s_m s_n = 0
+        worst = 0.0
+        for m in range(size):
+            convolved = (shifted @ lifted[m]).reshape(size, size)
+            worst = max(worst, float(np.abs(convolved - padded[table[m]]).sum(axis=1).max()))
+        return float(np.abs(conv).sum(axis=0).max()), worst
+
 
 def _twisted_structure(action: GroupAction, g: int) -> np.ndarray:
     """T[i, j, k]: the coefficient of a_k in a_i alpha_g(a_j)."""
@@ -284,18 +325,29 @@ class IntegratedForm:
     The composition check compares X_i (V_g X_j V_g*) with Phi(a_i alpha_g(a_j)),
     X_i = Phi(a_i): the product of the images of delta_g a_i and delta_h a_j
     with the right factor v_g v_h = v_{gh} cancelled. That cancellation assumes
-    v is multiplicative, so the check certifies composition on the spanning
-    pairs only for a unitary representation v. It does not check the group
-    law: a v that breaks it while keeping each Ad(v_g) passes this check,
-    and only the involution and standard-form checks fail.
+    v is multiplicative, so this check alone certifies composition on the
+    spanning pairs only for a unitary representation v: a v that breaks the
+    group law while keeping each Ad(v_g) passes it. The group law is read by
+    the standard-form factorization check, whose certificate carries it.
 
     The composition residual is certified as `verify_representation`
     certifies Phi: the relation bound f·C + a·M (`_relation_bound`) is
     reported where it is at most the threshold, and otherwise the exact
     residual of that comparison over all spanning pairs
-    (`_twisted_residual`). Pass/fail is the all-pairs decision at every
-    `tol`, a passing residual is an upper bound, and the check's detail
-    names the certificate that decided.
+    (`_twisted_residual`), by one rule (`algebra.bound_or_exact`). Pass/fail
+    is the all-pairs decision at every `tol`, a passing residual is an upper
+    bound, and the check's detail names the certificate that decided.
+
+    The standard-form factorization check certifies `standard_map`, the
+    form read on the standard basis of A⋊G, as a unital *-homomorphism. Its
+    multiplicative residual is bounded through the change of basis
+    (`_standard_map_bound`) from the composition certificate and the
+    unitarity and group-law residuals of v (`_spanning_pair_bound`), cached
+    on v; where that bound exceeds the threshold, the standard map's own
+    `verify_representation` decides. Its star and unital residuals are read
+    exactly. The three are kept as `standard_residuals` for the extension's
+    Stinespring bound, and the check's detail names the certificate that
+    decided the multiplicative one.
     """
 
     crossed: CrossedProductRealization
@@ -303,6 +355,8 @@ class IntegratedForm:
     group_unitaries: UnitaryRepresentation  # v on F
     tol: float
     standard_map: CompletelyPositiveMap = field(init=False)  # induced on the standard form
+    # certified (multiplicative, star, unital) residuals of standard_map
+    standard_residuals: tuple[float, float, float] = field(init=False)
     # K[g, i] = Phi(a_i) v_g in range coordinates, (|G|, dim A, rank P, rank P)
     spanning_values: np.ndarray = field(init=False, repr=False)
     report: VerificationReport = field(init=False)
@@ -324,12 +378,15 @@ class IntegratedForm:
         k_values, cov, star = _spanning_residuals(phi.values, v.values, action)
         if not cov <= max(tol, 1e-8):
             raise PreconditionError(f"(Phi, v) is not covariant (residual {cov:.3e})")
-        mult, certificate = _relation_bound(
+        bound, certificate = _relation_bound(
             phi.values, action, cov, rep_check.check("multiplicative").residual
         )
-        if not mult <= threshold:
-            mult = _twisted_residual(phi.values, v.values, action)
-            certificate = "all spanning pairs"
+        mult, certificate = bound_or_exact(
+            bound,
+            certificate,
+            threshold,
+            lambda: (_twisted_residual(phi.values, v.values, action), "all spanning pairs"),
+        )
 
         unit_value = np.tensordot(action.algebra.unit().coords(), phi.values, axes=([0], [0]))
         unital = linalg.frobenius(unit_value @ v.values[action.group.identity] - np.eye(p))
@@ -338,7 +395,13 @@ class IntegratedForm:
         # linearity, from the spanning values K[g, i] = Phi(a_i) v_g.
         std_values = (xp._conv_from_std.T @ k_values.reshape(-1, p * p)).reshape(-1, p, p)
         standard_map = CompletelyPositiveMap(xp.standard_algebra, phi.module, std_values)
-        std_report = standard_map.verify_representation(threshold)
+        _, unitarity, group_law, _ = v._residuals
+        spanning = _spanning_pair_bound(phi.values, mult, unitarity, group_law)
+        std_bound, std_certificate = _standard_map_bound(xp, k_values, spanning)
+        std_mult, std_certificate = bound_or_exact(
+            std_bound, std_certificate, threshold, lambda: _exact_standard(standard_map, threshold)
+        )
+        std_residuals = (std_mult, standard_map._star_residual, standard_map._unital_residual)
 
         checks = (
             Check("convolution -> composition (spanning pairs)", mult, threshold, certificate),
@@ -346,11 +409,13 @@ class IntegratedForm:
             Check("unit of C(G,A) -> identity", unital, threshold),
             Check(
                 "standard-form factorization is a unital *-homomorphism",
-                std_report.max_residual,
+                max(std_residuals),
                 threshold,
+                std_certificate,
             ),
         )
         object.__setattr__(self, "standard_map", standard_map)
+        object.__setattr__(self, "standard_residuals", std_residuals)
         object.__setattr__(self, "spanning_values", k_values)
         object.__setattr__(self, "report", VerificationReport("integrated form", checks))
 
@@ -420,8 +485,9 @@ def _relation_bound(
     The residual bounded is ||X_i C_j - Phi(a_i alpha_g(a_j))||_F with
     X_i = Phi(a_i) and C_j = V_g X_j V_g*: multiplicativity on a spanning pair
     (delta_g a_i, delta_h a_j) once the right factor v_g v_h is replaced by
-    v_{gh} and cancelled, which holds only when v is multiplicative (see
-    `IntegratedForm`). Let C be the covariance
+    v_{gh} and cancelled, which holds only when v is multiplicative; the
+    group law of v enters the standard map's bound instead
+    (`_spanning_pair_bound`). Let C be the covariance
     residual max_{g,j} ||C_j - M_j||_F, with M_j = sum_l A_g[l, j] X_l the
     image of alpha_g(a_j), and M an upper bound of Phi's all-pairs residual
     max_{i,l} ||X_i X_l - Phi(a_i a_l)||_F (the `multiplicative` residual
@@ -458,6 +524,73 @@ def _twisted_residual(values: np.ndarray, unitaries: np.ndarray, action: GroupAc
     return worst
 
 
+def _spanning_pair_bound(
+    values: np.ndarray, mult: float, unitarity: float, group_law: float
+) -> float:
+    """B, an upper bound of max_{c,d} ||K_c K_d - Σ_e Γ_cde K_e||_F over the
+    spanning pairs c = (g, i), d = (h, j), with K[g, i] = X_i V_g, X_i = Phi(a_i),
+    V_g = v_g and Γ the structure constants of the spanning set,
+    (δ_g a_i)(δ_h a_j) = δ_{gh} a_i α_g(a_j). So Σ_e Γ_cde K_e = Phi(a_i α_g(a_j)) V_gh.
+
+    `mult` bounds the composition residual ||X_i C_j - Phi(a_i α_g(a_j))||_F
+    with C_j = V_g X_j V_g* (the integrated form's certificate), u =
+    `unitarity` bounds ||V_g* V_g - 1||_F and w = `group_law` is
+    max ||V_g V_h - V_gh||_F (both cached on v). Since V_g X_j = C_j V_g +
+    V_g X_j (1 - V_g* V_g),
+
+        K_c K_d - Phi(a_i α_g(a_j)) V_gh
+            = (X_i C_j - Phi(a_i α_g(a_j))) V_gh + X_i C_j (V_g V_h - V_gh)
+              + X_i V_g X_j (1 - V_g* V_g) V_h.
+
+    ||V||_op² = ||V* V||_op <= 1 + u, so ||V_g||_op ||V_h||_op <= 1 + u and
+    ||C_j||_op <= (1 + u)·f with f = max ||X_i||_F >= ||X_i||_op; with
+    ||AB||_F <= ||A||_op ||B||_F the three terms are within mult·(1 + u),
+    f²·(1 + u)·w and f²·(1 + u)·u:
+
+        B = mult·(1 + u) + f²·(1 + u)·(u + w).
+
+    The group law enters through w: a v that breaks it (a phase twist keeps
+    every Ad(v_g), so `mult` stays at rounding) makes B large.
+    """
+    f2 = linalg.max_frobenius(values) ** 2
+    return mult * (1.0 + unitarity) + f2 * (1.0 + unitarity) * (unitarity + group_law)
+
+
+def _standard_map_bound(
+    xp: CrossedProductRealization, k_values: np.ndarray, spanning: float
+) -> tuple[float, str]:
+    """An upper bound of max_{m,n} ||pi(s_m) pi(s_n) - pi(s_m s_n)||_F for the
+    standard map pi(s_m) = Σ_c t_m[c] K_c, with t_m = T s_m the convolution
+    coordinates of the standard basis element s_m (`xp._conv_from_std`), from
+    B = `spanning` (`_spanning_pair_bound`); and the detail naming it.
+
+    Write R_cd = K_c K_d - Σ_e Γ_cde K_e, so ||R_cd||_F <= B. Then
+
+        pi(s_m) pi(s_n) - pi(s_m s_n)
+            = Σ_{c,d} t_m[c] t_n[d] R_cd + Σ_e (t_m * t_n - T(s_m s_n))[e] K_e,
+
+    whose norm is at most ||t_m||_1 ||t_n||_1·B + max_e ||K_e||_F·ε_T
+    <= c²·B + max_e ||K_e||_F·ε_T, with c and ε_T the change of basis's
+    (`CrossedProductRealization._change_of_basis`).
+    """
+    c, eps = xp._change_of_basis
+    k_max = linalg.max_frobenius(k_values)
+    bound = c * c * spanning + k_max * eps
+    detail = (
+        f"standard-map bound c²·B + ‖K‖·ε_T: c={c:.3e}, B={spanning:.3e}, "
+        f"‖K‖={k_max:.3e}, ε_T={eps:.3e}"
+    )
+    return bound, detail
+
+
+def _exact_standard(standard_map: CompletelyPositiveMap, threshold: float) -> tuple[float, str]:
+    """The standard map's multiplicative residual from its own representation
+    check, where `_standard_map_bound` exceeds the threshold, and the name of
+    the certificate that decided it there."""
+    check = standard_map.verify_representation(threshold).check("multiplicative")
+    return check.residual, check.detail
+
+
 def _stinespring_bound(
     pi: CompletelyPositiveMap,
     mult: float,
@@ -473,9 +606,12 @@ def _stinespring_bound(
     Δ = values - V* pi(.) V (0 for the map `extend_covariant_cp` forms). Let
     P_ij = pi(e_ij), Z = Σ E_ij (x) P_ij and R = Σ_i E_i0 (x) P_i0, so block
     (i, j) of RR* >= 0 is P_i0 P_j0*. Let M bound max_{a,b} ||pi(e_a) pi(e_b)
-    - pi(e_a e_b)||_F and s bound max_a ||pi(e_a*) - pi(e_a)*||_F (the
-    `multiplicative` and `star` residuals of pi's `verify_representation`),
-    and f = max_a ||pi(e_a)||_F >= ||P_i0||_op. Since e_i0 e_0j = e_ij and
+    - pi(e_a e_b)||_F and s bound max_a ||pi(e_a*) - pi(e_a)*||_F, and
+    f = max_a ||pi(e_a)||_F >= ||P_i0||_op. `CovariantExtension` reads M and
+    s from the integrated form's `standard_residuals`: M is the standard-map
+    bound c²·B + ||K||·ε_T (`_standard_map_bound`) where that is at most the
+    threshold, and otherwise pi's own `verify_representation` residual; s is
+    pi's exact star residual. Since e_i0 e_0j = e_ij and
     e_j0* = e_0j,
 
         P_ij - P_i0 P_j0* = (P_ij - P_i0 P_0j) + P_i0 (P_0j - P_j0*),
@@ -515,10 +651,11 @@ class CovariantExtension:
     phi is CP because it compresses the integrated *-representation pi
     (Stinespring). The Choi check is certified as the integrated form
     certifies composition: `_stinespring_bound` bounds each Choi block's
-    least eigenvalue from below, from pi's representation residuals and the
-    distance of `standard_map` from V* pi(.) V, and decides where every
-    block's bound is at most the threshold max(tol, 1e-9). Otherwise the
-    exact blockwise Choi test of `standard_map` decides. Hermiticity is
+    least eigenvalue from below, from pi's certified representation
+    residuals (`IntegratedForm.standard_residuals`) and the distance of
+    `standard_map` from V* pi(.) V, and decides where every block's bound is
+    at most the threshold max(tol, 1e-9), by `algebra.bound_or_exact`.
+    Otherwise the exact blockwise Choi test of `standard_map` decides. Hermiticity is
     tested exactly on both paths, by one decision rule
     (`CompletelyPositiveMap.choi_certificate`), so the decision is the exact
     test's at every `tol`; the check's detail names the certificate that
@@ -536,20 +673,21 @@ class CovariantExtension:
     def __post_init__(self):
         d, tol, phi_std = self.dilation, self.tol, self.standard_map
         threshold = max(tol, 1e-9)
-        pi = self.integrated.standard_map
-        pi_report = pi.verify_representation(threshold)
-        bounds, certificate = _stinespring_bound(
-            pi,
-            pi_report.check("multiplicative").residual,
-            pi_report.check("star").residual,
-            d.connector.coords,
-            phi_std.values,
+        mult, star, _ = self.integrated.standard_residuals
+        bounds, detail = _stinespring_bound(
+            self.integrated.standard_map, mult, star, d.connector.coords, phi_std.values
         )
-        if max(bounds) <= threshold:
-            cert = phi_std.choi_certificate(tuple(-b for b in bounds), threshold)
-        else:
-            cert = phi_std.verify_completely_positive(threshold)
-            certificate = f"exact Choi eigenvalues (Stinespring bound {max(bounds):.3e})"
+        # Per block, minus the least Choi eigenvalue: at most b_k, or exact.
+        negativity, certificate = bound_or_exact(
+            bounds,
+            detail,
+            threshold,
+            lambda: (
+                tuple(-low for low in phi_std._choi_lows),
+                f"exact Choi eigenvalues (Stinespring bound {max(bounds):.3e})",
+            ),
+        )
+        cert = phi_std.choi_certificate(tuple(-b for b in negativity), threshold)
 
         # Spanning agreement phi(delta_g a_i) = V* Phi(a_i) v_g V = rho(a_i) u_g,
         # batched over (g, i) from the one stack V* Phi(a_i).

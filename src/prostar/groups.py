@@ -258,6 +258,27 @@ class UnitaryRepresentation:
         """The unitaries as operators: views for readers outside the package."""
         return tuple(AdjointableOperator(self.module, self.module, y) for y in self.values)
 
+    @cached_property
+    def _residuals(self) -> tuple[float, float, float, float]:
+        """`verify_unitary_representation`'s tolerance-free part, formed once:
+        the identity residual ||u_e - 1||_F, unitarity
+        max_g max(||u_g* u_g - 1||_F, ||u_g u_g* - 1||_F), the group law
+        max_{g,h} ||u_g u_h - u_gh||_F (`group_law_residual`) and the inverse
+        law max_g ||u_{g^-1} - u_g*||_F. The integrated form's standard-map
+        bound reads unitarity and the group law too."""
+        group, u = self.group, self.values
+        p = np.eye(self.module.coord_dim, dtype=np.complex128)
+        e = group.identity
+        identity = np.inf if e is None else linalg.frobenius(u[e] - p)
+        u_star = u.conj().swapaxes(-1, -2)
+        unitary = max(linalg.max_frobenius(u_star @ u - p), linalg.max_frobenius(u @ u_star - p))
+        law = group_law_residual(u, group)
+        if any(inv is None for inv in group.inverses):
+            inverse = np.inf
+        else:
+            inverse = linalg.max_frobenius(u[list(group.inverses)] - u_star)
+        return float(identity), float(unitary), float(law), float(inverse)
+
     def __str__(self) -> str:
         return f"unitary representation of {self.group} on {self.module}"
 
@@ -274,24 +295,16 @@ def group_law_residual(stack: np.ndarray, group: FiniteGroup) -> float:
 def verify_unitary_representation(
     rep: UnitaryRepresentation, tol: float = DEFAULT_TOL
 ) -> VerificationReport:
-    group, u = rep.group, rep.values
-    p = np.eye(rep.module.coord_dim, dtype=np.complex128)
-    e = group.identity
-    id_resid = np.inf if e is None else linalg.frobenius(u[e] - p)
-    u_star = u.conj().swapaxes(-1, -2)
-    unitary = max(linalg.max_frobenius(u_star @ u - p), linalg.max_frobenius(u @ u_star - p))
-    mult = group_law_residual(u, group)
-    if any(inv is None for inv in group.inverses):
-        inverse = np.inf
-    else:
-        inverse = linalg.max_frobenius(u[list(group.inverses)] - u_star)
+    """The unitary-representation report of `rep` at `tol`, from its cached
+    residuals (`UnitaryRepresentation._residuals`)."""
+    id_resid, unitary, mult, inverse = rep._residuals
     return VerificationReport(
         "unitary representation",
         (
-            Check("unit maps to identity", float(id_resid), tol),
-            Check("unitarity", float(unitary), tol),
-            Check("multiplicativity", float(mult), tol),
-            Check("inverse law u_{g^-1} = u_g*", float(inverse), tol),
+            Check("unit maps to identity", id_resid, tol),
+            Check("unitarity", unitary, tol),
+            Check("multiplicativity", mult, tol),
+            Check("inverse law u_{g^-1} = u_g*", inverse, tol),
         ),
     )
 

@@ -26,7 +26,11 @@ own and compare the squares one operator, one group element and one (g, i)
 pair at a time.
 
 The crossed-product references keep the per-element construction that one
-stack E replaced: `embed_reference` fills each block with
+stack E replaced (and the per-pair convolutions that the integrated form's
+standard-map bound streams: `spanning_structure_reference` convolves every
+pair of spanning elements, `spanning_pair_reference` compares every pair of
+spanning values and `change_of_basis_reference` every pair of standard
+basis elements): `embed_reference` fills each block with
 `GroupAction.apply`, over a double loop on G, for the spanning set of
 `conv_basis_reference` (one `ConvolutionElement.delta` each);
 `embedding_residuals_reference` checks the involution and the extraction
@@ -232,6 +236,42 @@ def convolution_residual(xp) -> float:
         for j, h in enumerate(basis):
             conv_coords[i, j] = f.convolve(h).coords()
     return _max_residual(emb, emb, emb, conv_coords)
+
+
+def spanning_structure_reference(system) -> np.ndarray:
+    """Γ[c, d] = convolution coordinates of s_c x s_d for the spanning set s_c =
+    delta_g (x) a_i, g-major, one `ConvolutionElement.convolve` per pair."""
+    basis = conv_basis_reference(system)
+    return np.array([[f.convolve(h).coords() for h in basis] for f in basis])
+
+
+def spanning_pair_reference(structure: np.ndarray, k: np.ndarray) -> float:
+    """max ||K_c K_d - sum_e Γ[c, d, e] K_e||_F over every spanning pair, one pair
+    at a time, for values K (one per spanning element) and Γ from
+    `spanning_structure_reference`."""
+    k = k.reshape(structure.shape[0], *k.shape[-2:])
+    worst = 0.0
+    for c in range(len(k)):
+        for d in range(len(k)):
+            expected = np.tensordot(structure[c, d], k, axes=1)
+            worst = max(worst, float(np.linalg.norm(k[c] @ k[d] - expected)))
+    return worst
+
+
+def change_of_basis_reference(xp, structure: np.ndarray) -> tuple[float, float]:
+    """(c, ε_T) of T = xp._conv_from_std, one pair of standard basis elements at a
+    time: c the largest column 1-norm, ε_T the largest
+    ||T s_m x T s_n - T(s_m s_n)||_1, the product by Γ."""
+    t = xp._conv_from_std
+    table = xp.standard_algebra.product_table
+    size = t.shape[1]
+    worst = 0.0
+    for m in range(size):
+        for n in range(size):
+            product = np.einsum("c,d,cde->e", t[:, m], t[:, n], structure)
+            expected = t[:, table[m, n]] if table[m, n] >= 0 else 0.0
+            worst = max(worst, float(np.sum(np.abs(product - expected))))
+    return float(max(np.sum(np.abs(t[:, m])) for m in range(size))), worst
 
 
 def embedding_residuals_reference(xp) -> dict[str, float]:

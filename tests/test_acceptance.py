@@ -12,6 +12,7 @@ import pytest
 
 import pairwise_reference
 from prostar import dilation as dilation_layer
+from prostar import linalg
 from prostar.algebra import FiniteCStarAlgebra, StarHomomorphism, verify_star_homomorphism
 from prostar.cpmaps import CompletelyPositiveMap
 from prostar.crossed import (
@@ -435,6 +436,47 @@ def test_stinespring_bound_decides_every_grid_extension(grid_extensions):
         worst = max(worst, check.residual)
     assert worst <= 1e-10
     _emit(f"[Stinespring] largest bound {worst:.2e} over {len(grid_extensions)} extensions")
+
+
+def test_standard_map_bound_decides_every_grid_extension(grid_extensions):
+    """On all 48 grid extensions the standard-map bound c²·B + ||K||·ε_T decides
+    the standard-form factorization, with no fallback, and is at least the
+    standard map's exact all-pairs residual; the Stinespring bound, which
+    reads it as M, still decides every Choi check."""
+    worst = 0.0
+    for combo, ext in grid_extensions.items():
+        check = ext.integrated.report.check(
+            "standard-form factorization is a unital *-homomorphism"
+        )
+        assert check.passed and check.detail.startswith("standard-map bound"), combo
+        mult, star, unital = ext.integrated.standard_residuals
+        pi = ext.integrated.standard_map
+        assert pairwise_reference.representation_residual(pi) <= mult, combo
+        assert star == pi._star_residual and unital == pi._unital_residual
+        choi = ext.report.check("phi completely positive (Choi on standard form)")
+        assert choi.detail.startswith("Stinespring bound"), combo
+        worst = max(worst, mult)
+    assert worst <= 1e-10
+    _emit(f"[standard map] largest bound {worst:.2e} over {len(grid_extensions)} extensions")
+
+
+def test_warm_extension_runs_no_matrix_unit_bound(grid_extensions, monkeypatch):
+    """Extending a grid dilation again over its crossed product certifies the new
+    standard map through the change of basis: no `linalg.matrix_unit_bound`
+    call (one per extension when the standard map ran its own
+    representation check)."""
+    calls = []
+    original = linalg.matrix_unit_bound
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(linalg, "matrix_unit_bound", counted)
+    for ext in grid_extensions.values():
+        again = extend_covariant_cp(ext.dilation, ext.crossed)
+        assert again.integrated.report.passed and again.report.passed
+    assert calls == []
 
 
 def test_gram_and_hermiticity_match_pairwise_reference(grid_dilations):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from prostar.algebra import (
     FiniteCStarAlgebra,
     StarHomomorphism,
+    bound_or_exact,
     verify_star_homomorphism,
     wedderburn_decompose,
 )
@@ -236,3 +237,20 @@ class TestWedderburn:
         a_star = a.conj().T
         with pytest.raises(PreconditionError):
             wedderburn_decompose([np.eye(3, dtype=complex), a + a_star])
+
+
+def test_bound_or_exact_decides_on_every_part():
+    """The bound stands in for the exact value only where every part of it is
+    at most the threshold; the exact value is formed only otherwise."""
+    formed = []
+
+    def exact():
+        formed.append(True)
+        return "exact value", "exact"
+
+    assert bound_or_exact(1e-12, "bound", 1e-9, exact) == (1e-12, "bound")
+    assert bound_or_exact((1e-12, 1e-9), "bound", 1e-9, exact) == ((1e-12, 1e-9), "bound")
+    assert formed == []
+    assert bound_or_exact((1e-12, 2e-9), "bound", 1e-9, exact) == ("exact value", "exact")
+    assert bound_or_exact(2e-9, "bound", 1e-9, exact) == ("exact value", "exact")
+    assert formed == [True, True]

@@ -1,3 +1,4 @@
+import functools
 import os
 import subprocess
 import sys
@@ -17,7 +18,9 @@ from prostar.cpmaps import CompletelyPositiveMap
 from prostar.crossed import (
     ConvolutionElement,
     _relation_bound,
+    _spanning_pair_bound,
     _spanning_residuals,
+    _standard_map_bound,
     _stinespring_bound,
     _twisted_residual,
     build_crossed_product,
@@ -308,7 +311,10 @@ class TestIntegratedForm:
         # g -> i·v_g at g != e keeps every Ad(v_g), so (Phi, v) stays covariant,
         # but v_g² = -1 breaks the group law, so products of spanning elements
         # no longer match. The composition check still passes, since it cancels
-        # v_g v_h against v_gh; the involution check detects the broken law.
+        # v_g v_h against v_gh; the involution check detects the broken law,
+        # and so does the standard-form factorization: its bound reads the
+        # group-law residual w of v, which puts it above the threshold, so the
+        # standard map's exact check decides.
         d, xp = z2_data
         v = d.group_unitaries
         phases = [1.0 if g == v.group.identity else 1j for g in v.group.elements()]
@@ -320,7 +326,8 @@ class TestIntegratedForm:
                 for c, u in zip(phases, v.unitaries)
             ),
         )
-        report = integrated_form(d.representation, twisted, xp).report
+        twisted_form = integrated_form(d.representation, twisted, xp)
+        report = twisted_form.report
         star = report.check("involution -> adjoint (spanning set)")
         assert not star.passed
         # replace() builds and checks the form again rather than copying its pass.
@@ -329,8 +336,16 @@ class TestIntegratedForm:
         old = pairwise_reference.star_reference(d.representation, twisted, xp.system)
         scale = pairwise_reference.product_scale(d.representation.values)
         pairwise_reference.assert_agrees(star.residual, old, scale, star.threshold)
-        assert report.check("convolution -> composition (spanning pairs)").passed
+        composition = report.check("convolution -> composition (spanning pairs)")
+        assert composition.passed
         assert report.check("unit of C(G,A) -> identity").passed
+        std = report.check(STANDARD_CHECK)
+        assert not std.passed and std.detail == "all pairs"
+        _, u, w, _ = twisted._residuals
+        assert w > 1.0
+        spanning = _spanning_pair_bound(d.representation.values, composition.residual, u, w)
+        bound, _ = _standard_map_bound(xp, twisted_form.spanning_values, spanning)
+        assert bound > std.threshold
 
     @staticmethod
     def drifted(v, size):
@@ -372,7 +387,9 @@ class TestIntegratedForm:
     def test_exact_residual_decides_when_the_bound_exceeds_tol(self, z2_data):
         """A drift with covariance residual 7e-10 puts f·C + a·M above the 1e-9
         threshold, while every spanning pair misses by only about 7e-10: the
-        form passes and reports the exact residual over all spanning pairs."""
+        form passes and reports the exact residual over all spanning pairs.
+        The drift moves the group law of v too, so the standard map's bound
+        exceeds the threshold as well, and its own check passes it."""
         d, xp = z2_data
         phi, drifted = d.representation, self.drifted_to(d, xp, 7e-10)
         values, unitaries = phi.values, drifted.values
@@ -385,6 +402,8 @@ class TestIntegratedForm:
         assert check.residual < check.threshold < bound
         assert check.passed and check.detail == "all spanning pairs"
         assert check.residual == _twisted_residual(values, unitaries, xp.system)
+        std = integrated_form(phi, drifted, xp).report.check(STANDARD_CHECK)
+        assert std.passed and std.detail == "all pairs"
         old = pairwise_reference.twisted_residual(phi, drifted, xp.system)
         scale = pairwise_reference.product_scale(values)
         pairwise_reference.assert_agrees(check.residual, old, scale, check.threshold)
@@ -488,35 +507,17 @@ def test_corner_spanning_residuals_bracket_full_ones(system, d, rank, leak_phi, 
         assert abs(f - c) <= rounding
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    system=st.sampled_from(SPANNING_SYSTEMS),
-    p=st.integers(1, 6),
-    homomorphic=st.booleans(),
-    drift=st.sampled_from([0.0, 1e-12, 1e-9]),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_relation_bound_covers_the_twisted_residual(system, p, homomorphic, drift, seed):
-    """f·C + a·M is at least every spanning pair's twisted residual.
+def covariant_pair(group_name, action, module, homomorphic, rng):
+    """(Phi, [v_g]) on the free module C^p in a random orthonormal basis W.
 
-    On C^p in a random orthonormal basis W, v_g is a unitary representation
-    of G and Phi one of two kinds: the covariant average of random values
-    (C at rounding, M of order one), or, when `homomorphic` and p is at
+    v_g is a unitary representation of G and Phi one of two kinds: the
+    covariant average of random values, or, when `homomorphic` and p is at
     least the defining dimension n of A, a ↦ W(a ⊕ 0)W* with
-    v_g = W(w_g ⊕ 1)W* for the unitaries w_g implementing the action (C and
-    M both at rounding). Then v_g at g ≠ e is drifted by diag(exp(i·drift·k)).
-    C is the library's covariance residual and M Phi's exact all-pairs
-    residual, the smallest M the bound admits; the twisted residual is the
-    element-wise reference on every spanning pair.
+    v_g = W(w_g ⊕ 1)W* for the unitaries w_g implementing the action.
     """
-    group_name, algebra_name = system
-    action = standard_action(group_name, named_algebra(algebra_name))
-    alg, group = action.algebra, action.group
-    rng = np.random.default_rng(seed)
-    module = HilbertModule.free(C, p)
+    alg, group, p = action.algebra, action.group, module.rank
     basis = np.linalg.qr(linalg.random_complex(rng, p, p))[0]
     n = alg.total_dim
-
     if homomorphic and p >= n:
         def corner(x):
             return basis[:, :n] @ x @ basis[:, :n].conj().T
@@ -536,6 +537,34 @@ def test_relation_bound_covers_the_twisted_residual(system, p, homomorphic, drif
         sigma = CompletelyPositiveMap.from_dense_images(alg, module, values)
         rep = UnitaryRepresentation.from_complex_matrices(group, module, mats)
         phi = covariant_average(sigma, action, rep)
+    return phi, mats
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    system=st.sampled_from(SPANNING_SYSTEMS),
+    p=st.integers(1, 6),
+    homomorphic=st.booleans(),
+    drift=st.sampled_from([0.0, 1e-12, 1e-9]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_relation_bound_covers_the_twisted_residual(system, p, homomorphic, drift, seed):
+    """f·C + a·M is at least every spanning pair's twisted residual.
+
+    Phi and v come from `covariant_pair`: the covariant average (C at
+    rounding, M of order one) or, when `homomorphic` and p is at least the
+    defining dimension of A, a *-representation (C and M both at rounding).
+    Then v_g at g ≠ e is drifted by diag(exp(i·drift·k)).
+    C is the library's covariance residual and M Phi's exact all-pairs
+    residual, the smallest M the bound admits; the twisted residual is the
+    element-wise reference on every spanning pair.
+    """
+    group_name, algebra_name = system
+    action = standard_action(group_name, named_algebra(algebra_name))
+    group = action.group
+    rng = np.random.default_rng(seed)
+    module = HilbertModule.free(C, p)
+    phi, mats = covariant_pair(group_name, action, module, homomorphic, rng)
     phases = np.diag(np.exp(1j * drift * np.arange(1, p + 1)))
     mats = [m if g == group.identity else m @ phases for g, m in enumerate(mats)]
     v = UnitaryRepresentation.from_complex_matrices(group, module, mats)
@@ -568,6 +597,178 @@ def test_relation_bound_reads_column_norms_of_the_action():
     assert columns > 1.01 * rows
     bound, _ = _relation_bound(np.zeros((m3.linear_dim, 1, 1)), action, 0.0, 1.0)
     assert bound == pytest.approx(columns, rel=1e-12)
+
+
+STANDARD_SYSTEMS = [("trivial", "m2"), ("z2", "m2"), ("z3", "m2+c"), ("s3", "m2")]
+STANDARD_CHECK = "standard-form factorization is a unital *-homomorphism"
+
+
+@functools.lru_cache(maxsize=None)
+def crossed_with_structure(action: GroupAction):
+    """The crossed product of `action` and its spanning structure constants Γ,
+    by the pairwise reference (built once per action)."""
+    xp = build_crossed_product(action)
+    return xp, pairwise_reference.spanning_structure_reference(action)
+
+
+@functools.lru_cache(maxsize=None)
+def named_action(group_name: str, algebra_name: str) -> GroupAction:
+    return standard_action(group_name, named_algebra(algebra_name))
+
+
+C_Z2 = GroupAction.trivial(FiniteGroup.cyclic(2), C)
+
+
+def standard_values(xp, k: np.ndarray) -> np.ndarray:
+    """pi(s_m) = Σ_c t_m[c] K_c, as the integrated form forms them."""
+    p = k.shape[-1]
+    return (xp._conv_from_std.T @ k.reshape(-1, p * p)).reshape(-1, p, p)
+
+
+def standard_bound(xp, values: np.ndarray, unitaries: np.ndarray):
+    """(c²·B + ||K||·ε_T, B, K, pi) for Phi's `values` and v's `unitaries`, with
+    the exact twisted residual as `mult`, the smallest the bound admits."""
+    module = HilbertModule.free(C, values.shape[-1])
+    v = UnitaryRepresentation(xp.system.group, module, unitaries)
+    k, _, _ = _spanning_residuals(values, v.values, xp.system)
+    _, u, w, _ = v._residuals
+    spanning = _spanning_pair_bound(values, _twisted_residual(values, v.values, xp.system), u, w)
+    bound, detail = _standard_map_bound(xp, k, spanning)
+    assert detail.startswith("standard-map bound c²·B + ‖K‖·ε_T: ")
+    pi = CompletelyPositiveMap(xp.standard_algebra, module, standard_values(xp, k))
+    return bound, spanning, k, pi
+
+
+@pytest.mark.parametrize("system", [("z2", "m2"), ("z3", "m2+c"), ("trivial", "m3")])
+def test_change_of_basis_matches_convolution_reference(system):
+    """c and ε_T, streamed one standard basis element at a time, equal the
+    pairwise reference that convolves every pair; both are kept."""
+    xp, structure = crossed_with_structure(named_action(*system))
+    c, eps = xp._change_of_basis
+    ref_c, ref_eps = pairwise_reference.change_of_basis_reference(xp, structure)
+    assert c == pytest.approx(ref_c, rel=1e-12)
+    assert abs(eps - ref_eps) <= 1e-14 and eps <= 1e-13
+    assert xp._change_of_basis is xp._change_of_basis
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    system=st.sampled_from(STANDARD_SYSTEMS),
+    p=st.integers(1, 5),
+    kind=st.sampled_from(["exact", "drifted", "phase-twisted", "non-unitary", "perturbed"]),
+    size=st.sampled_from([1e-12, 1e-9, 1e-6, 1e-2]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_standard_map_bound_covers_the_exact_residual(system, p, kind, size, seed):
+    """B is at least every spanning pair's residual and c²·B + ||K||·ε_T at
+    least the standard map's exact all-pairs residual.
+
+    Phi and v come from `covariant_pair` (a *-representation and a unitary
+    representation implementing the action when p is at least the defining
+    dimension of A, a covariant average otherwise). Then one is spoiled:
+    v_g at g ≠ e drifted by diag(exp(i·size·k)), multiplied by i (each
+    Ad(v_g) is kept, the group law fails), or by 1 + size·H for a random
+    Hermitian H (not unitary); or Phi's values moved by size times noise.
+    """
+    group_name, _ = system
+    xp, structure = crossed_with_structure(named_action(*system))
+    group = xp.system.group
+    rng = np.random.default_rng(seed)
+    module = HilbertModule.free(C, p)
+    phi, mats = covariant_pair(group_name, xp.system, module, True, rng)
+    values = phi.values
+    if kind == "perturbed":
+        noise = linalg.random_complex(rng, values.size // p, p).reshape(values.shape)
+        values = values + size * noise
+    spoil = {
+        "drifted": np.diag(np.exp(1j * size * np.arange(1, p + 1))),
+        "phase-twisted": 1j * np.eye(p),
+        "non-unitary": np.eye(p) + size * linalg.random_hermitian(rng, p),
+    }.get(kind, np.eye(p))
+    unitaries = np.array([m if g == group.identity else m @ spoil for g, m in enumerate(mats)])
+    bound, spanning, k, pi = standard_bound(xp, values, unitaries)
+    old = pairwise_reference.representation_residual(pi)
+    # Rounding of products of these sizes, far below the 1e-12 spoils.
+    eps = 64 * np.finfo(float).eps
+    k_scale = pairwise_reference.product_scale(k.reshape(-1, p, p))
+    assert pairwise_reference.spanning_pair_reference(structure, k) <= spanning + eps * k_scale
+    assert old <= bound + eps * pairwise_reference.product_scale(pi.values)
+
+
+def _e11_with_skew_involution(t: float):
+    """Phi(1) = E_11 on C² (not unital) and v = (1, V), V = [[1, t], [0, -1]]."""
+    projection = np.diag([1.0, 0.0]).astype(complex)
+    skew = np.array([[1.0, t], [0.0, -1.0]], dtype=complex)
+    return projection[None], np.array([np.eye(2), skew])
+
+
+def _perturbed_change_of_basis(size: float):
+    """C⋊Z2 with T moved by size·noise: a copy whose `_conv_from_std` is
+    replaced before c and ε_T are read from it."""
+    xp = replace(crossed_with_structure(C_Z2)[0])
+    noise = linalg.random_complex(np.random.default_rng(3), 2, 2)
+    xp.__dict__["_conv_from_std"] = xp._conv_from_std + size * noise
+    return xp
+
+
+TERM_CASES = {
+    # V² = 1 (w = 0), and E_11 V E_11 V* = E_11 (mult = 0), but V is not
+    # unitary: K_1 K_1 - K_0 = E_11 V - E_11 = t·E_12. Only u bounds it.
+    "unitarity u": lambda: (crossed_with_structure(C_Z2)[0], *_e11_with_skew_involution(0.5)),
+    # v = (1, i) keeps Ad(v_g), so mult = 0 and u = 0, but v_1² = -1 ≠ v_0:
+    # only w = 2 bounds K_1 K_1 - K_0 = -2.
+    "group law w": lambda: (
+        crossed_with_structure(C_Z2)[0],
+        np.ones((1, 1, 1), dtype=complex),
+        np.array([[[1.0]], [[1j]]]),
+    ),
+    # Phi = 1 and v = 1 make every spanning residual exactly 0 (B = 0); with
+    # T moved by 1e-3, pi(s_m) pi(s_n) - pi(s_m s_n) is the convolution
+    # defect of T alone, which only ||K||·ε_T bounds.
+    "change of basis ε_T": lambda: (
+        _perturbed_change_of_basis(1e-3),
+        np.ones((1, 1, 1), dtype=complex),
+        np.ones((2, 1, 1), dtype=complex),
+    ),
+}
+
+
+@pytest.mark.parametrize("term", list(TERM_CASES))
+def test_standard_map_bound_needs_each_term(term):
+    """Instances where the bound without one of its terms, u, w or ||K||·ε_T,
+    would lie below the standard map's exact residual; the whole bound is at
+    least it."""
+    xp, values, unitaries = TERM_CASES[term]()
+    bound, spanning, k, pi = standard_bound(xp, values, unitaries)
+    old = pairwise_reference.representation_residual(pi)
+    c, eps = xp._change_of_basis
+    mult = _twisted_residual(values, unitaries, xp.system)
+    _, u, w, _ = UnitaryRepresentation(xp.system.group, pi.module, unitaries)._residuals
+    f2, tail = linalg.max_frobenius(values) ** 2, linalg.max_frobenius(k) * eps
+    without = {
+        "unitarity u": c * c * (mult + f2 * w) + tail,
+        "group law w": c * c * (mult * (1 + u) + f2 * (1 + u) * u) + tail,
+        "change of basis ε_T": c * c * spanning,
+    }[term]
+    assert without < old / 2 and old > 1e-3 and old <= bound
+
+
+def test_standard_map_bound_needs_c_squared():
+    """On M3 with the trivial group (c ≈ 3) and scalar spanning values
+    K_e = 100·conj(t_m[e])/|t_m[e]| aligned with the column t_m of largest
+    1-norm, pi(s_m) = 100·c and the residual at (s_m, s_m) is about c²·B:
+    c·B would lie below it. B is the exact spanning-pair residual."""
+    xp, structure = crossed_with_structure(named_action("trivial", "m3"))
+    t = xp._conv_from_std
+    column = t[:, np.argmax(np.sum(np.abs(t), axis=0))]
+    k = (100.0 * np.conj(column) / np.maximum(np.abs(column), 1e-300))[:, None, None]
+    spanning = pairwise_reference.spanning_pair_reference(structure, k)
+    bound, _ = _standard_map_bound(xp, k, spanning)
+    module = HilbertModule.free(C, 1)
+    pi = CompletelyPositiveMap(xp.standard_algebra, module, standard_values(xp, k))
+    old = pairwise_reference.representation_residual(pi)
+    c, _ = xp._change_of_basis
+    assert c > 2.5 and c * spanning < old <= bound
 
 
 class TestExtension:

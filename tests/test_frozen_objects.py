@@ -1,9 +1,10 @@
 """Frozen objects, read-only arrays, and checks computed once.
 
 A cache is sound only if its inputs cannot change. *-homomorphisms, group
-actions, modules, towers and the dilation, its core, quotient and Gram data
-are frozen; every array they hold or cache is read-only; and the residuals
-of a *-homomorphism and of a tower are computed once and read at any tol.
+actions, modules, towers, unitary representations and the dilation, its
+core, quotient and Gram data are frozen; every array they hold or cache is
+read-only; and the residuals of a *-homomorphism, of a unitary
+representation and of a tower are computed once and read at any tol.
 Objects that hold arrays compare by identity, so `==` never compares arrays.
 """
 
@@ -14,13 +15,15 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from prostar import groups as groups_layer
 from prostar import linalg
 from prostar import tower as tower_layer
 from prostar.algebra import FiniteCStarAlgebra, StarHomomorphism, verify_star_homomorphism
 from prostar.cli import main
-from prostar.crossed import build_crossed_product
+from prostar.crossed import build_crossed_product, integrated_form
 from prostar.dilation import covariant_dilation, gram_operator, minimal_dilation
 from prostar.examples_gen import generate_example
+from prostar.groups import verify_unitary_representation
 from prostar.modules import HilbertModule
 from prostar.recipes import dilation_instance, standard_action
 from prostar.tower import AlgebraTower, ModuleTower
@@ -75,6 +78,7 @@ FROZEN = {
     ),
     "QuotientData": (lambda: _core().quotient, "class_maps"),
     "CovariantDilation": (_dilation, "quotient"),
+    "UnitaryRepresentation": (lambda: _dilation().group_unitaries, "values"),
 }
 
 
@@ -157,6 +161,29 @@ def test_homomorphism_checks_are_computed_once(monkeypatch):
     assert calls == {"matrix_unit_bound": 1, "max_product_residual": 1, "matrix_rank": 1}
     assert reports[0].check("multiplicative").residual == bound
     assert reports[1].check("multiplicative").residual == view._exact_multiplicative
+
+
+def test_unitary_representation_checks_are_computed_once(monkeypatch):
+    """Reports of v at three tols and the integrated form's standard-map bound,
+    which reads v's unitarity and group law, form the group law once: both
+    read the residuals cached on the frozen representation."""
+    calls = Counter()
+    original = groups_layer.group_law_residual
+
+    def counted(*args):
+        calls["group law"] += 1
+        return original(*args)
+
+    monkeypatch.setattr(groups_layer, "group_law_residual", counted)
+    rho, action, rep = dilation_instance("m2", "c", 2, "z3", seed=5)
+    d = covariant_dilation(rho, action, rep)
+    v = d.group_unitaries
+    reports = [verify_unitary_representation(v, tol) for tol in (1e-6, 1e-10, 1e-16)]
+    form = integrated_form(d.representation, v, build_crossed_product(action))
+    assert form.report.passed and reports[0].passed
+    assert calls == {"group law": 1}
+    assert v._residuals is v._residuals
+    assert reports[2].check("multiplicativity").residual == v._residuals[2]
 
 
 def test_tower_recipe_checks_each_tower_once(tmp_path, monkeypatch):

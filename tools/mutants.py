@@ -61,6 +61,13 @@ SWAPPED = (
 ORDER_SEED = f"{ACCEPTANCE}::test_order_seed_changes_the_construction"
 BOUND_TERMS = f"{CROSSED}::test_stinespring_bound_needs_each_term"
 BOUND_GRID = f"{ACCEPTANCE}::test_stinespring_bound_decides_every_grid_extension"
+BOUND_PARTS = f"{ALGEBRA}::test_bound_or_exact_decides_on_every_part"
+STANDARD_TERMS = f"{CROSSED}::test_standard_map_bound_needs_each_term"
+STANDARD_C2 = f"{CROSSED}::test_standard_map_bound_needs_c_squared"
+STANDARD_GRID = f"{ACCEPTANCE}::test_standard_map_bound_decides_every_grid_extension"
+WARM_EXTENSION = f"{ACCEPTANCE}::test_warm_extension_runs_no_matrix_unit_bound"
+PHASE_TWISTED = f"{CROSSED}::TestIntegratedForm::test_phase_twisted_unitaries_fail_star_only"
+DRIFT_EXACT = f"{CROSSED}::TestIntegratedForm::test_exact_residual_decides_when_the_bound_exceeds_tol"
 SWEEP = (
     f"{KERNEL}::test_structure_sweep_matches_whole_matrix_reference",
     f"{KERNEL}::test_structure_sweep_refuses_a_defect_in_any_chunk",
@@ -120,26 +127,26 @@ MUTANTS = (
     ),
     Mutant(
         "fallback-never", "src/prostar/cpmaps.py",
-        "if not mult <= tol:", "if False:", (KERNEL,),
+        'mult, "matrix-unit bound", tol,', 'mult, "matrix-unit bound", float("inf"),', (KERNEL,),
     ),
     Mutant(
         "fallback-always", "src/prostar/cpmaps.py",
-        "if not mult <= tol:", "if True:", (KERNEL,),
+        'mult, "matrix-unit bound", tol,', 'mult, "matrix-unit bound", float("-inf"),', (KERNEL,),
     ),
     Mutant(
         "fallback-at-twice-tol", "src/prostar/cpmaps.py",
-        "if not mult <= tol:", "if not mult <= 2 * tol:",
+        'mult, "matrix-unit bound", tol,', 'mult, "matrix-unit bound", 2 * tol,',
         (f"{KERNEL}::test_fallback_decides_when_the_bound_exceeds_tol",),
     ),
     Mutant(
         "certificate-names-swapped", "src/prostar/cpmaps.py",
-        'certificate = "matrix-unit bound"\n'
-        "        if not mult <= tol:\n"
-        '            mult, certificate = self._exact_multiplicative, "all pairs"',
-        'certificate = "all pairs"\n'
-        "        if not mult <= tol:\n"
-        '            mult, certificate = self._exact_multiplicative, "matrix-unit bound"',
+        '"matrix-unit bound", tol, lambda: (self._exact_multiplicative, "all pairs")',
+        '"all pairs", tol, lambda: (self._exact_multiplicative, "matrix-unit bound")',
         (f"{KERNEL}::test_star_homomorphism_names_the_certificate_that_decided",),
+    ),
+    Mutant(
+        "bound-or-exact-reads-one-part", "src/prostar/algebra.py",
+        "max(bound) if isinstance(bound, tuple)", "min(bound) if isinstance(bound, tuple)", (BOUND_PARTS,),
     ),
     # A *-homomorphism checked as the representation it is on B.
     Mutant(
@@ -199,7 +206,8 @@ MUTANTS = (
     ),
     Mutant(
         "relation-fallback-never", "src/prostar/crossed.py",
-        "if not mult <= threshold:", "if False:", (CROSSED,),
+        "            threshold,\n            lambda: (_twisted_residual(",
+        "            float(\"inf\"),\n            lambda: (_twisted_residual(", (CROSSED,),
     ),
     Mutant(
         "covariance-not-enforced", "src/prostar/crossed.py",
@@ -236,13 +244,48 @@ MUTANTS = (
     ),
     Mutant(
         "stinespring-threshold-skipped", "src/prostar/crossed.py",
-        "if max(bounds) <= threshold:", "if True:",
+        "            detail,\n            threshold,\n",
+        "            detail,\n            float(\"inf\"),\n",
         (f"{CROSSED}::TestStinespringCertificate", f"{CROSSED}::TestExtension"),
     ),
     Mutant(
         "stinespring-never-decides", "src/prostar/crossed.py",
-        "if max(bounds) <= threshold:", "if False:", (BOUND_GRID,),
+        "            detail,\n            threshold,\n",
+        "            detail,\n            float(\"-inf\"),\n",
+        (BOUND_GRID,),
     ),
+    # The standard map certified through the change of basis, c²·B + ||K||·ε_T
+    # with B = mult·(1 + u) + f²·(1 + u)·(u + w), and its exact fallback.
+    Mutant(
+        "standard-c-not-squared", "src/prostar/crossed.py",
+        "bound = c * c * spanning + k_max * eps", "bound = c * spanning + k_max * eps",
+        (STANDARD_C2,),
+    ),
+    Mutant(
+        "standard-eps-dropped", "src/prostar/crossed.py",
+        "bound = c * c * spanning + k_max * eps", "bound = c * c * spanning",
+        (STANDARD_TERMS,),
+    ),
+    Mutant(
+        "spanning-w-dropped", "src/prostar/crossed.py",
+        "(unitarity + group_law)", "unitarity", (STANDARD_TERMS, PHASE_TWISTED),
+    ),
+    Mutant(
+        "spanning-u-dropped", "src/prostar/crossed.py",
+        "mult * (1.0 + unitarity) + f2 * (1.0 + unitarity) * (unitarity + group_law)",
+        "mult + f2 * group_law", (STANDARD_TERMS,),
+    ),
+    Mutant(
+        "standard-threshold-skipped", "src/prostar/crossed.py",
+        "std_bound, std_certificate, threshold,", 'std_bound, std_certificate, float("inf"),',
+        (PHASE_TWISTED, DRIFT_EXACT),
+    ),
+    Mutant(
+        "standard-bound-never-decides", "src/prostar/crossed.py",
+        "std_bound, std_certificate, threshold,", 'std_bound, std_certificate, float("-inf"),',
+        (STANDARD_GRID, WARM_EXTENSION),
+    ),
+
     Mutant(
         "choi-lows-ignored", "src/prostar/cpmaps.py",
         "enumerate(zip(blocks, lows))", "enumerate(zip(blocks, [0.0] * len(blocks)))",
