@@ -177,10 +177,10 @@ def minimal_dilation(
 ) -> DilationCore:
     """Construct (E_rho, Phi_rho, V_rho) for a certified, unital CP map.
 
-    `order_seed` draws one permutation of the spanning labels, and each C_k
-    is solved with its labels (β, s) in the order that summand k's row 0
-    takes in it; the construction is deterministic for a fixed seed and
-    yields unitarily equivalent results across seeds.
+    `order_seed` seeds one generator, from which each C_k in turn draws a
+    permutation of its n_k·dim E labels (β, s) and is solved in that order;
+    the construction is deterministic for a fixed seed and yields unitarily
+    equivalent results across seeds.
     """
     gram = gram_operator(rho, tol)  # certifies rho first
     nd = rho.verify_nondegenerate(max(tol, 1e-8))
@@ -197,14 +197,10 @@ def minimal_dilation(
 
     # The scalar Gram is I_{n_k} (x) C_k on summand k: one eigenproblem per C_k,
     # with the null cut taken from the largest eigenvalue over all summands.
-    # C_k's label (β, s) is the spanning label (off_k + β)·dim E + s of row 0.
     rng = None if order_seed is None else np.random.default_rng(order_seed)
-    perm = None if rng is None else rng.permutation(dim_a * d_e)
     spectra = []
-    for c, off in zip(gram.scalar_blocks, source.coord_offsets):
-        order = np.arange(len(c))
-        if perm is not None:  # row 0's labels in the order they take in `perm`
-            order = perm[(perm >= off * d_e) & (perm < off * d_e + len(c))] - off * d_e
+    for c in gram.scalar_blocks:
+        order = np.arange(len(c)) if rng is None else rng.permutation(len(c))
         vals, vecs = linalg.hermitian_eigendecomposition(c[np.ix_(order, order)])
         spectra.append((vals, vecs[np.argsort(order)]))  # rows back in label order
     lam_max = max(max(float(vals[-1]) for vals, _ in spectra), 0.0)
@@ -410,11 +406,13 @@ def _concrete(w_rows: np.ndarray, coords: np.ndarray, domain_basis: np.ndarray |
 
 
 def _null_preservation_residual(d: CovariantDilation) -> float:
-    """Norm of the classes in E_rho of the null vectors moved by left
-    multiplication and by a (x) xi -> alpha_g(a) (x) u_g(xi), for a non-empty
-    null space; zero when it is respected. The class of a spanning vector x of
-    summand k's row α has coordinates m_k·x there, so a moved null vector is
-    zero in E_rho exactly when they vanish."""
+    """The largest norm, over the moves a (x) xi -> a_i a (x) xi and
+    a (x) xi -> alpha_g(a) (x) u_g(xi), of the map that takes a null vector to
+    the class of its move in E_rho, for a non-empty null space; zero when the
+    null space is respected. The class of a spanning vector x of summand k's
+    row α has coordinates m_k·x there, of the norm the class has in E_rho, so
+    a move's norm is the largest singular value of its class matrix over the
+    orthonormal null vectors, whichever null basis the eigensolver returned."""
     source, quotient, rep = d.cp_map.source, d.quotient, d.rep
     sizes = source.block_sizes
     moves = (
@@ -424,7 +422,7 @@ def _null_preservation_residual(d: CovariantDilation) -> float:
     worst = 0.0
     for t, y in moves:
         classes = class_matrices(t, y, quotient.class_maps, sizes, quotient.null_vectors, sizes)
-        worst = max(worst, float(np.max(np.linalg.norm(classes, axis=1))))
+        worst = max(worst, float(np.max(linalg.spectral_norm(classes))))
     return worst
 
 

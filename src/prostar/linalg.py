@@ -19,10 +19,9 @@ EIGH_CHECK_REL = 1e-10  # residual contract of `hermitian_eigendecomposition`
 RANK_REL = 1e-9  # singular values at or below this times the largest count as zero
 
 # Bytes of pairwise products formed at once by the kernels that stream them:
-# `max_product_residual` and the relation term of `matrix_unit_bound` (both
-# through `_streamed_residual`), and Wedderburn's closure and centre sweep
-# (`algebra._structure_sweep`). Peak memory stays near a small multiple of
-# this whatever the number of pairs.
+# `max_product_residual` (also the relation term of `matrix_unit_bound`) and
+# Wedderburn's closure and centre sweep (`algebra._structure_sweep`). Peak
+# memory stays near a small multiple of this whatever the number of pairs.
 PRODUCT_CHUNK_BYTES = 4 * 2**20
 
 
@@ -97,10 +96,8 @@ def hermitian_eigendecomposition(h) -> tuple[np.ndarray, np.ndarray]:
     and ||U*U - I||_F <= EIGH_CHECK_REL before returning.
     """
     h = require_hermitian(h)
-    vals, vecs = np.linalg.eigh(h)
-    order = np.argsort(vals, kind="stable")
-    vals = vals[order]
-    vecs = _fix_phases(vecs[:, order])
+    vals, vecs = np.linalg.eigh(h)  # LAPACK returns the values ascending
+    vecs = _fix_phases(vecs)
 
     scale = max(frobenius(h), 1.0)
     recon = frobenius((vecs * vals) @ vecs.conj().T - h)
@@ -164,69 +161,6 @@ def max_product_residual(
     entries instead of m·n·d²: each chunk is one `pair_products`, and the
     expected side is gathered or contracted from the chunk's rows of T only.
     """
-    return _streamed_residual(left, right, values, coeffs)
-
-
-def matrix_unit_bound(stack: np.ndarray, relations) -> float:
-    """An upper bound of `max_product_residual(stack, stack, stack, product_table)`
-    for a stack X of values on the matrix units of a standard-form source,
-    from dim + (Σn)² products instead of dim².
-
-    `relations` is the source's `matrix_unit_relations` (left, right, row,
-    col, table). Write X_ij = X(E^b_ij) for the units of one block b and put
-
-        r1 = max_ij ||X_ij - X_i1 X_1j||_F            (every basis element),
-        r2 = max ||X^b_1j X^c_k1 - δ_bc δ_jk X^b_11||_F (first row × first column),
-
-    the first a batched product through the index arrays `left` and `right`,
-    the second `_streamed_residual` with the integer table `table`. With
-    f = max ||X||_F >= max ||X||_op, every pair of basis elements has
-
-        ||X_ij X_kl - δ_jk X_il||_F <= (1 + f)²·r1 + f²·r2.
-
-    Proof: write e_ij = X_ij - X_i1 X_1j and e'_jk = X_1j X_k1 - δ_jk X_11.
-    Then X_ij X_kl = e_ij X_kl + X_i1 X_1j e_kl + X_i1 X_1j X_k1 X_1l, and
-    X_i1 X_1j X_k1 X_1l = X_i1 e'_jk X_1l + δ_jk X_i1 X_11 X_1l. Since
-    e_i1 = X_i1 - X_i1 X_11 (E_i1 = E_i1 E_11), X_i1 X_11 X_1l =
-    X_i1 X_1l - e_i1 X_1l = X_il - e_il - e_i1 X_1l. So
-
-        X_ij X_kl - δ_jk X_il
-            = e_ij X_kl + X_i1 X_1j e_kl + X_i1 e'_jk X_1l - δ_jk (e_il + e_i1 X_1l),
-
-    and ||AB||_F <= ||A||_op ||B||_F <= ||A||_F ||B||_F bounds the terms by
-    f·r1, f²·r1, f²·r2 and r1 + f·r1. Across blocks b ≠ c the product
-    should vanish; the same expansion with δ = 0 gives f²·r2 + (f² + f)·r1,
-    which is smaller.
-    """
-    left, right, row, col, table = relations
-    f = max_frobenius(stack)
-    r1 = max_frobenius(stack[left] @ stack[right] - stack)
-    r2 = _streamed_residual(stack[row], stack[col], stack, table)
-    return (1.0 + f) ** 2 * r1 + f * f * r2
-
-
-def pair_products(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """x·y for every x of `left` (k, d, d) and y of `right` (l, d, d), shape
-    (k, l, d, d): one product (k·d × d) @ (d × l·d), returned as a view."""
-    k, d, _ = left.shape
-    count = right.shape[0]
-    wide = right.transpose(1, 0, 2).reshape(d, count * d)
-    return (left.reshape(k * d, d) @ wide).reshape(k, d, count, d).transpose(0, 2, 1, 3)
-
-
-def frobenius_each(stack: np.ndarray) -> np.ndarray:
-    """||X||_F of each matrix X (the last two axes) of a stack, shape stack.shape[:-2]."""
-    parts = np.ascontiguousarray(stack, dtype=np.complex128).view(np.float64)
-    parts = parts.reshape(*stack.shape[:-2], -1)
-    return np.sqrt(np.einsum("...j,...j->...", parts, parts))
-
-
-def max_frobenius(stack: np.ndarray) -> float:
-    """max ||X||_F over a stack of matrices, of any number of stacking axes."""
-    return float(np.max(frobenius_each(stack)))
-
-
-def _streamed_residual(left, right, values, coeffs) -> float:
     # A gather keeps the memory layout of `values`; the squared norms below
     # read each difference as contiguous float pairs.
     values = np.ascontiguousarray(values)
@@ -249,6 +183,65 @@ def _streamed_residual(left, right, values, coeffs) -> float:
         parts = diff.view(np.float64).reshape(c * n, 2 * d * d)
         worst = max(worst, float(np.max(np.einsum("ij,ij->i", parts, parts))))
     return float(np.sqrt(worst))
+
+
+def matrix_unit_bound(stack: np.ndarray, relations) -> float:
+    """An upper bound of `max_product_residual(stack, stack, stack, product_table)`
+    for a stack X of values on the matrix units of a standard-form source,
+    from dim + (Σn)² products instead of dim².
+
+    `relations` is the source's `matrix_unit_relations` (left, right, row,
+    col, table). Write X_ij = X(E^b_ij) for the units of one block b and put
+
+        r1 = max_ij ||X_ij - X_i1 X_1j||_F            (every basis element),
+        r2 = max ||X^b_1j X^c_k1 - δ_bc δ_jk X^b_11||_F (first row × first column),
+
+    the first a batched product through the index arrays `left` and `right`,
+    the second `max_product_residual` with the integer table `table`. With
+    f = max ||X||_F >= max ||X||_op, every pair of basis elements has
+
+        ||X_ij X_kl - δ_jk X_il||_F <= (1 + f)²·r1 + f²·r2.
+
+    Proof: write e_ij = X_ij - X_i1 X_1j and e'_jk = X_1j X_k1 - δ_jk X_11.
+    Then X_ij X_kl = e_ij X_kl + X_i1 X_1j e_kl + X_i1 X_1j X_k1 X_1l, and
+    X_i1 X_1j X_k1 X_1l = X_i1 e'_jk X_1l + δ_jk X_i1 X_11 X_1l. Since
+    e_i1 = X_i1 - X_i1 X_11 (E_i1 = E_i1 E_11), X_i1 X_11 X_1l =
+    X_i1 X_1l - e_i1 X_1l = X_il - e_il - e_i1 X_1l. So
+
+        X_ij X_kl - δ_jk X_il
+            = e_ij X_kl + X_i1 X_1j e_kl + X_i1 e'_jk X_1l - δ_jk (e_il + e_i1 X_1l),
+
+    and ||AB||_F <= ||A||_op ||B||_F <= ||A||_F ||B||_F bounds the terms by
+    f·r1, f²·r1, f²·r2 and r1 + f·r1. Across blocks b ≠ c the product
+    should vanish; the same expansion with δ = 0 gives f²·r2 + (f² + f)·r1,
+    which is smaller.
+    """
+    left, right, row, col, table = relations
+    f = max_frobenius(stack)
+    r1 = max_frobenius(stack[left] @ stack[right] - stack)
+    r2 = max_product_residual(stack[row], stack[col], stack, table)
+    return (1.0 + f) ** 2 * r1 + f * f * r2
+
+
+def pair_products(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """x·y for every x of `left` (k, d, d) and y of `right` (l, d, d), shape
+    (k, l, d, d): one product (k·d × d) @ (d × l·d), returned as a view."""
+    k, d, _ = left.shape
+    count = right.shape[0]
+    wide = right.transpose(1, 0, 2).reshape(d, count * d)
+    return (left.reshape(k * d, d) @ wide).reshape(k, d, count, d).transpose(0, 2, 1, 3)
+
+
+def frobenius_each(stack: np.ndarray) -> np.ndarray:
+    """||X||_F of each matrix X (the last two axes) of a stack, shape stack.shape[:-2]."""
+    parts = np.ascontiguousarray(stack, dtype=np.complex128).view(np.float64)
+    parts = parts.reshape(*stack.shape[:-2], -1)
+    return np.sqrt(np.einsum("...j,...j->...", parts, parts))
+
+
+def max_frobenius(stack: np.ndarray) -> float:
+    """max ||X||_F over a stack of matrices, of any number of stacking axes."""
+    return float(np.max(frobenius_each(stack)))
 
 
 def block_diag(blocks: list[np.ndarray]) -> np.ndarray:

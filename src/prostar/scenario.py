@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import recipes
-from .algebra import FiniteCStarAlgebra, StarHomomorphism
+from .algebra import Check, FiniteCStarAlgebra, StarHomomorphism, VerificationReport
 from .cpmaps import CompletelyPositiveMap
 from .crossed import build_crossed_product, extend_covariant_cp
 from .dilation import covariant_dilation, uniqueness_unitary, verify_dilation
@@ -424,16 +424,13 @@ def _run_crossed(scn: Scenario, task: dict, result: TaskResult) -> None:
     )
     expected = task.get("expected_blocks")
     if expected is not None:
-        match = blocks == sorted(expected)
-        result.residuals.append(
-            {
-                "name": "block sizes match expectation",
-                "value": 0.0 if match else 1.0,
-                "threshold": 0.5,
-                "passed": match,
-                "detail": f"got {blocks}, expected {sorted(expected)}",
-            }
+        check = Check(
+            "block sizes match expectation",
+            0.0 if blocks == sorted(expected) else 1.0,
+            0.5,
+            f"got {blocks}, expected {sorted(expected)}",
         )
+        result.add_report(VerificationReport("crossed product blocks", (check,)))
 
 
 def _run_extend(scn: Scenario, task: dict, result: TaskResult) -> None:

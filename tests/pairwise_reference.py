@@ -639,13 +639,11 @@ def _reference_spectral_norm(m: np.ndarray) -> float:
 def _null_reference(
     vals: np.ndarray, vecs: np.ndarray, nulls: np.ndarray, shuffle: np.ndarray
 ) -> float:
-    """Largest norm of the classes of the shuffled null vectors in E_rho: their
-    coordinates √λ·u* x on the retained eigenpairs (λ, u) of the whole scalar
-    Gram, one null vector at a time."""
-    worst = 0.0
-    for x in (shuffle @ nulls).T:
-        worst = max(worst, float(np.linalg.norm(np.sqrt(vals) * (vecs.conj().T @ x))))
-    return worst
+    """Norm of the map taking a null vector to the class of its shuffle in
+    E_rho: the largest singular value of √λ·u*·(shuffle @ nulls), the class
+    coordinates on the retained eigenpairs (λ, u) of the whole scalar Gram."""
+    classes = np.sqrt(vals)[:, None] * (vecs.conj().T @ (shuffle @ nulls))
+    return _reference_spectral_norm(classes)
 
 
 def dilation_checks_reference(d, tol: float) -> list:

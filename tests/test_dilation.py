@@ -573,7 +573,8 @@ def test_null_space_preserved_on_m3_identity_representation(order_seed):
     space, which a correct dilation respects: the classes of the moved null
     vectors vanish to rounding, with the trivial group and with Z2 (the square
     root of the null vectors' quadratic form read about 5e-9 here). The
-    trivial u, not covariant for Z2, moves it by 1."""
+    trivial u, not covariant for Z2, moves it: the map from the null space to
+    the classes of its moves has norm √(8/3), whatever null basis was solved."""
     m3 = FiniteCStarAlgebra((3,))
     module = HilbertModule.free(C, 3)
     rho = CompletelyPositiveMap.identity_representation(m3, module)
@@ -588,8 +589,42 @@ def test_null_space_preserved_on_m3_identity_representation(order_seed):
         assert_matches_dilation_reference(verify_dilation(d), d)
     bad = replace(d, rep=UnitaryRepresentation.trivial(act.group, module))
     report = verify_dilation(bad)
-    assert report.check("null space preserved").residual == pytest.approx(1.0, rel=1e-12)
+    assert report.check("null space preserved").residual == pytest.approx(
+        np.sqrt(8.0 / 3.0), rel=1e-12
+    )
     assert_matches_dilation_reference(report, bad)
+
+
+def _null_space_readings(order_seed):
+    """"null space preserved" of the dilations of the identity representation
+    of M2, M2⊕C and M3 on their defining spaces solved at `order_seed`: of the
+    correct dilation with the trivial group and with Z2, and of the Z2 one
+    with the trivial u, which is not covariant for it."""
+    correct, controls = [], []
+    for source in (M2, M2_PLUS_C, FiniteCStarAlgebra((3,))):
+        module = HilbertModule.free(C, source.total_dim)
+        rho = CompletelyPositiveMap.identity_representation(source, module)
+        for group in ("trivial", "z2"):
+            act = standard_action(group, source)
+            rep = standard_representation(group, module)
+            d = covariant_dilation(rho, act, rep, order_seed=order_seed)
+            correct.append(d.residuals.check("null space preserved").residual)
+        bad = replace(d, rep=UnitaryRepresentation.trivial(act.group, module))
+        controls.append(verify_dilation(bad).check("null space preserved").residual)
+    return correct, controls
+
+
+@pytest.mark.parametrize("order_seed", [None, 3, 5, 7, 11])
+def test_null_space_reading_does_not_depend_on_the_solve_order(order_seed):
+    """Each C_k solved in another label order returns another null basis; the
+    norm of the moved null space's classes does not depend on it: every
+    non-covariant control reads what it reads in label order, within 1e-12,
+    and every correct dilation reads zero to rounding."""
+    correct, controls = _null_space_readings(order_seed)
+    _, in_label_order = _null_space_readings(None)
+    assert max(correct) <= 1e-14
+    assert all(c > 1e-9 for c in controls)
+    assert np.abs(np.subtract(controls, in_label_order)).max() <= 1e-12
 
 
 @settings(max_examples=25, deadline=None)

@@ -141,7 +141,8 @@ def test_action_tensor_is_stacked_once():
 
 def test_homomorphism_checks_are_computed_once(monkeypatch):
     """Reports at three tols, `is_bijective` and `is_surjective` form the bound,
-    the rank and (below the bound) the all-pairs residual once each."""
+    the rank and (below the bound) the all-pairs residual once each; the bound's
+    first row × first column term is one more `max_product_residual`."""
     calls = Counter()
     for name in ("matrix_unit_bound", "max_product_residual", "matrix_rank"):
         original = getattr(linalg, name)
@@ -158,7 +159,7 @@ def test_homomorphism_checks_are_computed_once(monkeypatch):
     assert 0.0 < bound
     reports = [verify_star_homomorphism(hom, tol) for tol in (1e-6, bound / 2, bound / 4)]
     assert hom.is_bijective() and hom.is_surjective()
-    assert calls == {"matrix_unit_bound": 1, "max_product_residual": 1, "matrix_rank": 1}
+    assert calls == {"matrix_unit_bound": 1, "max_product_residual": 2, "matrix_rank": 1}
     assert reports[0].check("multiplicative").residual == bound
     assert reports[1].check("multiplicative").residual == view._exact_multiplicative
 

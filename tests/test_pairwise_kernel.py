@@ -62,7 +62,7 @@ def test_chunk_boundaries_mid_basis(monkeypatch):
     xp = build_crossed_product(act)
     maps = (d.representation, extend_covariant_cp(d, xp).integrated.standard_map)
     scales = [ref.product_scale(m.values) for m in maps] + [1.0]
-    streamed = linalg._streamed_residual
+    streamed = linalg.max_product_residual
     calls = []
 
     def counted(*args):
@@ -81,7 +81,7 @@ def test_chunk_boundaries_mid_basis(monkeypatch):
 
     before = map_residuals() + [product_residual()]
     dim, fd = maps[0].values.shape[:2]
-    monkeypatch.setattr(linalg, "_streamed_residual", counted)
+    monkeypatch.setattr(linalg, "max_product_residual", counted)
     for budget in (1, 3 * dim * fd * fd * 16):
         monkeypatch.setattr(linalg, "PRODUCT_CHUNK_BYTES", budget)
         calls.clear()
@@ -389,26 +389,30 @@ def test_star_homomorphism_names_the_certificate_that_decided():
 def test_passing_map_forms_no_pair_products(monkeypatch):
     """The all-pairs kernel runs only when the bound exceeds tol: never for a
     passing map, once for a failing CP map (then cached) and once per failing
-    *-homomorphism check."""
-    calls = []
+    *-homomorphism check. Each bound streams its first row × first column,
+    2·2 pairs of M2, through the same kernel; the all-pairs residual forms 4·4."""
+    pairs = []
     original = linalg.max_product_residual
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counted(left, right, *args):
+        pairs.append(len(left) * len(right))
+        return original(left, right, *args)
+
+    def all_pairs_runs():
+        return pairs.count(M2.linear_dim**2)
 
     monkeypatch.setattr(linalg, "max_product_residual", counted)
     honest = CompletelyPositiveMap.identity_representation(M2, HilbertModule.free(C, 2))
     assert honest.verify_representation(1e-10).passed
     assert verify_star_homomorphism(StarHomomorphism.identity(M2)).passed
-    assert calls == []
+    assert pairs == [4, 4]
 
     state = CompletelyPositiveMap.trace_state(M2, HilbertModule.free(C, 2))
     assert not state.verify_representation(1e-10).passed
     assert not state.verify_representation(1e-3).passed
-    assert len(calls) == 1
+    assert all_pairs_runs() == 1
     assert not verify_star_homomorphism(StarHomomorphism(M2, M2, 2.0 * np.eye(4))).passed
-    assert len(calls) == 2
+    assert all_pairs_runs() == 2
 
 
 def _sweep_budgets(dim: int, n: int) -> dict[str, int]:

@@ -54,6 +54,7 @@ GRAM_BLOCKS = f"{DILATION}::test_gram_is_one_block_per_summand_row"
 GRAM_GRID = f"{ACCEPTANCE}::test_gram_and_hermiticity_match_pairwise_reference"
 NULL_PER_SUMMAND = f"{DILATION}::test_null_seminorm_is_read_per_summand"
 NULL_M3 = f"{DILATION}::test_null_space_preserved_on_m3_identity_representation"
+NULL_ORDER = f"{DILATION}::test_null_space_reading_does_not_depend_on_the_solve_order"
 SWAPPED = (
     f"{DILATION}::test_summand_swapping_action_descends",
     f"{DILATION}::test_summand_swapping_action_with_a_null_space",
@@ -323,18 +324,19 @@ MUTANTS = (
         (GRAM_BLOCKS, GRAM_GRID),
     ),
     Mutant(
-        "row0-labels-left-global", "src/prostar/dilation.py",
-        "perm[(perm >= off * d_e) & (perm < off * d_e + len(c))] - off * d_e",
-        "perm[(perm >= off * d_e) & (perm < off * d_e + len(c))]", (DILATION,),
-    ),
-    Mutant(
         "row0-order-not-undone", "src/prostar/dilation.py",
         "spectra.append((vals, vecs[np.argsort(order)]))", "spectra.append((vals, vecs))",
         (DILATION,),
     ),
     Mutant(
         "order-seed-ignored", "src/prostar/dilation.py",
-        "if perm is not None:", "if False:", (ORDER_SEED,),
+        "order = np.arange(len(c)) if rng is None else rng.permutation(len(c))",
+        "order = np.arange(len(c))", (ORDER_SEED,),
+    ),
+    Mutant(
+        "null-norm-column-max", "src/prostar/dilation.py",
+        "np.max(linalg.spectral_norm(classes))", "np.max(np.linalg.norm(classes, axis=1))",
+        (NULL_M3, NULL_ORDER),
     ),
     Mutant(
         "null-classes-of-unmoved-vectors", "src/prostar/dilation.py",
