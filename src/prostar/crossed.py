@@ -31,7 +31,7 @@ from .errors import NumericalError, PreconditionError, StructuralError
 from .groups import (
     GroupAction,
     UnitaryRepresentation,
-    _covariance_steps,
+    _covariance_stacks,
     _require_covariant_data,
 )
 from .linalg import DEFAULT_TOL
@@ -320,7 +320,9 @@ class IntegratedForm:
     fields are derived at `tol` when it is built, so `replace` checks it again.
     `report` checks convolution -> composition and involution -> adjoint on
     the whole spanning set {delta_g (x) a_i}, which by linearity pins the map
-    on all of A⋊G (the uniqueness clause).
+    on all of A⋊G (the uniqueness clause). Both sides of covariance are
+    formed for the whole group at once (`_spanning_residuals`); the
+    covariance residual C read from them enters both bounds below.
 
     The composition check compares X_i (V_g X_j V_g*) with Phi(a_i alpha_g(a_j)),
     X_i = Phi(a_i): the product of the images of delta_g a_i and delta_h a_j
@@ -337,6 +339,15 @@ class IntegratedForm:
     (`_twisted_residual`), by one rule (`algebra.bound_or_exact`). Pass/fail
     is the all-pairs decision at every `tol`, a passing residual is an upper
     bound, and the check's detail names the certificate that decided.
+
+    The involution residual is certified by the same rule: the bound
+    √(1+u)·(C + f·u + s) + f·w⁻ (`_involution_bound`), from C, Phi's star
+    residual s and the unitarity and inverse-law residuals u and w⁻ cached
+    on v, is reported where it is at most the threshold, and otherwise the
+    exact gather-and-compare over the spanning set
+    (`_involution_residual`). A v that keeps every Ad(v_g) but breaks its
+    inverse law (a phase twist) passes the composition check; w⁻ puts the
+    involution bound above the threshold, and the exact residual fails it.
 
     The standard-form factorization check certifies `standard_map`, the
     form read on the standard basis of A⋊G, as a unital *-homomorphism. Its
@@ -375,7 +386,7 @@ class IntegratedForm:
         _require_covariant_data(phi, action, v)
         p = phi.module.coord_dim
 
-        k_values, cov, star = _spanning_residuals(phi.values, v.values, action)
+        k_values, cov = _spanning_residuals(phi.values, v.values, action)
         if not cov <= max(tol, 1e-8):
             raise PreconditionError(f"(Phi, v) is not covariant (residual {cov:.3e})")
         bound, certificate = _relation_bound(
@@ -388,6 +399,17 @@ class IntegratedForm:
             lambda: (_twisted_residual(phi.values, v.values, action), "all spanning pairs"),
         )
 
+        _, unitarity, group_law, inverse_law = v._residuals
+        bound, star_certificate = _involution_bound(
+            phi.values, cov, unitarity, inverse_law, phi._star_residual
+        )
+        star, star_certificate = bound_or_exact(
+            bound,
+            star_certificate,
+            threshold,
+            lambda: (_involution_residual(phi.values, v.values, action), "all spanning elements"),
+        )
+
         unit_value = np.tensordot(action.algebra.unit().coords(), phi.values, axes=([0], [0]))
         unital = linalg.frobenius(unit_value @ v.values[action.group.identity] - np.eye(p))
 
@@ -395,7 +417,6 @@ class IntegratedForm:
         # linearity, from the spanning values K[g, i] = Phi(a_i) v_g.
         std_values = (xp._conv_from_std.T @ k_values.reshape(-1, p * p)).reshape(-1, p, p)
         standard_map = CompletelyPositiveMap(xp.standard_algebra, phi.module, std_values)
-        _, unitarity, group_law, _ = v._residuals
         spanning = _spanning_pair_bound(phi.values, mult, unitarity, group_law)
         std_bound, std_certificate = _standard_map_bound(xp, k_values, spanning)
         std_mult, std_certificate = bound_or_exact(
@@ -405,7 +426,7 @@ class IntegratedForm:
 
         checks = (
             Check("convolution -> composition (spanning pairs)", mult, threshold, certificate),
-            Check("involution -> adjoint (spanning set)", star, threshold),
+            Check("involution -> adjoint (spanning set)", star, threshold, star_certificate),
             Check("unit of C(G,A) -> identity", unital, threshold),
             Check(
                 "standard-form factorization is a unital *-homomorphism",
@@ -443,37 +464,95 @@ def integrated_form(
 
 def _spanning_residuals(
     values: np.ndarray, unitaries: np.ndarray, action: GroupAction
-) -> tuple[np.ndarray, float, float]:
-    """The spanning values, and the covariance and involution residuals on the spanning set.
+) -> tuple[np.ndarray, float]:
+    """The spanning values and the covariance residual on the spanning set.
 
     `values` stacks X_i = Phi(a_i) and `unitaries` V_g = v_g, in the range
-    coordinates of the module. The spanning values K[g, i] = X_i V_g are
-    formed once (read-only); the integrated form keeps them. One pass over G
-    reads both residuals from the two sides of covariance at g
-    (`_covariance_steps`), M_i = sum_j A_g[j, i] X_j (the image of
-    alpha_g(a_i)) and C_i = V_g X_i V_g*. Only one g's stacks are alive at a
-    time.
+    coordinates of the module. The spanning values K[g, i] = X_i V_g
+    (`_spanning_values`, read-only) are formed once; the integrated form
+    keeps them. The covariance residual max_{g,i} ||M[g, i] - C[g, i]||_F
+    is read from the two sides of covariance for the whole group at once
+    (`groups._covariance_stacks`), M[g, i] = sum_j A_g[j, i] X_j (the image
+    of alpha_g(a_i)) and C[g, i] = V_g X_i V_g*.
 
-    - Covariance: max_i ||M_i - C_i||_F.
-    - Involution: (delta_h a_i)# = delta_{h^-1} alpha_{h^-1}(a_i*) / Delta(h^-1)
-      and a_i* is the basis element adjoint_index[i], so at g = h^-1 the
-      image of the left side is M_{adjoint_index[i]} V_g / Delta(g), to be
-      compared with K[h, i]*.
+    Involution and multiplicativity on the spanning set are bounded from
+    these residuals (`_involution_bound`, `_relation_bound`), or formed
+    exactly where a bound says nothing (`_involution_residual`,
+    `_twisted_residual`).
+    """
+    moved, conj = _covariance_stacks(values, unitaries, action)
+    return _spanning_values(values, unitaries), linalg.max_frobenius(moved - conj)
 
-    Multiplicativity on the spanning pairs is `_relation_bound` of these
-    residuals, or `_twisted_residual` where that bound says nothing.
+
+def _spanning_values(values: np.ndarray, unitaries: np.ndarray) -> np.ndarray:
+    """K[g, i] = X_i V_g, (|G|, dim A, p, p), read-only: one
+    `linalg.pair_products` product (dim A·p, p) @ (p, |G|·p), laid out g-major."""
+    k = np.ascontiguousarray(linalg.pair_products(values, unitaries).transpose(1, 0, 2, 3))
+    k.setflags(write=False)
+    return k
+
+
+def _involution_bound(
+    values: np.ndarray, cov: float, unitarity: float, inverse_law: float, star: float
+) -> tuple[float, str]:
+    """An upper bound of `_involution_residual(values, unitaries, action)` from
+    residuals the integrated form already holds, and the detail naming it.
+
+    The residual bounded is ||M[g, i*] V_g / Delta(g) - K[g^-1, i]*||_F over g
+    and i, with i* = adjoint_index[i], M[g, i] = sum_j A_g[j, i] X_j the
+    image of alpha_g(a_i), X_i = Phi(a_i) and K[h, i] = X_i V_h: the image of
+    (delta_h a_i)# = delta_{h^-1} alpha_{h^-1}(a_i*) / Delta(h^-1) at
+    g = h^-1 against the adjoint of the image of delta_h a_i. A finite group
+    has Delta = 1. Let C be the covariance residual max_{g,i} ||M[g, i] -
+    C[g, i]||_F with C[g, i] = V_g X_i V_g*, u = `unitarity` at least
+    ||V_g* V_g - 1||_F, w⁻ = `inverse_law` = max_g ||V_{g^-1} - V_g*||_F
+    (both cached on v) and s = `star` = max_i ||X_{i*} - X_i*||_F (Phi's
+    star residual). Write V = V_g, M = M[g, i*] and C = C[g, i*]. Since
+    C V = V X_{i*} + V X_{i*} (V*V - 1) and K[g^-1, i]* = V_{g^-1}* X_i*,
+
+        M V - V_{g^-1}* X_i*
+            = (M - C) V + V X_{i*} (V*V - 1) + V (X_{i*} - X_i*)
+              + (V_g - V_{g^-1}*) X_i*.
+
+    ||V||_op² = ||V*V||_op <= 1 + u, and with f = max_i ||X_i||_F >=
+    ||X_i||_op and ||AB||_F <= ||A||_op ||B||_F the four terms are within
+    √(1+u)·C, √(1+u)·f·u, √(1+u)·s and f·w⁻ (the last at h = g^-1, where
+    ||V_g - V_{g^-1}*||_F = ||V_{h^-1} - V_h*||_F):
+
+        star <= √(1+u)·(C + f·u + s) + f·w⁻.
+
+    A v that breaks its inverse law while keeping every Ad(v_g) (a phase
+    twist, which leaves C at rounding) makes w⁻, and so the bound, large.
+    """
+    f = linalg.max_frobenius(values)
+    bound = np.sqrt(1.0 + unitarity) * (cov + f * unitarity + star) + f * inverse_law
+    detail = (
+        f"involution bound √(1+u)·(C + f·u + s) + f·w⁻: u={unitarity:.3e}, C={cov:.3e}, "
+        f"f={f:.3e}, s={star:.3e}, w⁻={inverse_law:.3e}"
+    )
+    return float(bound), detail
+
+
+def _involution_residual(
+    values: np.ndarray, unitaries: np.ndarray, action: GroupAction
+) -> float:
+    """max over g, i of ||M[g, i*] V_g / Delta(g) - K[g^-1, i]*||_F, the exact
+    involution residual on the spanning set, formed when `_involution_bound`
+    exceeds the threshold.
+
+    (delta_h a_i)# = delta_{h^-1} alpha_{h^-1}(a_i*) / Delta(h^-1) and a_i*
+    is the basis element i* = adjoint_index[i], so at g = h^-1 the image of
+    the left side is M[g, i*] V_g / Delta(g) (`groups._covariance_stacks`),
+    to be compared with K[h, i]* (`_spanning_values`): one gather of each
+    side for the whole group.
     """
     group = action.group
-    adjoint = action.algebra.adjoint_index
-    k = np.matmul(values[None], unitaries[:, None])
-    k.setflags(write=False)
-    cov = star = 0.0
-    for g, moved, conj in _covariance_steps(values, unitaries, action):
-        cov = max(cov, linalg.max_frobenius(moved - conj))
-        lhs = np.matmul(moved[adjoint], unitaries[g]) / group.modular_function(g)
-        rhs = k[group.inverse(g)].conj().transpose(0, 2, 1)
-        star = max(star, linalg.max_frobenius(lhs - rhs))
-    return k, cov, star
+    moved, _ = _covariance_stacks(values, unitaries, action)
+    delta = np.array([group.modular_function(g) for g in group.elements()])
+    inv = [group.inverse(g) for g in group.elements()]
+    lhs = np.matmul(moved[:, action.algebra.adjoint_index], unitaries[:, None])
+    rhs = _spanning_values(values, unitaries)[inv].conj().transpose(0, 1, 3, 2)
+    return linalg.max_frobenius(lhs / delta[:, None, None, None] - rhs)
 
 
 def _relation_bound(
@@ -512,14 +591,17 @@ def _twisted_residual(values: np.ndarray, unitaries: np.ndarray, action: GroupAc
     """max over g, i, j of ||X_i (V_g X_j V_g*) - Phi(a_i alpha_g(a_j))||_F, every
     spanning pair, formed when `_relation_bound` exceeds the threshold.
 
-    For each g the products are compared through the twisted structure
-    constants of g (`linalg.max_product_residual`, streamed over row chunks).
+    C = V_g X_j V_g* is read for the whole group at once
+    (`groups._covariance_stacks`); for each g the products are compared
+    through the twisted structure constants of g
+    (`linalg.max_product_residual`, streamed over row chunks).
     """
+    _, conj = _covariance_stacks(values, unitaries, action)
     worst = 0.0
-    for g, _, conj in _covariance_steps(values, unitaries, action):
+    for g in action.group.elements():
         worst = max(
             worst,
-            linalg.max_product_residual(values, conj, values, _twisted_structure(action, g)),
+            linalg.max_product_residual(values, conj[g], values, _twisted_structure(action, g)),
         )
     return worst
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -321,20 +321,28 @@ def _require_covariant_data(
         raise StructuralError("action and representation use different groups")
 
 
-def _covariance_steps(
-    values: np.ndarray, unitaries: Sequence[np.ndarray], action: GroupAction
-) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """(g, L, R) with L[i] = sum_j A_g[j, i] X_j and R[i] = V_g X_i V_g* for a value
-    stack X (one matrix per basis element) and unitaries V_g indexed by g.
+def _covariance_stacks(
+    values: np.ndarray, unitaries: np.ndarray, action: GroupAction
+) -> tuple[np.ndarray, np.ndarray]:
+    """(M, C), each (|G|, dim A, p, p), for a value stack X (one p×p matrix per
+    basis element) and unitaries V_g indexed by g: the two sides of covariance,
+    M[g, i] = sum_j A_g[j, i] X_j (the image of alpha_g(a_i)) and
+    C[g, i] = V_g X_i V_g*.
 
-    L is one contraction of the values with the action matrix A_g of g, R
-    two batched products; only one g's stacks are alive at a time.
+    M is one product of the action tensor, (|G|·dim A, dim A) with each A_g
+    transposed, with the values as (dim A, p²). C is one
+    `linalg.pair_products` product (|G|·p, p) @ (p, dim A·p), whose rows
+    (g, r) hold V_g X_i for every i side by side, followed by |G| products
+    of those dim A·p rows with V_g*. The stacks of all of G are alive at once,
+    2·|G|·dim A·p² entries and the products forming them.
     """
-    for g in action.group.elements():
-        ug = unitaries[g]
-        moved = np.tensordot(action.automorphisms[g].action_matrix, values, axes=([0], [0]))
-        conj = np.matmul(np.matmul(ug[None], values), ug.conj().T[None])
-        yield g, moved, conj
+    order, dim, p = len(unitaries), len(values), values.shape[-1]
+    acts = action._action_tensor.transpose(0, 2, 1).reshape(order * dim, dim)
+    moved = (acts @ values.reshape(dim, p * p)).reshape(order, dim, p, p)
+    # pair_products returns its (|G|, p, dim A, p) product transposed; undo the view.
+    left = linalg.pair_products(unitaries, values).transpose(0, 2, 1, 3)
+    conj = np.matmul(left.reshape(order, p * dim, p), unitaries.conj().transpose(0, 2, 1))
+    return moved, conj.reshape(order, p, dim, p).transpose(0, 2, 1, 3)
 
 
 def check_covariance(
@@ -354,8 +362,8 @@ def check_covariance(
     """
     _require_covariant_data(rho, action, rep)
     values = rho.values
-    steps = _covariance_steps(values, rep.values, action)
-    resid = np.stack([linalg.frobenius_each(moved - conj) for _, moved, conj in steps])
+    moved, conj = _covariance_stacks(values, rep.values, action)
+    resid = linalg.frobenius_each(moved - conj)
     worst, witness = float(np.max(resid)), ""
     if worst > 0.0:
         band = TIE_REL * max(1.0, linalg.max_frobenius(values))
@@ -377,8 +385,8 @@ def covariant_average(
     """
     if action.algebra != sigma.source or rep.module != sigma.module:
         raise StructuralError("averaging data does not match the map")
-    # moved[g, i] = sigma(alpha_g(a_i)), one contraction with the action tensor.
-    moved = np.einsum("gji,jxy->gixy", action._action_tensor, sigma.values)
+    # moved[g, i] = sigma(alpha_g(a_i)), the moved side of covariance.
+    moved, _ = _covariance_stacks(sigma.values, rep.values, action)
     u = rep.values[:, None]
     values = np.mean(u.conj().swapaxes(-1, -2) @ moved @ u, axis=0)
     return CompletelyPositiveMap(sigma.source, sigma.module, values)

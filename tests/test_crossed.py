@@ -17,6 +17,8 @@ from prostar.algebra import FiniteCStarAlgebra, StarHomomorphism
 from prostar.cpmaps import CompletelyPositiveMap
 from prostar.crossed import (
     ConvolutionElement,
+    _involution_bound,
+    _involution_residual,
     _relation_bound,
     _spanning_pair_bound,
     _spanning_residuals,
@@ -329,7 +331,9 @@ class TestIntegratedForm:
         twisted_form = integrated_form(d.representation, twisted, xp)
         report = twisted_form.report
         star = report.check("involution -> adjoint (spanning set)")
-        assert not star.passed
+        assert not star.passed and star.detail == "all spanning elements"
+        values = d.representation.values
+        assert involution_bound(values, twisted.values, xp.system) > star.threshold
         # replace() builds and checks the form again rather than copying its pass.
         form = integrated_form(d.representation, v, xp)
         assert form.report.passed and replace(form, group_unitaries=twisted).report == report
@@ -366,7 +370,7 @@ class TestIntegratedForm:
         of a unit probe, 1e-9, fixes the size whatever the basis of E_rho."""
         probe = 1e-9
         moved = cls.drifted(d.group_unitaries, probe).values
-        _, cov, _ = _spanning_residuals(d.representation.values, moved, xp.system)
+        _, cov = _spanning_residuals(d.representation.values, moved, xp.system)
         return cls.drifted(d.group_unitaries, covariance * probe / cov)
 
     def test_small_covariance_defect_fails_composition(self, z2_data):
@@ -393,7 +397,7 @@ class TestIntegratedForm:
         d, xp = z2_data
         phi, drifted = d.representation, self.drifted_to(d, xp, 7e-10)
         values, unitaries = phi.values, drifted.values
-        _, cov, _ = _spanning_residuals(values, unitaries, xp.system)
+        _, cov = _spanning_residuals(values, unitaries, xp.system)
         mult = phi.verify_representation(1e-9).check("multiplicative").residual
         bound, _ = _relation_bound(values, xp.system, cov, mult)
         check = integrated_form(phi, drifted, xp).report.check(
@@ -436,16 +440,21 @@ def test_one_sided_leak_of_v_counts_in_the_involution():
     range(P) into it. The corners of P and P + D agree exactly, while on the
     flats the involution's two sides P·v_e and (P·v_e)* differ by sqrt(2)·||D||_F,
     which counts in the involution residual of the flats: v_e is refused at
-    construction, and P enters as the identity."""
+    construction, and P enters as the identity. On the flats the involution
+    bound reads the unitarity and inverse-law residuals of P + D, both
+    sqrt(2), so it lies above the threshold and the exact residual decides."""
     e = np.eye(2, dtype=np.complex128)
     projection = np.outer(e[0], e[0])
     module = HilbertModule.from_projection(C, 2, projection)
     action = GroupAction.trivial(FiniteGroup.trivial(), C)
     values, unitaries = projection[None], (projection + np.outer(e[0], e[1]))[None]
-    _, cov, star = _spanning_residuals(values, unitaries, action)
+    _, cov = _spanning_residuals(values, unitaries, action)
+    star = _involution_residual(values, unitaries, action)
     assert (cov, _twisted_residual(values, unitaries, action), star) == pytest.approx(
         (0.0, 0.0, np.sqrt(2.0))
     )
+    bound = involution_bound(values, unitaries, action)
+    assert bound > 1e-9 and star <= bound
     with pytest.raises(StructuralError, match="off the module range"):
         AdjointableOperator.from_flat(module, module, unitaries[0])
     assert AdjointableOperator.from_flat(module, module, projection).is_unitary().passed
@@ -494,7 +503,8 @@ def test_corner_spanning_residuals_bracket_full_ones(system, d, rank, leak_phi, 
     unitaries = stack(np.array(corners).reshape(order, p, p), leak_v)
 
     def residuals(values, unitaries):
-        _, cov, star = _spanning_residuals(values, unitaries, action)
+        _, cov = _spanning_residuals(values, unitaries, action)
+        star = _involution_residual(values, unitaries, action)
         return cov, _twisted_residual(values, unitaries, action), star
 
     full = residuals(values, unitaries)
@@ -505,6 +515,23 @@ def test_corner_spanning_residuals_bracket_full_ones(system, d, rank, leak_phi, 
     rounding = pairwise_reference.REL * scale
     for f, c in zip(full, got):
         assert abs(f - c) <= rounding
+
+
+def involution_terms(values: np.ndarray, unitaries: np.ndarray, action: GroupAction):
+    """(C, u, w⁻, s) for Phi's `values` and v's `unitaries` on the free module
+    C^p, read as the integrated form reads them."""
+    module = HilbertModule.free(C, values.shape[-1])
+    _, cov = _spanning_residuals(values, unitaries, action)
+    _, u, _, inverse = UnitaryRepresentation(action.group, module, unitaries)._residuals
+    star = CompletelyPositiveMap(action.algebra, module, values)._star_residual
+    return cov, u, inverse, star
+
+
+def involution_bound(values: np.ndarray, unitaries: np.ndarray, action: GroupAction) -> float:
+    """`_involution_bound` of `involution_terms`."""
+    bound, detail = _involution_bound(values, *involution_terms(values, unitaries, action))
+    assert detail.startswith("involution bound √(1+u)·(C + f·u + s) + f·w⁻: ")
+    return bound
 
 
 def covariant_pair(group_name, action, module, homomorphic, rng):
@@ -570,7 +597,7 @@ def test_relation_bound_covers_the_twisted_residual(system, p, homomorphic, drif
     v = UnitaryRepresentation.from_complex_matrices(group, module, mats)
 
     values, unitaries = phi.values, v.values
-    _, cov, _ = _spanning_residuals(values, unitaries, action)
+    _, cov = _spanning_residuals(values, unitaries, action)
     bound, detail = _relation_bound(values, action, cov, phi._exact_multiplicative)
     old = pairwise_reference.twisted_residual(phi, v, action)
     # Rounding of products of this size, far below REL, which would hide the 1e-12 drift.
@@ -597,6 +624,119 @@ def test_relation_bound_reads_column_norms_of_the_action():
     assert columns > 1.01 * rows
     bound, _ = _relation_bound(np.zeros((m3.linear_dim, 1, 1)), action, 0.0, 1.0)
     assert bound == pytest.approx(columns, rel=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    system=st.sampled_from(SPANNING_SYSTEMS),
+    p=st.integers(1, 5),
+    kind=st.sampled_from(
+        ["exact", "drifted", "non-unitary", "sign-flipped", "phase-twisted", "star-defective"]
+    ),
+    size=st.sampled_from([1e-12, 1e-9, 1e-6, 1e-2]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_involution_bound_covers_the_exact_residual(system, p, kind, size, seed):
+    """√(1+u)·(C + f·u + s) + f·w⁻ is at least the involution residual of every
+    spanning element, and the exact residual agrees with the element-wise
+    reference.
+
+    Phi and v come from `covariant_pair` (a *-representation and a unitary
+    representation implementing the action when p is at least the defining
+    dimension of A, a covariant average otherwise). Then one is spoiled: v_g
+    at g ≠ e drifted by diag(exp(i·size·k)), multiplied by 1 + size·H for a
+    random Hermitian H (not unitary) or by i (each Ad(v_g) is kept, the
+    inverse law fails); v_g at the last g alone negated
+    (the inverse law fails unless g is an involution); or Phi's values moved
+    by size times noise (not *-preserving).
+    """
+    group_name, _ = system
+    action = named_action(*system)
+    group = action.group
+    rng = np.random.default_rng(seed)
+    module = HilbertModule.free(C, p)
+    phi, mats = covariant_pair(group_name, action, module, True, rng)
+    values = phi.values
+    if kind == "star-defective":
+        noise = linalg.random_complex(rng, values.size // p, p).reshape(values.shape)
+        values = values + size * noise
+    spoil = {
+        "drifted": np.diag(np.exp(1j * size * np.arange(1, p + 1))),
+        "non-unitary": np.eye(p) + size * linalg.random_hermitian(rng, p),
+        "phase-twisted": 1j * np.eye(p),
+    }.get(kind, np.eye(p))
+    unitaries = np.array([m if g == group.identity else m @ spoil for g, m in enumerate(mats)])
+    if kind == "sign-flipped" and group.order > 1:
+        unitaries[-1] = -unitaries[-1]
+    bound = involution_bound(values, unitaries, action)
+    exact = _involution_residual(values, unitaries, action)
+    v = UnitaryRepresentation(group, module, unitaries)
+    old = pairwise_reference.star_reference(
+        CompletelyPositiveMap(action.algebra, module, values), v, action
+    )
+    scale = pairwise_reference.product_scale(values) * pairwise_reference.product_scale(unitaries)
+    pairwise_reference.assert_agrees(exact, old, scale, 1e-9)
+    # Rounding of products of these sizes, far below the 1e-12 spoils.
+    assert old <= bound + 64 * np.finfo(float).eps * scale
+
+
+def _scalar_pair(value: complex, unitaries) -> tuple[np.ndarray, np.ndarray]:
+    """Phi(1) = value on C^1 and v_g = unitaries[g], as stacks."""
+    return np.array([[[value]]]), np.array(unitaries, dtype=complex).reshape(-1, 1, 1)
+
+
+C_TRIVIAL = GroupAction.trivial(FiniteGroup.trivial(), C)
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+
+INVOLUTION_TERMS = {
+    # Z2 acting trivially on C ⊕ C, Phi(e_1) = E_11, Phi(e_2) = E_22 and
+    # v_1 = σ_x, unitary and its own inverse (u = w⁻ = 0, s = 0): only the
+    # covariance defect σ_x E_11 σ_x - E_11 bounds E_11 σ_x - σ_x E_11.
+    "covariance C": lambda: (
+        GroupAction.trivial(FiniteGroup.cyclic(2), FiniteCStarAlgebra((1, 1))),
+        np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], dtype=complex),
+        np.array([np.eye(2), SIGMA_X]),
+    ),
+    # Phi(1) = σ_x and v_e = diag(2, 1/2): V σ_x V* = σ_x (C = 0), V = V*
+    # (w⁻ = 0) and s = 0, but σ_x V - V σ_x ≠ 0, which only f·u bounds.
+    "unitarity f·u": lambda: (
+        C_TRIVIAL,
+        SIGMA_X[None],
+        np.diag([2.0, 0.5]).astype(complex)[None],
+    ),
+    # Phi(1) = i, not self-adjoint, and v = 1: only s = 2 bounds i - (-i).
+    "star s": lambda: (C_TRIVIAL, *_scalar_pair(1j, [1.0])),
+    # v = (1, i) on Z2 keeps Ad(v_g) (C = 0, u = 0) but v_1 ≠ v_1*: only
+    # f·w⁻ = 2 bounds v_1 - v_1* = 2i.
+    "inverse law f·w⁻": lambda: (
+        GroupAction.trivial(FiniteGroup.cyclic(2), C),
+        *_scalar_pair(1.0, [1.0, 1j]),
+    ),
+}
+
+
+@pytest.mark.parametrize("term", list(INVOLUTION_TERMS))
+def test_involution_bound_needs_each_term(term):
+    """Instances where the involution bound without one of its terms, C, f·u,
+    s or f·w⁻, would lie below the exact residual; the whole bound is at least
+    it."""
+    action, values, unitaries = INVOLUTION_TERMS[term]()
+    module = HilbertModule.free(C, values.shape[-1])
+    old = pairwise_reference.star_reference(
+        CompletelyPositiveMap(action.algebra, module, values),
+        UnitaryRepresentation(action.group, module, unitaries),
+        action,
+    )
+    cov, u, inverse, star = involution_terms(values, unitaries, action)
+    f, root = linalg.max_frobenius(values), np.sqrt(1.0 + u)
+    without = {
+        "covariance C": root * (f * u + star) + f * inverse,
+        "unitarity f·u": root * (cov + star) + f * inverse,
+        "star s": root * (cov + f * u) + f * inverse,
+        "inverse law f·w⁻": root * (cov + f * u + star),
+    }[term]
+    assert without < old / 2 and old > 1e-3 and old <= involution_bound(values, unitaries, action)
+    assert _involution_residual(values, unitaries, action) == pytest.approx(old, rel=1e-12)
 
 
 STANDARD_SYSTEMS = [("trivial", "m2"), ("z2", "m2"), ("z3", "m2+c"), ("s3", "m2")]
@@ -630,7 +770,7 @@ def standard_bound(xp, values: np.ndarray, unitaries: np.ndarray):
     the exact twisted residual as `mult`, the smallest the bound admits."""
     module = HilbertModule.free(C, values.shape[-1])
     v = UnitaryRepresentation(xp.system.group, module, unitaries)
-    k, _, _ = _spanning_residuals(values, v.values, xp.system)
+    k, _ = _spanning_residuals(values, v.values, xp.system)
     _, u, w, _ = v._residuals
     spanning = _spanning_pair_bound(values, _twisted_residual(values, v.values, xp.system), u, w)
     bound, detail = _standard_map_bound(xp, k, spanning)

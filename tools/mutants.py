@@ -67,6 +67,8 @@ STANDARD_TERMS = f"{CROSSED}::test_standard_map_bound_needs_each_term"
 STANDARD_C2 = f"{CROSSED}::test_standard_map_bound_needs_c_squared"
 STANDARD_GRID = f"{ACCEPTANCE}::test_standard_map_bound_decides_every_grid_extension"
 WARM_EXTENSION = f"{ACCEPTANCE}::test_warm_extension_runs_no_matrix_unit_bound"
+WARM_INVOLUTION = f"{ACCEPTANCE}::test_warm_extension_runs_no_exact_involution"
+INVOLUTION_TERMS = f"{CROSSED}::test_involution_bound_needs_each_term"
 PHASE_TWISTED = f"{CROSSED}::TestIntegratedForm::test_phase_twisted_unitaries_fail_star_only"
 DRIFT_EXACT = f"{CROSSED}::TestIntegratedForm::test_exact_residual_decides_when_the_bound_exceeds_tol"
 SWEEP = (
@@ -179,11 +181,43 @@ MUTANTS = (
     ),
     Mutant(
         "involution-adjoint-gather-dropped", "src/prostar/crossed.py",
-        "moved[adjoint]", "moved", (CROSSED,),
+        "moved[:, action.algebra.adjoint_index]", "moved", (CROSSED,),
     ),
     Mutant(
         "involution-against-k-g", "src/prostar/crossed.py",
-        "rhs = k[group.inverse(g)]", "rhs = k[g]", (CROSSED, ACCEPTANCE),
+        "_spanning_values(values, unitaries)[inv]", "_spanning_values(values, unitaries)",
+        (CROSSED, ACCEPTANCE),
+    ),
+    # The involution bound √(1+u)·(C + f·u + s) + f·w⁻ and its exact fallback.
+    Mutant(
+        "involution-bound-c-dropped", "src/prostar/crossed.py",
+        "(cov + f * unitarity + star) + f * inverse_law",
+        "(f * unitarity + star) + f * inverse_law", (INVOLUTION_TERMS,),
+    ),
+    Mutant(
+        "involution-bound-fu-dropped", "src/prostar/crossed.py",
+        "(cov + f * unitarity + star) + f * inverse_law",
+        "(cov + star) + f * inverse_law", (INVOLUTION_TERMS,),
+    ),
+    Mutant(
+        "involution-bound-s-dropped", "src/prostar/crossed.py",
+        "(cov + f * unitarity + star) + f * inverse_law",
+        "(cov + f * unitarity) + f * inverse_law", (INVOLUTION_TERMS,),
+    ),
+    Mutant(
+        "involution-bound-fw-dropped", "src/prostar/crossed.py",
+        "(cov + f * unitarity + star) + f * inverse_law",
+        "(cov + f * unitarity + star)", (INVOLUTION_TERMS, PHASE_TWISTED),
+    ),
+    Mutant(
+        "involution-threshold-skipped", "src/prostar/crossed.py",
+        "            star_certificate,\n            threshold,\n",
+        "            star_certificate,\n            float(\"inf\"),\n", (PHASE_TWISTED,),
+    ),
+    Mutant(
+        "involution-bound-never-decides", "src/prostar/crossed.py",
+        "            star_certificate,\n            threshold,\n",
+        "            star_certificate,\n            float(\"-inf\"),\n", (WARM_INVOLUTION,),
     ),
     # The integrated form's relation bound f·C + a·M and its all-pairs fallback.
     Mutant(
@@ -296,6 +330,16 @@ MUTANTS = (
     Mutant(
         "witness-ties-by-exact-max", "src/prostar/groups.py",
         "resid >= worst - band", "resid >= worst", (ACCEPTANCE,),
+    ),
+    Mutant(
+        "covariance-action-untransposed", "src/prostar/groups.py",
+        "action._action_tensor.transpose(0, 2, 1).reshape(", "action._action_tensor.reshape(",
+        (GROUPS,),
+    ),
+    Mutant(
+        "covariance-conjugated-on-the-left", "src/prostar/groups.py",
+        "np.matmul(left.reshape(order, p * dim, p), unitaries.conj().transpose(0, 2, 1))",
+        "np.matmul(left.reshape(order, p * dim, p), unitaries)", (GROUPS,),
     ),
     Mutant(
         "average-conjugation-reversed", "src/prostar/groups.py",
