@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -284,8 +284,31 @@ class FiniteCStarAlgebra:
         (..., D, D), by one gather from `dense_support`."""
         return dense.reshape(dense.shape[:-2] + (-1,))[..., self.dense_support]
 
+    def unit_pattern(self, multiplicities: Sequence[int]) -> np.ndarray:
+        """The stack (linear_dim, p, p), p = Σ n_k·p_k, whose entry for E^k_ab
+        is E_ab ⊗ 1_{p_k} on summand k's coordinates, which start at
+        Σ_{l<k} n_l·p_l and run (a, t) over a < n_k, t < p_k: the matrix
+        units of A repeated p_k times each, as 0/1 entries (p_k ≥ 0). It is
+        read-only and formed once per algebra and multiplicities; equal
+        algebras share it, and the last 64 are kept (`_unit_pattern`)."""
+        return _unit_pattern(self.block_sizes, tuple(int(pk) for pk in multiplicities))
+
     def __str__(self) -> str:
         return "⊕".join(f"M{n}" for n in self.block_sizes)
+
+
+@lru_cache(maxsize=64)
+def _unit_pattern(sizes: tuple[int, ...], pks: tuple[int, ...]) -> np.ndarray:
+    """`FiniteCStarAlgebra.unit_pattern` of the algebra with block sizes `sizes`."""
+    p = sum(n * pk for n, pk in zip(sizes, pks))
+    stack = np.zeros((sum(n * n for n in sizes), p, p), dtype=np.complex128)
+    start = off = 0
+    for n, pk in zip(sizes, pks):
+        a, b, t = np.ix_(np.arange(n), np.arange(n), np.arange(pk))
+        stack[off + a * n + b, start + a * pk + t, start + b * pk + t] = 1.0
+        start, off = start + n * pk, off + n * n
+    stack.setflags(write=False)
+    return stack
 
 
 @dataclass(frozen=True)

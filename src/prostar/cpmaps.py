@@ -133,6 +133,30 @@ class CompletelyPositiveMap:
         adj = self.source.adjoint_index
         return linalg.max_frobenius(vals[adj] - vals.conj().transpose(0, 2, 1))
 
+    @cached_property
+    def _value_norms(self) -> np.ndarray:
+        """||rho(a_i)||_op of each basis value, from one batched SVD (read-only):
+        the scale of the dilation identity (a)."""
+        norms = linalg.spectral_norm(self.values)
+        norms.setflags(write=False)
+        return norms
+
+    @cached_property
+    def _gram(self):
+        """The Gram of the dilation's spanning set, G_k and C_k per summand
+        (`dilation.GramData`), formed once; `dilation.gram_operator`
+        certifies the map at its own tol before it hands this out."""
+        from .dilation import _gram_blocks
+
+        return _gram_blocks(self)
+
+    @cached_property
+    def _covariances(self) -> dict:
+        """`groups.check_covariance`'s residual and witness, keyed on the pair
+        (action, representation) itself: both compare by identity, and the
+        key holds them, so no entry outlives its objects' identities."""
+        return {}
+
     def choi_matrices(self) -> list[np.ndarray]:
         """Per source block: C_k = sum_ij E_ij (x) rho(E_ij), on the range coordinates of E.
 
@@ -197,29 +221,71 @@ class CompletelyPositiveMap:
             tol=tol,
         )
 
+    @cached_property
+    def _unit_defect(self) -> np.ndarray:
+        """rho(1) - id_E on the range coordinates (read-only), formed once: the
+        non-degeneracy residual and the representation check's unital
+        residual are its two norms."""
+        defect = self(self.source.unit()).coords - self._identity
+        defect.setflags(write=False)
+        return defect
+
+    @cached_property
+    def _nondegenerate_residual(self) -> float:
+        """||rho(1) - id_E||_op, read by `verify_nondegenerate` at any tol."""
+        return float(linalg.spectral_norm(self._unit_defect))
+
     def verify_nondegenerate(self, tol: float = DEFAULT_TOL) -> VerificationReport:
-        """Unitality rho(1) = id_E, the finite-dimensional form of non-degeneracy."""
-        resid = linalg.spectral_norm(self(self.source.unit()).coords - self._identity)
+        """Unitality rho(1) = id_E, the finite-dimensional form of non-degeneracy,
+        at `tol`, from the cached operator norm of rho(1) - id_E."""
         return VerificationReport(
-            "non-degeneracy", (Check("rho(1) = id_E", float(resid), tol),)
+            "non-degeneracy", (Check("rho(1) = id_E", self._nondegenerate_residual, tol),)
         )
 
     @cached_property
-    def _representation_data(self) -> tuple[float, float, float]:
-        """`verify_representation`'s tolerance-free part: a bound of the
-        multiplicative residual, and the star and unital residuals.
+    def _unit_multiplicities(self) -> tuple[int, ...] | None:
+        """The multiplicities p_k for which the values are exactly
+        `FiniteCStarAlgebra.unit_pattern(p_k…)`, rho(E^k_ab) = E_ab ⊗ 1_{p_k}
+        on summand k's coordinates, or None. p_k is read from the trace of
+        rho(E^k_11); unless every p_k is a whole number ≥ 0 and Σ n_k·p_k
+        is the rank p of the module, no pattern is formed, so none is
+        larger than the map's own values."""
+        source, vals = self.source, self.values
+        traces = np.trace(vals[list(source.coord_offsets)], axis1=1, axis2=2)
+        pks = np.rint(traces.real)
+        if not (np.array_equal(traces, pks) and np.all(pks >= 0)):
+            return None
+        if np.dot(source.block_sizes, pks) != self.module.coord_dim:
+            return None
+        # Compared as (real, imag) float pairs: the same test, about 3x faster.
+        pattern = source.unit_pattern(pks).view(np.float64)
+        return tuple(map(int, pks)) if np.array_equal(vals.view(np.float64), pattern) else None
 
-        The bound is `linalg.matrix_unit_bound`: it bounds every basis pair's
-        ||rho(E_a) rho(E_b) - rho(E_a E_b)||_F from the matrix-unit relations
-        of the source, with dim + (Σn)² products on the range coordinates.
+    @cached_property
+    def _representation_data(self) -> tuple[float, float, float, str]:
+        """`verify_representation`'s tolerance-free part: a bound of the
+        multiplicative residual, the star and unital residuals, and the name
+        of the certificate the bound comes from.
+
+        A map whose values are the matrix-unit pattern (`_unit_multiplicities`)
+        has the three residuals exactly 0, `matrix-unit pattern`: its values
+        are 0/1 partial permutations, so every product has at most one
+        nonzero term per entry and IEEE arithmetic forms the products, the
+        adjoints and rho(1) exactly. Every other map takes
+        `linalg.matrix_unit_bound`, `matrix-unit bound`: it bounds every
+        basis pair's ||rho(E_a) rho(E_b) - rho(E_a E_b)||_F from the
+        matrix-unit relations of the source, with dim + (Σn)² products on
+        the range coordinates.
         """
+        if self._unit_multiplicities is not None:
+            return 0.0, 0.0, 0.0, "matrix-unit pattern"
         mult = linalg.matrix_unit_bound(self.values, self.source.matrix_unit_relations)
-        return float(mult), float(self._star_residual), self._unital_residual
+        return float(mult), float(self._star_residual), self._unital_residual, "matrix-unit bound"
 
     @cached_property
     def _unital_residual(self) -> float:
         """||rho(1) - id_E||_F, read by the representation check."""
-        return linalg.frobenius(self(self.source.unit()).coords - self._identity)
+        return linalg.frobenius(self._unit_defect)
 
     @cached_property
     def _exact_multiplicative(self) -> float:
@@ -238,16 +304,17 @@ class CompletelyPositiveMap:
         cached `_representation_data`. A *-homomorphism A -> B is checked here
         too, as a representation on B_B (`algebra.verify_star_homomorphism`).
 
-        The multiplicative residual is the matrix-unit bound when that is at
-        most `tol`, and otherwise the all-pairs residual
-        (`_exact_multiplicative`, computed once), by `algebra.bound_or_exact`:
-        pass/fail is the all-pairs decision at every `tol`, a passing residual
-        is an upper bound, and the check's detail names the certificate that
-        decided.
+        A map that is the matrix-unit pattern of its own multiplicities
+        reports its exact zeros, `matrix-unit pattern`. Otherwise the
+        multiplicative residual is the matrix-unit bound when that is at
+        most `tol`, and else the all-pairs residual (`_exact_multiplicative`,
+        computed once), by `algebra.bound_or_exact`: pass/fail is the
+        all-pairs decision at every `tol`, a passing residual is an upper
+        bound, and the check's detail names the certificate that decided.
         """
-        mult, star, unital = self._representation_data
+        mult, star, unital, certificate = self._representation_data
         mult, certificate = bound_or_exact(
-            mult, "matrix-unit bound", tol, lambda: (self._exact_multiplicative, "all pairs")
+            mult, certificate, tol, lambda: (self._exact_multiplicative, "all pairs")
         )
         return VerificationReport(
             "representation",

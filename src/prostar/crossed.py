@@ -32,6 +32,7 @@ from .groups import (
     GroupAction,
     UnitaryRepresentation,
     _covariance_stacks,
+    _moved_stack,
     _require_covariant_data,
 )
 from .linalg import DEFAULT_TOL
@@ -542,12 +543,12 @@ def _involution_residual(
 
     (delta_h a_i)# = delta_{h^-1} alpha_{h^-1}(a_i*) / Delta(h^-1) and a_i*
     is the basis element i* = adjoint_index[i], so at g = h^-1 the image of
-    the left side is M[g, i*] V_g / Delta(g) (`groups._covariance_stacks`),
+    the left side is M[g, i*] V_g / Delta(g) (`groups._moved_stack`),
     to be compared with K[h, i]* (`_spanning_values`): one gather of each
     side for the whole group.
     """
     group = action.group
-    moved, _ = _covariance_stacks(values, unitaries, action)
+    moved = _moved_stack(values, action)
     delta = np.array([group.modular_function(g) for g in group.elements()])
     inv = [group.inverse(g) for g in group.elements()]
     lhs = np.matmul(moved[:, action.algebra.adjoint_index], unitaries[:, None])

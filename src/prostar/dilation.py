@@ -34,7 +34,7 @@ from .groups import (
     verify_unitary_representation,
 )
 from .linalg import DEFAULT_TOL
-from .modules import AdjointableOperator, HilbertModule, complex_matrices
+from .modules import AdjointableOperator, HilbertModule
 
 NULL_SPACE_REL = 1e-9
 NULL_SPACE_FLOOR = 1e-14
@@ -151,8 +151,17 @@ class CovariantDilation:
 def gram_operator(rho: CompletelyPositiveMap, tol: float = DEFAULT_TOL) -> GramData:
     """G_k and its blockwise trace C_k for each summand M_{n_k} of A: block (β, δ)
     of G_k is x* rho(E_βδ) x, with x the complex basis of E in range coordinates,
-    i.e. rho's Choi block Σ E_βδ (x) rho(E_βδ) with x applied on both sides."""
+    i.e. rho's Choi block Σ E_βδ (x) rho(E_βδ) with x applied on both sides.
+
+    rho is certified CP at `tol` on every call (`require_certified_cp`, which
+    raises PreconditionError); the blocks themselves are free of tol, formed
+    once and cached on rho (`rho._gram`)."""
     require_certified_cp(rho, tol)
+    return rho._gram
+
+
+def _gram_blocks(rho: CompletelyPositiveMap) -> GramData:
+    """`gram_operator`'s blocks, uncertified: read through `rho._gram`."""
     source, module = rho.source, rho.module
     big_d = module.block_dim
     x = np.hstack(module.coord_basis)  # (rank P, d_e*D)
@@ -176,6 +185,13 @@ def minimal_dilation(
     order_seed: int | None = None,
 ) -> DilationCore:
     """Construct (E_rho, Phi_rho, V_rho) for a certified, unital CP map.
+
+    rho is certified CP and unital at `tol` on every call, each raising
+    PreconditionError on failure, from the Gram and the unit defect cached
+    on rho (`gram_operator`, `rho.verify_nondegenerate`). Phi's values are
+    the matrix-unit pattern `source.unit_pattern(p_k…)`, p_k the rank of
+    summand k's retained block, which certifies Phi as a unital
+    *-representation exactly (`CompletelyPositiveMap.verify_representation`).
 
     `order_seed` seeds one generator, from which each C_k in turn draws a
     permutation of its n_k·dim E labels (β, s) and is solved in that order;
@@ -264,14 +280,7 @@ def minimal_dilation(
     # Left representation of A on the quotient: on summand k's coordinates
     # Phi(E_ab) = E_ab (x) 1, since a (x) xi -> E_ab a (x) xi carries row b of the
     # spanning set onto row a and U, W and coord_extract repeat one block per row.
-    p = dilation_module.coord_dim
-    phi = np.zeros((dim_a, p, p), dtype=np.complex128)
-    start = 0
-    for nk, off, root in zip(sizes, source.coord_offsets, roots):
-        pk = root.u.shape[1]
-        a, b, t = np.ix_(np.arange(nk), np.arange(nk), np.arange(pk))
-        phi[off + a * nk + b, start + a * pk + t, start + b * pk + t] = 1.0
-        start += nk * pk
+    phi = source.unit_pattern([root.u.shape[1] for root in roots])
     representation = CompletelyPositiveMap(source, dilation_module, phi)
     # The connector V: xi -> class of 1 (x) xi, which is sum_{k,α} e_α (x) m_k[:, (α, ·)]:
     # the map a (x) xi -> a·1 (x) xi out of the quotient C (x) E = E, whose T is 1's coordinates.
@@ -417,7 +426,7 @@ def _null_preservation_residual(d: CovariantDilation) -> float:
     sizes = source.block_sizes
     moves = (
         (source.structure_constants().transpose(0, 2, 1), np.eye(rep.module.complex_dim)[None]),
-        (d.action._action_tensor, complex_matrices(rep.module, rep.module, rep.values)),
+        (d.action._action_tensor, rep._complex_matrices),
     )
     worst = 0.0
     for t, y in moves:
@@ -446,7 +455,7 @@ def covariant_extend(
         )
 
     quotient, sizes = core.quotient, rho.source.block_sizes
-    u_cm = complex_matrices(rep.module, rep.module, rep.values)
+    u_cm = rep._complex_matrices
     classes = class_matrices(
         action._action_tensor, u_cm, quotient.class_maps, sizes, quotient.embeddings, sizes
     )
@@ -495,7 +504,7 @@ def _dilation_identities(d: CovariantDilation) -> tuple[np.ndarray, tuple[_Ident
 
     # (a) rho(a) = V* Phi(a) V: max_i ||rho(a_i) - V* Phi(a_i) V||_F / (1 + ||rho(a_i)||).
     lhs = rho.values
-    scale = 1.0 + linalg.spectral_norm(lhs)
+    scale = 1.0 + rho._value_norms
     worst = float(np.max(linalg.frobenius_each(lhs - w.conj().T @ phi_v) / scale))
     identities.append(_Identity(_IDENTITY, worst, 1e-9))
 

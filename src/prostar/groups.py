@@ -26,7 +26,13 @@ from .algebra import (
 from .cpmaps import CompletelyPositiveMap
 from .errors import StructuralError
 from .linalg import DEFAULT_TOL
-from .modules import AdjointableOperator, HilbertModule, endomorphism_stack, range_coords
+from .modules import (
+    AdjointableOperator,
+    HilbertModule,
+    complex_matrices,
+    endomorphism_stack,
+    range_coords,
+)
 
 TIE_REL = 1e-12  # residuals this close to the largest, relative to the values, tie
 
@@ -279,6 +285,15 @@ class UnitaryRepresentation:
             inverse = linalg.max_frobenius(u[list(group.inverses)] - u_star)
         return float(identity), float(unitary), float(law), float(inverse)
 
+    @cached_property
+    def _complex_matrices(self) -> np.ndarray:
+        """The unitaries as matrices in the complex basis of the module
+        (`modules.complex_matrices`), read-only and formed once: the Y = u_g
+        that the dilation's v_g and its null-space check descend."""
+        mats = complex_matrices(self.module, self.module, self.values)
+        mats.setflags(write=False)
+        return mats
+
     def __str__(self) -> str:
         return f"unitary representation of {self.group} on {self.module}"
 
@@ -321,24 +336,30 @@ def _require_covariant_data(
         raise StructuralError("action and representation use different groups")
 
 
+def _moved_stack(values: np.ndarray, action: GroupAction) -> np.ndarray:
+    """M, (|G|, dim A, p, p), for a value stack X (one p×p matrix per basis
+    element): M[g, i] = sum_j A_g[j, i] X_j, the image of alpha_g(a_i), the
+    moved side of covariance. One product of the action tensor,
+    (|G|·dim A, dim A) with each A_g transposed, with the values as (dim A, p²)."""
+    order, dim, p = len(action._action_tensor), len(values), values.shape[-1]
+    acts = action._action_tensor.transpose(0, 2, 1).reshape(order * dim, dim)
+    return (acts @ values.reshape(dim, p * p)).reshape(order, dim, p, p)
+
+
 def _covariance_stacks(
     values: np.ndarray, unitaries: np.ndarray, action: GroupAction
 ) -> tuple[np.ndarray, np.ndarray]:
     """(M, C), each (|G|, dim A, p, p), for a value stack X (one p×p matrix per
     basis element) and unitaries V_g indexed by g: the two sides of covariance,
-    M[g, i] = sum_j A_g[j, i] X_j (the image of alpha_g(a_i)) and
-    C[g, i] = V_g X_i V_g*.
+    M = `_moved_stack(X, action)` and C[g, i] = V_g X_i V_g*.
 
-    M is one product of the action tensor, (|G|·dim A, dim A) with each A_g
-    transposed, with the values as (dim A, p²). C is one
-    `linalg.pair_products` product (|G|·p, p) @ (p, dim A·p), whose rows
-    (g, r) hold V_g X_i for every i side by side, followed by |G| products
-    of those dim A·p rows with V_g*. The stacks of all of G are alive at once,
-    2·|G|·dim A·p² entries and the products forming them.
+    C is one `linalg.pair_products` product (|G|·p, p) @ (p, dim A·p), whose
+    rows (g, r) hold V_g X_i for every i side by side, followed by |G|
+    products of those dim A·p rows with V_g*. The stacks of all of G are
+    alive at once, 2·|G|·dim A·p² entries and the products forming them.
     """
     order, dim, p = len(unitaries), len(values), values.shape[-1]
-    acts = action._action_tensor.transpose(0, 2, 1).reshape(order * dim, dim)
-    moved = (acts @ values.reshape(dim, p * p)).reshape(order, dim, p, p)
+    moved = _moved_stack(values, action)
     # pair_products returns its (|G|, p, dim A, p) product transposed; undo the view.
     left = linalg.pair_products(unitaries, values).transpose(0, 2, 1, 3)
     conj = np.matmul(left.reshape(order, p * dim, p), unitaries.conj().transpose(0, 2, 1))
@@ -359,19 +380,32 @@ def check_covariance(
     is within TIE_REL·max(1, max_i ||rho(a_i)||_F) of the largest. Rounding
     moves a residual far less, so the witness does not depend on the
     coordinates the map is held in; at rounding level the first pair is named.
+
+    The residual and witness are free of tol and formed once per (action,
+    rep), cached on rho (`rho._covariances`); each call applies its own tol.
     """
     _require_covariant_data(rho, action, rep)
-    values = rho.values
-    moved, conj = _covariance_stacks(values, rep.values, action)
+    key = (action, rep)
+    if key not in rho._covariances:
+        rho._covariances[key] = _covariance_residual(rho.values, rep.values, action)
+    worst, witness = rho._covariances[key]
+    return VerificationReport(
+        "covariance", (Check("rho(alpha_g(a)) = u_g rho(a) u_g*", worst, tol, witness),)
+    )
+
+
+def _covariance_residual(
+    values: np.ndarray, unitaries: np.ndarray, action: GroupAction
+) -> tuple[float, str]:
+    """`check_covariance`'s residual and witness, free of tol."""
+    moved, conj = _covariance_stacks(values, unitaries, action)
     resid = linalg.frobenius_each(moved - conj)
     worst, witness = float(np.max(resid)), ""
     if worst > 0.0:
         band = TIE_REL * max(1.0, linalg.max_frobenius(values))
         g, i = divmod(int(np.argmax(resid >= worst - band)), resid.shape[1])
         witness = f"g={g}, basis #{i}"
-    return VerificationReport(
-        "covariance", (Check("rho(alpha_g(a)) = u_g rho(a) u_g*", worst, tol, witness),)
-    )
+    return worst, witness
 
 
 def covariant_average(
@@ -386,7 +420,7 @@ def covariant_average(
     if action.algebra != sigma.source or rep.module != sigma.module:
         raise StructuralError("averaging data does not match the map")
     # moved[g, i] = sigma(alpha_g(a_i)), the moved side of covariance.
-    moved, _ = _covariance_stacks(sigma.values, rep.values, action)
+    moved = _moved_stack(sigma.values, action)
     u = rep.values[:, None]
     values = np.mean(u.conj().swapaxes(-1, -2) @ moved @ u, axis=0)
     return CompletelyPositiveMap(sigma.source, sigma.module, values)

@@ -2,14 +2,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from prostar import algebra as algebra_layer
 from prostar.algebra import FiniteCStarAlgebra
 from prostar.cpmaps import CompletelyPositiveMap, require_certified_cp
 from prostar.errors import PreconditionError, StructuralError
 from prostar.modules import HilbertModule
 from prostar.recipes import random_cp_map, unitalize
 
-from pairwise_reference import amplify
+from pairwise_reference import amplify, representation_residual
 
 M2 = FiniteCStarAlgebra((2,))
 C = FiniteCStarAlgebra((1,))
@@ -209,8 +212,13 @@ def test_second_representation_check_forms_no_product(monkeypatch):
     """verify_representation reports at any tol from residuals computed once."""
     from prostar import linalg
 
-    rho = CompletelyPositiveMap.identity_representation(M2, HilbertModule.free(C, 2))
+    # The identity conjugated by a non-monomial unitary: off the matrix-unit
+    # pattern, so its first check forms the bound's products.
+    u = np.array([[3.0, 4.0j], [4.0j, 3.0]]) / 5.0
+    images = [u @ b.dense() @ u.conj().T for b in M2.basis()]
+    rho = CompletelyPositiveMap.from_dense_images(M2, HilbertModule.free(C, 2), images)
     first = rho.verify_representation(1e-10)
+    assert first.check("multiplicative").detail == "matrix-unit bound"
 
     def refuse(*args, **kwargs):
         raise AssertionError("products formed again")
@@ -219,3 +227,83 @@ def test_second_representation_check_forms_no_product(monkeypatch):
     again = rho.verify_representation(1e-3)
     assert [c.residual for c in again.checks] == [c.residual for c in first.checks]
     assert all(c.threshold == 1e-3 for c in again.checks)
+
+
+def _dense_representation_residuals(rho) -> tuple[float, float, float]:
+    """(multiplicative, star, unital) of a map on a free C-module, all pairs and
+    every basis element formed one at a time: the dense check."""
+    vals = rho.values
+    star = max(
+        np.linalg.norm(vals[rho.source.adjoint_index[i]] - vals[i].conj().T) for i in range(len(vals))
+    )
+    unit = sum(c * x for c, x in zip(rho.source.unit().coords(), vals))
+    unital = np.linalg.norm(unit - np.eye(len(unit)))
+    return representation_residual(rho), float(star), float(unital)
+
+
+def _on_free_module(source, values) -> CompletelyPositiveMap:
+    return CompletelyPositiveMap(source, HilbertModule.free(C, values.shape[-1]), values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=st.lists(st.tuples(st.integers(1, 3), st.integers(0, 3)), min_size=1, max_size=3),
+    entry=st.integers(0, 10**6),
+    upward=st.booleans(),
+    swap=st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)),
+)
+def test_unit_pattern_is_exact_and_every_variant_is_checked_densely(shape, entry, upward, swap):
+    """The pattern E^k_ab ⊗ 1_{p_k} reports (0, 0, 0), `matrix-unit pattern`,
+    which the dense check confirms as exact zeros. One entry moved by 1 ulp,
+    two basis values swapped and the pattern padded with a zero direction
+    each take the bound or all-pairs path and decide as the dense check. (A
+    swap of two summands M1 gives the pattern of the swapped multiplicities,
+    a representation, which is recognized as that pattern.)"""
+    sizes, pks = zip(*shape)
+    assume(sum(n * pk for n, pk in shape) >= 1)
+    source = FiniteCStarAlgebra(sizes)
+    pattern = source.unit_pattern(pks)
+    canonical = _on_free_module(source, pattern)
+    assert canonical._unit_multiplicities == pks
+    assert canonical._representation_data == (0.0, 0.0, 0.0, "matrix-unit pattern")
+    assert _dense_representation_residuals(canonical) == (0.0, 0.0, 0.0)
+    assert canonical._exact_multiplicative == 0.0
+    check = canonical.verify_representation(1e-300).check("multiplicative")
+    assert (check.passed, check.residual, check.detail) == (True, 0.0, "matrix-unit pattern")
+
+    moved = pattern.copy()
+    flat = moved.reshape(-1).view(np.float64)[::2]  # the real parts
+    k = entry % len(flat)
+    flat[k] = np.nextafter(flat[k], np.inf if upward else -np.inf)
+    i, j = (x % len(pattern) for x in swap)
+    assume(not np.array_equal(pattern[i], pattern[j]))
+    swapped = pattern.copy()
+    swapped[[i, j]] = swapped[[j, i]]
+    padded = np.pad(pattern, ((0, 0), (0, 1), (0, 1)))
+    for values in (moved, swapped, padded):
+        rho = _on_free_module(source, values)
+        own = rho._unit_multiplicities
+        assert own is None or np.array_equal(values, source.unit_pattern(own))
+        assert own is None or values is swapped
+        mult, star, unital = _dense_representation_residuals(rho)
+        for tol in (1e-300, 1e-9, 1e-3):
+            report = rho.verify_representation(tol)
+            check = report.check("multiplicative")
+            assert (check.detail == "matrix-unit pattern") == (own is not None)
+            assert check.passed == (mult <= tol)
+            assert report.passed == (max(mult, star, unital) <= tol)
+
+
+def test_recognizer_forms_no_pattern_but_the_maps_own():
+    """p_k is read from the trace of rho(E^k_11); unless the p_k are whole,
+    at least 0 and Σ n_k·p_k is the map's own rank, no pattern is formed."""
+    source = FiniteCStarAlgebra((2, 1))
+    for pks, scale in (((1, 1), 2.0), ((3, -1), 1.0), ((1, 1), 0.5)):
+        values = np.zeros((5, 3, 3), dtype=complex)
+        values[0] = np.diag([pks[0], 0, 0]) * scale
+        values[3] = np.diag([0, 0, pks[1]]) * scale
+        rho = _on_free_module(source, values)
+        calls = algebra_layer._unit_pattern.cache_info()
+        assert rho._unit_multiplicities is None
+        assert algebra_layer._unit_pattern.cache_info() == calls
+        assert rho.verify_representation().check("multiplicative").detail != "matrix-unit pattern"

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import pairwise_reference
 
 from prostar import dilation as dilation_layer
+from prostar import groups as groups_layer
 from prostar import linalg
 from prostar.algebra import FiniteCStarAlgebra
 from prostar.cpmaps import CompletelyPositiveMap
@@ -211,6 +212,82 @@ class TestCovariantDilation:
         core = minimal_dilation(rho)
         with pytest.raises(PreconditionError):
             covariant_extend(core, act, u)
+
+
+def test_two_dilations_of_one_map_share_its_rho_side(monkeypatch):
+    """Two dilations of one (rho, alpha, u), at two order seeds, form rho's
+    Gram once, check (rho, alpha, u) covariance once and take u's complex
+    matrices once; Phi of each is certified by its matrix-unit pattern."""
+    rho, act, rep = dilation_instance("m2+c", "m2", 2, "z2", seed=41)
+    grams, covariances = [], []
+    gram_blocks, covariance_residual = dilation_layer._gram_blocks, groups_layer._covariance_residual
+
+    def counted_gram(r):
+        grams.append(r)
+        return gram_blocks(r)
+
+    def counted_covariance(values, unitaries, action):
+        covariances.append((values, unitaries))
+        return covariance_residual(values, unitaries, action)
+
+    monkeypatch.setattr(dilation_layer, "_gram_blocks", counted_gram)
+    monkeypatch.setattr(groups_layer, "_covariance_residual", counted_covariance)
+    d1 = covariant_dilation(rho, act, rep)
+    u_matrices = rep._complex_matrices
+    d2 = covariant_dilation(rho, act, rep, order_seed=5)
+    assert grams == [rho]
+    assert sum(v is rho.values and w is rep.values for v, w in covariances) == 1
+    assert rep._complex_matrices is u_matrices
+    for d in (d1, d2):
+        check = d.representation.verify_representation().check("multiplicative")
+        assert (check.residual, check.detail) == (0.0, "matrix-unit pattern")
+        assert d.residuals.passed
+    assert uniqueness_unitary(d1, d2)[1].passed
+
+
+def _faulty_input(fault: str):
+    """(rho, alpha, u) on the free rank-2 C-module with one fault of size 1e-6:
+    a Choi minimum of -1e-6 (1e-6 of the transpose mixed in), rho(1) = (1 + 1e-6)·1,
+    or u_g the swap X turned by 1e-6 rad, a representation that alpha = Ad(X)
+    does not quite match."""
+    e = HilbertModule.free(C, 2)
+    images = [b.dense() for b in M2.basis()]
+    act, rep = trivial_triple(M2, e)
+    if fault == "not CP":
+        images = [(1 - 1e-6) * x + 1e-6 * x.T for x in images]
+    elif fault == "not unital":
+        images = [(1 + 1e-6) * x for x in images]
+    else:
+        t = 1e-6
+        turn = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+        g = FiniteGroup.cyclic(2)
+        act = GroupAction.by_conjugation(g, M2, [[np.eye(2)], [X]])
+        rep = UnitaryRepresentation.from_complex_matrices(g, e, [np.eye(2), turn @ X @ turn.T])
+    return CompletelyPositiveMap.from_dense_images(M2, e, images), act, rep
+
+
+@pytest.mark.parametrize("fault", ["not CP", "not unital", "not covariant"])
+def test_precondition_is_decided_on_every_call_at_its_tol(fault):
+    """The cached Gram, unit defect and covariance residual hold no decision:
+    a loose tol first, which passes, leaves every stricter call to raise."""
+    rho, act, rep = _faulty_input(fault)
+    for tol in (1e-3, 1e-9, 1e-3, 1e-12, 1e-7, 1e-9):
+        if tol > 1e-5:
+            covariant_dilation(rho, act, rep, tol=tol)
+        else:
+            with pytest.raises(PreconditionError):
+                covariant_dilation(rho, act, rep, tol=tol)
+
+
+def test_padded_phi_is_checked_off_the_pattern():
+    """`padded_variant`'s Phi, the pattern with a zero direction added, fails
+    the pattern and its representation check fails on the unit as before."""
+    d = covariant_dilation(*dilation_instance("m2+c", "m2", 1, "z3", seed=43))
+    phi = padded_variant(d).representation
+    assert phi._unit_multiplicities is None
+    report = phi.verify_representation()
+    assert report.check("multiplicative").detail == "matrix-unit bound"
+    assert not report.check("unital").passed and report.check("multiplicative").passed
 
 
 def assert_matches_dilation_reference(report, d) -> None:

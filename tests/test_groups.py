@@ -162,6 +162,23 @@ class TestCovariance:
         assert not rep.passed
         assert rep.max_residual >= 0.5
 
+    def test_cached_per_action_and_representation(self):
+        """The identity map of M2 is covariant for Ad(X) with u = X, and not for
+        Ad(X) with trivial u or for the trivial action with u = X. Each pair is
+        decided on its own residual, cached on rho under the pair itself."""
+        g = FiniteGroup.cyclic(2)
+        e = HilbertModule.free(C, 2)
+        rho = CompletelyPositiveMap.identity_representation(M2, e)
+        act = GroupAction.by_conjugation(g, M2, [[np.eye(2)], [X]])
+        still = GroupAction.trivial(g, M2)
+        u = UnitaryRepresentation.from_complex_matrices(g, e, [np.eye(2), X])
+        trivial = UnitaryRepresentation.trivial(g, e)
+        pairs = ((act, u, True), (act, trivial, False), (still, u, False), (still, trivial, True))
+        for _ in range(2):
+            for action, rep, covariant in pairs:
+                assert check_covariance(rho, action, rep, 1e-12).passed == covariant
+        assert list(rho._covariances) == [(a, r) for a, r, _ in pairs]
+
     @pytest.mark.parametrize("k", range(4))
     def test_witness_names_perturbed_pair(self, k):
         # Z2 acts trivially on M2 and by u = diag(1, -1) on C^2; the diagonal

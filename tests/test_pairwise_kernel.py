@@ -54,13 +54,23 @@ def test_negative_controls_fail_with_reference_residual():
 def test_chunk_boundaries_mid_basis(monkeypatch):
     """Chunks of one row, and of three rows of M2⊕C (splitting its M2 block), change nothing.
 
-    The maps are rebuilt from their values under each budget: a map caches its
-    residuals, so only a fresh one runs the chunked kernel again.
+    The dilation's Φ is the matrix-unit pattern and forms no pair product at
+    any budget, so the streamed term is exercised on Φ conjugated by a fixed
+    non-monomial unitary W of its module (over B = M2 every coordinate matrix
+    is B-linear), an honest representation off the pattern, and on the
+    standard map. The maps are rebuilt from their values under each budget:
+    a map caches its residuals, so only a fresh one runs the chunked kernel
+    again.
     """
     rho, act, rep = dilation_instance("m2+c", "m2", 2, "s3", seed=7000)
     d = covariant_dilation(rho, act, rep)
     xp = build_crossed_product(act)
-    maps = (d.representation, extend_covariant_cp(d, xp).integrated.standard_map)
+    phi = d.representation
+    p = phi.module.coord_dim
+    w = np.linalg.qr(linalg.random_complex(np.random.default_rng(11), p, p))[0]
+    turned = CompletelyPositiveMap(phi.source, phi.module, w @ phi.values @ w.conj().T)
+    assert turned._unit_multiplicities is None
+    maps = (turned, extend_covariant_cp(d, xp).integrated.standard_map)
     scales = [ref.product_scale(m.values) for m in maps] + [1.0]
     streamed = linalg.max_product_residual
     calls = []
@@ -92,6 +102,9 @@ def test_chunk_boundaries_mid_basis(monkeypatch):
             assert abs(new - old) <= ref.REL * scale
         new = fresh(maps[0]).verify_representation().check("multiplicative").residual
         ref.assert_agrees(new, ref.representation_residual(maps[0]), scales[0], 1e-9)
+        calls.clear()
+        check = fresh(phi).verify_representation().check("multiplicative")
+        assert (check.residual, check.detail, calls) == (0.0, "matrix-unit pattern", [])
 
 
 @settings(max_examples=60, deadline=None)
@@ -390,7 +403,10 @@ def test_passing_map_forms_no_pair_products(monkeypatch):
     """The all-pairs kernel runs only when the bound exceeds tol: never for a
     passing map, once for a failing CP map (then cached) and once per failing
     *-homomorphism check. Each bound streams its first row × first column,
-    2·2 pairs of M2, through the same kernel; the all-pairs residual forms 4·4."""
+    2·2 pairs of M2, through the same kernel; the all-pairs residual forms 4·4.
+    The passing maps are the identity representation and the identity
+    *-automorphism conjugated by a fixed non-monomial unitary; the two
+    unconjugated ones are the matrix-unit pattern and form no product at all."""
     pairs = []
     original = linalg.max_product_residual
 
@@ -402,9 +418,16 @@ def test_passing_map_forms_no_pair_products(monkeypatch):
         return pairs.count(M2.linear_dim**2)
 
     monkeypatch.setattr(linalg, "max_product_residual", counted)
-    honest = CompletelyPositiveMap.identity_representation(M2, HilbertModule.free(C, 2))
-    assert honest.verify_representation(1e-10).passed
+    identity = CompletelyPositiveMap.identity_representation(M2, HilbertModule.free(C, 2))
+    assert identity.verify_representation(1e-10).passed
     assert verify_star_homomorphism(StarHomomorphism.identity(M2)).passed
+    assert pairs == []
+
+    u = np.array([[3.0, 4.0j], [4.0j, 3.0]]) / 5.0
+    images = [u @ b.dense() @ u.conj().T for b in M2.basis()]
+    honest = CompletelyPositiveMap.from_dense_images(M2, HilbertModule.free(C, 2), images)
+    assert honest.verify_representation(1e-10).passed
+    assert verify_star_homomorphism(StarHomomorphism.conjugation_by(M2, [u])).passed
     assert pairs == [4, 4]
 
     state = CompletelyPositiveMap.trace_state(M2, HilbertModule.free(C, 2))

@@ -71,6 +71,10 @@ WARM_INVOLUTION = f"{ACCEPTANCE}::test_warm_extension_runs_no_exact_involution"
 INVOLUTION_TERMS = f"{CROSSED}::test_involution_bound_needs_each_term"
 PHASE_TWISTED = f"{CROSSED}::TestIntegratedForm::test_phase_twisted_unitaries_fail_star_only"
 DRIFT_EXACT = f"{CROSSED}::TestIntegratedForm::test_exact_residual_decides_when_the_bound_exceeds_tol"
+PATTERN_VARIANTS = "tests/test_cpmaps.py::test_unit_pattern_is_exact_and_every_variant_is_checked_densely"
+PATTERN_OWN = "tests/test_cpmaps.py::test_recognizer_forms_no_pattern_but_the_maps_own"
+COVARIANCE_CACHE = f"{GROUPS}::TestCovariance::test_cached_per_action_and_representation"
+PRECONDITION_TOL = f"{DILATION}::test_precondition_is_decided_on_every_call_at_its_tol"
 SWEEP = (
     f"{KERNEL}::test_structure_sweep_matches_whole_matrix_reference",
     f"{KERNEL}::test_structure_sweep_refuses_a_defect_in_any_chunk",
@@ -130,22 +134,33 @@ MUTANTS = (
     ),
     Mutant(
         "fallback-never", "src/prostar/cpmaps.py",
-        'mult, "matrix-unit bound", tol,', 'mult, "matrix-unit bound", float("inf"),', (KERNEL,),
+        "mult, certificate, tol,", 'mult, certificate, float("inf"),', (KERNEL,),
     ),
     Mutant(
         "fallback-always", "src/prostar/cpmaps.py",
-        'mult, "matrix-unit bound", tol,', 'mult, "matrix-unit bound", float("-inf"),', (KERNEL,),
+        "mult, certificate, tol,", 'mult, certificate, float("-inf"),', (KERNEL,),
     ),
     Mutant(
         "fallback-at-twice-tol", "src/prostar/cpmaps.py",
-        'mult, "matrix-unit bound", tol,', 'mult, "matrix-unit bound", 2 * tol,',
+        "mult, certificate, tol,", "mult, certificate, 2 * tol,",
         (f"{KERNEL}::test_fallback_decides_when_the_bound_exceeds_tol",),
     ),
     Mutant(
         "certificate-names-swapped", "src/prostar/cpmaps.py",
-        '"matrix-unit bound", tol, lambda: (self._exact_multiplicative, "all pairs")',
-        '"all pairs", tol, lambda: (self._exact_multiplicative, "matrix-unit bound")',
+        'certificate, tol, lambda: (self._exact_multiplicative, "all pairs")',
+        '"all pairs", tol, lambda: (self._exact_multiplicative, certificate)',
         (f"{KERNEL}::test_star_homomorphism_names_the_certificate_that_decided",),
+    ),
+    # The matrix-unit pattern that certifies Phi exactly.
+    Mutant(
+        "pattern-any-zero-one-stack", "src/prostar/cpmaps.py",
+        "np.array_equal(vals.view(np.float64), pattern)", "np.all((vals == 0) | (vals == 1))",
+        (PATTERN_VARIANTS,),
+    ),
+    Mutant(
+        "pattern-sizes-unsummed", "src/prostar/cpmaps.py",
+        "        if np.dot(source.block_sizes, pks) != self.module.coord_dim:\n            return None\n",
+        "", (PATTERN_OWN,),
     ),
     Mutant(
         "bound-or-exact-reads-one-part", "src/prostar/algebra.py",
@@ -347,14 +362,28 @@ MUTANTS = (
         ("tests/test_cpmaps.py", GROUPS),
     ),
     Mutant(
+        "covariance-key-drops-u", "src/prostar/groups.py",
+        "key = (action, rep)", "key = (action,)", (COVARIANCE_CACHE,),
+    ),
+    Mutant(
+        "covariance-key-drops-alpha", "src/prostar/groups.py",
+        "key = (action, rep)", "key = (rep,)", (COVARIANCE_CACHE,),
+    ),
+    Mutant(
+        "covariance-cached-at-first-tol", "src/prostar/groups.py",
+        "rho._covariances[key] = _covariance_residual(rho.values, rep.values, action)",
+        "rho._covariances[key] = (lambda w, s: (w if w > tol else 0.0, s))("
+        "*_covariance_residual(rho.values, rep.values, action))",
+        (PRECONDITION_TOL,),
+    ),
+    Mutant(
         "inverse-law-gather-dropped", "src/prostar/groups.py",
         "u[list(group.inverses)]", "u[list(range(group.order))]", (GROUPS,),
     ),
     # The dilation and the uniqueness unitary.
     Mutant(
         "null-space-covariant-moves-dropped", "src/prostar/dilation.py",
-        "\n        (d.action._action_tensor,"
-        " complex_matrices(rep.module, rep.module, rep.values)),",
+        "\n        (d.action._action_tensor, rep._complex_matrices),",
         "", (DILATION, ACCEPTANCE),
     ),
     # The Gram as rho's Choi blocks G_k and C_k, one per summand.
@@ -404,7 +433,7 @@ MUTANTS = (
     ),
     Mutant(
         "class-u-replaced-by-identity", "src/prostar/dilation.py",
-        "u_cm = complex_matrices(rep.module, rep.module, rep.values)",
+        "u_cm = rep._complex_matrices",
         "u_cm = np.eye(rep.module.complex_dim)[None]", (DILATION,),
     ),
     Mutant(
@@ -430,9 +459,10 @@ MUTANTS = (
         "[b if j == 0 else 0 * b for b, c in zip(blocks, copies) for j in range(c)]", (DILATION,),
     ),
     Mutant(
-        "phi-block-at-b-a", "src/prostar/dilation.py",
-        "phi[off + a * nk + b, start + a * pk + t, start + b * pk + t] = 1.0",
-        "phi[off + a * nk + b, start + b * pk + t, start + a * pk + t] = 1.0", (DILATION,),
+        "phi-block-at-b-a", "src/prostar/algebra.py",
+        "stack[off + a * n + b, start + a * pk + t, start + b * pk + t] = 1.0",
+        "stack[off + a * n + b, start + b * pk + t, start + a * pk + t] = 1.0",
+        (DILATION, PATTERN_VARIANTS),
     ),
     Mutant(
         "support-cut-per-summand", "src/prostar/dilation.py",
